@@ -184,6 +184,9 @@ echo "== fuzz smoke =="
 go test -fuzz='^FuzzParsePrintRoundTrip$' -fuzztime=10s ./internal/smtlib/
 go test -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
 go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
+# Warm-cache transparency: a cold strings Check and two warm Checks
+# sharing one cache agree on verdict, model and fuel.
+go test -run='^$' -fuzz='^FuzzStringsWarmMatchesCold$' -fuzztime=10s ./internal/solver/strings/
 # -run='^$' skips the harness's (slow) unit tests here; the race
 # stages above already ran them.
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/harness/

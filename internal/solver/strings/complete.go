@@ -12,10 +12,11 @@ import (
 // assigned: it grounds all string subterms to literals, reduces the
 // remaining literals to linear integer/real atoms, solves them, and
 // certifies the combined model by full evaluation.
-func (c *checker) completeArith(m eval.Model) (bool, eval.Model) {
+func (c *checker) completeArith() (bool, eval.Model) {
+	m := c.model
 	var pending []ast.Term
-	for _, l := range c.lits {
-		if allAssigned(l, m) {
+	for i, l := range c.lits {
+		if c.allSet(c.litSlots[i]) {
 			ok, err := eval.Bool(l, m)
 			if err != nil || !ok {
 				return false, nil
@@ -75,7 +76,7 @@ func (c *checker) completeArith(m eval.Model) (bool, eval.Model) {
 			return false, nil
 		}
 		for name, val := range am {
-			if c.varSorts[name] == ast.SortReal {
+			if s, ok := c.slotOf[name]; ok && c.sorts[s] == ast.SortReal {
 				model[name] = eval.RealV{V: val}
 			} else {
 				model[name] = eval.IntV{V: val.Num()}
@@ -84,9 +85,9 @@ func (c *checker) completeArith(m eval.Model) (bool, eval.Model) {
 	}
 
 	// Default-complete and certify.
-	for name, s := range c.varSorts {
+	for s, name := range c.names {
 		if _, ok := model[name]; !ok {
-			model[name] = eval.DefaultValue(s)
+			model[name] = eval.DefaultValue(c.sorts[s])
 		}
 	}
 	for _, l := range c.lits {
@@ -120,6 +121,16 @@ func (c *checker) ground(t ast.Term, m eval.Model) ast.Term {
 		}
 		return eval.ToTerm(v)
 	})
+}
+
+// allAssigned reports whether every free variable of t has a value in m.
+func allAssigned(t ast.Term, m eval.Model) bool {
+	for _, v := range ast.FreeVars(t) {
+		if _, ok := m[v.Name]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // simplifyBool folds ground boolean structure: negations of literals,

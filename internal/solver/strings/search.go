@@ -15,31 +15,49 @@ import (
 func (c *checker) search() (Status, eval.Model) {
 	c.buildAlphabet()
 
-	var searchVars []string
-	for name, s := range c.varSorts {
-		if s == ast.SortString || s == ast.SortBool {
-			searchVars = append(searchVars, name)
-		}
+	w := c.warm
+	if w != nil && len(w.ids) >= warmMaxIDs {
+		w.Reset()
 	}
-	sort.Strings(searchVars)
-
-	cands := map[string][]eval.Value{}
-	for _, v := range searchVars {
-		if c.varSorts[v] == ast.SortBool {
-			cands[v] = []eval.Value{eval.BoolV(false), eval.BoolV(true)}
-		} else {
-			cands[v] = c.stringCandidates(v)
+	n := len(c.names)
+	c.cands = make([][]eval.Value, n)
+	c.candIDs = make([][]uint32, n)
+	for s, srt := range c.sorts {
+		switch srt {
+		case ast.SortBool:
+			c.cands[s] = []eval.Value{eval.BoolV(false), eval.BoolV(true)}
+		case ast.SortString:
+			c.cands[s] = c.stringCandidates(c.names[s])
+		default:
+			continue
+		}
+		c.order = append(c.order, s)
+		c.candIDs[s] = make([]uint32, len(c.cands[s]))
+		if w != nil {
+			for k, v := range c.cands[s] {
+				c.candIDs[s][k] = w.id(v)
+			}
 		}
 	}
 	// Most-constrained-first ordering.
-	sort.SliceStable(searchVars, func(i, j int) bool {
-		return len(cands[searchVars[i]]) < len(cands[searchVars[j]])
+	sort.SliceStable(c.order, func(i, j int) bool {
+		return len(c.cands[c.order[i]]) < len(c.cands[c.order[j]])
 	})
+
+	c.vals = make([]eval.Value, n)
+	c.ids = make([]uint32, n)
+	c.model = eval.Model{}
+	if w != nil {
+		c.litMemos = make([]*memo[bool], len(c.lits))
+		c.propMemos = make([]*memo[propEntry], len(c.defs))
+	}
 
 	// Literals with no free variables never become "newly completed" by
 	// an assignment below; verify them once up front.
-	if !c.litsConsistent(eval.Model{}) {
-		return Unknown, nil
+	for _, i := range c.groundLits {
+		if !c.litPasses(i) {
+			return Unknown, nil
+		}
 	}
 
 	// Injected hang defect: on wide search frontiers (the shape fused
@@ -47,14 +65,13 @@ func (c *checker) search() (Status, eval.Model) {
 	// variable in scope) the DFS "loops forever". Simulated by draining
 	// the fuel meter: the observable signature — a deterministic
 	// timeout — is the same, with no wall-clock cost.
-	if len(searchVars) >= 4 && c.defect("pf-strings-dfs-hang") {
+	if len(c.order) >= 4 && c.defect("pf-strings-dfs-hang") {
 		c.fuel.Drain()
 		return Unknown, nil
 	}
 
-	nodes := c.lim.MaxNodes
-	ok, model := c.dfs(searchVars, cands, eval.Model{}, &nodes)
-	if ok {
+	c.nodes = c.lim.MaxNodes
+	if ok, model := c.dfs(); ok {
 		return Sat, model
 	}
 	return Unknown, nil
@@ -221,119 +238,102 @@ func (c *checker) shortlex(maxLen, limit int) []string {
 	return out
 }
 
-func (c *checker) dfs(order []string, cands map[string][]eval.Value, m eval.Model, nodes *int) (bool, eval.Model) {
-	if *nodes <= 0 || !c.fuel.Spend(1) {
+// dfs extends the current assignment: values forced by defining
+// equations first, then a branch over the candidates of the next
+// unassigned variable; a full assignment goes to arithmetic completion.
+func (c *checker) dfs() (bool, eval.Model) {
+	if c.nodes <= 0 || !c.fuel.Spend(1) {
 		return false, nil
 	}
 	c.telem.Inc(cDFSSteps)
-	*nodes--
+	c.nodes--
 
-	// Propagation: a variable whose defining equation is ground under m
-	// is forced; assign it and recurse without branching.
-	for _, v := range order {
-		if _, done := m[v]; done {
+	// Propagation: a variable whose defining equation is ground under
+	// the assignment is forced; assign it and recurse without branching.
+	for _, s := range c.order {
+		if c.vals[s] != nil {
 			continue
 		}
-		for _, rhs := range c.eqDefs[v] {
-			if !allAssigned(rhs, m) {
+		for _, d := range c.defsOf[s] {
+			if !c.allSet(c.defs[d].slots) {
 				continue
 			}
-			val, ok := c.propValue(rhs, m)
+			val, id, ok := c.propValue(d)
 			if !ok {
 				continue
 			}
-			if sv, ok := val.(eval.StrV); ok && c.violatesNeg(v, string(sv)) {
+			if sv, ok := val.(eval.StrV); ok && c.violatesNeg(c.names[s], string(sv)) {
 				return false, nil
 			}
-			// Assign in place and undo on failure: the search clones the
-			// model only when a full solution is certified
-			// (completeArith), not at every node.
-			m[v] = val
-			if !c.litsConsistentAfter(m, v) {
-				delete(m, v)
+			if !c.assign(s, val, id) {
 				return false, nil
 			}
-			ok, model := c.dfs(order, cands, m, nodes)
+			ok, model := c.dfs()
 			if !ok {
-				delete(m, v)
+				c.unassign(s)
 			}
 			return ok, model
 		}
 	}
 
 	// Branch on the next unassigned variable.
-	var pick string
-	for _, v := range order {
-		if _, done := m[v]; !done {
-			pick = v
-			break
-		}
-	}
-	if pick == "" {
-		return c.completeArith(m)
-	}
-	for _, val := range cands[pick] {
-		m[pick] = val
-		if c.litsConsistentAfter(m, pick) {
-			if ok, model := c.dfs(order, cands, m, nodes); ok {
-				return true, model
-			}
-		}
-		delete(m, pick)
-		if *nodes <= 0 {
-			return false, nil
-		}
-	}
-	return false, nil
-}
-
-// litsConsistent evaluates every literal whose free variables are all
-// assigned; any false literal prunes the branch.
-func (c *checker) litsConsistent(m eval.Model) bool {
-	for i := range c.lits {
-		ready := true
-		for _, name := range c.litVars[i] {
-			if _, ok := m[name]; !ok {
-				ready = false
-				break
-			}
-		}
-		if !ready {
+	for _, s := range c.order {
+		if c.vals[s] != nil {
 			continue
 		}
-		if !c.litPasses(i, m) {
-			return false
+		for k, val := range c.cands[s] {
+			if c.assign(s, val, c.candIDs[s][k]) {
+				if ok, model := c.dfs(); ok {
+					return true, model
+				}
+				c.unassign(s)
+			}
+			if c.nodes <= 0 {
+				return false, nil
+			}
 		}
+		return false, nil
 	}
+	return c.completeArith()
+}
+
+// assign gives slot s the value val (interned as id) and checks the
+// literals it completes. Only a value that passes enters the model,
+// which propagation and completeArith read; a failing one leaves s
+// unassigned. The search mutates in place and undoes on backtrack: it
+// clones the model only when completeArith certifies a solution.
+func (c *checker) assign(s int, val eval.Value, id uint32) bool {
+	c.vals[s], c.ids[s] = val, id
+	if !c.litsConsistentAfter(s) {
+		c.vals[s] = nil
+		return false
+	}
+	c.model[c.names[s]] = val
 	return true
+}
+
+func (c *checker) unassign(s int) {
+	c.vals[s] = nil
+	delete(c.model, c.names[s])
 }
 
 // litsConsistentAfter evaluates only the literals completed by the
-// assignment of v: a literal needs checking exactly when its last free
-// variable gets a value, so the DFS evaluates each literal once per
-// path instead of re-evaluating every ready literal at every node.
-func (c *checker) litsConsistentAfter(m eval.Model, v string) bool {
-	for _, i := range c.litsByVar[v] {
-		ready := true
-		for _, name := range c.litVars[i] {
-			if _, ok := m[name]; !ok {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
-		if !c.litPasses(i, m) {
+// assignment of slot s: a literal needs checking exactly when its last
+// free variable gets a value, so the DFS evaluates each literal once
+// per path instead of re-evaluating every ready literal at every node.
+func (c *checker) litsConsistentAfter(s int) bool {
+	for _, i := range c.litsBySlot[s] {
+		if c.allSet(c.litSlots[i]) && !c.litPasses(i) {
 			return false
 		}
 	}
 	return true
 }
 
-func allAssigned(t ast.Term, m eval.Model) bool {
-	for _, v := range ast.FreeVars(t) {
-		if _, ok := m[v.Name]; !ok {
+// allSet reports whether every given slot is assigned.
+func (c *checker) allSet(slots []int) bool {
+	for _, s := range slots {
+		if c.vals[s] == nil {
 			return false
 		}
 	}

@@ -3,31 +3,17 @@ package strings
 import (
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/smtlib"
 )
 
-func newChecker(t *testing.T, src string) *checker {
+func checkerFor(t *testing.T, src string) *checker {
 	t.Helper()
-	s, err := smtlib.ParseScript(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &checker{lits: s.Asserts(), lim: DefaultLimits(), defect: func(string) bool { return false }}
-	c.varSorts = map[string]ast.Sort{}
-	c.litVars = make([][]string, len(c.lits))
-	for i, l := range c.lits {
-		for _, v := range ast.FreeVars(l) {
-			c.varSorts[v.Name] = v.VSort
-			c.litVars[i] = append(c.litVars[i], v.Name)
-		}
-	}
-	return c
+	return newChecker(&Problem{Lits: mustAsserts(t, src)})
 }
 
 func TestBuildAlphabet(t *testing.T) {
-	c2 := newChecker(t, `
+	c2 := checkerFor(t, `
 (declare-fun a () String)
 (assert (= a "xz"))
 (assert (= (str.to_int a) 5))
@@ -51,7 +37,7 @@ func TestBuildAlphabet(t *testing.T) {
 }
 
 func TestShortlexOrder(t *testing.T) {
-	c := newChecker(t, `(declare-fun a () String)(assert (= a "ab"))`)
+	c := checkerFor(t, `(declare-fun a () String)(assert (= a "ab"))`)
 	c.buildAlphabet()
 	out := c.shortlex(3, 10)
 	if out[0] != "" {
@@ -68,13 +54,12 @@ func TestShortlexOrder(t *testing.T) {
 }
 
 func TestStringCandidatesIncludeLiteralsAndInts(t *testing.T) {
-	c3 := newChecker(t, `
+	c3 := checkerFor(t, `
 (declare-fun a () String)
 (assert (= (str.to_int a) 37))
 `)
 	c3.pos = nil
 	c3.neg = nil
-	c3.eqDefs = map[string][]ast.Term{}
 	c3.buildAlphabet()
 	cands := c3.stringCandidates("a")
 	found := false

@@ -79,6 +79,73 @@ type Problem struct {
 // Check decides the conjunction. On Sat the model assigns every free
 // variable of the literals (strings, ints, bools, reals).
 func Check(p *Problem) (Status, eval.Model) {
+	return newChecker(p).run()
+}
+
+type checker struct {
+	lits   []ast.Term
+	lim    Limits
+	defect func(id string) bool
+	fuel   *fuel.Meter
+	telem  *telemetry.Tracker
+	warm   *Warm
+
+	// Slots number the free variables in name order: names[s] and
+	// sorts[s] describe slot s, and slotOf maps a name to its slot.
+	names  []string
+	sorts  []ast.Sort
+	slotOf map[string]int
+	// litSlots holds each literal's variable slots in ast.FreeVars order
+	// (the warm-memo key order). litsBySlot indexes literals by slot, so
+	// the DFS checks only the literals each assignment completes.
+	// groundLits lists the literals without variables.
+	litSlots   [][]int
+	litsBySlot [][]int
+	groundLits []int
+
+	strVars []string
+	intVars []string
+
+	// memberships: positive ground regex constraints per string var.
+	pos map[string][]regex.Regex
+	neg map[string][]regex.Regex
+
+	// defs are the defining equations v = rhs usable for propagation;
+	// defsOf lists their indices by the slot of v.
+	defs   []propDef
+	defsOf [][]int
+
+	alphabet []byte
+	lenHint  map[string]int
+
+	// DFS state (see search): the branching order, per-slot candidates
+	// and their value ids, the current assignment by slot (a nil value
+	// is unassigned), and model, which holds the assigned values whose
+	// literals passed.
+	order   []int
+	cands   [][]eval.Value
+	candIDs [][]uint32
+	vals    []eval.Value
+	ids     []uint32
+	model   eval.Model
+	nodes   int
+	// litMemos and propMemos are this check's warm memos by literal and
+	// by defining equation, resolved on first use; scratch is the
+	// evaluation model of a literal.
+	litMemos  []*memo[bool]
+	propMemos []*memo[propEntry]
+	scratch   eval.Model
+}
+
+// propDef is a defining equation v = rhs, with the slots of rhs's
+// variables in ast.FreeVars order.
+type propDef struct {
+	rhs   ast.Term
+	slots []int
+}
+
+// newChecker builds the checker for p, numbering its variables.
+func newChecker(p *Problem) *checker {
 	lim := p.Limits
 	if lim.MaxLen == 0 {
 		lim = DefaultLimits()
@@ -87,59 +154,48 @@ func Check(p *Problem) (Status, eval.Model) {
 	if c.defect == nil {
 		c.defect = func(string) bool { return false }
 	}
-	return c.run()
-}
-
-type checker struct {
-	lits    []ast.Term
-	litVars [][]string // free-variable names per literal (precomputed)
-	lim     Limits
-	defect  func(id string) bool
-	fuel    *fuel.Meter
-	telem   *telemetry.Tracker
-	warm    *Warm
-
-	strVars []string
-	intVars []string
-	// varSorts of all free variables.
-	varSorts map[string]ast.Sort
-
-	// memberships: positive ground regex constraints per string var.
-	pos map[string][]regex.Regex
-	neg map[string][]regex.Regex
-
-	// eqDefs: defining equations v = rhs usable for propagation.
-	eqDefs map[string][]ast.Term
-
-	// litsByVar indexes literals by free-variable name, so the DFS can
-	// check only the literals completed by each assignment.
-	litsByVar map[string][]int
-
-	alphabet []byte
-	lenHint  map[string]int
+	free := make([][]*ast.Var, len(c.lits))
+	sorts := map[string]ast.Sort{}
+	for i, l := range c.lits {
+		free[i] = ast.FreeVars(l)
+		for _, v := range free[i] {
+			sorts[v.Name] = v.VSort
+		}
+	}
+	for name := range sorts {
+		c.names = append(c.names, name)
+	}
+	sort.Strings(c.names)
+	c.sorts = make([]ast.Sort, len(c.names))
+	c.slotOf = make(map[string]int, len(c.names))
+	for s, name := range c.names {
+		c.sorts[s] = sorts[name]
+		c.slotOf[name] = s
+	}
+	c.litSlots = make([][]int, len(c.lits))
+	c.litsBySlot = make([][]int, len(c.names))
+	for i, vs := range free {
+		if len(vs) == 0 {
+			c.groundLits = append(c.groundLits, i)
+		}
+		for _, v := range vs {
+			s := c.slotOf[v.Name]
+			c.litSlots[i] = append(c.litSlots[i], s)
+			c.litsBySlot[s] = append(c.litsBySlot[s], i)
+		}
+	}
+	return c
 }
 
 func (c *checker) run() (Status, eval.Model) {
-	c.varSorts = map[string]ast.Sort{}
-	c.litVars = make([][]string, len(c.lits))
-	c.litsByVar = map[string][]int{}
-	for i, l := range c.lits {
-		for _, v := range ast.FreeVars(l) {
-			c.varSorts[v.Name] = v.VSort
-			c.litVars[i] = append(c.litVars[i], v.Name)
-			c.litsByVar[v.Name] = append(c.litsByVar[v.Name], i)
-		}
-	}
-	for name, s := range c.varSorts {
-		switch s {
+	for s, name := range c.names {
+		switch c.sorts[s] {
 		case ast.SortString:
 			c.strVars = append(c.strVars, name)
 		case ast.SortInt:
 			c.intVars = append(c.intVars, name)
 		}
 	}
-	sort.Strings(c.strVars)
-	sort.Strings(c.intVars)
 
 	// Syntactic conflicts and regex constraints.
 	if c.collectRegexConstraints() == Unsat {
@@ -170,7 +226,7 @@ func (c *checker) run() (Status, eval.Model) {
 func (c *checker) collectRegexConstraints() Status {
 	c.pos = map[string][]regex.Regex{}
 	c.neg = map[string][]regex.Regex{}
-	c.eqDefs = map[string][]ast.Term{}
+	c.defsOf = make([][]int, len(c.names))
 	for _, l := range c.lits {
 		atom, polarity := stripNot(l)
 		app, ok := atom.(*ast.App)
@@ -199,23 +255,31 @@ func (c *checker) collectRegexConstraints() Status {
 				continue
 			}
 			if v, ok := app.Args[0].(*ast.Var); ok {
-				c.eqDefs[v.Name] = append(c.eqDefs[v.Name], app.Args[1])
+				c.addDef(v.Name, app.Args[1])
 			}
 			if v, ok := app.Args[1].(*ast.Var); ok {
-				c.eqDefs[v.Name] = append(c.eqDefs[v.Name], app.Args[0])
+				c.addDef(v.Name, app.Args[0])
 			}
 		}
 	}
 	// Positive membership intersections must be non-empty.
-	for v, rs := range c.pos {
-		if len(rs) > 1 {
-			if regex.IsEmpty(regex.Inter(rs...)) {
-				return Unsat
-			}
+	for _, rs := range c.pos {
+		if len(rs) > 1 && regex.IsEmpty(regex.Inter(rs...)) {
+			return Unsat
 		}
-		_ = v
 	}
 	return Unknown
+}
+
+// addDef records the defining equation v = rhs.
+func (c *checker) addDef(v string, rhs ast.Term) {
+	d := propDef{rhs: rhs}
+	for _, fv := range ast.FreeVars(rhs) {
+		d.slots = append(d.slots, c.slotOf[fv.Name])
+	}
+	s := c.slotOf[v]
+	c.defsOf[s] = append(c.defsOf[s], len(c.defs))
+	c.defs = append(c.defs, d)
 }
 
 // congruenceConflict runs union-find over the positive equalities whose

@@ -30,7 +30,11 @@ const rewriteMemoMax = 1 << 16
 // the term pointers too).
 type warmState struct {
 	// str is the string theory's literal-evaluation cache (see
-	// strings.Warm); the DFS hot path accounts for ~90% of campaign CPU.
+	// strings.Warm). On string-logic campaigns the strings solver and
+	// eval do most of the work: the traced yybench `strings` workload
+	// (2-core x86-64 host) attributes 0.42 of CPU to the strings solver
+	// and 0.40 to eval. On the `arith` workload the strings solver's
+	// share is about 0.001.
 	str *strings.Warm
 	// rw memoizes top-level preprocess rewrites: input term → output
 	// term plus the defect sites that fired while rewriting it, so a
