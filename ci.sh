@@ -71,8 +71,11 @@ echo "== go test -race (campaign service) =="
 # frontier resume, chained pause/resume, K-way shard merge with
 # results, metrics, traces, and reproducer bundles byte-compared,
 # fail-closed document corruption, concurrent API clients, spool
-# reload, and goroutine-leak checks.
-go test -race -timeout 15m -run 'TestCheckpoint|TestShard|TestMerge|FuzzCheckpointRoundTrip' ./internal/harness/
+# reload, and goroutine-leak checks. The document goldens pin the
+# checkpoint, envelope and fingerprint bytes across builds, and the
+# envelope-merge fuzz seeds check that merging one envelope alone is
+# the identity.
+go test -race -timeout 15m -run 'TestCheckpoint|TestShard|TestMerge|FuzzCheckpointRoundTrip|TestDocumentGolden|FuzzEnvelopeMerge' ./internal/harness/
 go test -race -timeout 10m ./internal/service/
 
 echo "== go test -race (telemetry) =="
@@ -190,6 +193,9 @@ go test -run='^$' -fuzz='^FuzzStringsWarmMatchesCold$' -fuzztime=10s ./internal/
 # -run='^$' skips the harness's (slow) unit tests here; the race
 # stages above already ran them.
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/harness/
+# Envelope seeds are tens of KB: the default 60 s minimization of each
+# new interesting input would eat the whole budget, so cap it.
+go test -run='^$' -fuzz='^FuzzEnvelopeMerge$' -fuzztime=10s -fuzzminimizetime=1s ./internal/harness/
 
 echo "== bench gate =="
 # Short-mode regression gate: runs the fast benchmarks at a fixed op

@@ -130,19 +130,60 @@ type BackendFinding struct {
 	Task     int // global task index, for trace correlation
 }
 
+// counts lists the report's counters (everything but the identity and
+// the breaker state).
+func (r *BackendReport) counts() []namedCount {
+	return []namedCount{
+		{"Checks", &r.Checks}, {"Skipped", &r.Skipped}, {"Sat", &r.Sat},
+		{"Unsat", &r.Unsat}, {"Unknowns", &r.Unknowns}, {"Timeouts", &r.Timeouts},
+		{"Crashes", &r.Crashes}, {"Garbled", &r.Garbled}, {"Faults", &r.Faults},
+		{"Retries", &r.Retries}, {"Disagreements", &r.Disagreements},
+		{"Outvoted", &r.Outvoted}, {"Violations", &r.Violations},
+	}
+}
+
+// add folds another tally of the same backend into r: counters sum, and
+// the backend is quarantined if either side saw its breaker open.
+func (r *BackendReport) add(o BackendReport) {
+	addCounts(r.counts(), o.counts())
+	r.Quarantined = r.Quarantined || o.Quarantined
+}
+
 // bkKey dedups backend findings: one bundle per (backend, kind,
 // observed-vs-oracle shape); re-triggers only bump the report tallies.
 type bkKey struct {
-	backendIdx int
-	kind       bugdb.BugType
-	oracle     string
-	observed   string
+	backend  string
+	kind     bugdb.BugType
+	oracle   string
+	observed string
 }
 
-// backendTriage is the in-order classification state for backend
-// cross-checks (created once per Run when backends are configured).
-type backendTriage struct {
-	seen map[bkKey]bool
+// findingKey is the dedup key of a finding — the only place one is
+// built, shared by classification, the state fold, and the artifact
+// merge. The oracle participates only for the disagreement-shaped
+// kinds: a hang or garble is the same failure whatever the expected
+// status, but an outvoted verdict or pair violation is a distinct
+// observation per reference it contradicts.
+func findingKey(f BackendFinding) bkKey {
+	key := bkKey{backend: f.Backend, kind: f.Kind, observed: f.Observed}
+	if f.Kind == bugdb.Disagreement || f.Kind == bugdb.MajorityDisagreement || f.Kind == bugdb.MetamorphicViolation {
+		key.oracle = f.Oracle
+	}
+	return key
+}
+
+// seenFinding reports whether a finding's dedup key is already
+// recorded: a re-trigger, which only bumps the report tallies.
+func (st *runState) seenFinding(f BackendFinding) bool {
+	_, dup := st.seen[findingKey(f)]
+	return dup
+}
+
+// recordFinding records a new finding under its dedup key.
+func (st *runState) recordFinding(f BackendFinding) {
+	st.seen[findingKey(f)] = f.Task
+	st.res.BackendFindings = append(st.res.BackendFindings, f)
+	st.tr.Inc(cbFindings)
 }
 
 // runBackends performs the cross-checks for one task. Called on the
@@ -163,37 +204,26 @@ func runBackends(bks []backend.Backend, sc *smtlib.Script) []backend.Output {
 // report tallies, deduplicated findings, and reproducer bundles. It
 // runs in the in-order classification stage, so finding order and
 // artifact contents are deterministic for hermetic backends.
-func classifyBackends(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out taskOutcome) {
+func (st *runState) classifyBackends(out *taskOutcome) {
+	cfg := st.cfg
 	oracle := out.oracle()
-	logic := cfg.Logics[out.id/cfg.Iterations]
 	for i, o := range out.backendRuns {
-		rep := &res.Backends[i]
-		kind, skipped := tallyBackend(rep, o)
+		kind, skipped := st.tallyBackend(i, o)
 		if skipped {
 			continue
 		}
 		if o.Verdict.Definite() && backendContradicts(o.Verdict, oracle) {
-			rep.Disagreements++
+			st.res.Backends[i].Disagreements++
+			st.tr.Inc(cbDisagree)
 			kind = bugdb.Disagreement
 		}
 		if kind == "" {
 			continue
 		}
-		key := bkKey{backendIdx: i, kind: kind, observed: o.Verdict.String()}
-		if kind == bugdb.Disagreement {
-			// Only disagreements dedup per oracle: sat-claimed-unsat and
-			// unsat-claimed-sat are distinct observations, while a hang or
-			// garble is the same failure whatever the expected status.
-			key.oracle = oracle.String()
-		}
-		if bt.seen[key] {
-			continue
-		}
-		bt.seen[key] = true
 		f := BackendFinding{
 			Backend:  cfg.Backends[i].Name,
 			Kind:     kind,
-			Logic:    string(logic),
+			Logic:    string(cfg.Logics[out.id/cfg.Iterations]),
 			Oracle:   oracle.String(),
 			Observed: o.Verdict.String(),
 			Reason:   o.Reason,
@@ -202,9 +232,12 @@ func classifyBackends(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 			Retries:  o.Retries,
 			Task:     out.id,
 		}
-		res.BackendFindings = append(res.BackendFindings, f)
-		if aw != nil {
-			m := manifestFor(cfg, out, "backend-"+string(kind), "")
+		if st.seenFinding(f) {
+			continue
+		}
+		st.recordFinding(f)
+		if st.aw != nil {
+			m := manifestFor(cfg, *out, "backend-"+string(kind), "")
 			m.Backend = f.Backend
 			m.BackendArgv = cfg.Backends[i].Argv
 			m.BackendExit = o.ExitCode
@@ -212,7 +245,7 @@ func classifyBackends(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 			m.BackendRetries = o.Retries
 			m.Observed = f.Observed
 			m.Reason = f.Reason
-			aw.write(m, out.ancestors, out.testScript(), out.id)
+			st.aw.write(m, out.ancestors, out.testScript(), out.id)
 		}
 	}
 	// Metamorphic-variant solves consume the same backend budget as
@@ -221,20 +254,24 @@ func classifyBackends(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 	// status for the differential oracle to check against — violations
 	// of the pair relation are classifyConsensus's business.
 	for i, o := range out.variantBackends {
-		tallyBackend(&res.Backends[i], o)
+		st.tallyBackend(i, o)
 	}
 }
 
-// tallyBackend folds one backend output into its report tallies and
+// tallyBackend folds backend i's output into its report tallies and
 // returns the contained-failure kind it classifies as ("" for parsed
 // verdicts) plus whether the check was suppressed by an open breaker.
-func tallyBackend(rep *BackendReport, o backend.Output) (kind bugdb.BugType, skipped bool) {
+func (st *runState) tallyBackend(i int, o backend.Output) (kind bugdb.BugType, skipped bool) {
+	rep := &st.res.Backends[i]
 	if o.Verdict == backend.Quarantined {
 		rep.Skipped++
+		st.tr.Inc(cbSkipped)
 		return "", true
 	}
 	rep.Checks++
+	st.tr.Inc(cbChecks)
 	rep.Retries += o.Retries
+	st.tr.Add(cbRetries, int64(o.Retries))
 	switch o.Verdict {
 	case backend.Sat:
 		rep.Sat++
@@ -244,15 +281,19 @@ func tallyBackend(rep *BackendReport, o backend.Output) (kind bugdb.BugType, ski
 		rep.Unknowns++
 	case backend.Timeout:
 		rep.Timeouts++
+		st.tr.Inc(cbTimeouts)
 		kind = bugdb.Performance
 	case backend.Crash:
 		rep.Crashes++
+		st.tr.Inc(cbCrashes)
 		kind = bugdb.Crash
 	case backend.Garbled:
 		rep.Garbled++
+		st.tr.Inc(cbGarbled)
 		kind = bugdb.Garbled
 	case backend.Fault:
 		rep.Faults++ // our adapter's bug: tallied, never a finding
+		st.tr.Inc(cbFaults)
 	}
 	return kind, false
 }

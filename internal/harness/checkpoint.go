@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"io"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/internal/backend"
@@ -243,22 +244,6 @@ func (cc CampaignConfig) Validate() error {
 	if _, err := bugdb.DefectsIn(bugdb.SUT(d.SUT), d.Release); err != nil {
 		return fmt.Errorf("harness: config: %v", err)
 	}
-	switch CampaignMode(d.Mode) {
-	case ModeFusion, ModeMutate, ModeBoth, ModeWild:
-	default:
-		return fmt.Errorf("harness: config: unknown campaign mode %q", d.Mode)
-	}
-	switch OraclePolicy(d.Oracle) {
-	case OracleKnown, OracleMajority, OracleMetamorphic, OracleAuto:
-	default:
-		return fmt.Errorf("harness: config: unknown oracle policy %q", d.Oracle)
-	}
-	if cc.Quorum < 0 {
-		return fmt.Errorf("harness: config: negative quorum %d", cc.Quorum)
-	}
-	if d.ConcatOnly && CampaignMode(d.Mode) != ModeFusion {
-		return fmt.Errorf("harness: config: ConcatOnly requires fusion mode, got %q", d.Mode)
-	}
 	if cc.Iterations < 0 {
 		return fmt.Errorf("harness: config: negative iterations %d", cc.Iterations)
 	}
@@ -285,25 +270,18 @@ func (cc CampaignConfig) Validate() error {
 	if cc.Shard >= d.Shards {
 		return fmt.Errorf("harness: config: shard %d out of range for %d shards", cc.Shard, d.Shards)
 	}
-	names := map[string]bool{}
-	for i, bc := range d.Backends {
-		if err := bc.validate(); err != nil {
-			return fmt.Errorf("harness: config: backend %d: %v", i, err)
-		}
-		n := bc.name()
-		if n == "sut" {
-			return fmt.Errorf("harness: config: backend name %q is reserved", n)
-		}
-		if names[n] {
-			return fmt.Errorf("harness: config: duplicate backend name %q", n)
-		}
-		names[n] = true
+	// Mode, oracle, quorum, and backend naming are the runtime
+	// Campaign's rules: one validator for both layers.
+	cfg, err := d.campaign()
+	if err != nil {
+		return err
 	}
-	return nil
+	return validateCampaign(cfg)
 }
 
 // campaign builds the runtime Campaign (without telemetry/trace
-// attachments). Call on a defaulted, validated config.
+// attachments), validating each backend config. Call on a defaulted
+// config.
 func (cc CampaignConfig) campaign() (Campaign, error) {
 	cfg := Campaign{
 		SUT:               bugdb.SUT(cc.SUT),
@@ -328,10 +306,10 @@ func (cc CampaignConfig) campaign() (Campaign, error) {
 	for _, d := range cc.InjectDefects {
 		cfg.InjectDefects = append(cfg.InjectDefects, solver.Defect(d))
 	}
-	for _, bc := range cc.Backends {
+	for i, bc := range cc.Backends {
 		spec, err := bc.spec()
 		if err != nil {
-			return Campaign{}, fmt.Errorf("harness: config: %w", err)
+			return Campaign{}, fmt.Errorf("harness: config: backend %d: %w", i, err)
 		}
 		cfg.Backends = append(cfg.Backends, spec)
 	}
@@ -364,15 +342,6 @@ func (cc CampaignConfig) includeIDs() []int {
 		ids = append(ids, id)
 	}
 	return ids
-}
-
-// backendNames lists the configured backends' labels in order.
-func (cc CampaignConfig) backendNames() []string {
-	names := make([]string, len(cc.Backends))
-	for i, bc := range cc.Backends {
-		names[i] = bc.name()
-	}
-	return names
 }
 
 // savedSeed serializes one bug ancestor. The witness model of sat seeds
@@ -473,27 +442,7 @@ func bugFromSaved(sb savedBug) (Bug, error) {
 // restored Bug's script is re-parsed from its printed form, which is
 // textually canonical but not pointer-identical.)
 func (r *Result) Fingerprint() []byte {
-	s := savedState{
-		Tests:                  r.Tests,
-		Unknowns:               r.Unknowns,
-		Duplicates:             r.Duplicates,
-		ReferenceDisagreements: r.ReferenceDisagreements,
-		InvalidInputs:          r.InvalidInputs,
-		Timeouts:               r.Timeouts,
-		Quarantined:            r.Quarantined,
-		OracleVotes:            r.OracleVotes,
-		OracleConsensus:        r.OracleConsensus,
-		OracleAbstained:        r.OracleAbstained,
-		SutOutvoted:            r.SutOutvoted,
-		MetamorphicPairs:       r.MetamorphicPairs,
-		MetamorphicSkips:       r.MetamorphicSkips,
-		SutViolations:          r.SutViolations,
-		Backends:               r.Backends,
-		BackendFindings:        r.BackendFindings,
-	}
-	for _, b := range r.Bugs {
-		s.Bugs = append(s.Bugs, savedBugOf(b))
-	}
+	s := stateOf(r)
 	for _, p := range r.Artifacts {
 		// The bundle key alone: merged artifacts live under a different
 		// parent directory than any shard's, by design.
@@ -515,28 +464,11 @@ type breakerState struct {
 }
 
 // savedState is the complete classification state at a frontier: the
-// Result counters, the findings with their trigger tasks (the dedup
-// map is reconstructible from them), the backend triage and breaker
-// state, and the artifact refs.
+// tally, the findings with their trigger tasks (the dedup maps are
+// reconstructible from them), the backend triage and breaker state,
+// and the artifact refs.
 type savedState struct {
-	Tests                  int `json:"tests"`
-	Unknowns               int `json:"unknowns,omitempty"`
-	Duplicates             int `json:"duplicates,omitempty"`
-	ReferenceDisagreements int `json:"reference_disagreements,omitempty"`
-	InvalidInputs          int `json:"invalid_inputs,omitempty"`
-	Timeouts               int `json:"timeouts,omitempty"`
-	Quarantined            int `json:"quarantined,omitempty"`
-
-	// Consensus-oracle tallies, mirroring the Result fields. omitempty
-	// keeps known-policy documents byte-identical to pre-consensus ones.
-	OracleVotes      int `json:"oracle_votes,omitempty"`
-	OracleConsensus  int `json:"oracle_consensus,omitempty"`
-	OracleAbstained  int `json:"oracle_abstained,omitempty"`
-	SutOutvoted      int `json:"sut_outvoted,omitempty"`
-	MetamorphicPairs int `json:"metamorphic_pairs,omitempty"`
-	MetamorphicSkips int `json:"metamorphic_skips,omitempty"`
-	SutViolations    int `json:"sut_violations,omitempty"`
-
+	Tally
 	Bugs            []savedBug       `json:"bugs,omitempty"`
 	Backends        []BackendReport  `json:"backends,omitempty"`
 	BackendFindings []BackendFinding `json:"backend_findings,omitempty"`
@@ -544,32 +476,25 @@ type savedState struct {
 	Artifacts       []artifactRef    `json:"artifacts,omitempty"`
 }
 
-// captureState serializes the classification state. Bugs must still be
-// in recording order (captureState is called before finish sorts them).
-func captureState(cfg Campaign, st *runState) savedState {
-	res := st.res
+// stateOf serializes a Result's findings and tallies; its bugs are
+// taken in their current order.
+func stateOf(res *Result) savedState {
 	s := savedState{
-		Tests:                  res.Tests,
-		Unknowns:               res.Unknowns,
-		Duplicates:             res.Duplicates,
-		ReferenceDisagreements: res.ReferenceDisagreements,
-		InvalidInputs:          res.InvalidInputs,
-		Timeouts:               res.Timeouts,
-		Quarantined:            res.Quarantined,
-		OracleVotes:            res.OracleVotes,
-		OracleConsensus:        res.OracleConsensus,
-		OracleAbstained:        res.OracleAbstained,
-		SutOutvoted:            res.SutOutvoted,
-		MetamorphicPairs:       res.MetamorphicPairs,
-		MetamorphicSkips:       res.MetamorphicSkips,
-		SutViolations:          res.SutViolations,
-		Backends:               append([]BackendReport(nil), res.Backends...),
-		BackendFindings:        append([]BackendFinding(nil), res.BackendFindings...),
+		Tally:           res.Tally,
+		Backends:        append([]BackendReport(nil), res.Backends...),
+		BackendFindings: append([]BackendFinding(nil), res.BackendFindings...),
 	}
 	for _, b := range res.Bugs {
 		s.Bugs = append(s.Bugs, savedBugOf(b))
 	}
-	for _, spec := range cfg.Backends {
+	return s
+}
+
+// captureState serializes the classification state. Bugs must still be
+// in recording order (captureState is called before finish sorts them).
+func captureState(st *runState) savedState {
+	s := stateOf(st.res)
+	for _, spec := range st.cfg.Backends {
 		streak, open := spec.Health.State()
 		s.Breakers = append(s.Breakers, breakerState{Streak: streak, Open: open})
 	}
@@ -579,60 +504,102 @@ func captureState(cfg Campaign, st *runState) savedState {
 	return s
 }
 
-// restoreState rebuilds the runtime classification state from a
-// checkpoint, including the dedup maps and the breaker state of the
-// freshly built backend specs.
-func restoreState(cfg Campaign, s savedState) (*runState, error) {
+// foldStates rebuilds the classification state of the union of
+// disjoint task sets from their saved states: resume folds one state,
+// merge folds the K shard states of a campaign. The fold is the
+// classification stage's bookkeeping replayed over the recorded
+// findings:
+//   - a defect's bug is the observation with the earliest trigger task
+//     (its script and seeds were derived from that exact task, so they
+//     match what a single-process run recorded), carrying every trigger
+//     in task order, and bugs stay in recording (first-trigger) order;
+//   - Duplicates is recomputed from the trigger lists, the other tallies
+//     and the backend reports sum;
+//   - per finding dedup key the earliest task wins (the dedup map
+//     records it), and the survivors keep a stable task order.
+//
+// States must be validated against cfg. Breakers and artifact refs are
+// the caller's: they do not fold.
+func foldStates(cfg Campaign, states []savedState) (*runState, error) {
 	st := newRunState(cfg)
 	res := st.res
-	res.Tests = s.Tests
-	res.Unknowns = s.Unknowns
-	res.Duplicates = s.Duplicates
-	res.ReferenceDisagreements = s.ReferenceDisagreements
-	res.InvalidInputs = s.InvalidInputs
-	res.Timeouts = s.Timeouts
-	res.Quarantined = s.Quarantined
-	res.OracleVotes = s.OracleVotes
-	res.OracleConsensus = s.OracleConsensus
-	res.OracleAbstained = s.OracleAbstained
-	res.SutOutvoted = s.SutOutvoted
-	res.MetamorphicPairs = s.MetamorphicPairs
-	res.MetamorphicSkips = s.MetamorphicSkips
-	res.SutViolations = s.SutViolations
-	for i, sb := range s.Bugs {
+	type acc struct {
+		winner savedBug
+		tasks  []int
+	}
+	var bugs []*acc
+	byDefect := map[string]*acc{}
+	for _, s := range states {
+		res.add(s.Tally)
+		for i, rep := range s.Backends {
+			res.Backends[i].add(rep)
+		}
+		for _, sb := range s.Bugs {
+			a := byDefect[sb.Defect]
+			if a == nil {
+				a = &acc{winner: sb}
+				byDefect[sb.Defect] = a
+				bugs = append(bugs, a)
+			} else if sb.Tasks[0] < a.winner.Tasks[0] {
+				a.winner = sb
+			}
+			a.tasks = append(a.tasks, sb.Tasks...)
+		}
+		for _, f := range s.BackendFindings {
+			key := findingKey(f)
+			if t, ok := st.seen[key]; !ok || f.Task < t {
+				st.seen[key] = f.Task
+			}
+		}
+	}
+
+	sort.SliceStable(bugs, func(i, j int) bool { return bugs[i].winner.Tasks[0] < bugs[j].winner.Tasks[0] })
+	res.Duplicates = 0
+	for i, a := range bugs {
+		sort.Ints(a.tasks)
+		sb := a.winner
+		sb.Tasks = a.tasks
 		b, err := bugFromSaved(sb)
 		if err != nil {
 			return nil, err
 		}
 		st.found[b.Defect] = i
 		res.Bugs = append(res.Bugs, b)
+		res.Duplicates += len(a.tasks) - 1
 	}
-	if len(s.Backends) != len(cfg.Backends) {
-		return nil, fmt.Errorf("state carries %d backend reports for %d configured backends", len(s.Backends), len(cfg.Backends))
-	}
-	res.Backends = append(res.Backends[:0], s.Backends...)
-	res.BackendFindings = append([]BackendFinding(nil), s.BackendFindings...)
-	nameIdx := map[string]int{"sut": -1}
-	for i, spec := range cfg.Backends {
-		nameIdx[spec.Name] = i
-	}
-	for _, f := range res.BackendFindings {
-		i, ok := nameIdx[f.Backend]
-		if !ok {
-			return nil, fmt.Errorf("backend finding names unknown backend %q", f.Backend)
+
+	// All of one task's findings live in a single state, already in
+	// classification's per-task emission order (known-status by backend
+	// index, then majority, then metamorphic — an order no single sort
+	// key reproduces), so a stable sort by task interleaves the states
+	// without disturbing it.
+	for _, s := range states {
+		for _, f := range s.BackendFindings {
+			if st.seen[findingKey(f)] == f.Task {
+				res.BackendFindings = append(res.BackendFindings, f)
+			}
 		}
-		st.bt.seen[findingKey(i, f)] = true
 	}
-	if len(s.Breakers) != 0 && len(s.Breakers) != len(cfg.Backends) {
-		return nil, fmt.Errorf("state carries %d breaker entries for %d configured backends", len(s.Breakers), len(cfg.Backends))
+	sort.SliceStable(res.BackendFindings, func(i, j int) bool {
+		return res.BackendFindings[i].Task < res.BackendFindings[j].Task
+	})
+	return st, nil
+}
+
+// restoreState rebuilds the runtime classification state from a
+// validated checkpoint state: the fold of that one state, plus the
+// breaker state of the freshly built backend specs and the artifact
+// writer's dedup set.
+func restoreState(cfg Campaign, s savedState) (*runState, error) {
+	st, err := foldStates(cfg, []savedState{s})
+	if err != nil {
+		return nil, err
 	}
 	for i, br := range s.Breakers {
 		cfg.Backends[i].Health.Restore(br.Streak, br.Open)
 	}
 	if st.aw != nil {
 		st.aw.restore(s.Artifacts)
-	} else if len(s.Artifacts) > 0 {
-		return nil, fmt.Errorf("state carries %d artifact refs but the config has no artifact dir", len(s.Artifacts))
 	}
 	return st, nil
 }
@@ -652,22 +619,9 @@ func validateState(cc CampaignConfig, s savedState, done int) error {
 	for _, id := range include[:done] {
 		classified[id] = true
 	}
-	for _, n := range []struct {
-		name string
-		v    int
-	}{
-		{"tests", s.Tests}, {"unknowns", s.Unknowns}, {"duplicates", s.Duplicates},
-		{"reference_disagreements", s.ReferenceDisagreements},
-		{"invalid_inputs", s.InvalidInputs}, {"timeouts", s.Timeouts},
-		{"quarantined", s.Quarantined},
-		{"oracle_votes", s.OracleVotes}, {"oracle_consensus", s.OracleConsensus},
-		{"oracle_abstained", s.OracleAbstained}, {"sut_outvoted", s.SutOutvoted},
-		{"metamorphic_pairs", s.MetamorphicPairs},
-		{"metamorphic_skips", s.MetamorphicSkips},
-		{"sut_violations", s.SutViolations},
-	} {
-		if n.v < 0 {
-			return fmt.Errorf("negative %s count %d", n.name, n.v)
+	for _, n := range s.Tally.counts() {
+		if *n.v < 0 {
+			return fmt.Errorf("negative %s count %d", n.name, *n.v)
 		}
 	}
 	if s.Tests+s.InvalidInputs+s.Quarantined > done {
@@ -719,29 +673,61 @@ func validateState(cc CampaignConfig, s savedState, done int) error {
 	if dupes != s.Duplicates {
 		return fmt.Errorf("duplicates %d disagree with trigger tasks (%d)", s.Duplicates, dupes)
 	}
-	names := d.backendNames()
-	if len(s.Backends) != len(names) {
-		return fmt.Errorf("%d backend reports for %d configured backends", len(s.Backends), len(names))
+	if len(s.Backends) != len(d.Backends) {
+		return fmt.Errorf("%d backend reports for %d configured backends", len(s.Backends), len(d.Backends))
 	}
-	// The SUT's pseudo-voter name is always a valid finding attribution
+	// The SUT's pseudo-voter name is a valid finding attribution only
 	// under the consensus policies.
-	nameOK := map[string]bool{"sut": true}
+	nameOK := map[string]bool{"sut": OraclePolicy(d.Oracle) != OracleKnown}
 	for i, rep := range s.Backends {
-		if rep.Name != names[i] {
-			return fmt.Errorf("backends[%d]: report for %q, config has %q", i, rep.Name, names[i])
+		bc := d.Backends[i]
+		if rep.Name != bc.name() {
+			return fmt.Errorf("backends[%d]: report for %q, config has %q", i, rep.Name, bc.name())
+		}
+		if rep.Hermetic != (bc.Sim != nil) {
+			return fmt.Errorf("backends[%d]: hermetic flag %v disagrees with the config", i, rep.Hermetic)
+		}
+		for _, n := range rep.counts() {
+			if *n.v < 0 {
+				return fmt.Errorf("backends[%d]: negative %s count %d", i, n.name, *n.v)
+			}
 		}
 		nameOK[rep.Name] = true
 	}
-	if len(s.Breakers) != 0 && len(s.Breakers) != len(names) {
-		return fmt.Errorf("%d breaker entries for %d configured backends", len(s.Breakers), len(names))
+	if len(s.Breakers) != 0 && len(s.Breakers) != len(d.Backends) {
+		return fmt.Errorf("%d breaker entries for %d configured backends", len(s.Breakers), len(d.Backends))
 	}
+	for i, br := range s.Breakers {
+		if br.Streak < 0 {
+			return fmt.Errorf("breakers[%d]: negative streak %d", i, br.Streak)
+		}
+	}
+	// Findings are in classification order with one per dedup key, so
+	// the resume fold of the state is the identity.
+	keys := map[bkKey]bool{}
 	for i, f := range s.BackendFindings {
 		if !nameOK[f.Backend] {
-			return fmt.Errorf("backend_findings[%d]: unknown backend %q", i, f.Backend)
+			return fmt.Errorf("backend_findings[%d]: unknown backend %q under oracle %q", i, f.Backend, d.Oracle)
+		}
+		switch f.Kind {
+		case bugdb.MajorityDisagreement, bugdb.MetamorphicViolation:
+		case bugdb.Disagreement, bugdb.Crash, bugdb.Garbled, bugdb.Performance:
+			if f.Backend == "sut" {
+				return fmt.Errorf("backend_findings[%d]: %s finding attributed to the sut", i, f.Kind)
+			}
+		default:
+			return fmt.Errorf("backend_findings[%d]: unknown kind %q", i, f.Kind)
 		}
 		if f.Task < 0 || f.Task >= len(classified) || !classified[f.Task] {
 			return fmt.Errorf("backend_findings[%d]: task %d not classified at frontier %d", i, f.Task, done)
 		}
+		if i > 0 && f.Task < s.BackendFindings[i-1].Task {
+			return fmt.Errorf("backend_findings[%d]: not in task order", i)
+		}
+		if keys[findingKey(f)] {
+			return fmt.Errorf("backend_findings[%d]: duplicate of an earlier finding", i)
+		}
+		keys[findingKey(f)] = true
 	}
 	for i, r := range s.Artifacts {
 		if d.ArtifactDir == "" {
@@ -984,21 +970,11 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		cfg.Threads = opt.Threads
 	}
 	cfg = cfg.withDefaults()
-	if err := validateCampaign(cfg); err != nil {
-		return nil, err
-	}
 
 	include := dcc.includeIDs()
-	var st *runState
 	var carried telemetry.Snapshot
 	var traceAcc bytes.Buffer
 	if cp != nil {
-		st, err = restoreState(cfg, cp.State)
-		if err != nil {
-			return nil, fmt.Errorf("harness: checkpoint: %v", err)
-		}
-		st.done = cp.Done
-		include = include[cp.Done:]
 		carried = cp.Telemetry
 		if opt.Telemetry == nil && (len(carried.Counters) > 0 || len(carried.Histograms) > 0) {
 			// The paused campaign was recording metrics; keep them whole
@@ -1008,8 +984,6 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		}
 		opt.Telemetry.Merge(carried)
 		traceAcc.Write(cp.Trace)
-	} else {
-		st = newRunState(cfg)
 	}
 	cfg.Telemetry = opt.Telemetry
 
@@ -1023,13 +997,25 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		cfg.Trace = &traceAcc
 	}
 
+	var st *runState
+	if cp != nil {
+		st, err = restoreState(cfg, cp.State)
+		if err != nil {
+			return nil, fmt.Errorf("harness: checkpoint: %v", err)
+		}
+		st.done = cp.Done
+		include = include[cp.Done:]
+	} else {
+		st = newRunState(cfg)
+	}
+
 	ctl := runControls{
 		stopAfter:   opt.StopAfter,
 		stop:        opt.Stop,
 		progress:    opt.Progress,
 		suppressVet: cp != nil || dcc.Shard != 0,
 	}
-	paused, err := runLeg(cfg, include, st, ctl)
+	paused, err := runLeg(st, include, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -1039,7 +1025,7 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		snap = opt.Telemetry.Snapshot()
 	}
 	finishBackends(st.res, cfg)
-	state := captureState(cfg, st)
+	state := captureState(st)
 	traceBytes := append([]byte(nil), traceAcc.Bytes()...)
 
 	out := &Outcome{Telemetry: snap}
@@ -1061,7 +1047,7 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 			Trace:     traceBytes,
 		}
 	}
-	res, err := finish(cfg, st)
+	res, err := finish(st)
 	if err != nil {
 		return nil, err
 	}

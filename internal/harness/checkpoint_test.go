@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bugdb"
 	"repro/internal/telemetry"
 )
 
@@ -402,12 +403,38 @@ func TestCheckpointFailClosed(t *testing.T) {
 	semCases := []struct {
 		name   string
 		mutate func(c *Checkpoint)
+		want   string // substring of the expected diagnostic ("" = any)
 	}{
-		{"frontier past the end", func(c *Checkpoint) { c.Done = c.Config.withDefaults().total() + 5 }},
-		{"negative frontier", func(c *Checkpoint) { c.Done = -1 }},
-		{"negative count", func(c *Checkpoint) { c.State.Tests = -3 }},
-		{"counts exceed frontier", func(c *Checkpoint) { c.State.Tests = c.Done + 10 }},
-		{"unrunnable config", func(c *Checkpoint) { c.Config.SUT = "no-such-solver" }},
+		{"frontier past the end", func(c *Checkpoint) { c.Done = c.Config.withDefaults().total() + 5 }, ""},
+		{"negative frontier", func(c *Checkpoint) { c.Done = -1 }, ""},
+		{"negative count", func(c *Checkpoint) { c.State.Tests = -3 }, ""},
+		{"counts exceed frontier", func(c *Checkpoint) { c.State.Tests = c.Done + 10 }, ""},
+		{"unrunnable config", func(c *Checkpoint) { c.Config.SUT = "no-such-solver" }, ""},
+		{"negative backend tally", func(c *Checkpoint) {
+			c.State.Backends[0].Checks = -5
+			c.State.Backends[0].Sat = -9
+		}, "negative Checks"},
+		{"hermetic flag flipped", func(c *Checkpoint) { c.State.Backends[0].Hermetic = false }, "hermetic"},
+		{"negative breaker streak", func(c *Checkpoint) { c.State.Breakers = []breakerState{{Streak: -1}} }, "negative streak"},
+		{"unknown finding kind", func(c *Checkpoint) {
+			c.State.BackendFindings = []BackendFinding{{Backend: c.State.Backends[0].Name, Kind: "frobnicated", Task: 0}}
+		}, "unknown kind"},
+		{"sut finding under known oracle", func(c *Checkpoint) {
+			c.State.BackendFindings = []BackendFinding{{Backend: "sut", Kind: bugdb.MajorityDisagreement, Task: 0}}
+		}, `unknown backend "sut"`},
+		{"findings out of task order", func(c *Checkpoint) {
+			name := c.State.Backends[0].Name
+			c.State.BackendFindings = []BackendFinding{
+				{Backend: name, Kind: bugdb.Crash, Task: 3},
+				{Backend: name, Kind: bugdb.Garbled, Task: 1},
+			}
+		}, "task order"},
+		{"duplicate finding key", func(c *Checkpoint) {
+			f := BackendFinding{Backend: c.State.Backends[0].Name, Kind: bugdb.Crash, Observed: "crash", Task: 1}
+			g := f
+			g.Task = 2
+			c.State.BackendFindings = []BackendFinding{f, g}
+		}, "duplicate"},
 	}
 	for _, tc := range semCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -415,6 +442,8 @@ func TestCheckpointFailClosed(t *testing.T) {
 			tc.mutate(bad)
 			if _, err := EncodeCheckpoint(bad); err == nil {
 				t.Error("encoded a semantically impossible checkpoint")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("diagnostic %q does not mention %q", err, tc.want)
 			}
 			doc, err := sealDoc(kindCheckpoint, CheckpointSchema, bad)
 			if err != nil {

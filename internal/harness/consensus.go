@@ -118,15 +118,15 @@ func variantVector(cfg Campaign, out *taskOutcome) []string {
 // unknown-status task. It runs after classify/classifyBackends in the
 // in-order classification stage — known-status tasks (and the known
 // policy) never reach the body, so the legacy funnel is untouched.
-func classifyConsensus(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func (st *runState) classifyConsensus(out *taskOutcome) {
 	if !out.tested || out.oracle() != core.StatusUnknown {
 		return
 	}
-	if cfg.Oracle == OracleMajority || cfg.Oracle == OracleAuto {
-		classifyMajority(res, cfg, aw, bt, out)
+	if st.cfg.Oracle == OracleMajority || st.cfg.Oracle == OracleAuto {
+		st.classifyMajority(out)
 	}
-	if cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto {
-		classifyMetamorphic(res, cfg, aw, bt, out)
+	if st.cfg.Oracle == OracleMetamorphic || st.cfg.Oracle == OracleAuto {
+		st.classifyMetamorphic(out)
 	}
 }
 
@@ -135,7 +135,8 @@ func classifyConsensus(res *Result, cfg Campaign, aw *artifactWriter, bt *backen
 // with fewer than Quorum definite verdicts — or a tie — abstains: an
 // abstention is a statement about the vote, not about any solver, so
 // it produces no finding.
-func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func (st *runState) classifyMajority(out *taskOutcome) {
+	cfg, res := st.cfg, st.res
 	vs := voters(cfg, out)
 	sat, unsat := 0, 0
 	for _, v := range vs {
@@ -143,6 +144,7 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 			continue
 		}
 		res.OracleVotes++
+		st.tr.Inc(coVotes)
 		if v.vote == core.StatusSat {
 			sat++
 		} else {
@@ -151,6 +153,7 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 	}
 	if sat+unsat < cfg.Quorum || sat == unsat {
 		res.OracleAbstained++
+		st.tr.Inc(coAbstained)
 		out.consensus = "abstained"
 		return
 	}
@@ -159,8 +162,8 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 		consensus, winners, losers = core.StatusUnsat, unsat, sat
 	}
 	res.OracleConsensus++
+	st.tr.Inc(coConsensus)
 	out.consensus = consensus.String()
-	logic := cfg.Logics[out.id/cfg.Iterations]
 	for _, v := range vs {
 		if !v.definite || v.vote == consensus {
 			continue
@@ -170,24 +173,22 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 		} else {
 			res.Backends[v.idx].Outvoted++
 		}
-		key := bkKey{backendIdx: v.idx, kind: bugdb.MajorityDisagreement,
-			oracle: out.consensus, observed: v.verdict}
-		if bt.seen[key] {
-			continue
-		}
-		bt.seen[key] = true
+		st.tr.Inc(coOutvoted)
 		f := BackendFinding{
 			Backend:  v.name,
 			Kind:     bugdb.MajorityDisagreement,
-			Logic:    string(logic),
+			Logic:    string(cfg.Logics[out.id/cfg.Iterations]),
 			Oracle:   out.consensus,
 			Observed: v.verdict,
-			Reason:   fmt.Sprintf("voted %s, outvoted %d-%d under quorum %d", v.verdict, winners, losers, cfg.Quorum),
 			ExitCode: v.exitCode,
 			Stderr:   v.stderr,
 			Retries:  v.retries,
 			Task:     out.id,
 		}
+		if st.seenFinding(f) {
+			continue
+		}
+		f.Reason = fmt.Sprintf("voted %s, outvoted %d-%d under quorum %d", v.verdict, winners, losers, cfg.Quorum)
 		var defect solver.Defect
 		if v.idx < 0 {
 			// The SUT lost the vote: triage the bundle to the catalogued
@@ -197,8 +198,8 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 				f.Defect = string(d)
 			}
 		}
-		res.BackendFindings = append(res.BackendFindings, f)
-		if aw != nil {
+		st.recordFinding(f)
+		if st.aw != nil {
 			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
 			m.Backend = f.Backend
 			if v.idx >= 0 {
@@ -214,7 +215,7 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 			m.Quorum = cfg.Quorum
 			m.Votes = voteVector(vs)
 			m.Consensus = out.consensus
-			aw.write(m, out.ancestors, out.testScript(), out.id)
+			st.aw.write(m, out.ancestors, out.testScript(), out.id)
 		}
 	}
 }
@@ -239,17 +240,19 @@ func relationViolated(rel mutate.Relation, orig, variant core.Status) bool {
 // itself — solver-vs-solver discrepancies are the majority policy's
 // business — so a violation implicates exactly one solver with no
 // reference solver in the loop.
-func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func (st *runState) classifyMetamorphic(out *taskOutcome) {
+	cfg, res := st.cfg, st.res
 	if out.variantSkip {
 		res.MetamorphicSkips++
+		st.tr.Inc(coPairSkips)
 		return
 	}
 	if out.variant == nil {
 		return
 	}
 	res.MetamorphicPairs++
+	st.tr.Inc(coPairs)
 	rel := out.variant.Rel
-	logic := cfg.Logics[out.id/cfg.Iterations]
 
 	record := func(idx int, name, origV, varV, reason string, exitCode int, stderr string, retries int) {
 		if idx < 0 {
@@ -257,24 +260,21 @@ func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *back
 		} else {
 			res.Backends[idx].Violations++
 		}
-		pair := origV + "/" + varV
-		key := bkKey{backendIdx: idx, kind: bugdb.MetamorphicViolation,
-			oracle: rel.String(), observed: pair}
-		if bt.seen[key] {
-			return
-		}
-		bt.seen[key] = true
+		st.tr.Inc(coViolation)
 		f := BackendFinding{
 			Backend:  name,
 			Kind:     bugdb.MetamorphicViolation,
-			Logic:    string(logic),
+			Logic:    string(cfg.Logics[out.id/cfg.Iterations]),
 			Oracle:   rel.String(),
-			Observed: pair,
+			Observed: origV + "/" + varV,
 			Reason:   reason,
 			ExitCode: exitCode,
 			Stderr:   stderr,
 			Retries:  retries,
 			Task:     out.id,
+		}
+		if st.seenFinding(f) {
+			return
 		}
 		var defect solver.Defect
 		if idx < 0 {
@@ -284,26 +284,27 @@ func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *back
 				f.Defect = string(d)
 			}
 		}
-		res.BackendFindings = append(res.BackendFindings, f)
-		if aw != nil {
-			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
-			m.Backend = f.Backend
-			if idx >= 0 {
-				m.BackendArgv = cfg.Backends[idx].Argv
-				m.BackendExit = exitCode
-				m.BackendStderr = stderr
-				m.BackendRetries = retries
-			}
-			m.Observed = f.Observed
-			m.Reason = f.Reason
-			m.Oracle = rel.String()
-			m.OraclePolicy = string(cfg.Oracle)
-			m.MetaRelation = rel.String()
-			m.MetaRules = out.variant.Rules
-			m.VariantVerdicts = variantVector(cfg, out)
-			aw.writeExtra(m, out.ancestors, out.testScript(), out.id,
-				map[string]string{"variant.smt2": smtlib.Print(out.variant.Script)})
+		st.recordFinding(f)
+		if st.aw == nil {
+			return
 		}
+		m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
+		m.Backend = f.Backend
+		if idx >= 0 {
+			m.BackendArgv = cfg.Backends[idx].Argv
+			m.BackendExit = exitCode
+			m.BackendStderr = stderr
+			m.BackendRetries = retries
+		}
+		m.Observed = f.Observed
+		m.Reason = f.Reason
+		m.Oracle = rel.String()
+		m.OraclePolicy = string(cfg.Oracle)
+		m.MetaRelation = rel.String()
+		m.MetaRules = out.variant.Rules
+		m.VariantVerdicts = variantVector(cfg, out)
+		st.aw.writeExtra(m, out.ancestors, out.testScript(), out.id,
+			map[string]string{"variant.smt2": smtlib.Print(out.variant.Script)})
 	}
 
 	// The SUT checked against itself.

@@ -515,9 +515,9 @@ func TestConsensusValidation(t *testing.T) {
 // TestOracleCounterInvariants is the counter↔report invariant suite:
 // for every thread count, and for a shard/merge re-fold, the
 // yy_backend_* and yy_oracle_* counter totals equal the corresponding
-// Result field sums exactly — the counters are derived from Result
-// diffs in the in-order classification stage, so any drift means a
-// counting path bypassed it.
+// Result field sums exactly — each counter is incremented next to the
+// field it mirrors in the in-order classification stage, so any drift
+// means a counting path bypassed it.
 func TestOracleCounterInvariants(t *testing.T) {
 	cc := consensusCC()
 	cc.Oracle = "auto" // both policies live, all counters in play

@@ -120,7 +120,7 @@ func TestStatusAndTypeTabulation(t *testing.T) {
 			{Defect: "rw-str-to-int-empty", Kind: bugdb.Soundness, Logic: gen.QFS},
 			{Defect: "cr-self-division", Kind: bugdb.Crash, Logic: gen.QFNRA},
 		},
-		Duplicates: 3,
+		Tally: Tally{Duplicates: 3},
 	}
 	st := StatusOf(res)
 	if st.Confirmed != 2 || st.Duplicate != 3 || st.Reported != 5 {

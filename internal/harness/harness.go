@@ -238,28 +238,90 @@ func (c Campaign) withDefaults() Campaign {
 	return c
 }
 
-// Result is the outcome of a campaign.
-type Result struct {
-	Tests      int
-	Unknowns   int
-	Bugs       []Bug // deduplicated by defect site
-	Duplicates int   // additional triggers of already-found defects
+// Tally is the campaign's scalar books: every per-occurrence counter
+// the in-order classification stage keeps. Result and the saved
+// classification state embed it, so a counter has one definition, one
+// JSON layout (encoding/json inlines the embedded struct, tags and
+// field order included), one validation rule, and one sum.
+type Tally struct {
+	Tests    int `json:"tests"`
+	Unknowns int `json:"unknowns,omitempty"`
+	// Duplicates counts additional triggers of already-found defects.
+	Duplicates int `json:"duplicates,omitempty"`
 	// ReferenceDisagreements counts oracle mismatches with no defect
 	// fired — these would indicate a bug in the reference solver itself
 	// and must be zero.
-	ReferenceDisagreements int
+	ReferenceDisagreements int `json:"reference_disagreements,omitempty"`
 	// InvalidInputs counts fused scripts rejected by the static
 	// verification gate (internal/analysis) — generator or fusion
 	// defects triaged separately from solver verdicts.
-	InvalidInputs int
+	InvalidInputs int `json:"invalid_inputs,omitempty"`
 	// Timeouts counts solves halted by fuel exhaustion. Those caused by
 	// a performance defect also surface as Performance bugs; the rest
 	// are genuinely hard instances.
-	Timeouts int
+	Timeouts int `json:"timeouts,omitempty"`
 	// Quarantined counts inputs withdrawn from classification: internal
 	// faults of our own solver, and runs cut off by the wall-clock
 	// watchdog. They never count as findings.
-	Quarantined int
+	Quarantined int `json:"quarantined,omitempty"`
+
+	// Majority-policy tallies (unknown-status tasks only). OracleVotes
+	// sums the definite votes cast; each judged task counts once under
+	// either OracleConsensus or OracleAbstained; SutOutvoted counts the
+	// SUT's outvoted verdicts, re-triggers included (the per-backend
+	// analogue lives in BackendReport.Outvoted). omitempty keeps
+	// known-policy documents byte-identical to pre-consensus ones.
+	OracleVotes     int `json:"oracle_votes,omitempty"`
+	OracleConsensus int `json:"oracle_consensus,omitempty"`
+	OracleAbstained int `json:"oracle_abstained,omitempty"`
+	SutOutvoted     int `json:"sut_outvoted,omitempty"`
+	// Metamorphic-policy tallies. MetamorphicPairs counts tasks with a
+	// derived variant pair; MetamorphicSkips counts unknown-status tasks
+	// where no relation-preserving variant could be derived;
+	// SutViolations counts the SUT's pair-relation violations,
+	// re-triggers included (per-backend: BackendReport.Violations).
+	MetamorphicPairs int `json:"metamorphic_pairs,omitempty"`
+	MetamorphicSkips int `json:"metamorphic_skips,omitempty"`
+	SutViolations    int `json:"sut_violations,omitempty"`
+}
+
+// namedCount addresses one counter of a tally or report by its
+// serialized name, for validation and summation.
+type namedCount struct {
+	name string
+	v    *int
+}
+
+// counts lists every counter of the tally; adding a counter to Tally
+// means adding it here too.
+func (t *Tally) counts() []namedCount {
+	return []namedCount{
+		{"tests", &t.Tests}, {"unknowns", &t.Unknowns}, {"duplicates", &t.Duplicates},
+		{"reference_disagreements", &t.ReferenceDisagreements},
+		{"invalid_inputs", &t.InvalidInputs}, {"timeouts", &t.Timeouts},
+		{"quarantined", &t.Quarantined},
+		{"oracle_votes", &t.OracleVotes}, {"oracle_consensus", &t.OracleConsensus},
+		{"oracle_abstained", &t.OracleAbstained}, {"sut_outvoted", &t.SutOutvoted},
+		{"metamorphic_pairs", &t.MetamorphicPairs},
+		{"metamorphic_skips", &t.MetamorphicSkips},
+		{"sut_violations", &t.SutViolations},
+	}
+}
+
+// addCounts sums src into dst, counter by counter; both lists come
+// from the same counts method.
+func addCounts(dst, src []namedCount) {
+	for i := range dst {
+		*dst[i].v += *src[i].v
+	}
+}
+
+func (t *Tally) add(o Tally) { addCounts(t.counts(), o.counts()) }
+
+// Result is the outcome of a campaign.
+type Result struct {
+	Tally
+	Bugs []Bug // deduplicated by defect site
 	// Artifacts lists reproducer bundle directories written this
 	// campaign (empty unless Campaign.ArtifactDir is set).
 	Artifacts []string
@@ -272,24 +334,6 @@ type Result struct {
 	// specific solver (a backend, or the SUT as the "sut" pseudo-voter),
 	// not only a catalogued defect of the SUT.
 	BackendFindings []BackendFinding
-
-	// Majority-policy tallies (unknown-status tasks only). OracleVotes
-	// sums the definite votes cast; each judged task counts once under
-	// either OracleConsensus or OracleAbstained; SutOutvoted counts the
-	// SUT's outvoted verdicts, re-triggers included (the per-backend
-	// analogue lives in BackendReport.Outvoted).
-	OracleVotes     int
-	OracleConsensus int
-	OracleAbstained int
-	SutOutvoted     int
-	// Metamorphic-policy tallies. MetamorphicPairs counts tasks with a
-	// derived variant pair; MetamorphicSkips counts unknown-status tasks
-	// where no relation-preserving variant could be derived;
-	// SutViolations counts the SUT's pair-relation violations,
-	// re-triggers included (per-backend: BackendReport.Violations).
-	MetamorphicPairs int
-	MetamorphicSkips int
-	SutViolations    int
 }
 
 // BugByDefect returns the bug for a defect, if found.
@@ -455,8 +499,10 @@ type taskOutcome struct {
 	variantSkip     bool
 	// consensus is the majority policy's per-task annotation ("sat",
 	// "unsat", or "abstained"), written by the classification stage and
-	// read by the trace recorder.
-	consensus string
+	// read by the trace recorder, like finding (this task recorded a
+	// bug) and duplicate (it re-triggered one).
+	consensus          string
+	finding, duplicate bool
 }
 
 // quarantined reports whether the task is withdrawn from all
@@ -528,10 +574,10 @@ func Run(cfg Campaign) (*Result, error) {
 		include[i] = i
 	}
 	st := newRunState(cfg)
-	if _, err := runLeg(cfg, include, st, runControls{}); err != nil {
+	if _, err := runLeg(st, include, runControls{}); err != nil {
 		return nil, err
 	}
-	return finish(cfg, st)
+	return finish(st)
 }
 
 // validateCampaign rejects configurations Run cannot execute. cfg must
@@ -580,12 +626,16 @@ type runControls struct {
 // runState is the campaign state that survives a pause: everything the
 // in-order classification stage has folded so far. Bugs stay in
 // recording order until finish sorts them, so a checkpoint taken at any
-// frontier serializes the exact dedup state.
+// frontier serializes the exact dedup state. The classification methods
+// hang off it: each Result or BackendReport increment sits next to its
+// funnel counter increment on the campaign tracker.
 type runState struct {
+	cfg   Campaign
 	res   *Result
 	found map[solver.Defect]int // defect → index into res.Bugs
-	bt    *backendTriage
+	seen  map[bkKey]int         // backend finding key → recording task
 	aw    *artifactWriter
+	tr    *telemetry.Tracker // cfg.Telemetry; nil records nothing
 	// done counts classified tasks, cumulative across resume legs.
 	done int
 }
@@ -597,9 +647,11 @@ func newRunState(cfg Campaign) *runState {
 		res.Backends[i] = BackendReport{Name: spec.Name, Hermetic: spec.Hermetic}
 	}
 	st := &runState{
+		cfg:   cfg,
 		res:   res,
 		found: map[solver.Defect]int{},
-		bt:    &backendTriage{seen: map[bkKey]bool{}},
+		seen:  map[bkKey]int{},
+		tr:    cfg.Telemetry,
 	}
 	if cfg.ArtifactDir != "" {
 		st.aw = newArtifactWriter(cfg.ArtifactDir)
@@ -610,10 +662,10 @@ func newRunState(cfg Campaign) *runState {
 // finish finalizes a completed (or paused, for its partial Result)
 // campaign: sorts the findings, fills breaker states, and surfaces the
 // first artifact-write error.
-func finish(cfg Campaign, st *runState) (*Result, error) {
+func finish(st *runState) (*Result, error) {
 	res := st.res
 	sortBugs(res.Bugs)
-	finishBackends(res, cfg)
+	finishBackends(res, st.cfg)
 	if st.aw != nil {
 		if st.aw.err != nil {
 			return nil, fmt.Errorf("harness: writing artifacts: %w", st.aw.err)
@@ -631,7 +683,8 @@ func finish(cfg Campaign, st *runState) (*Result, error) {
 // deltas) it would have seen in an uninterrupted single-process run.
 // Returns true when a control paused the leg before include was
 // exhausted.
-func runLeg(cfg Campaign, include []int, st *runState, ctl runControls) (bool, error) {
+func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
+	cfg := st.cfg
 	rec := &recorder{tr: cfg.Telemetry, suppressVet: ctl.suppressVet}
 	if cfg.Trace != nil {
 		rec.jw = telemetry.NewJSONLWriter(cfg.Trace)
@@ -808,9 +861,8 @@ func runLeg(cfg Campaign, include []int, st *runState, ctl runControls) (bool, e
 			}
 			delete(pending, include[idx])
 			idx++
-			prev := countsOf(st.res)
-			applyOutcome(st.res, st.found, cfg, st.aw, st.bt, &cur)
-			rec.task(cfg, cur, prev, st.res)
+			st.applyOutcome(&cur)
+			rec.task(cfg, cur)
 			st.done++
 			if ctl.progress != nil {
 				rec.flush()
@@ -967,22 +1019,28 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 	return out
 }
 
-func applyOutcome(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+// applyOutcome classifies one task outcome into the campaign state.
+func (st *runState) applyOutcome(out *taskOutcome) {
+	res, aw := st.res, st.aw
 	if out.invalid {
 		res.InvalidInputs++
+		st.tr.Inc(cfInvalid)
 		return
 	}
 	if !out.tested {
+		st.tr.Inc(cfSkipped)
 		return // no fusable pair: skip
 	}
+	st.tr.Inc(cfDerived)
 	// Quarantine before classification: a watchdog cut-off or an
 	// internal fault of our own solver — on either the primary or the
 	// metamorphic-variant solve — is never a finding. The campaign
 	// continues; the offending input is preserved for debugging.
 	if out.quarantined() {
 		res.Quarantined++
+		st.tr.Inc(cfQuarantined)
 		if aw != nil {
-			m := manifestFor(cfg, *out, "quarantine", "")
+			m := manifestFor(st.cfg, *out, "quarantine", "")
 			switch {
 			case out.wallTimeout:
 				m.Observed = "wall-timeout"
@@ -1001,9 +1059,11 @@ func applyOutcome(res *Result, found map[solver.Defect]int, cfg Campaign, aw *ar
 		return
 	}
 	res.Tests++
-	classify(res, found, cfg, aw, *out)
-	classifyBackends(res, cfg, aw, bt, *out)
-	classifyConsensus(res, cfg, aw, bt, out)
+	st.tr.Inc(cfSolved)
+	st.tr.Observe(hTaskFuel, out.delta.Counter(solver.MetricSolveFuelSpent))
+	st.classify(out)
+	st.classifyBackends(out)
+	st.classifyConsensus(out)
 }
 
 // manifestFor assembles the replay coordinates of one task outcome.
@@ -1054,26 +1114,31 @@ func manifestFor(cfg Campaign, out taskOutcome, bugType string, defect solver.De
 // classify implements the incorrects/crashes bookkeeping of
 // Algorithm 1, extended with performance-defect observation, timeout
 // triage, and duplicate triage by defect site.
-func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifactWriter, out taskOutcome) {
-	logic := cfg.Logics[out.id/cfg.Iterations]
+func (st *runState) classify(out *taskOutcome) {
+	cfg, res := st.cfg, st.res
 	ancestors, run := out.ancestors, out.run
 	script, oracle := out.testScript(), out.oracle()
-	record := func(kind bugdb.BugType) {
+	// record triages the observation to its defect; reason, when set,
+	// replaces the run's reason in the reproducer manifest only.
+	record := func(kind bugdb.BugType, reason string) {
 		primary, ok := primaryDefect(run.DefectsFired, kind)
 		if !ok {
 			res.ReferenceDisagreements++
+			st.tr.Inc(cfRefDisagree)
 			return
 		}
-		if i, ok := found[primary]; ok {
+		if i, ok := st.found[primary]; ok {
 			res.Duplicates++
+			st.tr.Inc(cfDuplicates)
 			res.Bugs[i].Tasks = append(res.Bugs[i].Tasks, out.id)
+			out.duplicate = true
 			return
 		}
-		found[primary] = len(res.Bugs)
+		st.found[primary] = len(res.Bugs)
 		b := Bug{
 			Defect:    primary,
 			Kind:      kind,
-			Logic:     logic,
+			Logic:     cfg.Logics[out.id/cfg.Iterations],
 			Oracle:    oracle,
 			Observed:  run.Result,
 			Script:    script,
@@ -1086,14 +1151,20 @@ func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifa
 			b.Mode = out.fused.Mode
 		}
 		res.Bugs = append(res.Bugs, b)
-		if aw != nil {
-			aw.write(manifestFor(cfg, out, string(kind), primary), ancestors, script, out.id)
+		st.tr.Inc(cfFindings)
+		out.finding = true
+		if st.aw != nil {
+			m := manifestFor(cfg, *out, string(kind), primary)
+			if reason != "" {
+				m.Reason = reason
+			}
+			st.aw.write(m, ancestors, script, out.id)
 		}
 	}
 
 	switch {
 	case run.Crashed:
-		record(bugdb.Crash)
+		record(bugdb.Crash, "")
 	case run.Result == solver.ResTimeout:
 		// Fuel exhaustion. With a performance defect fired this is the
 		// paper's performance-bug observation; otherwise the instance
@@ -1101,27 +1172,33 @@ func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifa
 		// must precede the oracle-mismatch check: a timeout carries no
 		// verdict, so it can never be a soundness observation.
 		res.Timeouts++
+		st.tr.Inc(cfTimeouts)
 		if _, ok := primaryDefect(run.DefectsFired, bugdb.Performance); ok {
-			record(bugdb.Performance)
+			record(bugdb.Performance, "")
 		}
 	case run.Result == solver.ResUnknown:
 		res.Unknowns++
+		st.tr.Inc(cfUnknowns)
 		// A performance defect firing on the way to unknown is still
 		// the paper's "performance bug" observation; this path is taken
 		// when the campaign runs with the fuel meter disabled, where
 		// draining is a no-op and no timeout verdict exists.
 		if _, ok := primaryDefect(run.DefectsFired, bugdb.Performance); ok {
-			record(bugdb.Performance)
+			record(bugdb.Performance, "")
 		}
-	case verdictContradicts(run.Result, oracle):
-		record(bugdb.Soundness)
-	case run.Result == solver.ResSat && !cfg.DisableModelCheck:
-		// The verdict agrees with the oracle, but the reported witness
-		// must still satisfy the formula: this is the only oracle that
-		// can see post-certification model corruption.
-		if ok, reason := ValidateModel(script, run.Model); !ok {
-			out.run.Reason = reason // surfaced in the reproducer manifest
-			record(bugdb.InvalidModel)
+	default:
+		// A definite verdict: compared against the oracle.
+		st.tr.Inc(cfOracleChecked)
+		switch {
+		case verdictContradicts(run.Result, oracle):
+			record(bugdb.Soundness, "")
+		case run.Result == solver.ResSat && !cfg.DisableModelCheck:
+			// The verdict agrees with the oracle, but the reported witness
+			// must still satisfy the formula: this is the only oracle that
+			// can see post-certification model corruption.
+			if ok, reason := ValidateModel(script, run.Model); !ok {
+				record(bugdb.InvalidModel, reason)
+			}
 		}
 	}
 }

@@ -148,39 +148,27 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 		byShard[s] = e
 	}
 
+	// The fold runs on the campaign identity: no shard's artifact
+	// directory, and no runtime attachments.
 	d := envs[0].Config.withDefaults()
-	res := &Result{}
-	for _, e := range byShard {
-		res.Tests += e.State.Tests
-		res.Unknowns += e.State.Unknowns
-		res.ReferenceDisagreements += e.State.ReferenceDisagreements
-		res.InvalidInputs += e.State.InvalidInputs
-		res.Timeouts += e.State.Timeouts
-		res.Quarantined += e.State.Quarantined
-		// Consensus tallies are per-occurrence (never deduped), so plain
-		// summation reproduces the single-run values exactly.
-		res.OracleVotes += e.State.OracleVotes
-		res.OracleConsensus += e.State.OracleConsensus
-		res.OracleAbstained += e.State.OracleAbstained
-		res.SutOutvoted += e.State.SutOutvoted
-		res.MetamorphicPairs += e.State.MetamorphicPairs
-		res.MetamorphicSkips += e.State.MetamorphicSkips
-		res.SutViolations += e.State.SutViolations
-	}
-
-	bugs, duplicates, err := mergeBugs(byShard)
+	d.ArtifactDir = ""
+	cfg, err := d.campaign()
 	if err != nil {
 		return nil, err
 	}
-	res.Bugs = bugs
-	res.Duplicates = duplicates
-
-	if err := mergeBackends(res, d, byShard); err != nil {
+	states := make([]savedState, len(byShard))
+	for i, e := range byShard {
+		states[i] = e.State
+	}
+	st, err := foldStates(cfg, states)
+	if err != nil {
+		return nil, fmt.Errorf("harness: merge: %v", err)
+	}
+	res := st.res
+	if err := mergeArtifacts(res, st.seen, byShard, artifactDir); err != nil {
 		return nil, err
 	}
-	if err := mergeArtifacts(res, byShard, artifactDir); err != nil {
-		return nil, err
-	}
+	sortBugs(res.Bugs)
 
 	snap := mergeTelemetry(byShard, res)
 	trace, err := mergeTraces(byShard, res)
@@ -190,159 +178,24 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	return &Merged{Result: res, Telemetry: snap, Trace: trace}, nil
 }
 
-// mergeBugs re-folds the per-shard dedup: the campaign-wide recording
-// trigger of a defect is its globally earliest trigger task, every
-// other trigger (including each shard's own recording trigger, except
-// the winner's) is a duplicate. The winning shard's Bug carries the
-// canonical script/seeds — they were derived from that exact task, so
-// they match what the single-process run recorded.
-func mergeBugs(byShard []*Envelope) ([]Bug, int, error) {
-	type acc struct {
-		winner savedBug
-		tasks  []int
-	}
-	byDefect := map[string]*acc{}
-	var order []string
-	for _, e := range byShard {
-		for _, sb := range e.State.Bugs {
-			a := byDefect[sb.Defect]
-			if a == nil {
-				a = &acc{winner: sb}
-				byDefect[sb.Defect] = a
-				order = append(order, sb.Defect)
-			} else if sb.Tasks[0] < a.winner.Tasks[0] {
-				a.winner = sb
-			}
-			a.tasks = append(a.tasks, sb.Tasks...)
-		}
-	}
-	var bugs []Bug
-	duplicates := 0
-	for _, defect := range order {
-		a := byDefect[defect]
-		sort.Ints(a.tasks)
-		sb := a.winner
-		sb.Tasks = a.tasks
-		b, err := bugFromSaved(sb)
-		if err != nil {
-			return nil, 0, fmt.Errorf("harness: merge: %v", err)
-		}
-		bugs = append(bugs, b)
-		duplicates += len(a.tasks) - 1
-	}
-	sortBugs(bugs)
-	return bugs, duplicates, nil
-}
-
-// mergeBackends sums the per-backend report tallies and re-folds the
-// finding dedup the same way mergeBugs does: per dedup key, the
-// observation with the globally earliest task wins, and the merged
-// findings are ordered as classification would have emitted them.
-func mergeBackends(res *Result, d CampaignConfig, byShard []*Envelope) error {
-	names := d.backendNames()
-	nameIdx := map[string]int{"sut": -1}
-	for i, n := range names {
-		nameIdx[n] = i
-	}
-	res.Backends = make([]BackendReport, len(names))
-	for _, e := range byShard {
-		for i, rep := range e.State.Backends {
-			dst := &res.Backends[i]
-			dst.Name = rep.Name
-			dst.Hermetic = rep.Hermetic
-			dst.Checks += rep.Checks
-			dst.Skipped += rep.Skipped
-			dst.Sat += rep.Sat
-			dst.Unsat += rep.Unsat
-			dst.Unknowns += rep.Unknowns
-			dst.Timeouts += rep.Timeouts
-			dst.Crashes += rep.Crashes
-			dst.Garbled += rep.Garbled
-			dst.Faults += rep.Faults
-			dst.Retries += rep.Retries
-			dst.Disagreements += rep.Disagreements
-			dst.Outvoted += rep.Outvoted
-			dst.Violations += rep.Violations
-			dst.Quarantined = dst.Quarantined || rep.Quarantined
-		}
-	}
-	// Two passes. First the globally earliest trigger task per dedup
-	// key; then the survivors, collected in per-shard envelope order and
-	// stable-sorted by task alone. All of one task's findings live in a
-	// single shard's envelope, already in classification's per-task
-	// emission order (known-status by backend index, then majority, then
-	// metamorphic — an order no single sort key reproduces), so the
-	// stable sort interleaves tasks without disturbing it.
-	best := map[bkKey]int{}
-	for _, e := range byShard {
-		for _, f := range e.State.BackendFindings {
-			key := findingKey(nameIdx[f.Backend], f) // backend validated by envelope decode
-			if t, ok := best[key]; !ok || f.Task < t {
-				best[key] = f.Task
-			}
-		}
-	}
-	for _, e := range byShard {
-		for _, f := range e.State.BackendFindings {
-			if best[findingKey(nameIdx[f.Backend], f)] == f.Task {
-				res.BackendFindings = append(res.BackendFindings, f)
-			}
-		}
-	}
-	sort.SliceStable(res.BackendFindings, func(i, j int) bool {
-		return res.BackendFindings[i].Task < res.BackendFindings[j].Task
-	})
-	return nil
-}
-
-// findingKey rebuilds the classification dedup key from a recorded
-// finding: the oracle participates only for the disagreement-shaped
-// kinds (a hang or garble is the same failure whatever the expected
-// status, but an outvoted verdict or pair violation is a distinct
-// observation per reference it contradicts).
-func findingKey(backendIdx int, f BackendFinding) bkKey {
-	key := bkKey{backendIdx: backendIdx, kind: f.Kind, observed: f.Observed}
-	if oracleKeyed(f.Kind) {
-		key.oracle = f.Oracle
-	}
-	return key
-}
-
-// oracleKeyed lists the finding kinds whose dedup key includes the
-// contradicted reference.
-func oracleKeyed(kind bugdb.BugType) bool {
-	return kind == bugdb.Disagreement || kind == bugdb.MajorityDisagreement || kind == bugdb.MetamorphicViolation
-}
-
 // mergeArtifacts re-folds the bundle dedup. A shard writes a bundle at
 // its locally-first trigger of a finding, but the unsharded run writes
 // one bundle per finding, at its globally-first trigger — so a ref
 // survives the merge only when its task is the merged finding's
 // recording trigger. The surviving refs, in task order, are exactly
-// the single-run bundle list. When dstDir is set, each surviving
-// bundle is copied there from its shard's artifact directory.
-func mergeArtifacts(res *Result, byShard []*Envelope, dstDir string) error {
+// the single-run bundle list. findingTask maps each merged backend
+// finding's dedup key to its recording task. When dstDir is set, each
+// surviving bundle is copied there from its shard's artifact directory.
+func mergeArtifacts(res *Result, findingTask map[bkKey]int, byShard []*Envelope, dstDir string) error {
 	bugTask := map[string]int{}
 	for _, b := range res.Bugs {
 		bugTask[string(b.Defect)] = b.Tasks[0]
 	}
-	type fkey struct{ backend, kind, oracle, observed string }
-	findingTask := map[fkey]int{}
-	for _, f := range res.BackendFindings {
-		k := fkey{backend: f.Backend, kind: string(f.Kind), observed: f.Observed}
-		if oracleKeyed(f.Kind) {
-			k.oracle = f.Oracle
-		}
-		findingTask[k] = f.Task
-	}
 	keep := func(r artifactRef) bool {
 		switch {
 		case strings.HasPrefix(r.BugType, "backend-"):
-			k := fkey{backend: r.Backend, kind: strings.TrimPrefix(r.BugType, "backend-"), observed: r.Observed}
-			if oracleKeyed(bugdb.BugType(k.kind)) {
-				k.oracle = r.Oracle
-			}
-			t, ok := findingTask[k]
+			t, ok := findingTask[findingKey(BackendFinding{Backend: r.Backend,
+				Kind: bugdb.BugType(strings.TrimPrefix(r.BugType, "backend-")), Oracle: r.Oracle, Observed: r.Observed})]
 			return ok && t == r.Task
 		case r.Defect != "":
 			t, ok := bugTask[r.Defect]

@@ -167,4 +167,69 @@ func TestMergeFailClosed(t *testing.T) {
 	if _, err := Merge([]*Envelope{e0, &bad}, ""); err == nil {
 		t.Error("merged an envelope with a short task count")
 	}
+
+	// Semantically impossible state behind a complete task count: a
+	// negative backend tally would fold into the merged report.
+	negative := *e1
+	negative.State.Backends = append([]BackendReport(nil), e1.State.Backends...)
+	negative.State.Backends[0].Checks = -5
+	if _, err := Merge([]*Envelope{e0, &negative}, ""); err == nil {
+		t.Error("merged an envelope with a negative backend tally")
+	}
+}
+
+// FuzzEnvelopeMerge holds the state fold to the identity that resume
+// relies on: any unsharded envelope the decoder accepts merges alone
+// without error, and the merged tally, backend reports, bugs (defect
+// and trigger list) and backend findings equal the envelope's own
+// state.
+func FuzzEnvelopeMerge(f *testing.F) {
+	var tb bytes.Buffer
+	out, err := Start(ckptConfig(), RunOptions{Telemetry: telemetry.NewTracker(), Trace: &tb})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := EncodeEnvelope(out.Envelope)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(flipByte(valid, len(valid)/3))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := DecodeEnvelope(data)
+		if err != nil || e.Config.withDefaults().Shards > 1 {
+			return
+		}
+		m, err := Merge([]*Envelope{e}, "")
+		if err != nil {
+			t.Fatalf("accepted envelope does not merge alone: %v", err)
+		}
+		res, s := m.Result, e.State
+		if res.Tally != s.Tally {
+			t.Errorf("tally changed:\nstate  %+v\nmerged %+v", s.Tally, res.Tally)
+		}
+		if !sameSlice(res.Backends, s.Backends) {
+			t.Errorf("backend reports changed:\nstate  %+v\nmerged %+v", s.Backends, res.Backends)
+		}
+		if !sameSlice(res.BackendFindings, s.BackendFindings) {
+			t.Errorf("backend findings changed:\nstate  %+v\nmerged %+v", s.BackendFindings, res.BackendFindings)
+		}
+		want, got := map[string][]int{}, map[string][]int{}
+		for _, sb := range s.Bugs {
+			want[sb.Defect] = sb.Tasks
+		}
+		for _, b := range res.Bugs {
+			got[string(b.Defect)] = b.Tasks
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("bug triggers changed:\nstate  %v\nmerged %v", want, got)
+		}
+	})
+}
+
+// sameSlice is reflect.DeepEqual that does not tell nil from empty.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }

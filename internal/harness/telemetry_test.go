@@ -58,8 +58,8 @@ func runTraced(t *testing.T, threads int) (*Result, telemetry.Snapshot, []TraceR
 	return res, tr.Snapshot(), recs, raw
 }
 
-// TestFunnelMatchesResultCounts: the funnel counters are computed by
-// differencing the Result before and after each classification, so
+// TestFunnelMatchesResultCounts: each funnel counter is incremented at
+// the classification site next to the Result field it mirrors, so
 // their totals must equal the Result's counts exactly — at any thread
 // count.
 func TestFunnelMatchesResultCounts(t *testing.T) {

@@ -19,7 +19,8 @@ import (
 // quarantined (watchdog cut-off, internal fault) or solved; solved
 // tests with a definite verdict are oracle-checked; oracle mismatches
 // and crashes become findings or duplicates. All increments happen in
-// the in-order classification stage, so totals are bit-identical for
+// the in-order classification stage, each next to the Result field it
+// mirrors, so totals equal the Result counts and are bit-identical for
 // any thread count.
 var (
 	cfSeedGenerated = telemetry.NewCounter("yy_funnel_seed_generated_total", "seed scripts generated while building the corpus")
@@ -146,48 +147,6 @@ func DecodeTrace(r io.Reader) ([]TraceRecord, error) {
 	return out, nil
 }
 
-// resCounts snapshots the Result fields the funnel mirrors, so per-task
-// increments can be computed as before/after differences — guaranteeing
-// funnel totals always equal the Result counts.
-type resCounts struct {
-	tests, unknowns, timeouts, quarantined int
-	invalid, duplicates, refDisagree, bugs int
-	// Backend cross-check aggregates, summed over Result.Backends.
-	bkChecks, bkSkipped, bkTimeouts, bkCrashes int
-	bkGarbled, bkFaults, bkRetries, bkDisagree int
-	bkFindings                                 int
-	// Consensus-oracle aggregates. oOutvoted and oViolations fold the
-	// SUT's tallies together with the per-backend ones.
-	oVotes, oConsensus, oAbstained, oOutvoted int
-	oPairs, oPairSkips, oViolations           int
-}
-
-func countsOf(r *Result) resCounts {
-	c := resCounts{
-		tests: r.Tests, unknowns: r.Unknowns, timeouts: r.Timeouts,
-		quarantined: r.Quarantined, invalid: r.InvalidInputs,
-		duplicates: r.Duplicates, refDisagree: r.ReferenceDisagreements,
-		bugs: len(r.Bugs), bkFindings: len(r.BackendFindings),
-		oVotes: r.OracleVotes, oConsensus: r.OracleConsensus,
-		oAbstained: r.OracleAbstained, oOutvoted: r.SutOutvoted,
-		oPairs: r.MetamorphicPairs, oPairSkips: r.MetamorphicSkips,
-		oViolations: r.SutViolations,
-	}
-	for _, b := range r.Backends {
-		c.bkChecks += b.Checks
-		c.bkSkipped += b.Skipped
-		c.bkTimeouts += b.Timeouts
-		c.bkCrashes += b.Crashes
-		c.bkGarbled += b.Garbled
-		c.bkFaults += b.Faults
-		c.bkRetries += b.Retries
-		c.bkDisagree += b.Disagreements
-		c.oOutvoted += b.Outvoted
-		c.oViolations += b.Violations
-	}
-	return c
-}
-
 // recorder aggregates campaign telemetry and emits the JSONL trace.
 // It is only ever called from the in-order classification stage; a
 // recorder with a nil tracker and nil writer no-ops everywhere.
@@ -221,57 +180,11 @@ func (rc *recorder) vetted(tries []int, deltas []telemetry.Snapshot) {
 	}
 }
 
-// task records one classified task: the worker's engine-counter delta,
-// the funnel increments implied by how applyOutcome changed the Result,
-// and the trace record.
-func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Result) {
-	if !rc.active() {
-		return
-	}
-	cur := countsOf(res)
+// task records one classified task: the worker's engine-counter delta
+// and the trace record. The funnel counters were already incremented by
+// the classification itself, next to the Result fields they mirror.
+func (rc *recorder) task(cfg Campaign, out taskOutcome) {
 	rc.tr.Merge(out.delta)
-	fuelSpent := out.delta.Counter(solver.MetricSolveFuelSpent)
-
-	switch {
-	case out.invalid:
-		rc.tr.Inc(cfInvalid)
-	case !out.tested:
-		rc.tr.Inc(cfSkipped)
-	default:
-		rc.tr.Inc(cfDerived)
-	}
-	crashed := 0
-	if cur.tests > prev.tests && out.run.Crashed {
-		crashed = 1
-	}
-	rc.tr.Add(cfSolved, int64(cur.tests-prev.tests))
-	rc.tr.Add(cfOracleChecked, int64(cur.tests-prev.tests-(cur.timeouts-prev.timeouts)-(cur.unknowns-prev.unknowns)-crashed))
-	rc.tr.Add(cfTimeouts, int64(cur.timeouts-prev.timeouts))
-	rc.tr.Add(cfUnknowns, int64(cur.unknowns-prev.unknowns))
-	rc.tr.Add(cfQuarantined, int64(cur.quarantined-prev.quarantined))
-	rc.tr.Add(cfFindings, int64(cur.bugs-prev.bugs))
-	rc.tr.Add(cfDuplicates, int64(cur.duplicates-prev.duplicates))
-	rc.tr.Add(cfRefDisagree, int64(cur.refDisagree-prev.refDisagree))
-	rc.tr.Add(cbChecks, int64(cur.bkChecks-prev.bkChecks))
-	rc.tr.Add(cbSkipped, int64(cur.bkSkipped-prev.bkSkipped))
-	rc.tr.Add(cbTimeouts, int64(cur.bkTimeouts-prev.bkTimeouts))
-	rc.tr.Add(cbCrashes, int64(cur.bkCrashes-prev.bkCrashes))
-	rc.tr.Add(cbGarbled, int64(cur.bkGarbled-prev.bkGarbled))
-	rc.tr.Add(cbFaults, int64(cur.bkFaults-prev.bkFaults))
-	rc.tr.Add(cbRetries, int64(cur.bkRetries-prev.bkRetries))
-	rc.tr.Add(cbDisagree, int64(cur.bkDisagree-prev.bkDisagree))
-	rc.tr.Add(cbFindings, int64(cur.bkFindings-prev.bkFindings))
-	rc.tr.Add(coVotes, int64(cur.oVotes-prev.oVotes))
-	rc.tr.Add(coConsensus, int64(cur.oConsensus-prev.oConsensus))
-	rc.tr.Add(coAbstained, int64(cur.oAbstained-prev.oAbstained))
-	rc.tr.Add(coOutvoted, int64(cur.oOutvoted-prev.oOutvoted))
-	rc.tr.Add(coPairs, int64(cur.oPairs-prev.oPairs))
-	rc.tr.Add(coPairSkips, int64(cur.oPairSkips-prev.oPairSkips))
-	rc.tr.Add(coViolation, int64(cur.oViolations-prev.oViolations))
-	if cur.tests > prev.tests {
-		rc.tr.Observe(hTaskFuel, fuelSpent)
-	}
-
 	if rc.jw == nil {
 		return
 	}
@@ -289,7 +202,9 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Res
 		SUT:          string(cfg.SUT),
 		Release:      cfg.Release,
 		Task:         out.id,
-		FuelSpent:    fuelSpent,
+		FuelSpent:    out.delta.Counter(solver.MetricSolveFuelSpent),
+		Finding:      out.finding,
+		Duplicate:    out.duplicate,
 	}
 	if len(out.delta.Counters) > 0 {
 		rec.Counters = out.delta.Counters
@@ -352,7 +267,5 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Res
 			}
 		}
 	}
-	rec.Finding = cur.bugs > prev.bugs
-	rec.Duplicate = cur.duplicates > prev.duplicates
 	rc.jw.Emit(rec)
 }
