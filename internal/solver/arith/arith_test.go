@@ -6,9 +6,10 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
-func rat(n, d int64) *big.Rat { return big.NewRat(n, d) }
+func br(n, d int64) *big.Rat { return big.NewRat(n, d) }
 
 func linearizeStr(t *testing.T, src string, decls map[string]ast.Sort) *LinExpr {
 	t.Helper()
@@ -26,18 +27,18 @@ func linearizeStr(t *testing.T, src string, decls map[string]ast.Sort) *LinExpr 
 func TestLinearizeBasics(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortInt, "y": ast.SortInt}
 	e := linearizeStr(t, "(+ (* 2 x) y 3)", decls)
-	if e.Const.Cmp(rat(3, 1)) != 0 || e.Coeffs["x"].Cmp(rat(2, 1)) != 0 || e.Coeffs["y"].Cmp(rat(1, 1)) != 0 {
+	if e.Const.Cmp(rat.Int(3)) != 0 || e.Coeff("x").Cmp(rat.Int(2)) != 0 || e.Coeff("y").Cmp(rat.Int(1)) != 0 {
 		t.Errorf("got %v", e)
 	}
 	// (x + y) - y normalizes to x: the property that makes additive
 	// fusion solvable.
 	e = linearizeStr(t, "(- (+ x y) y)", decls)
-	if len(e.Coeffs) != 1 || e.Coeffs["x"].Cmp(rat(1, 1)) != 0 || e.Const.Sign() != 0 {
+	if len(e.Coeffs) != 1 || e.Coeff("x").Cmp(rat.Int(1)) != 0 || e.Const.Sign() != 0 {
 		t.Errorf("cancellation failed: %v", e)
 	}
 	// Constant folding through multiplication and negation.
 	e = linearizeStr(t, "(* 2 (- x) 3)", decls)
-	if e.Coeffs["x"].Cmp(rat(-6, 1)) != 0 {
+	if e.Coeff("x").Cmp(rat.Int(-6)) != 0 {
 		t.Errorf("got %v", e)
 	}
 }
@@ -45,7 +46,7 @@ func TestLinearizeBasics(t *testing.T) {
 func TestLinearizeRealDivision(t *testing.T) {
 	decls := map[string]ast.Sort{"a": ast.SortReal}
 	e := linearizeStr(t, "(/ a 4.0)", decls)
-	if e.Coeffs["a"].Cmp(rat(1, 4)) != 0 {
+	if e.Coeff("a").Cmp(rat.New(1, 4)) != 0 {
 		t.Errorf("got %v", e)
 	}
 	// Division by zero constant is not linear (fixed interpretation 0).
@@ -84,9 +85,9 @@ func TestLinearizeAbstraction(t *testing.T) {
 		t.Errorf("expr = %v", e)
 	}
 	var prodVar string
-	for v, c := range e.Coeffs {
-		if c.Cmp(rat(2, 1)) == 0 {
-			prodVar = v
+	for _, c := range e.Coeffs {
+		if c.Coeff.Cmp(rat.Int(2)) == 0 {
+			prodVar = c.Var
 		}
 	}
 	if prodVar == "" {
@@ -118,7 +119,7 @@ func atomsOf(t *testing.T, decls map[string]ast.Sort, srcs ...string) []Atom {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lhs.AddExpr(rhs, rat(-1, 1))
+		lhs.AddExpr(rhs, rat.Int(-1))
 		out = append(out, Atom{Expr: lhs, Rel: rel})
 	}
 	return out
@@ -130,7 +131,7 @@ func TestCheckLRA(t *testing.T) {
 	if st != Sat {
 		t.Fatalf("status %v", st)
 	}
-	if !(m["a"].Sign() > 0 && m["a"].Cmp(m["b"]) < 0 && m["b"].Cmp(rat(1, 1)) < 0) {
+	if !(m["a"].Sign() > 0 && m["a"].Cmp(m["b"]) < 0 && m["b"].Cmp(br(1, 1)) < 0) {
 		t.Errorf("bad model %v", m)
 	}
 	st, _ = Check(&Problem{Atoms: atomsOf(t, decls, "(< a b)", "(< b a)")})
@@ -233,54 +234,54 @@ func TestCheckBudget(t *testing.T) {
 }
 
 func TestIntervalArithmetic(t *testing.T) {
-	i12 := Interval{Lo: finite(rat(1, 1), false), Hi: finite(rat(2, 1), false)}
-	i34 := Interval{Lo: finite(rat(3, 1), false), Hi: finite(rat(4, 1), false)}
+	i12 := Interval{Lo: finite(br(1, 1), false), Hi: finite(br(2, 1), false)}
+	i34 := Interval{Lo: finite(br(3, 1), false), Hi: finite(br(4, 1), false)}
 	sum := i12.Add(i34)
-	if sum.Lo.V.Cmp(rat(4, 1)) != 0 || sum.Hi.V.Cmp(rat(6, 1)) != 0 {
+	if sum.Lo.V.Cmp(br(4, 1)) != 0 || sum.Hi.V.Cmp(br(6, 1)) != 0 {
 		t.Errorf("sum = %v", sum)
 	}
 	prod := i12.Mul(i34)
-	if prod.Lo.V.Cmp(rat(3, 1)) != 0 || prod.Hi.V.Cmp(rat(8, 1)) != 0 {
+	if prod.Lo.V.Cmp(br(3, 1)) != 0 || prod.Hi.V.Cmp(br(8, 1)) != 0 {
 		t.Errorf("prod = %v", prod)
 	}
 	negProd := i12.Neg().Mul(i34)
-	if negProd.Lo.V.Cmp(rat(-8, 1)) != 0 || negProd.Hi.V.Cmp(rat(-3, 1)) != 0 {
+	if negProd.Lo.V.Cmp(br(-8, 1)) != 0 || negProd.Hi.V.Cmp(br(-3, 1)) != 0 {
 		t.Errorf("negProd = %v", negProd)
 	}
 	q := i34.Div(i12)
-	if q.Lo.V.Cmp(rat(3, 2)) != 0 || q.Hi.V.Cmp(rat(4, 1)) != 0 {
+	if q.Lo.V.Cmp(br(3, 2)) != 0 || q.Hi.V.Cmp(br(4, 1)) != 0 {
 		t.Errorf("quot = %v", q)
 	}
 	// Division by an interval containing zero is the whole line.
-	z := Interval{Lo: finite(rat(-1, 1), false), Hi: finite(rat(1, 1), false)}
+	z := Interval{Lo: finite(br(-1, 1), false), Hi: finite(br(1, 1), false)}
 	if w := i12.Div(z); !w.Lo.Inf || !w.Hi.Inf {
 		t.Errorf("div by zero-containing: %v", w)
 	}
 	// Openness: (0, 2] × [1, 1] keeps the open lower bound.
-	op := Interval{Lo: Endpoint{V: rat(0, 1), Open: true}, Hi: finite(rat(2, 1), false)}
-	one := Point(rat(1, 1))
+	op := Interval{Lo: Endpoint{V: br(0, 1), Open: true}, Hi: finite(br(2, 1), false)}
+	one := Point(br(1, 1))
 	res := op.Mul(one)
 	if !res.Lo.Open || res.Lo.V.Sign() != 0 {
 		t.Errorf("openness lost: %v", res)
 	}
 	// Abs.
-	ab := Interval{Lo: finite(rat(-3, 1), false), Hi: finite(rat(2, 1), false)}.Abs()
-	if ab.Lo.V.Sign() != 0 || ab.Hi.V.Cmp(rat(3, 1)) != 0 {
+	ab := Interval{Lo: finite(br(-3, 1), false), Hi: finite(br(2, 1), false)}.Abs()
+	if ab.Lo.V.Sign() != 0 || ab.Hi.V.Cmp(br(3, 1)) != 0 {
 		t.Errorf("abs = %v", ab)
 	}
 }
 
 func TestIntervalEmptyAndTightenInt(t *testing.T) {
-	e := Interval{Lo: Endpoint{V: rat(1, 1), Open: true}, Hi: Endpoint{V: rat(1, 1)}}
+	e := Interval{Lo: Endpoint{V: br(1, 1), Open: true}, Hi: Endpoint{V: br(1, 1)}}
 	if !e.IsEmpty() {
 		t.Error("(1,1] should be empty")
 	}
-	i := Interval{Lo: Endpoint{V: rat(1, 2)}, Hi: Endpoint{V: rat(5, 2)}}.TightenInt()
-	if i.Lo.V.Cmp(rat(1, 1)) != 0 || i.Hi.V.Cmp(rat(2, 1)) != 0 {
+	i := Interval{Lo: Endpoint{V: br(1, 2)}, Hi: Endpoint{V: br(5, 2)}}.TightenInt()
+	if i.Lo.V.Cmp(br(1, 1)) != 0 || i.Hi.V.Cmp(br(2, 1)) != 0 {
 		t.Errorf("tightened = %v", i)
 	}
-	j := Interval{Lo: Endpoint{V: rat(1, 1), Open: true}, Hi: Endpoint{V: rat(2, 1), Open: true}}.TightenInt()
-	if j.Lo.V.Cmp(rat(2, 1)) != 0 || j.Hi.V.Cmp(rat(1, 1)) != 0 || !j.IsEmpty() {
+	j := Interval{Lo: Endpoint{V: br(1, 1), Open: true}, Hi: Endpoint{V: br(2, 1), Open: true}}.TightenInt()
+	if j.Lo.V.Cmp(br(2, 1)) != 0 || j.Hi.V.Cmp(br(1, 1)) != 0 || !j.IsEmpty() {
 		t.Errorf("open (1,2) over ints should tighten to empty, got %v", j)
 	}
 }
@@ -350,7 +351,7 @@ func TestEvalIntervalForeign(t *testing.T) {
 	}
 	term, _ = smtlib.ParseTerm("(str.to_int s)", decls)
 	iv = EvalInterval(term, Env{}, nil)
-	if iv.Lo.Inf || iv.Lo.V.Cmp(rat(-1, 1)) != 0 {
+	if iv.Lo.Inf || iv.Lo.V.Cmp(br(-1, 1)) != 0 {
 		t.Errorf("str.to_int enclosure = %v", iv)
 	}
 }
@@ -359,7 +360,7 @@ func TestRelHelpers(t *testing.T) {
 	if RelLe.Negate() != RelGt || RelEq.Negate() != RelNe || RelNe.Negate() != RelEq {
 		t.Error("Negate broken")
 	}
-	if !RelLt.HoldsOn(rat(-1, 1)) || RelLt.HoldsOn(rat(0, 1)) {
+	if !RelLt.HoldsOn(br(-1, 1)) || RelLt.HoldsOn(br(0, 1)) {
 		t.Error("HoldsOn broken")
 	}
 	if flipRel(RelLt) != RelGt || flipRel(RelEq) != RelEq {

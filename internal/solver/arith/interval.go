@@ -308,3 +308,13 @@ func (i Interval) TightenInt() Interval {
 	}
 	return out
 }
+
+func floorRat(v *big.Rat) *big.Int {
+	q := new(big.Int)
+	r := new(big.Int)
+	q.QuoRem(v.Num(), v.Denom(), r)
+	if r.Sign() < 0 {
+		q.Sub(q, big.NewInt(1))
+	}
+	return q
+}

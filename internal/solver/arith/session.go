@@ -1,8 +1,6 @@
 package arith
 
 import (
-	"math/big"
-
 	"repro/internal/fuel"
 	"repro/internal/solver/simplex"
 	"repro/internal/telemetry"
@@ -29,6 +27,7 @@ type Session struct {
 	// infeasible and further Asserts are ignored.
 	conflict bool
 	confMark int
+	terms    []simplex.Term // assertAtom scratch
 }
 
 // NewSession returns an empty session.
@@ -67,35 +66,23 @@ func (se *Session) Assert(a Atom) bool {
 	if a.Rel == RelNe {
 		return true
 	}
-	coeffs := map[int]*big.Rat{}
-	for v, co := range a.Expr.Coeffs {
-		iv, ok := se.vars[v]
-		if !ok {
-			iv = se.sx.NewVar()
-			se.vars[v] = iv
-		}
-		coeffs[iv] = co
-	}
-	bound := new(big.Rat).Neg(a.Expr.Const)
-	var op simplex.Op
-	switch a.Rel {
-	case RelLe:
-		op = simplex.Le
-	case RelLt:
-		op = simplex.Lt
-	case RelGe:
-		op = simplex.Ge
-	case RelGt:
-		op = simplex.Gt
-	case RelEq:
-		op = simplex.Eq
-	}
-	if !se.sx.AssertAtom(coeffs, op, bound) {
+	var ok bool
+	if se.terms, ok = assertAtom(se.sx, a, se.col, se.terms); !ok {
 		se.conflict = true
 		se.confMark = se.sx.Mark()
 		return false
 	}
 	return true
+}
+
+// col returns the simplex column of v, allocating one on first sight.
+func (se *Session) col(v string) int {
+	iv, ok := se.vars[v]
+	if !ok {
+		iv = se.sx.NewVar()
+		se.vars[v] = iv
+	}
+	return iv
 }
 
 // NumVars reports how many named variables the warm tableau holds.

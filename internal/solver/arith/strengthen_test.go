@@ -6,24 +6,25 @@ import (
 	"testing/quick"
 
 	"repro/internal/ast"
+	"repro/internal/solver/rat"
 )
 
 func TestStrengthenInts(t *testing.T) {
 	c := &checker{intVars: map[string]bool{"x": true, "y": true}}
 	mk := func(coeff int64, konst int64, rel Rel) Atom {
 		e := NewLinExpr()
-		e.AddVar("x", big.NewRat(coeff, 1))
-		e.Const.SetInt64(konst)
+		e.AddVar("x", rat.Int(coeff))
+		e.Const = rat.Int(konst)
 		return Atom{Expr: e, Rel: rel}
 	}
 	// x − 3 > 0 strengthens to x − 4 ≥ 0.
 	out := c.strengthenInts([]Atom{mk(1, -3, RelGt)})
-	if out[0].Rel != RelGe || out[0].Expr.Const.Cmp(big.NewRat(-4, 1)) != 0 {
+	if out[0].Rel != RelGe || out[0].Expr.Const.Cmp(rat.Int(-4)) != 0 {
 		t.Errorf("Gt strengthening: %+v", out[0])
 	}
 	// x + 1 < 0 strengthens to x + 2 ≤ 0.
 	out = c.strengthenInts([]Atom{mk(1, 1, RelLt)})
-	if out[0].Rel != RelLe || out[0].Expr.Const.Cmp(big.NewRat(2, 1)) != 0 {
+	if out[0].Rel != RelLe || out[0].Expr.Const.Cmp(rat.Int(2)) != 0 {
 		t.Errorf("Lt strengthening: %+v", out[0])
 	}
 	// Non-strict relations and real variables stay untouched.
@@ -32,14 +33,14 @@ func TestStrengthenInts(t *testing.T) {
 		t.Error("Le modified")
 	}
 	e := NewLinExpr()
-	e.AddVar("r", big.NewRat(1, 1)) // r is not an int var
+	e.AddVar("r", rat.Int(1)) // r is not an int var
 	out = c.strengthenInts([]Atom{{Expr: e, Rel: RelLt}})
 	if out[0].Rel != RelLt {
 		t.Error("real atom strengthened")
 	}
 	// Fractional coefficients stay untouched.
 	ef := NewLinExpr()
-	ef.AddVar("x", big.NewRat(1, 2))
+	ef.AddVar("x", rat.New(1, 2))
 	out = c.strengthenInts([]Atom{{Expr: ef, Rel: RelGt}})
 	if out[0].Rel != RelGt {
 		t.Error("fractional-coefficient atom strengthened")
@@ -50,9 +51,9 @@ func TestGcdCut(t *testing.T) {
 	c := &checker{intVars: map[string]bool{"x": true, "y": true}}
 	mk := func(cx, cy, konst int64) *LinExpr {
 		e := NewLinExpr()
-		e.AddVar("x", big.NewRat(cx, 1))
-		e.AddVar("y", big.NewRat(cy, 1))
-		e.Const.SetInt64(konst)
+		e.AddVar("x", rat.Int(cx))
+		e.AddVar("y", rat.Int(cy))
+		e.Const = rat.Int(konst)
 		return e
 	}
 	// 2x + 4y + 1 = 0: gcd 2 does not divide 1 → infeasible.
@@ -65,7 +66,7 @@ func TestGcdCut(t *testing.T) {
 	}
 	// Real variable present → no cut.
 	e := mk(2, 0, 1)
-	e.AddVar("r", big.NewRat(2, 1))
+	e.AddVar("r", rat.Int(2))
 	if c.gcdCutInfeasible(e) {
 		t.Error("mixed-sort equality wrongly cut")
 	}
@@ -82,11 +83,11 @@ func TestQuickIntegerIntervals(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		eLo := NewLinExpr()
-		eLo.AddVar("x", big.NewRat(1, 1))
-		eLo.Const.Neg(lo) // x − lo ≥ 0
+		eLo.AddVar("x", rat.Int(1))
+		eLo.Const = rat.FromBig(lo).Neg() // x − lo ≥ 0
 		eHi := NewLinExpr()
-		eHi.AddVar("x", big.NewRat(1, 1))
-		eHi.Const.Neg(hi) // x − hi ≤ 0
+		eHi.AddVar("x", rat.Int(1))
+		eHi.Const = rat.FromBig(hi).Neg() // x − hi ≤ 0
 		st, m := Check(&Problem{
 			Atoms:   []Atom{{Expr: eLo, Rel: RelGe}, {Expr: eHi, Rel: RelLe}},
 			IntVars: map[string]bool{"x": true},

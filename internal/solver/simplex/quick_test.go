@@ -1,17 +1,18 @@
 package simplex
 
 import (
-	"math/big"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/solver/rat"
 )
 
 // Property: δ-rational ordering is a total order consistent with the
 // limit semantics — a + bδ < c + dδ iff a < c, or a = c and b < d.
 func TestQuickNumOrdering(t *testing.T) {
 	f := func(a, b, c, d int32) bool {
-		x := Num{A: big.NewRat(int64(a), 1), B: big.NewRat(int64(b), 1)}
-		y := Num{A: big.NewRat(int64(c), 1), B: big.NewRat(int64(d), 1)}
+		x := Num{A: rat.Int(int64(a)), B: rat.Int(int64(b))}
+		y := Num{A: rat.Int(int64(c)), B: rat.Int(int64(d))}
 		want := 0
 		switch {
 		case a < c || (a == c && b < d):
@@ -29,8 +30,8 @@ func TestQuickNumOrdering(t *testing.T) {
 // Property: Num arithmetic is componentwise — (x+y)−y = x.
 func TestQuickNumAddSubInverse(t *testing.T) {
 	f := func(a, b, c, d int32) bool {
-		x := Num{A: big.NewRat(int64(a), 1), B: big.NewRat(int64(b), 1)}
-		y := Num{A: big.NewRat(int64(c), 1), B: big.NewRat(int64(d), 1)}
+		x := Num{A: rat.Int(int64(a)), B: rat.Int(int64(b))}
+		y := Num{A: rat.Int(int64(c)), B: rat.Int(int64(d))}
 		return x.Add(y).Sub(y).Cmp(x) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -42,8 +43,8 @@ func TestQuickNumAddSubInverse(t *testing.T) {
 // and the witness lies in the box.
 func TestQuickBoxFeasibility(t *testing.T) {
 	f := func(aRaw, bRaw int16) bool {
-		a := big.NewRat(int64(aRaw), 1)
-		b := big.NewRat(int64(bRaw), 1)
+		a := rat.Int(int64(aRaw))
+		b := rat.Int(int64(bRaw))
 		s := New()
 		x := s.NewVar()
 		okLower := s.AssertVarBound(x, Ge, a)
@@ -61,7 +62,7 @@ func TestQuickBoxFeasibility(t *testing.T) {
 			return false
 		}
 		if got {
-			v := s.Values([]int{x})[x]
+			v := s.Values([]int{x})[0]
 			return v.Cmp(a) >= 0 && v.Cmp(b) <= 0
 		}
 		return true
@@ -79,15 +80,15 @@ func TestQuickWitnessSatisfiesConstraints(t *testing.T) {
 		slack := int64(slackRaw%16) + 1
 		s := New()
 		x, y := s.NewVar(), s.NewVar()
-		one := big.NewRat(1, 1)
-		sum := big.NewRat(int64(p)+int64(q), 1)
-		diff := big.NewRat(int64(p)-int64(q), 1)
-		upper := new(big.Rat).Add(sum, big.NewRat(slack, 1))
-		lower := new(big.Rat).Sub(diff, big.NewRat(slack, 1))
-		if !s.AssertAtom(map[int]*big.Rat{x: one, y: one}, Le, upper) {
+		one := rat.Int(1)
+		sum := rat.Int(int64(p) + int64(q))
+		diff := rat.Int(int64(p) - int64(q))
+		upper := sum.Add(rat.Int(slack))
+		lower := diff.Sub(rat.Int(slack))
+		if !s.AssertAtom([]Term{{x, one}, {y, one}}, Le, upper) {
 			return false
 		}
-		if !s.AssertAtom(map[int]*big.Rat{x: one, y: new(big.Rat).Neg(one)}, Ge, lower) {
+		if !s.AssertAtom([]Term{{x, one}, {y, one.Neg()}}, Ge, lower) {
 			return false
 		}
 		ok, err := s.Check()
@@ -95,8 +96,8 @@ func TestQuickWitnessSatisfiesConstraints(t *testing.T) {
 			return false
 		}
 		vals := s.Values([]int{x, y})
-		sumV := new(big.Rat).Add(vals[x], vals[y])
-		diffV := new(big.Rat).Sub(vals[x], vals[y])
+		sumV := vals[0].Add(vals[1])
+		diffV := vals[0].Sub(vals[1])
 		return sumV.Cmp(upper) <= 0 && diffV.Cmp(lower) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

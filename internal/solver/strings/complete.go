@@ -1,11 +1,10 @@
 package strings
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/solver/arith"
+	"repro/internal/solver/rat"
 )
 
 // completeArith runs after every string and boolean variable is
@@ -63,7 +62,7 @@ func (c *checker) completeArith() (bool, eval.Model) {
 			if err != nil {
 				return false, nil
 			}
-			lhs.AddExpr(rhs, big.NewRat(-1, 1))
+			lhs.AddExpr(rhs, rat.Int(-1))
 			atoms = append(atoms, arith.Atom{Expr: lhs, Rel: rel})
 			for _, v := range ast.FreeVars(atom) {
 				if v.VSort == ast.SortInt {

@@ -8,7 +8,6 @@
 package strings
 
 import (
-	"math/big"
 	"sort"
 
 	"repro/internal/ast"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/fuel"
 	"repro/internal/regex"
 	"repro/internal/solver/arith"
+	"repro/internal/solver/rat"
 	"repro/internal/telemetry"
 )
 
@@ -362,7 +362,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 		intVars[lenVar(v)] = true
 		// len ≥ 0
 		e := arith.NewLinExpr()
-		e.AddVar(lenVar(v), big.NewRat(1, 1))
+		e.AddVar(lenVar(v), rat.Int(1))
 		atoms = append(atoms, arith.Atom{Expr: e, Rel: arith.RelGe})
 	}
 	for _, v := range c.intVars {
@@ -380,11 +380,11 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 		switch n := t.(type) {
 		case *ast.Var:
 			e := arith.NewLinExpr()
-			e.AddVar(lenVar(n.Name), big.NewRat(1, 1))
+			e.AddVar(lenVar(n.Name), rat.Int(1))
 			return e
 		case *ast.StrLit:
 			e := arith.NewLinExpr()
-			e.Const.SetInt64(int64(len(n.V)))
+			e.Const = rat.Int(int64(len(n.V)))
 			return e
 		case *ast.App:
 			if n.Op == ast.OpStrConcat {
@@ -394,7 +394,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 					if sub == nil {
 						return nil
 					}
-					out.AddExpr(sub, big.NewRat(1, 1))
+					out.AddExpr(sub, rat.Int(1))
 				}
 				return out
 			}
@@ -415,7 +415,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			if app.Args[0].Sort() == ast.SortString && polarity {
 				a, b := lenExpr(app.Args[0]), lenExpr(app.Args[1])
 				if a != nil && b != nil {
-					a.AddExpr(b, big.NewRat(-1, 1))
+					a.AddExpr(b, rat.Int(-1))
 					addAtom(a, arith.RelEq)
 				}
 			} else if app.Args[0].Sort() == ast.SortInt {
@@ -429,7 +429,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			if polarity {
 				a, b := lenExpr(app.Args[0]), lenExpr(app.Args[1])
 				if a != nil && b != nil {
-					a.AddExpr(b, big.NewRat(-1, 1))
+					a.AddExpr(b, rat.Int(-1))
 					rel := arith.RelLe // |prefix| ≤ |whole|
 					if c.defect("th-len-abs-prefix-flip") {
 						rel = arith.RelGe // flipped: bogus length conflicts
@@ -441,7 +441,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			if polarity {
 				a, b := lenExpr(app.Args[0]), lenExpr(app.Args[1])
 				if a != nil && b != nil {
-					b.AddExpr(a, big.NewRat(-1, 1))
+					b.AddExpr(a, rat.Int(-1))
 					addAtom(b, arith.RelLe) // |needle| ≤ |haystack|
 				}
 			}
@@ -456,8 +456,8 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			}
 			if min, ok := regex.MinLenFuel(r, c.fuel, c.telem); ok && min > 0 {
 				e := arith.NewLinExpr()
-				e.AddVar(lenVar(v.Name), big.NewRat(1, 1))
-				e.Const.SetInt64(int64(-min))
+				e.AddVar(lenVar(v.Name), rat.Int(1))
+				e.Const = rat.Int(int64(-min))
 				rel := arith.RelGe
 				if c.defect("th-regex-min-len-strict") {
 					rel = arith.RelGt // off-by-one: len == min wrongly refuted
@@ -466,8 +466,8 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			}
 			if max, ok := regex.MaxLen(r); ok {
 				e := arith.NewLinExpr()
-				e.AddVar(lenVar(v.Name), big.NewRat(1, 1))
-				e.Const.SetInt64(int64(-max))
+				e.AddVar(lenVar(v.Name), rat.Int(1))
+				e.Const = rat.Int(int64(-max))
 				addAtom(e, arith.RelLe)
 			}
 		}
@@ -487,8 +487,8 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			if sv, ok := app.Args[0].(*ast.Var); ok {
 				// Tie the abstraction var to the length var.
 				e := arith.NewLinExpr()
-				e.AddVar(v, big.NewRat(1, 1))
-				e.AddVar(lenVar(sv.Name), big.NewRat(-1, 1))
+				e.AddVar(v, rat.Int(1))
+				e.AddVar(lenVar(sv.Name), rat.Int(-1))
 				atoms = append(atoms, arith.Atom{Expr: e, Rel: arith.RelEq})
 			}
 		}
@@ -541,7 +541,7 @@ func (c *checker) intLit(app *ast.App, polarity bool, abs *arith.Abstractor, add
 	if err != nil {
 		return
 	}
-	lhs.AddExpr(rhs, big.NewRat(-1, 1))
+	lhs.AddExpr(rhs, rat.Int(-1))
 	add(lhs, rel)
 }
 
