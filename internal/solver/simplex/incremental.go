@@ -28,7 +28,10 @@ type boundUndo struct {
 // definitional (slack = combination), so keeping them across a
 // PopToMark is sound, and it is exactly what makes re-asserting a
 // shared atom set warm.
-func (s *Solver) Mark() int { return len(s.undos) }
+func (s *Solver) Mark() int {
+	s.marked = true
+	return len(s.undos)
+}
 
 // PopToMark retracts every bound asserted since the matching Mark, in
 // reverse order. Bounds only ever loosen here (assertions only
@@ -41,22 +44,20 @@ func (s *Solver) Mark() int { return len(s.undos) }
 func (s *Solver) PopToMark(mark int) {
 	for i := len(s.undos) - 1; i >= mark; i-- {
 		u := s.undos[i]
-		s.lower[u.v] = u.lo
-		s.upper[u.v] = u.hi
-		s.hasLo[u.v] = u.hadLo
-		s.hasHi[u.v] = u.hadHi
+		c := &s.vars[u.v]
+		c.lower, c.upper = u.lo, u.hi
+		c.hasLo, c.hasHi = u.hadLo, u.hadHi
 	}
 	s.undos = s.undos[:mark]
 }
 
 // recordBound pushes the pre-tightening bound state of v onto the undo
-// trail.
+// trail. Before the first Mark nothing can be popped, so nothing is
+// recorded.
 func (s *Solver) recordBound(v int) {
-	s.undos = append(s.undos, boundUndo{
-		v:     v,
-		hadLo: s.hasLo[v],
-		hadHi: s.hasHi[v],
-		lo:    s.lower[v],
-		hi:    s.upper[v],
-	})
+	if !s.marked {
+		return
+	}
+	c := &s.vars[v]
+	s.undos = append(s.undos, boundUndo{v: v, hadLo: c.hasLo, hadHi: c.hasHi, lo: c.lower, hi: c.upper})
 }
