@@ -190,12 +190,19 @@ go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
 # Warm-cache transparency: a cold strings Check and two warm Checks
 # sharing one cache agree on verdict, model and fuel.
 go test -run='^$' -fuzz='^FuzzStringsWarmMatchesCold$' -fuzztime=10s ./internal/solver/strings/
+# Inline rationals: every operation agrees with math/big and keeps the
+# canonical form, including on the overflow fallback.
+go test -run='^$' -fuzz='^FuzzRatMatchesBig$' -fuzztime=10s ./internal/solver/rat/
 # -run='^$' skips the harness's (slow) unit tests here; the race
 # stages above already ran them.
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/harness/
 # Envelope seeds are tens of KB: the default 60 s minimization of each
 # new interesting input would eat the whole budget, so cap it.
 go test -run='^$' -fuzz='^FuzzEnvelopeMerge$' -fuzztime=10s -fuzzminimizetime=1s ./internal/harness/
+
+echo "== arith benchmark smoke =="
+# The per-layer arith.Check benchmark must keep compiling and running.
+go test -run='^$' -bench='^BenchmarkArithCheck$' -benchtime=1x ./internal/solver/arith/
 
 echo "== bench gate =="
 # Short-mode regression gate: runs the fast benchmarks at a fixed op
