@@ -758,7 +758,7 @@ type Checkpoint struct {
 	// Trace accumulates the JSONL trace of all completed legs, so a
 	// chain of pauses still yields a whole-shard trace in the final
 	// envelope even though each process only appends new records to its
-	// own writer.
+	// own writer. It stays empty when the first leg ran untraced.
 	Trace []byte `json:"trace,omitempty"`
 }
 
@@ -990,10 +990,18 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 	// Tracing is armed when the caller wants live records OR when the
 	// checkpoint already carries trace bytes (the envelope of a traced
 	// campaign must stay whole across pauses, even through a leg whose
-	// caller did not attach a writer).
-	if opt.Trace != nil {
+	// caller did not attach a writer). The accumulator only collects
+	// when the carried trace is whole: a campaign that classified tasks
+	// untraced can never hold a one-record-per-task trace, so its
+	// checkpoints and envelope carry none and only the live writer sees
+	// the records of the traced legs.
+	whole := cp == nil || cp.Done == 0 || len(cp.Trace) > 0
+	switch {
+	case opt.Trace != nil && whole:
 		cfg.Trace = io.MultiWriter(opt.Trace, &traceAcc)
-	} else if traceAcc.Len() > 0 {
+	case opt.Trace != nil:
+		cfg.Trace = opt.Trace
+	case traceAcc.Len() > 0:
 		cfg.Trace = &traceAcc
 	}
 
