@@ -178,6 +178,32 @@ go run ./cmd/yylint -go .
 tmpseeds=$(mktemp -d)
 go run ./cmd/genseeds -n 5 -seed 7 -out "$tmpseeds"
 find "$tmpseeds" -name '*.smt2' -print0 | xargs -0 go run ./cmd/yylint
+
+echo "== solve CLI smoke =="
+# The one-shot solver front end over the same corpus: every QF_LIA and
+# QF_LRA seed must decide to the status in its file name with a model
+# that validates (exit 0); a wrong -expect must exit 3 and a second
+# file argument must be a usage error (exit 2). A built binary, not
+# `go run`, so the exit codes are the binary's own.
+go build -o "$tmpseeds/solve" ./cmd/solve
+for f in "$tmpseeds"/QF_LIA/*.smt2 "$tmpseeds"/QF_LRA/*.smt2; do
+    status=$(basename "$f")
+    status=${status%%-*}
+    "$tmpseeds/solve" -validate -expect "$status" "$f" >/dev/null || {
+        echo "solve smoke: $f did not decide to $status with a valid model" >&2
+        exit 1
+    }
+done
+set +e
+"$tmpseeds/solve" -expect unsat "$tmpseeds/QF_LIA/sat-000.smt2" >/dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "solve smoke: wrong -expect exited $rc, want 3" >&2; exit 1; }
+set +e
+"$tmpseeds/solve" "$tmpseeds/QF_LIA/sat-000.smt2" "$tmpseeds/QF_LRA/sat-000.smt2" >/dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "solve smoke: two file arguments exited $rc, want 2" >&2; exit 1; }
 rm -rf "$tmpseeds"
 
 echo "== fuzz smoke =="

@@ -174,12 +174,6 @@ func main() {
 			e.Name, st.NsPerOp, st.AllocsPerOp, st.OpsPerSec)
 	}
 
-	if inc, okI := rep.Benchmarks["SolverIncremental"]; okI {
-		if cold, okC := rep.Benchmarks["SolverIncrementalCold"]; okC && inc.NsPerOp > 0 {
-			fmt.Printf("incremental speedup: %.2fx over cold re-solve\n", cold.NsPerOp/inc.NsPerOp)
-		}
-	}
-
 	rep.CalibNsPerOp = measureCalibration()
 	fmt.Printf("cpu calibration: %.2f ms/op\n", rep.CalibNsPerOp/1e6)
 

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	solve [-sut z3sim|cvc4sim] [-release trunk] [-fuel N] [-model] [-validate] [-expect V] [-stats] file.smt2
-//	solve -incremental [flags] a.smt2 b.smt2 ...
 //
 // A solve that exhausts its deterministic step budget prints "timeout",
 // the analogue of a real solver hitting its time limit.
@@ -16,14 +15,6 @@
 // external solver output, so it tolerates case, CRLF, surrounding
 // whitespace, and `;` comment lines — a captured solver transcript can
 // be passed verbatim.
-//
-// With -incremental, each script is pushed as an assertion frame on
-// top of the previous ones and checked — script k's verdict is for the
-// conjunction of scripts 1..k. One solver instance serves the whole
-// sequence, so later checks reuse learned clauses, the warm simplex
-// tableau, and the rewrite/eval caches; a final "; reuse:" line
-// reports the session's structural reuse and -stats adds the push/pop
-// and warm-hit counters.
 package main
 
 import (
@@ -32,7 +23,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/ast"
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/eval"
@@ -50,10 +40,9 @@ func main() {
 	expect := flag.String("expect", "", "expected verdict (sat/unsat/unknown/timeout, any case/decoration); exit 3 on mismatch")
 	stats := flag.Bool("stats", false, "print the solve's step-counter summary (decisions, pivots, DFS nodes, …) to stderr")
 	fuel := flag.Int64("fuel", 0, "deterministic step budget (0 = default, negative = unlimited)")
-	incremental := flag.Bool("incremental", false, "treat the arguments as a sequence of scripts: push each as an assertion frame, check after every one, and reuse solver state throughout")
 	flag.Parse()
-	if flag.NArg() != 1 && !(*incremental && flag.NArg() >= 1) {
-		fmt.Fprintln(os.Stderr, "usage: solve [-sut z3sim|cvc4sim] [-release R] [-fuel N] [-model] file.smt2\n       solve -incremental [flags] a.smt2 b.smt2 ...")
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: solve [-sut z3sim|cvc4sim] [-release trunk] [-fuel N] [-model] [-validate] [-expect V] [-stats] file.smt2")
 		os.Exit(2)
 	}
 
@@ -86,11 +75,6 @@ func main() {
 			os.Exit(139)
 		}
 	}()
-
-	if *incremental {
-		runIncremental(s, tr, flag.Args(), *showModel)
-		return
-	}
 
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -148,48 +132,4 @@ func printModel(model eval.Model) {
 		fmt.Printf("  (define-fun %s () %s %s)\n", name, model[name].Sort(), model[name])
 	}
 	fmt.Println(")")
-}
-
-// runIncremental drives the multi-script session: every script becomes
-// one assertion frame, checked cumulatively, with per-script verdicts
-// on stdout and the session's reuse summary on stderr.
-func runIncremental(s *solver.Solver, tr *telemetry.Tracker, paths []string, showModel bool) {
-	// One symbol table for the whole session: a script may use
-	// functions declared by any earlier script.
-	decls := map[string]ast.Sort{}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		script, err := smtlib.ParseScriptWith(string(data), decls)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parse error in %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		s.Push()
-		var out solver.Outcome
-		if err := s.Assert(script.Asserts()...); err != nil {
-			out = solver.Outcome{Result: solver.ResUnknown, Reason: err.Error()}
-		} else {
-			out = s.Check()
-		}
-		fmt.Printf("%s: %s\n", path, out.Result)
-		if (out.Result == solver.ResUnknown || out.Result == solver.ResTimeout) && out.Reason != "" {
-			fmt.Fprintln(os.Stderr, "; reason:", out.Reason)
-		}
-		if showModel && out.Result == solver.ResSat {
-			printModel(out.Model)
-		}
-	}
-	st := s.Reuse()
-	fmt.Fprintf(os.Stderr, "; reuse: frames=%d asserts=%d learned=%d atoms=%d tableau_vars=%d\n",
-		st.Frames, st.LiveAsserts, st.LearnedLive, st.AtomsLive, st.TableauAtoms)
-	if tr != nil {
-		if err := telemetry.WriteSummary(os.Stderr, tr.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-	}
 }

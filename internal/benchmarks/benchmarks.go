@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -150,66 +149,6 @@ func SolverReference(b *testing.B) {
 	}
 }
 
-// SolverIncremental measures the live push/pop path: a base script is
-// asserted once, and each op re-checks one of a family of related
-// suffixes through Push/Assert/Check/Pop on the SAME solver — the warm
-// workload cold re-solving pays full price for. Compare its ns/op
-// against SolverIncrementalCold, which decides the identical
-// base+suffix conjunctions with a monolithic Solve per op.
-func SolverIncremental(b *testing.B) {
-	b.ReportAllocs()
-	base, suffixes := incrementalWorkload(b)
-	s := solver.NewReference()
-	if err := s.Assert(base...); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Push()
-		if err := s.Assert(suffixes[i%len(suffixes)]...); err != nil {
-			b.Fatal(err)
-		}
-		if out := s.Check(); out.Result == solver.ResUnknown || out.Result == solver.ResTimeout {
-			b.Fatalf("incremental check: %v (%s)", out.Result, out.Reason)
-		}
-		s.Pop()
-	}
-}
-
-// SolverIncrementalCold is the control for SolverIncremental: the same
-// base+suffix conjunctions, each decided by a from-scratch Solve on a
-// fresh solver. The incremental/cold ops-per-sec ratio is the measured
-// value of push/pop warm-state reuse.
-func SolverIncrementalCold(b *testing.B) {
-	b.ReportAllocs()
-	base, suffixes := incrementalWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := solver.NewReference()
-		asserts := append(append([]ast.Term{}, base...), suffixes[i%len(suffixes)]...)
-		if out := s.Solve(asserts); out.Result == solver.ResUnknown || out.Result == solver.ResTimeout {
-			b.Fatalf("cold solve: %v (%s)", out.Result, out.Reason)
-		}
-	}
-}
-
-// incrementalWorkload builds the shared base/suffix corpus both
-// incremental benchmarks decide: one generated script as the common
-// prefix and a family of generated scripts as per-op suffixes.
-func incrementalWorkload(b *testing.B) ([]ast.Term, [][]ast.Term) {
-	b.Helper()
-	g, err := gen.New(gen.QFLIA, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := g.Sat().Script.Asserts()
-	var suffixes [][]ast.Term
-	for i := 0; i < 8; i++ {
-		suffixes = append(suffixes, g.Sat().Script.Asserts())
-	}
-	return base, suffixes
-}
-
 // ParsePrint measures the SMT-LIB front end round trip.
 func ParsePrint(b *testing.B) {
 	b.ReportAllocs()
@@ -275,8 +214,6 @@ var All = []Entry{
 	{Name: "ThroughputInstrumented", Fast: true, Fn: ThroughputInstrumented},
 	{Name: "FusionOnly", Fast: true, Fn: FusionOnly},
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},
-	{Name: "SolverIncremental", Fast: true, Fn: SolverIncremental},
-	{Name: "SolverIncrementalCold", Fast: true, Fn: SolverIncrementalCold},
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},
 }

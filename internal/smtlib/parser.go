@@ -8,19 +8,9 @@ import (
 
 // ParseScript parses a complete SMT-LIB script, elaborating all terms.
 func ParseScript(src string) (*Script, error) {
-	return ParseScriptWith(src, map[string]ast.Sort{})
-}
-
-// ParseScriptWith parses a script under ambient declarations — the
-// symbol table of an incremental session whose earlier scripts already
-// declared functions. Declarations made by this script are added to
-// decls, so threading one map through a sequence of calls gives every
-// script the session-wide symbol table, exactly like a solver's
-// push/pop REPL.
-func ParseScriptWith(src string, decls map[string]ast.Sort) (*Script, error) {
 	p := newSexprParser(src)
 	el := &elaborator{
-		vars: decls,
+		vars: map[string]ast.Sort{},
 		defs: map[string]*DefineFun{},
 	}
 	script := &Script{}

@@ -147,7 +147,7 @@ type checker struct {
 	// sx is the tableau, reset at every tree node: a node reads
 	// nothing from it after recursing into its children.
 	sx    *simplex.Solver
-	terms []simplex.Term // assertAtom scratch
+	terms []simplex.Term // atom coefficient scratch
 }
 
 // model is a satisfying assignment: vals[i] is the value of names[i],
@@ -159,17 +159,6 @@ type model struct {
 
 // relOps maps each relation except RelNe to its simplex bound.
 var relOps = [...]simplex.Op{RelLe: simplex.Le, RelLt: simplex.Lt, RelGe: simplex.Ge, RelGt: simplex.Gt, RelEq: simplex.Eq}
-
-// assertAtom asserts a (not a disequality) on sx, with col giving the
-// simplex column of each variable. buf is scratch storage for the
-// coefficient terms; the grown buffer is returned with the result.
-func assertAtom(sx *simplex.Solver, a Atom, col func(string) int, buf []simplex.Term) ([]simplex.Term, bool) {
-	buf = buf[:0]
-	for _, t := range a.Expr.Coeffs {
-		buf = append(buf, simplex.Term{Var: col(t.Var), Coeff: t.Coeff})
-	}
-	return buf, sx.AssertAtom(buf, relOps[a.Rel], a.Expr.Const.Neg())
-}
 
 func (c *checker) solve(atoms []Atom) (Status, model) {
 	if c.budget <= 0 || !c.fuel.Spend(1) {
@@ -207,7 +196,6 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 	}
 	sort.Strings(names)
 	names = slices.Compact(names)
-	col := func(v string) int { return sort.SearchStrings(names, v) }
 
 	sx := c.sx
 	sx.Reset()
@@ -221,8 +209,11 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 			diseqs = append(diseqs, a)
 			continue
 		}
-		var ok bool
-		if c.terms, ok = assertAtom(sx, a, col, c.terms); !ok {
+		c.terms = c.terms[:0]
+		for _, t := range a.Expr.Coeffs {
+			c.terms = append(c.terms, simplex.Term{Var: sort.SearchStrings(names, t.Var), Coeff: t.Coeff})
+		}
+		if !sx.AssertAtom(c.terms, relOps[a.Rel], a.Expr.Const.Neg()) {
 			return Unsat, model{}
 		}
 	}

@@ -14,6 +14,18 @@ import (
 // unit spent in the Check loop.
 var cPivots = telemetry.NewCounter("yy_simplex_pivots_total", "simplex pivot iterations")
 
+// Tableau warm-start counters: a hit means an asserted linear
+// combination found its slack variable — and that variable's row in
+// the tableau — already in place from an earlier assertion, so the row
+// construction and substitution work is skipped entirely. The ratio of
+// hits to misses is the tableau warm-start hit rate reported by
+// `-stats`. Both increment inside slackFor, which runs at
+// deterministic points of the assertion sequence.
+var (
+	cTableauHits   = telemetry.NewCounter("yy_tableau_warm_hits_total", "simplex atom assertions that reused an existing tableau row")
+	cTableauMisses = telemetry.NewCounter("yy_tableau_warm_misses_total", "simplex atom assertions that built a fresh tableau row")
+)
+
 // Term is one summand Coeff·x_Var of a linear combination.
 type Term struct {
 	Var   int
@@ -48,8 +60,6 @@ type column struct {
 type Solver struct {
 	vars   []column       // problem + slack variables
 	slacks map[string]int // normalized combo key -> slack var
-	undos  []boundUndo    // bound-tightening trail for Mark/PopToMark
-	marked bool           // a Mark was taken: record the trail
 
 	key []byte  // comboKey scratch
 	buf []entry // row-merge scratch
@@ -78,8 +88,6 @@ func New() *Solver {
 func (s *Solver) Reset() {
 	s.vars = s.vars[:0]
 	clear(s.slacks)
-	s.undos = s.undos[:0]
-	s.marked = false
 }
 
 // NewVar allocates a problem variable and returns its index.
@@ -293,7 +301,6 @@ func (s *Solver) assertUpper(v int, b Num) bool {
 	if c.hasLo && c.lower.Cmp(b) > 0 {
 		return false // conflict with lower bound
 	}
-	s.recordBound(v)
 	c.upper = b
 	c.hasHi = true
 	if !c.basic && c.value.Cmp(b) > 0 {
@@ -310,7 +317,6 @@ func (s *Solver) assertLower(v int, b Num) bool {
 	if c.hasHi && c.upper.Cmp(b) < 0 {
 		return false
 	}
-	s.recordBound(v)
 	c.lower = b
 	c.hasLo = true
 	if !c.basic && c.value.Cmp(b) < 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/solver/rat"
+	"repro/internal/telemetry"
 )
 
 func q(n, d int64) rat.Rat { return rat.New(n, d) }
@@ -166,6 +167,36 @@ func TestSlackReuse(t *testing.T) {
 	ok, err := s.Check()
 	if err != nil || !ok {
 		t.Fatalf("Check = %v %v", ok, err)
+	}
+}
+
+// TestSlackRowReuse asserts two bounds over the same combination,
+// built as separate slices: the second assertion must find the first
+// one's slack row (no new variable, one warm hit, one miss).
+func TestSlackRowReuse(t *testing.T) {
+	tr := telemetry.NewTracker()
+	s := New()
+	s.Telem = tr
+	x, y := s.NewVar(), s.NewVar()
+	combo := func() []Term {
+		return []Term{{x, rat.Int(1)}, {y, rat.Int(1)}}
+	}
+	if !s.AssertAtom(combo(), Ge, rat.Int(2)) {
+		t.Fatal("x+y >= 2 rejected")
+	}
+	nBefore := len(s.vars)
+	if !s.AssertAtom(combo(), Le, rat.Int(10)) {
+		t.Fatal("x+y <= 10 rejected")
+	}
+	if len(s.vars) != nBefore {
+		t.Fatalf("re-asserting the same combination allocated a new slack (n %d -> %d)", nBefore, len(s.vars))
+	}
+	snap := tr.Snapshot()
+	if hits, misses := snap.Counter("yy_tableau_warm_hits_total"), snap.Counter("yy_tableau_warm_misses_total"); hits != 1 || misses != 1 {
+		t.Fatalf("tableau warm hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+	if ok, err := s.Check(); err != nil || !ok {
+		t.Fatalf("Check = %v, %v; want sat", ok, err)
 	}
 }
 

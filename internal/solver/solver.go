@@ -250,9 +250,6 @@ type Solver struct {
 	// warm holds the semantically transparent caches reused across
 	// Solve calls (see warm.go); ResetWarm drops them.
 	warm *warmState
-	// inc is the live incremental session (see incremental.go); nil
-	// until the first Push/Assert/Check opens one.
-	inc *incState
 }
 
 // New returns a solver with the given configuration. Zero limits are

@@ -70,8 +70,8 @@ type Problem struct {
 	// Telem records DFS-node and regex-derivative counts into the
 	// owner's tracker. Nil records nothing.
 	Telem *telemetry.Tracker
-	// Warm is the reusable evaluation cache shared across Check calls
-	// by the incremental layer. Nil disables caching; results are
+	// Warm is the reusable evaluation cache the owning solver shares
+	// across Check calls. Nil disables caching; results are
 	// identical either way (see Warm).
 	Warm *Warm
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // Warm-cache counters: every memo probe on the DFS hot path records a
-// hit or a miss, so `-stats`/`-metrics` expose the reuse rate the
-// incremental layer achieves. Both are step-based (one increment per
-// memoized evaluation), so campaign totals stay thread-invariant as
-// long as the harness resets warm state at deterministic points.
+// hit or a miss, so `-stats`/`-metrics` expose the reuse rate the warm
+// cache achieves across Solve calls. Both are step-based (one
+// increment per memoized evaluation), so campaign totals stay
+// thread-invariant as long as the harness resets warm state at
+// deterministic points.
 var (
 	cWarmEvalHits   = telemetry.NewCounter("yy_warm_eval_hits_total", "string-search literal evaluations served from the warm cache")
 	cWarmEvalMisses = telemetry.NewCounter("yy_warm_eval_misses_total", "string-search literal evaluations computed and cached")
