@@ -97,12 +97,13 @@ func BenchmarkFig12CoverageArms(b *testing.B) {
 
 // BenchmarkRQ4Retrigger replays ConcatFuzz on YinYang bug ancestors.
 func BenchmarkRQ4Retrigger(b *testing.B) {
-	res, err := harness.Run(harness.Campaign{
-		SUT: bugdb.Z3Sim, Iterations: 40, SeedPool: 10, Seed: 7, Threads: 4,
-	})
+	out, err := harness.Start(harness.CampaignConfig{
+		SUT: string(bugdb.Z3Sim), Iterations: 40, SeedPool: 10, Seed: 7, Threads: 4,
+	}, harness.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	res := out.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := harness.ExperimentRQ4(bugdb.Z3Sim, res.Bugs, 5, int64(i+1))

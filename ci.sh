@@ -206,6 +206,20 @@ set -e
 [ "$rc" -eq 2 ] || { echo "solve smoke: two file arguments exited $rc, want 2" >&2; exit 1; }
 rm -rf "$tmpseeds"
 
+echo "== examples smoke =="
+# Every examples/ program must run to completion, not just compile:
+# they drive the public façade (yinyang.RunCampaign among it) the way
+# README.md documents it.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null || { echo "examples smoke: $ex failed" >&2; exit 1; }
+done
+
+echo "== yybench build =="
+# The repository benchmark is a module of its own built against the
+# harness API; a harness change that breaks it must fail here, not when
+# the benchmark next runs.
+(cd yybench && go build ./... && go vet ./...)
+
 echo "== fuzz smoke =="
 # Bounded go-native fuzzing: each target gets a short budget on top of
 # its committed seed corpus. Failures minimize into testdata/fuzz/ and

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-fig 7|8|9|10|11|12] [-rq 4] [-ablation fusionfns|occprob] [-all]
+//	experiments [-fig 7|8|9|10|11|12] [-rq 4] [-ablation fusionfns|synth|occprob] [-all]
 //	            [-iters N] [-seed S] [-threads T] [-scale K]
 package main
 
@@ -21,7 +21,7 @@ import (
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate (7, 8, 9, 10, 11, 12)")
 	rq := flag.String("rq", "", "research question to regenerate (4)")
-	ablation := flag.String("ablation", "", "ablation to run (fusionfns, occprob)")
+	ablation := flag.String("ablation", "", "ablation to run (fusionfns, synth, occprob)")
 	all := flag.Bool("all", false, "run everything")
 	iters := flag.Int("iters", 250, "campaign iterations per logic")
 	seed := flag.Int64("seed", 1, "random seed")

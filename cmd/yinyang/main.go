@@ -6,7 +6,7 @@
 //
 //	yinyang [-sut z3sim] [-release trunk] [-logics QF_S,QF_NRA]
 //	        [-iters 200] [-pool 20] [-seed 1] [-threads 1]
-//	        [-mode fusion|mutate|both|wild] [-nomodelcheck]
+//	        [-mode fusion|mutate|wild] [-nomodelcheck]
 //	        [-oracle known|majority|metamorphic|auto] [-quorum 2]
 //	        [-concat] [-outdir bugs/] [-artifacts artifacts/]
 //	        [-fuel 10000000] [-walltimeout 0]
@@ -172,7 +172,7 @@ func run() int {
 	pool := flag.Int("pool", 20, "seeds per status per logic")
 	seed := flag.Int64("seed", 1, "random seed")
 	threads := flag.Int("threads", 1, "parallel workers")
-	mode := flag.String("mode", "fusion", "test derivation: fusion, mutate, both (interleaved), or wild (unknown ground truth)")
+	mode := flag.String("mode", "fusion", "test derivation: fusion, mutate, or wild (unknown ground truth)")
 	noModelCheck := flag.Bool("nomodelcheck", false, "disable the model-validation oracle on sat verdicts")
 	oracle := flag.String("oracle", "known", "consensus policy for unknown-status tasks: known, majority, metamorphic, or auto")
 	quorum := flag.Int("quorum", 0, "minimum definite votes for a majority consensus (0 = default 2)")

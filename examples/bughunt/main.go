@@ -17,7 +17,7 @@ func main() {
 	for _, sut := range []yinyang.SUT{yinyang.Z3Sim, yinyang.CVC4Sim} {
 		fmt.Printf("=== campaign against %s (trunk) ===\n", sut)
 		res, err := yinyang.RunCampaign(yinyang.Campaign{
-			SUT:        sut,
+			SUT:        string(sut),
 			Iterations: 120,
 			SeedPool:   12,
 			Seed:       2020,

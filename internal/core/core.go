@@ -114,7 +114,7 @@ type Fused struct {
 
 // Options tunes the fusion.
 type Options struct {
-	// MaxPairs bounds the number of fusion triplets (default 1; the
+	// MaxPairs bounds the number of fusion triplets (default 2; the
 	// actual count is 1..MaxPairs chosen at random).
 	MaxPairs int
 	// ReplaceProb is the probability of replacing each replaceable

@@ -27,6 +27,31 @@ func TestSynthesizeTableShape(t *testing.T) {
 	}
 }
 
+// TestTableNamed: every config table name resolves, the combined table
+// is Figure 6 followed by the synthesized rows, and an unknown name is
+// an error rather than a silent fallback to Figure 6.
+func TestTableNamed(t *testing.T) {
+	sizes := map[string]int{"": len(DefaultTable), "additive": len(AdditiveTable),
+		"multiplicative": len(MultiplicativeTable), "string": len(StringTable),
+		"synthesized": 12, "figure6+synthesized": len(DefaultTable) + 12}
+	for name, want := range sizes {
+		table, err := TableNamed(name, 18)
+		if err != nil || len(table) != want {
+			t.Errorf("TableNamed(%q) = %d rows, %v; want %d rows", name, len(table), err, want)
+		}
+	}
+	a, _ := TableNamed("figure6+synthesized", 18)
+	b := SynthesizeTable(rand.New(rand.NewSource(18)), 4)
+	for i, fn := range b {
+		if got := a[len(DefaultTable)+i].Name; got != fn.Name {
+			t.Errorf("row %d: %q, want %q", len(DefaultTable)+i, got, fn.Name)
+		}
+	}
+	if _, err := TableNamed("figure7", 18); err == nil {
+		t.Error("unknown table name accepted")
+	}
+}
+
 // Property: every synthesized instance inverts exactly under random
 // witnesses (the verification contract the fusion engine relies on).
 func TestQuickSynthesizedInversionExact(t *testing.T) {

@@ -48,6 +48,30 @@ var StringTable = filterTable(func(name string) bool {
 	return false
 })
 
+// TableNamed returns the fusion-function table a campaign config names:
+// "" is the full Figure 6 table; "additive", "multiplicative" and
+// "string" are its restrictions; "synthesized" is a SynthesizeTable of
+// 4 rows per sort drawn from synthSeed, and "figure6+synthesized"
+// appends those rows to Figure 6.
+func TableNamed(name string, synthSeed int64) ([]FusionFn, error) {
+	switch name {
+	case "":
+		return DefaultTable, nil
+	case "additive":
+		return AdditiveTable, nil
+	case "multiplicative":
+		return MultiplicativeTable, nil
+	case "string":
+		return StringTable, nil
+	case "synthesized":
+		return SynthesizeTable(rand.New(rand.NewSource(synthSeed)), 4), nil
+	case "figure6+synthesized":
+		synth := SynthesizeTable(rand.New(rand.NewSource(synthSeed)), 4)
+		return append(append([]FusionFn{}, DefaultTable...), synth...), nil
+	}
+	return nil, fmt.Errorf("core: unknown fusion table %q", name)
+}
+
 func filterTable(keep func(string) bool) []FusionFn {
 	var out []FusionFn
 	for _, fn := range buildDefaultTable() {

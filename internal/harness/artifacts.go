@@ -7,28 +7,29 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/bugdb"
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
 )
 
-// ManifestSchema versions the on-disk manifest layout.
-const ManifestSchema = 1
+// ManifestSchema versions the on-disk manifest layout. Schema 2
+// embeds the campaign's config in place of schema 1's eleven copied
+// campaign fields.
+const ManifestSchema = 2
 
 // Manifest is the JSON sidecar of one reproducer bundle. Together with
 // the three .smt2 files it makes a finding independently replayable:
-// the RNG coordinates (campaign seed, logic, iteration) plus the
-// campaign shape (iterations, seed pool, concat flag, fusion options
-// are defaults) regenerate the exact same fused test, and the SUT
-// coordinates rebuild the exact same solver.
+// the campaign config plus the task coordinates (logic, iteration)
+// regenerate the exact same test case and rebuild the exact same
+// solver.
 type Manifest struct {
 	Schema int `json:"schema"`
 
-	// Solver under test.
-	SUT     string `json:"sut"`
-	Release string `json:"release"`
+	// Campaign is the config of the campaign that filed the bundle,
+	// defaults filled, with its per-process fields (Threads,
+	// ArtifactDir, Shard, Shards) cleared: bundle bytes do not depend
+	// on where the campaign ran.
+	Campaign CampaignConfig `json:"campaign"`
 
 	// What was observed.
 	BugType      string   `json:"bug_type"` // soundness/crash/performance, or "quarantine"
@@ -40,26 +41,14 @@ type Manifest struct {
 	FaultMsg     string   `json:"fault_msg,omitempty"`
 	FaultStack   string   `json:"fault_stack,omitempty"`
 
-	// RNG coordinates for exact replay.
-	CampaignSeed int64  `json:"campaign_seed"`
-	Logic        string `json:"logic"`
-	Iteration    int    `json:"iteration"`
-
-	// Campaign shape needed to rebuild the corpus and task stream.
-	Iterations int    `json:"iterations"`
-	SeedPool   int    `json:"seed_pool"`
-	ConcatOnly bool   `json:"concat_only"`
-	Fuel       int64  `json:"fuel"` // 0 = solver default, <0 = unlimited
-	Mode       string `json:"mode,omitempty"`
-	// CampaignMode is the campaign's test-derivation strategy (fusion,
-	// mutate, both); "" in older manifests means fusion.
-	CampaignMode string `json:"campaign_mode,omitempty"`
+	// Task coordinates: with Campaign.Seed they key the task's RNG.
+	Logic     string `json:"logic"`
+	Iteration int    `json:"iteration"`
+	// Mode is the test's derivation: a fusion mode, or "mutation".
+	Mode string `json:"mode,omitempty"`
 	// MutationRules lists the operator-mutation rules applied to derive
 	// the test case (mutation findings only).
 	MutationRules []string `json:"mutation_rules,omitempty"`
-	// InjectDefects mirrors Campaign.InjectDefects so fault-injection
-	// findings rebuild the same augmented solver on replay.
-	InjectDefects []string `json:"inject_defects,omitempty"`
 
 	// Backend identity, set on cross-check findings (bug_type
 	// "backend-*"): which backend disagreed or failed, its full command
@@ -78,8 +67,6 @@ type Manifest struct {
 	// MetaRelation/MetaRules/VariantVerdicts describe the metamorphic
 	// pair (the variant script itself is persisted as variant.smt2
 	// alongside fused.smt2).
-	OraclePolicy    string   `json:"oracle_policy,omitempty"`
-	Quorum          int      `json:"quorum,omitempty"`
 	Votes           []string `json:"votes,omitempty"`
 	Consensus       string   `json:"consensus,omitempty"`
 	MetaRelation    string   `json:"meta_relation,omitempty"`
@@ -163,7 +150,7 @@ func (w *artifactWriter) writeExtra(m Manifest, ancestors [2]*core.Seed, script 
 		return ""
 	}
 	fusedText := smtlib.Print(script)
-	key := bugHash(m.SUT, m.Release, m.BugType+"|"+m.Defect+"|"+m.FaultMsg+"|"+m.Backend, fusedText)
+	key := bugHash(m.Campaign.SUT, m.Campaign.Release, m.BugType+"|"+m.Defect+"|"+m.FaultMsg+"|"+m.Backend, fusedText)
 	if w.written[key] {
 		return ""
 	}
@@ -256,10 +243,10 @@ func (r ReplayReport) Exact() bool {
 	return r.FusedMatches && r.ResultMatches && r.DefectFired && r.VariantMatches
 }
 
-// Replay regenerates the bundle's fused test from its RNG coordinates
-// alone — campaign seed, logic, iteration, plus the campaign shape —
-// and re-runs the solver under test on it, verifying the finding
-// reproduces exactly.
+// Replay regenerates the bundle's test case from its recorded
+// coordinates alone — the campaign config narrowed to the bundle's
+// logic, plus the iteration — and re-runs the solver under test on it,
+// verifying the finding reproduces exactly.
 func Replay(bundleDir string) (ReplayReport, error) {
 	var rep ReplayReport
 	m, err := ReadManifest(bundleDir)
@@ -271,35 +258,22 @@ func Replay(bundleDir string) (ReplayReport, error) {
 		return rep, err
 	}
 
-	cfg := Campaign{
-		SUT:        bugdb.SUT(m.SUT),
-		Release:    m.Release,
-		Logics:     []gen.Logic{gen.Logic(m.Logic)},
-		Iterations: m.Iterations,
-		SeedPool:   m.SeedPool,
-		Seed:       m.CampaignSeed,
-		Threads:    1,
-		ConcatOnly: m.ConcatOnly,
-		Fuel:       m.Fuel,
-		Mode:       CampaignMode(m.CampaignMode),
-		Oracle:     OraclePolicy(m.OraclePolicy),
-		Quorum:     m.Quorum,
-	}
-	for _, d := range m.InjectDefects {
-		cfg.InjectDefects = append(cfg.InjectDefects, solver.Defect(d))
-	}
-	cfg = cfg.withDefaults()
-	sut, err := makeSUT(cfg, nil)
+	// Every RNG stream is keyed by the logic's name, not its position,
+	// so the one-logic campaign regenerates the task's corpus and test.
+	cc := m.Campaign
+	cc.Logics = []string{m.Logic}
+	cfg, err := cc.derive()
 	if err != nil {
 		return rep, err
 	}
+	sut := makeSUT(cfg, nil)
 	pools, err := buildCorpus(cfg, []*solver.Solver{sut}, nil, nil)
 	if err != nil {
 		return rep, err
 	}
 	out := runTask(cfg, pools, sut, nil, nil, m.Iteration)
 	if !out.tested {
-		return rep, fmt.Errorf("artifacts: task (seed=%d logic=%s iter=%d) produced no fused test on replay", m.CampaignSeed, m.Logic, m.Iteration)
+		return rep, fmt.Errorf("artifacts: task (seed=%d logic=%s iter=%d) produced no fused test on replay", cc.Seed, m.Logic, m.Iteration)
 	}
 	rep.Observed = out.run.Result
 	rep.Backend = m.Backend

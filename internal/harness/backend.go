@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/smtlib"
-	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
 
@@ -28,40 +25,6 @@ var (
 	cbDisagree = telemetry.NewCounter("yy_backend_disagreements_total", "backend verdicts contradicting the known-status oracle")
 	cbFindings = telemetry.NewCounter("yy_backend_findings_total", "deduplicated backend findings recorded")
 )
-
-// SimBackendSpec wraps a simulated solver release as a hermetic
-// cross-check backend: deterministic, in-process, preserving the
-// campaign's bit-identical thread-count invariance (its only
-// "failures" are deterministic fuel timeouts, so it carries no
-// circuit breaker). fuel follows Campaign.Fuel semantics: 0 default,
-// >0 override, <0 unlimited. inject adds defects beyond the release's
-// catalogued set — consensus tests use it to script a dissenter.
-func SimBackendSpec(s bugdb.SUT, release string, fuel int64, inject ...solver.Defect) backend.Spec {
-	if release == "" {
-		release = "trunk"
-	}
-	name := string(s) + "@" + release
-	return backend.Spec{
-		Name:     name,
-		Hermetic: true,
-		New: func() (backend.Backend, error) {
-			defects, err := bugdb.DefectsIn(s, release)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range inject {
-				defects[d] = true
-			}
-			lim := solver.DefaultLimits()
-			if fuel > 0 {
-				lim.Fuel = fuel
-			} else if fuel < 0 {
-				lim.Fuel = 0
-			}
-			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Limits: lim})), nil
-		},
-	}
-}
 
 // BackendReport is one backend's per-campaign health summary: how many
 // checks ran, how they classified, and whether the circuit breaker
@@ -221,9 +184,9 @@ func (st *runState) classifyBackends(out *taskOutcome) {
 			continue
 		}
 		f := BackendFinding{
-			Backend:  cfg.Backends[i].Name,
+			Backend:  cfg.specs[i].Name,
 			Kind:     kind,
-			Logic:    string(cfg.Logics[out.id/cfg.Iterations]),
+			Logic:    cfg.Logics[out.id/cfg.Iterations],
 			Oracle:   oracle.String(),
 			Observed: o.Verdict.String(),
 			Reason:   o.Reason,
@@ -239,7 +202,7 @@ func (st *runState) classifyBackends(out *taskOutcome) {
 		if st.aw != nil {
 			m := manifestFor(cfg, *out, "backend-"+string(kind), "")
 			m.Backend = f.Backend
-			m.BackendArgv = cfg.Backends[i].Argv
+			m.BackendArgv = cfg.specs[i].Argv
 			m.BackendExit = o.ExitCode
 			m.BackendStderr = o.Stderr
 			m.BackendRetries = o.Retries
@@ -317,9 +280,9 @@ func backendContradicts(v backend.Verdict, oracle core.Status) bool {
 
 // finishBackends fills the end-of-campaign breaker states into the
 // per-backend reports.
-func finishBackends(res *Result, cfg Campaign) {
+func finishBackends(res *Result, cfg *campaign) {
 	for i := range res.Backends {
-		res.Backends[i].Quarantined = cfg.Backends[i].Health.Quarantined()
+		res.Backends[i].Quarantined = cfg.specs[i].Health.Quarantined()
 	}
 }
 
@@ -333,28 +296,4 @@ func (r *Result) Degraded() bool {
 		}
 	}
 	return false
-}
-
-// validateBackends rejects configurations the classification stage
-// cannot disambiguate.
-func validateBackends(specs []backend.Spec) error {
-	names := map[string]bool{}
-	for _, s := range specs {
-		if s.Name == "" {
-			return fmt.Errorf("harness: backend with empty name")
-		}
-		if s.Name == "sut" {
-			// Reserved: the consensus policies use "sut" as the
-			// pseudo-voter name for the solver under test.
-			return fmt.Errorf("harness: backend name %q is reserved", s.Name)
-		}
-		if names[s.Name] {
-			return fmt.Errorf("harness: duplicate backend name %q", s.Name)
-		}
-		names[s.Name] = true
-		if s.New == nil {
-			return fmt.Errorf("harness: backend %q has no constructor", s.Name)
-		}
-	}
-	return nil
 }

@@ -9,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/bugdb"
-	"repro/internal/gen"
 	"repro/internal/telemetry"
 )
 
@@ -47,10 +45,10 @@ func fakesolver(t *testing.T) string {
 // smallCampaign is the shared shape of the process-backend tests: tiny,
 // single logic, single thread, so every external invocation is cheap
 // and the classification order is trivially deterministic.
-func smallCampaign() Campaign {
-	return Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFLIA},
+func smallCampaign() CampaignConfig {
+	return CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_LIA"},
 		Iterations: 6,
 		SeedPool:   4,
 		Seed:       9,
@@ -64,19 +62,20 @@ func smallCampaign() Campaign {
 // the backend's verdict contradicts the known-status oracle and must
 // surface as a disagreement finding — without ever entering Bugs.
 func TestCampaignHermeticCrossCheck(t *testing.T) {
-	cfg := Campaign{
-		SUT:        bugdb.Z3Sim,
+	cfg := CampaignConfig{
+		SUT:        "z3sim",
 		Iterations: shortIters(80),
 		SeedPool:   12,
 		Seed:       7,
 		Threads:    4,
-		Backends:   []backend.Spec{SimBackendSpec(bugdb.Z3Sim, "trunk", 0)},
-		Telemetry:  telemetry.NewTracker(),
+		Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: "z3sim"}}},
 	}
-	res, err := Run(cfg)
+	tr := telemetry.NewTracker()
+	out, err := Start(cfg, RunOptions{Telemetry: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	if len(res.Backends) != 1 {
 		t.Fatalf("want 1 backend report, got %d", len(res.Backends))
 	}
@@ -113,7 +112,7 @@ func TestCampaignHermeticCrossCheck(t *testing.T) {
 		}
 	}
 	// The aggregate funnel counters must mirror the per-backend report.
-	snap := cfg.Telemetry.Snapshot()
+	snap := tr.Snapshot()
 	if got := snap.Counter("yy_backend_checks_total"); got != int64(rep.Checks) {
 		t.Errorf("yy_backend_checks_total=%d, report says %d", got, rep.Checks)
 	}
@@ -132,13 +131,12 @@ func TestCampaignProcessBackendHang(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smallCampaign()
 	cfg.ArtifactDir = dir
-	cfg.Backends = []backend.Spec{backend.ProcessSpec(backend.ProcessConfig{
+	cfg.Backends = []BackendConfig{{Process: &ProcessBackendConfig{
 		Name: "hangy", Path: fakesolver(t), Args: []string{"-mode", "hang"},
 		Timeout: 200 * time.Millisecond, Retries: -1,
-		BreakerThreshold: 1000, // keep the breaker out of this test
-		Sleep:            func(time.Duration) {},
-	})}
-	res, err := Run(cfg)
+		Breaker: 1000, // keep the breaker out of this test
+	}}}
+	res, err := runCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +201,12 @@ func TestCampaignProcessBackendHang(t *testing.T) {
 // mode.
 func TestCampaignBackendCrashesThenBreakerDegrades(t *testing.T) {
 	cfg := smallCampaign()
-	cfg.Backends = []backend.Spec{backend.ProcessSpec(backend.ProcessConfig{
+	cfg.Backends = []BackendConfig{{Process: &ProcessBackendConfig{
 		Name: "crashy", Path: fakesolver(t),
 		Args:    []string{"-mode", "crash", "-exit", "139", "-stderr", "ASSERTION VIOLATION"},
-		Timeout: 5 * time.Second, Retries: -1, BreakerThreshold: 2,
-		Sleep: func(time.Duration) {},
-	})}
-	res, err := Run(cfg)
+		Timeout: 5 * time.Second, Retries: -1, Breaker: 2,
+	}}}
+	res, err := runCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +248,12 @@ func TestCampaignBackendCrashesThenBreakerDegrades(t *testing.T) {
 func TestCampaignBackendFlakeRetried(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "count")
 	cfg := smallCampaign()
-	cfg.Backends = []backend.Spec{backend.ProcessSpec(backend.ProcessConfig{
+	cfg.Backends = []BackendConfig{{Process: &ProcessBackendConfig{
 		Name: "flaky", Path: fakesolver(t),
 		Args:    []string{"-mode", "flake", "-failures", "1", "-then", "unknown", "-state", state},
 		Timeout: 5 * time.Second, Retries: 3,
-		Sleep: func(time.Duration) {},
-	})}
-	res, err := Run(cfg)
+	}}}
+	res, err := runCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +279,11 @@ func TestCampaignBackendFlakeRetried(t *testing.T) {
 // contained as a garbled finding, not a crash or a campaign error.
 func TestCampaignBackendGarbledFinding(t *testing.T) {
 	cfg := smallCampaign()
-	cfg.Backends = []backend.Spec{backend.ProcessSpec(backend.ProcessConfig{
+	cfg.Backends = []BackendConfig{{Process: &ProcessBackendConfig{
 		Name: "garbler", Path: fakesolver(t), Args: []string{"-mode", "garble"},
-		Timeout: 5 * time.Second, Retries: -1, BreakerThreshold: 1000,
-		Sleep: func(time.Duration) {},
-	})}
-	res, err := Run(cfg)
+		Timeout: 5 * time.Second, Retries: -1, Breaker: 1000,
+	}}}
+	res, err := runCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,15 +299,15 @@ func TestCampaignBackendGarbledFinding(t *testing.T) {
 // TestCampaignBackendValidation checks the configuration guards.
 func TestCampaignBackendValidation(t *testing.T) {
 	cfg := smallCampaign()
-	cfg.Backends = []backend.Spec{
-		SimBackendSpec(bugdb.Z3Sim, "trunk", 0),
-		SimBackendSpec(bugdb.Z3Sim, "trunk", 0),
+	cfg.Backends = []BackendConfig{
+		{Sim: &SimBackendConfig{SUT: "z3sim"}},
+		{Sim: &SimBackendConfig{SUT: "z3sim", Release: "trunk"}},
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := runCampaign(cfg); err == nil {
 		t.Error("duplicate backend names accepted")
 	}
-	cfg.Backends = []backend.Spec{{Name: ""}}
-	if _, err := Run(cfg); err == nil {
+	cfg.Backends = []BackendConfig{{Process: &ProcessBackendConfig{Path: "/bin/true"}}}
+	if _, err := runCampaign(cfg); err == nil {
 		t.Error("empty backend name accepted")
 	}
 }

@@ -46,16 +46,17 @@ const (
 	kindEnvelope   = "yinyang-envelope"
 )
 
-// SimBackendConfig selects a hermetic in-process cross-check backend
-// (a simulated solver release), the serializable mirror of
-// SimBackendSpec's arguments.
+// SimBackendConfig selects a hermetic in-process cross-check backend:
+// a simulated solver release, deterministic and preserving the
+// campaign's bit-identical thread-count invariance (its only
+// "failures" are deterministic fuel timeouts, so it carries no circuit
+// breaker).
 type SimBackendConfig struct {
 	SUT     string `json:"sut"`
 	Release string `json:"release,omitempty"` // "" = trunk
-	Fuel    int64  `json:"fuel,omitempty"`    // Campaign.Fuel semantics
-	// InjectDefects adds defects beyond the release's catalogued set,
-	// mirroring SimBackendSpec's variadic parameter (consensus suites
-	// script a dissenting voter with it).
+	Fuel    int64  `json:"fuel,omitempty"`    // CampaignConfig.Fuel semantics
+	// InjectDefects adds defects beyond the release's catalogued set
+	// (consensus suites script a dissenting voter with it).
 	InjectDefects []string `json:"inject_defects,omitempty"`
 }
 
@@ -83,16 +84,20 @@ type BackendConfig struct {
 	Process *ProcessBackendConfig `json:"process,omitempty"`
 }
 
+// release is the simulated release, "" meaning trunk.
+func (sc *SimBackendConfig) release() string {
+	if sc.Release == "" {
+		return "trunk"
+	}
+	return sc.Release
+}
+
 // name returns the backend's report/finding label, matching what the
 // built Spec will carry.
 func (bc BackendConfig) name() string {
 	switch {
 	case bc.Sim != nil:
-		release := bc.Sim.Release
-		if release == "" {
-			release = "trunk"
-		}
-		return bc.Sim.SUT + "@" + release
+		return bc.Sim.SUT + "@" + bc.Sim.release()
 	case bc.Process != nil:
 		return bc.Process.Name
 	}
@@ -109,11 +114,7 @@ func (bc BackendConfig) validate() error {
 		default:
 			return fmt.Errorf("backend config: unknown simulated solver %q", bc.Sim.SUT)
 		}
-		release := bc.Sim.Release
-		if release == "" {
-			release = "trunk"
-		}
-		if _, err := bugdb.DefectsIn(bugdb.SUT(bc.Sim.SUT), release); err != nil {
+		if _, err := bugdb.DefectsIn(bugdb.SUT(bc.Sim.SUT), bc.Sim.release()); err != nil {
 			return fmt.Errorf("backend config: %v", err)
 		}
 	case bc.Process != nil:
@@ -132,63 +133,104 @@ func (bc BackendConfig) validate() error {
 	return nil
 }
 
-// spec builds the runtime backend.Spec. Each call creates fresh Health
-// state for process backends; Resume rehydrates it from the checkpoint.
-func (bc BackendConfig) spec() (backend.Spec, error) {
-	if err := bc.validate(); err != nil {
-		return backend.Spec{}, err
+// spec builds the runtime backend.Spec of a validated config. Each call
+// creates fresh Health state for process backends; Resume rehydrates it
+// from the checkpoint.
+func (bc BackendConfig) spec() backend.Spec {
+	if p := bc.Process; p != nil {
+		return backend.ProcessSpec(backend.ProcessConfig{
+			Name:             p.Name,
+			Path:             p.Path,
+			Args:             p.Args,
+			Timeout:          p.Timeout,
+			Retries:          p.Retries,
+			BreakerThreshold: p.Breaker,
+		})
 	}
-	if bc.Sim != nil {
-		var inject []solver.Defect
-		for _, d := range bc.Sim.InjectDefects {
-			inject = append(inject, solver.Defect(d))
-		}
-		return SimBackendSpec(bugdb.SUT(bc.Sim.SUT), bc.Sim.Release, bc.Sim.Fuel, inject...), nil
+	name, sut, release := bc.name(), bugdb.SUT(bc.Sim.SUT), bc.Sim.release()
+	inject, lim := bc.Sim.InjectDefects, fuelLimits(bc.Sim.Fuel)
+	return backend.Spec{
+		Name:     name,
+		Hermetic: true,
+		New: func() (backend.Backend, error) {
+			defects, err := bugdb.DefectsIn(sut, release)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range inject {
+				defects[solver.Defect(d)] = true
+			}
+			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Limits: lim})), nil
+		},
 	}
-	p := bc.Process
-	return backend.ProcessSpec(backend.ProcessConfig{
-		Name:             p.Name,
-		Path:             p.Path,
-		Args:             p.Args,
-		Timeout:          p.Timeout,
-		Retries:          p.Retries,
-		BreakerThreshold: p.Breaker,
-	}), nil
 }
 
-// CampaignConfig is the serializable identity of a campaign: everything
-// that determines its results, metrics, and trace, plus the shard
-// coordinates. It deliberately omits the runtime attachments (Telemetry,
-// Trace, worker count is advisory) — those live in RunOptions and may
+// CampaignConfig is the one representation of a campaign: everything
+// that determines its results, metrics, and trace, plus the
+// per-process fields (Threads, ArtifactDir, Shard/Shards) that may
 // differ between the legs of a paused campaign or between shards
-// without affecting any output byte.
-//
-// Campaign.Fusion's function-table override is not representable; a
-// config always uses the default fusion table.
+// without affecting any output byte. The runtime attachments
+// (telemetry tracker, trace writer, pause controls) live in RunOptions.
 type CampaignConfig struct {
-	SUT               string   `json:"sut"`
-	Release           string   `json:"release,omitempty"`
-	Logics            []string `json:"logics,omitempty"`
-	Iterations        int      `json:"iterations,omitempty"`
-	SeedPool          int      `json:"seed_pool,omitempty"`
-	Seed              int64    `json:"seed"`
-	Threads           int      `json:"threads,omitempty"`
-	Mode              string   `json:"mode,omitempty"`
-	DisableModelCheck bool     `json:"disable_model_check,omitempty"`
-	ConcatOnly        bool     `json:"concat_only,omitempty"`
-	// MaxPairs and ReplaceProb mirror core.Options.
+	SUT     string `json:"sut"`
+	Release string `json:"release,omitempty"` // "" = trunk
+	// Logics lists the logics to fuzz (empty = every generator logic).
+	Logics []string `json:"logics,omitempty"`
+	// Iterations is the number of tests per logic (0 = 200).
+	Iterations int `json:"iterations,omitempty"`
+	// SeedPool is the number of sat and unsat seeds per logic pool
+	// (0 = 20).
+	SeedPool int   `json:"seed_pool,omitempty"`
+	Seed     int64 `json:"seed"`
+	// Threads is the advisory worker count (≤ 1 = single-threaded);
+	// results are invariant to it.
+	Threads int `json:"threads,omitempty"`
+	// Mode selects the test-derivation strategy: fusion (default),
+	// mutate, or wild (unknown-status mutation for the consensus
+	// oracles).
+	Mode string `json:"mode,omitempty"`
+	// DisableModelCheck turns off the model-validation oracle, which
+	// otherwise evaluates every sat model against the input script.
+	DisableModelCheck bool `json:"disable_model_check,omitempty"`
+	// ConcatOnly switches to the ConcatFuzz baseline (RQ4).
+	ConcatOnly bool `json:"concat_only,omitempty"`
+	// MaxPairs and ReplaceProb tune the fusion engine (core.Options;
+	// 0 = its defaults).
 	MaxPairs    int     `json:"max_pairs,omitempty"`
 	ReplaceProb float64 `json:"replace_prob,omitempty"`
-	Fuel        int64   `json:"fuel,omitempty"`
-	// WallTimeout (nanoseconds) arms the wall-clock watchdog; campaigns
-	// using it forfeit bit-identical resume the same way they forfeit
-	// thread-count invariance.
-	WallTimeout   time.Duration   `json:"wall_timeout_ns,omitempty"`
-	ArtifactDir   string          `json:"artifact_dir,omitempty"`
-	InjectDefects []string        `json:"inject_defects,omitempty"`
-	Backends      []BackendConfig `json:"backends,omitempty"`
-	// Oracle and Quorum mirror Campaign.Oracle/Quorum. omitempty keeps
-	// pre-consensus checkpoints decodable and known-policy documents
+	// FusionTable names the fusion-function table (core.TableNamed):
+	// "" is the paper's Figure 6, and the synthesized tables draw from
+	// Seed+17.
+	FusionTable string `json:"fusion_table,omitempty"`
+	// Fuel bounds every solver invocation by a deterministic step count
+	// (see solver.Limits.Fuel): 0 uses the solver default, a positive
+	// value overrides it, and a negative value disables the meter.
+	Fuel int64 `json:"fuel,omitempty"`
+	// WallTimeout (nanoseconds), when positive, arms the wall-clock
+	// watchdog backstop around each solve. A run cut off by the watchdog
+	// is quarantined, never classified — and because wall-clock is
+	// scheduling-dependent, campaigns using it forfeit bit-identical
+	// resume and thread-count invariance, which fuel preserves.
+	WallTimeout time.Duration `json:"wall_timeout_ns,omitempty"`
+	// ArtifactDir, when set, persists every finding (and quarantined
+	// input) as a replayable reproducer bundle under this directory.
+	ArtifactDir string `json:"artifact_dir,omitempty"`
+	// InjectDefects adds defects beyond the release's own catalogue
+	// entries (fault-injection testing of the harness itself).
+	InjectDefects []string `json:"inject_defects,omitempty"`
+	// Backends configures cross-check solvers run on every tested
+	// script in addition to the SUT, layering a differential oracle over
+	// the campaign. Hermetic (sim) backends preserve the thread-count
+	// invariance; external process backends — supervised, retried, and
+	// circuit-broken by internal/backend — forfeit it the same way
+	// WallTimeout does, and a persistently failing binary degrades the
+	// campaign (its checks are skipped) instead of stalling it.
+	Backends []BackendConfig `json:"backends,omitempty"`
+	// Oracle selects the verdict-judging policy: known (default),
+	// majority, metamorphic, or auto. The consensus policies act only
+	// on unknown-status tasks. Quorum is the minimum number of definite
+	// votes (SUT plus backends) the majority policy needs before calling
+	// a consensus (0 = 2). omitempty keeps known-policy documents
 	// byte-identical to what older builds wrote.
 	Oracle string `json:"oracle,omitempty"`
 	Quorum int    `json:"quorum,omitempty"`
@@ -199,7 +241,7 @@ type CampaignConfig struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// withDefaults mirrors Campaign.withDefaults so task counts, families,
+// withDefaults fills every defaulted field, so task counts, families,
 // and RNG coordinates computed from a config match the running
 // campaign's exactly.
 func (cc CampaignConfig) withDefaults() CampaignConfig {
@@ -217,17 +259,19 @@ func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.SeedPool == 0 {
 		cc.SeedPool = 20
 	}
+	// Clamp, don't just default: a negative thread count would size the
+	// worker arrays with make([]T, Threads) and panic.
 	if cc.Threads <= 0 {
 		cc.Threads = 1
 	}
 	if cc.Mode == "" {
-		cc.Mode = string(ModeFusion)
+		cc.Mode = ModeFusion
 	}
 	if cc.Shards <= 0 {
 		cc.Shards = 1
 	}
 	if cc.Oracle == "" {
-		cc.Oracle = string(OracleKnown)
+		cc.Oracle = OracleKnown
 	}
 	if cc.Quorum == 0 {
 		cc.Quorum = 2
@@ -258,8 +302,11 @@ func (cc CampaignConfig) Validate() error {
 	if d.MaxPairs < 0 {
 		return fmt.Errorf("harness: config: negative max_pairs %d", d.MaxPairs)
 	}
-	if d.ReplaceProb < 0 || d.ReplaceProb > 1 {
+	if !(d.ReplaceProb >= 0 && d.ReplaceProb <= 1) {
 		return fmt.Errorf("harness: config: replace_prob %v outside [0,1]", d.ReplaceProb)
+	}
+	if _, err := core.TableNamed(d.FusionTable, d.Seed+17); err != nil {
+		return fmt.Errorf("harness: config: %v", err)
 	}
 	if d.WallTimeout < 0 {
 		return fmt.Errorf("harness: config: negative wall timeout")
@@ -270,50 +317,74 @@ func (cc CampaignConfig) Validate() error {
 	if cc.Shard >= d.Shards {
 		return fmt.Errorf("harness: config: shard %d out of range for %d shards", cc.Shard, d.Shards)
 	}
-	// Mode, oracle, quorum, and backend naming are the runtime
-	// Campaign's rules: one validator for both layers.
-	cfg, err := d.campaign()
-	if err != nil {
-		return err
+	switch d.Mode {
+	case ModeFusion, ModeMutate, ModeWild:
+	default:
+		return fmt.Errorf("harness: config: unknown campaign mode %q", d.Mode)
 	}
-	return validateCampaign(cfg)
+	if d.ConcatOnly && d.Mode != ModeFusion {
+		return fmt.Errorf("harness: config: concat_only requires fusion mode, got %q", d.Mode)
+	}
+	switch d.Oracle {
+	case OracleKnown, OracleMajority, OracleMetamorphic, OracleAuto:
+	default:
+		return fmt.Errorf("harness: config: unknown oracle policy %q", d.Oracle)
+	}
+	if d.Quorum < 0 {
+		return fmt.Errorf("harness: config: negative quorum %d", d.Quorum)
+	}
+	names := map[string]bool{}
+	for i, bc := range d.Backends {
+		if err := bc.validate(); err != nil {
+			return fmt.Errorf("harness: config: backend %d: %w", i, err)
+		}
+		switch name := bc.name(); {
+		case name == "sut":
+			// Reserved: the consensus policies use "sut" as the
+			// pseudo-voter name for the solver under test.
+			return fmt.Errorf("harness: config: backend name %q is reserved", name)
+		case names[name]:
+			return fmt.Errorf("harness: config: duplicate backend name %q", name)
+		default:
+			names[name] = true
+		}
+	}
+	return nil
 }
 
-// campaign builds the runtime Campaign (without telemetry/trace
-// attachments), validating each backend config. Call on a defaulted
-// config.
-func (cc CampaignConfig) campaign() (Campaign, error) {
-	cfg := Campaign{
-		SUT:               bugdb.SUT(cc.SUT),
-		Release:           cc.Release,
-		Iterations:        cc.Iterations,
-		SeedPool:          cc.SeedPool,
-		Seed:              cc.Seed,
-		Threads:           cc.Threads,
-		Mode:              CampaignMode(cc.Mode),
-		DisableModelCheck: cc.DisableModelCheck,
-		ConcatOnly:        cc.ConcatOnly,
-		Fusion:            core.Options{MaxPairs: cc.MaxPairs, ReplaceProb: cc.ReplaceProb},
-		Fuel:              cc.Fuel,
-		WallTimeout:       cc.WallTimeout,
-		ArtifactDir:       cc.ArtifactDir,
-		Oracle:            OraclePolicy(cc.Oracle),
-		Quorum:            cc.Quorum,
+// campaign is a validated config with its defaults filled, together
+// with the runtime values derived from it. The worker and
+// classification stages read it; derive is the one place the derived
+// values are computed.
+type campaign struct {
+	CampaignConfig
+	// defects is the SUT's defect set: the release's catalogue entries
+	// plus InjectDefects. Solvers only read it, so workers share it.
+	defects map[solver.Defect]bool
+	// fusion carries MaxPairs, ReplaceProb and the named table.
+	fusion core.Options
+	// specs holds one built backend per Backends entry, in order.
+	specs []backend.Spec
+}
+
+// derive validates the config and builds its runtime campaign.
+func (cc CampaignConfig) derive() (*campaign, error) {
+	if err := cc.Validate(); err != nil {
+		return nil, err
 	}
-	for _, l := range cc.Logics {
-		cfg.Logics = append(cfg.Logics, gen.Logic(l))
+	c := &campaign{CampaignConfig: cc.withDefaults()}
+	// Validate already resolved the release and the table; neither can
+	// fail here.
+	c.defects, _ = bugdb.DefectsIn(bugdb.SUT(c.SUT), c.Release)
+	for _, d := range c.InjectDefects {
+		c.defects[solver.Defect(d)] = true
 	}
-	for _, d := range cc.InjectDefects {
-		cfg.InjectDefects = append(cfg.InjectDefects, solver.Defect(d))
+	table, _ := core.TableNamed(c.FusionTable, c.Seed+17)
+	c.fusion = core.Options{MaxPairs: c.MaxPairs, ReplaceProb: c.ReplaceProb, Table: table}
+	for _, bc := range c.Backends {
+		c.specs = append(c.specs, bc.spec())
 	}
-	for i, bc := range cc.Backends {
-		spec, err := bc.spec()
-		if err != nil {
-			return Campaign{}, fmt.Errorf("harness: config: backend %d: %w", i, err)
-		}
-		cfg.Backends = append(cfg.Backends, spec)
-	}
-	return cfg, nil
+	return c, nil
 }
 
 // total is the campaign-wide task count. Call on a defaulted config.
@@ -494,7 +565,7 @@ func stateOf(res *Result) savedState {
 // in recording order (captureState is called before finish sorts them).
 func captureState(st *runState) savedState {
 	s := stateOf(st.res)
-	for _, spec := range st.cfg.Backends {
+	for _, spec := range st.cfg.specs {
 		streak, open := spec.Health.State()
 		s.Breakers = append(s.Breakers, breakerState{Streak: streak, Open: open})
 	}
@@ -520,8 +591,8 @@ func captureState(st *runState) savedState {
 //
 // States must be validated against cfg. Breakers and artifact refs are
 // the caller's: they do not fold.
-func foldStates(cfg Campaign, states []savedState) (*runState, error) {
-	st := newRunState(cfg)
+func foldStates(cfg *campaign, tr *telemetry.Tracker, states []savedState) (*runState, error) {
+	st := newRunState(cfg, tr)
 	res := st.res
 	type acc struct {
 		winner savedBug
@@ -590,13 +661,13 @@ func foldStates(cfg Campaign, states []savedState) (*runState, error) {
 // validated checkpoint state: the fold of that one state, plus the
 // breaker state of the freshly built backend specs and the artifact
 // writer's dedup set.
-func restoreState(cfg Campaign, s savedState) (*runState, error) {
-	st, err := foldStates(cfg, []savedState{s})
+func restoreState(cfg *campaign, tr *telemetry.Tracker, s savedState) (*runState, error) {
+	st, err := foldStates(cfg, tr, []savedState{s})
 	if err != nil {
 		return nil, err
 	}
 	for i, br := range s.Breakers {
-		cfg.Backends[i].Health.Restore(br.Streak, br.Open)
+		cfg.specs[i].Health.Restore(br.Streak, br.Open)
 	}
 	if st.aw != nil {
 		st.aw.restore(s.Artifacts)
@@ -678,7 +749,7 @@ func validateState(cc CampaignConfig, s savedState, done int) error {
 	}
 	// The SUT's pseudo-voter name is a valid finding attribution only
 	// under the consensus policies.
-	nameOK := map[string]bool{"sut": OraclePolicy(d.Oracle) != OracleKnown}
+	nameOK := map[string]bool{"sut": d.Oracle != OracleKnown}
 	for i, rep := range s.Backends {
 		bc := d.Backends[i]
 		if rep.Name != bc.name() {
@@ -938,7 +1009,8 @@ type Outcome struct {
 	Telemetry telemetry.Snapshot
 }
 
-// Start runs a campaign (or one shard of it) from task zero.
+// Start runs a campaign (or one shard of it) from task zero. Its
+// findings, metrics, and trace are bit-identical for any thread count.
 func Start(cc CampaignConfig, opt RunOptions) (*Outcome, error) {
 	return runConfig(cc, opt, nil)
 }
@@ -958,20 +1030,15 @@ func Resume(cp *Checkpoint, opt RunOptions) (*Outcome, error) {
 }
 
 func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, error) {
-	if err := cc.Validate(); err != nil {
-		return nil, err
-	}
-	dcc := cc.withDefaults()
-	cfg, err := dcc.campaign()
+	cfg, err := cc.derive()
 	if err != nil {
 		return nil, err
 	}
 	if opt.Threads > 0 {
 		cfg.Threads = opt.Threads
 	}
-	cfg = cfg.withDefaults()
 
-	include := dcc.includeIDs()
+	include := cfg.includeIDs()
 	var carried telemetry.Snapshot
 	var traceAcc bytes.Buffer
 	if cp != nil {
@@ -985,8 +1052,13 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		opt.Telemetry.Merge(carried)
 		traceAcc.Write(cp.Trace)
 	}
-	cfg.Telemetry = opt.Telemetry
 
+	ctl := runControls{
+		stopAfter:   opt.StopAfter,
+		stop:        opt.Stop,
+		progress:    opt.Progress,
+		suppressVet: cp != nil || cfg.Shard != 0,
+	}
 	// Tracing is armed when the caller wants live records OR when the
 	// checkpoint already carries trace bytes (the envelope of a traced
 	// campaign must stay whole across pauses, even through a leg whose
@@ -998,31 +1070,25 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 	whole := cp == nil || cp.Done == 0 || len(cp.Trace) > 0
 	switch {
 	case opt.Trace != nil && whole:
-		cfg.Trace = io.MultiWriter(opt.Trace, &traceAcc)
+		ctl.trace = io.MultiWriter(opt.Trace, &traceAcc)
 	case opt.Trace != nil:
-		cfg.Trace = opt.Trace
+		ctl.trace = opt.Trace
 	case traceAcc.Len() > 0:
-		cfg.Trace = &traceAcc
+		ctl.trace = &traceAcc
 	}
 
 	var st *runState
 	if cp != nil {
-		st, err = restoreState(cfg, cp.State)
+		st, err = restoreState(cfg, opt.Telemetry, cp.State)
 		if err != nil {
 			return nil, fmt.Errorf("harness: checkpoint: %v", err)
 		}
 		st.done = cp.Done
 		include = include[cp.Done:]
 	} else {
-		st = newRunState(cfg)
+		st = newRunState(cfg, opt.Telemetry)
 	}
 
-	ctl := runControls{
-		stopAfter:   opt.StopAfter,
-		stop:        opt.Stop,
-		progress:    opt.Progress,
-		suppressVet: cp != nil || dcc.Shard != 0,
-	}
 	paused, err := runLeg(st, include, ctl)
 	if err != nil {
 		return nil, err

@@ -74,7 +74,7 @@ func backendStatus(v backend.Verdict) (vote core.Status, definite bool) {
 // voters assembles the task's vote vector in canonical order: the SUT
 // first, then the backends in configuration order. Every voter appears
 // — abstainers included — so the manifest records the full vector.
-func voters(cfg Campaign, out *taskOutcome) []voter {
+func voters(cfg *campaign, out *taskOutcome) []voter {
 	vs := make([]voter, 0, 1+len(out.backendRuns))
 	label, vote, def := sutStatus(out.run)
 	reason := out.run.Reason
@@ -85,7 +85,7 @@ func voters(cfg Campaign, out *taskOutcome) []voter {
 		definite: def, vote: vote, reason: reason, exitCode: -1})
 	for i, o := range out.backendRuns {
 		vote, def := backendStatus(o.Verdict)
-		vs = append(vs, voter{idx: i, name: cfg.Backends[i].Name,
+		vs = append(vs, voter{idx: i, name: cfg.specs[i].Name,
 			verdict: o.Verdict.String(), definite: def, vote: vote,
 			reason: o.Reason, exitCode: o.ExitCode, stderr: o.Stderr,
 			retries: o.Retries})
@@ -104,12 +104,12 @@ func voteVector(vs []voter) []string {
 
 // variantVector renders the variant solve's verdict vector (SUT first,
 // then backends) for metamorphic finding manifests.
-func variantVector(cfg Campaign, out *taskOutcome) []string {
+func variantVector(cfg *campaign, out *taskOutcome) []string {
 	label, _, _ := sutStatus(out.variantRun)
 	vec := make([]string, 0, 1+len(out.variantBackends))
 	vec = append(vec, "sut="+label)
 	for i, o := range out.variantBackends {
-		vec = append(vec, cfg.Backends[i].Name+"="+o.Verdict.String())
+		vec = append(vec, cfg.specs[i].Name+"="+o.Verdict.String())
 	}
 	return vec
 }
@@ -177,7 +177,7 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 		f := BackendFinding{
 			Backend:  v.name,
 			Kind:     bugdb.MajorityDisagreement,
-			Logic:    string(cfg.Logics[out.id/cfg.Iterations]),
+			Logic:    cfg.Logics[out.id/cfg.Iterations],
 			Oracle:   out.consensus,
 			Observed: v.verdict,
 			ExitCode: v.exitCode,
@@ -203,7 +203,7 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
 			m.Backend = f.Backend
 			if v.idx >= 0 {
-				m.BackendArgv = cfg.Backends[v.idx].Argv
+				m.BackendArgv = cfg.specs[v.idx].Argv
 				m.BackendExit = v.exitCode
 				m.BackendStderr = v.stderr
 				m.BackendRetries = v.retries
@@ -211,8 +211,6 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 			m.Observed = f.Observed
 			m.Reason = f.Reason
 			m.Oracle = out.consensus
-			m.OraclePolicy = string(cfg.Oracle)
-			m.Quorum = cfg.Quorum
 			m.Votes = voteVector(vs)
 			m.Consensus = out.consensus
 			st.aw.write(m, out.ancestors, out.testScript(), out.id)
@@ -264,7 +262,7 @@ func (st *runState) classifyMetamorphic(out *taskOutcome) {
 		f := BackendFinding{
 			Backend:  name,
 			Kind:     bugdb.MetamorphicViolation,
-			Logic:    string(cfg.Logics[out.id/cfg.Iterations]),
+			Logic:    cfg.Logics[out.id/cfg.Iterations],
 			Oracle:   rel.String(),
 			Observed: origV + "/" + varV,
 			Reason:   reason,
@@ -291,7 +289,7 @@ func (st *runState) classifyMetamorphic(out *taskOutcome) {
 		m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
 		m.Backend = f.Backend
 		if idx >= 0 {
-			m.BackendArgv = cfg.Backends[idx].Argv
+			m.BackendArgv = cfg.specs[idx].Argv
 			m.BackendExit = exitCode
 			m.BackendStderr = stderr
 			m.BackendRetries = retries
@@ -299,7 +297,6 @@ func (st *runState) classifyMetamorphic(out *taskOutcome) {
 		m.Observed = f.Observed
 		m.Reason = f.Reason
 		m.Oracle = rel.String()
-		m.OraclePolicy = string(cfg.Oracle)
 		m.MetaRelation = rel.String()
 		m.MetaRules = out.variant.Rules
 		m.VariantVerdicts = variantVector(cfg, out)
@@ -328,7 +325,7 @@ func (st *runState) classifyMetamorphic(out *taskOutcome) {
 			continue
 		}
 		reason := fmt.Sprintf("verdict pair %s/%s violates %s relation", o.Verdict.String(), vo.Verdict.String(), rel)
-		record(i, cfg.Backends[i].Name, o.Verdict.String(), vo.Verdict.String(),
+		record(i, cfg.specs[i].Name, o.Verdict.String(), vo.Verdict.String(),
 			reason, vo.ExitCode, vo.Stderr, o.Retries+vo.Retries)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
@@ -125,11 +124,11 @@ func TestMajorityOutvotesSeededDissenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.BugType != "backend-majority-disagreement" || m.OraclePolicy != "majority" {
-		t.Errorf("manifest bug_type=%q oracle_policy=%q", m.BugType, m.OraclePolicy)
+	if m.BugType != "backend-majority-disagreement" || m.Campaign.Oracle != "majority" {
+		t.Errorf("manifest bug_type=%q oracle=%q", m.BugType, m.Campaign.Oracle)
 	}
-	if m.Quorum != 2 || m.Consensus != "unsat" {
-		t.Errorf("manifest quorum=%d consensus=%q, want 2/unsat", m.Quorum, m.Consensus)
+	if m.Campaign.Quorum != 2 || m.Consensus != "unsat" {
+		t.Errorf("manifest quorum=%d consensus=%q, want 2/unsat", m.Campaign.Quorum, m.Consensus)
 	}
 	if len(m.Votes) != 3 || m.Votes[0] != "sut=sat" {
 		t.Errorf("manifest votes %v do not record the full vector SUT-first", m.Votes)
@@ -349,7 +348,7 @@ func TestMetamorphicFindsDefectKnownControlMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.OraclePolicy != "metamorphic" || m.MetaRelation == "" || len(m.VariantVerdicts) == 0 {
+		if m.Campaign.Oracle != "metamorphic" || m.MetaRelation == "" || len(m.VariantVerdicts) == 0 {
 			t.Errorf("bundle manifest missing metamorphic fields: %+v", m)
 		}
 		rr, err := Replay(p)
@@ -385,18 +384,18 @@ func TestMetamorphicFindsDefectKnownControlMisses(t *testing.T) {
 // disagree with. The buggy predicate ((verdict==sat) != (oracle==sat))
 // flagged every sat verdict on an unknown-status task.
 func TestUnknownOracleBackendAbstains(t *testing.T) {
-	cfg := Campaign{
-		SUT:        bugdb.CVC4Sim,
+	cfg := CampaignConfig{
+		SUT:        "cvc4sim",
 		Release:    "1.5",
-		Logics:     []gen.Logic{gen.QFNRA},
+		Logics:     []string{"QF_NRA"},
 		Iterations: 60,
 		SeedPool:   8,
 		Seed:       5,
 		Threads:    2,
 		Mode:       ModeWild,
-		Backends:   []backend.Spec{SimBackendSpec(bugdb.CVC4Sim, "1.6", 0)},
+		Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: "cvc4sim", Release: "1.6"}}},
 	}
-	res, err := Run(cfg)
+	res, err := runCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,17 +496,17 @@ func TestConsensusValidation(t *testing.T) {
 		t.Error("reserved backend name sut accepted")
 	}
 
-	cfg := Campaign{SUT: bugdb.Z3Sim, Iterations: 2, SeedPool: 2, Seed: 1, Oracle: "plurality"}
-	if _, err := Run(cfg); err == nil {
+	cfg := CampaignConfig{SUT: "z3sim", Iterations: 2, SeedPool: 2, Seed: 1, Oracle: "plurality"}
+	if _, err := runCampaign(cfg); err == nil {
 		t.Error("harness accepted unknown oracle policy")
 	}
-	cfg = Campaign{SUT: bugdb.Z3Sim, Iterations: 2, SeedPool: 2, Seed: 1, Quorum: -2}
-	if _, err := Run(cfg); err == nil {
+	cfg = CampaignConfig{SUT: "z3sim", Iterations: 2, SeedPool: 2, Seed: 1, Quorum: -2}
+	if _, err := runCampaign(cfg); err == nil {
 		t.Error("harness accepted negative quorum")
 	}
-	cfg = Campaign{SUT: bugdb.Z3Sim, Iterations: 2, SeedPool: 2, Seed: 1,
-		Backends: []backend.Spec{{Name: "sut", Hermetic: true}}}
-	if _, err := Run(cfg); err == nil {
+	cfg = CampaignConfig{SUT: "z3sim", Iterations: 2, SeedPool: 2, Seed: 1,
+		Backends: []BackendConfig{{Process: &ProcessBackendConfig{Name: "sut", Path: "/bin/true"}}}}
+	if _, err := runCampaign(cfg); err == nil {
 		t.Error("harness accepted reserved backend name sut")
 	}
 }

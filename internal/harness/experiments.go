@@ -98,15 +98,26 @@ func ExperimentFig8(b CampaignBudget) (*Fig8, error) {
 	if b.SeedPool == 0 {
 		b.SeedPool = 20
 	}
-	z3, err := Run(Campaign{SUT: bugdb.Z3Sim, Iterations: b.Iterations, SeedPool: b.SeedPool, Seed: b.Seed + 1, Threads: b.Threads})
+	z3, err := b.run(CampaignConfig{SUT: string(bugdb.Z3Sim), Seed: b.Seed + 1})
 	if err != nil {
 		return nil, err
 	}
-	cvc4, err := Run(Campaign{SUT: bugdb.CVC4Sim, Iterations: b.Iterations, SeedPool: b.SeedPool, Seed: b.Seed + 2, Threads: b.Threads})
+	cvc4, err := b.run(CampaignConfig{SUT: string(bugdb.CVC4Sim), Seed: b.Seed + 2})
 	if err != nil {
 		return nil, err
 	}
 	return &Fig8{Z3: z3, CVC4: cvc4}, nil
+}
+
+// run runs cc to completion at the budget's iterations, seed pool, and
+// thread count.
+func (b CampaignBudget) run(cc CampaignConfig) (*Result, error) {
+	cc.Iterations, cc.SeedPool, cc.Threads = b.Iterations, b.SeedPool, b.Threads
+	out, err := Start(cc, RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
 }
 
 // StatusCounts is a Figure 8a row set for one SUT.
@@ -449,82 +460,53 @@ type AblationRow struct {
 
 // ExperimentAblationFusionFns compares fusion-function families.
 func ExperimentAblationFusionFns(budget CampaignBudget) ([]AblationRow, error) {
-	configs := []struct {
-		name  string
-		table []core.FusionFn
-	}{
-		{"additive-only", core.AdditiveTable},
-		{"multiplicative-only", core.MultiplicativeTable},
-		{"string-only", core.StringTable},
-		{"full-table", core.DefaultTable},
-	}
-	var rows []AblationRow
-	for _, c := range configs {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Iterations: budget.Iterations,
-			SeedPool:   budget.SeedPool,
-			Seed:       budget.Seed,
-			Threads:    budget.Threads,
-			Fusion:     core.Options{Table: c.table},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: c.name, Bugs: len(res.Bugs)})
-	}
-	return rows, nil
+	return budget.ablate([]ablation{
+		{"additive-only", CampaignConfig{FusionTable: "additive"}},
+		{"multiplicative-only", CampaignConfig{FusionTable: "multiplicative"}},
+		{"string-only", CampaignConfig{FusionTable: "string"}},
+		{"full-table", CampaignConfig{}},
+	})
 }
 
 // ExperimentAblationSynth compares the hand-written Figure 6 table
 // against automatically synthesized fusion functions (the paper's
 // future-work item) and the combination of both.
 func ExperimentAblationSynth(budget CampaignBudget) ([]AblationRow, error) {
-	synth := core.SynthesizeTable(rand.New(rand.NewSource(budget.Seed+17)), 4)
-	combined := append(append([]core.FusionFn{}, core.DefaultTable...), synth...)
-	configs := []struct {
-		name  string
-		table []core.FusionFn
-	}{
-		{"figure6-table", core.DefaultTable},
-		{"synthesized-only", synth},
-		{"figure6+synthesized", combined},
-	}
-	var rows []AblationRow
-	for _, c := range configs {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Iterations: budget.Iterations,
-			SeedPool:   budget.SeedPool,
-			Seed:       budget.Seed,
-			Threads:    budget.Threads,
-			Fusion:     core.Options{Table: c.table},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: c.name, Bugs: len(res.Bugs)})
-	}
-	return rows, nil
+	return budget.ablate([]ablation{
+		{"figure6-table", CampaignConfig{}},
+		{"synthesized-only", CampaignConfig{FusionTable: "synthesized"}},
+		{"figure6+synthesized", CampaignConfig{FusionTable: "figure6+synthesized"}},
+	})
 }
 
 // ExperimentAblationOccProb compares inversion-replacement
 // probabilities.
 func ExperimentAblationOccProb(budget CampaignBudget) ([]AblationRow, error) {
-	var rows []AblationRow
+	var arms []ablation
 	for _, p := range []float64{1e-9, 0.5, 0.999999} {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Iterations: budget.Iterations,
-			SeedPool:   budget.SeedPool,
-			Seed:       budget.Seed,
-			Threads:    budget.Threads,
-			Fusion:     core.Options{ReplaceProb: p},
-		})
+		arms = append(arms, ablation{fmt.Sprintf("replace-prob=%.1f", p), CampaignConfig{ReplaceProb: p}})
+	}
+	return budget.ablate(arms)
+}
+
+// ablation is one arm of an ablation: a z3sim campaign varying only the
+// fusion settings of its config.
+type ablation struct {
+	name string
+	cc   CampaignConfig
+}
+
+// ablate runs each arm against trunk z3sim at the budget's seed and
+// reports its bug yield.
+func (b CampaignBudget) ablate(arms []ablation) ([]AblationRow, error) {
+	var rows []AblationRow
+	for _, a := range arms {
+		a.cc.SUT, a.cc.Seed = string(bugdb.Z3Sim), b.Seed
+		res, err := b.run(a.cc)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{Name: fmt.Sprintf("replace-prob=%.1f", p), Bugs: len(res.Bugs)})
+		rows = append(rows, AblationRow{Name: a.name, Bugs: len(res.Bugs)})
 	}
 	return rows, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bugdb"
-	"repro/internal/gen"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
 )
@@ -55,9 +54,9 @@ func TestRunSolverInternalFaultCapture(t *testing.T) {
 // exhaust the fuel meter, and the campaign must terminate with at least
 // one deduplicated Performance bug whose signature is fuel exhaustion.
 func TestHangDefectCampaignFindsPerformanceBug(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFS},
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_S"},
 		Iterations: shortIters(80),
 		SeedPool:   8,
 		Seed:       7,
@@ -84,9 +83,9 @@ func TestHangDefectCampaignFindsPerformanceBug(t *testing.T) {
 // TestSimplexHangDefect does the same for the simplex cycling defect on
 // linear integer arithmetic (cvc4sim's catalogue).
 func TestSimplexHangDefect(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
-		Logics:     []gen.Logic{gen.QFLIA},
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "cvc4sim",
+		Logics:     []string{"QF_LIA"},
 		Iterations: shortIters(80),
 		SeedPool:   8,
 		Seed:       11,
@@ -109,13 +108,13 @@ func TestSimplexHangDefect(t *testing.T) {
 // to completion, quarantine the faulting inputs, and record no crash
 // findings for them.
 func TestSyntheticPanicQuarantined(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:           bugdb.Z3Sim,
-		Logics:        []gen.Logic{gen.QFLIA},
+	res, err := runCampaign(CampaignConfig{
+		SUT:           "z3sim",
+		Logics:        []string{"QF_LIA"},
 		Iterations:    shortIters(40),
 		SeedPool:      6,
 		Seed:          3,
-		InjectDefects: []solver.Defect{solver.DefFaultSyntheticPanic},
+		InjectDefects: []string{string(solver.DefFaultSyntheticPanic)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,20 +134,20 @@ func TestSyntheticPanicQuarantined(t *testing.T) {
 // tight fuel budget, timeout and quarantine counts and the bug list
 // must not depend on the thread count.
 func TestFaultCampaignThreadInvariance(t *testing.T) {
-	base := Campaign{
-		SUT:           bugdb.Z3Sim,
-		Logics:        []gen.Logic{gen.QFS, gen.QFLIA},
+	base := CampaignConfig{
+		SUT:           "z3sim",
+		Logics:        []string{"QF_S", "QF_LIA"},
 		Iterations:    shortIters(40),
 		SeedPool:      6,
 		Seed:          9,
 		Fuel:          200_000,
-		InjectDefects: []solver.Defect{solver.DefHangSimplexCycle},
+		InjectDefects: []string{string(solver.DefHangSimplexCycle)},
 	}
 	var ref *Result
 	for _, threads := range []int{1, 4} {
 		cfg := base
 		cfg.Threads = threads
-		res, err := Run(cfg)
+		res, err := runCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,29 +176,41 @@ func TestFaultCampaignThreadInvariance(t *testing.T) {
 }
 
 // TestArtifactsRoundTripAndReplay checks the reproducer pipeline in
-// both campaign modes: every finding of a campaign with an artifact
-// directory lands as a bundle whose .smt2 files re-parse, and whose
-// manifest coordinates alone regenerate the identical test case —
-// fused formula or mutant — with the identical verdict.
+// both campaign modes and under non-default fusion options: every
+// finding of a campaign with an artifact directory lands as a bundle
+// whose .smt2 files re-parse, and whose manifest coordinates alone
+// regenerate the identical test case — fused formula or mutant — with
+// the identical verdict.
 func TestArtifactsRoundTripAndReplay(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Campaign
+		cfg  CampaignConfig
 	}{
-		{"fusion", Campaign{
-			SUT:        bugdb.Z3Sim,
-			Logics:     []gen.Logic{gen.QFS},
+		{"fusion", CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_S"},
 			Iterations: shortIters(60),
 			SeedPool:   8,
 			Seed:       7,
 		}},
-		{"mutation", Campaign{
-			SUT:        bugdb.Z3Sim,
-			Logics:     []gen.Logic{gen.QFNRA},
+		{"mutation", CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_NRA"},
 			Iterations: shortIters(150),
 			SeedPool:   8,
 			Seed:       31,
 			Mode:       ModeMutate,
+		}},
+		// The fusion options and the table shape every fused test, so
+		// replay must rebuild them from the manifest, not the defaults.
+		{"fusion-options", CampaignConfig{
+			SUT:         "z3sim",
+			Iterations:  shortIters(40),
+			SeedPool:    10,
+			Seed:        3,
+			MaxPairs:    4,
+			ReplaceProb: 0.95,
+			FusionTable: "figure6+synthesized",
 		}},
 	}
 	for _, tc := range cases {
@@ -207,7 +218,7 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 			dir := t.TempDir()
 			cfg := tc.cfg
 			cfg.ArtifactDir = dir
-			res, err := Run(cfg)
+			res, err := runCampaign(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,8 +243,8 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 				if err != nil {
 					t.Fatalf("manifest: %v", err)
 				}
-				if m.CampaignMode != string(cfg.Mode) && !(m.CampaignMode == "fusion" && cfg.Mode == "") {
-					t.Errorf("bundle %s campaign mode %q, want %q", bundle, m.CampaignMode, cfg.Mode)
+				if m.Campaign.Mode != cfg.Mode && !(m.Campaign.Mode == "fusion" && cfg.Mode == "") {
+					t.Errorf("bundle %s campaign mode %q, want %q", bundle, m.Campaign.Mode, cfg.Mode)
 				}
 				if cfg.Mode == ModeMutate && m.BugType != "quarantine" {
 					if m.Mode != "mutation" || len(m.MutationRules) == 0 {
@@ -265,9 +276,9 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 // than classified, and classified plus quarantined runs accounting for
 // every fused test.
 func TestWallTimeoutQuarantines(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:         bugdb.Z3Sim,
-		Logics:      []gen.Logic{gen.QFLIA},
+	res, err := runCampaign(CampaignConfig{
+		SUT:         "z3sim",
+		Logics:      []string{"QF_LIA"},
 		Iterations:  20,
 		SeedPool:    4,
 		Seed:        5,

@@ -13,7 +13,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
@@ -97,146 +96,41 @@ type Bug struct {
 	Tasks []int
 }
 
-// CampaignMode selects how a campaign derives test cases from seeds.
-type CampaignMode string
-
+// Campaign modes: how a campaign derives test cases from seeds
+// (CampaignConfig.Mode).
 const (
 	// ModeFusion runs the paper's semantic-fusion pipeline (default).
-	ModeFusion CampaignMode = "fusion"
+	ModeFusion = "fusion"
 	// ModeMutate runs type-aware operator mutation of single seeds.
-	ModeMutate CampaignMode = "mutate"
-	// ModeBoth interleaves fusion (even iterations) and mutation (odd
-	// iterations) within each logic's task stream.
-	ModeBoth CampaignMode = "both"
+	ModeMutate = "mutate"
 	// ModeWild mutates single seeds with the polarity constraint
 	// removed: the derived test's satisfiability is unknown by
 	// construction, so the known-status oracle abstains and only the
 	// consensus policies (majority, metamorphic) can judge it.
-	ModeWild CampaignMode = "wild"
+	ModeWild = "wild"
 )
 
-// OraclePolicy selects how tested tasks are judged. The known-status
-// oracle always applies where it can; the consensus policies add
-// coverage for tasks whose ground truth no generator constructed
-// (oracle "unknown" — wild mutants), where the known-status oracle
-// abstains.
-type OraclePolicy string
-
+// Oracle policies: how tested tasks are judged (CampaignConfig.Oracle).
+// The known-status oracle always applies where it can; the consensus
+// policies add coverage for tasks whose ground truth no generator
+// constructed (oracle "unknown" — wild mutants), where the known-status
+// oracle abstains.
 const (
 	// OracleKnown judges only against constructed ground truth
 	// (default). Unknown-status tasks pass through unjudged.
-	OracleKnown OraclePolicy = "known"
+	OracleKnown = "known"
 	// OracleMajority folds all definite verdicts per unknown-status
 	// task — the SUT's and every backend's — and attributes a
 	// MajorityDisagreement finding to each outvoted voter, subject to
-	// Campaign.Quorum.
-	OracleMajority OraclePolicy = "majority"
+	// CampaignConfig.Quorum.
+	OracleMajority = "majority"
 	// OracleMetamorphic derives a variant with a known sat/unsat-
 	// preserving relation for each unknown-status task and flags any
 	// solver whose verdict pair violates the relation against itself.
-	OracleMetamorphic OraclePolicy = "metamorphic"
+	OracleMetamorphic = "metamorphic"
 	// OracleAuto runs both consensus policies on unknown-status tasks.
-	OracleAuto OraclePolicy = "auto"
+	OracleAuto = "auto"
 )
-
-// Campaign configures one fuzzing run (Algorithm 1 plus seed-pool
-// construction).
-type Campaign struct {
-	SUT     bugdb.SUT
-	Release string // "" = trunk
-	Logics  []gen.Logic
-	// Iterations is the number of fused tests per logic.
-	Iterations int
-	// SeedPool is the number of sat and unsat seeds per logic pool.
-	SeedPool int
-	Seed     int64
-	Threads  int // ≤ 1 = single-threaded
-	// Mode selects the test-derivation strategy: fusion (default),
-	// mutate, both (interleaved by iteration parity), or wild
-	// (unknown-status mutation for the consensus oracles).
-	Mode CampaignMode
-	// Oracle selects the verdict-judging policy: known (default),
-	// majority, metamorphic, or auto. The consensus policies act only
-	// on unknown-status tasks; known-status classification is
-	// unaffected by the choice.
-	Oracle OraclePolicy
-	// Quorum is the minimum number of definite votes (SUT plus
-	// backends) the majority policy needs before calling a consensus;
-	// with fewer votes, or a tie, the task is counted abstained. 0
-	// defaults to 2.
-	Quorum int
-	// DisableModelCheck turns off the model-validation oracle, which
-	// otherwise evaluates every sat model against the input script.
-	DisableModelCheck bool
-	// ConcatOnly switches to the ConcatFuzz baseline (RQ4).
-	ConcatOnly bool
-	// Fusion tunes the fusion engine.
-	Fusion core.Options
-	// Fuel bounds every solver invocation by a deterministic step count
-	// (see solver.Limits.Fuel): 0 uses the solver default, a positive
-	// value overrides it, and a negative value disables the meter.
-	Fuel int64
-	// WallTimeout, when positive, arms the wall-clock watchdog backstop
-	// around each fused solve. A run cut off by the watchdog is
-	// quarantined, never classified — and because wall-clock is
-	// scheduling-dependent, campaigns with a watchdog armed forfeit the
-	// bit-identical thread-count invariance that fuel preserves.
-	WallTimeout time.Duration
-	// ArtifactDir, when set, persists every finding (and quarantined
-	// input) as a replayable reproducer bundle under this directory.
-	ArtifactDir string
-	// InjectDefects adds defects beyond the release's own catalogue
-	// entries (fault-injection testing of the harness itself).
-	InjectDefects []solver.Defect
-	// Backends configures cross-check solvers run on every tested
-	// script in addition to the SUT: each backend's verdict is compared
-	// against the known-status oracle, layering a differential oracle
-	// over the campaign. Hermetic (in-process) backends preserve the
-	// thread-count invariance; external process backends — supervised,
-	// retried, and circuit-broken by internal/backend — forfeit it the
-	// same way WallTimeout does, and a persistently failing binary
-	// degrades the campaign (its checks are skipped) instead of
-	// stalling it.
-	Backends []backend.Spec
-	// Telemetry, when non-nil, receives the campaign's aggregated
-	// metrics: engine step counters merged per task plus the funnel
-	// counters. All writes happen in the in-order classification stage,
-	// so the final snapshot is bit-identical for any Threads value.
-	Telemetry *telemetry.Tracker
-	// Trace, when non-nil, receives one JSONL TraceRecord per task,
-	// emitted in task order (again thread-count-invariant).
-	Trace io.Writer
-}
-
-func (c Campaign) withDefaults() Campaign {
-	if c.Release == "" {
-		c.Release = "trunk"
-	}
-	if len(c.Logics) == 0 {
-		c.Logics = gen.AllLogics
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 200
-	}
-	if c.SeedPool == 0 {
-		c.SeedPool = 20
-	}
-	// Clamp, don't just default: a negative thread count would size the
-	// worker arrays with make([]T, c.Threads) and panic.
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if c.Mode == "" {
-		c.Mode = ModeFusion
-	}
-	if c.Oracle == "" {
-		c.Oracle = OracleKnown
-	}
-	if c.Quorum == 0 {
-		c.Quorum = 2
-	}
-	return c
-}
 
 // Tally is the campaign's scalar books: every per-occurrence counter
 // the in-order classification stage keeps. Result and the saved
@@ -323,10 +217,10 @@ type Result struct {
 	Tally
 	Bugs []Bug // deduplicated by defect site
 	// Artifacts lists reproducer bundle directories written this
-	// campaign (empty unless Campaign.ArtifactDir is set).
+	// campaign (empty unless CampaignConfig.ArtifactDir is set).
 	Artifacts []string
 	// Backends holds one health summary per configured cross-check
-	// backend, in Campaign.Backends order.
+	// backend, in CampaignConfig.Backends order.
 	Backends []BackendReport
 	// BackendFindings lists the deduplicated cross-check observations:
 	// verdict disagreements, contained backend failures, and consensus-
@@ -407,12 +301,9 @@ func metaSeed(seed int64, logic gen.Logic, iter int) int64 {
 	return int64(mix64(mix64(h) + uint64(iter)*0x9e3779b97f4a7c15))
 }
 
-// isMutationTask reports whether a task derives by (single-seed)
-// mutation rather than fusion — a pure function of (Mode, iter), shared
-// by the family scheduler and the task runner.
-func isMutationTask(mode CampaignMode, iter int) bool {
-	return mode == ModeMutate || mode == ModeWild || (mode == ModeBoth && iter%2 == 1)
-}
+// mutation reports whether the campaign's tasks derive by (single-seed)
+// mutation rather than fusion.
+func (c *campaign) mutation() bool { return c.Mode == ModeMutate || c.Mode == ModeWild }
 
 // familyKey identifies the seed family of a task: two tasks are in the
 // same family exactly when they derive their tests from the same
@@ -421,7 +312,6 @@ func isMutationTask(mode CampaignMode, iter int) bool {
 // one variant to the next.
 type familyKey struct {
 	logicIdx int
-	mutation bool
 	oracle   core.Status
 	s1, s2   int // pool pick indices; s2 is -1 for mutation tasks
 }
@@ -432,17 +322,16 @@ type familyKey struct {
 // task's own stream — rebuilt from the same seed in runTaskInner — is
 // untouched: per-task RNG coordinates are exactly those of the
 // unbatched scheduler, draw for draw.
-func familyOf(cfg Campaign, id int) familyKey {
+func familyOf(cfg *campaign, id int) familyKey {
 	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
-	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, cfg.Logics[logicIdx], iter)))
+	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), iter)))
 	k := familyKey{logicIdx: logicIdx, oracle: core.StatusSat, s2: -1}
 	if rng.Intn(2) == 1 {
 		k.oracle = core.StatusUnsat
 	}
-	k.mutation = isMutationTask(cfg.Mode, iter)
 	// Mirror seedPool.pick's draws: one Intn(SeedPool) per picked seed.
 	k.s1 = rng.Intn(cfg.SeedPool)
-	if !k.mutation {
+	if !cfg.mutation() {
 		k.s2 = rng.Intn(cfg.SeedPool)
 	}
 	return k
@@ -452,7 +341,7 @@ func familyOf(cfg Campaign, id int) familyKey {
 // Ids stay in ascending order inside each family, and families are
 // ordered by their first task id, so the schedule is a pure function of
 // the campaign configuration — never of thread count or timing.
-func buildFamilies(cfg Campaign, total int) [][]int {
+func buildFamilies(cfg *campaign, total int) [][]int {
 	index := map[familyKey]int{}
 	var fams [][]int
 	for id := 0; id < total; id++ {
@@ -529,77 +418,22 @@ func (o *taskOutcome) oracle() core.Status {
 }
 
 // makeSUT builds one solver-under-test instance for a campaign worker:
-// the release's catalogued defects plus any injected ones, under the
-// campaign's fuel limit, recording step counters into tr (nil = none).
-func makeSUT(cfg Campaign, tr *telemetry.Tracker) (*solver.Solver, error) {
-	defects, err := bugdb.DefectsIn(cfg.SUT, cfg.Release)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range cfg.InjectDefects {
-		defects[d] = true
-	}
+// the campaign's defect set under its fuel limit, recording step
+// counters into tr (nil = none).
+func makeSUT(cfg *campaign, tr *telemetry.Tracker) *solver.Solver {
+	return solver.New(solver.Config{Defects: cfg.defects, Limits: fuelLimits(cfg.Fuel), Telemetry: tr})
+}
+
+// fuelLimits maps a config's Fuel (0 solver default, >0 override, <0
+// unlimited) to solver limits.
+func fuelLimits(fuel int64) solver.Limits {
 	lim := solver.DefaultLimits()
-	if cfg.Fuel > 0 {
-		lim.Fuel = cfg.Fuel
-	} else if cfg.Fuel < 0 {
-		lim.Fuel = 0 // unlimited
+	if fuel > 0 {
+		lim.Fuel = fuel
+	} else if fuel < 0 {
+		lim.Fuel = 0
 	}
-	return solver.New(solver.Config{Defects: defects, Limits: lim, Telemetry: tr}), nil
-}
-
-// Run executes the campaign as a shared-corpus, work-stealing pipeline:
-//
-//  1. The seed corpus is built once per logic, with solver vetting of
-//     the slots spread across the worker pool. Each slot has its own
-//     generator stream, so the corpus is identical however the vetting
-//     work is scheduled.
-//  2. Fusion+solve tasks — exactly Iterations per logic — are drawn
-//     from a shared queue by workers. Each task seeds its RNG from
-//     (campaign seed, logic, iteration), so its test is a pure function
-//     of the configuration.
-//  3. Outcomes are classified sequentially in task order, making bug
-//     dedup and duplicate counting order-independent.
-//
-// Consequently a campaign's findings are bit-identical for any Threads
-// value: parallelism is a pure speedup, not a different experiment.
-func Run(cfg Campaign) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := validateCampaign(cfg); err != nil {
-		return nil, err
-	}
-	total := len(cfg.Logics) * cfg.Iterations
-	include := make([]int, total)
-	for i := range include {
-		include[i] = i
-	}
-	st := newRunState(cfg)
-	if _, err := runLeg(st, include, runControls{}); err != nil {
-		return nil, err
-	}
-	return finish(st)
-}
-
-// validateCampaign rejects configurations Run cannot execute. cfg must
-// already carry its defaults.
-func validateCampaign(cfg Campaign) error {
-	switch cfg.Mode {
-	case ModeFusion, ModeMutate, ModeBoth, ModeWild:
-	default:
-		return fmt.Errorf("harness: unknown campaign mode %q", cfg.Mode)
-	}
-	if cfg.ConcatOnly && cfg.Mode != ModeFusion {
-		return fmt.Errorf("harness: ConcatOnly requires fusion mode, got %q", cfg.Mode)
-	}
-	switch cfg.Oracle {
-	case OracleKnown, OracleMajority, OracleMetamorphic, OracleAuto:
-	default:
-		return fmt.Errorf("harness: unknown oracle policy %q", cfg.Oracle)
-	}
-	if cfg.Quorum < 0 {
-		return fmt.Errorf("harness: negative quorum %d", cfg.Quorum)
-	}
-	return validateBackends(cfg.Backends)
+	return lim
 }
 
 // runControls tunes one exec leg of a campaign: pause triggers and
@@ -616,6 +450,9 @@ type runControls struct {
 	// set, the trace writer is flushed first, so a live reader observes
 	// every record up to the reported position.
 	progress func(done, total int)
+	// trace, when non-nil, receives one JSONL TraceRecord per classified
+	// task, in task order.
+	trace io.Writer
 	// suppressVet drops the corpus-vetting telemetry: resume legs and
 	// non-zero shards rebuild the corpus (it is a pure function of the
 	// configuration), but only the first leg of shard 0 may count it —
@@ -630,20 +467,23 @@ type runControls struct {
 // hang off it: each Result or BackendReport increment sits next to its
 // funnel counter increment on the campaign tracker.
 type runState struct {
-	cfg   Campaign
+	cfg   *campaign
 	res   *Result
 	found map[solver.Defect]int // defect → index into res.Bugs
 	seen  map[bkKey]int         // backend finding key → recording task
 	aw    *artifactWriter
-	tr    *telemetry.Tracker // cfg.Telemetry; nil records nothing
+	// tr receives the campaign's aggregated metrics: engine step
+	// counters merged per task plus the funnel counters, all written by
+	// the in-order classification stage. nil records nothing.
+	tr *telemetry.Tracker
 	// done counts classified tasks, cumulative across resume legs.
 	done int
 }
 
-func newRunState(cfg Campaign) *runState {
+func newRunState(cfg *campaign, tr *telemetry.Tracker) *runState {
 	res := &Result{}
-	res.Backends = make([]BackendReport, len(cfg.Backends))
-	for i, spec := range cfg.Backends {
+	res.Backends = make([]BackendReport, len(cfg.specs))
+	for i, spec := range cfg.specs {
 		res.Backends[i] = BackendReport{Name: spec.Name, Hermetic: spec.Hermetic}
 	}
 	st := &runState{
@@ -651,7 +491,7 @@ func newRunState(cfg Campaign) *runState {
 		res:   res,
 		found: map[solver.Defect]int{},
 		seen:  map[bkKey]int{},
-		tr:    cfg.Telemetry,
+		tr:    tr,
 	}
 	if cfg.ArtifactDir != "" {
 		st.aw = newArtifactWriter(cfg.ArtifactDir)
@@ -675,19 +515,32 @@ func finish(st *runState) (*Result, error) {
 	return res, nil
 }
 
-// runLeg runs one leg of a campaign: the tasks listed in include
-// (strictly ascending global ids) are executed and classified in that
-// order into st. Tasks outside include that precede an included task
-// within its family are warm-replayed — run and discarded — so every
-// included task sees exactly the warm-cache state (and hence telemetry
-// deltas) it would have seen in an uninterrupted single-process run.
-// Returns true when a control paused the leg before include was
-// exhausted.
+// runLeg runs one leg of a campaign as a shared-corpus, work-stealing
+// pipeline:
+//
+//  1. The seed corpus is built once per logic, with solver vetting of
+//     the slots spread across the worker pool. Each slot has its own
+//     generator stream, so the corpus is identical however the vetting
+//     work is scheduled.
+//  2. The tasks listed in include (strictly ascending global ids) are
+//     drawn from a shared queue by workers. Each task seeds its RNG
+//     from (campaign seed, logic, iteration), so its test is a pure
+//     function of the configuration.
+//  3. Outcomes are classified into st sequentially in task order,
+//     making bug dedup and duplicate counting order-independent.
+//
+// Consequently a campaign's findings are bit-identical for any Threads
+// value: parallelism is a pure speedup, not a different experiment.
+// Tasks outside include that precede an included task within its
+// family are warm-replayed — run and discarded — so every included
+// task sees exactly the warm-cache state (and hence telemetry deltas)
+// it would have seen in an uninterrupted single-process run. Returns
+// true when a control paused the leg before include was exhausted.
 func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	cfg := st.cfg
-	rec := &recorder{tr: cfg.Telemetry, suppressVet: ctl.suppressVet}
-	if cfg.Trace != nil {
-		rec.jw = telemetry.NewJSONLWriter(cfg.Trace)
+	rec := &recorder{tr: st.tr, suppressVet: ctl.suppressVet}
+	if ctl.trace != nil {
+		rec.jw = telemetry.NewJSONLWriter(ctl.trace)
 	}
 
 	// One solver instance per worker: instances are deterministic per
@@ -700,11 +553,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		if rec.active() {
 			trackers[w] = telemetry.NewTracker()
 		}
-		sut, err := makeSUT(cfg, trackers[w])
-		if err != nil {
-			return false, err
-		}
-		suts[w] = sut
+		suts[w] = makeSUT(cfg, trackers[w])
 	}
 
 	// Cross-check backends follow the same per-worker instance model as
@@ -713,7 +562,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	// circuit breaker counts the backend's global failure streak.
 	workerBackends := make([][]backend.Backend, cfg.Threads)
 	for w := range workerBackends {
-		for _, spec := range cfg.Backends {
+		for _, spec := range cfg.specs {
 			b, err := spec.New()
 			if err != nil {
 				return false, fmt.Errorf("harness: backend %q: %w", spec.Name, err)
@@ -800,15 +649,11 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 						// The watchdog abandoned a solve mid-flight: that
 						// solver instance may hold inconsistent state, so
 						// replace it — together with its tracker, which the
-						// abandoned goroutine may still be writing. makeSUT
-						// cannot fail here — the same arguments succeeded
-						// when the pool was built.
+						// abandoned goroutine may still be writing.
 						if tr != nil {
 							tr = telemetry.NewTracker()
 						}
-						if fresh, err := makeSUT(cfg, tr); err == nil {
-							sut = fresh
-						}
+						sut = makeSUT(cfg, tr)
 					}
 					if emit[id] {
 						outCh <- out
@@ -896,10 +741,9 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 
 // runTask executes one derive+solve task — fusion of a seed pair or
 // mutation of a single seed, depending on the campaign mode. Everything
-// random in the task flows from its own deterministic RNG, and the mode
-// of an iteration is a pure function of (Mode, iter), so campaigns stay
-// bit-identical for any thread count.
-func runTask(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker, id int) taskOutcome {
+// random in the task flows from its own deterministic RNG, so campaigns
+// stay bit-identical for any thread count.
+func runTask(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker, id int) taskOutcome {
 	before := tr.Snapshot()
 	out := runTaskInner(cfg, pools, sut, bks, id)
 	if !out.wallTimeout {
@@ -910,9 +754,9 @@ func runTask(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []backend.
 	return out
 }
 
-func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) taskOutcome {
+func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) taskOutcome {
 	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
-	logic := cfg.Logics[logicIdx]
+	logic := gen.Logic(cfg.Logics[logicIdx])
 	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, logic, iter)))
 	oracle := core.StatusSat
 	if rng.Intn(2) == 1 {
@@ -920,7 +764,7 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 	}
 	pool := pools[logicIdx]
 	out := taskOutcome{id: id}
-	if isMutationTask(cfg.Mode, iter) {
+	if cfg.mutation() {
 		s1 := pool.pick(oracle, rng)
 		var mut *mutate.Mutant
 		var err error
@@ -949,7 +793,7 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 		if cfg.ConcatOnly {
 			fused, err = core.Concat(s1, s2, rng)
 		} else {
-			fused, err = core.Fuse(s1, s2, rng, cfg.Fusion)
+			fused, err = core.Fuse(s1, s2, rng, cfg.fusion)
 		}
 		if err != nil {
 			var ge *analysis.GateError
@@ -1067,33 +911,25 @@ func (st *runState) applyOutcome(out *taskOutcome) {
 }
 
 // manifestFor assembles the replay coordinates of one task outcome.
-func manifestFor(cfg Campaign, out taskOutcome, bugType string, defect solver.Defect) Manifest {
-	logicIdx, iter := out.id/cfg.Iterations, out.id%cfg.Iterations
+func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.Defect) Manifest {
 	fired := make([]string, 0, len(out.run.DefectsFired))
 	for _, d := range out.run.DefectsFired {
 		fired = append(fired, string(d))
 	}
+	// The per-process fields are cleared, so a bundle's bytes do not
+	// depend on where or how the campaign ran.
+	cc := cfg.CampaignConfig
+	cc.Threads, cc.ArtifactDir, cc.Shard, cc.Shards = 0, "", 0, 0
 	m := Manifest{
 		Schema:       ManifestSchema,
-		SUT:          string(cfg.SUT),
-		Release:      cfg.Release,
+		Campaign:     cc,
 		BugType:      bugType,
 		Defect:       string(defect),
-		Oracle:       "",
 		Observed:     out.run.Result.String(),
 		Reason:       out.run.Reason,
 		DefectsFired: fired,
-		CampaignSeed: cfg.Seed,
-		Logic:        string(cfg.Logics[logicIdx]),
-		Iteration:    iter,
-		Iterations:   cfg.Iterations,
-		SeedPool:     cfg.SeedPool,
-		ConcatOnly:   cfg.ConcatOnly,
-		Fuel:         cfg.Fuel,
-		CampaignMode: string(cfg.Mode),
-	}
-	for _, d := range cfg.InjectDefects {
-		m.InjectDefects = append(m.InjectDefects, string(d))
+		Logic:        cfg.Logics[out.id/cfg.Iterations],
+		Iteration:    out.id % cfg.Iterations,
 	}
 	if out.fused != nil {
 		m.Oracle = out.fused.Oracle.String()
@@ -1138,7 +974,7 @@ func (st *runState) classify(out *taskOutcome) {
 		b := Bug{
 			Defect:    primary,
 			Kind:      kind,
-			Logic:     cfg.Logics[out.id/cfg.Iterations],
+			Logic:     gen.Logic(cfg.Logics[out.id/cfg.Iterations]),
 			Oracle:    oracle,
 			Observed:  run.Result,
 			Script:    script,
@@ -1273,7 +1109,7 @@ type seedPool struct {
 // across the worker pool. Each slot owns a generator stream keyed by
 // (campaign seed, logic, slot, status), so the resulting corpus does
 // not depend on which worker vets which slot.
-func buildCorpus(cfg Campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, rec *recorder) ([]*seedPool, error) {
+func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, rec *recorder) ([]*seedPool, error) {
 	pools := make([]*seedPool, len(cfg.Logics))
 	for i := range pools {
 		pools[i] = &seedPool{
@@ -1316,7 +1152,7 @@ func buildCorpus(cfg Campaign, suts []*solver.Solver, trackers []*telemetry.Trac
 				// happened to vet (or solve) something else first.
 				sut.ResetWarm()
 				before := tr.Snapshot()
-				s, n, err := vetSlot(cfg, cfg.Logics[logicIdx], slot, status, sut)
+				s, n, err := vetSlot(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), slot, status, sut)
 				tries[j] = n
 				deltas[j] = tr.Snapshot().Diff(before)
 				if err != nil {
@@ -1352,8 +1188,8 @@ func buildCorpus(cfg Campaign, suts []*solver.Solver, trackers []*telemetry.Trac
 
 // vetSlot generates one vetted seed from the slot's own stream. The
 // second result is the number of generation attempts consumed.
-func vetSlot(cfg Campaign, logic gen.Logic, slot int, status core.Status, sut *solver.Solver) (*core.Seed, int, error) {
-	g, err := gen.New(logic, poolSeed(cfg.Seed, logic, slot, status))
+func vetSlot(seed int64, logic gen.Logic, slot int, status core.Status, sut *solver.Solver) (*core.Seed, int, error) {
+	g, err := gen.New(logic, poolSeed(seed, logic, slot, status))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -23,6 +22,15 @@ func shortIters(full int) int {
 		return full / 5
 	}
 	return full
+}
+
+// runCampaign runs a campaign to completion in one leg.
+func runCampaign(cc CampaignConfig) (*Result, error) {
+	out, err := Start(cc, RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
 }
 
 func TestRunSolverCrashCapture(t *testing.T) {
@@ -56,10 +64,10 @@ func TestReferenceCampaignFindsNothing(t *testing.T) {
 	// so run the reference solver directly through the loop by using a
 	// campaign against cvc4sim 1.5 but with logics where its defects
 	// cannot fire (pure linear real arithmetic).
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "cvc4sim",
 		Release:    "1.5",
-		Logics:     []gen.Logic{gen.LRA},
+		Logics:     []string{"LRA"},
 		Iterations: 60,
 		SeedPool:   10,
 		Seed:       42,
@@ -77,8 +85,8 @@ func TestReferenceCampaignFindsNothing(t *testing.T) {
 }
 
 func TestCampaignFindsSeededBugs(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "z3sim",
 		Iterations: shortIters(80),
 		SeedPool:   12,
 		Seed:       7,
@@ -100,8 +108,8 @@ func TestCampaignFindsSeededBugs(t *testing.T) {
 }
 
 func TestCampaignCVC4Sim(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "cvc4sim",
 		Iterations: shortIters(80),
 		SeedPool:   12,
 		Seed:       11,
@@ -120,14 +128,14 @@ func TestCampaignCVC4Sim(t *testing.T) {
 }
 
 func TestConcatFuzzFindsFewer(t *testing.T) {
-	base := Campaign{SUT: bugdb.Z3Sim, Iterations: shortIters(40), SeedPool: 10, Seed: 3, Threads: 4}
-	full, err := Run(base)
+	base := CampaignConfig{SUT: "z3sim", Iterations: shortIters(40), SeedPool: 10, Seed: 3, Threads: 4}
+	full, err := runCampaign(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	concat := base
 	concat.ConcatOnly = true
-	co, err := Run(concat)
+	co, err := runCampaign(concat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +149,9 @@ func TestConcatFuzzFindsFewer(t *testing.T) {
 }
 
 func TestParallelMatchesMergeInvariants(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFS, gen.QFNRA},
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_S", "QF_NRA"},
 		Iterations: shortIters(80),
 		SeedPool:   10,
 		Seed:       5,
@@ -165,11 +173,11 @@ func TestParallelMatchesMergeInvariants(t *testing.T) {
 }
 
 func TestOldReleaseFindsSubset(t *testing.T) {
-	trunk, err := Run(Campaign{SUT: bugdb.Z3Sim, Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
+	trunk, err := runCampaign(CampaignConfig{SUT: "z3sim", Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := Run(Campaign{SUT: bugdb.Z3Sim, Release: "4.5.0", Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
+	old, err := runCampaign(CampaignConfig{SUT: "z3sim", Release: "4.5.0", Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func TestOldReleaseFindsSubset(t *testing.T) {
 }
 
 func TestBugAncestorsRecorded(t *testing.T) {
-	res, err := Run(Campaign{SUT: bugdb.Z3Sim, Iterations: shortIters(50), SeedPool: 10, Seed: 21, Threads: 4})
+	res, err := runCampaign(CampaignConfig{SUT: "z3sim", Iterations: shortIters(50), SeedPool: 10, Seed: 21, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,38 +208,34 @@ func TestBugAncestorsRecorded(t *testing.T) {
 // TestThreadCountInvariance checks the work-stealing engine's central
 // guarantee: a campaign's findings are bit-identical for any Threads
 // value — parallelism is a pure speedup, not a different experiment.
-// The guarantee covers every campaign mode: fusion, mutation, and the
-// interleaved combination — and must survive hermetic cross-check
-// backends, whose reports, findings, and trace fields are part of the
-// invariant surface.
+// The guarantee covers every test-derivation mode, fusion and mutation,
+// and must survive hermetic cross-check backends, whose reports,
+// findings, and trace fields are part of the invariant surface.
 func TestThreadCountInvariance(t *testing.T) {
-	for _, mode := range []CampaignMode{ModeFusion, ModeMutate, ModeBoth} {
-		t.Run(string(mode), func(t *testing.T) {
-			base := Campaign{
-				SUT:        bugdb.Z3Sim,
-				Logics:     []gen.Logic{gen.QFLIA, gen.QFS},
+	for _, mode := range []string{ModeFusion, ModeMutate} {
+		t.Run(mode, func(t *testing.T) {
+			cc := CampaignConfig{
+				SUT:        string(bugdb.Z3Sim),
+				Logics:     []string{string(gen.QFLIA), string(gen.QFS)},
 				Iterations: shortIters(60),
 				SeedPool:   8,
 				Seed:       42,
 				Mode:       mode,
-				Backends:   []backend.Spec{SimBackendSpec(bugdb.CVC4Sim, "1.5", 0)},
+				Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: string(bugdb.CVC4Sim), Release: "1.5"}}},
 			}
 			threadCounts := []int{1, 2, 4}
 			results := make([]*Result, len(threadCounts))
 			metrics := make([]telemetry.Snapshot, len(threadCounts))
 			traces := make([]*bytes.Buffer, len(threadCounts))
 			for i, threads := range threadCounts {
-				cfg := base
-				cfg.Threads = threads
-				cfg.Telemetry = telemetry.NewTracker()
+				tr := telemetry.NewTracker()
 				traces[i] = &bytes.Buffer{}
-				cfg.Trace = traces[i]
-				res, err := Run(cfg)
+				out, err := Start(cc, RunOptions{Threads: threads, Telemetry: tr, Trace: traces[i]})
 				if err != nil {
 					t.Fatal(err)
 				}
-				results[i] = res
-				metrics[i] = cfg.Telemetry.Snapshot()
+				results[i] = out.Result
+				metrics[i] = tr.Snapshot()
 			}
 			ref := results[0]
 			if ref.Tests == 0 {
@@ -305,38 +309,29 @@ func TestThreadCountInvariance(t *testing.T) {
 			// backend cross-check finding's recording task (the resumed
 			// leg must restore finding dedup and breaker state rather
 			// than re-record or re-count).
-			cc := CampaignConfig{
-				SUT:        string(bugdb.Z3Sim),
-				Logics:     []string{string(gen.QFLIA), string(gen.QFS)},
-				Iterations: shortIters(60),
-				SeedPool:   8,
-				Seed:       42,
-				Mode:       string(mode),
-				Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: string(bugdb.CVC4Sim), Release: "1.5"}}},
-			}
 			refTr := telemetry.NewTracker()
 			var refTrace bytes.Buffer
 			refOut, err := Start(cc, RunOptions{Telemetry: refTr, Trace: &refTrace})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The config-driven path must be the same experiment as the
-			// Campaign-driven path exercised above.
+			// The config's own worker count must be the same experiment as
+			// the Threads overrides exercised above.
 			if summary(refOut.Result) != summary(ref) {
-				t.Errorf("Start(config) counts differ from Run(campaign): %+v vs %+v",
+				t.Errorf("Start(config) counts differ from Start(config, Threads=1): %+v vs %+v",
 					summary(refOut.Result), summary(ref))
 			}
 			if !bytes.Equal(refTrace.Bytes(), traces[0].Bytes()) {
-				t.Error("Start(config) trace differs from Run(campaign)")
+				t.Error("Start(config) trace differs from Start(config, Threads=1)")
 			}
 
-			d := cc.withDefaults()
-			camp, err := d.campaign()
+			camp, err := cc.derive()
 			if err != nil {
 				t.Fatal(err)
 			}
+			d := camp.CampaignConfig
 			var stops []int
-			for _, fam := range buildFamilies(camp.withDefaults(), d.total()) {
+			for _, fam := range buildFamilies(camp, d.total()) {
 				if len(fam) >= 2 {
 					stops = append(stops, fam[0]+1) // cuts this family
 					break
@@ -411,9 +406,9 @@ func summary(r *Result) [7]int {
 // Threads=4, Iterations=10 silently ran 12). Tests + InvalidInputs +
 // skipped pairs must equal the requested total.
 func TestExactIterationCount(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFLIA},
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_LIA"},
 		Iterations: 10,
 		SeedPool:   4,
 		Seed:       7,

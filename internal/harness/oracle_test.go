@@ -29,17 +29,19 @@ func TestModelValidationOracleFindsInjected(t *testing.T) {
 		solver.DefModelStaleSimplex,
 		solver.DefModelStrLenTruncate,
 	}
-	base := Campaign{
-		SUT:           bugdb.CVC4Sim,
-		Release:       "1.5",
-		Logics:        []gen.Logic{gen.QFLIA, gen.QFS},
-		Iterations:    shortIters(60),
-		SeedPool:      8,
-		Seed:          19,
-		Threads:       2,
-		InjectDefects: injected,
+	base := CampaignConfig{
+		SUT:        "cvc4sim",
+		Release:    "1.5",
+		Logics:     []string{"QF_LIA", "QF_S"},
+		Iterations: shortIters(60),
+		SeedPool:   8,
+		Seed:       19,
+		Threads:    2,
 	}
-	res, err := Run(base)
+	for _, d := range injected {
+		base.InjectDefects = append(base.InjectDefects, string(d))
+	}
+	res, err := runCampaign(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestModelValidationOracleFindsInjected(t *testing.T) {
 	// still fire on every sat model, but nothing may be reported.
 	off := base
 	off.DisableModelCheck = true
-	ctl, err := Run(off)
+	ctl, err := runCampaign(off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +124,10 @@ func TestReferenceModelValidationClean(t *testing.T) {
 	}
 
 	// Through the campaign loop too: armed oracle, defect-free slice.
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "cvc4sim",
 		Release:    "1.5",
-		Logics:     []gen.Logic{gen.LRA},
+		Logics:     []string{"LRA"},
 		Iterations: shortIters(60),
 		SeedPool:   8,
 		Seed:       23,
@@ -152,16 +154,16 @@ func TestReferenceModelValidationClean(t *testing.T) {
 // campaign must reproduce this catalogued defect; the fusion campaign
 // on the same coordinates must miss it.
 func TestMutationCampaignFindsGuardCollapse(t *testing.T) {
-	base := Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFNRA},
+	base := CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_NRA"},
 		Iterations: shortIters(150),
 		SeedPool:   8,
 		Seed:       31,
 		Threads:    2,
 		Mode:       ModeMutate,
 	}
-	res, err := Run(base)
+	res, err := runCampaign(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestMutationCampaignFindsGuardCollapse(t *testing.T) {
 
 	fusion := base
 	fusion.Mode = ModeFusion
-	ctl, err := Run(fusion)
+	ctl, err := runCampaign(fusion)
 	if err != nil {
 		t.Fatal(err)
 	}

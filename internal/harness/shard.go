@@ -173,9 +173,9 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 
 	// The fold runs on the campaign identity: no shard's artifact
 	// directory, and no runtime attachments.
-	d := envs[0].Config.withDefaults()
-	d.ArtifactDir = ""
-	cfg, err := d.campaign()
+	cc := envs[0].Config
+	cc.ArtifactDir = ""
+	cfg, err := cc.derive()
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	for i, e := range byShard {
 		states[i] = e.State
 	}
-	st, err := foldStates(cfg, states)
+	st, err := foldStates(cfg, nil, states)
 	if err != nil {
 		return nil, fmt.Errorf("harness: merge: %v", err)
 	}

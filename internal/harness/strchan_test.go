@@ -2,15 +2,12 @@ package harness
 
 import (
 	"testing"
-
-	"repro/internal/bugdb"
-	"repro/internal/gen"
 )
 
 func TestStringChannelHunt(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
-		Logics:     []gen.Logic{gen.QFS, gen.QFSLIA, gen.StringFuzz},
+	res, err := runCampaign(CampaignConfig{
+		SUT:        "cvc4sim",
+		Logics:     []string{"QF_S", "QF_SLIA", "StringFuzz"},
 		Iterations: shortIters(300),
 		SeedPool:   15,
 		Seed:       31,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bugdb"
-	"repro/internal/gen"
 	"repro/internal/telemetry"
 )
 
@@ -14,9 +13,9 @@ import (
 // like zero does.
 func TestThreadsClampNegative(t *testing.T) {
 	for _, threads := range []int{-1, -8, 0} {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Logics:     []gen.Logic{gen.QFLIA},
+		res, err := runCampaign(CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_LIA"},
 			Iterations: 3,
 			SeedPool:   2,
 			Seed:       5,
@@ -31,25 +30,28 @@ func TestThreadsClampNegative(t *testing.T) {
 	}
 }
 
+// traceModes are the test-derivation modes the funnel suites cover:
+// fusion and mutation tasks pass through different funnel stages.
+var traceModes = []string{ModeFusion, ModeMutate}
+
 // runTraced runs one small campaign with telemetry and trace armed.
-func runTraced(t *testing.T, threads int) (*Result, telemetry.Snapshot, []TraceRecord, []byte) {
+func runTraced(t *testing.T, mode string, threads int) (*Result, telemetry.Snapshot, []TraceRecord, []byte) {
 	t.Helper()
 	tr := telemetry.NewTracker()
 	var buf bytes.Buffer
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFLIA, gen.QFS},
+	out, err := Start(CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_LIA", "QF_S"},
 		Iterations: shortIters(40),
 		SeedPool:   6,
 		Seed:       99,
 		Threads:    threads,
-		Mode:       ModeBoth,
-		Telemetry:  tr,
-		Trace:      &buf,
-	})
+		Mode:       mode,
+	}, RunOptions{Telemetry: tr, Trace: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	raw := append([]byte(nil), buf.Bytes()...)
 	recs, err := DecodeTrace(&buf)
 	if err != nil {
@@ -63,8 +65,14 @@ func runTraced(t *testing.T, threads int) (*Result, telemetry.Snapshot, []TraceR
 // their totals must equal the Result's counts exactly — at any thread
 // count.
 func TestFunnelMatchesResultCounts(t *testing.T) {
+	for _, mode := range traceModes {
+		t.Run(mode, func(t *testing.T) { funnelMatchesResultCounts(t, mode) })
+	}
+}
+
+func funnelMatchesResultCounts(t *testing.T, mode string) {
 	for _, threads := range []int{1, 4} {
-		res, snap, recs, _ := runTraced(t, threads)
+		res, snap, recs, _ := runTraced(t, mode, threads)
 		if res.Tests == 0 {
 			t.Fatal("campaign ran no tests")
 		}
@@ -109,8 +117,14 @@ func TestFunnelMatchesResultCounts(t *testing.T) {
 // task, in task order, carrying the campaign's RNG coordinates, and the
 // emitted bytes are identical for 1 and 4 threads.
 func TestTraceRoundTrip(t *testing.T) {
-	res1, _, recs1, raw1 := runTraced(t, 1)
-	_, _, _, raw4 := runTraced(t, 4)
+	for _, mode := range traceModes {
+		t.Run(mode, func(t *testing.T) { traceRoundTrip(t, mode) })
+	}
+}
+
+func traceRoundTrip(t *testing.T, mode string) {
+	res1, _, recs1, raw1 := runTraced(t, mode, 1)
+	_, _, _, raw4 := runTraced(t, mode, 4)
 
 	if !bytes.Equal(raw1, raw4) {
 		t.Error("trace bytes differ between 1 and 4 threads")

@@ -49,16 +49,16 @@ var (
 const TraceSchema = 2
 
 // TraceRecord is one line of the campaign's JSONL event trace: the
-// task's RNG coordinates (the same campaign_seed/logic/iteration triple
-// the reproducer manifest carries, plus the campaign shape, so any
-// record can be replayed in isolation), its classification, and its
+// task's RNG coordinates (campaign seed, logic, iteration — the triple
+// a reproducer manifest records — plus the campaign shape, so a record
+// locates its task without the config), its classification, and its
 // step-based effort. Records are emitted from the in-order
 // classification stage, so the byte stream is identical for any thread
 // count.
 type TraceRecord struct {
 	Schema int `json:"schema"`
 
-	// RNG coordinates and campaign shape, matching Manifest's fields.
+	// RNG coordinates and campaign shape.
 	CampaignSeed int64  `json:"campaign_seed"`
 	Logic        string `json:"logic"`
 	Iteration    int    `json:"iteration"`
@@ -112,7 +112,7 @@ type TraceRecord struct {
 	VariantBackends map[string]string `json:"variant_backends,omitempty"`
 }
 
-// ReadTrace parses a JSONL trace file written via Campaign.Trace.
+// ReadTrace parses a JSONL trace file written via RunOptions.Trace.
 func ReadTrace(path string) ([]TraceRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -183,7 +183,7 @@ func (rc *recorder) vetted(tries []int, deltas []telemetry.Snapshot) {
 // task records one classified task: the worker's engine-counter delta
 // and the trace record. The funnel counters were already incremented by
 // the classification itself, next to the Result fields they mirror.
-func (rc *recorder) task(cfg Campaign, out taskOutcome) {
+func (rc *recorder) task(cfg *campaign, out taskOutcome) {
 	rc.tr.Merge(out.delta)
 	if rc.jw == nil {
 		return
@@ -192,14 +192,14 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome) {
 	rec := TraceRecord{
 		Schema:       TraceSchema,
 		CampaignSeed: cfg.Seed,
-		Logic:        string(cfg.Logics[logicIdx]),
+		Logic:        cfg.Logics[logicIdx],
 		Iteration:    iter,
 		Iterations:   cfg.Iterations,
 		SeedPool:     cfg.SeedPool,
 		ConcatOnly:   cfg.ConcatOnly,
 		Fuel:         cfg.Fuel,
-		CampaignMode: string(cfg.Mode),
-		SUT:          string(cfg.SUT),
+		CampaignMode: cfg.Mode,
+		SUT:          cfg.SUT,
 		Release:      cfg.Release,
 		Task:         out.id,
 		FuelSpent:    out.delta.Counter(solver.MetricSolveFuelSpent),
@@ -248,11 +248,11 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome) {
 		if len(out.backendRuns) > 0 {
 			rec.Backends = make(map[string]string, len(out.backendRuns))
 			for i, o := range out.backendRuns {
-				rec.Backends[cfg.Backends[i].Name] = o.Verdict.String()
+				rec.Backends[cfg.specs[i].Name] = o.Verdict.String()
 			}
 		}
-		if cfg.Oracle != "" && cfg.Oracle != OracleKnown {
-			rec.OraclePolicy = string(cfg.Oracle)
+		if cfg.Oracle != OracleKnown {
+			rec.OraclePolicy = cfg.Oracle
 			rec.Consensus = out.consensus
 			if out.variant != nil {
 				rec.MetaRelation = out.variant.Rel.String()
@@ -261,7 +261,7 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome) {
 				if len(out.variantBackends) > 0 {
 					rec.VariantBackends = make(map[string]string, len(out.variantBackends))
 					for i, o := range out.variantBackends {
-						rec.VariantBackends[cfg.Backends[i].Name] = o.Verdict.String()
+						rec.VariantBackends[cfg.specs[i].Name] = o.Verdict.String()
 					}
 				}
 			}

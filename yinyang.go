@@ -50,8 +50,10 @@ type (
 	Generator = gen.Generator
 	// Logic names a seed family.
 	Logic = gen.Logic
-	// Campaign configures a fuzzing run.
-	Campaign = harness.Campaign
+	// Campaign configures a fuzzing run: the serializable campaign
+	// config that checkpoints, shard envelopes, and reproducer bundles
+	// record.
+	Campaign = harness.CampaignConfig
 	// CampaignResult is a fuzzing run's findings.
 	CampaignResult = harness.Result
 	// Bug is one deduplicated finding.
@@ -124,8 +126,15 @@ func NewSUT(s SUT, release string) (*Solver, error) {
 // result the way the harness does.
 func Solve(s *Solver, sc *Script) harness.RunResult { return harness.RunSolver(s, sc) }
 
-// RunCampaign executes a fuzzing campaign (the paper's Algorithm 1).
-func RunCampaign(c Campaign) (*CampaignResult, error) { return harness.Run(c) }
+// RunCampaign executes a fuzzing campaign (the paper's Algorithm 1) to
+// completion. An invalid config is an error, never a partial run.
+func RunCampaign(c Campaign) (*CampaignResult, error) {
+	out, err := harness.Start(c, harness.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
+}
 
 // ReduceScript shrinks a script while the predicate stays true.
 func ReduceScript(s *Script, interesting func(*Script) bool) *Script {

@@ -4,6 +4,7 @@ package yinyang_test
 // way README.md and the examples do.
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,8 +62,8 @@ func TestFacadeSUTVersions(t *testing.T) {
 
 func TestFacadeCampaignSmoke(t *testing.T) {
 	res, err := yinyang.RunCampaign(yinyang.Campaign{
-		SUT:        yinyang.Z3Sim,
-		Logics:     []yinyang.Logic{yinyang.QF_LRA},
+		SUT:        string(yinyang.Z3Sim),
+		Logics:     []string{string(yinyang.QF_LRA)},
 		Iterations: 25,
 		SeedPool:   8,
 		Seed:       5,
@@ -75,6 +76,42 @@ func TestFacadeCampaignSmoke(t *testing.T) {
 	}
 	if res.ReferenceDisagreements != 0 {
 		t.Errorf("reference disagreements: %d", res.ReferenceDisagreements)
+	}
+}
+
+// TestFacadeCampaignFailsClosed: an invalid config is an error from
+// RunCampaign, never a panic or a campaign run under other settings.
+func TestFacadeCampaignFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tune func(*yinyang.Campaign)
+	}{
+		{"negative iterations", func(c *yinyang.Campaign) { c.Iterations = -5 }},
+		{"negative seed pool", func(c *yinyang.Campaign) { c.SeedPool = -2 }},
+		{"negative wall timeout", func(c *yinyang.Campaign) { c.WallTimeout = -1 }},
+		{"replace prob above 1", func(c *yinyang.Campaign) { c.ReplaceProb = 2 }},
+		{"replace prob below 0", func(c *yinyang.Campaign) { c.ReplaceProb = -0.5 }},
+		{"replace prob NaN", func(c *yinyang.Campaign) { c.ReplaceProb = math.NaN() }},
+		{"unknown fusion table", func(c *yinyang.Campaign) { c.FusionTable = "figure7" }},
+		{"mode both", func(c *yinyang.Campaign) { c.Mode = "both" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := yinyang.Campaign{
+				SUT:        string(yinyang.Z3Sim),
+				Logics:     []string{string(yinyang.QF_LIA)},
+				Iterations: 2,
+				SeedPool:   2,
+				Seed:       1,
+			}
+			tc.tune(&c)
+			res, err := yinyang.RunCampaign(c)
+			if err == nil {
+				t.Fatalf("config accepted, ran %d tests", res.Tests)
+			}
+			if c.Mode == "both" && !strings.Contains(err.Error(), `"both"`) {
+				t.Errorf("error %q does not name the rejected mode", err)
+			}
+		})
 	}
 }
 
