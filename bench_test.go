@@ -138,6 +138,10 @@ func BenchmarkSolverReference(b *testing.B) { benchmarks.SolverReference(b) }
 // BenchmarkParsePrint measures the SMT-LIB front end round trip.
 func BenchmarkParsePrint(b *testing.B) { benchmarks.ParsePrint(b) }
 
+// BenchmarkStringsCheck runs the strings layer on a fixed conjunction
+// set (see benchmarks.StringsCheck).
+func BenchmarkStringsCheck(b *testing.B) { benchmarks.StringsCheck(b) }
+
 // BenchmarkAblationFusionFns runs the fusion-function family ablation
 // at a small budget (DESIGN.md §5).
 func BenchmarkAblationFusionFns(b *testing.B) {

@@ -9,7 +9,9 @@ import "strings"
 // and any letter case — while staying strict about the token itself:
 // a line must read exactly sat, unsat, unknown, or timeout after
 // trimming, so truncated output ("uns") and prose ("unsatisfiable")
-// never alias to a verdict.
+// never alias to a verdict. Trimming and case folding are ASCII-only:
+// Unicode rules would let the Kelvin sign (U+212A) fold to "k" and
+// strip U+0085 or U+00A0 as space, aliasing non-ASCII lines to tokens.
 //
 // Lines that are neither comments nor verdict tokens are skipped: real
 // solvers interleave `(error ...)` diagnostics before the verdict and
@@ -23,20 +25,41 @@ func ParseVerdict(raw string) (Verdict, bool) {
 		} else {
 			raw = ""
 		}
-		line = strings.TrimSpace(line) // eats the \r of CRLF endings too
+		line = strings.Trim(line, asciiSpace) // eats the \r of CRLF endings too
 		if line == "" || line[0] == ';' {
 			continue
 		}
-		switch strings.ToLower(line) {
-		case "sat":
-			return Sat, true
-		case "unsat":
-			return Unsat, true
-		case "unknown":
-			return Unknown, true
-		case "timeout":
-			return Timeout, true
+		for _, tok := range verdictTokens {
+			if asciiFoldEqual(line, tok.text) {
+				return tok.v, true
+			}
 		}
 	}
 	return Unknown, false
+}
+
+// asciiSpace is the whitespace ParseVerdict trims from a line.
+const asciiSpace = " \t\r\v\f"
+
+var verdictTokens = []struct {
+	text string
+	v    Verdict
+}{{"sat", Sat}, {"unsat", Unsat}, {"unknown", Unknown}, {"timeout", Timeout}}
+
+// asciiFoldEqual reports whether s equals the lower-case ASCII token
+// tok under ASCII case folding only.
+func asciiFoldEqual(s, tok string) bool {
+	if len(s) != len(tok) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != tok[i] {
+			return false
+		}
+	}
+	return true
 }

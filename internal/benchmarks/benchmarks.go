@@ -10,12 +10,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
+	"repro/internal/solver/strings"
 	"repro/internal/telemetry"
 )
 
@@ -169,6 +171,63 @@ func ParsePrint(b *testing.B) {
 	}
 }
 
+// StringsCheck is the strings layer's allocation tripwire: one cold
+// strings.Check per op, cycling through the conjunctions of generated
+// QF_S and QF_SLIA seeds and their fusions, so the witness search, its
+// compiled literal evaluation and the length abstraction all run. The
+// DFS node budget is cut from the default 1500 to 60 so that the
+// fusions the search cannot decide cost about as much as the rest.
+func StringsCheck(b *testing.B) {
+	b.ReportAllocs()
+	var probs [][]ast.Term
+	for _, logic := range []gen.Logic{gen.QFS, gen.QFSLIA} {
+		g, err := gen.New(logic, 17)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seeds []*core.Seed
+		for i := 0; i < 8; i++ {
+			seeds = append(seeds, g.Sat())
+		}
+		rng := rand.New(rand.NewSource(19))
+		for i, s := range seeds {
+			probs = append(probs, conjunction(s.Script))
+			if f, err := core.Fuse(s, seeds[(i+1)%len(seeds)], rng, core.Options{}); err == nil {
+				probs = append(probs, conjunction(f.Script))
+			}
+		}
+	}
+	lim := strings.DefaultLimits()
+	lim.MaxNodes = 60
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		strings.Check(&strings.Problem{Lits: probs[i%len(probs)], Limits: lim})
+	}
+}
+
+// conjunction flattens a script's top-level conjunctions into literals,
+// keeping the first disjunct of each disjunction.
+func conjunction(s *smtlib.Script) []ast.Term {
+	var lits []ast.Term
+	var walk func(t ast.Term)
+	walk = func(t ast.Term) {
+		if app, ok := t.(*ast.App); ok && (app.Op == ast.OpAnd || app.Op == ast.OpOr) {
+			for _, a := range app.Args {
+				walk(a)
+				if app.Op == ast.OpOr {
+					return
+				}
+			}
+			return
+		}
+		lits = append(lits, t)
+	}
+	for _, a := range s.Asserts() {
+		walk(a)
+	}
+	return lits
+}
+
 // calibSink keeps the compiler from eliding the calibration workload.
 var calibSink uint64
 
@@ -215,5 +274,6 @@ var All = []Entry{
 	{Name: "FusionOnly", Fast: true, Fn: FusionOnly},
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},
+	{Name: "StringsCheck", Fast: true, Fn: StringsCheck},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},
 }

@@ -15,16 +15,7 @@ import (
 // steers the model away from well-formedness so the unbound and
 // sort-mismatch branches are exercised, not just the happy path.
 func FuzzEvalTotal(f *testing.F) {
-	seeds := []string{
-		"(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> (div x 0) (mod x 2)))\n(check-sat)\n",
-		"(set-logic QF_S)\n(declare-fun s () String)\n(assert (str.contains (str.replace s \"a\" \"\") (str.at s (- 1))))\n(check-sat)\n",
-		"(set-logic QF_NRA)\n(declare-fun a () Real)\n(assert (= (/ a a) 1.0))\n(check-sat)\n",
-		"(set-logic QF_LIA)\n(declare-fun p () Bool)\n(assert (ite p (< 1 2 3) (distinct 1 2 1)))\n(check-sat)\n",
-		"(set-logic QF_S)\n(declare-fun s () String)\n(assert (str.in_re s (re.union (re.* (str.to_re \"a\")) (re.range \"a\" \"z\"))))\n(check-sat)\n",
-		"(set-logic QF_LRA)\n(declare-fun r () Real)\n(assert (<= (to_real (to_int r)) r))\n(check-sat)\n",
-		"(set-logic QF_S)\n(declare-fun s () String)\n(assert (= (str.to_int (str.from_int (str.len s))) (str.indexof s s 0)))\n(check-sat)\n",
-	}
-	for _, s := range seeds {
+	for _, s := range evalSeeds {
 		f.Add(s, byte(0))
 		f.Add(s, byte(3))
 	}
@@ -33,24 +24,7 @@ func FuzzEvalTotal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m := eval.Model{}
-		for i, d := range sc.Declarations() {
-			switch {
-			case salt&1 == 1 && i == 0:
-				// Leave the first variable unbound: the ErrUnbound path.
-			case salt&2 == 2:
-				// Bind a deliberately wrong-sorted value: the
-				// ErrSortMismatch path (Bool is wrong for every
-				// non-Bool variable, String for every Bool one).
-				if d.Sort.String() == "Bool" {
-					m[d.Name] = eval.StrV("oops")
-				} else {
-					m[d.Name] = eval.BoolV(true)
-				}
-			default:
-				m[d.Name] = eval.DefaultValue(d.Sort)
-			}
-		}
+		m := saltedModel(sc, salt)
 		for _, a := range sc.Asserts() {
 			v, err := eval.Term(a, m)
 			if err != nil {
@@ -65,4 +39,40 @@ func FuzzEvalTotal(f *testing.F) {
 			}
 		}
 	})
+}
+
+// evalSeeds are the scripts both evaluator fuzz targets start from.
+var evalSeeds = []string{
+	"(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> (div x 0) (mod x 2)))\n(check-sat)\n",
+	"(set-logic QF_S)\n(declare-fun s () String)\n(assert (str.contains (str.replace s \"a\" \"\") (str.at s (- 1))))\n(check-sat)\n",
+	"(set-logic QF_NRA)\n(declare-fun a () Real)\n(assert (= (/ a a) 1.0))\n(check-sat)\n",
+	"(set-logic QF_LIA)\n(declare-fun p () Bool)\n(assert (ite p (< 1 2 3) (distinct 1 2 1)))\n(check-sat)\n",
+	"(set-logic QF_S)\n(declare-fun s () String)\n(assert (str.in_re s (re.union (re.* (str.to_re \"a\")) (re.range \"a\" \"z\"))))\n(check-sat)\n",
+	"(set-logic QF_LRA)\n(declare-fun r () Real)\n(assert (<= (to_real (to_int r)) r))\n(check-sat)\n",
+	"(set-logic QF_S)\n(declare-fun s () String)\n(assert (= (str.to_int (str.from_int (str.len s))) (str.indexof s s 0)))\n(check-sat)\n",
+}
+
+// saltedModel binds every declared variable of sc to its sort's default,
+// except that the salt's bit 0 leaves the first variable unbound and
+// bit 1 binds every variable to a value of the wrong sort.
+func saltedModel(sc *smtlib.Script, salt byte) eval.Model {
+	m := eval.Model{}
+	for i, d := range sc.Declarations() {
+		switch {
+		case salt&1 == 1 && i == 0:
+			// Leave the first variable unbound: the ErrUnbound path.
+		case salt&2 == 2:
+			// Bind a deliberately wrong-sorted value: the
+			// ErrSortMismatch path (Bool is wrong for every
+			// non-Bool variable, String for every Bool one).
+			if d.Sort.String() == "Bool" {
+				m[d.Name] = eval.StrV("oops")
+			} else {
+				m[d.Name] = eval.BoolV(true)
+			}
+		default:
+			m[d.Name] = eval.DefaultValue(d.Sort)
+		}
+	}
+	return m
 }

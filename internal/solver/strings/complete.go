@@ -12,17 +12,21 @@ import (
 // remaining literals to linear integer/real atoms, solves them, and
 // certifies the combined model by full evaluation.
 func (c *checker) completeArith() (bool, eval.Model) {
-	m := c.model
+	model := eval.Model{}
+	for s, v := range c.vals {
+		if c.assigned(s) {
+			model[c.names[s]] = v.Box()
+		}
+	}
 	var pending []ast.Term
 	for i, l := range c.lits {
 		if c.allSet(c.litSlots[i]) {
-			ok, err := eval.Bool(l, m)
-			if err != nil || !ok {
+			if !c.evalLit(c.litMemo(i), i) {
 				return false, nil
 			}
 			continue
 		}
-		simplified := simplifyBool(c.ground(l, m))
+		simplified := simplifyBool(c.ground(l, model))
 		if bl, ok := simplified.(*ast.BoolLit); ok {
 			if !bl.V {
 				return false, nil
@@ -37,7 +41,6 @@ func (c *checker) completeArith() (bool, eval.Model) {
 		pending = append(pending, simplified)
 	}
 
-	model := m.Clone()
 	if len(pending) > 0 {
 		var atoms []arith.Atom
 		intVars := map[string]bool{}

@@ -20,12 +20,12 @@ func (c *checker) search() (Status, eval.Model) {
 		w.Reset()
 	}
 	n := len(c.names)
-	c.cands = make([][]eval.Value, n)
+	c.cands = make([][]eval.Val, n)
 	c.candIDs = make([][]uint32, n)
 	for s, srt := range c.sorts {
 		switch srt {
 		case ast.SortBool:
-			c.cands[s] = []eval.Value{eval.BoolV(false), eval.BoolV(true)}
+			c.cands[s] = []eval.Val{eval.BoolVal(false), eval.BoolVal(true)}
 		case ast.SortString:
 			c.cands[s] = c.stringCandidates(c.names[s])
 		default:
@@ -44,13 +44,10 @@ func (c *checker) search() (Status, eval.Model) {
 		return len(c.cands[c.order[i]]) < len(c.cands[c.order[j]])
 	})
 
-	c.vals = make([]eval.Value, n)
+	c.vals = make([]eval.Val, n)
 	c.ids = make([]uint32, n)
-	c.model = eval.Model{}
-	if w != nil {
-		c.litMemos = make([]*memo[bool], len(c.lits))
-		c.propMemos = make([]*memo[propEntry], len(c.defs))
-	}
+	c.litMemos = make([]*memo[bool], len(c.lits))
+	c.propMemos = make([]*memo[propEntry], len(c.defs))
 
 	// Literals with no free variables never become "newly completed" by
 	// an assignment below; verify them once up front.
@@ -135,7 +132,7 @@ func (c *checker) buildAlphabet() {
 // the variable, otherwise shortlex strings over the alphabet, literal
 // constants from the problem, and hint-length paddings. Candidates are
 // filtered by negative memberships.
-func (c *checker) stringCandidates(v string) []eval.Value {
+func (c *checker) stringCandidates(v string) []eval.Val {
 	maxLen := c.lim.MaxLen
 	var raw []string
 	if rs := c.pos[v]; len(rs) > 0 {
@@ -175,7 +172,7 @@ func (c *checker) stringCandidates(v string) []eval.Value {
 	}
 
 	seen := map[string]bool{}
-	var out []eval.Value
+	var out []eval.Val
 	hint, hasHint := c.lenHint[v]
 	// Prefer hint-length candidates by stable partition.
 	if hasHint {
@@ -193,7 +190,7 @@ func (c *checker) stringCandidates(v string) []eval.Value {
 		if c.violatesNeg(v, s) {
 			continue
 		}
-		out = append(out, eval.StrV(s))
+		out = append(out, eval.StrVal(s))
 		if len(out) >= c.lim.MaxCandidates {
 			break
 		}
@@ -251,7 +248,7 @@ func (c *checker) dfs() (bool, eval.Model) {
 	// Propagation: a variable whose defining equation is ground under
 	// the assignment is forced; assign it and recurse without branching.
 	for _, s := range c.order {
-		if c.vals[s] != nil {
+		if c.assigned(s) {
 			continue
 		}
 		for _, d := range c.defsOf[s] {
@@ -262,7 +259,7 @@ func (c *checker) dfs() (bool, eval.Model) {
 			if !ok {
 				continue
 			}
-			if sv, ok := val.(eval.StrV); ok && c.violatesNeg(c.names[s], string(sv)) {
+			if val.Sort() == ast.SortString && c.violatesNeg(c.names[s], val.Str()) {
 				return false, nil
 			}
 			if !c.assign(s, val, id) {
@@ -278,7 +275,7 @@ func (c *checker) dfs() (bool, eval.Model) {
 
 	// Branch on the next unassigned variable.
 	for _, s := range c.order {
-		if c.vals[s] != nil {
+		if c.assigned(s) {
 			continue
 		}
 		for k, val := range c.cands[s] {
@@ -298,24 +295,21 @@ func (c *checker) dfs() (bool, eval.Model) {
 }
 
 // assign gives slot s the value val (interned as id) and checks the
-// literals it completes. Only a value that passes enters the model,
-// which propagation and completeArith read; a failing one leaves s
-// unassigned. The search mutates in place and undoes on backtrack: it
-// clones the model only when completeArith certifies a solution.
-func (c *checker) assign(s int, val eval.Value, id uint32) bool {
+// literals it completes; a value that fails leaves s unassigned. The
+// search mutates the frame in place and undoes on backtrack.
+func (c *checker) assign(s int, val eval.Val, id uint32) bool {
 	c.vals[s], c.ids[s] = val, id
 	if !c.litsConsistentAfter(s) {
-		c.vals[s] = nil
+		c.unassign(s)
 		return false
 	}
-	c.model[c.names[s]] = val
 	return true
 }
 
-func (c *checker) unassign(s int) {
-	c.vals[s] = nil
-	delete(c.model, c.names[s])
-}
+func (c *checker) unassign(s int) { c.vals[s] = eval.Val{} }
+
+// assigned reports whether slot s has a value.
+func (c *checker) assigned(s int) bool { return c.vals[s].Sort() != ast.SortInvalid }
 
 // litsConsistentAfter evaluates only the literals completed by the
 // assignment of slot s: a literal needs checking exactly when its last
@@ -333,7 +327,7 @@ func (c *checker) litsConsistentAfter(s int) bool {
 // allSet reports whether every given slot is assigned.
 func (c *checker) allSet(slots []int) bool {
 	for _, s := range slots {
-		if c.vals[s] == nil {
+		if !c.assigned(s) {
 			return false
 		}
 	}

@@ -64,7 +64,7 @@ func TestStringCandidatesIncludeLiteralsAndInts(t *testing.T) {
 	cands := c3.stringCandidates("a")
 	found := false
 	for _, v := range cands {
-		if string(v.(eval.StrV)) == "37" {
+		if v.Str() == "37" {
 			found = true
 		}
 	}

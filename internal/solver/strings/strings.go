@@ -119,22 +119,21 @@ type checker struct {
 	lenHint  map[string]int
 
 	// DFS state (see search): the branching order, per-slot candidates
-	// and their value ids, the current assignment by slot (a nil value
-	// is unassigned), and model, which holds the assigned values whose
-	// literals passed.
+	// and their value ids, and the current assignment by slot, which is
+	// the frame compiled programs read (a zero Val is unassigned; only
+	// values whose literals passed are assigned).
 	order   []int
-	cands   [][]eval.Value
+	cands   [][]eval.Val
 	candIDs [][]uint32
-	vals    []eval.Value
+	vals    []eval.Val
 	ids     []uint32
-	model   eval.Model
 	nodes   int
-	// litMemos and propMemos are this check's warm memos by literal and
-	// by defining equation, resolved on first use; scratch is the
-	// evaluation model of a literal.
+	// litMemos and propMemos are this check's memos by literal and by
+	// defining equation, resolved on first use: the warm cache's when
+	// one is attached, otherwise check-local ones that only hold the
+	// compiled programs.
 	litMemos  []*memo[bool]
 	propMemos []*memo[propEntry]
-	scratch   eval.Model
 }
 
 // propDef is a defining equation v = rhs, with the slots of rhs's

@@ -37,10 +37,13 @@ const warmMaxIDs = 1 << 20
 // overlap heavily), and — because terms are hash-consed — across the
 // fused/mutated variants of one seed family. Every cached result is a
 // pure function of (literal term, values of its free variables):
-// eval.Bool/eval.Term spend no fuel, fire no defects, and hit no
-// coverage probes, so serving them from the cache is observationally
-// invisible — verdicts, models, defect firings, and fuel accounting
-// are bit-identical to a cold solve by construction.
+// evaluation spends no fuel, fires no defects, and hits no coverage
+// probes, so serving it from the cache is observationally invisible —
+// verdicts, models, defect firings, and fuel accounting are
+// bit-identical to a cold solve by construction. Each term's memo also
+// holds the term's compiled program (see eval.Compile), which a miss
+// evaluates; the program is a function of the term alone, so it is
+// shared by every Check that meets the term.
 //
 // Values are interned to dense ids (two values share an id exactly
 // when they are equal), and a memo key is the ids of the term's free
@@ -66,7 +69,7 @@ type Warm struct {
 }
 
 type propEntry struct {
-	val eval.Value
+	val eval.Val
 	id  uint32
 	ok  bool // false: evaluation errored
 }
@@ -78,10 +81,12 @@ type idKey struct {
 	repr string
 }
 
-// memo maps a key of value ids to a cached result.
+// memo maps a key of value ids to a cached result, and holds the
+// term's compiled program, built on the first miss.
 type memo[V any] struct {
 	packed map[uint64]V
 	wide   map[string]V
+	prog   *eval.Program
 }
 
 // memoKey is a probe key: wide is nil for a packed key.
@@ -153,18 +158,18 @@ func (w *Warm) clearMemos() {
 func (w *Warm) full() bool { return w.entries >= warmMaxEntries }
 
 // id interns v.
-func (w *Warm) id(v eval.Value) uint32 {
+func (w *Warm) id(v eval.Val) uint32 {
 	var k idKey
-	switch x := v.(type) {
-	case eval.BoolV:
-		if x {
+	switch v.Sort() {
+	case ast.SortBool:
+		if v.Bool() {
 			return 1
 		}
 		return 0
-	case eval.StrV:
-		k = idKey{sort: ast.SortString, repr: string(x)}
+	case ast.SortString:
+		k = idKey{sort: ast.SortString, repr: v.Str()}
 	default:
-		k = idKey{sort: v.Sort(), repr: v.String()}
+		k = idKey{sort: v.Sort(), repr: v.Box().String()}
 	}
 	id, ok := w.ids[k]
 	if !ok {
@@ -211,31 +216,55 @@ func (c *checker) clearWarm() {
 	clear(c.propMemos)
 }
 
+// litMemo resolves literal i's memo: its warm-cache entry, or a
+// check-local memo when no Warm is attached.
+func (c *checker) litMemo(i int) *memo[bool] {
+	lm := c.litMemos[i]
+	if lm == nil {
+		if c.warm != nil {
+			lm = memoFor(c.warm.lits, c.lits[i])
+		} else {
+			lm = &memo[bool]{}
+		}
+		c.litMemos[i] = lm
+	}
+	return lm
+}
+
+// propMemo resolves defining equation d's memo like litMemo.
+func (c *checker) propMemo(d int) *memo[propEntry] {
+	pm := c.propMemos[d]
+	if pm == nil {
+		if c.warm != nil {
+			pm = memoFor(c.warm.props, c.defs[d].rhs)
+		} else {
+			pm = &memo[propEntry]{}
+		}
+		c.propMemos[d] = pm
+	}
+	return pm
+}
+
 // litPasses evaluates literal i under the current assignment — through
 // the warm cache when one is attached — returning whether it holds
 // (evaluation errors count as failures, matching the search's pruning
 // rule). The caller guarantees every free variable of the literal is
 // assigned.
 func (c *checker) litPasses(i int) bool {
+	lm := c.litMemo(i)
 	w := c.warm
 	if w == nil {
-		return c.evalLit(i)
-	}
-	lm := c.litMemos[i]
-	if lm == nil {
-		lm = memoFor(w.lits, c.lits[i])
-		c.litMemos[i] = lm
+		return c.evalLit(lm, i)
 	}
 	k := c.key(c.litSlots[i])
 	if v, ok := lm.get(k); ok {
 		c.telem.Inc(cWarmEvalHits)
 		return v
 	}
-	v := c.evalLit(i)
+	v := c.evalLit(lm, i)
 	if w.full() {
 		c.clearWarm()
-		lm = memoFor(w.lits, c.lits[i])
-		c.litMemos[i] = lm
+		lm = c.litMemo(i)
 	}
 	lm.put(k, v)
 	w.entries++
@@ -243,52 +272,52 @@ func (c *checker) litPasses(i int) bool {
 	return v
 }
 
-// evalLit evaluates literal i against a scratch model holding exactly
-// its variables' values.
-func (c *checker) evalLit(i int) bool {
-	if c.scratch == nil {
-		c.scratch = eval.Model{}
+// evalLit evaluates literal i on the frame through its compiled
+// program, which it keeps in the literal's memo lm.
+func (c *checker) evalLit(lm *memo[bool], i int) bool {
+	if lm.prog == nil {
+		lm.prog = eval.Compile(c.lits[i])
 	}
-	clear(c.scratch)
-	for _, s := range c.litSlots[i] {
-		c.scratch[c.names[s]] = c.vals[s]
-	}
-	ok, err := eval.Bool(c.lits[i], c.scratch)
+	ok, err := lm.prog.Bool(c.vals, c.litSlots[i])
 	return err == nil && ok
 }
 
 // propValue evaluates defining equation d's rhs under the current
 // assignment through the warm cache, returning the value and its id.
 // The boolean reports evaluation success (not satisfiability).
-func (c *checker) propValue(d int) (eval.Value, uint32, bool) {
+func (c *checker) propValue(d int) (eval.Val, uint32, bool) {
 	def := &c.defs[d]
+	pm := c.propMemo(d)
 	w := c.warm
 	if w == nil {
-		val, err := eval.Term(def.rhs, c.model)
+		val, err := c.evalProp(pm, d)
 		return val, 0, err == nil
-	}
-	pm := c.propMemos[d]
-	if pm == nil {
-		pm = memoFor(w.props, def.rhs)
-		c.propMemos[d] = pm
 	}
 	k := c.key(def.slots)
 	if e, ok := pm.get(k); ok {
 		c.telem.Inc(cWarmEvalHits)
 		return e.val, e.id, e.ok
 	}
-	val, err := eval.Term(def.rhs, c.model)
+	val, err := c.evalProp(pm, d)
 	e := propEntry{val: val, ok: err == nil}
 	if e.ok {
 		e.id = w.id(val)
 	}
 	if w.full() {
 		c.clearWarm()
-		pm = memoFor(w.props, def.rhs)
-		c.propMemos[d] = pm
+		pm = c.propMemo(d)
 	}
 	pm.put(k, e)
 	w.entries++
 	c.telem.Inc(cWarmEvalMisses)
 	return e.val, e.id, e.ok
+}
+
+// evalProp evaluates defining equation d's rhs on the frame through its
+// compiled program, which it keeps in the equation's memo pm.
+func (c *checker) evalProp(pm *memo[propEntry], d int) (eval.Val, error) {
+	if pm.prog == nil {
+		pm.prog = eval.Compile(c.defs[d].rhs)
+	}
+	return pm.prog.Eval(c.vals, c.defs[d].slots)
 }
