@@ -226,7 +226,13 @@ echo "== fuzz smoke =="
 # become regression inputs.
 go test -fuzz='^FuzzParsePrintRoundTrip$' -fuzztime=10s ./internal/smtlib/
 go test -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
+# Compiled evaluation: Compile(t).Eval on an unboxed frame agrees with
+# eval.Term on every subterm, values and error paths alike.
+go test -run='^$' -fuzz='^FuzzCompiledMatchesTerm$' -fuzztime=10s ./internal/eval/
 go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
+# External solver output: ParseVerdict agrees with an ASCII-only oracle
+# on arbitrary bytes and never panics.
+go test -run='^$' -fuzz='^FuzzParseVerdict$' -fuzztime=10s ./internal/backend/
 # Warm-cache transparency: a cold strings Check and two warm Checks
 # sharing one cache agree on verdict, model and fuel.
 go test -run='^$' -fuzz='^FuzzStringsWarmMatchesCold$' -fuzztime=10s ./internal/solver/strings/

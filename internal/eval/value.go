@@ -3,7 +3,8 @@
 // semantic ground truth of the system: the reference solver certifies
 // every sat answer against it, generators self-check their witness
 // models with it, and property tests use it to validate the fusion
-// propositions.
+// propositions. Compile gives hot loops a compiled path over unboxed
+// values with the same results; Term is its reference.
 //
 // SMT-LIB leaves division by zero underspecified (any fixed
 // interpretation is conforming). This package — and the reference
