@@ -142,6 +142,10 @@ func BenchmarkParsePrint(b *testing.B) { benchmarks.ParsePrint(b) }
 // set (see benchmarks.StringsCheck).
 func BenchmarkStringsCheck(b *testing.B) { benchmarks.StringsCheck(b) }
 
+// BenchmarkEnvelopeCodec encodes, decodes and merges one campaign
+// envelope per op (see benchmarks.EnvelopeCodec).
+func BenchmarkEnvelopeCodec(b *testing.B) { benchmarks.EnvelopeCodec(b) }
+
 // BenchmarkAblationFusionFns runs the fusion-function family ablation
 // at a small budget (DESIGN.md §5).
 func BenchmarkAblationFusionFns(b *testing.B) {

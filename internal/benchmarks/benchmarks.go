@@ -7,6 +7,7 @@
 package benchmarks
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -205,6 +206,41 @@ func StringsCheck(b *testing.B) {
 	}
 }
 
+// EnvelopeCodec is the document path's allocation tripwire: each op
+// encodes, decodes and merges alone the envelope of a fixed, traced
+// campaign (two logics, one sim cross-check backend). The campaign
+// itself runs once, outside the timer.
+func EnvelopeCodec(b *testing.B) {
+	b.ReportAllocs()
+	cc := harness.CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_LIA", "QF_S"},
+		Iterations: 12,
+		SeedPool:   4,
+		Seed:       7,
+		Backends:   []harness.BackendConfig{{Sim: &harness.SimBackendConfig{SUT: "cvc4sim"}}},
+	}
+	var trace bytes.Buffer
+	out, err := harness.Start(cc, harness.RunOptions{Telemetry: telemetry.NewTracker(), Trace: &trace})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := harness.EncodeEnvelope(out.Envelope)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, err := harness.DecodeEnvelope(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := harness.Merge([]*harness.Envelope{env}, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // conjunction flattens a script's top-level conjunctions into literals,
 // keeping the first disjunct of each disjunction.
 func conjunction(s *smtlib.Script) []ast.Term {
@@ -275,5 +311,6 @@ var All = []Entry{
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},
 	{Name: "StringsCheck", Fast: true, Fn: StringsCheck},
+	{Name: "EnvelopeCodec", Fast: true, Fn: EnvelopeCodec},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},
 }
