@@ -93,25 +93,6 @@ type BackendFinding struct {
 	Task     int // global task index, for trace correlation
 }
 
-// counts lists the report's counters (everything but the identity and
-// the breaker state).
-func (r *BackendReport) counts() []namedCount {
-	return []namedCount{
-		{"Checks", &r.Checks}, {"Skipped", &r.Skipped}, {"Sat", &r.Sat},
-		{"Unsat", &r.Unsat}, {"Unknowns", &r.Unknowns}, {"Timeouts", &r.Timeouts},
-		{"Crashes", &r.Crashes}, {"Garbled", &r.Garbled}, {"Faults", &r.Faults},
-		{"Retries", &r.Retries}, {"Disagreements", &r.Disagreements},
-		{"Outvoted", &r.Outvoted}, {"Violations", &r.Violations},
-	}
-}
-
-// add folds another tally of the same backend into r: counters sum, and
-// the backend is quarantined if either side saw its breaker open.
-func (r *BackendReport) add(o BackendReport) {
-	addCounts(r.counts(), o.counts())
-	r.Quarantined = r.Quarantined || o.Quarantined
-}
-
 // bkKey dedups backend findings: one bundle per (backend, kind,
 // observed-vs-oracle shape); re-triggers only bump the report tallies.
 type bkKey struct {
@@ -165,17 +146,17 @@ func runBackends(bks []backend.Backend, sc *smtlib.Script) []backend.Output {
 
 // classifyBackends folds one task's backend outputs into the result:
 // report tallies, deduplicated findings, and reproducer bundles. It
-// runs in the in-order classification stage, so finding order and
-// artifact contents are deterministic for hermetic backends.
-func (st *runState) classifyBackends(out *taskOutcome) {
+// runs in the in-order fold, so finding order and artifact contents
+// are deterministic for hermetic backends.
+func (st *runState) classifyBackends(rec *taskRecord, live *taskOutcome) {
 	cfg := st.cfg
-	oracle := out.oracle()
-	for i, o := range out.backendRuns {
+	f := rec.Facts
+	for i, o := range f.Backends {
 		kind, skipped := st.tallyBackend(i, o)
 		if skipped {
 			continue
 		}
-		if o.Verdict.Definite() && backendContradicts(o.Verdict, oracle) {
+		if backendContradicts(o.Verdict, rec.Oracle) {
 			st.res.Backends[i].Disagreements++
 			st.tr.Inc(cbDisagree)
 			kind = bugdb.Disagreement
@@ -186,21 +167,21 @@ func (st *runState) classifyBackends(out *taskOutcome) {
 		f := BackendFinding{
 			Backend:  cfg.specs[i].Name,
 			Kind:     kind,
-			Logic:    cfg.Logics[out.id/cfg.Iterations],
-			Oracle:   oracle.String(),
+			Logic:    cfg.Logics[int(rec.Task)/cfg.Iterations],
+			Oracle:   rec.Oracle.String(),
 			Observed: o.Verdict.String(),
 			Reason:   o.Reason,
 			ExitCode: o.ExitCode,
 			Stderr:   o.Stderr,
 			Retries:  o.Retries,
-			Task:     out.id,
+			Task:     int(rec.Task),
 		}
 		if st.seenFinding(f) {
 			continue
 		}
 		st.recordFinding(f)
-		if st.aw != nil {
-			m := manifestFor(cfg, *out, "backend-"+string(kind), "")
+		if st.aw != nil && live != nil {
+			m := manifestFor(cfg, live, "backend-"+string(kind), "")
 			m.Backend = f.Backend
 			m.BackendArgv = cfg.specs[i].Argv
 			m.BackendExit = o.ExitCode
@@ -208,7 +189,7 @@ func (st *runState) classifyBackends(out *taskOutcome) {
 			m.BackendRetries = o.Retries
 			m.Observed = f.Observed
 			m.Reason = f.Reason
-			st.aw.write(m, out.ancestors, out.testScript(), out.id)
+			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
 		}
 	}
 	// Metamorphic-variant solves consume the same backend budget as
@@ -216,15 +197,17 @@ func (st *runState) classifyBackends(out *taskOutcome) {
 	// They NEVER produce findings here: a variant script has no known
 	// status for the differential oracle to check against — violations
 	// of the pair relation are classifyConsensus's business.
-	for i, o := range out.variantBackends {
-		st.tallyBackend(i, o)
+	if f.Variant != nil {
+		for i, o := range f.Variant.Backends {
+			st.tallyBackend(i, o)
+		}
 	}
 }
 
 // tallyBackend folds backend i's output into its report tallies and
 // returns the contained-failure kind it classifies as ("" for parsed
 // verdicts) plus whether the check was suppressed by an open breaker.
-func (st *runState) tallyBackend(i int, o backend.Output) (kind bugdb.BugType, skipped bool) {
+func (st *runState) tallyBackend(i int, o backendRun) (kind bugdb.BugType, skipped bool) {
 	rep := &st.res.Backends[i]
 	if o.Verdict == backend.Quarantined {
 		rep.Skipped++
@@ -275,14 +258,6 @@ func backendContradicts(v backend.Verdict, oracle core.Status) bool {
 		return v == backend.Sat
 	default:
 		return false
-	}
-}
-
-// finishBackends fills the end-of-campaign breaker states into the
-// per-backend reports.
-func finishBackends(res *Result, cfg *campaign) {
-	for i := range res.Backends {
-		res.Backends[i].Quarantined = cfg.specs[i].Health.Quarantined()
 	}
 }
 

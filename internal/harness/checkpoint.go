@@ -1,12 +1,14 @@
-// Checkpoint/resume for campaigns. A Checkpoint snapshots a campaign's
-// funnel position — the classification frontier plus every piece of
-// state the in-order classification stage has folded so far (dedup
-// maps, backend triage, breaker streaks, artifact refs, telemetry) —
-// as a versioned, checksummed JSON document. Resume rebuilds the exact
-// runtime state and continues: because every RNG stream derives from
-// (campaign seed, logic, iteration) and classification is strict
-// task-id order, the resumed campaign's results, metrics, and JSONL
-// trace are byte-identical to an uninterrupted run's.
+// Checkpoint/resume for campaigns. A Checkpoint stores a campaign's
+// funnel position — the classification frontier plus the task record
+// of every task classified so far, the corpus-vetting telemetry, the
+// breaker positions and the bundles written — as a versioned,
+// checksummed JSON document. Resume replays the records through the
+// classification fold, which rebuilds every piece of derived state
+// (tallies, dedup maps, backend triage, telemetry), and continues:
+// because every RNG stream derives from (campaign seed, logic,
+// iteration) and classification is strict task-id order, the resumed
+// campaign's results, metrics, and JSONL trace are byte-identical to
+// an uninterrupted run's.
 //
 // The frontier is a single integer: classification applies outcomes in
 // strict global task order, so "Done = N" means exactly the first N
@@ -24,7 +26,7 @@ import (
 	"hash/fnv"
 	"io"
 	"path/filepath"
-	"sort"
+	"regexp"
 	"time"
 
 	"repro/internal/backend"
@@ -36,10 +38,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CheckpointSchema versions the checkpoint payload layout. Decoding
-// any other schema fails closed: a version-skewed checkpoint must
-// never resume silently wrong.
-const CheckpointSchema = 1
+// CheckpointSchema versions the checkpoint and envelope payload layout.
+// Decoding any other schema fails closed: a version-skewed checkpoint
+// must never resume silently wrong. Schema 2 stores task records in
+// place of schema 1's folded classification state, telemetry and trace.
+const CheckpointSchema = 2
 
 const (
 	kindCheckpoint = "yinyang-checkpoint"
@@ -241,6 +244,18 @@ type CampaignConfig struct {
 	Shards int `json:"shards,omitempty"`
 }
 
+// Size bounds of a runnable campaign. Validate rejects a config whose
+// task total (logics × iterations) exceeds MaxTasks or whose seed pool
+// exceeds MaxSeedPool: both size per-task and per-slot allocations, and
+// an unbounded size would let one oversized document or HTTP request
+// exhaust the process's memory. Worker counts above MaxThreads are
+// clamped to it.
+const (
+	MaxTasks    = 1 << 20
+	MaxSeedPool = 1 << 16
+	MaxThreads  = 256
+)
+
 // withDefaults fills every defaulted field, so task counts, families,
 // and RNG coordinates computed from a config match the running
 // campaign's exactly.
@@ -259,10 +274,14 @@ func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.SeedPool == 0 {
 		cc.SeedPool = 20
 	}
-	// Clamp, don't just default: a negative thread count would size the
-	// worker arrays with make([]T, Threads) and panic.
+	// Clamp, don't just default: the worker arrays are sized with
+	// make([]T, Threads), which panics on a negative count and exhausts
+	// memory on a huge one. Results are invariant to the count.
 	if cc.Threads <= 0 {
 		cc.Threads = 1
+	}
+	if cc.Threads > MaxThreads {
+		cc.Threads = MaxThreads
 	}
 	if cc.Mode == "" {
 		cc.Mode = ModeFusion
@@ -291,8 +310,15 @@ func (cc CampaignConfig) Validate() error {
 	if cc.Iterations < 0 {
 		return fmt.Errorf("harness: config: negative iterations %d", cc.Iterations)
 	}
+	// Divide rather than multiply: the product can overflow.
+	if d.Iterations > MaxTasks/len(d.Logics) {
+		return fmt.Errorf("harness: config: %d logics × %d iterations exceeds %d tasks", len(d.Logics), d.Iterations, MaxTasks)
+	}
 	if cc.SeedPool < 0 {
 		return fmt.Errorf("harness: config: negative seed pool %d", cc.SeedPool)
+	}
+	if cc.SeedPool > MaxSeedPool {
+		return fmt.Errorf("harness: config: seed pool %d exceeds %d", cc.SeedPool, MaxSeedPool)
 	}
 	for _, l := range d.Logics {
 		if _, err := gen.New(gen.Logic(l), 0); err != nil {
@@ -392,41 +418,44 @@ func (cc CampaignConfig) total() int { return len(cc.Logics) * cc.Iterations }
 
 // ShardTaskCount returns the number of tasks this config's process
 // classifies: the whole campaign when unsharded, this shard's
-// allotment otherwise.
+// allotment otherwise. It counts without listing the ids, so it is
+// safe on any config, validated or not.
 func (cc CampaignConfig) ShardTaskCount() int {
-	return len(cc.withDefaults().includeIDs())
+	d := cc.withDefaults()
+	if d.Iterations <= 0 || d.Iterations > MaxTasks/len(d.Logics) {
+		return 0
+	}
+	n, _, _ := d.shardSpan()
+	return n
+}
+
+// shardSpan describes the global task ids this shard classifies: n ids
+// forming the progression first, first+step, … (id % Shards == Shard).
+// Call on a defaulted, validated config.
+func (cc CampaignConfig) shardSpan() (n, first, step int) {
+	total := cc.total()
+	if cc.Shards <= 1 {
+		return total, 0, 1
+	}
+	if cc.Shard >= total {
+		return 0, cc.Shard, cc.Shards
+	}
+	return (total - cc.Shard + cc.Shards - 1) / cc.Shards, cc.Shard, cc.Shards
 }
 
 // includeIDs lists the global task ids this shard classifies, in
-// ascending order: id % Shards == Shard. Call on a defaulted config.
+// ascending order. Call on a defaulted, validated config.
 func (cc CampaignConfig) includeIDs() []int {
-	total := cc.total()
-	if cc.Shards <= 1 {
-		ids := make([]int, total)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
-	}
-	var ids []int
-	for id := cc.Shard; id < total; id += cc.Shards {
-		ids = append(ids, id)
+	n, first, step := cc.shardSpan()
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = first + i*step
 	}
 	return ids
 }
 
-// savedSeed serializes one bug ancestor. The witness model of sat seeds
-// is intentionally dropped: it is consumed during fusion (which never
-// re-runs for an already-recorded bug), not by anything downstream of
-// classification.
-type savedSeed struct {
-	Script string `json:"script"`
-	Status int    `json:"status"`
-}
-
-// savedBug serializes one deduplicated finding in recording order.
-// Enum-valued fields are stored as their integer representations and
-// range-checked on load.
+// savedBug is one deduplicated finding as the fingerprint renders it.
+// Enum-valued fields are rendered as their integer representations.
 type savedBug struct {
 	Defect     string       `json:"defect"`
 	Kind       string       `json:"kind"`
@@ -440,66 +469,13 @@ type savedBug struct {
 	Tasks      []int        `json:"tasks"`
 }
 
-func savedBugOf(b Bug) savedBug {
-	sb := savedBug{
-		Defect:     string(b.Defect),
-		Kind:       string(b.Kind),
-		Logic:      string(b.Logic),
-		Oracle:     int(b.Oracle),
-		Observed:   int(b.Observed),
-		FusionMode: int(b.Mode),
-		Rules:      append([]string(nil), b.Rules...),
-		Script:     smtlib.Print(b.Script),
-		Tasks:      append([]int(nil), b.Tasks...),
-	}
-	for i, a := range b.Ancestors {
-		sb.Seeds[i] = savedSeed{Script: smtlib.Print(a.Script), Status: int(a.Status)}
-	}
-	return sb
-}
-
-func bugFromSaved(sb savedBug) (Bug, error) {
-	if sb.Defect == "" {
-		return Bug{}, fmt.Errorf("bug with empty defect")
-	}
-	if sb.Oracle < int(core.StatusSat) || sb.Oracle > int(core.StatusUnknown) {
-		return Bug{}, fmt.Errorf("bug %s: oracle %d out of range", sb.Defect, sb.Oracle)
-	}
-	if sb.Observed < int(solver.ResUnknown) || sb.Observed > int(solver.ResTimeout) {
-		return Bug{}, fmt.Errorf("bug %s: observed verdict %d out of range", sb.Defect, sb.Observed)
-	}
-	if sb.FusionMode < int(core.ModeSatConj) || sb.FusionMode > int(core.ModeMixedUnsatConj) {
-		return Bug{}, fmt.Errorf("bug %s: fusion mode %d out of range", sb.Defect, sb.FusionMode)
-	}
-	if len(sb.Tasks) == 0 {
-		return Bug{}, fmt.Errorf("bug %s: no trigger tasks", sb.Defect)
-	}
-	script, err := smtlib.ParseScript(sb.Script)
-	if err != nil {
-		return Bug{}, fmt.Errorf("bug %s: script: %v", sb.Defect, err)
-	}
-	b := Bug{
-		Defect:   solver.Defect(sb.Defect),
-		Kind:     bugdb.BugType(sb.Kind),
-		Logic:    gen.Logic(sb.Logic),
-		Oracle:   core.Status(sb.Oracle),
-		Observed: solver.Result(sb.Observed),
-		Mode:     core.Mode(sb.FusionMode),
-		Rules:    append([]string(nil), sb.Rules...),
-		Script:   script,
-		Tasks:    append([]int(nil), sb.Tasks...),
-	}
-	for i, s := range sb.Seeds {
-		if s.Status != int(core.StatusSat) && s.Status != int(core.StatusUnsat) {
-			return Bug{}, fmt.Errorf("bug %s: seed %d status %d out of range", sb.Defect, i, s.Status)
-		}
-		sc, err := smtlib.ParseScript(s.Script)
-		if err != nil {
-			return Bug{}, fmt.Errorf("bug %s: seed %d: %v", sb.Defect, i, err)
-		}
-		b.Ancestors[i] = &core.Seed{Script: sc, Status: core.Status(s.Status)}
-	}
-	return b, nil
+// fingerprint is the canonical rendering of a Result.
+type fingerprint struct {
+	Tally
+	Bugs            []savedBug       `json:"bugs,omitempty"`
+	Backends        []BackendReport  `json:"backends,omitempty"`
+	BackendFindings []BackendFinding `json:"backend_findings,omitempty"`
+	Artifacts       []artifactRef    `json:"artifacts,omitempty"`
 }
 
 // Fingerprint returns a canonical serialization of everything the
@@ -510,18 +486,35 @@ func bugFromSaved(sb savedBug) (Bug, error) {
 // the determinism suites and the CLI compare resumed and sharded runs
 // against uninterrupted references with it. (Plain DeepEqual on
 // Result is too strong a comparison across process boundaries: a
-// restored Bug's script is re-parsed from its printed form, which is
-// textually canonical but not pointer-identical.)
+// replayed Bug's script is re-parsed from its printed witness, which
+// is textually canonical but not pointer-identical.)
 func (r *Result) Fingerprint() []byte {
-	s := stateOf(r)
+	fp := fingerprint{Tally: r.Tally, Backends: r.Backends, BackendFindings: r.BackendFindings}
+	for _, b := range r.Bugs {
+		sb := savedBug{
+			Defect:     string(b.Defect),
+			Kind:       string(b.Kind),
+			Logic:      string(b.Logic),
+			Oracle:     int(b.Oracle),
+			Observed:   int(b.Observed),
+			FusionMode: int(b.Mode),
+			Rules:      b.Rules,
+			Script:     smtlib.Print(b.Script),
+			Tasks:      b.Tasks,
+		}
+		for i, a := range b.Ancestors {
+			sb.Seeds[i] = savedSeed{Script: smtlib.Print(a.Script), Status: a.Status}
+		}
+		fp.Bugs = append(fp.Bugs, sb)
+	}
 	for _, p := range r.Artifacts {
 		// The bundle key alone: merged artifacts live under a different
 		// parent directory than any shard's, by design.
-		s.Artifacts = append(s.Artifacts, artifactRef{Key: filepath.Base(p)})
+		fp.Artifacts = append(fp.Artifacts, artifactRef{Key: filepath.Base(p)})
 	}
-	data, err := json.MarshalIndent(s, "", "  ")
+	data, err := json.MarshalIndent(fp, "", "  ")
 	if err != nil {
-		// savedState is plain data; Marshal cannot fail on it.
+		// fingerprint is plain data; Marshal cannot fail on it.
 		panic(err)
 	}
 	return append(data, '\n')
@@ -534,314 +527,137 @@ type breakerState struct {
 	Open   bool `json:"open,omitempty"`
 }
 
-// savedState is the complete classification state at a frontier: the
-// tally, the findings with their trigger tasks (the dedup maps are
-// reconstructible from them), the backend triage and breaker state,
-// and the artifact refs.
-type savedState struct {
-	Tally
-	Bugs            []savedBug       `json:"bugs,omitempty"`
-	Backends        []BackendReport  `json:"backends,omitempty"`
-	BackendFindings []BackendFinding `json:"backend_findings,omitempty"`
-	Breakers        []breakerState   `json:"breakers,omitempty"`
-	Artifacts       []artifactRef    `json:"artifacts,omitempty"`
-}
-
-// stateOf serializes a Result's findings and tallies; its bugs are
-// taken in their current order.
-func stateOf(res *Result) savedState {
-	s := savedState{
-		Tally:           res.Tally,
-		Backends:        append([]BackendReport(nil), res.Backends...),
-		BackendFindings: append([]BackendFinding(nil), res.BackendFindings...),
-	}
-	for _, b := range res.Bugs {
-		s.Bugs = append(s.Bugs, savedBugOf(b))
-	}
-	return s
-}
-
-// captureState serializes the classification state. Bugs must still be
-// in recording order (captureState is called before finish sorts them).
-func captureState(st *runState) savedState {
-	s := stateOf(st.res)
-	for _, spec := range st.cfg.specs {
+// breakersOf captures the backends' breaker positions.
+func breakersOf(cfg *campaign) []breakerState {
+	var brs []breakerState
+	for _, spec := range cfg.specs {
 		streak, open := spec.Health.State()
-		s.Breakers = append(s.Breakers, breakerState{Streak: streak, Open: open})
+		brs = append(brs, breakerState{Streak: streak, Open: open})
 	}
-	if st.aw != nil {
-		s.Artifacts = append([]artifactRef(nil), st.aw.refs...)
-	}
-	return s
+	return brs
 }
 
-// foldStates rebuilds the classification state of the union of
-// disjoint task sets from their saved states: resume folds one state,
-// merge folds the K shard states of a campaign. The fold is the
-// classification stage's bookkeeping replayed over the recorded
-// findings:
-//   - a defect's bug is the observation with the earliest trigger task
-//     (its script and seeds were derived from that exact task, so they
-//     match what a single-process run recorded), carrying every trigger
-//     in task order, and bugs stay in recording (first-trigger) order;
-//   - Duplicates is recomputed from the trigger lists, the other tallies
-//     and the backend reports sum;
-//   - per finding dedup key the earliest task wins (the dedup map
-//     records it), and the survivors keep a stable task order.
-//
-// States must be validated against cfg. Breakers and artifact refs are
-// the caller's: they do not fold.
-func foldStates(cfg *campaign, tr *telemetry.Tracker, states []savedState) (*runState, error) {
-	st := newRunState(cfg, tr)
-	res := st.res
-	type acc struct {
-		winner savedBug
-		tasks  []int
-	}
-	var bugs []*acc
-	byDefect := map[string]*acc{}
-	for _, s := range states {
-		res.add(s.Tally)
-		for i, rep := range s.Backends {
-			res.Backends[i].add(rep)
-		}
-		for _, sb := range s.Bugs {
-			a := byDefect[sb.Defect]
-			if a == nil {
-				a = &acc{winner: sb}
-				byDefect[sb.Defect] = a
-				bugs = append(bugs, a)
-			} else if sb.Tasks[0] < a.winner.Tasks[0] {
-				a.winner = sb
-			}
-			a.tasks = append(a.tasks, sb.Tasks...)
-		}
-		for _, f := range s.BackendFindings {
-			key := findingKey(f)
-			if t, ok := st.seen[key]; !ok || f.Task < t {
-				st.seen[key] = f.Task
-			}
-		}
-	}
-
-	sort.SliceStable(bugs, func(i, j int) bool { return bugs[i].winner.Tasks[0] < bugs[j].winner.Tasks[0] })
-	res.Duplicates = 0
-	for i, a := range bugs {
-		sort.Ints(a.tasks)
-		sb := a.winner
-		sb.Tasks = a.tasks
-		b, err := bugFromSaved(sb)
-		if err != nil {
-			return nil, err
-		}
-		st.found[b.Defect] = i
-		res.Bugs = append(res.Bugs, b)
-		res.Duplicates += len(a.tasks) - 1
-	}
-
-	// All of one task's findings live in a single state, already in
-	// classification's per-task emission order (known-status by backend
-	// index, then majority, then metamorphic — an order no single sort
-	// key reproduces), so a stable sort by task interleaves the states
-	// without disturbing it.
-	for _, s := range states {
-		for _, f := range s.BackendFindings {
-			if st.seen[findingKey(f)] == f.Task {
-				res.BackendFindings = append(res.BackendFindings, f)
-			}
-		}
-	}
-	sort.SliceStable(res.BackendFindings, func(i, j int) bool {
-		return res.BackendFindings[i].Task < res.BackendFindings[j].Task
-	})
-	return st, nil
+// docBody is what checkpoints and envelopes store besides their config
+// and frontier: the task records up to the frontier, the corpus-vetting
+// telemetry (empty on non-zero shards), and the two pieces of process
+// state a record cannot carry: the backends' breaker positions and the
+// reproducer bundles written. Everything else a document reports — its
+// Result, telemetry snapshot and trace — is a fold of these.
+type docBody struct {
+	Records   []taskRecord       `json:"records"`
+	Vetting   telemetry.Snapshot `json:"vetting"`
+	Breakers  []breakerState     `json:"breakers,omitempty"`
+	Artifacts []artifactRef      `json:"artifacts,omitempty"`
 }
 
-// restoreState rebuilds the runtime classification state from a
-// validated checkpoint state: the fold of that one state, plus the
-// breaker state of the freshly built backend specs and the artifact
-// writer's dedup set.
-func restoreState(cfg *campaign, tr *telemetry.Tracker, s savedState) (*runState, error) {
-	st, err := foldStates(cfg, tr, []savedState{s})
+// validate checks the body against its config: the records (see
+// validateRecords), the stored breaker and bundle state, and a replay
+// of the fold, which must find a witness on exactly the tasks that
+// record a bug. The replayed state is returned for the caller.
+func (b *docBody) validate(cc CampaignConfig) (*runState, error) {
+	d := cc.withDefaults()
+	if err := validateRecords(d, b.Records); err != nil {
+		return nil, err
+	}
+	if len(b.Breakers) != 0 && len(b.Breakers) != len(d.Backends) {
+		return nil, fmt.Errorf("%d breaker entries for %d configured backends", len(b.Breakers), len(d.Backends))
+	}
+	for i, br := range b.Breakers {
+		if br.Streak < 0 {
+			return nil, fmt.Errorf("breakers[%d]: negative streak %d", i, br.Streak)
+		}
+	}
+	classified := map[int]bool{}
+	for _, r := range b.Records {
+		classified[int(r.Task)] = true
+	}
+	for i, r := range b.Artifacts {
+		if d.ArtifactDir == "" {
+			return nil, fmt.Errorf("artifacts[%d]: ref without an artifact dir in the config", i)
+		}
+		if !bundleKey.MatchString(r.Key) {
+			return nil, fmt.Errorf("artifacts[%d]: malformed key %q", i, r.Key)
+		}
+		if !classified[r.Task] {
+			return nil, fmt.Errorf("artifacts[%d]: task %d not classified at the frontier", i, r.Task)
+		}
+	}
+	cfg, err := cc.derive()
 	if err != nil {
 		return nil, err
 	}
-	for i, br := range s.Breakers {
-		cfg.specs[i].Health.Restore(br.Streak, br.Open)
-	}
-	if st.aw != nil {
-		st.aw.restore(s.Artifacts)
+	st := newRunState(cfg, nil)
+	for i, r := range b.Records {
+		fl, err := st.apply(r, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		if r.Facts != nil && r.Facts.Witness != nil && !fl.finding {
+			return nil, fmt.Errorf("record %d (task %d): witness on a task that records no bug", i, r.Task)
+		}
 	}
 	return st, nil
 }
 
-// validateState cross-checks a saved state against its config and
-// frontier; done is the number of classified tasks. Every structural
-// invariant the classification stage maintains is re-checked here, so
-// a tampered document fails closed instead of resuming into impossible
-// state.
-func validateState(cc CampaignConfig, s savedState, done int) error {
-	d := cc.withDefaults()
-	include := d.includeIDs()
-	if done < 0 || done > len(include) {
-		return fmt.Errorf("frontier %d outside [0,%d]", done, len(include))
+// bundleKey matches a bundle directory name (bugHash's rendering).
+var bundleKey = regexp.MustCompile(`^[0-9a-f]{16}$`)
+
+// fold replays the body into a fresh run state and finishes it: the
+// document's Result, telemetry snapshot and trace. The Result's
+// artifact paths point into the config's artifact directory.
+func (b *docBody) fold(cc CampaignConfig) (*Merged, error) {
+	cfg, err := cc.derive()
+	if err != nil {
+		return nil, err
 	}
-	classified := make([]bool, d.total())
-	for _, id := range include[:done] {
-		classified[id] = true
+	st := newRunState(cfg, nil)
+	st.tr.Merge(b.Vetting)
+	var trace bytes.Buffer
+	jw := telemetry.NewJSONLWriter(&trace)
+	if err := st.replay(b.Records, jw); err != nil {
+		return nil, err
 	}
-	for _, n := range s.Tally.counts() {
-		if *n.v < 0 {
-			return fmt.Errorf("negative %s count %d", n.name, *n.v)
-		}
+	if err := jw.Close(); err != nil {
+		return nil, err
 	}
-	if s.Tests+s.InvalidInputs+s.Quarantined > done {
-		return fmt.Errorf("counts (%d tests + %d invalid + %d quarantined) exceed frontier %d",
-			s.Tests, s.InvalidInputs, s.Quarantined, done)
+	res, _ := finish(st, b.Breakers)
+	for _, r := range b.Artifacts {
+		res.Artifacts = append(res.Artifacts, filepath.Join(cfg.ArtifactDir, r.Key))
 	}
-	if s.OracleConsensus+s.OracleAbstained > s.Tests {
-		return fmt.Errorf("majority votes (%d consensus + %d abstained) exceed %d tests",
-			s.OracleConsensus, s.OracleAbstained, s.Tests)
-	}
-	if s.MetamorphicPairs+s.MetamorphicSkips > s.Tests {
-		return fmt.Errorf("metamorphic pairs (%d + %d skips) exceed %d tests",
-			s.MetamorphicPairs, s.MetamorphicSkips, s.Tests)
-	}
-	logicOK := map[string]bool{}
-	for _, l := range d.Logics {
-		logicOK[l] = true
-	}
-	dupes := 0
-	seenDefect := map[string]bool{}
-	lastFirst := -1
-	for i, sb := range s.Bugs {
-		if _, err := bugFromSaved(sb); err != nil {
-			return fmt.Errorf("bugs[%d]: %v", i, err)
-		}
-		if seenDefect[sb.Defect] {
-			return fmt.Errorf("bugs[%d]: duplicate defect %q", i, sb.Defect)
-		}
-		seenDefect[sb.Defect] = true
-		if !logicOK[sb.Logic] {
-			return fmt.Errorf("bugs[%d]: logic %q not in campaign", i, sb.Logic)
-		}
-		prev := -1
-		for _, t := range sb.Tasks {
-			if t < 0 || t >= len(classified) || !classified[t] {
-				return fmt.Errorf("bugs[%d]: trigger task %d not classified at frontier %d", i, t, done)
-			}
-			if t <= prev {
-				return fmt.Errorf("bugs[%d]: trigger tasks not strictly ascending", i)
-			}
-			prev = t
-		}
-		if sb.Tasks[0] <= lastFirst {
-			return fmt.Errorf("bugs[%d]: not in recording order", i)
-		}
-		lastFirst = sb.Tasks[0]
-		dupes += len(sb.Tasks) - 1
-	}
-	if dupes != s.Duplicates {
-		return fmt.Errorf("duplicates %d disagree with trigger tasks (%d)", s.Duplicates, dupes)
-	}
-	if len(s.Backends) != len(d.Backends) {
-		return fmt.Errorf("%d backend reports for %d configured backends", len(s.Backends), len(d.Backends))
-	}
-	// The SUT's pseudo-voter name is a valid finding attribution only
-	// under the consensus policies.
-	nameOK := map[string]bool{"sut": d.Oracle != OracleKnown}
-	for i, rep := range s.Backends {
-		bc := d.Backends[i]
-		if rep.Name != bc.name() {
-			return fmt.Errorf("backends[%d]: report for %q, config has %q", i, rep.Name, bc.name())
-		}
-		if rep.Hermetic != (bc.Sim != nil) {
-			return fmt.Errorf("backends[%d]: hermetic flag %v disagrees with the config", i, rep.Hermetic)
-		}
-		for _, n := range rep.counts() {
-			if *n.v < 0 {
-				return fmt.Errorf("backends[%d]: negative %s count %d", i, n.name, *n.v)
-			}
-		}
-		nameOK[rep.Name] = true
-	}
-	if len(s.Breakers) != 0 && len(s.Breakers) != len(d.Backends) {
-		return fmt.Errorf("%d breaker entries for %d configured backends", len(s.Breakers), len(d.Backends))
-	}
-	for i, br := range s.Breakers {
-		if br.Streak < 0 {
-			return fmt.Errorf("breakers[%d]: negative streak %d", i, br.Streak)
-		}
-	}
-	// Findings are in classification order with one per dedup key, so
-	// the resume fold of the state is the identity.
-	keys := map[bkKey]bool{}
-	for i, f := range s.BackendFindings {
-		if !nameOK[f.Backend] {
-			return fmt.Errorf("backend_findings[%d]: unknown backend %q under oracle %q", i, f.Backend, d.Oracle)
-		}
-		switch f.Kind {
-		case bugdb.MajorityDisagreement, bugdb.MetamorphicViolation:
-		case bugdb.Disagreement, bugdb.Crash, bugdb.Garbled, bugdb.Performance:
-			if f.Backend == "sut" {
-				return fmt.Errorf("backend_findings[%d]: %s finding attributed to the sut", i, f.Kind)
-			}
-		default:
-			return fmt.Errorf("backend_findings[%d]: unknown kind %q", i, f.Kind)
-		}
-		if f.Task < 0 || f.Task >= len(classified) || !classified[f.Task] {
-			return fmt.Errorf("backend_findings[%d]: task %d not classified at frontier %d", i, f.Task, done)
-		}
-		if i > 0 && f.Task < s.BackendFindings[i-1].Task {
-			return fmt.Errorf("backend_findings[%d]: not in task order", i)
-		}
-		if keys[findingKey(f)] {
-			return fmt.Errorf("backend_findings[%d]: duplicate of an earlier finding", i)
-		}
-		keys[findingKey(f)] = true
-	}
-	for i, r := range s.Artifacts {
-		if d.ArtifactDir == "" {
-			return fmt.Errorf("artifacts[%d]: ref without an artifact dir in the config", i)
-		}
-		if r.Key == "" {
-			return fmt.Errorf("artifacts[%d]: empty key", i)
-		}
-		if r.Task < 0 || r.Task >= len(classified) || !classified[r.Task] {
-			return fmt.Errorf("artifacts[%d]: task %d not classified at frontier %d", i, r.Task, done)
-		}
-	}
-	return nil
+	return &Merged{Result: res, Telemetry: st.tr.Snapshot(), Trace: trace.Bytes()}, nil
 }
 
 // Checkpoint is a paused campaign: its identity (Config), its frontier
-// (Done tasks classified, in this shard's ascending task order), the
-// complete classification state at that frontier, the telemetry
-// snapshot, and the accumulated JSONL trace bytes. Serialize with
-// EncodeCheckpoint; continue with Resume.
+// (Done tasks classified, in this shard's ascending task order), and
+// the records up to that frontier with the state they cannot carry (see
+// docBody). Serialize with EncodeCheckpoint; continue with Resume.
 type Checkpoint struct {
 	Config CampaignConfig `json:"config"`
 	// Done is the classification frontier: the number of this shard's
 	// task ids (ascending) already classified, cumulative across legs.
-	Done      int                `json:"done"`
-	State     savedState         `json:"state"`
-	Telemetry telemetry.Snapshot `json:"telemetry"`
-	// Trace accumulates the JSONL trace of all completed legs, so a
-	// chain of pauses still yields a whole-shard trace in the final
-	// envelope even though each process only appends new records to its
-	// own writer. It stays empty when the first leg ran untraced.
-	Trace []byte `json:"trace,omitempty"`
+	Done int `json:"done"`
+	docBody
 }
 
 func (cp *Checkpoint) validate() error {
 	if err := cp.Config.Validate(); err != nil {
 		return err
 	}
-	if err := validateState(cp.Config, cp.State, cp.Done); err != nil {
+	if n := cp.Config.ShardTaskCount(); cp.Done < 0 || cp.Done > n {
+		return fmt.Errorf("harness: checkpoint: frontier %d outside [0,%d]", cp.Done, n)
+	}
+	if len(cp.Records) != cp.Done {
+		return fmt.Errorf("harness: checkpoint: %d records for frontier %d", len(cp.Records), cp.Done)
+	}
+	if _, err := cp.docBody.validate(cp.Config); err != nil {
 		return fmt.Errorf("harness: checkpoint: %v", err)
 	}
 	return nil
 }
+
+// Fold returns the checkpoint's partial Result, telemetry snapshot and
+// trace at its frontier: exactly what the paused leg reported.
+func (cp *Checkpoint) Fold() (*Merged, error) { return cp.docBody.fold(cp.Config) }
 
 // sealed is the outer document of checkpoints and envelopes: a kind
 // discriminator, a schema version, and an integrity checksum over the
@@ -928,7 +744,7 @@ func decodeStrict(payload json.RawMessage, v any, kind string) error {
 
 // EncodeCheckpoint serializes a checkpoint as a versioned, checksummed
 // JSON document. The checkpoint is validated first, so an impossible
-// state is caught at the producer, not the consumer.
+// document is caught at the producer, not the consumer.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("harness: nil checkpoint")
@@ -941,8 +757,8 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 
 // DecodeCheckpoint parses and fully validates a checkpoint document.
 // Any corruption — framing, schema skew, checksum mismatch, unknown
-// fields, or a state that violates the classification invariants —
-// fails with a diagnostic; a checkpoint that decodes is safe to Resume.
+// fields, or records that violate the document invariants — fails with
+// a diagnostic; a checkpoint that decodes is safe to Resume.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	payload, err := openDoc(data, kindCheckpoint, CheckpointSchema)
 	if err != nil {
@@ -967,13 +783,13 @@ type RunOptions struct {
 	// use the config's). Results are invariant to it either way.
 	Threads int
 	// Telemetry, when non-nil, receives the campaign's aggregated
-	// metrics. On resume the checkpoint's snapshot is merged in first,
+	// metrics. On resume the checkpoint's records are folded in first,
 	// so the final snapshot equals an uninterrupted run's.
 	Telemetry *telemetry.Tracker
 	// Trace, when non-nil, receives this leg's JSONL trace records —
 	// only the new ones, so a resuming process can append to the file
-	// the paused process was writing. Checkpoints and envelopes carry
-	// the accumulated byte stream separately.
+	// the paused process was writing. A document's whole trace is a
+	// fold of its records (Checkpoint.Fold, Envelope.Fold).
 	Trace io.Writer
 	// StopAfter, when positive, pauses the campaign once that many more
 	// tasks have been classified.
@@ -1004,8 +820,9 @@ type Outcome struct {
 	// campaign's envelope merges alone.
 	Envelope *Envelope
 	// Telemetry is the metrics snapshot at the frontier, including
-	// counts carried from pre-pause legs even when no tracker was
-	// supplied this leg.
+	// counts carried from pre-pause legs, when the leg ran with
+	// RunOptions.Telemetry (empty otherwise; a document's metrics are
+	// always available from its Fold).
 	Telemetry telemetry.Snapshot
 }
 
@@ -1035,96 +852,56 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		return nil, err
 	}
 	if opt.Threads > 0 {
-		cfg.Threads = opt.Threads
+		cfg.Threads = min(opt.Threads, MaxThreads)
 	}
 
-	include := cfg.includeIDs()
-	var carried telemetry.Snapshot
-	var traceAcc bytes.Buffer
+	st := newRunState(cfg, opt.Telemetry)
+	if cfg.ArtifactDir != "" {
+		st.aw = newArtifactWriter(cfg.ArtifactDir)
+	}
 	if cp != nil {
-		carried = cp.Telemetry
-		if opt.Telemetry == nil && (len(carried.Counters) > 0 || len(carried.Histograms) > 0) {
-			// The paused campaign was recording metrics; keep them whole
-			// across a leg whose caller forgot to attach a tracker, the
-			// same way the trace accumulator keeps the trace whole.
-			opt.Telemetry = telemetry.NewTracker()
+		// Resume replays the checkpoint's records: the fold rebuilds
+		// every piece of derived state exactly as the paused leg had it.
+		for i, br := range cp.Breakers {
+			cfg.specs[i].Health.Restore(br.Streak, br.Open)
 		}
-		opt.Telemetry.Merge(carried)
-		traceAcc.Write(cp.Trace)
+		st.vetting = cp.Vetting
+		st.tr.Merge(cp.Vetting)
+		if err := st.replay(cp.Records, nil); err != nil {
+			return nil, fmt.Errorf("harness: checkpoint: %v", err)
+		}
+		if st.aw != nil {
+			st.aw.restore(cp.Artifacts)
+		}
 	}
 
 	ctl := runControls{
 		stopAfter:   opt.StopAfter,
 		stop:        opt.Stop,
 		progress:    opt.Progress,
+		trace:       opt.Trace,
 		suppressVet: cp != nil || cfg.Shard != 0,
 	}
-	// Tracing is armed when the caller wants live records OR when the
-	// checkpoint already carries trace bytes (the envelope of a traced
-	// campaign must stay whole across pauses, even through a leg whose
-	// caller did not attach a writer). The accumulator only collects
-	// when the carried trace is whole: a campaign that classified tasks
-	// untraced can never hold a one-record-per-task trace, so its
-	// checkpoints and envelope carry none and only the live writer sees
-	// the records of the traced legs.
-	whole := cp == nil || cp.Done == 0 || len(cp.Trace) > 0
-	switch {
-	case opt.Trace != nil && whole:
-		ctl.trace = io.MultiWriter(opt.Trace, &traceAcc)
-	case opt.Trace != nil:
-		ctl.trace = opt.Trace
-	case traceAcc.Len() > 0:
-		ctl.trace = &traceAcc
-	}
-
-	var st *runState
-	if cp != nil {
-		st, err = restoreState(cfg, opt.Telemetry, cp.State)
-		if err != nil {
-			return nil, fmt.Errorf("harness: checkpoint: %v", err)
-		}
-		st.done = cp.Done
-		include = include[cp.Done:]
-	} else {
-		st = newRunState(cfg, opt.Telemetry)
-	}
-
-	paused, err := runLeg(st, include, ctl)
+	paused, err := runLeg(st, cfg.includeIDs()[len(st.records):], ctl)
 	if err != nil {
 		return nil, err
 	}
 
-	snap := carried
+	body := docBody{Records: st.records, Vetting: st.vetting, Breakers: breakersOf(cfg)}
+	if st.aw != nil {
+		body.Artifacts = append([]artifactRef(nil), st.aw.refs...)
+	}
+	out := &Outcome{Paused: paused}
 	if opt.Telemetry != nil {
-		snap = opt.Telemetry.Snapshot()
+		out.Telemetry = st.tr.Snapshot()
 	}
-	finishBackends(st.res, cfg)
-	state := captureState(st)
-	traceBytes := append([]byte(nil), traceAcc.Bytes()...)
-
-	out := &Outcome{Telemetry: snap}
 	if paused {
-		out.Paused = true
-		out.Checkpoint = &Checkpoint{
-			Config:    cc,
-			Done:      st.done,
-			State:     state,
-			Telemetry: snap,
-			Trace:     traceBytes,
-		}
+		out.Checkpoint = &Checkpoint{Config: cc, Done: len(st.records), docBody: body}
 	} else {
-		out.Envelope = &Envelope{
-			Config:    cc,
-			Tasks:     st.done,
-			State:     state,
-			Telemetry: snap,
-			Trace:     traceBytes,
-		}
+		out.Envelope = &Envelope{Config: cc, Tasks: len(st.records), docBody: body}
 	}
-	res, err := finish(st)
-	if err != nil {
+	if out.Result, err = finish(st, body.Breakers); err != nil {
 		return nil, err
 	}
-	out.Result = res
 	return out, nil
 }

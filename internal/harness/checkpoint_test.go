@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bugdb"
 	"repro/internal/telemetry"
 )
 
@@ -47,8 +46,8 @@ func runToCompletion(t *testing.T, cc CampaignConfig) (*Outcome, []byte) {
 // TestCheckpointEveryFrontier kills the campaign at every possible
 // frontier, round-trips the checkpoint through its serialized form, and
 // resumes with a rotating worker count: result fingerprint, telemetry
-// snapshot, concatenated leg traces, and the envelope's accumulated
-// trace must all be byte-identical to the uninterrupted run, no matter
+// snapshot, concatenated leg traces, and the envelope's folded trace
+// must all be byte-identical to the uninterrupted run, no matter
 // where the cut lands — family boundaries, mid-family, before and
 // after bug and backend-finding recording tasks alike.
 func TestCheckpointEveryFrontier(t *testing.T) {
@@ -104,7 +103,11 @@ func TestCheckpointEveryFrontier(t *testing.T) {
 			t.Errorf("stop=%d concatenated leg traces diverged (%d vs %d bytes)",
 				stop, len(legs), len(refTrace))
 		}
-		if !bytes.Equal(out2.Envelope.Trace, refTrace) {
+		folded, err := out2.Envelope.Fold()
+		if err != nil {
+			t.Fatalf("stop=%d envelope fold: %v", stop, err)
+		}
+		if !bytes.Equal(folded.Trace, refTrace) {
 			t.Errorf("stop=%d envelope trace diverged", stop)
 		}
 	}
@@ -210,7 +213,7 @@ func TestCheckpointArtifactContinuity(t *testing.T) {
 	refCC := cc
 	refCC.ArtifactDir = t.TempDir()
 	ref, _ := runToCompletion(t, refCC)
-	refs := ref.Envelope.State.Artifacts
+	refs := ref.Envelope.Artifacts
 	if len(refs) < 2 {
 		t.Fatalf("campaign wrote %d bundles, need >= 2 to cut between them", len(refs))
 	}
@@ -302,7 +305,7 @@ func pausedCheckpoint(t *testing.T) (*Checkpoint, []byte) {
 // TestCheckpointFailClosed feeds the decoder every class of damage a
 // checkpoint document can suffer — truncation, bit rot, trailing junk,
 // kind and schema skew, unknown fields, and semantically impossible
-// state behind a valid checksum — and requires a diagnostic error for
+// records behind a valid checksum — and requires a diagnostic error for
 // each: a damaged checkpoint must never run as a different experiment.
 func TestCheckpointFailClosed(t *testing.T) {
 	cp, data := pausedCheckpoint(t)
@@ -349,19 +352,23 @@ func TestCheckpointFailClosed(t *testing.T) {
 		}
 	})
 	t.Run("schema skew", func(t *testing.T) {
-		var doc map[string]json.RawMessage
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		doc["schema"] = json.RawMessage("99")
-		skewed, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeCheckpoint(skewed); err == nil {
-			t.Fatal("decoded a future-schema checkpoint")
-		} else if !strings.Contains(err.Error(), "schema") {
-			t.Errorf("diagnostic %q does not mention the schema", err)
+		// Schema 1 stored folded state instead of records; 99 is a
+		// future writer. Neither may be read.
+		for _, schema := range []string{"1", "99"} {
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc["schema"] = json.RawMessage(schema)
+			skewed, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeCheckpoint(skewed); err == nil {
+				t.Fatalf("decoded a schema-%s checkpoint", schema)
+			} else if !strings.Contains(err.Error(), "unsupported schema") {
+				t.Errorf("diagnostic %q does not mention the schema", err)
+			}
 		}
 	})
 	t.Run("checksum mismatch", func(t *testing.T) {
@@ -398,8 +405,44 @@ func TestCheckpointFailClosed(t *testing.T) {
 		}
 	})
 
+	t.Run("damaged witness", func(t *testing.T) {
+		// A witness is parsed when it is decoded: text that does not
+		// parse, or a field this version does not know, fails the decode.
+		raw, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range []string{`"witness":{"script":"(((`, `"witness":{"frobnicator":1,"script":"`} {
+			bad := bytes.Replace(raw, []byte(`"witness":{"script":"`), []byte(to), 1)
+			if bytes.Equal(bad, raw) {
+				t.Fatal("checkpoint carries no witness")
+			}
+			doc, err := sealDoc(kindCheckpoint, CheckpointSchema, json.RawMessage(bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeCheckpoint(doc); err == nil || !strings.Contains(err.Error(), "witness") {
+				t.Errorf("%s: got %v", to, err)
+			}
+		}
+	})
+
 	// Semantic damage behind a valid seal: EncodeCheckpoint must refuse
 	// to produce the document, and a hand-sealed one must not decode.
+	// Only records and the state they cannot carry are stored, so the
+	// damage is to those: everything else is re-derived by the fold.
+	bug, plain := -1, -1 // a task that records a bug, and one that does not
+	for i, r := range cp.Records {
+		switch {
+		case r.Facts != nil && r.Facts.Witness != nil && bug < 0:
+			bug = i
+		case r.Status == statusTested && r.Facts.Witness == nil && plain < 0:
+			plain = i
+		}
+	}
+	if bug < 0 || plain < 0 || len(cp.Records[0].Facts.Backends) == 0 {
+		t.Fatalf("checkpoint too tame for the record cases: bug %d, plain %d", bug, plain)
+	}
 	semCases := []struct {
 		name   string
 		mutate func(c *Checkpoint)
@@ -407,34 +450,25 @@ func TestCheckpointFailClosed(t *testing.T) {
 	}{
 		{"frontier past the end", func(c *Checkpoint) { c.Done = c.Config.withDefaults().total() + 5 }, ""},
 		{"negative frontier", func(c *Checkpoint) { c.Done = -1 }, ""},
-		{"negative count", func(c *Checkpoint) { c.State.Tests = -3 }, ""},
-		{"counts exceed frontier", func(c *Checkpoint) { c.State.Tests = c.Done + 10 }, ""},
+		{"records short of the frontier", func(c *Checkpoint) { c.Records = c.Records[:c.Done-1] }, "records for frontier"},
+		{"repeated task", func(c *Checkpoint) { c.Records[1] = c.Records[0] }, "want"},
+		{"tasks out of order", func(c *Checkpoint) { c.Records[0], c.Records[1] = c.Records[1], c.Records[0] }, "want"},
 		{"unrunnable config", func(c *Checkpoint) { c.Config.SUT = "no-such-solver" }, ""},
-		{"negative backend tally", func(c *Checkpoint) {
-			c.State.Backends[0].Checks = -5
-			c.State.Backends[0].Sat = -9
-		}, "negative Checks"},
-		{"hermetic flag flipped", func(c *Checkpoint) { c.State.Backends[0].Hermetic = false }, "hermetic"},
-		{"negative breaker streak", func(c *Checkpoint) { c.State.Breakers = []breakerState{{Streak: -1}} }, "negative streak"},
-		{"unknown finding kind", func(c *Checkpoint) {
-			c.State.BackendFindings = []BackendFinding{{Backend: c.State.Backends[0].Name, Kind: "frobnicated", Task: 0}}
-		}, "unknown kind"},
-		{"sut finding under known oracle", func(c *Checkpoint) {
-			c.State.BackendFindings = []BackendFinding{{Backend: "sut", Kind: bugdb.MajorityDisagreement, Task: 0}}
-		}, `unknown backend "sut"`},
-		{"findings out of task order", func(c *Checkpoint) {
-			name := c.State.Backends[0].Name
-			c.State.BackendFindings = []BackendFinding{
-				{Backend: name, Kind: bugdb.Crash, Task: 3},
-				{Backend: name, Kind: bugdb.Garbled, Task: 1},
-			}
-		}, "task order"},
-		{"duplicate finding key", func(c *Checkpoint) {
-			f := BackendFinding{Backend: c.State.Backends[0].Name, Kind: bugdb.Crash, Observed: "crash", Task: 1}
-			g := f
-			g.Task = 2
-			c.State.BackendFindings = []BackendFinding{f, g}
-		}, "duplicate"},
+		{"oracle out of range", func(c *Checkpoint) { c.Records[0].Oracle = 7 }, "oracle"},
+		{"verdict out of range", func(c *Checkpoint) { c.Records[0].Facts.Observed = -4 }, "observed verdict"},
+		{"facts on a task that did not run", func(c *Checkpoint) { c.Records[0].Status, c.Records[0].Facts.Backends = statusSkipped, nil }, "facts"},
+		{"quarantine cause on a tested task", func(c *Checkpoint) { c.Records[0].Cause = causeFault }, "quarantine cause"},
+		{"backend outputs missing", func(c *Checkpoint) { c.Records[0].Facts.Backends = nil }, "backend outputs"},
+		{"backend verdict out of range", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Verdict = 42 }, "verdict 42"},
+		{"negative backend retries", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Retries = -1 }, "negative retries"},
+		{"bug without a witness", func(c *Checkpoint) { c.Records[bug].Facts.Witness = nil }, "without a witness"},
+		{"witness on a plain task", func(c *Checkpoint) { c.Records[plain].Facts.Witness = c.Records[bug].Facts.Witness }, "records no bug"},
+		{"negative breaker streak", func(c *Checkpoint) { c.Breakers = []breakerState{{Streak: -1}} }, "negative streak"},
+		{"bundle without an artifact dir", func(c *Checkpoint) { c.Artifacts = []artifactRef{{Key: "0123456789abcdef"}} }, "artifact dir"},
+		{"malformed bundle key", func(c *Checkpoint) {
+			c.Config.ArtifactDir = t.TempDir()
+			c.Artifacts = []artifactRef{{Key: "../escape"}}
+		}, "malformed key"},
 	}
 	for _, tc := range semCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -492,7 +526,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte("{}"))
-	f.Add([]byte(`{"kind":"yinyang-checkpoint","schema":1,"checksum":"fnv64a:0000000000000000","payload":{}}`))
+	f.Add([]byte(`{"kind":"yinyang-checkpoint","schema":2,"checksum":"fnv64a:0000000000000000","payload":{}}`))
 	f.Add(valid[:len(valid)/2])
 	f.Add(flipByte(valid, len(valid)/3))
 

@@ -43,19 +43,18 @@ type voter struct {
 	retries  int
 }
 
-// sutStatus classifies the SUT's run as a consensus vote: a definite
-// verdict, or an abstention label ("crash", "timeout", "unknown").
-func sutStatus(run RunResult) (label string, vote core.Status, definite bool) {
-	if run.Crashed {
-		return "crash", 0, false
-	}
-	switch run.Result {
-	case solver.ResSat:
-		return "sat", core.StatusSat, true
-	case solver.ResUnsat:
-		return "unsat", core.StatusUnsat, true
+// sutVote classifies a SUT run as a consensus vote: a definite verdict
+// or an abstention.
+func sutVote(observed solver.Result, crashed bool) (vote core.Status, definite bool) {
+	switch {
+	case crashed:
+		return 0, false
+	case observed == solver.ResSat:
+		return core.StatusSat, true
+	case observed == solver.ResUnsat:
+		return core.StatusUnsat, true
 	default:
-		return run.Result.String(), 0, false
+		return 0, false
 	}
 }
 
@@ -74,16 +73,14 @@ func backendStatus(v backend.Verdict) (vote core.Status, definite bool) {
 // voters assembles the task's vote vector in canonical order: the SUT
 // first, then the backends in configuration order. Every voter appears
 // — abstainers included — so the manifest records the full vector.
-func voters(cfg *campaign, out *taskOutcome) []voter {
-	vs := make([]voter, 0, 1+len(out.backendRuns))
-	label, vote, def := sutStatus(out.run)
-	reason := out.run.Reason
-	if out.run.Crashed {
-		reason = out.run.CrashMsg
-	}
-	vs = append(vs, voter{idx: -1, name: "sut", verdict: label,
-		definite: def, vote: vote, reason: reason, exitCode: -1})
-	for i, o := range out.backendRuns {
+func voters(cfg *campaign, rec *taskRecord) []voter {
+	bks := rec.Facts.Backends
+	vs := make([]voter, 0, 1+len(bks))
+	run := rec.Facts
+	vote, def := sutVote(run.Observed, run.Crashed)
+	vs = append(vs, voter{idx: -1, name: "sut", verdict: sutLabel(run.Observed, run.Crashed),
+		definite: def, vote: vote, reason: run.Reason, exitCode: -1})
+	for i, o := range bks {
 		vote, def := backendStatus(o.Verdict)
 		vs = append(vs, voter{idx: i, name: cfg.specs[i].Name,
 			verdict: o.Verdict.String(), definite: def, vote: vote,
@@ -104,11 +101,10 @@ func voteVector(vs []voter) []string {
 
 // variantVector renders the variant solve's verdict vector (SUT first,
 // then backends) for metamorphic finding manifests.
-func variantVector(cfg *campaign, out *taskOutcome) []string {
-	label, _, _ := sutStatus(out.variantRun)
-	vec := make([]string, 0, 1+len(out.variantBackends))
-	vec = append(vec, "sut="+label)
-	for i, o := range out.variantBackends {
+func variantVector(cfg *campaign, v *variantRecord) []string {
+	vec := make([]string, 0, 1+len(v.Backends))
+	vec = append(vec, "sut="+sutLabel(v.Observed, v.Crashed))
+	for i, o := range v.Backends {
 		vec = append(vec, cfg.specs[i].Name+"="+o.Verdict.String())
 	}
 	return vec
@@ -116,17 +112,17 @@ func variantVector(cfg *campaign, out *taskOutcome) []string {
 
 // classifyConsensus applies the configured consensus policies to one
 // unknown-status task. It runs after classify/classifyBackends in the
-// in-order classification stage — known-status tasks (and the known
-// policy) never reach the body, so the legacy funnel is untouched.
-func (st *runState) classifyConsensus(out *taskOutcome) {
-	if !out.tested || out.oracle() != core.StatusUnknown {
+// fold — known-status tasks (and the known policy) never reach the
+// body, so the legacy funnel is untouched.
+func (st *runState) classifyConsensus(rec *taskRecord, live *taskOutcome, fl *taskFlags) {
+	if rec.Oracle != core.StatusUnknown {
 		return
 	}
 	if st.cfg.Oracle == OracleMajority || st.cfg.Oracle == OracleAuto {
-		st.classifyMajority(out)
+		fl.consensus = st.classifyMajority(rec, live)
 	}
 	if st.cfg.Oracle == OracleMetamorphic || st.cfg.Oracle == OracleAuto {
-		st.classifyMetamorphic(out)
+		st.classifyMetamorphic(rec, live)
 	}
 }
 
@@ -134,10 +130,11 @@ func (st *runState) classifyConsensus(out *taskOutcome) {
 // consensus and attributes a finding to each outvoted voter. A vote
 // with fewer than Quorum definite verdicts — or a tie — abstains: an
 // abstention is a statement about the vote, not about any solver, so
-// it produces no finding.
-func (st *runState) classifyMajority(out *taskOutcome) {
+// it produces no finding. It returns the vote's outcome: "sat",
+// "unsat", or "abstained".
+func (st *runState) classifyMajority(rec *taskRecord, live *taskOutcome) string {
 	cfg, res := st.cfg, st.res
-	vs := voters(cfg, out)
+	vs := voters(cfg, rec)
 	sat, unsat := 0, 0
 	for _, v := range vs {
 		if !v.definite {
@@ -154,8 +151,7 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 	if sat+unsat < cfg.Quorum || sat == unsat {
 		res.OracleAbstained++
 		st.tr.Inc(coAbstained)
-		out.consensus = "abstained"
-		return
+		return "abstained"
 	}
 	consensus, winners, losers := core.StatusSat, sat, unsat
 	if unsat > sat {
@@ -163,7 +159,7 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 	}
 	res.OracleConsensus++
 	st.tr.Inc(coConsensus)
-	out.consensus = consensus.String()
+	label := consensus.String()
 	for _, v := range vs {
 		if !v.definite || v.vote == consensus {
 			continue
@@ -177,13 +173,13 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 		f := BackendFinding{
 			Backend:  v.name,
 			Kind:     bugdb.MajorityDisagreement,
-			Logic:    cfg.Logics[out.id/cfg.Iterations],
-			Oracle:   out.consensus,
+			Logic:    cfg.Logics[int(rec.Task)/cfg.Iterations],
+			Oracle:   label,
 			Observed: v.verdict,
 			ExitCode: v.exitCode,
 			Stderr:   v.stderr,
 			Retries:  v.retries,
-			Task:     out.id,
+			Task:     int(rec.Task),
 		}
 		if st.seenFinding(f) {
 			continue
@@ -193,14 +189,14 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 		if v.idx < 0 {
 			// The SUT lost the vote: triage the bundle to the catalogued
 			// defect the run fired, like a known-status soundness finding.
-			if d, ok := primaryDefect(out.run.DefectsFired, bugdb.Soundness); ok {
+			if d, ok := primaryDefect(bugdb.Soundness, rec.Facts.Fired); ok {
 				defect = d
 				f.Defect = string(d)
 			}
 		}
 		st.recordFinding(f)
-		if st.aw != nil {
-			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
+		if st.aw != nil && live != nil {
+			m := manifestFor(cfg, live, "backend-"+string(f.Kind), defect)
 			m.Backend = f.Backend
 			if v.idx >= 0 {
 				m.BackendArgv = cfg.specs[v.idx].Argv
@@ -210,12 +206,13 @@ func (st *runState) classifyMajority(out *taskOutcome) {
 			}
 			m.Observed = f.Observed
 			m.Reason = f.Reason
-			m.Oracle = out.consensus
+			m.Oracle = label
 			m.Votes = voteVector(vs)
-			m.Consensus = out.consensus
-			st.aw.write(m, out.ancestors, out.testScript(), out.id)
+			m.Consensus = label
+			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
 		}
 	}
+	return label
 }
 
 // relationViolated reports whether a definite (orig, variant) verdict
@@ -238,19 +235,20 @@ func relationViolated(rel mutate.Relation, orig, variant core.Status) bool {
 // itself — solver-vs-solver discrepancies are the majority policy's
 // business — so a violation implicates exactly one solver with no
 // reference solver in the loop.
-func (st *runState) classifyMetamorphic(out *taskOutcome) {
+func (st *runState) classifyMetamorphic(rec *taskRecord, live *taskOutcome) {
 	cfg, res := st.cfg, st.res
-	if out.variantSkip {
+	v := rec.Facts.Variant
+	if v == nil {
+		return
+	}
+	if v.Skip {
 		res.MetamorphicSkips++
 		st.tr.Inc(coPairSkips)
 		return
 	}
-	if out.variant == nil {
-		return
-	}
 	res.MetamorphicPairs++
 	st.tr.Inc(coPairs)
-	rel := out.variant.Rel
+	rel := v.Relation
 
 	record := func(idx int, name, origV, varV, reason string, exitCode int, stderr string, retries int) {
 		if idx < 0 {
@@ -262,31 +260,30 @@ func (st *runState) classifyMetamorphic(out *taskOutcome) {
 		f := BackendFinding{
 			Backend:  name,
 			Kind:     bugdb.MetamorphicViolation,
-			Logic:    cfg.Logics[out.id/cfg.Iterations],
+			Logic:    cfg.Logics[int(rec.Task)/cfg.Iterations],
 			Oracle:   rel.String(),
 			Observed: origV + "/" + varV,
 			Reason:   reason,
 			ExitCode: exitCode,
 			Stderr:   stderr,
 			Retries:  retries,
-			Task:     out.id,
+			Task:     int(rec.Task),
 		}
 		if st.seenFinding(f) {
 			return
 		}
 		var defect solver.Defect
 		if idx < 0 {
-			fired := append(append([]solver.Defect(nil), out.run.DefectsFired...), out.variantRun.DefectsFired...)
-			if d, ok := primaryDefect(fired, bugdb.Soundness); ok {
+			if d, ok := primaryDefect(bugdb.Soundness, rec.Facts.Fired, v.Fired); ok {
 				defect = d
 				f.Defect = string(d)
 			}
 		}
 		st.recordFinding(f)
-		if st.aw == nil {
+		if st.aw == nil || live == nil {
 			return
 		}
-		m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
+		m := manifestFor(cfg, live, "backend-"+string(f.Kind), defect)
 		m.Backend = f.Backend
 		if idx >= 0 {
 			m.BackendArgv = cfg.specs[idx].Argv
@@ -298,27 +295,29 @@ func (st *runState) classifyMetamorphic(out *taskOutcome) {
 		m.Reason = f.Reason
 		m.Oracle = rel.String()
 		m.MetaRelation = rel.String()
-		m.MetaRules = out.variant.Rules
-		m.VariantVerdicts = variantVector(cfg, out)
-		st.aw.writeExtra(m, out.ancestors, out.testScript(), out.id,
-			map[string]string{"variant.smt2": smtlib.Print(out.variant.Script)})
+		m.MetaRules = live.variant.Rules
+		m.VariantVerdicts = variantVector(cfg, v)
+		st.aw.writeExtra(m, live.ancestors, live.testScript(), int(rec.Task),
+			map[string]string{"variant.smt2": smtlib.Print(live.variant.Script)})
 	}
 
 	// The SUT checked against itself.
-	oLabel, oVote, oDef := sutStatus(out.run)
-	vLabel, vVote, vDef := sutStatus(out.variantRun)
+	run := rec.Facts
+	oVote, oDef := sutVote(run.Observed, run.Crashed)
+	vVote, vDef := sutVote(v.Observed, v.Crashed)
 	if oDef && vDef && relationViolated(rel, oVote, vVote) {
+		oLabel, vLabel := sutLabel(run.Observed, run.Crashed), sutLabel(v.Observed, v.Crashed)
 		reason := fmt.Sprintf("verdict pair %s/%s violates %s relation", oLabel, vLabel, rel)
 		record(-1, "sut", oLabel, vLabel, reason, -1, "", 0)
 	}
 	// Each backend checked against itself. The variant run can carry
 	// fewer outputs than the primary (breaker opened between the two
 	// solves); such pairs are incomplete and cannot violate.
-	for i, o := range out.backendRuns {
-		if i >= len(out.variantBackends) {
+	for i, o := range rec.Facts.Backends {
+		if i >= len(v.Backends) {
 			break
 		}
-		vo := out.variantBackends[i]
+		vo := v.Backends[i]
 		oVote, oDef := backendStatus(o.Verdict)
 		vVote, vDef := backendStatus(vo.Verdict)
 		if !oDef || !vDef || !relationViolated(rel, oVote, vVote) {

@@ -133,10 +133,9 @@ const (
 )
 
 // Tally is the campaign's scalar books: every per-occurrence counter
-// the in-order classification stage keeps. Result and the saved
-// classification state embed it, so a counter has one definition, one
-// JSON layout (encoding/json inlines the embedded struct, tags and
-// field order included), one validation rule, and one sum.
+// the classification fold keeps. Result and its fingerprint embed it,
+// so a counter has one definition and one JSON layout (encoding/json
+// inlines the embedded struct, tags and field order included).
 type Tally struct {
 	Tests    int `json:"tests"`
 	Unknowns int `json:"unknowns,omitempty"`
@@ -178,39 +177,6 @@ type Tally struct {
 	MetamorphicSkips int `json:"metamorphic_skips,omitempty"`
 	SutViolations    int `json:"sut_violations,omitempty"`
 }
-
-// namedCount addresses one counter of a tally or report by its
-// serialized name, for validation and summation.
-type namedCount struct {
-	name string
-	v    *int
-}
-
-// counts lists every counter of the tally; adding a counter to Tally
-// means adding it here too.
-func (t *Tally) counts() []namedCount {
-	return []namedCount{
-		{"tests", &t.Tests}, {"unknowns", &t.Unknowns}, {"duplicates", &t.Duplicates},
-		{"reference_disagreements", &t.ReferenceDisagreements},
-		{"invalid_inputs", &t.InvalidInputs}, {"timeouts", &t.Timeouts},
-		{"quarantined", &t.Quarantined},
-		{"oracle_votes", &t.OracleVotes}, {"oracle_consensus", &t.OracleConsensus},
-		{"oracle_abstained", &t.OracleAbstained}, {"sut_outvoted", &t.SutOutvoted},
-		{"metamorphic_pairs", &t.MetamorphicPairs},
-		{"metamorphic_skips", &t.MetamorphicSkips},
-		{"sut_violations", &t.SutViolations},
-	}
-}
-
-// addCounts sums src into dst, counter by counter; both lists come
-// from the same counts method.
-func addCounts(dst, src []namedCount) {
-	for i := range dst {
-		*dst[i].v += *src[i].v
-	}
-}
-
-func (t *Tally) add(o Tally) { addCounts(t.counts(), o.counts()) }
 
 // Result is the outcome of a campaign.
 type Result struct {
@@ -373,7 +339,7 @@ type taskOutcome struct {
 	wallTimeout bool
 	// delta holds the task's engine-counter increments (empty on a
 	// wall-timeout: the abandoned goroutine still owns that tracker).
-	delta telemetry.Snapshot
+	delta telemetry.Delta
 	// backendRuns holds the cross-check outputs, one per configured
 	// backend (nil when the task was not tested, was quarantined, or
 	// the campaign has no backends).
@@ -386,19 +352,10 @@ type taskOutcome struct {
 	variantRun      RunResult
 	variantBackends []backend.Output
 	variantSkip     bool
-	// consensus is the majority policy's per-task annotation ("sat",
-	// "unsat", or "abstained"), written by the classification stage and
-	// read by the trace recorder, like finding (this task recorded a
-	// bug) and duplicate (it re-triggered one).
-	consensus          string
-	finding, duplicate bool
-}
-
-// quarantined reports whether the task is withdrawn from all
-// classification: a watchdog cut-off or an internal fault of our own
-// solver on either the primary or the variant solve.
-func (o *taskOutcome) quarantined() bool {
-	return o.wallTimeout || o.run.InternalFault || o.variantRun.InternalFault
+	// rec is the task's record, built on the worker for classified
+	// tasks; the fields above stay for the reproducer bundles, which
+	// need the scripts themselves.
+	rec taskRecord
 }
 
 // testScript is the script that was handed to the solver under test.
@@ -460,52 +417,114 @@ type runControls struct {
 	suppressVet bool
 }
 
-// runState is the campaign state that survives a pause: everything the
-// in-order classification stage has folded so far. Bugs stay in
-// recording order until finish sorts them, so a checkpoint taken at any
-// frontier serializes the exact dedup state. The classification methods
-// hang off it: each Result or BackendReport increment sits next to its
-// funnel counter increment on the campaign tracker.
+// runState is the fold of a campaign's task records: the records
+// themselves, in task order, and everything classification derives
+// from them. Bugs stay in recording order until finish sorts them. The
+// classification methods hang off it: each Result or BackendReport
+// increment sits next to its funnel counter increment on the campaign
+// tracker.
 type runState struct {
 	cfg   *campaign
 	res   *Result
 	found map[solver.Defect]int // defect → index into res.Bugs
 	seen  map[bkKey]int         // backend finding key → recording task
 	aw    *artifactWriter
-	// tr receives the campaign's aggregated metrics: engine step
-	// counters merged per task plus the funnel counters, all written by
-	// the in-order classification stage. nil records nothing.
+	// tr receives the campaign's aggregated metrics: the corpus-vetting
+	// telemetry, each record's engine-counter increments and the funnel
+	// counters.
 	tr *telemetry.Tracker
-	// done counts classified tasks, cumulative across resume legs.
-	done int
+	// records holds every classified task's record, cumulative across
+	// resume legs; vetting the corpus-vetting telemetry (empty on
+	// non-zero shards).
+	records []taskRecord
+	vetting telemetry.Snapshot
+	// plain interns the records' plain facts: most tasks of a campaign
+	// share their verdict, reason and fired defects with another.
+	plain map[plainFacts]*taskFacts
 }
 
+// maxPresized caps the records a run state reserves room for up front:
+// a typical campaign's whole table, but not a huge one's, which grows
+// as it runs.
+const maxPresized = 1 << 14
+
+// newRunState starts an empty fold. A nil tracker is replaced by a
+// private one: the metrics are part of every document.
 func newRunState(cfg *campaign, tr *telemetry.Tracker) *runState {
 	res := &Result{}
 	res.Backends = make([]BackendReport, len(cfg.specs))
 	for i, spec := range cfg.specs {
 		res.Backends[i] = BackendReport{Name: spec.Name, Hermetic: spec.Hermetic}
 	}
-	st := &runState{
-		cfg:   cfg,
-		res:   res,
-		found: map[solver.Defect]int{},
-		seen:  map[bkKey]int{},
-		tr:    tr,
+	if tr == nil {
+		tr = telemetry.NewTracker()
 	}
-	if cfg.ArtifactDir != "" {
-		st.aw = newArtifactWriter(cfg.ArtifactDir)
+	n, _, _ := cfg.shardSpan()
+	return &runState{
+		cfg:     cfg,
+		res:     res,
+		found:   map[solver.Defect]int{},
+		seen:    map[bkKey]int{},
+		tr:      tr,
+		records: make([]taskRecord, 0, min(n, maxPresized)),
+		plain:   map[plainFacts]*taskFacts{},
 	}
-	return st
+}
+
+// taskFlags are the fold's per-task outputs that a trace line shows:
+// whether the task recorded a bug or re-triggered one, and the
+// majority vote's outcome ("sat", "unsat", "abstained", or "").
+type taskFlags struct {
+	finding, duplicate bool
+	consensus          string
+}
+
+// apply appends one record and folds it: the one classification step
+// shared by live classification (live is the task's outcome, for the
+// reproducer bundles) and replay (live is nil). jw, when set, receives
+// the record's trace line.
+func (st *runState) apply(rec taskRecord, live *taskOutcome, jw *telemetry.JSONLWriter) (taskFlags, error) {
+	if rec.Facts != nil {
+		if p, ok := rec.Facts.plain(); ok {
+			if shared, ok := st.plain[p]; ok {
+				rec.Facts = shared
+			} else {
+				st.plain[p] = rec.Facts
+			}
+		}
+	}
+	st.records = append(st.records, rec)
+	r := &st.records[len(st.records)-1]
+	fl, err := st.fold(r, live)
+	if err != nil {
+		return fl, fmt.Errorf("task %d: %v", r.Task, err)
+	}
+	if jw != nil {
+		jw.Emit(traceLine(st.cfg, r, fl))
+	}
+	return fl, nil
+}
+
+// replay folds a document's records, in task order, into st. Replay
+// never writes to a record, so the documents' records stay shared.
+func (st *runState) replay(recs []taskRecord, jw *telemetry.JSONLWriter) error {
+	for _, r := range recs {
+		if _, err := st.apply(r, nil, jw); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // finish finalizes a completed (or paused, for its partial Result)
-// campaign: sorts the findings, fills breaker states, and surfaces the
-// first artifact-write error.
-func finish(st *runState) (*Result, error) {
+// campaign: sorts the findings, fills the backends' breaker states,
+// and surfaces the first artifact-write error.
+func finish(st *runState, breakers []breakerState) (*Result, error) {
 	res := st.res
 	sortBugs(res.Bugs)
-	finishBackends(res, st.cfg)
+	for i, br := range breakers {
+		res.Backends[i].Quarantined = br.Open
+	}
 	if st.aw != nil {
 		if st.aw.err != nil {
 			return nil, fmt.Errorf("harness: writing artifacts: %w", st.aw.err)
@@ -538,21 +557,19 @@ func finish(st *runState) (*Result, error) {
 // true when a control paused the leg before include was exhausted.
 func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	cfg := st.cfg
-	rec := &recorder{tr: st.tr, suppressVet: ctl.suppressVet}
+	var jw *telemetry.JSONLWriter
 	if ctl.trace != nil {
-		rec.jw = telemetry.NewJSONLWriter(ctl.trace)
+		jw = telemetry.NewJSONLWriter(ctl.trace)
 	}
 
 	// One solver instance per worker: instances are deterministic per
 	// Solve call but not safe for concurrent use. Each worker likewise
-	// owns its telemetry tracker; per-task deltas are folded into the
-	// campaign tracker by the in-order classification stage.
+	// owns its telemetry tracker; each task's counter increments travel
+	// in its record to the in-order classification stage.
 	suts := make([]*solver.Solver, cfg.Threads)
 	trackers := make([]*telemetry.Tracker, cfg.Threads)
 	for w := range suts {
-		if rec.active() {
-			trackers[w] = telemetry.NewTracker()
-		}
+		trackers[w] = telemetry.NewTracker()
 		suts[w] = makeSUT(cfg, trackers[w])
 	}
 
@@ -571,9 +588,17 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		}
 	}
 
-	pools, err := buildCorpus(cfg, suts, trackers, rec)
+	var vet *telemetry.Tracker
+	if !ctl.suppressVet {
+		vet = telemetry.NewTracker()
+	}
+	pools, err := buildCorpus(cfg, suts, trackers, vet)
 	if err != nil {
 		return false, err
+	}
+	if vet != nil {
+		st.vetting = vet.Snapshot()
+		st.tr.Merge(st.vetting)
 	}
 
 	// Tasks are dispatched as per-seed families: all variants of one
@@ -650,12 +675,11 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 						// solver instance may hold inconsistent state, so
 						// replace it — together with its tracker, which the
 						// abandoned goroutine may still be writing.
-						if tr != nil {
-							tr = telemetry.NewTracker()
-						}
+						tr = telemetry.NewTracker()
 						sut = makeSUT(cfg, tr)
 					}
 					if emit[id] {
+						out.rec = recordOf(cfg, &out)
 						outCh <- out
 					}
 				}
@@ -682,7 +706,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	// After a pause triggers, the feeder is stopped and the channel
 	// drained; outcomes past the frontier are discarded — resume re-runs
 	// them deterministically.
-	totalInclude := st.done + len(include)
+	totalInclude := len(st.records) + len(include)
 	idx := 0
 	budget := ctl.stopAfter
 	paused := false
@@ -706,12 +730,12 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 			}
 			delete(pending, include[idx])
 			idx++
-			st.applyOutcome(&cur)
-			rec.task(cfg, cur)
-			st.done++
+			// Live records always fold: the worker built them from the
+			// task's own outcome, witnesses included.
+			st.apply(cur.rec, &cur, jw) //nolint:errcheck
 			if ctl.progress != nil {
-				rec.flush()
-				ctl.progress(st.done, totalInclude)
+				jw.Flush()
+				ctl.progress(len(st.records), totalInclude)
 			}
 			if budget > 0 {
 				budget--
@@ -733,7 +757,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		// the leg completed after all.
 		paused = false
 	}
-	if err := rec.jw.Close(); err != nil {
+	if err := jw.Close(); err != nil {
 		return false, fmt.Errorf("harness: writing trace: %w", err)
 	}
 	return paused, nil
@@ -744,12 +768,12 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 // random in the task flows from its own deterministic RNG, so campaigns
 // stay bit-identical for any thread count.
 func runTask(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker, id int) taskOutcome {
-	before := tr.Snapshot()
+	tr.Mark()
 	out := runTaskInner(cfg, pools, sut, bks, id)
 	if !out.wallTimeout {
 		// On a wall-timeout the abandoned goroutine may still be writing
 		// tr, so the tracker is surrendered with it instead of read.
-		out.delta = tr.Snapshot().Diff(before)
+		out.delta = tr.Since()
 	}
 	return out
 }
@@ -863,55 +887,63 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 	return out
 }
 
-// applyOutcome classifies one task outcome into the campaign state.
-func (st *runState) applyOutcome(out *taskOutcome) {
-	res, aw := st.res, st.aw
-	if out.invalid {
+// fold classifies one task record into the campaign state. live is the
+// task's outcome during live classification (nil on replay): it is
+// read only to write reproducer bundles and to print a new bug's
+// witness, never to decide anything.
+func (st *runState) fold(rec *taskRecord, live *taskOutcome) (taskFlags, error) {
+	var fl taskFlags
+	res := st.res
+	st.tr.AddDelta(rec.Counters)
+	switch rec.Status {
+	case statusInvalid:
 		res.InvalidInputs++
 		st.tr.Inc(cfInvalid)
-		return
-	}
-	if !out.tested {
+		return fl, nil
+	case statusSkipped:
 		st.tr.Inc(cfSkipped)
-		return // no fusable pair: skip
+		return fl, nil // no fusable pair: skip
 	}
 	st.tr.Inc(cfDerived)
 	// Quarantine before classification: a watchdog cut-off or an
 	// internal fault of our own solver — on either the primary or the
 	// metamorphic-variant solve — is never a finding. The campaign
 	// continues; the offending input is preserved for debugging.
-	if out.quarantined() {
+	if rec.Status == statusQuarantined {
 		res.Quarantined++
 		st.tr.Inc(cfQuarantined)
-		if aw != nil {
-			m := manifestFor(st.cfg, *out, "quarantine", "")
-			switch {
-			case out.wallTimeout:
+		if st.aw != nil && live != nil {
+			m := manifestFor(st.cfg, live, "quarantine", "")
+			switch rec.Cause {
+			case causeWallTimeout:
 				m.Observed = "wall-timeout"
 				m.Reason = "wall-clock watchdog expired"
-			case out.run.InternalFault:
+			case causeFault:
 				m.Observed = "internal-fault"
-				m.FaultMsg = out.run.FaultMsg
-				m.FaultStack = out.run.FaultStack
+				m.FaultMsg = live.run.FaultMsg
+				m.FaultStack = live.run.FaultStack
 			default:
 				m.Observed = "internal-fault"
-				m.FaultMsg = out.variantRun.FaultMsg
-				m.FaultStack = out.variantRun.FaultStack
+				m.FaultMsg = live.variantRun.FaultMsg
+				m.FaultStack = live.variantRun.FaultStack
 			}
-			aw.write(m, out.ancestors, out.testScript(), out.id)
+			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
 		}
-		return
+		return fl, nil
 	}
 	res.Tests++
 	st.tr.Inc(cfSolved)
-	st.tr.Observe(hTaskFuel, out.delta.Counter(solver.MetricSolveFuelSpent))
-	st.classify(out)
-	st.classifyBackends(out)
-	st.classifyConsensus(out)
+	st.tr.Observe(hTaskFuel, rec.Counters.Counter(solver.FuelSpentCounter))
+	if err := st.classify(rec, live, &fl); err != nil {
+		return fl, err
+	}
+	st.classifyBackends(rec, live)
+	st.classifyConsensus(rec, live, &fl)
+	return fl, nil
 }
 
 // manifestFor assembles the replay coordinates of one task outcome.
-func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.Defect) Manifest {
+func manifestFor(cfg *campaign, out *taskOutcome, bugType string, defect solver.Defect) Manifest {
 	fired := make([]string, 0, len(out.run.DefectsFired))
 	for _, d := range out.run.DefectsFired {
 		fired = append(fired, string(d))
@@ -949,59 +981,70 @@ func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.D
 
 // classify implements the incorrects/crashes bookkeeping of
 // Algorithm 1, extended with performance-defect observation, timeout
-// triage, and duplicate triage by defect site.
-func (st *runState) classify(out *taskOutcome) {
+// triage, and duplicate triage by defect site. A live task that
+// records a new bug gets its witness attached; a replayed one must
+// carry it.
+func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) error {
 	cfg, res := st.cfg, st.res
-	ancestors, run := out.ancestors, out.run
-	script, oracle := out.testScript(), out.oracle()
 	// record triages the observation to its defect; reason, when set,
 	// replaces the run's reason in the reproducer manifest only.
-	record := func(kind bugdb.BugType, reason string) {
-		primary, ok := primaryDefect(run.DefectsFired, kind)
+	record := func(kind bugdb.BugType, reason string) error {
+		primary, ok := primaryDefect(kind, rec.Facts.Fired)
 		if !ok {
 			res.ReferenceDisagreements++
 			st.tr.Inc(cfRefDisagree)
-			return
+			return nil
 		}
 		if i, ok := st.found[primary]; ok {
 			res.Duplicates++
 			st.tr.Inc(cfDuplicates)
-			res.Bugs[i].Tasks = append(res.Bugs[i].Tasks, out.id)
-			out.duplicate = true
-			return
+			res.Bugs[i].Tasks = append(res.Bugs[i].Tasks, int(rec.Task))
+			fl.duplicate = true
+			return nil
 		}
-		st.found[primary] = len(res.Bugs)
 		b := Bug{
-			Defect:    primary,
-			Kind:      kind,
-			Logic:     gen.Logic(cfg.Logics[out.id/cfg.Iterations]),
-			Oracle:    oracle,
-			Observed:  run.Result,
-			Script:    script,
-			Ancestors: ancestors,
-			Tasks:     []int{out.id},
+			Defect:   primary,
+			Kind:     kind,
+			Logic:    gen.Logic(cfg.Logics[int(rec.Task)/cfg.Iterations]),
+			Oracle:   rec.Oracle,
+			Observed: rec.Facts.Observed,
+			Mode:     rec.Mode,
+			Tasks:    []int{int(rec.Task)},
 		}
-		if out.mutant != nil {
-			b.Rules = out.mutant.Rules
-		} else {
-			b.Mode = out.fused.Mode
+		w := rec.Facts.Witness
+		if live != nil {
+			// The live record carries the bug's witness from here on. Its
+			// facts may be shared, so they are copied, never written.
+			w = &witness{script: live.testScript(), seeds: live.ancestors}
+			if live.mutant != nil {
+				w.rules = live.mutant.Rules
+			}
+			f := *rec.Facts
+			f.Witness = w
+			rec.Facts = &f
+		} else if w == nil {
+			return fmt.Errorf("records bug %s without a witness", primary)
 		}
+		b.Script, b.Ancestors, b.Rules = w.script, w.seeds, w.rules
+		st.found[primary] = len(res.Bugs)
 		res.Bugs = append(res.Bugs, b)
 		st.tr.Inc(cfFindings)
-		out.finding = true
-		if st.aw != nil {
-			m := manifestFor(cfg, *out, string(kind), primary)
+		fl.finding = true
+		if st.aw != nil && live != nil {
+			m := manifestFor(cfg, live, string(kind), primary)
 			if reason != "" {
 				m.Reason = reason
 			}
-			st.aw.write(m, ancestors, script, out.id)
+			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
 		}
+		return nil
 	}
 
+	run := rec.Facts
 	switch {
 	case run.Crashed:
-		record(bugdb.Crash, "")
-	case run.Result == solver.ResTimeout:
+		return record(bugdb.Crash, "")
+	case run.Observed == solver.ResTimeout:
 		// Fuel exhaustion. With a performance defect fired this is the
 		// paper's performance-bug observation; otherwise the instance
 		// was genuinely hard and only the timeout is counted. This case
@@ -1009,34 +1052,31 @@ func (st *runState) classify(out *taskOutcome) {
 		// verdict, so it can never be a soundness observation.
 		res.Timeouts++
 		st.tr.Inc(cfTimeouts)
-		if _, ok := primaryDefect(run.DefectsFired, bugdb.Performance); ok {
-			record(bugdb.Performance, "")
+		if _, ok := primaryDefect(bugdb.Performance, run.Fired); ok {
+			return record(bugdb.Performance, "")
 		}
-	case run.Result == solver.ResUnknown:
+	case run.Observed == solver.ResUnknown:
 		res.Unknowns++
 		st.tr.Inc(cfUnknowns)
 		// A performance defect firing on the way to unknown is still
 		// the paper's "performance bug" observation; this path is taken
 		// when the campaign runs with the fuel meter disabled, where
 		// draining is a no-op and no timeout verdict exists.
-		if _, ok := primaryDefect(run.DefectsFired, bugdb.Performance); ok {
-			record(bugdb.Performance, "")
+		if _, ok := primaryDefect(bugdb.Performance, run.Fired); ok {
+			return record(bugdb.Performance, "")
 		}
 	default:
-		// A definite verdict: compared against the oracle.
+		// A definite verdict: compared against the oracle, then its
+		// model checked (recordOf ran the model-validation oracle).
 		st.tr.Inc(cfOracleChecked)
 		switch {
-		case verdictContradicts(run.Result, oracle):
-			record(bugdb.Soundness, "")
-		case run.Result == solver.ResSat && !cfg.DisableModelCheck:
-			// The verdict agrees with the oracle, but the reported witness
-			// must still satisfy the formula: this is the only oracle that
-			// can see post-certification model corruption.
-			if ok, reason := ValidateModel(script, run.Model); !ok {
-				record(bugdb.InvalidModel, reason)
-			}
+		case verdictContradicts(run.Observed, rec.Oracle):
+			return record(bugdb.Soundness, "")
+		case run.ModelFail != "":
+			return record(bugdb.InvalidModel, run.ModelFail)
 		}
 	}
+	return nil
 }
 
 // verdictContradicts reports whether a SUT verdict refutes the ground
@@ -1059,22 +1099,29 @@ func verdictContradicts(res solver.Result, oracle core.Status) bool {
 
 // primaryDefect picks the fired defect matching the observed bug kind
 // (triaging the report to its root cause, like the paper's interaction
-// with the solver developers).
-func primaryDefect(fired []solver.Defect, kind bugdb.BugType) (solver.Defect, bool) {
+// with the solver developers). The sets are searched in order, each in
+// name order.
+func primaryDefect(kind bugdb.BugType, fired ...defectSet) (solver.Defect, bool) {
 	var fallback solver.Defect
 	haveFallback := false
-	for _, d := range fired {
-		e, ok := bugdb.Find(d)
-		if !ok {
-			continue
-		}
-		if e.Type == kind {
-			return d, true
-		}
-		// Model-corruption sites run after the verdict is fixed, so they
-		// can never root an observation of any other kind.
-		if !haveFallback && e.Type != bugdb.InvalidModel {
-			fallback, haveFallback = d, true
+	for _, set := range fired {
+		for i := 0; set != 0; i, set = i+1, set>>1 {
+			if set&1 == 0 {
+				continue
+			}
+			d := defectSites[i]
+			e, ok := bugdb.Find(d)
+			if !ok {
+				continue
+			}
+			if e.Type == kind {
+				return d, true
+			}
+			// Model-corruption sites run after the verdict is fixed, so
+			// they can never root an observation of any other kind.
+			if !haveFallback && e.Type != bugdb.InvalidModel {
+				fallback, haveFallback = d, true
+			}
 		}
 	}
 	// A soundness observation can be rooted in any wrong-transformation
@@ -1109,7 +1156,7 @@ type seedPool struct {
 // across the worker pool. Each slot owns a generator stream keyed by
 // (campaign seed, logic, slot, status), so the resulting corpus does
 // not depend on which worker vets which slot.
-func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, rec *recorder) ([]*seedPool, error) {
+func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, vet *telemetry.Tracker) ([]*seedPool, error) {
 	pools := make([]*seedPool, len(cfg.Logics))
 	for i := range pools {
 		pools[i] = &seedPool{
@@ -1128,7 +1175,7 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 	// job (like the pool slots), so no locking is needed and the merge
 	// order is independent of scheduling.
 	tries := make([]int, total)
-	deltas := make([]telemetry.Snapshot, total)
+	deltas := make([]telemetry.Delta, total)
 	var wg sync.WaitGroup
 	for w := range suts {
 		wg.Add(1)
@@ -1151,10 +1198,10 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 				// must depend on the slot alone, not on which worker
 				// happened to vet (or solve) something else first.
 				sut.ResetWarm()
-				before := tr.Snapshot()
+				tr.Mark()
 				s, n, err := vetSlot(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), slot, status, sut)
 				tries[j] = n
-				deltas[j] = tr.Snapshot().Diff(before)
+				deltas[j] = tr.Since()
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = err
@@ -1180,8 +1227,14 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 			return nil, err
 		}
 	}
-	if rec != nil {
-		rec.vetted(tries, deltas)
+	// vet, when set, receives the vetting telemetry in job order:
+	// per-slot engine-counter increments and generation tries.
+	if vet != nil {
+		for j := range tries {
+			vet.AddDelta(deltas[j])
+			vet.Add(cfSeedGenerated, int64(tries[j]))
+			vet.Inc(cfSeedVetted)
+		}
 	}
 	return pools, nil
 }

@@ -1,14 +1,14 @@
 // Sharding: a campaign's task space splits across K independent
 // processes, each classifying the global task ids congruent to its
 // shard index mod K. Every per-task quantity (verdict, fuel delta,
-// artifacts, trace record) is computed identically to the unsharded
+// artifacts, the task record) is computed identically to the unsharded
 // run because task RNG derives from (campaign seed, logic, iteration)
 // alone and warm state is reconstructed per family; only the
 // *cross-task* folds — bug dedup, duplicate counts, backend triage,
-// funnel counters, trace finding flags — see a shard-local view.
-// Merge re-folds those from the envelopes' trigger-task lists, so the
-// merged Result, metrics, and trace are byte-identical to a
-// single-process run of the same config.
+// funnel counters, trace finding flags — see a shard-local view. Merge
+// replays the shards' records in global task order through the same
+// fold, so the merged Result, metrics, and trace are byte-identical to
+// a single-process run of the same config.
 package harness
 
 import (
@@ -25,54 +25,37 @@ import (
 )
 
 // Envelope is one completed shard (or a whole unsharded campaign): the
-// config it ran, the per-shard classification state, telemetry
-// snapshot, and JSONL trace bytes, in a form Merge can fold. Produced
+// config it ran and the records of every task it owns with the state
+// they cannot carry (see docBody), in a form Merge can fold. Produced
 // by Start/Resume on completion; serialized with EncodeEnvelope.
 type Envelope struct {
 	Config CampaignConfig `json:"config"`
 	// Tasks is the number of task ids this shard classified — always
 	// the shard's full allotment, since envelopes only exist for
 	// completed runs (a partial run yields a Checkpoint instead).
-	Tasks     int                `json:"tasks"`
-	State     savedState         `json:"state"`
-	Telemetry telemetry.Snapshot `json:"telemetry"`
-	Trace     []byte             `json:"trace,omitempty"`
+	Tasks int `json:"tasks"`
+	docBody
 }
 
-// validate checks the envelope's invariants and returns its decoded
-// trace records (nil when untraced), so Merge decodes each trace once.
-func (e *Envelope) validate() ([]TraceRecord, error) {
+func (e *Envelope) validate() error {
 	if err := e.Config.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	d := e.Config.withDefaults()
-	ids := d.includeIDs()
-	if e.Tasks != len(ids) {
-		return nil, fmt.Errorf("harness: envelope: %d tasks classified, shard %d/%d owns %d (envelopes are complete runs)",
-			e.Tasks, d.Shard, d.Shards, len(ids))
+	if n := e.Config.ShardTaskCount(); e.Tasks != n || len(e.Records) != n {
+		return fmt.Errorf("harness: envelope: %d tasks classified (%d records), shard %d/%d owns %d (envelopes are complete runs)",
+			e.Tasks, len(e.Records), d.Shard, d.Shards, n)
 	}
-	if err := validateState(e.Config, e.State, e.Tasks); err != nil {
-		return nil, fmt.Errorf("harness: envelope: %v", err)
+	if _, err := e.docBody.validate(e.Config); err != nil {
+		return fmt.Errorf("harness: envelope: %v", err)
 	}
-	if len(e.Trace) == 0 {
-		return nil, nil
-	}
-	// A traced envelope holds one record per owned task, in task order.
-	recs, err := DecodeTrace(bytes.NewReader(e.Trace))
-	if err != nil {
-		return nil, fmt.Errorf("harness: envelope: %w", err)
-	}
-	if len(recs) != len(ids) {
-		return nil, fmt.Errorf("harness: envelope: trace holds %d records, shard %d/%d owns %d tasks",
-			len(recs), d.Shard, d.Shards, len(ids))
-	}
-	for i, r := range recs {
-		if r.Task != ids[i] {
-			return nil, fmt.Errorf("harness: envelope: trace record %d is task %d, want %d", i+1, r.Task, ids[i])
-		}
-	}
-	return recs, nil
+	return nil
 }
+
+// Fold returns the envelope's own Result, telemetry snapshot and trace:
+// for an unsharded campaign, exactly what the run reported; for one
+// shard, its shard-local view (Merge folds the K shards together).
+func (e *Envelope) Fold() (*Merged, error) { return e.docBody.fold(e.Config) }
 
 // EncodeEnvelope serializes a shard envelope as a versioned,
 // checksummed JSON document.
@@ -80,15 +63,15 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	if e == nil {
 		return nil, fmt.Errorf("harness: nil envelope")
 	}
-	if _, err := e.validate(); err != nil {
+	if err := e.validate(); err != nil {
 		return nil, err
 	}
 	return sealDoc(kindEnvelope, CheckpointSchema, e)
 }
 
 // DecodeEnvelope parses and fully validates an envelope document,
-// failing closed on any corruption, version skew, or state that
-// violates the classification invariants.
+// failing closed on any corruption, version skew, or records that
+// violate the document invariants.
 func DecodeEnvelope(data []byte) (*Envelope, error) {
 	payload, err := openDoc(data, kindEnvelope, CheckpointSchema)
 	if err != nil {
@@ -98,7 +81,7 @@ func DecodeEnvelope(data []byte) (*Envelope, error) {
 	if err := decodeStrict(payload, &e, kindEnvelope); err != nil {
 		return nil, err
 	}
-	if _, err := e.validate(); err != nil {
+	if err := e.validate(); err != nil {
 		return nil, err
 	}
 	return &e, nil
@@ -133,16 +116,13 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	if len(envs) == 0 {
 		return nil, fmt.Errorf("harness: merge of zero envelopes")
 	}
-	var traceRecs []TraceRecord
 	for i, e := range envs {
 		if e == nil {
 			return nil, fmt.Errorf("harness: merge: envelope %d is nil", i)
 		}
-		recs, err := e.validate()
-		if err != nil {
+		if err := e.validate(); err != nil {
 			return nil, fmt.Errorf("harness: merge: envelope %d: %w", i, err)
 		}
-		traceRecs = append(traceRecs, recs...)
 	}
 
 	// The envelopes must be the K shards of one campaign: identical
@@ -172,33 +152,41 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	}
 
 	// The fold runs on the campaign identity: no shard's artifact
-	// directory, and no runtime attachments.
+	// directory, no sharding, and no runtime attachments. It replays
+	// every shard's records in global task order, exactly as a single
+	// process classifies them.
 	cc := envs[0].Config
-	cc.ArtifactDir = ""
+	cc.ArtifactDir, cc.Shard, cc.Shards = "", 0, 0
 	cfg, err := cc.derive()
 	if err != nil {
 		return nil, err
 	}
-	states := make([]savedState, len(byShard))
-	for i, e := range byShard {
-		states[i] = e.State
+	st := newRunState(cfg, nil)
+	var recs []taskRecord
+	breakers := make([]breakerState, len(cfg.specs))
+	for _, e := range byShard {
+		st.tr.Merge(e.Vetting)
+		recs = append(recs, e.Records...)
+		// A backend ends the merged campaign quarantined if its breaker
+		// opened in any shard.
+		for i, br := range e.Breakers {
+			breakers[i].Open = breakers[i].Open || br.Open
+		}
 	}
-	st, err := foldStates(cfg, nil, states)
-	if err != nil {
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Task < recs[j].Task })
+	var trace bytes.Buffer
+	jw := telemetry.NewJSONLWriter(&trace)
+	if err := st.replay(recs, jw); err != nil {
 		return nil, fmt.Errorf("harness: merge: %v", err)
 	}
-	res := st.res
+	if err := jw.Close(); err != nil {
+		return nil, err
+	}
+	res, _ := finish(st, breakers)
 	if err := mergeArtifacts(res, st.seen, byShard, artifactDir); err != nil {
 		return nil, err
 	}
-	sortBugs(res.Bugs)
-
-	snap := mergeTelemetry(byShard, res)
-	trace, err := mergeTraces(traceRecs, res)
-	if err != nil {
-		return nil, err
-	}
-	return &Merged{Result: res, Telemetry: snap, Trace: trace}, nil
+	return &Merged{Result: res, Telemetry: st.tr.Snapshot(), Trace: trace.Bytes()}, nil
 }
 
 // mergeArtifacts re-folds the bundle dedup. A shard writes a bundle at
@@ -238,7 +226,7 @@ func mergeArtifacts(res *Result, findingTask map[bkKey]int, byShard []*Envelope,
 	var all []ref
 	for _, e := range byShard {
 		dir := e.Config.withDefaults().ArtifactDir
-		for _, r := range e.State.Artifacts {
+		for _, r := range e.Artifacts {
 			all = append(all, ref{artifactRef: r, srcDir: dir})
 		}
 	}
@@ -287,71 +275,4 @@ func copyBundle(src, dst string) error {
 		}
 	}
 	return nil
-}
-
-// mergeTelemetry sums the shard snapshots, then overwrites the three
-// dedup-dependent counters with the merged values: per-shard findings
-// over-count duplicates that cross shard boundaries, and the funnel
-// invariant (counter totals == Result counts) must hold for the merged
-// pair exactly as it does for a single run.
-func mergeTelemetry(byShard []*Envelope, res *Result) telemetry.Snapshot {
-	var snap telemetry.Snapshot
-	any := false
-	for _, e := range byShard {
-		if len(e.Telemetry.Counters) > 0 || len(e.Telemetry.Histograms) > 0 {
-			any = true
-		}
-		snap.Accumulate(e.Telemetry)
-	}
-	if !any {
-		return telemetry.Snapshot{}
-	}
-	fix := func(name string, v int) {
-		if v == 0 {
-			delete(snap.Counters, name)
-			return
-		}
-		if snap.Counters == nil {
-			snap.Counters = map[string]int64{}
-		}
-		snap.Counters[name] = int64(v)
-	}
-	fix("yy_funnel_findings_total", len(res.Bugs))
-	fix("yy_funnel_duplicates_total", res.Duplicates)
-	fix("yy_backend_findings_total", len(res.BackendFindings))
-	return snap
-}
-
-// mergeTraces interleaves the shards' validated trace records into
-// global task order and rewrites the two dedup-dependent flags per
-// record — finding (this task recorded the bug) and duplicate (it
-// re-triggered one) — from the merged trigger lists. Everything else
-// in a record is task-local and already identical to the single-run
-// record, so re-marshaling yields byte-identical JSONL. No records
-// (no shard traced) yields a nil trace.
-func mergeTraces(recs []TraceRecord, res *Result) ([]byte, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	finding := map[int]bool{}
-	duplicate := map[int]bool{}
-	for _, b := range res.Bugs {
-		finding[b.Tasks[0]] = true
-		for _, t := range b.Tasks[1:] {
-			duplicate[t] = true
-		}
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Task < recs[j].Task })
-	var buf bytes.Buffer
-	for i := range recs {
-		recs[i].Finding = finding[recs[i].Task]
-		recs[i].Duplicate = duplicate[recs[i].Task]
-		data, err := json.Marshal(&recs[i])
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -169,55 +170,60 @@ func TestMergeFailClosed(t *testing.T) {
 		t.Error("merged an envelope with a short task count")
 	}
 
-	// Semantically impossible state behind a complete task count: a
-	// negative backend tally would fold into the merged report.
-	negative := *e1
-	negative.State.Backends = append([]BackendReport(nil), e1.State.Backends...)
-	negative.State.Backends[0].Checks = -5
-	if _, err := Merge([]*Envelope{e0, &negative}, ""); err == nil {
-		t.Error("merged an envelope with a negative backend tally")
+	// A semantically impossible record behind a complete task count: an
+	// out-of-range backend verdict would fold into the merged report.
+	bad2 := *e1
+	bad2.Records = append([]taskRecord(nil), e1.Records...)
+	bad2.Records[0].Facts = &taskFacts{Backends: []backendRun{{Verdict: -5}}}
+	if _, err := Merge([]*Envelope{e0, &bad2}, ""); err == nil {
+		t.Error("merged an envelope with an out-of-range backend verdict")
 	}
 }
 
-// TestEnvelopeTraceFailClosed checks that an envelope's embedded trace
-// is validated on encode and decode: it must hold exactly one record
-// per task the shard owns, in task order, each of the current schema.
+// TestEnvelopeTraceFailClosed checks that an envelope's records — the
+// source its trace and result are folded from — are validated on
+// encode and decode: exactly one record per task the shard owns, in
+// task order, each of a known status.
 func TestEnvelopeTraceFailClosed(t *testing.T) {
 	cc := ckptConfig()
 	cc.Shards, cc.Shard = 2, 1
-	var tb bytes.Buffer
-	out, err := Start(cc, RunOptions{Telemetry: telemetry.NewTracker(), Trace: &tb})
+	out, err := Start(cc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := out.Envelope
 	if data, err := EncodeEnvelope(env); err != nil {
-		t.Fatalf("valid traced envelope rejected on encode: %v", err)
+		t.Fatalf("valid envelope rejected on encode: %v", err)
 	} else if _, err := DecodeEnvelope(data); err != nil {
-		t.Fatalf("valid traced envelope rejected on decode: %v", err)
+		t.Fatalf("valid envelope rejected on decode: %v", err)
 	}
-	lines := bytes.SplitAfter(bytes.TrimSuffix(env.Trace, []byte("\n")), []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("trace has %d records, want at least 3", len(lines))
+	recs := env.Records
+	if len(recs) < 3 {
+		t.Fatalf("envelope has %d records, want at least 3", len(recs))
 	}
-	join := func(ls ...[]byte) []byte { return bytes.Join(ls, nil) }
-	rest := join(lines[2:]...)
+	join := func(rs ...[]taskRecord) []taskRecord {
+		var out []taskRecord
+		for _, r := range rs {
+			out = append(out, r...)
+		}
+		return out
+	}
 	cases := []struct {
-		name  string
-		trace []byte
-		want  string // substring of the expected diagnostic
+		name    string
+		records []taskRecord
+		want    string // substring of the expected diagnostic
 	}{
-		{"truncated line", env.Trace[:len(env.Trace)-len(lines[len(lines)-1])/2], "trace line"},
-		{"wrong schema", join(bytes.Replace(lines[0], []byte(fmt.Sprintf(`"schema":%d`, TraceSchema)), []byte(`"schema":99`), 1), lines[1], rest), "schema"},
-		{"missing task", join(lines[0], rest), "records"},
-		{"repeated task", join(lines[0], lines[0], rest), "want"},
+		{"truncated", recs[:len(recs)-1], "records"},
+		{"missing task", join(recs[:1], recs[2:]), "records"},
+		{"repeated task", join(recs[:1], recs[:1], recs[2:]), "want"},
+		{"foreign task", join([]taskRecord{{Task: recs[0].Task - 1}}, recs[1:]), "want"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := *env
-			bad.Trace = tc.trace
+			bad.Records = tc.records
 			if _, err := EncodeEnvelope(&bad); err == nil {
-				t.Error("encoded an envelope with a damaged trace")
+				t.Error("encoded an envelope with damaged records")
 			}
 			// Seal without validation, as a foreign writer could.
 			doc, err := sealDoc(kindEnvelope, CheckpointSchema, &bad)
@@ -225,37 +231,52 @@ func TestEnvelopeTraceFailClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := DecodeEnvelope(doc); err == nil {
-				t.Fatal("decoded an envelope with a damaged trace")
+				t.Fatal("decoded an envelope with damaged records")
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("diagnostic %q does not mention %q", err, tc.want)
 			}
 		})
 	}
+	// A status this build does not know fails the decode itself.
+	payload, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = bytes.Replace(payload, []byte(`"status":"tested"`), []byte(`"status":"frobnicated"`), 1)
+	doc, err := sealDoc(kindEnvelope, CheckpointSchema, json.RawMessage(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEnvelope(doc); err == nil || !strings.Contains(err.Error(), "frobnicated") {
+		t.Errorf("unknown status: got %v", err)
+	}
 }
 
 // TestResumeTracedAfterUntracedPause covers a campaign whose first leg
-// ran without a trace writer and whose later legs attach one. The live
-// writers see each traced leg's records, but no whole-shard trace
-// exists, so checkpoints and the envelope carry none — and the
-// envelope still encodes, decodes and merges.
+// ran without a trace writer or tracker and whose later legs attach
+// one. The live writers see only their own legs' records, but every
+// task has a record whatever the leg, so the envelope folds to the
+// uninterrupted traced run's whole trace and metrics — and it still
+// encodes, decodes and merges.
 func TestResumeTracedAfterUntracedPause(t *testing.T) {
 	cc := ckptConfig()
 	cc.Shards, cc.Shard = 2, 1
 	ids := cc.withDefaults().includeIDs()
+	ref, refTrace := runToCompletion(t, cc)
 	out, err := Start(cc, RunOptions{StopAfter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Paused || len(out.Checkpoint.Trace) != 0 {
-		t.Fatalf("untraced leg: paused=%v, checkpoint trace %d bytes", out.Paused, len(out.Checkpoint.Trace))
+	if !out.Paused {
+		t.Fatal("untraced leg did not pause")
 	}
 	var live bytes.Buffer
 	out, err = Resume(out.Checkpoint, RunOptions{Trace: &live, StopAfter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Paused || len(out.Checkpoint.Trace) != 0 {
-		t.Fatalf("traced leg: paused=%v, checkpoint trace %d bytes, want none", out.Paused, len(out.Checkpoint.Trace))
+	if !out.Paused {
+		t.Fatal("traced leg did not pause")
 	}
 	data, err := EncodeCheckpoint(out.Checkpoint)
 	if err != nil {
@@ -268,9 +289,6 @@ func TestResumeTracedAfterUntracedPause(t *testing.T) {
 	out, err = Resume(cp, RunOptions{Trace: &live})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(out.Envelope.Trace) != 0 {
-		t.Fatalf("envelope carries a %d-byte partial trace", len(out.Envelope.Trace))
 	}
 	recs, err := DecodeTrace(bytes.NewReader(live.Bytes()))
 	if err != nil {
@@ -292,26 +310,31 @@ func TestResumeTracedAfterUntracedPause(t *testing.T) {
 	if err != nil {
 		t.Fatalf("envelope rejected on decode: %v", err)
 	}
+	folded, err := env.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(folded.Trace, refTrace) {
+		t.Errorf("envelope trace diverged from the traced run's (%d vs %d bytes)", len(folded.Trace), len(refTrace))
+	}
+	if !reflect.DeepEqual(folded.Telemetry, ref.Telemetry) {
+		t.Error("telemetry diverged from the traced run's")
+	}
 	other := cc
 	other.Shard = 0
 	o0, err := Start(other, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Merge([]*Envelope{o0.Envelope, env}, "")
-	if err != nil {
+	if _, err := Merge([]*Envelope{o0.Envelope, env}, ""); err != nil {
 		t.Fatalf("merge: %v", err)
-	}
-	if m.Trace != nil {
-		t.Errorf("merge of untraced envelopes produced a %d-byte trace", len(m.Trace))
 	}
 }
 
-// FuzzEnvelopeMerge holds the state fold to the identity that resume
-// relies on: any unsharded envelope the decoder accepts merges alone
-// without error, and the merged tally, backend reports, bugs (defect
-// and trigger list) and backend findings equal the envelope's own
-// state.
+// FuzzEnvelopeMerge holds Merge to the identity resume relies on: any
+// unsharded envelope the decoder accepts merges alone without error,
+// into exactly the envelope's own fold — the same result fingerprint,
+// telemetry and trace.
 func FuzzEnvelopeMerge(f *testing.F) {
 	var tb bytes.Buffer
 	out, err := Start(ckptConfig(), RunOptions{Telemetry: telemetry.NewTracker(), Trace: &tb})
@@ -335,25 +358,18 @@ func FuzzEnvelopeMerge(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted envelope does not merge alone: %v", err)
 		}
-		res, s := m.Result, e.State
-		if res.Tally != s.Tally {
-			t.Errorf("tally changed:\nstate  %+v\nmerged %+v", s.Tally, res.Tally)
+		own, err := e.Fold()
+		if err != nil {
+			t.Fatalf("accepted envelope does not fold: %v", err)
 		}
-		if !sameSlice(res.Backends, s.Backends) {
-			t.Errorf("backend reports changed:\nstate  %+v\nmerged %+v", s.Backends, res.Backends)
+		if !bytes.Equal(m.Result.Fingerprint(), own.Result.Fingerprint()) {
+			t.Errorf("merge changed the result:\nown    %s\nmerged %s", own.Result.Fingerprint(), m.Result.Fingerprint())
 		}
-		if !sameSlice(res.BackendFindings, s.BackendFindings) {
-			t.Errorf("backend findings changed:\nstate  %+v\nmerged %+v", s.BackendFindings, res.BackendFindings)
+		if !reflect.DeepEqual(m.Telemetry, own.Telemetry) {
+			t.Errorf("merge changed the telemetry:\nown    %+v\nmerged %+v", own.Telemetry, m.Telemetry)
 		}
-		want, got := map[string][]int{}, map[string][]int{}
-		for _, sb := range s.Bugs {
-			want[sb.Defect] = sb.Tasks
-		}
-		for _, b := range res.Bugs {
-			got[string(b.Defect)] = b.Tasks
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("bug triggers changed:\nstate  %v\nmerged %v", want, got)
+		if !bytes.Equal(m.Trace, own.Trace) {
+			t.Errorf("merge changed the trace (%d vs %d bytes)", len(own.Trace), len(m.Trace))
 		}
 	})
 }

@@ -44,9 +44,11 @@ var (
 // TraceSchema versions the JSONL trace record layout. Schema 2 added
 // the consensus-oracle fields (oracle_policy, consensus, meta_relation,
 // variant_observed, variant_backends), all omitted on known-policy
-// campaigns — but any schema bump is a hard break for readers, so the
-// version is bumped rather than silently extended.
-const TraceSchema = 2
+// campaigns. Schema 3 renders every line from the task's record and
+// adds the two record facts schema 2 left out: model_check and
+// variant_defects_fired. Any schema bump is a hard break for readers,
+// so the version is bumped rather than silently extended.
+const TraceSchema = 3
 
 // TraceRecord is one line of the campaign's JSONL event trace: the
 // task's RNG coordinates (campaign seed, logic, iteration — the triple
@@ -110,6 +112,13 @@ type TraceRecord struct {
 	MetaRelation    string            `json:"meta_relation,omitempty"`
 	VariantObserved string            `json:"variant_observed,omitempty"`
 	VariantBackends map[string]string `json:"variant_backends,omitempty"`
+
+	// Schema 3. ModelCheck is the model-validation oracle's diagnostic
+	// for a sat verdict whose model does not satisfy the test;
+	// VariantDefectsFired lists the defects the metamorphic variant's
+	// solve fired.
+	ModelCheck          string   `json:"model_check,omitempty"`
+	VariantDefectsFired []string `json:"variant_defects_fired,omitempty"`
 }
 
 // ReadTrace parses a JSONL trace file written via RunOptions.Trace.
@@ -147,53 +156,15 @@ func DecodeTrace(r io.Reader) ([]TraceRecord, error) {
 	return out, nil
 }
 
-// recorder aggregates campaign telemetry and emits the JSONL trace.
-// It is only ever called from the in-order classification stage; a
-// recorder with a nil tracker and nil writer no-ops everywhere.
-type recorder struct {
-	tr *telemetry.Tracker
-	jw *telemetry.JSONLWriter
-	// suppressVet drops corpus-vetting telemetry: set on resume legs and
-	// non-zero shards, which rebuild the corpus deterministically but
-	// must not re-count seed generation (see runControls.suppressVet).
-	suppressVet bool
-}
-
-// active reports whether per-task deltas need collecting at all.
-func (rc *recorder) active() bool { return rc.tr != nil || rc.jw != nil }
-
-// flush pushes buffered trace records to the underlying writer so a
-// live reader (the campaign service's trace endpoint) sees every record
-// up to the current classification frontier.
-func (rc *recorder) flush() { rc.jw.Flush() }
-
-// vetted folds the corpus-building telemetry in, in job order: per-slot
-// generation tries and per-slot engine-counter deltas.
-func (rc *recorder) vetted(tries []int, deltas []telemetry.Snapshot) {
-	if rc.tr == nil || rc.suppressVet {
-		return
-	}
-	for j := range tries {
-		rc.tr.Merge(deltas[j])
-		rc.tr.Add(cfSeedGenerated, int64(tries[j]))
-		rc.tr.Inc(cfSeedVetted)
-	}
-}
-
-// task records one classified task: the worker's engine-counter delta
-// and the trace record. The funnel counters were already incremented by
-// the classification itself, next to the Result fields they mirror.
-func (rc *recorder) task(cfg *campaign, out taskOutcome) {
-	rc.tr.Merge(out.delta)
-	if rc.jw == nil {
-		return
-	}
-	logicIdx, iter := out.id/cfg.Iterations, out.id%cfg.Iterations
-	rec := TraceRecord{
+// traceLine renders one record as its trace line: the campaign
+// coordinates from the config, the task-local facts from the record,
+// and the fold's per-task flags.
+func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
+	tl := TraceRecord{
 		Schema:       TraceSchema,
 		CampaignSeed: cfg.Seed,
-		Logic:        cfg.Logics[logicIdx],
-		Iteration:    iter,
+		Logic:        cfg.Logics[int(rec.Task)/cfg.Iterations],
+		Iteration:    int(rec.Task) % cfg.Iterations,
 		Iterations:   cfg.Iterations,
 		SeedPool:     cfg.SeedPool,
 		ConcatOnly:   cfg.ConcatOnly,
@@ -201,71 +172,63 @@ func (rc *recorder) task(cfg *campaign, out taskOutcome) {
 		CampaignMode: cfg.Mode,
 		SUT:          cfg.SUT,
 		Release:      cfg.Release,
-		Task:         out.id,
-		FuelSpent:    out.delta.Counter(solver.MetricSolveFuelSpent),
-		Finding:      out.finding,
-		Duplicate:    out.duplicate,
+		Task:         int(rec.Task),
+		Status:       rec.Status.String(),
+		FuelSpent:    rec.Counters.Counter(solver.FuelSpentCounter),
+		Counters:     rec.Counters.Map(),
+		Finding:      fl.finding,
+		Duplicate:    fl.duplicate,
 	}
-	if len(out.delta.Counters) > 0 {
-		rec.Counters = out.delta.Counters
-	}
-	switch {
-	case out.invalid:
-		rec.Status = "invalid"
-	case !out.tested:
-		rec.Status = "skipped"
-	case out.quarantined():
-		rec.Status = "quarantined"
-		switch {
-		case out.wallTimeout:
-			rec.Observed = "wall-timeout"
-		case out.run.InternalFault:
-			rec.Observed = "internal-fault"
-			rec.Reason = out.run.FaultMsg
-		default:
-			rec.Observed = "internal-fault"
-			rec.Reason = out.variantRun.FaultMsg
+	run := rec.Facts
+	switch rec.Status {
+	case statusInvalid, statusSkipped:
+		return tl
+	case statusQuarantined:
+		tl.Observed = "internal-fault"
+		if rec.Cause == causeWallTimeout {
+			tl.Observed = "wall-timeout"
 		}
 	default:
-		rec.Status = "tested"
-		rec.Observed = out.run.Result.String()
-		rec.Reason = out.run.Reason
-		if out.run.Crashed {
-			rec.Observed = "crash"
-			rec.Reason = out.run.CrashMsg
+		tl.Observed = sutLabel(run.Observed, run.Crashed)
+	}
+	tl.Reason = run.Reason
+	tl.ModelCheck = run.ModelFail
+	tl.Oracle = rec.Oracle.String()
+	tl.Mode = "mutation"
+	if !cfg.mutation() {
+		tl.Mode = rec.Mode.String()
+	}
+	tl.DefectsFired = defectNames(run.Fired.list())
+	tl.Backends = verdictMap(cfg, run.Backends)
+	if cfg.Oracle != OracleKnown {
+		tl.OraclePolicy = cfg.Oracle
+		tl.Consensus = fl.consensus
+		if v := run.Variant; v != nil && !v.Skip {
+			tl.MetaRelation = v.Relation.String()
+			tl.VariantObserved = sutLabel(v.Observed, v.Crashed)
+			tl.VariantBackends = verdictMap(cfg, v.Backends)
+			tl.VariantDefectsFired = defectNames(v.Fired.list())
 		}
 	}
-	if out.tested {
-		rec.Oracle = out.oracle().String()
-		if out.mutant != nil {
-			rec.Mode = "mutation"
-		} else {
-			rec.Mode = out.fused.Mode.String()
-		}
-		for _, d := range out.run.DefectsFired {
-			rec.DefectsFired = append(rec.DefectsFired, string(d))
-		}
-		if len(out.backendRuns) > 0 {
-			rec.Backends = make(map[string]string, len(out.backendRuns))
-			for i, o := range out.backendRuns {
-				rec.Backends[cfg.specs[i].Name] = o.Verdict.String()
-			}
-		}
-		if cfg.Oracle != OracleKnown {
-			rec.OraclePolicy = cfg.Oracle
-			rec.Consensus = out.consensus
-			if out.variant != nil {
-				rec.MetaRelation = out.variant.Rel.String()
-				vLabel, _, _ := sutStatus(out.variantRun)
-				rec.VariantObserved = vLabel
-				if len(out.variantBackends) > 0 {
-					rec.VariantBackends = make(map[string]string, len(out.variantBackends))
-					for i, o := range out.variantBackends {
-						rec.VariantBackends[cfg.specs[i].Name] = o.Verdict.String()
-					}
-				}
-			}
-		}
+	return tl
+}
+
+func defectNames(ds []solver.Defect) []string {
+	var out []string
+	for _, d := range ds {
+		out = append(out, string(d))
 	}
-	rc.jw.Emit(rec)
+	return out
+}
+
+// verdictMap maps each backend's name to its verdict (nil when none).
+func verdictMap(cfg *campaign, bks []backendRun) map[string]string {
+	if len(bks) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(bks))
+	for i, o := range bks {
+		m[cfg.specs[i].Name] = o.Verdict.String()
+	}
+	return m
 }

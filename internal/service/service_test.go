@@ -186,8 +186,12 @@ func TestLifecycleByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traces[0], env.Trace) {
-		t.Error("streamed trace differs from the envelope's accumulated trace")
+	folded, err := env.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(traces[0], folded.Trace) {
+		t.Error("streamed trace differs from the envelope's folded trace")
 	}
 	for _, line := range bytes.Split(bytes.TrimSuffix(traces[0], []byte("\n")), []byte("\n")) {
 		if !json.Valid(line) {

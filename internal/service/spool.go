@@ -308,6 +308,10 @@ func (s *Server) reloadJob(id string) (*Job, error) {
 			return nil, err
 		}
 		cp, err := harness.DecodeCheckpoint(data)
+		var m *harness.Merged
+		if err == nil {
+			m, err = cp.Fold()
+		}
 		if err != nil {
 			// Fail closed, but keep the job visible so the operator sees
 			// why it cannot resume.
@@ -315,16 +319,22 @@ func (s *Server) reloadJob(id string) (*Job, error) {
 			j.errMsg = fmt.Sprintf("checkpoint.json unusable: %v", err)
 			return j, nil
 		}
+		// The job's metrics and trace are folds of the document's
+		// records, like everything else it reports.
 		j.checkpoint = cp
 		j.done = cp.Done
-		j.telemetry = cp.Telemetry
-		j.trace.Write(cp.Trace)
+		j.telemetry = m.Telemetry
+		j.trace.Write(m.Trace)
 	case StateDone:
 		data, err := os.ReadFile(filepath.Join(dir, "envelope.json"))
 		if err != nil {
 			return nil, err
 		}
 		env, err := harness.DecodeEnvelope(data)
+		var m *harness.Merged
+		if err == nil {
+			m, err = env.Fold()
+		}
 		if err != nil {
 			j.state = StateFailed
 			j.errMsg = fmt.Sprintf("envelope.json unusable: %v", err)
@@ -332,8 +342,8 @@ func (s *Server) reloadJob(id string) (*Job, error) {
 		}
 		j.envelope = env
 		j.done = env.Tasks
-		j.telemetry = env.Telemetry
-		j.trace.Write(env.Trace)
+		j.telemetry = m.Telemetry
+		j.trace.Write(m.Trace)
 	case StateRunning, StatePausing:
 		// The process died mid-leg: no checkpoint was written, so there
 		// is no frontier to continue from.

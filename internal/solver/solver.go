@@ -26,13 +26,11 @@ import (
 // crash-defect panics still account the work performed before the
 // unwind.
 var (
-	cSolves    = telemetry.NewCounter("yy_solves_total", "solver Solve calls")
-	cFuelSpent = telemetry.NewCounter(MetricSolveFuelSpent, "fuel steps consumed across all solves")
+	cSolves = telemetry.NewCounter("yy_solves_total", "solver Solve calls")
+	// FuelSpentCounter is the fuel-consumption counter; the harness
+	// reads it out of per-task counter deltas for traces and histograms.
+	FuelSpentCounter = telemetry.NewCounter("yy_solve_fuel_spent_total", "fuel steps consumed across all solves")
 )
-
-// MetricSolveFuelSpent names the fuel-consumption counter; the harness
-// reads it out of per-task counter deltas for traces and histograms.
-const MetricSolveFuelSpent = "yy_solve_fuel_spent_total"
 
 // Result is the solver's answer.
 type Result int8
@@ -315,7 +313,7 @@ func (s *Solver) Solve(asserts []ast.Term) Outcome {
 	s.cfg.Telemetry.Inc(cSolves)
 	// Deferred so crash-defect panics still account the steps performed
 	// before the unwind.
-	defer func() { s.cfg.Telemetry.Add(cFuelSpent, s.meter.Spent()) }()
+	defer func() { s.cfg.Telemetry.Add(FuelSpentCounter, s.meter.Spent()) }()
 	out := s.solve(asserts)
 	out.FuelSpent = s.meter.Spent()
 	if out.Result == ResUnknown && s.meter.Exhausted() {

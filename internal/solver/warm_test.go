@@ -66,7 +66,7 @@ func TestWarmMatchesCold(t *testing.T) {
 	for i, asserts := range corpusAsserts(t, 3, 12) {
 		coldTel := telemetry.NewTracker()
 		cold := New(Config{Telemetry: coldTel}).Solve(asserts)
-		before := warmTel.Snapshot()
+		warmTel.Mark()
 		got := warm.Solve(asserts)
 		if got.Result != cold.Result || got.Reason != cold.Reason {
 			t.Fatalf("script %d: warm verdict %v (%q), cold %v (%q)",
@@ -81,7 +81,7 @@ func TestWarmMatchesCold(t *testing.T) {
 		if got.FuelSpent != cold.FuelSpent {
 			t.Fatalf("script %d: warm fuel %d, cold %d", i, got.FuelSpent, cold.FuelSpent)
 		}
-		warmSteps := stepCounters(warmTel.Snapshot().Diff(before))
+		warmSteps := stepCounters(telemetry.Snapshot{Counters: warmTel.Since().Map()})
 		if coldSteps := stepCounters(coldTel.Snapshot()); !reflect.DeepEqual(warmSteps, coldSteps) {
 			t.Fatalf("script %d: warm step counters %v, cold %v", i, warmSteps, coldSteps)
 		}

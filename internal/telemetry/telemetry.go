@@ -21,6 +21,8 @@
 package telemetry
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -50,6 +52,7 @@ var (
 	counters   []*Counter
 	histograms []*Histogram
 	byName     = map[string]bool{}
+	counterOf  = map[string]*Counter{}
 )
 
 // NewCounter registers a counter. Duplicate names panic: metrics model
@@ -63,6 +66,7 @@ func NewCounter(name, help string) *Counter {
 	byName[name] = true
 	c := &Counter{Name: name, Help: help, idx: len(counters)}
 	counters = append(counters, c)
+	counterOf[name] = c
 	return c
 }
 
@@ -118,8 +122,10 @@ type histState struct {
 // concurrent use; every worker owns its own and aggregation goes
 // through Snapshots.
 type Tracker struct {
-	counts []int64
-	hists  []*histState
+	counts  []int64
+	hists   []*histState
+	mark    []int64 // counter values at the last Mark
+	scratch []byte  // Since's encoding buffer
 }
 
 // NewTracker returns an empty tracker.
@@ -318,17 +324,148 @@ func (s *Snapshot) Accumulate(other Snapshot) {
 	}
 }
 
-// Diff returns the counter-wise difference s − older, dropping zero
-// entries: the per-task delta used for traces. Histograms are not
-// diffed (observations are per-task already) and are omitted.
-func (s Snapshot) Diff(older Snapshot) Snapshot {
-	out := Snapshot{Counters: map[string]int64{}, Histograms: map[string]HistValues{}}
-	for name, v := range s.Counters {
-		if d := v - older.Counters[name]; d != 0 {
-			out.Counters[name] = d
+// Delta is a compact set of counter increments: (counter index,
+// increment) pairs as uvarints, in registry order, zero increments
+// dropped. It is the per-task unit of engine telemetry, small enough to
+// keep one per task for a whole campaign. Indices are process-local, so
+// a Delta crosses process boundaries only through its JSON form, an
+// object keyed by counter name.
+type Delta string
+
+// Mark records the tracker's current counter values for a later Since.
+func (t *Tracker) Mark() {
+	if t == nil {
+		return
+	}
+	t.mark = append(t.mark[:0], t.counts...)
+}
+
+// Since returns the counter increments recorded after the last Mark.
+// A nil tracker yields an empty delta.
+func (t *Tracker) Since() Delta {
+	if t == nil {
+		return ""
+	}
+	buf := t.scratch[:0]
+	for i, v := range t.counts {
+		if i < len(t.mark) {
+			v -= t.mark[i]
+		}
+		if v != 0 {
+			buf = binary.AppendUvarint(buf, uint64(i))
+			buf = binary.AppendUvarint(buf, uint64(v))
 		}
 	}
+	t.scratch = buf
+	return Delta(buf)
+}
+
+// each calls fn for every (counter, increment) pair of the delta. A
+// malformed delta stops the walk; deltas are only built by Since and
+// UnmarshalJSON, which never produce one.
+func (d Delta) each(fn func(c *Counter, n int64)) {
+	regMu.Lock()
+	cs := counters
+	regMu.Unlock()
+	for len(d) > 0 {
+		idx, k := uvarint(d)
+		if k == 0 || idx >= uint64(len(cs)) {
+			return
+		}
+		n, m := uvarint(d[k:])
+		if m == 0 {
+			return
+		}
+		fn(cs[idx], int64(n))
+		d = d[k+m:]
+	}
+}
+
+// uvarint decodes the uvarint at the front of d and its length (0 when
+// d holds none).
+func uvarint(d Delta) (uint64, int) {
+	var x uint64
+	for i := 0; i < len(d) && i < binary.MaxVarintLen64; i++ {
+		x |= uint64(d[i]&0x7f) << (7 * i)
+		if d[i] < 0x80 {
+			return x, i + 1
+		}
+	}
+	return 0, 0
+}
+
+// AddDelta adds a delta's increments to the tracker.
+func (t *Tracker) AddDelta(d Delta) {
+	if t == nil {
+		return
+	}
+	d.each(func(c *Counter, n int64) { t.Add(c, n) })
+}
+
+// Counter returns the delta's increment of c (0 when absent).
+func (d Delta) Counter(c *Counter) int64 {
+	var out int64
+	d.each(func(dc *Counter, n int64) {
+		if dc == c {
+			out = n
+		}
+	})
 	return out
+}
+
+// Map returns the delta keyed by counter name (nil when empty).
+func (d Delta) Map() map[string]int64 {
+	if len(d) == 0 {
+		return nil
+	}
+	m := map[string]int64{}
+	d.each(func(c *Counter, n int64) { m[c.Name] = n })
+	return m
+}
+
+// MarshalJSON renders the delta as an object keyed by counter name.
+func (d Delta) MarshalJSON() ([]byte, error) {
+	m := d.Map()
+	if m == nil {
+		m = map[string]int64{}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON parses the object form. Every name must be a registered
+// counter and every increment positive: a delta names work this build
+// can account for, or it fails to decode.
+func (d *Delta) UnmarshalJSON(data []byte) error {
+	var m map[string]int64
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	type entry struct {
+		idx int
+		n   int64
+	}
+	es := make([]entry, 0, len(m))
+	regMu.Lock()
+	for name, n := range m {
+		c, ok := counterOf[name]
+		if !ok || n <= 0 {
+			regMu.Unlock()
+			if !ok {
+				return fmt.Errorf("telemetry: unknown counter %q", name)
+			}
+			return fmt.Errorf("telemetry: counter %q increment %d is not positive", name, n)
+		}
+		es = append(es, entry{c.idx, n})
+	}
+	regMu.Unlock()
+	sort.Slice(es, func(i, j int) bool { return es[i].idx < es[j].idx })
+	var buf []byte
+	for _, e := range es {
+		buf = binary.AppendUvarint(buf, uint64(e.idx))
+		buf = binary.AppendUvarint(buf, uint64(e.n))
+	}
+	*d = Delta(buf)
+	return nil
 }
 
 // Counter returns a counter's value in the snapshot (0 when absent).

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,15 +106,43 @@ func TestSnapshotDeterminism(t *testing.T) {
 func TestDiff(t *testing.T) {
 	tr := NewTracker()
 	tr.Add(tcA, 3)
-	before := tr.Snapshot()
+	tr.Mark()
 	tr.Add(tcA, 4)
 	tr.Add(tcB, 1)
-	d := tr.Snapshot().Diff(before)
-	if d.Counters["test_alpha_total"] != 4 || d.Counters["test_beta_total"] != 1 {
-		t.Fatalf("bad diff: %+v", d)
+	d := tr.Since()
+	if d.Counter(tcA) != 4 || d.Counter(tcB) != 1 {
+		t.Fatalf("bad delta: %v", d.Map())
 	}
-	if len(d.Counters) != 2 {
-		t.Fatalf("diff carries zero entries: %+v", d)
+	if m := d.Map(); len(m) != 2 {
+		t.Fatalf("delta carries zero entries: %v", m)
+	}
+	tr.Mark()
+	if d := tr.Since(); d != "" {
+		t.Fatalf("delta of no work: %v", d.Map())
+	}
+
+	// The JSON form is keyed by name and round-trips to the same bytes;
+	// unknown names and non-positive increments fail to decode.
+	data, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Delta
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != d {
+		t.Fatalf("round trip %s: got %v, want %v", data, back, d)
+	}
+	for _, bad := range []string{`{"no_such_metric_total":1}`, `{"test_alpha_total":0}`, `{"test_alpha_total":-2}`} {
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("decoded %s", bad)
+		}
+	}
+	other := NewTracker()
+	other.AddDelta(d)
+	if s := other.Snapshot(); s.Counter("test_alpha_total") != 4 || s.Counter("test_beta_total") != 1 {
+		t.Fatalf("AddDelta: %+v", s.Counters)
 	}
 }
 
