@@ -46,26 +46,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	lim := solver.DefaultLimits()
-	if *fuel > 0 {
-		lim.Fuel = *fuel
-	} else if *fuel < 0 {
-		lim.Fuel = 0
-	}
 	var tr *telemetry.Tracker
 	if *stats {
 		tr = telemetry.NewTracker()
 	}
 	var s *solver.Solver
 	if *sutName == "" {
-		s = solver.New(solver.Config{Limits: lim, Telemetry: tr})
+		s = solver.New(solver.Config{Fuel: *fuel, Telemetry: tr})
 	} else {
 		defects, err := bugdb.DefectsIn(bugdb.SUT(*sutName), *release)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		s = solver.New(solver.Config{Defects: defects, Limits: lim, Telemetry: tr})
+		s = solver.New(solver.Config{Defects: defects, Fuel: *fuel, Telemetry: tr})
 	}
 
 	defer func() {

@@ -547,17 +547,12 @@ func writeReduced(dir string, b harness.Bug, fuel int64) {
 		return
 	}
 	entry, _ := bugdb.Find(b.Defect)
-	lim := solver.DefaultLimits()
-	if fuel > 0 {
-		lim.Fuel = fuel
-	} else if fuel < 0 {
-		lim.Fuel = 0
-	}
-	sut, err := bugdb.NewSolverWithLimits(entry.SUT, "trunk", nil, lim)
+	defects, err := bugdb.DefectsIn(entry.SUT, "trunk")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reduce:", err)
 		return
 	}
+	sut := solver.New(solver.Config{Defects: defects, Fuel: fuel})
 	ref := solver.NewReference()
 	interesting := func(c *smtlib.Script) bool {
 		run := harness.RunSolver(sut, c)

@@ -216,16 +216,6 @@ func NewSolver(s SUT, release string, cov *coverage.Tracker) (*solver.Solver, er
 	return solver.New(solver.Config{Defects: defects, Coverage: cov}), nil
 }
 
-// NewSolverWithLimits is NewSolver with explicit solver limits — the
-// harness uses it to impose a campaign-wide fuel deadline.
-func NewSolverWithLimits(s SUT, release string, cov *coverage.Tracker, lim solver.Limits) (*solver.Solver, error) {
-	defects, err := DefectsIn(s, release)
-	if err != nil {
-		return nil, err
-	}
-	return solver.New(solver.Config{Defects: defects, Coverage: cov, Limits: lim}), nil
-}
-
 // NewTrunkSolver builds the trunk configuration (all defects).
 func NewTrunkSolver(s SUT, cov *coverage.Tracker) *solver.Solver {
 	sol, err := NewSolver(s, "trunk", cov)

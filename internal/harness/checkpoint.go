@@ -151,7 +151,7 @@ func (bc BackendConfig) spec() backend.Spec {
 		})
 	}
 	name, sut, release := bc.name(), bugdb.SUT(bc.Sim.SUT), bc.Sim.release()
-	inject, lim := bc.Sim.InjectDefects, fuelLimits(bc.Sim.Fuel)
+	inject, fuel := bc.Sim.InjectDefects, bc.Sim.Fuel
 	return backend.Spec{
 		Name:     name,
 		Hermetic: true,
@@ -163,7 +163,7 @@ func (bc BackendConfig) spec() backend.Spec {
 			for _, d := range inject {
 				defects[solver.Defect(d)] = true
 			}
-			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Limits: lim})), nil
+			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Fuel: fuel})), nil
 		},
 	}
 }
@@ -206,8 +206,8 @@ type CampaignConfig struct {
 	// Seed+17.
 	FusionTable string `json:"fusion_table,omitempty"`
 	// Fuel bounds every solver invocation by a deterministic step count
-	// (see solver.Limits.Fuel): 0 uses the solver default, a positive
-	// value overrides it, and a negative value disables the meter.
+	// (solver.Config.Fuel): 0 uses the solver default, a positive value
+	// overrides it, and a negative value disables the meter.
 	Fuel int64 `json:"fuel,omitempty"`
 	// WallTimeout (nanoseconds), when positive, arms the wall-clock
 	// watchdog backstop around each solve. A run cut off by the watchdog

@@ -378,19 +378,7 @@ func (o *taskOutcome) oracle() core.Status {
 // the campaign's defect set under its fuel limit, recording step
 // counters into tr (nil = none).
 func makeSUT(cfg *campaign, tr *telemetry.Tracker) *solver.Solver {
-	return solver.New(solver.Config{Defects: cfg.defects, Limits: fuelLimits(cfg.Fuel), Telemetry: tr})
-}
-
-// fuelLimits maps a config's Fuel (0 solver default, >0 override, <0
-// unlimited) to solver limits.
-func fuelLimits(fuel int64) solver.Limits {
-	lim := solver.DefaultLimits()
-	if fuel > 0 {
-		lim.Fuel = fuel
-	} else if fuel < 0 {
-		lim.Fuel = 0
-	}
-	return lim
+	return solver.New(solver.Config{Defects: cfg.defects, Fuel: cfg.Fuel, Telemetry: tr})
 }
 
 // runControls tunes one exec leg of a campaign: pause triggers and

@@ -54,7 +54,7 @@ func (s *Solver) solve(asserts []ast.Term) Outcome {
 	sawUnknown := false
 	unknownStreak := 0
 	totalUnknowns := 0
-	for iter := 0; iter < s.cfg.Limits.MaxBoolModels; iter++ {
+	for iter := 0; iter < maxBoolModels; iter++ {
 		// The fuel deadline cuts the DPLL(T) loop even when the SAT core
 		// finds its next model without spending (pure propagation).
 		if s.meter.Exhausted() {
@@ -196,7 +196,6 @@ func (s *Solver) stringTheory(lits []ast.Term) (arith.Status, eval.Model) {
 	s.hit(pTheoryStringsSearch)
 	prob := &strings.Problem{
 		Lits:   lits,
-		Limits: s.cfg.Limits.Strings,
 		Defect: func(id string) bool { return s.defect(Defect(id)) },
 		Fuel:   s.meter,
 		Telem:  s.cfg.Telemetry,
@@ -293,7 +292,7 @@ func (s *Solver) arithTheory(lits []ast.Term) (arith.Status, eval.Model) {
 	st, model := arith.Check(&arith.Problem{
 		Atoms:      atoms,
 		IntVars:    intVars,
-		NodeBudget: s.cfg.Limits.ArithNodeBudget,
+		NodeBudget: arithNodeBudget,
 		Fuel:       s.meter,
 		Telem:      s.cfg.Telemetry,
 	})

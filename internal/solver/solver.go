@@ -17,7 +17,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/fuel"
 	"repro/internal/smtlib"
-	"repro/internal/solver/strings"
 	"repro/internal/telemetry"
 )
 
@@ -39,7 +38,7 @@ const (
 	ResUnknown Result = iota
 	ResSat
 	ResUnsat
-	// ResTimeout means the unified fuel deadline (Limits.Fuel) expired
+	// ResTimeout means the unified fuel deadline (Config.Fuel) expired
 	// before the solver could certify an answer — the deterministic
 	// analogue of the paper's wall-clock solver timeouts.
 	ResTimeout
@@ -182,39 +181,20 @@ var AllDefects = []Defect{
 	DefHangStringsDFS, DefHangSimplexCycle,
 }
 
-// Limits bounds solver effort (counters, not wall-clock, so runs are
-// deterministic).
-type Limits struct {
-	// MaxBoolModels bounds DPLL(T) boolean-model iterations.
-	MaxBoolModels int
-	// ArithNodeBudget bounds branch-and-bound nodes per theory check.
-	ArithNodeBudget int
-	// Strings bounds the string search.
-	Strings strings.Limits
-	// Fuel is the unified step budget for one Solve call: every engine
-	// — CDCL conflicts and decisions, simplex pivots, branch-and-bound
-	// nodes, interval-refinement passes, strings DFS nodes, and regex
-	// derivative constructions — spends from one meter, and exhaustion
-	// turns an uncertified answer into ResTimeout. Zero or negative
-	// means unlimited (the pre-fuel behaviour).
-	Fuel int64
-}
+// Per-engine effort bounds (counters, not wall-clock, so runs are
+// deterministic). The strings search uses strings.DefaultLimits.
+const (
+	// maxBoolModels bounds DPLL(T) boolean-model iterations.
+	maxBoolModels = 150
+	// arithNodeBudget bounds branch-and-bound nodes per theory check.
+	arithNodeBudget = 300
+)
 
-// DefaultFuel is the per-solve step budget of DefaultLimits: far above
-// what any generated or fused formula needs under the per-theory
-// budgets (measured in the low hundreds of thousands), yet finite, so
+// DefaultFuel is the per-solve step budget of a zero Config.Fuel: far
+// above what any generated or fused formula needs under the per-engine
+// bounds (measured in the low hundreds of thousands), yet finite, so
 // every default-configured solve provably halts.
 const DefaultFuel int64 = 10_000_000
-
-// DefaultLimits returns the limits used throughout the evaluation.
-func DefaultLimits() Limits {
-	return Limits{
-		MaxBoolModels:   150,
-		ArithNodeBudget: 300,
-		Strings:         strings.DefaultLimits(),
-		Fuel:            DefaultFuel,
-	}
-}
 
 // Config configures a solver instance.
 type Config struct {
@@ -226,7 +206,15 @@ type Config struct {
 	// DFS nodes, …) when non-nil. Like the fuel meter, a tracker is not
 	// safe for concurrent use: one per solver instance.
 	Telemetry *telemetry.Tracker
-	Limits    Limits
+	// Fuel is the unified step budget for one Solve call: every engine
+	// — CDCL conflicts and decisions, simplex pivots, branch-and-bound
+	// nodes, interval-refinement passes, strings DFS nodes, and regex
+	// derivative constructions — spends from one meter, and exhaustion
+	// turns an uncertified answer into ResTimeout. 0 means DefaultFuel,
+	// a positive value overrides it, and a negative value disables the
+	// meter. Campaign configs and the CLIs pass their fuel setting
+	// through unchanged.
+	Fuel int64
 }
 
 // Has reports whether a defect is enabled.
@@ -250,13 +238,20 @@ type Solver struct {
 	warm *warmState
 }
 
-// New returns a solver with the given configuration. Zero limits are
-// replaced by defaults.
+// New returns a solver with the given configuration.
 func New(cfg Config) *Solver {
-	if cfg.Limits.MaxBoolModels == 0 {
-		cfg.Limits = DefaultLimits()
-	}
 	return &Solver{cfg: cfg, warm: newWarmState()}
+}
+
+// meterLimit maps Config.Fuel to a fuel.Meter limit (0 = unlimited).
+func (c *Config) meterLimit() int64 {
+	switch {
+	case c.Fuel == 0:
+		return DefaultFuel
+	case c.Fuel < 0:
+		return 0
+	}
+	return c.Fuel
 }
 
 // NewReference returns the defect-free reference solver.
@@ -299,13 +294,13 @@ func (s *Solver) SolveScript(sc *smtlib.Script) Outcome {
 }
 
 // Solve decides the conjunction of the given boolean terms. Every call
-// runs under a fresh fuel meter (Limits.Fuel); when the meter expires
+// runs under a fresh fuel meter (Config.Fuel); when the meter expires
 // before an answer is certified, the outcome is ResTimeout. Sat and
 // unsat answers reached before exhaustion stand — they are certified
 // (or theory-valid) regardless of how much fuel remains.
 func (s *Solver) Solve(asserts []ast.Term) Outcome {
 	s.fired = map[Defect]bool{}
-	s.meter = fuel.NewMeter(s.cfg.Limits.Fuel)
+	s.meter = fuel.NewMeter(s.cfg.meterLimit())
 	// Reset per-solve naming state: a reused solver must produce the
 	// same fresh names — and so the same per-task telemetry — whatever
 	// it solved before.
