@@ -73,8 +73,8 @@ echo "== go test -race (campaign service) =="
 # fail-closed document corruption, concurrent API clients, spool
 # reload, and goroutine-leak checks. The document goldens pin the
 # checkpoint, envelope and fingerprint bytes across builds, and the
-# envelope-merge fuzz seeds check that merging one envelope alone is
-# the identity.
+# envelope-merge fuzz seeds check that merging one envelope alone folds
+# to the envelope's own result, metrics and trace.
 go test -race -timeout 15m -run 'TestCheckpoint|TestShard|TestMerge|FuzzCheckpointRoundTrip|TestDocumentGolden|FuzzEnvelopeMerge' ./internal/harness/
 go test -race -timeout 10m ./internal/service/
 
@@ -245,6 +245,10 @@ go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/har
 # Envelope seeds are tens of KB: the default 60 s minimization of each
 # new interesting input would eat the whole budget, so cap it.
 go test -run='^$' -fuzz='^FuzzEnvelopeMerge$' -fuzztime=10s -fuzzminimizetime=1s ./internal/harness/
+# HTTP bodies: any submit or resume body gets a 4xx or a valid job,
+# and closing the server leaves no goroutine behind.
+go test -run='^$' -fuzz='^FuzzSubmitBody$' -fuzztime=10s ./internal/service/
+go test -run='^$' -fuzz='^FuzzResumeBody$' -fuzztime=10s ./internal/service/
 
 echo "== arith benchmark smoke =="
 # The per-layer arith.Check benchmark must keep compiling and running.

@@ -245,14 +245,14 @@ type CampaignConfig struct {
 }
 
 // Size bounds of a runnable campaign. Validate rejects a config whose
-// task total (logics × iterations) exceeds MaxTasks or whose seed pool
-// exceeds MaxSeedPool: both size per-task and per-slot allocations, and
-// an unbounded size would let one oversized document or HTTP request
-// exhaust the process's memory. Worker counts above MaxThreads are
-// clamped to it.
+// task total (logics × iterations) exceeds MaxTasks, whose seed pool
+// exceeds MaxSeedPool, or whose worker count exceeds MaxThreads: each
+// sizes per-task, per-slot or per-worker allocations, and an unbounded
+// size would let one oversized document or HTTP request exhaust the
+// process's memory. A RunOptions.Threads above MaxThreads is clamped.
 const (
 	MaxTasks    = 1 << 20
-	MaxSeedPool = 1 << 16
+	MaxSeedPool = 1 << 12
 	MaxThreads  = 256
 )
 
@@ -274,14 +274,10 @@ func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.SeedPool == 0 {
 		cc.SeedPool = 20
 	}
-	// Clamp, don't just default: the worker arrays are sized with
-	// make([]T, Threads), which panics on a negative count and exhausts
-	// memory on a huge one. Results are invariant to the count.
+	// Clamp, don't just default: a negative thread count would size the
+	// worker arrays with make([]T, Threads) and panic.
 	if cc.Threads <= 0 {
 		cc.Threads = 1
-	}
-	if cc.Threads > MaxThreads {
-		cc.Threads = MaxThreads
 	}
 	if cc.Mode == "" {
 		cc.Mode = ModeFusion
@@ -319,6 +315,9 @@ func (cc CampaignConfig) Validate() error {
 	}
 	if cc.SeedPool > MaxSeedPool {
 		return fmt.Errorf("harness: config: seed pool %d exceeds %d", cc.SeedPool, MaxSeedPool)
+	}
+	if cc.Threads > MaxThreads {
+		return fmt.Errorf("harness: config: %d threads exceeds %d", cc.Threads, MaxThreads)
 	}
 	for _, l := range d.Logics {
 		if _, err := gen.New(gen.Logic(l), 0); err != nil {
@@ -780,7 +779,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // trace bytes.
 type RunOptions struct {
 	// Threads overrides the config's worker count for this leg (0 =
-	// use the config's). Results are invariant to it either way.
+	// use the config's; above MaxThreads, MaxThreads). Results are
+	// invariant to it either way.
 	Threads int
 	// Telemetry, when non-nil, receives the campaign's aggregated
 	// metrics. On resume the checkpoint's records are folded in first,
@@ -880,7 +880,7 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 		stop:        opt.Stop,
 		progress:    opt.Progress,
 		trace:       opt.Trace,
-		suppressVet: cp != nil || cfg.Shard != 0,
+		suppressVet: cfg.Shard != 0 || len(st.records) > 0,
 	}
 	paused, err := runLeg(st, cfg.includeIDs()[len(st.records):], ctl)
 	if err != nil {

@@ -204,6 +204,37 @@ func TestCheckpointChainedResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointAtFrontierZero resumes a checkpoint that classified
+// nothing yet (and so recorded no corpus-vetting telemetry): the
+// resumed leg counts the vetting itself and reproduces the
+// uninterrupted run.
+func TestCheckpointAtFrontierZero(t *testing.T) {
+	cc := ckptConfig()
+	ref, refTrace := runToCompletion(t, cc)
+	data, err := EncodeCheckpoint(&Checkpoint{Config: cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tb bytes.Buffer
+	out, err := Resume(cp, RunOptions{Telemetry: telemetry.NewTracker(), Trace: &tb, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Result.Fingerprint(), ref.Result.Fingerprint()) {
+		t.Error("result diverged")
+	}
+	if !reflect.DeepEqual(out.Telemetry, ref.Telemetry) {
+		t.Errorf("telemetry diverged:\nref %+v\ngot %+v", ref.Telemetry, out.Telemetry)
+	}
+	if !bytes.Equal(tb.Bytes(), refTrace) {
+		t.Error("trace diverged")
+	}
+}
+
 // TestCheckpointArtifactContinuity cuts a campaign right after its
 // first reproducer bundle lands and checks the resumed leg completes
 // the artifact directory to exactly the uninterrupted run's tree — no

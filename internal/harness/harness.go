@@ -398,10 +398,11 @@ type runControls struct {
 	// trace, when non-nil, receives one JSONL TraceRecord per classified
 	// task, in task order.
 	trace io.Writer
-	// suppressVet drops the corpus-vetting telemetry: resume legs and
+	// suppressVet drops the corpus-vetting telemetry: later legs and
 	// non-zero shards rebuild the corpus (it is a pure function of the
-	// configuration), but only the first leg of shard 0 may count it —
-	// otherwise the merged funnel would double-count seed generation.
+	// configuration), but only the leg of shard 0 that classifies its
+	// first task may count it — otherwise the merged funnel would
+	// double-count seed generation.
 	suppressVet bool
 }
 

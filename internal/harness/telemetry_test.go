@@ -30,6 +30,23 @@ func TestThreadsClampNegative(t *testing.T) {
 	}
 }
 
+// TestThreadsOverrideClamped: a per-leg worker count above MaxThreads
+// (which Validate rejects in a config) is clamped, not allocated.
+func TestThreadsOverrideClamped(t *testing.T) {
+	cc := CampaignConfig{SUT: "z3sim", Logics: []string{"QF_LIA"}, Iterations: 3, SeedPool: 2, Seed: 5}
+	ref, err := Start(cc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Start(cc, RunOptions{Threads: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Result.Fingerprint(), ref.Result.Fingerprint()) {
+		t.Error("clamped worker count changed the result")
+	}
+}
+
 // traceModes are the test-derivation modes the funnel suites cover:
 // fusion and mutation tasks pass through different funnel stages.
 var traceModes = []string{ModeFusion, ModeMutate}

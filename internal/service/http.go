@@ -182,6 +182,10 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeError(w, http.StatusBadRequest, "parsing resume request: %v", err)
 		return
 	}
+	if req.Threads > harness.MaxThreads {
+		writeError(w, http.StatusBadRequest, "resume request: %d threads exceeds %d", req.Threads, harness.MaxThreads)
+		return
+	}
 	if err := s.Resume(j, req.Threads, req.StopAfter); err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return

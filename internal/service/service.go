@@ -152,11 +152,11 @@ func (s *Server) job(id string) *Job {
 // pauses the job after that many classified tasks (a task budget, so
 // operators can run campaigns in bounded slices).
 func (s *Server) Submit(cc harness.CampaignConfig, threads, stopAfter int) (*Job, error) {
-	if err := cc.Validate(); err != nil {
-		return nil, err
-	}
 	if threads > 0 {
 		cc.Threads = threads
+	}
+	if err := cc.Validate(); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	s.nextID++

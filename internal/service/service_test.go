@@ -275,6 +275,14 @@ func TestHTTPErrors(t *testing.T) {
 		{"trailing submit data", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim"}} {}`, http.StatusBadRequest},
 		{"invalid config", "POST", "/api/v1/campaigns", `{"config": {"sut": "no-such-solver"}}`, http.StatusBadRequest},
 		{"bad shard coordinates", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim", "shard": 5, "shards": 2}}`, http.StatusBadRequest},
+		// Oversized sizes once killed the whole process with an
+		// unrecoverable out-of-memory error instead of failing the request.
+		{"oversized iterations", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim", "logics": ["QF_LIA"], "iterations": 1099511627776}}`, http.StatusBadRequest},
+		{"overflowing task total", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim", "iterations": 4611686018427387904}}`, http.StatusBadRequest},
+		{"oversized seed pool", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim", "logics": ["QF_LIA"], "seed_pool": 1099511627776}}`, http.StatusBadRequest},
+		{"oversized submit threads", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim", "logics": ["QF_LIA"], "iterations": 2}, "threads": 1099511627776}`, http.StatusBadRequest},
+		{"oversized config threads", "POST", "/api/v1/campaigns", `{"config": {"sut": "z3sim", "logics": ["QF_LIA"], "iterations": 2, "threads": 1099511627776}}`, http.StatusBadRequest},
+		{"oversized resume threads", "POST", "/api/v1/campaigns/" + parked.ID + "/resume", `{"threads": 1099511627776}`, http.StatusBadRequest},
 		{"inspect unknown id", "GET", "/api/v1/campaigns/c999", "", http.StatusNotFound},
 		{"pause unknown id", "POST", "/api/v1/campaigns/c999/pause", "", http.StatusNotFound},
 		{"resume unknown id", "POST", "/api/v1/campaigns/c999/resume", "", http.StatusNotFound},

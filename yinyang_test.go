@@ -94,6 +94,11 @@ func TestFacadeCampaignFailsClosed(t *testing.T) {
 		{"replace prob NaN", func(c *yinyang.Campaign) { c.ReplaceProb = math.NaN() }},
 		{"unknown fusion table", func(c *yinyang.Campaign) { c.FusionTable = "figure7" }},
 		{"mode both", func(c *yinyang.Campaign) { c.Mode = "both" }},
+		// Sizes that used to exhaust memory before validation could fail.
+		{"oversized iterations", func(c *yinyang.Campaign) { c.Iterations = 1 << 40 }},
+		{"overflowing task total", func(c *yinyang.Campaign) { c.Logics, c.Iterations = nil, math.MaxInt/4 }},
+		{"oversized seed pool", func(c *yinyang.Campaign) { c.SeedPool = 1 << 40 }},
+		{"oversized threads", func(c *yinyang.Campaign) { c.Threads = 1 << 40 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := yinyang.Campaign{
