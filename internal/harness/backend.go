@@ -133,15 +133,16 @@ func (st *runState) recordFinding(f BackendFinding) {
 // runBackends performs the cross-checks for one task. Called on the
 // worker, off the classification path, so external solver latency
 // overlaps across workers like SUT solves do.
-func runBackends(bks []backend.Backend, sc *smtlib.Script) []backend.Output {
+func runBackends(bks []backend.Backend, sc *smtlib.Script) []backendRun {
 	if len(bks) == 0 {
 		return nil
 	}
-	outs := make([]backend.Output, len(bks))
+	runs := make([]backendRun, len(bks))
 	for i, b := range bks {
-		outs[i] = b.Check(sc)
+		o := b.Check(sc)
+		runs[i] = backendRun{Verdict: o.Verdict, Reason: o.Reason, ExitCode: o.ExitCode, Stderr: o.Stderr, Retries: o.Retries}
 	}
-	return outs
+	return runs
 }
 
 // classifyBackends folds one task's backend outputs into the result:

@@ -549,21 +549,38 @@ type docBody struct {
 	Artifacts []artifactRef      `json:"artifacts,omitempty"`
 }
 
-// validate checks the body against its config: the records (see
-// validateRecords), the stored breaker and bundle state, and a replay
-// of the fold, which must find a witness on exactly the tasks that
-// record a bug. The replayed state is returned for the caller.
-func (b *docBody) validate(cc CampaignConfig) (*runState, error) {
-	d := cc.withDefaults()
-	if err := validateRecords(d, b.Records); err != nil {
-		return nil, err
+// validate checks a document against its config and its frontier of
+// done classified tasks, which a complete document (an envelope) must
+// reach: the config, the records (see validateRecords), the stored
+// breaker and bundle state, and a replay of the fold, which must find a
+// witness on exactly the tasks that record a bug.
+func (b *docBody) validate(kind string, cc CampaignConfig, done int, complete bool) error {
+	if err := cc.Validate(); err != nil {
+		return err
 	}
-	if len(b.Breakers) != 0 && len(b.Breakers) != len(d.Backends) {
-		return nil, fmt.Errorf("%d breaker entries for %d configured backends", len(b.Breakers), len(d.Backends))
+	if err := b.check(cc, done, complete); err != nil {
+		return fmt.Errorf("harness: %s: %v", kind, err)
+	}
+	return nil
+}
+
+func (b *docBody) check(cc CampaignConfig, done int, complete bool) error {
+	d := cc.withDefaults()
+	n, _, _ := d.shardSpan()
+	switch {
+	case done < 0 || done > n || complete && done != n:
+		return fmt.Errorf("frontier %d, shard %d/%d owns %d tasks", done, d.Shard, d.Shards, n)
+	case len(b.Records) != done:
+		return fmt.Errorf("%d records for frontier %d", len(b.Records), done)
+	case len(b.Breakers) != 0 && len(b.Breakers) != len(d.Backends):
+		return fmt.Errorf("%d breaker entries for %d configured backends", len(b.Breakers), len(d.Backends))
+	}
+	if err := validateRecords(d, b.Records); err != nil {
+		return err
 	}
 	for i, br := range b.Breakers {
 		if br.Streak < 0 {
-			return nil, fmt.Errorf("breakers[%d]: negative streak %d", i, br.Streak)
+			return fmt.Errorf("breakers[%d]: negative streak %d", i, br.Streak)
 		}
 	}
 	classified := map[int]bool{}
@@ -571,59 +588,71 @@ func (b *docBody) validate(cc CampaignConfig) (*runState, error) {
 		classified[int(r.Task)] = true
 	}
 	for i, r := range b.Artifacts {
-		if d.ArtifactDir == "" {
-			return nil, fmt.Errorf("artifacts[%d]: ref without an artifact dir in the config", i)
-		}
-		if !bundleKey.MatchString(r.Key) {
-			return nil, fmt.Errorf("artifacts[%d]: malformed key %q", i, r.Key)
-		}
-		if !classified[r.Task] {
-			return nil, fmt.Errorf("artifacts[%d]: task %d not classified at the frontier", i, r.Task)
+		switch {
+		case d.ArtifactDir == "":
+			return fmt.Errorf("artifacts[%d]: ref without an artifact dir in the config", i)
+		case !bundleKey.MatchString(r.Key):
+			return fmt.Errorf("artifacts[%d]: malformed key %q", i, r.Key)
+		case !classified[r.Task]:
+			return fmt.Errorf("artifacts[%d]: task %d not classified at the frontier", i, r.Task)
 		}
 	}
 	cfg, err := cc.derive()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st := newRunState(cfg, nil)
 	for i, r := range b.Records {
 		fl, err := st.apply(r, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.Facts != nil && r.Facts.Witness != nil && !fl.finding {
-			return nil, fmt.Errorf("record %d (task %d): witness on a task that records no bug", i, r.Task)
+			return fmt.Errorf("record %d (task %d): witness on a task that records no bug", i, r.Task)
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // bundleKey matches a bundle directory name (bugHash's rendering).
 var bundleKey = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
-// fold replays the body into a fresh run state and finishes it: the
-// document's Result, telemetry snapshot and trace. The Result's
-// artifact paths point into the config's artifact directory.
+// foldRecords replays records, in task order, with the vetting
+// telemetry into a fresh run state for cfg, and finishes it: the
+// Result (artifacts not yet filled), telemetry snapshot and trace they
+// fold to.
+func foldRecords(cfg *campaign, recs []taskRecord, vetting []telemetry.Snapshot, breakers []breakerState) (*runState, *Merged, error) {
+	st := newRunState(cfg, nil)
+	for _, v := range vetting {
+		st.tr.Merge(v)
+	}
+	var trace bytes.Buffer
+	jw := telemetry.NewJSONLWriter(&trace)
+	if err := st.replay(recs, jw); err != nil {
+		return nil, nil, err
+	}
+	if err := jw.Close(); err != nil {
+		return nil, nil, err
+	}
+	res, _ := finish(st, breakers)
+	return st, &Merged{Result: res, Telemetry: st.tr.Snapshot(), Trace: trace.Bytes()}, nil
+}
+
+// fold is a document's own Result, telemetry snapshot and trace; the
+// Result's artifact paths point into the config's artifact directory.
 func (b *docBody) fold(cc CampaignConfig) (*Merged, error) {
 	cfg, err := cc.derive()
 	if err != nil {
 		return nil, err
 	}
-	st := newRunState(cfg, nil)
-	st.tr.Merge(b.Vetting)
-	var trace bytes.Buffer
-	jw := telemetry.NewJSONLWriter(&trace)
-	if err := st.replay(b.Records, jw); err != nil {
+	_, m, err := foldRecords(cfg, b.Records, []telemetry.Snapshot{b.Vetting}, b.Breakers)
+	if err != nil {
 		return nil, err
 	}
-	if err := jw.Close(); err != nil {
-		return nil, err
-	}
-	res, _ := finish(st, b.Breakers)
 	for _, r := range b.Artifacts {
-		res.Artifacts = append(res.Artifacts, filepath.Join(cfg.ArtifactDir, r.Key))
+		m.Result.Artifacts = append(m.Result.Artifacts, filepath.Join(cfg.ArtifactDir, r.Key))
 	}
-	return &Merged{Result: res, Telemetry: st.tr.Snapshot(), Trace: trace.Bytes()}, nil
+	return m, nil
 }
 
 // Checkpoint is a paused campaign: its identity (Config), its frontier
@@ -639,19 +668,7 @@ type Checkpoint struct {
 }
 
 func (cp *Checkpoint) validate() error {
-	if err := cp.Config.Validate(); err != nil {
-		return err
-	}
-	if n := cp.Config.ShardTaskCount(); cp.Done < 0 || cp.Done > n {
-		return fmt.Errorf("harness: checkpoint: frontier %d outside [0,%d]", cp.Done, n)
-	}
-	if len(cp.Records) != cp.Done {
-		return fmt.Errorf("harness: checkpoint: %d records for frontier %d", len(cp.Records), cp.Done)
-	}
-	if _, err := cp.docBody.validate(cp.Config); err != nil {
-		return fmt.Errorf("harness: checkpoint: %v", err)
-	}
-	return nil
+	return cp.docBody.validate(kindCheckpoint, cp.Config, cp.Done, false)
 }
 
 // Fold returns the checkpoint's partial Result, telemetry snapshot and
@@ -702,72 +719,71 @@ func sealDoc(kind string, schema int, payload any) ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// openDoc verifies the outer document and returns the payload bytes.
-func openDoc(data []byte, kind string, schema int) (json.RawMessage, error) {
+// decodeStrict decodes exactly one JSON value into v: unknown fields
+// and trailing data fail.
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s sealed
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("harness: %s: %v", kind, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("harness: %s: trailing data after document", kind)
-	}
-	if s.Kind != kind {
-		return nil, fmt.Errorf("harness: expected a %s document, got kind %q", kind, s.Kind)
-	}
-	if s.Schema != schema {
-		return nil, fmt.Errorf("harness: %s: unsupported schema %d (this build reads schema %d)", kind, s.Schema, schema)
-	}
-	got, err := payloadChecksum(s.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: payload: %v", kind, err)
-	}
-	if got != s.Checksum {
-		return nil, fmt.Errorf("harness: %s: payload checksum mismatch: document says %s, payload hashes to %s", kind, s.Checksum, got)
-	}
-	return s.Payload, nil
-}
-
-func decodeStrict(payload json.RawMessage, v any, kind string) error {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("harness: %s payload: %v", kind, err)
+		return err
 	}
 	if dec.More() {
-		return fmt.Errorf("harness: %s payload: trailing data", kind)
+		return fmt.Errorf("trailing data")
 	}
 	return nil
 }
 
-// EncodeCheckpoint serializes a checkpoint as a versioned, checksummed
-// JSON document. The checkpoint is validated first, so an impossible
+// encodeDoc seals a document after validating it, so an impossible
 // document is caught at the producer, not the consumer.
+func encodeDoc(kind string, doc any, validate func() error) ([]byte, error) {
+	if err := validate(); err != nil {
+		return nil, err
+	}
+	return sealDoc(kind, CheckpointSchema, doc)
+}
+
+// decodeDoc verifies the outer document, decodes its payload into doc
+// and validates it. Any corruption — framing, kind or schema skew,
+// checksum mismatch, unknown fields, or records that violate the
+// document invariants — fails with a diagnostic.
+func decodeDoc(data []byte, kind string, doc any, validate func() error) error {
+	var s sealed
+	if err := decodeStrict(data, &s); err != nil {
+		return fmt.Errorf("harness: %s: %v", kind, err)
+	}
+	if s.Kind != kind {
+		return fmt.Errorf("harness: expected a %s document, got kind %q", kind, s.Kind)
+	}
+	if s.Schema != CheckpointSchema {
+		return fmt.Errorf("harness: %s: unsupported schema %d (this build reads schema %d)", kind, s.Schema, CheckpointSchema)
+	}
+	got, err := payloadChecksum(s.Payload)
+	if err != nil {
+		return fmt.Errorf("harness: %s: payload: %v", kind, err)
+	}
+	if got != s.Checksum {
+		return fmt.Errorf("harness: %s: payload checksum mismatch: document says %s, payload hashes to %s", kind, s.Checksum, got)
+	}
+	if err := decodeStrict(s.Payload, doc); err != nil {
+		return fmt.Errorf("harness: %s payload: %v", kind, err)
+	}
+	return validate()
+}
+
+// EncodeCheckpoint serializes a checkpoint as a versioned, checksummed
+// JSON document.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("harness: nil checkpoint")
 	}
-	if err := cp.validate(); err != nil {
-		return nil, err
-	}
-	return sealDoc(kindCheckpoint, CheckpointSchema, cp)
+	return encodeDoc(kindCheckpoint, cp, cp.validate)
 }
 
-// DecodeCheckpoint parses and fully validates a checkpoint document.
-// Any corruption — framing, schema skew, checksum mismatch, unknown
-// fields, or records that violate the document invariants — fails with
-// a diagnostic; a checkpoint that decodes is safe to Resume.
+// DecodeCheckpoint parses and fully validates a checkpoint document; a
+// checkpoint that decodes is safe to Resume.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	payload, err := openDoc(data, kindCheckpoint, CheckpointSchema)
-	if err != nil {
-		return nil, err
-	}
 	var cp Checkpoint
-	if err := decodeStrict(payload, &cp, kindCheckpoint); err != nil {
-		return nil, err
-	}
-	if err := cp.validate(); err != nil {
+	if err := decodeDoc(data, kindCheckpoint, &cp, cp.validate); err != nil {
 		return nil, err
 	}
 	return &cp, nil

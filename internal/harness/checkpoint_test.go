@@ -488,7 +488,6 @@ func TestCheckpointFailClosed(t *testing.T) {
 		{"oracle out of range", func(c *Checkpoint) { c.Records[0].Oracle = 7 }, "oracle"},
 		{"verdict out of range", func(c *Checkpoint) { c.Records[0].Facts.Observed = -4 }, "observed verdict"},
 		{"facts on a task that did not run", func(c *Checkpoint) { c.Records[0].Status, c.Records[0].Facts.Backends = statusSkipped, nil }, "facts"},
-		{"quarantine cause on a tested task", func(c *Checkpoint) { c.Records[0].Cause = causeFault }, "quarantine cause"},
 		{"backend outputs missing", func(c *Checkpoint) { c.Records[0].Facts.Backends = nil }, "backend outputs"},
 		{"backend verdict out of range", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Verdict = 42 }, "verdict 42"},
 		{"negative backend retries", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Retries = -1 }, "negative retries"},

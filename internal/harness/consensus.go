@@ -37,7 +37,6 @@ type voter struct {
 	verdict  string // classified verdict label, as traced
 	definite bool
 	vote     core.Status // valid only when definite
-	reason   string
 	exitCode int
 	stderr   string
 	retries  int
@@ -79,12 +78,12 @@ func voters(cfg *campaign, rec *taskRecord) []voter {
 	run := rec.Facts
 	vote, def := sutVote(run.Observed, run.Crashed)
 	vs = append(vs, voter{idx: -1, name: "sut", verdict: sutLabel(run.Observed, run.Crashed),
-		definite: def, vote: vote, reason: run.Reason, exitCode: -1})
+		definite: def, vote: vote, exitCode: -1})
 	for i, o := range bks {
 		vote, def := backendStatus(o.Verdict)
 		vs = append(vs, voter{idx: i, name: cfg.specs[i].Name,
 			verdict: o.Verdict.String(), definite: def, vote: vote,
-			reason: o.Reason, exitCode: o.ExitCode, stderr: o.Stderr,
+			exitCode: o.ExitCode, stderr: o.Stderr,
 			retries: o.Retries})
 	}
 	return vs
@@ -189,7 +188,7 @@ func (st *runState) classifyMajority(rec *taskRecord, live *taskOutcome) string 
 		if v.idx < 0 {
 			// The SUT lost the vote: triage the bundle to the catalogued
 			// defect the run fired, like a known-status soundness finding.
-			if d, ok := primaryDefect(bugdb.Soundness, rec.Facts.Fired); ok {
+			if d, ok := primaryDefect(rec.Facts.Fired, bugdb.Soundness); ok {
 				defect = d
 				f.Defect = string(d)
 			}
@@ -274,7 +273,7 @@ func (st *runState) classifyMetamorphic(rec *taskRecord, live *taskOutcome) {
 		}
 		var defect solver.Defect
 		if idx < 0 {
-			if d, ok := primaryDefect(bugdb.Soundness, rec.Facts.Fired, v.Fired); ok {
+			if d, ok := primaryDefect(append(append([]solver.Defect(nil), rec.Facts.Fired...), v.Fired...), bugdb.Soundness); ok {
 				defect = d
 				f.Defect = string(d)
 			}

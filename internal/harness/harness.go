@@ -343,14 +343,14 @@ type taskOutcome struct {
 	// backendRuns holds the cross-check outputs, one per configured
 	// backend (nil when the task was not tested, was quarantined, or
 	// the campaign has no backends).
-	backendRuns []backend.Output
+	backendRuns []backendRun
 	// Metamorphic-policy fields (unknown-status tasks under the
 	// metamorphic or auto policy only). variantSkip marks a task where
 	// no relation-preserving variant could be derived; otherwise
 	// variant/variantRun/variantBackends mirror the primary triple.
 	variant         *mutate.Variant
 	variantRun      RunResult
-	variantBackends []backend.Output
+	variantBackends []backendRun
 	variantSkip     bool
 	// rec is the task's record, built on the worker for classified
 	// tasks; the fields above stay for the reproducer bundles, which
@@ -432,11 +432,6 @@ type runState struct {
 	plain map[plainFacts]*taskFacts
 }
 
-// maxPresized caps the records a run state reserves room for up front:
-// a typical campaign's whole table, but not a huge one's, which grows
-// as it runs.
-const maxPresized = 1 << 14
-
 // newRunState starts an empty fold. A nil tracker is replaced by a
 // private one: the metrics are part of every document.
 func newRunState(cfg *campaign, tr *telemetry.Tracker) *runState {
@@ -455,7 +450,7 @@ func newRunState(cfg *campaign, tr *telemetry.Tracker) *runState {
 		found:   map[solver.Defect]int{},
 		seen:    map[bkKey]int{},
 		tr:      tr,
-		records: make([]taskRecord, 0, min(n, maxPresized)),
+		records: make([]taskRecord, 0, n),
 		plain:   map[plainFacts]*taskFacts{},
 	}
 }
@@ -898,16 +893,16 @@ func (st *runState) fold(rec *taskRecord, live *taskOutcome) (taskFlags, error) 
 	// internal fault of our own solver — on either the primary or the
 	// metamorphic-variant solve — is never a finding. The campaign
 	// continues; the offending input is preserved for debugging.
-	if rec.Status == statusQuarantined {
+	if rec.Status.quarantined() {
 		res.Quarantined++
 		st.tr.Inc(cfQuarantined)
 		if st.aw != nil && live != nil {
 			m := manifestFor(st.cfg, live, "quarantine", "")
-			switch rec.Cause {
-			case causeWallTimeout:
+			switch rec.Status {
+			case statusWallTimeout:
 				m.Observed = "wall-timeout"
 				m.Reason = "wall-clock watchdog expired"
-			case causeFault:
+			case statusFault:
 				m.Observed = "internal-fault"
 				m.FaultMsg = live.run.FaultMsg
 				m.FaultStack = live.run.FaultStack
@@ -978,7 +973,7 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 	// record triages the observation to its defect; reason, when set,
 	// replaces the run's reason in the reproducer manifest only.
 	record := func(kind bugdb.BugType, reason string) error {
-		primary, ok := primaryDefect(kind, rec.Facts.Fired)
+		primary, ok := primaryDefect(rec.Facts.Fired, kind)
 		if !ok {
 			res.ReferenceDisagreements++
 			st.tr.Inc(cfRefDisagree)
@@ -1041,7 +1036,7 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 		// verdict, so it can never be a soundness observation.
 		res.Timeouts++
 		st.tr.Inc(cfTimeouts)
-		if _, ok := primaryDefect(bugdb.Performance, run.Fired); ok {
+		if _, ok := primaryDefect(run.Fired, bugdb.Performance); ok {
 			return record(bugdb.Performance, "")
 		}
 	case run.Observed == solver.ResUnknown:
@@ -1051,7 +1046,7 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 		// the paper's "performance bug" observation; this path is taken
 		// when the campaign runs with the fuel meter disabled, where
 		// draining is a no-op and no timeout verdict exists.
-		if _, ok := primaryDefect(bugdb.Performance, run.Fired); ok {
+		if _, ok := primaryDefect(run.Fired, bugdb.Performance); ok {
 			return record(bugdb.Performance, "")
 		}
 	default:
@@ -1088,29 +1083,22 @@ func verdictContradicts(res solver.Result, oracle core.Status) bool {
 
 // primaryDefect picks the fired defect matching the observed bug kind
 // (triaging the report to its root cause, like the paper's interaction
-// with the solver developers). The sets are searched in order, each in
-// name order.
-func primaryDefect(kind bugdb.BugType, fired ...defectSet) (solver.Defect, bool) {
+// with the solver developers).
+func primaryDefect(fired []solver.Defect, kind bugdb.BugType) (solver.Defect, bool) {
 	var fallback solver.Defect
 	haveFallback := false
-	for _, set := range fired {
-		for i := 0; set != 0; i, set = i+1, set>>1 {
-			if set&1 == 0 {
-				continue
-			}
-			d := defectSites[i]
-			e, ok := bugdb.Find(d)
-			if !ok {
-				continue
-			}
-			if e.Type == kind {
-				return d, true
-			}
-			// Model-corruption sites run after the verdict is fixed, so
-			// they can never root an observation of any other kind.
-			if !haveFallback && e.Type != bugdb.InvalidModel {
-				fallback, haveFallback = d, true
-			}
+	for _, d := range fired {
+		e, ok := bugdb.Find(d)
+		if !ok {
+			continue
+		}
+		if e.Type == kind {
+			return d, true
+		}
+		// Model-corruption sites run after the verdict is fixed, so they
+		// can never root an observation of any other kind.
+		if !haveFallback && e.Type != bugdb.InvalidModel {
+			fallback, haveFallback = d, true
 		}
 	}
 	// A soundness observation can be rooted in any wrong-transformation

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -14,24 +12,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// taskStatus is the funnel stage a task ended in.
+// taskStatus is where a task left the funnel.
 type taskStatus uint8
 
 const (
-	statusTested taskStatus = iota
-	statusInvalid
-	statusSkipped
-	statusQuarantined
+	statusTested  taskStatus = iota
+	statusInvalid            // the static gate rejected the derivation
+	statusSkipped            // no derivation applied
+	// The quarantined statuses: the task was withdrawn because the
+	// wall-clock watchdog abandoned a solve, or because our own solver
+	// panicked on the primary or on the metamorphic variant's solve.
+	statusWallTimeout
+	statusFault
+	statusVariantFault
 )
 
-var statusNames = [...]string{"tested", "invalid", "skipped", "quarantined"}
+var statusNames = [...]string{"tested", "invalid", "skipped", "wall-timeout", "fault", "variant-fault"}
 
-func (s taskStatus) String() string {
-	if int(s) < len(statusNames) {
-		return statusNames[s]
-	}
-	return fmt.Sprintf("status(%d)", s)
-}
+func (s taskStatus) quarantined() bool { return s >= statusWallTimeout }
 
 func (s taskStatus) MarshalText() ([]byte, error) {
 	if int(s) >= len(statusNames) {
@@ -50,58 +48,20 @@ func (s *taskStatus) UnmarshalText(b []byte) error {
 	return fmt.Errorf("unknown task status %q", b)
 }
 
-// quarantineCause says why a quarantined task was withdrawn.
-type quarantineCause uint8
-
-const (
-	causeNone quarantineCause = iota
-	// causeWallTimeout: the wall-clock watchdog abandoned a solve.
-	causeWallTimeout
-	// causeFault: our own solver panicked on the primary solve.
-	causeFault
-	// causeVariantFault: it panicked on the metamorphic variant.
-	causeVariantFault
-)
-
-var causeNames = [...]string{"", "wall-timeout", "fault", "variant-fault"}
-
-func (c quarantineCause) MarshalText() ([]byte, error) {
-	if int(c) >= len(causeNames) {
-		return nil, fmt.Errorf("quarantine cause %d out of range", c)
-	}
-	return []byte(causeNames[c]), nil
-}
-
-func (c *quarantineCause) UnmarshalText(b []byte) error {
-	for i, n := range causeNames {
-		if string(b) == n {
-			*c = quarantineCause(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown quarantine cause %q", b)
-}
-
-// taskRecord is everything one task contributed to its campaign: the
-// task-local facts the classification fold reads, and nothing the fold
-// derives. Records are the single source of truth of the result plane.
-// Live classification folds each record as it is built, Resume replays
-// a checkpoint's record prefix, and Merge replays the shards' records
-// in task-id order, all through runState.fold. The campaign
-// coordinates every trace line repeats come from the config when the
-// line is rendered, and records with equal facts share them, so a
-// record stays small: a campaign keeps one per task.
+// taskRecord is the single source of truth of the result plane: every
+// task-local fact the classification fold (runState.fold) reads, and
+// nothing it derives. A campaign keeps one per task, so a record stays
+// small: campaign coordinates come from the config, and records with
+// equal plain facts share them.
 type taskRecord struct {
 	Task   int32      `json:"task"`
 	Status taskStatus `json:"status"`
 	// Oracle is the constructed expectation; Mode the fusion mode
 	// (fusion campaigns only).
-	Oracle core.Status     `json:"oracle,omitempty"`
-	Mode   core.Mode       `json:"mode,omitempty"`
-	Cause  quarantineCause `json:"quarantine,omitempty"`
+	Oracle core.Status `json:"oracle,omitempty"`
+	Mode   core.Mode   `json:"mode,omitempty"`
 	// Facts describes the solves of a tested or quarantined task (nil
-	// on the others). Records with plain equal facts share one (see
-	// runState.apply); a fold never writes to a record's facts.
+	// on the others). It may be shared (runState.apply): never write it.
 	Facts *taskFacts `json:"facts,omitempty"`
 	// Counters holds the task's engine-counter increments.
 	Counters telemetry.Delta `json:"counters,omitempty"`
@@ -112,10 +72,10 @@ type taskFacts struct {
 	// The SUT's run: its verdict, whether it crashed, its reason (the
 	// run's reason, its crash message, or on a quarantined task the
 	// fault message), and the defects it fired.
-	Observed solver.Result `json:"observed,omitempty"`
-	Crashed  bool          `json:"crashed,omitempty"`
-	Reason   string        `json:"reason,omitempty"`
-	Fired    defectSet     `json:"fired,omitempty"`
+	Observed solver.Result   `json:"observed,omitempty"`
+	Crashed  bool            `json:"crashed,omitempty"`
+	Reason   string          `json:"reason,omitempty"`
+	Fired    []solver.Defect `json:"fired,omitempty"`
 	// ModelFail is the model-validation oracle's diagnostic for a sat
 	// verdict whose witness does not satisfy the test ("" = valid or
 	// not checked).
@@ -129,20 +89,29 @@ type taskFacts struct {
 	Witness *witness `json:"witness,omitempty"`
 }
 
-// plainFacts is the comparable part of taskFacts: facts with nothing
-// else set are shared between records through it.
+// plainFacts keys the sharing of facts between records: it identifies
+// facts that hold nothing beyond the SUT's run.
 type plainFacts struct {
-	Observed solver.Result
-	Crashed  bool
-	Reason   string
-	Fired    defectSet
+	observed solver.Result
+	crashed  bool
+	reason   string
+	fired    string // the fired defects, NUL-separated
 }
 
-// plain returns the facts' comparable part, and whether that is all
-// of them.
+// plain returns the facts' sharing key, and whether the facts are
+// plain enough to share.
 func (f *taskFacts) plain() (plainFacts, bool) {
-	p := plainFacts{f.Observed, f.Crashed, f.Reason, f.Fired}
-	return p, f.ModelFail == "" && f.Backends == nil && f.Variant == nil && f.Witness == nil
+	if f.ModelFail != "" || f.Backends != nil || f.Variant != nil || f.Witness != nil {
+		return plainFacts{}, false
+	}
+	p := plainFacts{observed: f.Observed, crashed: f.Crashed, reason: f.Reason}
+	for i, d := range f.Fired {
+		if i > 0 {
+			p.fired += "\x00"
+		}
+		p.fired += string(d)
+	}
+	return p, true
 }
 
 // backendRun is one cross-check backend's output, as classified.
@@ -162,68 +131,8 @@ type variantRecord struct {
 	Relation mutate.Relation `json:"relation,omitempty"`
 	Observed solver.Result   `json:"observed,omitempty"`
 	Crashed  bool            `json:"crashed,omitempty"`
-	Fired    defectSet       `json:"fired,omitempty"`
+	Fired    []solver.Defect `json:"fired,omitempty"`
 	Backends []backendRun    `json:"backends,omitempty"`
-}
-
-// defectSet is a set of fired defect sites: one bit per implemented
-// site, in name order, so iterating it yields the sorted order the
-// solver reports them in.
-type defectSet uint64
-
-// defectSites lists the implemented sites in name order; defectBit
-// maps a site to its bit.
-var defectSites, defectBit = func() ([]solver.Defect, map[solver.Defect]defectSet) {
-	sites := append([]solver.Defect{solver.DefFaultSyntheticPanic}, solver.AllDefects...)
-	if len(sites) > 64 {
-		panic("harness: more defect sites than a defectSet holds")
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	bit := map[solver.Defect]defectSet{}
-	for i, d := range sites {
-		bit[d] = 1 << i
-	}
-	return sites, bit
-}()
-
-// defectSetOf collects fired sites; the solver fires no others.
-func defectSetOf(ds []solver.Defect) defectSet {
-	var s defectSet
-	for _, d := range ds {
-		s |= defectBit[d]
-	}
-	return s
-}
-
-// list returns the set's sites in name order (nil when empty).
-func (s defectSet) list() []solver.Defect {
-	var ds []solver.Defect
-	for i := 0; s != 0; i, s = i+1, s>>1 {
-		if s&1 != 0 {
-			ds = append(ds, defectSites[i])
-		}
-	}
-	return ds
-}
-
-func (s defectSet) MarshalJSON() ([]byte, error) { return json.Marshal(s.list()) }
-
-// UnmarshalJSON reads a list of site names; a site this build does not
-// implement fails the decode.
-func (s *defectSet) UnmarshalJSON(data []byte) error {
-	var ds []solver.Defect
-	if err := json.Unmarshal(data, &ds); err != nil {
-		return err
-	}
-	*s = 0
-	for _, d := range ds {
-		b, ok := defectBit[d]
-		if !ok {
-			return fmt.Errorf("unknown defect site %q", d)
-		}
-		*s |= b
-	}
-	return nil
 }
 
 // witness is what a Bug needs beyond its record: the test script, the
@@ -267,10 +176,8 @@ func (w *witness) MarshalJSON() ([]byte, error) {
 // in a document) and parses the scripts: a witness that decodes is one
 // the fold can use.
 func (w *witness) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var doc witnessDoc
-	if err := dec.Decode(&doc); err != nil {
+	if err := decodeStrict(data, &doc); err != nil {
 		return fmt.Errorf("witness: %v", err)
 	}
 	script, err := smtlib.ParseScript(doc.Script)
@@ -289,17 +196,6 @@ func (w *witness) UnmarshalJSON(data []byte) error {
 		w.seeds[i] = &core.Seed{Script: sc, Status: s.Status}
 	}
 	return nil
-}
-
-func backendRuns(outs []backend.Output) []backendRun {
-	if len(outs) == 0 {
-		return nil
-	}
-	runs := make([]backendRun, len(outs))
-	for i, o := range outs {
-		runs[i] = backendRun{Verdict: o.Verdict, Reason: o.Reason, ExitCode: o.ExitCode, Stderr: o.Stderr, Retries: o.Retries}
-	}
-	return runs
 }
 
 // recordOf builds a task's record from its outcome. It runs on the
@@ -321,7 +217,7 @@ func recordOf(cfg *campaign, out *taskOutcome) taskRecord {
 		rec.Mode = out.fused.Mode
 	}
 	f := &taskFacts{Observed: run.Result, Crashed: run.Crashed, Reason: run.Reason,
-		Fired: defectSetOf(run.DefectsFired), Backends: backendRuns(out.backendRuns)}
+		Fired: run.DefectsFired, Backends: out.backendRuns}
 	if run.Crashed {
 		f.Reason = run.CrashMsg
 	}
@@ -331,15 +227,15 @@ func recordOf(cfg *campaign, out *taskOutcome) taskRecord {
 	case out.variant != nil:
 		vr := out.variantRun
 		f.Variant = &variantRecord{Relation: out.variant.Rel, Observed: vr.Result, Crashed: vr.Crashed,
-			Fired: defectSetOf(vr.DefectsFired), Backends: backendRuns(out.variantBackends)}
+			Fired: vr.DefectsFired, Backends: out.variantBackends}
 	}
 	switch {
 	case out.wallTimeout:
-		rec.Status, rec.Cause, f.Reason = statusQuarantined, causeWallTimeout, ""
+		rec.Status, f.Reason = statusWallTimeout, ""
 	case run.InternalFault:
-		rec.Status, rec.Cause, f.Reason = statusQuarantined, causeFault, run.FaultMsg
+		rec.Status, f.Reason = statusFault, run.FaultMsg
 	case out.variantRun.InternalFault:
-		rec.Status, rec.Cause, f.Reason = statusQuarantined, causeVariantFault, out.variantRun.FaultMsg
+		rec.Status, f.Reason = statusVariantFault, out.variantRun.FaultMsg
 	case !cfg.DisableModelCheck && run.Result == solver.ResSat && !verdictContradicts(run.Result, rec.Oracle):
 		// The verdict agrees with the oracle, but the reported witness
 		// must still satisfy the formula: this is the only oracle that
@@ -386,11 +282,8 @@ func validateRecords(d CampaignConfig, recs []taskRecord) error {
 }
 
 func (r *taskRecord) validate(nb int) error {
-	if int(r.Status) >= len(statusNames) || int(r.Cause) >= len(causeNames) {
-		return fmt.Errorf("status %d or quarantine cause %d out of range", r.Status, r.Cause)
-	}
-	if (r.Status == statusQuarantined) != (r.Cause != causeNone) {
-		return fmt.Errorf("quarantine cause %q on a %s task", causeNames[r.Cause], r.Status)
+	if int(r.Status) >= len(statusNames) {
+		return fmt.Errorf("status %d out of range", r.Status)
 	}
 	if r.Oracle < core.StatusSat || r.Oracle > core.StatusUnknown {
 		return fmt.Errorf("oracle %d out of range", r.Oracle)
@@ -400,8 +293,8 @@ func (r *taskRecord) validate(nb int) error {
 	}
 	// Only tested and quarantined tasks ran the SUT.
 	f := r.Facts
-	if ran := r.Status == statusTested || r.Status == statusQuarantined; ran != (f != nil) {
-		return fmt.Errorf("%s task with facts %v", r.Status, f != nil)
+	if ran := r.Status != statusInvalid && r.Status != statusSkipped; ran != (f != nil) {
+		return fmt.Errorf("%s task with facts %v", statusNames[r.Status], f != nil)
 	}
 	if f == nil {
 		return nil

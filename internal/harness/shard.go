@@ -38,18 +38,7 @@ type Envelope struct {
 }
 
 func (e *Envelope) validate() error {
-	if err := e.Config.Validate(); err != nil {
-		return err
-	}
-	d := e.Config.withDefaults()
-	if n := e.Config.ShardTaskCount(); e.Tasks != n || len(e.Records) != n {
-		return fmt.Errorf("harness: envelope: %d tasks classified (%d records), shard %d/%d owns %d (envelopes are complete runs)",
-			e.Tasks, len(e.Records), d.Shard, d.Shards, n)
-	}
-	if _, err := e.docBody.validate(e.Config); err != nil {
-		return fmt.Errorf("harness: envelope: %v", err)
-	}
-	return nil
+	return e.docBody.validate(kindEnvelope, e.Config, e.Tasks, true)
 }
 
 // Fold returns the envelope's own Result, telemetry snapshot and trace:
@@ -63,25 +52,13 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	if e == nil {
 		return nil, fmt.Errorf("harness: nil envelope")
 	}
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
-	return sealDoc(kindEnvelope, CheckpointSchema, e)
+	return encodeDoc(kindEnvelope, e, e.validate)
 }
 
-// DecodeEnvelope parses and fully validates an envelope document,
-// failing closed on any corruption, version skew, or records that
-// violate the document invariants.
+// DecodeEnvelope parses and fully validates an envelope document.
 func DecodeEnvelope(data []byte) (*Envelope, error) {
-	payload, err := openDoc(data, kindEnvelope, CheckpointSchema)
-	if err != nil {
-		return nil, err
-	}
 	var e Envelope
-	if err := decodeStrict(payload, &e, kindEnvelope); err != nil {
-		return nil, err
-	}
-	if err := e.validate(); err != nil {
+	if err := decodeDoc(data, kindEnvelope, &e, e.validate); err != nil {
 		return nil, err
 	}
 	return &e, nil
@@ -161,12 +138,12 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newRunState(cfg, nil)
 	var recs []taskRecord
+	var vetting []telemetry.Snapshot
 	breakers := make([]breakerState, len(cfg.specs))
 	for _, e := range byShard {
-		st.tr.Merge(e.Vetting)
 		recs = append(recs, e.Records...)
+		vetting = append(vetting, e.Vetting)
 		// A backend ends the merged campaign quarantined if its breaker
 		// opened in any shard.
 		for i, br := range e.Breakers {
@@ -174,19 +151,15 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Task < recs[j].Task })
-	var trace bytes.Buffer
-	jw := telemetry.NewJSONLWriter(&trace)
-	if err := st.replay(recs, jw); err != nil {
+	st, m, err := foldRecords(cfg, recs, vetting, breakers)
+	if err != nil {
 		return nil, fmt.Errorf("harness: merge: %v", err)
 	}
-	if err := jw.Close(); err != nil {
-		return nil, err
-	}
-	res, _ := finish(st, breakers)
+	res := m.Result
 	if err := mergeArtifacts(res, st.seen, byShard, artifactDir); err != nil {
 		return nil, err
 	}
-	return &Merged{Result: res, Telemetry: st.tr.Snapshot(), Trace: trace.Bytes()}, nil
+	return m, nil
 }
 
 // mergeArtifacts re-folds the bundle dedup. A shard writes a bundle at

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/solver"
 	"repro/internal/telemetry"
@@ -121,16 +120,6 @@ type TraceRecord struct {
 	VariantDefectsFired []string `json:"variant_defects_fired,omitempty"`
 }
 
-// ReadTrace parses a JSONL trace file written via RunOptions.Trace.
-func ReadTrace(path string) ([]TraceRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeTrace(f)
-}
-
 // DecodeTrace parses JSONL trace records from a reader.
 func DecodeTrace(r io.Reader) ([]TraceRecord, error) {
 	var out []TraceRecord
@@ -173,7 +162,7 @@ func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
 		SUT:          cfg.SUT,
 		Release:      cfg.Release,
 		Task:         int(rec.Task),
-		Status:       rec.Status.String(),
+		Status:       statusNames[rec.Status],
 		FuelSpent:    rec.Counters.Counter(solver.FuelSpentCounter),
 		Counters:     rec.Counters.Map(),
 		Finding:      fl.finding,
@@ -183,11 +172,10 @@ func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
 	switch rec.Status {
 	case statusInvalid, statusSkipped:
 		return tl
-	case statusQuarantined:
-		tl.Observed = "internal-fault"
-		if rec.Cause == causeWallTimeout {
-			tl.Observed = "wall-timeout"
-		}
+	case statusWallTimeout:
+		tl.Status, tl.Observed = "quarantined", "wall-timeout"
+	case statusFault, statusVariantFault:
+		tl.Status, tl.Observed = "quarantined", "internal-fault"
 	default:
 		tl.Observed = sutLabel(run.Observed, run.Crashed)
 	}
@@ -198,7 +186,7 @@ func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
 	if !cfg.mutation() {
 		tl.Mode = rec.Mode.String()
 	}
-	tl.DefectsFired = defectNames(run.Fired.list())
+	tl.DefectsFired = defectNames(run.Fired)
 	tl.Backends = verdictMap(cfg, run.Backends)
 	if cfg.Oracle != OracleKnown {
 		tl.OraclePolicy = cfg.Oracle
@@ -207,7 +195,7 @@ func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
 			tl.MetaRelation = v.Relation.String()
 			tl.VariantObserved = sutLabel(v.Observed, v.Crashed)
 			tl.VariantBackends = verdictMap(cfg, v.Backends)
-			tl.VariantDefectsFired = defectNames(v.Fired.list())
+			tl.VariantDefectsFired = defectNames(v.Fired)
 		}
 	}
 	return tl
