@@ -436,6 +436,25 @@ func TestCheckpointFailClosed(t *testing.T) {
 		}
 	})
 
+	t.Run("negative count", func(t *testing.T) {
+		// Counter increments are positive by construction; a decoded
+		// one that is not fails the decode.
+		raw, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := bytes.Replace(raw, []byte(`"yy_solves_total":1`), []byte(`"yy_solves_total":-1`), 1)
+		if bytes.Equal(bad, raw) {
+			t.Fatal("tamper target not found in checkpoint")
+		}
+		doc, err := sealDoc(kindCheckpoint, CheckpointSchema, json.RawMessage(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(doc); err == nil || !strings.Contains(err.Error(), "not positive") {
+			t.Errorf("got %v", err)
+		}
+	})
 	t.Run("damaged witness", func(t *testing.T) {
 		// A witness is parsed when it is decoded: text that does not
 		// parse, or a field this version does not know, fails the decode.
@@ -482,6 +501,7 @@ func TestCheckpointFailClosed(t *testing.T) {
 		{"frontier past the end", func(c *Checkpoint) { c.Done = c.Config.withDefaults().total() + 5 }, ""},
 		{"negative frontier", func(c *Checkpoint) { c.Done = -1 }, ""},
 		{"records short of the frontier", func(c *Checkpoint) { c.Records = c.Records[:c.Done-1] }, "records for frontier"},
+		{"counts exceed frontier", func(c *Checkpoint) { c.Done-- }, "records for frontier"},
 		{"repeated task", func(c *Checkpoint) { c.Records[1] = c.Records[0] }, "want"},
 		{"tasks out of order", func(c *Checkpoint) { c.Records[0], c.Records[1] = c.Records[1], c.Records[0] }, "want"},
 		{"unrunnable config", func(c *Checkpoint) { c.Config.SUT = "no-such-solver" }, ""},
@@ -490,7 +510,7 @@ func TestCheckpointFailClosed(t *testing.T) {
 		{"facts on a task that did not run", func(c *Checkpoint) { c.Records[0].Status, c.Records[0].Facts.Backends = statusSkipped, nil }, "facts"},
 		{"backend outputs missing", func(c *Checkpoint) { c.Records[0].Facts.Backends = nil }, "backend outputs"},
 		{"backend verdict out of range", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Verdict = 42 }, "verdict 42"},
-		{"negative backend retries", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Retries = -1 }, "negative retries"},
+		{"negative backend tally", func(c *Checkpoint) { c.Records[0].Facts.Backends[0].Retries = -1 }, "negative retries"},
 		{"bug without a witness", func(c *Checkpoint) { c.Records[bug].Facts.Witness = nil }, "without a witness"},
 		{"witness on a plain task", func(c *Checkpoint) { c.Records[plain].Facts.Witness = c.Records[bug].Facts.Witness }, "records no bug"},
 		{"negative breaker streak", func(c *Checkpoint) { c.Breakers = []breakerState{{Streak: -1}} }, "negative streak"},

@@ -91,8 +91,7 @@ type Bug struct {
 	Rules []string
 	// Tasks lists every global task id that triggered this defect, in
 	// classification order: Tasks[0] is the recording trigger, the rest
-	// are the re-triggers counted in Result.Duplicates. Checkpoints and
-	// shard merging rely on these to reconstruct dedup state exactly.
+	// are the re-triggers counted in Result.Duplicates.
 	Tasks []int
 }
 
@@ -873,7 +872,7 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 
 // fold classifies one task record into the campaign state. live is the
 // task's outcome during live classification (nil on replay): it is
-// read only to write reproducer bundles and to print a new bug's
+// read only to write reproducer bundles and to take a new bug's
 // witness, never to decide anything.
 func (st *runState) fold(rec *taskRecord, live *taskOutcome) (taskFlags, error) {
 	var fl taskFlags

@@ -237,6 +237,17 @@ func TestEnvelopeTraceFailClosed(t *testing.T) {
 			}
 		})
 	}
+	t.Run("wrong schema", func(t *testing.T) {
+		// Schema 1 envelopes carried folded state and a trace instead of
+		// records; this build reads neither.
+		doc, err := sealDoc(kindEnvelope, 1, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeEnvelope(doc); err == nil || !strings.Contains(err.Error(), "unsupported schema") {
+			t.Errorf("got %v", err)
+		}
+	})
 	// A status this build does not know fails the decode itself.
 	payload, err := json.Marshal(env)
 	if err != nil {
