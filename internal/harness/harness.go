@@ -482,6 +482,13 @@ func (st *runState) apply(rec taskRecord, live *taskOutcome, jw *telemetry.JSONL
 	if err != nil {
 		return fl, fmt.Errorf("task %d: %v", r.Task, err)
 	}
+	if r.Facts != nil && r.Facts.Witness != nil && !fl.finding {
+		// A witness stays only on its bug's recording trigger: a shard's
+		// first trigger of a defect can be a duplicate once merged.
+		f := *r.Facts
+		f.Witness = nil
+		r.Facts = &f
+	}
 	if jw != nil {
 		jw.Emit(traceLine(st.cfg, r, fl))
 	}
