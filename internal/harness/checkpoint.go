@@ -555,17 +555,18 @@ type docBody struct {
 // breaker and bundle state, and a replay of the fold, which must find a
 // witness on exactly the tasks that record a bug.
 func (b *docBody) validate(kind string, cc CampaignConfig, done int, complete bool) error {
-	if err := cc.Validate(); err != nil {
+	cfg, err := cc.derive()
+	if err != nil {
 		return err
 	}
-	if err := b.check(cc, done, complete); err != nil {
+	if err := b.check(cfg, done, complete); err != nil {
 		return fmt.Errorf("harness: %s: %v", kind, err)
 	}
 	return nil
 }
 
-func (b *docBody) check(cc CampaignConfig, done int, complete bool) error {
-	d := cc.withDefaults()
+func (b *docBody) check(cfg *campaign, done int, complete bool) error {
+	d := cfg.CampaignConfig
 	n, _, _ := d.shardSpan()
 	switch {
 	case done < 0 || done > n || complete && done != n:
@@ -596,10 +597,6 @@ func (b *docBody) check(cc CampaignConfig, done int, complete bool) error {
 		case !classified[r.Task]:
 			return fmt.Errorf("artifacts[%d]: task %d not classified at the frontier", i, r.Task)
 		}
-	}
-	cfg, err := cc.derive()
-	if err != nil {
-		return err
 	}
 	st := newRunState(cfg, nil)
 	for i, r := range b.Records {
