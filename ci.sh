@@ -239,6 +239,9 @@ go test -run='^$' -fuzz='^FuzzStringsWarmMatchesCold$' -fuzztime=10s ./internal/
 # Inline rationals: every operation agrees with math/big and keeps the
 # canonical form, including on the overflow fallback.
 go test -run='^$' -fuzz='^FuzzRatMatchesBig$' -fuzztime=10s ./internal/solver/rat/
+# Interval refuter: every rat.Rat interval operation encloses its
+# math/big point results, endpoints near the int64 limits included.
+go test -run='^$' -fuzz='^FuzzIntervalEnclosure$' -fuzztime=10s ./internal/solver/arith/
 # -run='^$' skips the harness's (slow) unit tests here; the race
 # stages above already ran them.
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/harness/

@@ -210,12 +210,12 @@ func (c *compiler) app(n *ast.App) compiled {
 		if same != ast.SortInt {
 			return giveUp(n.Sort())
 		}
-		return unary(runs[0], ast.SortReal, func(v Val) Val { return realVal(v.r) })
+		return unary(runs[0], ast.SortReal, func(v Val) Val { return RealVal(v.r) })
 	case ast.OpToInt:
 		if same != ast.SortReal {
 			return giveUp(n.Sort())
 		}
-		return unary(runs[0], ast.SortInt, func(v Val) Val { return intVal(v.r.Floor()) })
+		return unary(runs[0], ast.SortInt, func(v Val) Val { return IntVal(v.r.Floor()) })
 	case ast.OpIsInt:
 		if same != ast.SortReal {
 			return giveUp(n.Sort())
@@ -322,7 +322,7 @@ func eq(runs []step) step {
 				return Val{}, false
 			}
 			y, ok := b(frame, slots)
-			return BoolVal(x.equal(y)), ok
+			return BoolVal(x.Equal(y)), ok
 		}
 	}
 	return func(frame []Val, slots []int) (Val, bool) {
@@ -336,7 +336,7 @@ func eq(runs []step) step {
 			if !ok {
 				return Val{}, false
 			}
-			out = out && first.equal(v)
+			out = out && first.Equal(v)
 		}
 		return BoolVal(out), true
 	}
@@ -354,7 +354,7 @@ func distinct(runs []step) step {
 		}
 		for i := range vals {
 			for j := i + 1; j < len(vals); j++ {
-				if vals[i].equal(vals[j]) {
+				if vals[i].Equal(vals[j]) {
 					return BoolVal(false), true
 				}
 			}
@@ -536,12 +536,12 @@ func strOp(n *ast.App, args []compiled, runs []step) compiled {
 		if !want(S) {
 			return giveUp(n.Sort())
 		}
-		return unary(runs[0], I, func(v Val) Val { return intVal(rat.Int(int64(len(v.s)))) })
+		return unary(runs[0], I, func(v Val) Val { return IntVal(rat.Int(int64(len(v.s)))) })
 	case ast.OpStrToInt:
 		if !want(S) {
 			return giveUp(n.Sort())
 		}
-		return unary(runs[0], I, func(v Val) Val { return intVal(strToInt(v.s)) })
+		return unary(runs[0], I, func(v Val) Val { return IntVal(strToInt(v.s)) })
 	case ast.OpStrFromInt:
 		if !want(I) {
 			return giveUp(n.Sort())
@@ -585,7 +585,7 @@ func strOp(n *ast.App, args []compiled, runs []step) compiled {
 		if !want(S, S, I) {
 			return giveUp(n.Sort())
 		}
-		return ternary(runs, I, func(s, t, from Val) Val { return intVal(indexOf(s.s, t.s, from.r)) })
+		return ternary(runs, I, func(s, t, from Val) Val { return IntVal(indexOf(s.s, t.s, from.r)) })
 	case ast.OpStrReplace, ast.OpStrReplaceAll:
 		if !want(S, S, S) {
 			return giveUp(n.Sort())

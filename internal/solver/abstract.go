@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/eval"
 	"repro/internal/solver/sat"
 )
 
@@ -16,7 +17,32 @@ type abstraction struct {
 	// atoms share one node, so no print-key is needed.
 	atomOf   map[ast.Term]int
 	atomTerm []ast.Term // SAT var (1-based) → atom term; nil for aux vars
+	negTerm  []ast.Term // SAT var → the negated atom, built on first use
 	trueVar  int
+}
+
+// negation returns the negated atom of SAT variable v, interning it
+// once per solve rather than once per boolean model.
+func (ab *abstraction) negation(v int) ast.Term {
+	if ab.negTerm == nil {
+		ab.negTerm = make([]ast.Term, len(ab.atomTerm))
+	}
+	if ab.negTerm[v] == nil {
+		ab.negTerm[v] = ast.Not(ab.atomTerm[v])
+	}
+	return ab.negTerm[v]
+}
+
+// boolModel returns the boolean variables' values in the current SAT
+// model.
+func (ab *abstraction) boolModel() eval.Model {
+	m := eval.Model{}
+	for v, atom := range ab.atomTerm {
+		if bv, ok := atom.(*ast.Var); ok {
+			m[bv.Name] = eval.BoolV(ab.sat.Value(v))
+		}
+	}
+	return m
 }
 
 func (s *Solver) abstract(asserts []ast.Term) (*abstraction, error) {

@@ -234,54 +234,54 @@ func TestCheckBudget(t *testing.T) {
 }
 
 func TestIntervalArithmetic(t *testing.T) {
-	i12 := Interval{Lo: finite(br(1, 1), false), Hi: finite(br(2, 1), false)}
-	i34 := Interval{Lo: finite(br(3, 1), false), Hi: finite(br(4, 1), false)}
+	i12 := Interval{Lo: finite(rat.New(1, 1), false), Hi: finite(rat.New(2, 1), false)}
+	i34 := Interval{Lo: finite(rat.New(3, 1), false), Hi: finite(rat.New(4, 1), false)}
 	sum := i12.Add(i34)
-	if sum.Lo.V.Cmp(br(4, 1)) != 0 || sum.Hi.V.Cmp(br(6, 1)) != 0 {
+	if sum.Lo.V.Cmp(rat.New(4, 1)) != 0 || sum.Hi.V.Cmp(rat.New(6, 1)) != 0 {
 		t.Errorf("sum = %v", sum)
 	}
 	prod := i12.Mul(i34)
-	if prod.Lo.V.Cmp(br(3, 1)) != 0 || prod.Hi.V.Cmp(br(8, 1)) != 0 {
+	if prod.Lo.V.Cmp(rat.New(3, 1)) != 0 || prod.Hi.V.Cmp(rat.New(8, 1)) != 0 {
 		t.Errorf("prod = %v", prod)
 	}
 	negProd := i12.Neg().Mul(i34)
-	if negProd.Lo.V.Cmp(br(-8, 1)) != 0 || negProd.Hi.V.Cmp(br(-3, 1)) != 0 {
+	if negProd.Lo.V.Cmp(rat.New(-8, 1)) != 0 || negProd.Hi.V.Cmp(rat.New(-3, 1)) != 0 {
 		t.Errorf("negProd = %v", negProd)
 	}
 	q := i34.Div(i12)
-	if q.Lo.V.Cmp(br(3, 2)) != 0 || q.Hi.V.Cmp(br(4, 1)) != 0 {
+	if q.Lo.V.Cmp(rat.New(3, 2)) != 0 || q.Hi.V.Cmp(rat.New(4, 1)) != 0 {
 		t.Errorf("quot = %v", q)
 	}
 	// Division by an interval containing zero is the whole line.
-	z := Interval{Lo: finite(br(-1, 1), false), Hi: finite(br(1, 1), false)}
+	z := Interval{Lo: finite(rat.New(-1, 1), false), Hi: finite(rat.New(1, 1), false)}
 	if w := i12.Div(z); !w.Lo.Inf || !w.Hi.Inf {
 		t.Errorf("div by zero-containing: %v", w)
 	}
 	// Openness: (0, 2] × [1, 1] keeps the open lower bound.
-	op := Interval{Lo: Endpoint{V: br(0, 1), Open: true}, Hi: finite(br(2, 1), false)}
-	one := Point(br(1, 1))
+	op := Interval{Lo: Endpoint{V: rat.New(0, 1), Open: true}, Hi: finite(rat.New(2, 1), false)}
+	one := Point(rat.New(1, 1))
 	res := op.Mul(one)
 	if !res.Lo.Open || res.Lo.V.Sign() != 0 {
 		t.Errorf("openness lost: %v", res)
 	}
 	// Abs.
-	ab := Interval{Lo: finite(br(-3, 1), false), Hi: finite(br(2, 1), false)}.Abs()
-	if ab.Lo.V.Sign() != 0 || ab.Hi.V.Cmp(br(3, 1)) != 0 {
+	ab := Interval{Lo: finite(rat.New(-3, 1), false), Hi: finite(rat.New(2, 1), false)}.Abs()
+	if ab.Lo.V.Sign() != 0 || ab.Hi.V.Cmp(rat.New(3, 1)) != 0 {
 		t.Errorf("abs = %v", ab)
 	}
 }
 
 func TestIntervalEmptyAndTightenInt(t *testing.T) {
-	e := Interval{Lo: Endpoint{V: br(1, 1), Open: true}, Hi: Endpoint{V: br(1, 1)}}
+	e := Interval{Lo: Endpoint{V: rat.New(1, 1), Open: true}, Hi: Endpoint{V: rat.New(1, 1)}}
 	if !e.IsEmpty() {
 		t.Error("(1,1] should be empty")
 	}
-	i := Interval{Lo: Endpoint{V: br(1, 2)}, Hi: Endpoint{V: br(5, 2)}}.TightenInt()
-	if i.Lo.V.Cmp(br(1, 1)) != 0 || i.Hi.V.Cmp(br(2, 1)) != 0 {
+	i := Interval{Lo: Endpoint{V: rat.New(1, 2)}, Hi: Endpoint{V: rat.New(5, 2)}}.TightenInt()
+	if i.Lo.V.Cmp(rat.New(1, 1)) != 0 || i.Hi.V.Cmp(rat.New(2, 1)) != 0 {
 		t.Errorf("tightened = %v", i)
 	}
-	j := Interval{Lo: Endpoint{V: br(1, 1), Open: true}, Hi: Endpoint{V: br(2, 1), Open: true}}.TightenInt()
-	if j.Lo.V.Cmp(br(2, 1)) != 0 || j.Hi.V.Cmp(br(1, 1)) != 0 || !j.IsEmpty() {
+	j := Interval{Lo: Endpoint{V: rat.New(1, 1), Open: true}, Hi: Endpoint{V: rat.New(2, 1), Open: true}}.TightenInt()
+	if j.Lo.V.Cmp(rat.New(2, 1)) != 0 || j.Hi.V.Cmp(rat.New(1, 1)) != 0 || !j.IsEmpty() {
 		t.Errorf("open (1,2) over ints should tighten to empty, got %v", j)
 	}
 }
@@ -327,6 +327,20 @@ func TestRefuteIntervals(t *testing.T) {
 	}
 }
 
+// TestRefuteIntervalsZeroBounds pins two satisfiable conjunctions the
+// refuter once called unsatisfiable: an attained zero factor (x = 0
+// makes x·y = 0 for every y) and a divisor approaching zero (x/y is
+// unbounded below as y rises to 0).
+func TestRefuteIntervalsZeroBounds(t *testing.T) {
+	decls := map[string]ast.Sort{"x": ast.SortReal, "y": ast.SortReal}
+	if refuteStrs(t, decls, nil, "(>= x 0.0)", "(> y 5.0)", "(<= (* x y) 0.0)") {
+		t.Error("x = 0 satisfies x·y ≤ 0, refuted anyway")
+	}
+	if refuteStrs(t, decls, nil, "(= x 1.0)", "(> y (- 1.0))", "(< y 0.0)", "(< (/ x y) (- 2.0))") {
+		t.Error("y = -1/4 satisfies x/y < -2, refuted anyway")
+	}
+}
+
 func TestRefuteEqualityChains(t *testing.T) {
 	decls := map[string]ast.Sort{"a": ast.SortReal, "b": ast.SortReal}
 	// a = 1 ∧ b = a·a ∧ b < 0.
@@ -351,7 +365,7 @@ func TestEvalIntervalForeign(t *testing.T) {
 	}
 	term, _ = smtlib.ParseTerm("(str.to_int s)", decls)
 	iv = EvalInterval(term, Env{}, nil)
-	if iv.Lo.Inf || iv.Lo.V.Cmp(br(-1, 1)) != 0 {
+	if iv.Lo.Inf || iv.Lo.V.Cmp(rat.New(-1, 1)) != 0 {
 		t.Errorf("str.to_int enclosure = %v", iv)
 	}
 }

@@ -113,6 +113,19 @@ type Problem struct {
 // every variable occurring in the atoms to a rational (integral for
 // IntVars).
 func Check(p *Problem) (Status, map[string]*big.Rat) {
+	st, m := CheckModel(p)
+	if st != Sat {
+		return st, nil
+	}
+	out := make(map[string]*big.Rat, len(m.Names))
+	for i, v := range m.Names {
+		out[v] = m.Vals[i].Big()
+	}
+	return st, out
+}
+
+// CheckModel is Check with the assignment as rat.Rats in a Model.
+func CheckModel(p *Problem) (Status, Model) {
 	budget := p.NodeBudget
 	if budget == 0 {
 		budget = 400
@@ -124,15 +137,7 @@ func Check(p *Problem) (Status, map[string]*big.Rat) {
 		tableaus.Put(sx)
 	}()
 	c := &checker{intVars: p.IntVars, budget: budget, fuel: p.Fuel, telem: p.Telem, sx: sx}
-	st, m := c.solve(p.Atoms)
-	if st != Sat {
-		return st, nil
-	}
-	out := make(map[string]*big.Rat, len(m.names))
-	for i, v := range m.names {
-		out[v] = m.vals[i].Big()
-	}
-	return st, out
+	return c.solve(p.Atoms)
 }
 
 // tableaus recycles simplex instances, with their row and column
@@ -150,19 +155,29 @@ type checker struct {
 	terms []simplex.Term // atom coefficient scratch
 }
 
-// model is a satisfying assignment: vals[i] is the value of names[i],
-// and names is sorted.
-type model struct {
-	names []string
-	vals  []rat.Rat
+// Model is a satisfying assignment: Vals[i] is the value of Names[i],
+// and Names is sorted.
+type Model struct {
+	Names []string
+	Vals  []rat.Rat
+}
+
+// Value returns the value of variable v, and false when m does not
+// value it.
+func (m Model) Value(v string) (rat.Rat, bool) {
+	i, ok := slices.BinarySearch(m.Names, v)
+	if !ok {
+		return rat.Rat{}, false
+	}
+	return m.Vals[i], true
 }
 
 // relOps maps each relation except RelNe to its simplex bound.
 var relOps = [...]simplex.Op{RelLe: simplex.Le, RelLt: simplex.Lt, RelGe: simplex.Ge, RelGt: simplex.Gt, RelEq: simplex.Eq}
 
-func (c *checker) solve(atoms []Atom) (Status, model) {
+func (c *checker) solve(atoms []Atom) (Status, Model) {
 	if c.budget <= 0 || !c.fuel.Spend(1) {
-		return Unknown, model{}
+		return Unknown, Model{}
 	}
 	c.telem.Inc(cBnBNodes)
 	c.budget--
@@ -178,7 +193,7 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 	// branch-and-bound cannot (unbounded parity conflicts).
 	for _, a := range atoms {
 		if a.Rel == RelEq && c.gcdCutInfeasible(a.Expr) {
-			return Unsat, model{}
+			return Unsat, Model{}
 		}
 	}
 
@@ -214,22 +229,22 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 			c.terms = append(c.terms, simplex.Term{Var: sort.SearchStrings(names, t.Var), Coeff: t.Coeff})
 		}
 		if !sx.AssertAtom(c.terms, relOps[a.Rel], a.Expr.Const.Neg()) {
-			return Unsat, model{}
+			return Unsat, Model{}
 		}
 	}
 	ok, err := sx.Check()
 	if err != nil {
-		return Unknown, model{}
+		return Unknown, Model{}
 	}
 	if !ok {
-		return Unsat, model{}
+		return Unsat, Model{}
 	}
 
 	ids := make([]int, len(names))
 	for i := range ids {
 		ids[i] = i
 	}
-	m := model{names: names, vals: sx.Values(ids)}
+	m := Model{Names: names, Vals: sx.Values(ids)}
 
 	// Disequality handling: if some ≠ atom is violated by the model,
 	// split into < and > branches.
@@ -239,7 +254,7 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 			if st, m := c.solve(lt); st == Sat {
 				return Sat, m
 			} else if st == Unknown {
-				return Unknown, model{}
+				return Unknown, Model{}
 			}
 			gt := append(cloneAtoms(atoms, d), Atom{Expr: d.Expr, Rel: RelGt})
 			return c.solve(gt)
@@ -252,7 +267,7 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 		if !c.intVars[v] {
 			continue
 		}
-		val := m.vals[i]
+		val := m.Vals[i]
 		if val.IsInt() {
 			continue
 		}
@@ -262,7 +277,7 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 		if st, m := c.solve(down); st == Sat {
 			return Sat, m
 		} else if st == Unknown {
-			return Unknown, model{}
+			return Unknown, Model{}
 		}
 		ceil := fl.Add(rat.Int(1))
 		ge := &LinExpr{Coeffs: []VarCoeff{{Var: v, Coeff: rat.Int(1)}}, Const: ceil.Neg()} // v - ceil ≥ 0
@@ -275,10 +290,10 @@ func (c *checker) solve(atoms []Atom) (Status, model) {
 
 // eval evaluates e under the model; every variable of e must be
 // valued.
-func (m model) eval(e *LinExpr) rat.Rat {
+func (m Model) eval(e *LinExpr) rat.Rat {
 	out := e.Const
 	for _, t := range e.Coeffs {
-		out = out.Add(t.Coeff.Mul(m.vals[sort.SearchStrings(m.names, t.Var)]))
+		out = out.Add(t.Coeff.Mul(m.Vals[sort.SearchStrings(m.Names, t.Var)]))
 	}
 	return out
 }

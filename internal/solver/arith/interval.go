@@ -1,18 +1,18 @@
 package arith
 
-import (
-	"math/big"
-)
+import "repro/internal/solver/rat"
 
 // Endpoint is one side of an interval: a rational value or ±∞, with an
-// openness flag (Open means the value itself is excluded).
+// openness flag (Open means the value itself is excluded). Values are
+// rat.Rats, so the refuter's arithmetic runs on machine words unless an
+// endpoint leaves the 64-bit range.
 type Endpoint struct {
-	V    *big.Rat
+	V    rat.Rat
 	Inf  bool // true: this endpoint is infinite (sign given by side)
 	Open bool
 }
 
-func finite(v *big.Rat, open bool) Endpoint { return Endpoint{V: v, Open: open} }
+func finite(v rat.Rat, open bool) Endpoint { return Endpoint{V: v, Open: open} }
 
 // Interval is a (possibly unbounded, possibly open) rational interval.
 type Interval struct {
@@ -25,7 +25,7 @@ func Whole() Interval {
 }
 
 // Point returns the degenerate interval [v, v].
-func Point(v *big.Rat) Interval {
+func Point(v rat.Rat) Interval {
 	return Interval{Lo: finite(v, false), Hi: finite(v, false)}
 }
 
@@ -42,7 +42,7 @@ func (i Interval) IsEmpty() bool {
 }
 
 // Contains reports whether v lies in the interval.
-func (i Interval) Contains(v *big.Rat) bool {
+func (i Interval) Contains(v rat.Rat) bool {
 	if !i.Lo.Inf {
 		c := v.Cmp(i.Lo.V)
 		if c < 0 || (c == 0 && i.Lo.Open) {
@@ -59,7 +59,7 @@ func (i Interval) Contains(v *big.Rat) bool {
 }
 
 // ContainsZero reports whether 0 lies in the interval.
-func (i Interval) ContainsZero() bool { return i.Contains(new(big.Rat)) }
+func (i Interval) ContainsZero() bool { return i.Contains(rat.Rat{}) }
 
 // Intersect returns the intersection of two intervals.
 func (i Interval) Intersect(o Interval) Interval {
@@ -116,10 +116,10 @@ func (i Interval) Hull(o Interval) Interval {
 func (i Interval) Neg() Interval {
 	lo, hi := i.Hi, i.Lo
 	if !lo.Inf {
-		lo = Endpoint{V: new(big.Rat).Neg(lo.V), Open: lo.Open}
+		lo = Endpoint{V: lo.V.Neg(), Open: lo.Open}
 	}
 	if !hi.Inf {
-		hi = Endpoint{V: new(big.Rat).Neg(hi.V), Open: hi.Open}
+		hi = Endpoint{V: hi.V.Neg(), Open: hi.Open}
 	}
 	return Interval{Lo: lo, Hi: hi}
 }
@@ -130,12 +130,12 @@ func (i Interval) Add(o Interval) Interval {
 	if i.Lo.Inf || o.Lo.Inf {
 		lo = Endpoint{Inf: true}
 	} else {
-		lo = finite(new(big.Rat).Add(i.Lo.V, o.Lo.V), i.Lo.Open || o.Lo.Open)
+		lo = finite(i.Lo.V.Add(o.Lo.V), i.Lo.Open || o.Lo.Open)
 	}
 	if i.Hi.Inf || o.Hi.Inf {
 		hi = Endpoint{Inf: true}
 	} else {
-		hi = finite(new(big.Rat).Add(i.Hi.V, o.Hi.V), i.Hi.Open || o.Hi.Open)
+		hi = finite(i.Hi.V.Add(o.Hi.V), i.Hi.Open || o.Hi.Open)
 	}
 	return Interval{Lo: lo, Hi: hi}
 }
@@ -143,9 +143,9 @@ func (i Interval) Add(o Interval) Interval {
 // Sub returns i − o.
 func (i Interval) Sub(o Interval) Interval { return i.Add(o.Neg()) }
 
-// corner is a signed extended rational used in product/quotient bounds.
+// corner is a signed extended rational used in product bounds.
 type corner struct {
-	v    *big.Rat
+	v    rat.Rat
 	inf  int8 // -1, 0, +1
 	open bool
 }
@@ -171,33 +171,25 @@ func (c corner) sign() int {
 	return c.v.Sign()
 }
 
+// attainedZero reports whether c is a finite, closed zero: a factor
+// the interval attains, which makes every product with it attain 0
+// too.
+func (c corner) attainedZero() bool { return c.inf == 0 && !c.open && c.v.IsZero() }
+
 func mulCorner(a, b corner) corner {
+	if a.attainedZero() || b.attainedZero() {
+		return corner{}
+	}
 	open := a.open || b.open
 	if a.inf != 0 || b.inf != 0 {
 		// 0 × ∞ = 0 (corner rule: an attained zero annihilates).
 		if a.sign() == 0 || b.sign() == 0 {
-			return corner{v: new(big.Rat), open: open}
+			return corner{open: open}
 		}
 		s := int8(a.sign() * b.sign())
 		return corner{inf: s, open: open}
 	}
-	return corner{v: new(big.Rat).Mul(a.v, b.v), open: open}
-}
-
-func divCorner(a, b corner) corner {
-	open := a.open || b.open
-	if b.inf != 0 {
-		return corner{v: new(big.Rat), open: true} // limit toward 0
-	}
-	if b.v.Sign() == 0 {
-		// Callers exclude divisor intervals containing 0.
-		return corner{v: new(big.Rat), open: open}
-	}
-	if a.inf != 0 {
-		s := int8(int(a.inf) * b.v.Sign())
-		return corner{inf: s, open: open}
-	}
-	return corner{v: new(big.Rat).Quo(a.v, b.v), open: open}
+	return corner{v: a.v.Mul(b.v), open: open}
 }
 
 func cornerLess(a, b corner) bool {
@@ -249,35 +241,47 @@ func cornersToInterval(cs []corner) Interval {
 
 // Mul returns an enclosure of i × o.
 func (i Interval) Mul(o Interval) Interval {
-	cs := []corner{
+	cs := [...]corner{
 		mulCorner(i.loCorner(), o.loCorner()),
 		mulCorner(i.loCorner(), o.hiCorner()),
 		mulCorner(i.hiCorner(), o.loCorner()),
 		mulCorner(i.hiCorner(), o.hiCorner()),
 	}
-	return cornersToInterval(cs)
+	return cornersToInterval(cs[:])
 }
 
 // Div returns an enclosure of i ÷ o under this system's fixed
 // interpretation x/0 = 0. If the divisor interval contains zero the
-// result is the whole line (conservative).
+// result is the whole line (conservative); otherwise it is i times the
+// reciprocal interval of o.
 func (i Interval) Div(o Interval) Interval {
 	if o.ContainsZero() {
 		return Whole()
 	}
-	cs := []corner{
-		divCorner(i.loCorner(), o.loCorner()),
-		divCorner(i.loCorner(), o.hiCorner()),
-		divCorner(i.hiCorner(), o.loCorner()),
-		divCorner(i.hiCorner(), o.hiCorner()),
+	return i.Mul(o.recip())
+}
+
+// recip returns an enclosure of {1/x : x ∈ o} for an o that excludes
+// zero. 1/x falls on either side of zero, so o's high endpoint gives
+// the low one: 1/±∞ is an unattained 0, and an open zero endpoint,
+// which o approaches without reaching, gives an infinite side.
+func (o Interval) recip() Interval {
+	inv := func(e Endpoint) Endpoint {
+		switch {
+		case e.Inf:
+			return Endpoint{Open: true}
+		case e.V.IsZero():
+			return Endpoint{Inf: true}
+		}
+		return Endpoint{V: e.V.Inv(), Open: e.Open}
 	}
-	return cornersToInterval(cs)
+	return Interval{Lo: inv(o.Hi), Hi: inv(o.Lo)}
 }
 
 // Abs returns an enclosure of |i|.
 func (i Interval) Abs() Interval {
 	neg := i.Neg()
-	nonneg := Interval{Lo: finite(new(big.Rat), false), Hi: Endpoint{Inf: true}}
+	nonneg := Interval{Lo: finite(rat.Rat{}, false), Hi: Endpoint{Inf: true}}
 	return i.Hull(neg).Intersect(nonneg)
 }
 
@@ -289,32 +293,21 @@ func (i Interval) TightenInt() Interval {
 		v := out.Lo.V
 		if v.IsInt() {
 			if out.Lo.Open {
-				out.Lo = finite(new(big.Rat).Add(v, big.NewRat(1, 1)), false)
+				out.Lo = finite(v.Add(rat.Int(1)), false)
 			}
 		} else {
-			ceil := new(big.Int).Add(floorRat(v), big.NewInt(1))
-			out.Lo = finite(new(big.Rat).SetInt(ceil), false)
+			out.Lo = finite(v.Floor().Add(rat.Int(1)), false)
 		}
 	}
 	if !out.Hi.Inf {
 		v := out.Hi.V
 		if v.IsInt() {
 			if out.Hi.Open {
-				out.Hi = finite(new(big.Rat).Sub(v, big.NewRat(1, 1)), false)
+				out.Hi = finite(v.Sub(rat.Int(1)), false)
 			}
 		} else {
-			out.Hi = finite(new(big.Rat).SetInt(floorRat(v)), false)
+			out.Hi = finite(v.Floor(), false)
 		}
 	}
 	return out
-}
-
-func floorRat(v *big.Rat) *big.Int {
-	q := new(big.Int)
-	r := new(big.Int)
-	q.QuoRem(v.Num(), v.Denom(), r)
-	if r.Sign() < 0 {
-		q.Sub(q, big.NewInt(1))
-	}
-	return q
 }

@@ -1,10 +1,9 @@
 package arith
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
 	"repro/internal/fuel"
+	"repro/internal/solver/rat"
 	"repro/internal/telemetry"
 )
 
@@ -27,9 +26,9 @@ func EvalInterval(t ast.Term, env Env, intVars map[string]bool) Interval {
 		}
 		return Whole()
 	case *ast.IntLit:
-		return Point(new(big.Rat).SetInt(n.V))
+		return Point(rat.FromBigInt(n.V))
 	case *ast.RealLit:
-		return Point(n.V)
+		return Point(rat.FromBig(n.V))
 	case *ast.App:
 		return evalIntervalApp(n, env, intVars)
 	default:
@@ -75,7 +74,7 @@ func evalIntervalApp(n *ast.App, env Env, intVars map[string]bool) Interval {
 		in := sub(0)
 		out := in
 		if !out.Lo.Inf {
-			out.Lo = finite(new(big.Rat).Sub(out.Lo.V, big.NewRat(1, 1)), false)
+			out.Lo = finite(out.Lo.V.Sub(rat.Int(1)), false)
 		}
 		if !out.Hi.Inf {
 			out.Hi = finite(out.Hi.V, false)
@@ -92,12 +91,12 @@ func evalIntervalApp(n *ast.App, env Env, intVars map[string]bool) Interval {
 			return Whole()
 		}
 		q := a.Div(b)
-		one := Point(big.NewRat(1, 1))
+		one := Point(rat.Int(1))
 		return q.Add(Interval{Lo: one.Neg().Lo, Hi: one.Hi})
 	case ast.OpMod:
 		// 0 ≤ mod < |divisor| when the divisor is nonzero; mod x 0 = x.
 		b := sub(1)
-		nonneg := Interval{Lo: finite(new(big.Rat), false), Hi: Endpoint{Inf: true}}
+		nonneg := Interval{Lo: finite(rat.Rat{}, false), Hi: Endpoint{Inf: true}}
 		if b.ContainsZero() {
 			return nonneg.Hull(sub(0))
 		}
@@ -108,11 +107,11 @@ func evalIntervalApp(n *ast.App, env Env, intVars map[string]bool) Interval {
 		}
 		return out
 	case ast.OpStrLen:
-		return Interval{Lo: finite(new(big.Rat), false), Hi: Endpoint{Inf: true}}
+		return Interval{Lo: finite(rat.Rat{}, false), Hi: Endpoint{Inf: true}}
 	case ast.OpStrToInt:
-		return Interval{Lo: finite(big.NewRat(-1, 1), false), Hi: Endpoint{Inf: true}}
+		return Interval{Lo: finite(rat.Int(-1), false), Hi: Endpoint{Inf: true}}
 	case ast.OpStrIndexOf:
-		return Interval{Lo: finite(big.NewRat(-1, 1), false), Hi: Endpoint{Inf: true}}
+		return Interval{Lo: finite(rat.Int(-1), false), Hi: Endpoint{Inf: true}}
 	default:
 		return Whole()
 	}

@@ -236,6 +236,9 @@ type Solver struct {
 	// warm holds the semantically transparent caches reused across
 	// Solve calls (see warm.go); ResetWarm drops them.
 	warm *warmState
+	// memo is the current solve's literal memo (see litmemo.go): nil
+	// until the solve's first arith theory call, dropped when it ends.
+	memo *litMemo
 }
 
 // New returns a solver with the given configuration.
@@ -308,7 +311,10 @@ func (s *Solver) Solve(asserts []ast.Term) Outcome {
 	s.cfg.Telemetry.Inc(cSolves)
 	// Deferred so crash-defect panics still account the steps performed
 	// before the unwind.
-	defer func() { s.cfg.Telemetry.Add(FuelSpentCounter, s.meter.Spent()) }()
+	defer func() {
+		s.cfg.Telemetry.Add(FuelSpentCounter, s.meter.Spent())
+		s.memo = nil
+	}()
 	out := s.solve(asserts)
 	out.FuelSpent = s.meter.Spent()
 	if out.Result == ResUnknown && s.meter.Exhausted() {
