@@ -146,6 +146,10 @@ func BenchmarkStringsCheck(b *testing.B) { benchmarks.StringsCheck(b) }
 // envelope per op (see benchmarks.EnvelopeCodec).
 func BenchmarkEnvelopeCodec(b *testing.B) { benchmarks.EnvelopeCodec(b) }
 
+// BenchmarkArithTheory runs one reference Solve per op over generated
+// and fused nonlinear scripts (see benchmarks.ArithTheory).
+func BenchmarkArithTheory(b *testing.B) { benchmarks.ArithTheory(b) }
+
 // BenchmarkAblationFusionFns runs the fusion-function family ablation
 // at a small budget (DESIGN.md §5).
 func BenchmarkAblationFusionFns(b *testing.B) {

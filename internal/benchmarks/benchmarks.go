@@ -206,6 +206,45 @@ func StringsCheck(b *testing.B) {
 	}
 }
 
+// ArithTheory is the arith theory front end's allocation tripwire: one
+// reference Solve per op, cycling through generated and fused NRA,
+// QF_NRA and QF_NIA scripts, so literal conversion, the candidate-model
+// check, interval refutation and the sample grid all run, along with
+// the simplex and branch-and-bound under them.
+func ArithTheory(b *testing.B) {
+	b.ReportAllocs()
+	var scripts []*smtlib.Script
+	for _, logic := range []gen.Logic{gen.NRA, gen.QFNRA, gen.QFNIA} {
+		g, err := gen.New(logic, 23)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seeds []*core.Seed
+		for i := 0; i < 9; i++ {
+			st := core.StatusSat
+			if i%3 == 2 {
+				st = core.StatusUnsat
+			}
+			seeds = append(seeds, g.Generate(st))
+		}
+		rng := rand.New(rand.NewSource(29))
+		for i, s := range seeds {
+			scripts = append(scripts, s.Script)
+			// Seeds i and i+3 share a status, so they fuse.
+			if i+3 < len(seeds) {
+				if f, err := core.Fuse(s, seeds[i+3], rng, core.Options{}); err == nil {
+					scripts = append(scripts, f.Script)
+				}
+			}
+		}
+	}
+	s := solver.NewReference()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SolveScript(scripts[i%len(scripts)])
+	}
+}
+
 // EnvelopeCodec is the document path's allocation tripwire: each op
 // encodes, decodes and merges alone the envelope of a fixed, traced
 // campaign (two logics, one sim cross-check backend). The campaign
@@ -311,6 +350,7 @@ var All = []Entry{
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},
 	{Name: "StringsCheck", Fast: true, Fn: StringsCheck},
+	{Name: "ArithTheory", Fast: true, Fn: ArithTheory},
 	{Name: "EnvelopeCodec", Fast: true, Fn: EnvelopeCodec},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},
 }
