@@ -444,6 +444,9 @@ func TestSpoolDurability(t *testing.T) {
 	}
 	waitState(t, ts2, j.ID, StateDone)
 	_, env := request(t, http.MethodGet, ts2.URL+"/api/v1/campaigns/"+j.ID+"/envelope", nil)
+	// Inspect reports done before the runner has landed the envelope
+	// and the status flip on disk; wait for it before reloading.
+	srv2.Wait()
 
 	_, tsRef := newTestServer(t, "")
 	ref := submit(t, tsRef, submitRequest{Config: smallConfig()})
