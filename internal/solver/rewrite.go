@@ -850,7 +850,7 @@ func isNumLit(t ast.Term, v int64) bool {
 	case *ast.IntLit:
 		return n.V.IsInt64() && n.V.Int64() == v
 	case *ast.RealLit:
-		return n.V.Cmp(big.NewRat(v, 1)) == 0
+		return n.V.IsInt() && n.V.Num().IsInt64() && n.V.Num().Int64() == v
 	}
 	return false
 }
