@@ -132,9 +132,9 @@ type Backend interface {
 	Check(sc *smtlib.Script) Output
 }
 
-// Resetter is implemented by backends with warm per-family state (the
-// sim adapters); the harness resets it at family boundaries so verdict
-// streams stay a pure function of the campaign configuration.
+// Resetter is implemented by backends with warm caches (the sim
+// adapters); the harness resets it at the start of every task, so a
+// task's checks depend on the task alone.
 type Resetter interface{ ResetWarm() }
 
 // Spec describes one configured backend and builds per-worker

@@ -12,11 +12,9 @@
 //
 // The frontier is a single integer: classification applies outcomes in
 // strict global task order, so "Done = N" means exactly the first N
-// included task ids are classified — there are never holes. Mid-family
-// frontiers are handled by warm replay (see runLeg): the resumed leg
-// re-executes a family's already-classified prefix, discarding the
-// outcomes, purely to reconstruct the solver's warm-cache state that
-// the next task's fuel counters depend on.
+// included task ids are classified — there are never holes. Warm
+// caches are scoped to one task, so the resumed leg runs exactly the
+// tasks past the frontier.
 package harness
 
 import (
@@ -256,8 +254,8 @@ const (
 	MaxThreads  = 256
 )
 
-// withDefaults fills every defaulted field, so task counts, families,
-// and RNG coordinates computed from a config match the running
+// withDefaults fills every defaulted field, so task counts and RNG
+// coordinates computed from a config match the running
 // campaign's exactly.
 func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.Release == "" {

@@ -270,58 +270,6 @@ func metaSeed(seed int64, logic gen.Logic, iter int) int64 {
 // mutation rather than fusion.
 func (c *campaign) mutation() bool { return c.Mode == ModeMutate || c.Mode == ModeWild }
 
-// familyKey identifies the seed family of a task: two tasks are in the
-// same family exactly when they derive their tests from the same
-// seed(s) of the same logic. The scheduler batches a family onto one
-// worker so the solver's warm caches carry shared seed structure from
-// one variant to the next.
-type familyKey struct {
-	logicIdx int
-	oracle   core.Status
-	s1, s2   int // pool pick indices; s2 is -1 for mutation tasks
-}
-
-// familyOf computes a task's family key by replaying the prefix of its
-// RNG stream that selects the oracle and the seed-pool indices. The
-// replay recreates the task RNG from its seed and discards it, so the
-// task's own stream — rebuilt from the same seed in runTaskInner — is
-// untouched: per-task RNG coordinates are exactly those of the
-// unbatched scheduler, draw for draw.
-func familyOf(cfg *campaign, id int) familyKey {
-	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
-	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), iter)))
-	k := familyKey{logicIdx: logicIdx, oracle: core.StatusSat, s2: -1}
-	if rng.Intn(2) == 1 {
-		k.oracle = core.StatusUnsat
-	}
-	// Mirror seedPool.pick's draws: one Intn(SeedPool) per picked seed.
-	k.s1 = rng.Intn(cfg.SeedPool)
-	if !cfg.mutation() {
-		k.s2 = rng.Intn(cfg.SeedPool)
-	}
-	return k
-}
-
-// buildFamilies groups the task ids [0, total) into per-seed families.
-// Ids stay in ascending order inside each family, and families are
-// ordered by their first task id, so the schedule is a pure function of
-// the campaign configuration — never of thread count or timing.
-func buildFamilies(cfg *campaign, total int) [][]int {
-	index := map[familyKey]int{}
-	var fams [][]int
-	for id := 0; id < total; id++ {
-		k := familyOf(cfg, id)
-		fi, ok := index[k]
-		if !ok {
-			fi = len(fams)
-			index[k] = fi
-			fams = append(fams, nil)
-		}
-		fams[fi] = append(fams[fi], id)
-	}
-	return fams
-}
-
 // taskOutcome is the raw result of one fusion+solve task, produced by
 // any worker and classified later in deterministic task order.
 type taskOutcome struct {
@@ -540,11 +488,10 @@ func finish(st *runState, breakers []breakerState) (*Result, error) {
 //
 // Consequently a campaign's findings are bit-identical for any Threads
 // value: parallelism is a pure speedup, not a different experiment.
-// Tasks outside include that precede an included task within its
-// family are warm-replayed — run and discarded — so every included
-// task sees exactly the warm-cache state (and hence telemetry deltas)
-// it would have seen in an uninterrupted single-process run. Returns
-// true when a control paused the leg before include was exhausted.
+// Warm caches are scoped to one task, so a task's telemetry delta is
+// the same whichever worker runs it and whatever ran there before, and
+// a leg runs only the tasks it includes. Returns true when a control
+// paused the leg before include was exhausted.
 func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	cfg := st.cfg
 	var jw *telemetry.JSONLWriter
@@ -591,39 +538,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		st.tr.Merge(st.vetting)
 	}
 
-	// Tasks are dispatched as per-seed families: all variants of one
-	// seed (pair) run on the same worker, in ascending task order, with
-	// the solver's warm caches reset at each family boundary. Verdicts
-	// and models are unaffected (the caches are semantically
-	// transparent); what batching buys is cross-variant cache reuse,
-	// and what the reset buys is thread-invariance — each task's
-	// telemetry delta is a function of its in-family predecessors only,
-	// never of which worker ran the family or what ran there before.
-	//
-	// emit marks the included ids. Families are always computed over
-	// the full task space, trimmed to their last included member: the
-	// untrimmed prefix is the warm-replay work that reconstructs the
-	// in-family cache state an included task depends on. Workers read
-	// emit concurrently; it is immutable once built.
-	total := len(cfg.Logics) * cfg.Iterations
-	emit := make([]bool, total)
-	for _, id := range include {
-		emit[id] = true
-	}
-	var jobs [][]int
-	for _, fam := range buildFamilies(cfg, total) {
-		last := -1
-		for i, id := range fam {
-			if emit[id] {
-				last = i
-			}
-		}
-		if last >= 0 {
-			jobs = append(jobs, fam[:last+1])
-		}
-	}
-
-	taskCh := make(chan []int, cfg.Threads)
+	taskCh := make(chan int, cfg.Threads)
 	outCh := make(chan taskOutcome, cfg.Threads)
 	quit := make(chan struct{})
 
@@ -632,47 +547,29 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		wg.Add(1)
 		go func(sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker) {
 			defer wg.Done()
-			// Replayed (non-emitted) tasks drive only the warm-state
-			// backends: hermetic adapters own per-instance caches whose
-			// state the replay must reconstruct, while external process
-			// backends carry no warm state (and cost real solver time),
-			// so a resumed campaign never re-invokes them for
-			// already-classified work.
-			var warmBks []backend.Backend
-			for _, b := range bks {
-				if _, ok := b.(backend.Resetter); ok {
-					warmBks = append(warmBks, b)
-				}
-			}
-			for fam := range taskCh {
+			for id := range taskCh {
+				// Warm caches are scoped to one task: its primary,
+				// variant and backend solves share terms, and a reset
+				// here makes its telemetry delta a function of the task
+				// alone. Hermetic backends carry the same caches as the
+				// SUT.
 				sut.ResetWarm()
-				// Hermetic backends carry the same warm-cache contract as
-				// the SUT: reset at family boundaries, so their verdict
-				// stream is a function of the family alone.
 				for _, b := range bks {
 					if r, ok := b.(backend.Resetter); ok {
 						r.ResetWarm()
 					}
 				}
-				for _, id := range fam {
-					runBks := bks
-					if !emit[id] {
-						runBks = warmBks
-					}
-					out := runTask(cfg, pools, sut, runBks, tr, id)
-					if out.wallTimeout {
-						// The watchdog abandoned a solve mid-flight: that
-						// solver instance may hold inconsistent state, so
-						// replace it — together with its tracker, which the
-						// abandoned goroutine may still be writing.
-						tr = telemetry.NewTracker()
-						sut = makeSUT(cfg, tr)
-					}
-					if emit[id] {
-						out.rec = recordOf(cfg, &out)
-						outCh <- out
-					}
+				out := runTask(cfg, pools, sut, bks, tr, id)
+				if out.wallTimeout {
+					// The watchdog abandoned a solve mid-flight: that
+					// solver instance may hold inconsistent state, so
+					// replace it — together with its tracker, which the
+					// abandoned goroutine may still be writing.
+					tr = telemetry.NewTracker()
+					sut = makeSUT(cfg, tr)
 				}
+				out.rec = recordOf(cfg, &out)
+				outCh <- out
 			}
 		}(suts[w], workerBackends[w], trackers[w])
 	}
@@ -682,9 +579,9 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 			wg.Wait()
 			close(outCh)
 		}()
-		for _, fam := range jobs {
+		for _, id := range include {
 			select {
-			case taskCh <- fam:
+			case taskCh <- id:
 			case <-quit:
 				return
 			}

@@ -3,7 +3,7 @@
 // shard index mod K. Every per-task quantity (verdict, fuel delta,
 // artifacts, the task record) is computed identically to the unsharded
 // run because task RNG derives from (campaign seed, logic, iteration)
-// alone and warm state is reconstructed per family; only the
+// alone and warm caches are scoped to one task; only the
 // *cross-task* folds — bug dedup, duplicate counts, backend triage,
 // funnel counters, trace finding flags — see a shard-local view. Merge
 // replays the shards' records in global task order through the same

@@ -35,15 +35,15 @@ const warmMaxIDs = 1 << 20
 // assignment exponentially often: across sibling DFS branches, across
 // the DPLL(T) loop's successive boolean models (the literal sets
 // overlap heavily), and — because terms are hash-consed — across the
-// fused/mutated variants of one seed family. Every cached result is a
-// pure function of (literal term, values of its free variables):
-// evaluation spends no fuel, fires no defects, and hits no coverage
-// probes, so serving it from the cache is observationally invisible —
-// verdicts, models, defect firings, and fuel accounting are
-// bit-identical to a cold solve by construction. Each term's memo also
-// holds the term's compiled program (see eval.Compile), which a miss
-// evaluates; the program is a function of the term alone, so it is
-// shared by every Check that meets the term.
+// solves of one campaign task (its primary test and its metamorphic
+// variant). Every cached result is a pure function of (literal term,
+// values of its free variables): evaluation spends no fuel, fires no
+// defects, and hits no coverage probes, so serving it from the cache is
+// observationally invisible — verdicts, models, defect firings, and
+// fuel accounting are bit-identical to a cold solve by construction.
+// Each term's memo also holds the term's compiled program (see
+// eval.Compile), which a miss evaluates; the program is a function of
+// the term alone, so it is shared by every Check that meets the term.
 //
 // Values are interned to dense ids (two values share an id exactly
 // when they are equal), and a memo key is the ids of the term's free
@@ -136,9 +136,9 @@ func NewWarm() *Warm {
 }
 
 // Reset drops every cached evaluation and the value-id table. The
-// harness calls this at the start of each seed family so per-task
-// cache-hit telemetry is a function of the family alone, never of
-// worker scheduling.
+// harness calls this at the start of every task so per-task cache-hit
+// telemetry is a function of the task alone, never of worker
+// scheduling.
 func (w *Warm) Reset() {
 	if w == nil {
 		return

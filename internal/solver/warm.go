@@ -10,7 +10,7 @@ import (
 // increment per top-level preprocess rewrite, hit or miss. They are a
 // deterministic function of the solve sequence since the last
 // ResetWarm, so the harness keeps them thread-invariant by resetting
-// warm state at deterministic points (family starts).
+// warm state at the start of every task.
 var (
 	cRewriteMemoHits   = telemetry.NewCounter("yy_rewrite_memo_hits_total", "preprocess rewrites served from the warm memo")
 	cRewriteMemoMisses = telemetry.NewCounter("yy_rewrite_memo_misses_total", "preprocess rewrites computed and cached")
@@ -23,11 +23,10 @@ const rewriteMemoMax = 1 << 16
 // warmState is the per-solver cache layer reused across Solve calls.
 // Everything in it is semantically transparent: a warm solver returns
 // bit-identical verdicts, models, defect firings, and fuel accounting
-// to a cold one. What warm state buys is wall-clock time when
-// consecutive solves share structure — exactly the shape semantic
-// fusion produces, where every variant of a seed pair shares almost
-// all of its assertions (and, because terms are hash-consed, shares
-// the term pointers too).
+// to a cold one. What warm state buys is wall-clock time when solves
+// share structure: the DPLL(T) rounds of one solve, and the primary
+// test and metamorphic variant of one campaign task (terms are
+// hash-consed, so shared structure is shared term pointers).
 type warmState struct {
 	// str is the string theory's literal-evaluation cache (see
 	// strings.Warm). On string-logic campaigns the strings solver and
@@ -53,10 +52,9 @@ func newWarmState() *warmState {
 }
 
 // ResetWarm drops all warm caches. The harness calls this at the start
-// of every seed family (and every corpus-vetting slot) so cache-hit
-// telemetry is a function of the task sequence alone, never of worker
-// scheduling — the invariant behind bit-identical campaigns at any
-// thread count.
+// of every task (and every corpus-vetting slot) so cache-hit telemetry
+// is a function of the task alone, never of worker scheduling — the
+// invariant behind bit-identical campaigns at any thread count.
 func (s *Solver) ResetWarm() {
 	if s.warm == nil {
 		return
