@@ -1,7 +1,6 @@
 package arith
 
 import (
-	"math/big"
 	"slices"
 	"sort"
 	"sync"
@@ -43,26 +42,6 @@ func (r Rel) Negate() Rel {
 		return RelNe
 	default:
 		return RelEq
-	}
-}
-
-// HoldsOn reports whether value v (an evaluated expression) satisfies
-// the relation against zero.
-func (r Rel) HoldsOn(v *big.Rat) bool {
-	s := v.Sign()
-	switch r {
-	case RelLe:
-		return s <= 0
-	case RelLt:
-		return s < 0
-	case RelGe:
-		return s >= 0
-	case RelGt:
-		return s > 0
-	case RelEq:
-		return s == 0
-	default:
-		return s != 0
 	}
 }
 
@@ -109,23 +88,10 @@ type Problem struct {
 	Telem *telemetry.Tracker
 }
 
-// Check decides the conjunction. On Sat, the returned assignment maps
-// every variable occurring in the atoms to a rational (integral for
-// IntVars).
-func Check(p *Problem) (Status, map[string]*big.Rat) {
-	st, m := CheckModel(p)
-	if st != Sat {
-		return st, nil
-	}
-	out := make(map[string]*big.Rat, len(m.Names))
-	for i, v := range m.Names {
-		out[v] = m.Vals[i].Big()
-	}
-	return st, out
-}
-
-// CheckModel is Check with the assignment as rat.Rats in a Model.
-func CheckModel(p *Problem) (Status, Model) {
+// Check decides the conjunction. On Sat, the returned model values
+// every variable occurring in the atoms (integral for IntVars); on
+// Unsat and Unknown it is empty.
+func Check(p *Problem) (Status, Model) {
 	budget := p.NodeBudget
 	if budget == 0 {
 		budget = 400

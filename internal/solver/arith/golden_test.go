@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -229,13 +228,8 @@ func goldenLine(gp goldenProblem) string {
 	fmt.Fprintf(&b, "%s %s fuel=%d pivots=%d hits=%d misses=%d bnb=%d", gp.name, st, m.Spent(),
 		c["yy_simplex_pivots_total"], c["yy_tableau_warm_hits_total"],
 		c["yy_tableau_warm_misses_total"], c["yy_arith_bnb_nodes_total"])
-	names := make([]string, 0, len(model))
-	for v := range model {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	for _, v := range names {
-		fmt.Fprintf(&b, " %q=%s", v, model[v].RatString())
+	for i, v := range model.Names {
+		fmt.Fprintf(&b, " %q=%s", v, model.Vals[i].Big().RatString())
 	}
 	return b.String()
 }

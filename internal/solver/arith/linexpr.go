@@ -8,7 +8,6 @@ package arith
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 	"sort"
 	"strconv"
@@ -86,20 +85,6 @@ func (e *LinExpr) Coeff(v string) rat.Rat {
 
 // IsConst reports whether e has no variables.
 func (e *LinExpr) IsConst() bool { return len(e.Coeffs) == 0 }
-
-// Eval evaluates e under a model as returned by Check; missing
-// variables are an error.
-func (e *LinExpr) Eval(vals map[string]*big.Rat) (*big.Rat, error) {
-	out := e.Const.Big()
-	for _, t := range e.Coeffs {
-		val, ok := vals[t.Var]
-		if !ok {
-			return nil, fmt.Errorf("arith: no value for %s", t.Var)
-		}
-		out.Add(out, new(big.Rat).Mul(t.Coeff.Big(), val))
-	}
-	return out, nil
-}
 
 // String renders the expression deterministically (sorted variables).
 func (e *LinExpr) String() string {

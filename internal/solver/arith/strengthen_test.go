@@ -102,8 +102,8 @@ func TestQuickIntegerIntervals(t *testing.T) {
 			return false
 		}
 		if st == Sat {
-			x := m["x"]
-			return x.IsInt() && x.Cmp(lo) >= 0 && x.Cmp(hi) <= 0
+			x, ok := m.Value("x")
+			return ok && x.IsInt() && x.Cmp(rat.FromBig(lo)) >= 0 && x.Cmp(rat.FromBig(hi)) <= 0
 		}
 		return st == Unsat
 	}

@@ -282,7 +282,7 @@ func (s *Solver) arithTheory(lits []ast.Term) (arith.Status, eval.Model) {
 		return arith.Unsat, nil
 	}
 
-	st, model := arith.CheckModel(&arith.Problem{
+	st, model := arith.Check(&arith.Problem{
 		Atoms:      atoms,
 		IntVars:    intVars,
 		NodeBudget: arithNodeBudget,

@@ -77,7 +77,8 @@ func (c *checker) completeArith() (bool, eval.Model) {
 		if st != arith.Sat {
 			return false, nil
 		}
-		for name, val := range am {
+		for i, name := range am.Names {
+			val := am.Vals[i].Big()
 			if s, ok := c.slotOf[name]; ok && c.sorts[s] == ast.SortReal {
 				model[name] = eval.RealV{V: val}
 			} else {

@@ -501,8 +501,10 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 	hints := map[string]int{}
 	if st == Sat {
 		for _, v := range c.strVars {
-			if lv, ok := model[lenVar(v)]; ok && lv.IsInt() && lv.Num().IsInt64() {
-				hints[v] = int(lv.Num().Int64())
+			if lv, ok := model.Value(lenVar(v)); ok {
+				if n, d, inline := lv.Inline(); inline && d == 1 {
+					hints[v] = int(n)
+				}
 			}
 		}
 	}
