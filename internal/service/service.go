@@ -85,10 +85,10 @@ type Job struct {
 	updated   time.Time
 
 	stop stopFlag
-	// spoolMu serializes status.json rewrites (a pause request races
-	// the runner's own completion persist; both snapshot the state
-	// under mu, so last-writer-wins is correct — as long as writes do
-	// not interleave inside the file).
+	// spoolMu serializes spool writes. A status snapshot is taken and
+	// written under it, and a finished leg holds it from its first
+	// write until the job shows the new state, so a pause request
+	// racing the leg's end never rewinds status.json.
 	spoolMu sync.Mutex
 }
 
@@ -246,29 +246,52 @@ func (s *Server) launch(j *Job, cp *harness.Checkpoint, threads, stopAfter int) 
 		} else {
 			out, err = harness.Start(j.config, opt)
 		}
-		j.mu.Lock()
-		j.touch()
-		switch {
-		case err != nil:
-			j.state = StateFailed
-			j.errMsg = err.Error()
-		case out.Paused:
-			j.state = StatePaused
-			j.checkpoint = out.Checkpoint
-			j.done = out.Checkpoint.Done
-			j.telemetry = out.Telemetry
-			j.summary = summaryOf(out.Result)
-		default:
-			j.state = StateDone
-			j.checkpoint = nil
-			j.envelope = out.Envelope
-			j.done = out.Envelope.Tasks
-			j.telemetry = out.Telemetry
-			j.summary = summaryOf(out.Result)
-		}
-		j.mu.Unlock()
-		s.persistOutcome(j)
+		s.land(j, out, err)
 	}()
+}
+
+// land publishes a finished leg. The leg's checkpoint or envelope and
+// the new status reach the spool before the job shows its new state,
+// so a client that sees a job done or paused finds its document on
+// disk, and a leg whose outcome cannot be written ends failed without
+// ever showing done.
+func (s *Server) land(j *Job, out *harness.Outcome, err error) {
+	j.spoolMu.Lock()
+	j.mu.Lock()
+	j.touch()
+	next := j.status()
+	j.mu.Unlock()
+	switch {
+	case err != nil:
+		next.State, next.Error = StateFailed, err.Error()
+	case out.Paused:
+		next.State, next.Done = StatePaused, out.Checkpoint.Done
+		next.Summary = summaryOf(out.Result)
+	default:
+		next.State, next.Done = StateDone, out.Envelope.Tasks
+		next.Summary = summaryOf(out.Result)
+	}
+	if dir := s.jobDir(j); dir != "" {
+		if werr := persistOutcome(dir, next, out); werr != nil {
+			next.State, next.Error = StateFailed, fmt.Sprintf("persisting outcome: %v", werr)
+			writeStatus(dir, next) // best-effort; the spool may still be broken
+		}
+	}
+	j.mu.Lock()
+	j.state, j.errMsg, j.done, j.summary = next.State, next.Error, next.Done, next.Summary
+	if err == nil {
+		j.telemetry = out.Telemetry
+		if out.Paused {
+			j.checkpoint = out.Checkpoint
+		} else {
+			j.checkpoint, j.envelope = nil, out.Envelope
+		}
+	}
+	j.mu.Unlock()
+	j.spoolMu.Unlock()
+	if next.State == StateDone || next.State == StateFailed {
+		s.gc()
+	}
 }
 
 // touch refreshes the operator-facing update timestamp; callers hold

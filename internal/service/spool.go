@@ -141,13 +141,9 @@ func (s *Server) persistConfig(j *Job) {
 	}
 }
 
-func (s *Server) persistStatus(j *Job) {
-	dir := s.jobDir(j)
-	if dir == "" {
-		return
-	}
-	j.mu.Lock()
-	st := jobStatus{
+// status snapshots the job's status.json payload; callers hold j.mu.
+func (j *Job) status() jobStatus {
+	return jobStatus{
 		State:     j.state,
 		Error:     j.errMsg,
 		Done:      j.done,
@@ -155,40 +151,51 @@ func (s *Server) persistStatus(j *Job) {
 		Submitted: j.submitted.UTC().Format(time.RFC3339),
 		Updated:   j.updated.UTC().Format(time.RFC3339),
 	}
-	j.mu.Unlock()
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err == nil {
-		j.spoolMu.Lock()
-		err = writeFileAtomic(filepath.Join(dir, "status.json"), append(data, '\n'))
-		j.spoolMu.Unlock()
-	}
-	if err != nil {
-		s.spoolFailed(j, fmt.Errorf("persisting status: %w", err))
-	}
 }
 
-// persistOutcome lands a finished leg: the checkpoint or envelope
-// document first, the status flip last, so a crash between the two
-// re-marks the job with its old state and a newer artifact — never a
-// state claiming an artifact that is not on disk.
-func (s *Server) persistOutcome(j *Job) {
+func (s *Server) persistStatus(j *Job) {
 	dir := s.jobDir(j)
 	if dir == "" {
 		return
 	}
+	j.spoolMu.Lock()
 	j.mu.Lock()
-	state, cp, env := j.state, j.checkpoint, j.envelope
+	st := j.status()
 	j.mu.Unlock()
+	err := writeStatus(dir, st)
+	j.spoolMu.Unlock()
+	if err != nil {
+		s.spoolFailed(j, err)
+	}
+}
+
+func writeStatus(dir string, st jobStatus) error {
+	data, err := json.MarshalIndent(st, "", "  ")
+	if err == nil {
+		err = writeFileAtomic(filepath.Join(dir, "status.json"), append(data, '\n'))
+	}
+	if err != nil {
+		return fmt.Errorf("persisting status: %w", err)
+	}
+	return nil
+}
+
+// persistOutcome writes a finished leg to the job's spool directory:
+// the checkpoint or envelope document first, the status st last, so a
+// crash between the two re-marks the job with its old state and a
+// newer artifact — never a state claiming an artifact that is not on
+// disk.
+func persistOutcome(dir string, st jobStatus, out *harness.Outcome) error {
 	var err error
-	switch state {
+	switch st.State {
 	case StatePaused:
 		var data []byte
-		if data, err = harness.EncodeCheckpoint(cp); err == nil {
+		if data, err = harness.EncodeCheckpoint(out.Checkpoint); err == nil {
 			err = writeFileAtomic(filepath.Join(dir, "checkpoint.json"), data)
 		}
 	case StateDone:
 		var data []byte
-		if data, err = harness.EncodeEnvelope(env); err == nil {
+		if data, err = harness.EncodeEnvelope(out.Envelope); err == nil {
 			err = writeFileAtomic(filepath.Join(dir, "envelope.json"), data)
 		}
 		if err == nil {
@@ -199,13 +206,9 @@ func (s *Server) persistOutcome(j *Job) {
 		}
 	}
 	if err != nil {
-		s.spoolFailed(j, fmt.Errorf("persisting outcome: %w", err))
-		return
+		return err
 	}
-	s.persistStatus(j)
-	if state == StateDone || state == StateFailed {
-		s.gc()
-	}
+	return writeStatus(dir, st)
 }
 
 // spoolFailed marks a job failed because its durable record could not

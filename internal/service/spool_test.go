@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // retentionServer builds a server with a terminal-job cap plus an HTTP
@@ -286,4 +288,92 @@ func TestSpoolCrashConsistency(t *testing.T) {
 	// A second restart reloads the same jobs once each, plus c7.
 	_, ts3 := newTestServer(t, spool)
 	check(ts3, "c7")
+}
+
+// readStatus reads a job's status.json.
+func readStatus(t *testing.T, spool, id string) jobStatus {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(spool, id, "status.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st jobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestSpoolOutcomeBeforeState checks that a leg's outcome is on disk
+// by the time a client can see it: as soon as inspect shows a job
+// paused, its checkpoint and a paused status.json are in the spool,
+// and as soon as it shows done, its envelope and a done status.json
+// are — with no wait for the runner goroutine in between.
+func TestSpoolOutcomeBeforeState(t *testing.T) {
+	spool := t.TempDir()
+	_, ts := newTestServer(t, spool)
+	j := submit(t, ts, submitRequest{Config: smallConfig(), StopAfter: 2})
+	waitState(t, ts, j.ID, StatePaused)
+	if !spooled(t, spool, filepath.Join(j.ID, "checkpoint.json")) {
+		t.Error("inspect shows paused before checkpoint.json is on disk")
+	}
+	if st := readStatus(t, spool, j.ID); st.State != StatePaused {
+		t.Errorf("inspect shows paused while status.json says %s", st.State)
+	}
+	code, data := request(t, http.MethodPost, ts.URL+"/api/v1/campaigns/"+j.ID+"/resume", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("resume: %d %s", code, data)
+	}
+	waitState(t, ts, j.ID, StateDone)
+	if !spooled(t, spool, filepath.Join(j.ID, "envelope.json")) {
+		t.Error("inspect shows done before envelope.json is on disk")
+	}
+	if st := readStatus(t, spool, j.ID); st.State != StateDone {
+		t.Errorf("inspect shows done while status.json says %s", st.State)
+	}
+}
+
+// TestSpoolUnwritableOutcome resumes a paused job whose envelope cannot
+// be written — a directory sits where writeFileAtomic puts its
+// temporary file, which fails for any user, root included. The job
+// must end failed, in memory and in status.json, without inspect ever
+// showing it done.
+func TestSpoolUnwritableOutcome(t *testing.T) {
+	spool := t.TempDir()
+	_, ts := newTestServer(t, spool)
+	j := submit(t, ts, submitRequest{Config: smallConfig(), StopAfter: 2})
+	waitState(t, ts, j.ID, StatePaused)
+	if err := os.MkdirAll(filepath.Join(spool, j.ID, "envelope.json.tmp", "block"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, data := request(t, http.MethodPost, ts.URL+"/api/v1/campaigns/"+j.ID+"/resume", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("resume: %d %s", code, data)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var info Info
+	for {
+		code, data := request(t, http.MethodGet, ts.URL+"/api/v1/campaigns/"+j.ID, nil)
+		if code != http.StatusOK {
+			t.Fatalf("inspect: %d %s", code, data)
+		}
+		if err := json.Unmarshal(data, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.State == StateDone {
+			t.Fatal("inspect shows done for a job whose envelope was never written")
+		}
+		if info.State == StateFailed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", info.State)
+		}
+	}
+	if !strings.Contains(info.Error, "persisting outcome") {
+		t.Errorf("diagnostic %q does not name the failed write", info.Error)
+	}
+	if st := readStatus(t, spool, j.ID); st.State != StateFailed {
+		t.Errorf("status.json says %s, want failed", st.State)
+	}
 }
