@@ -406,7 +406,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 // the spool in a fresh one: the job must come back paused at the same
 // frontier with its trace intact, resume, and produce an envelope
 // byte-identical to a straight run — and the envelope must survive a
-// second reload.
+// second reload. Each leg's document and status are on disk as soon as
+// inspect shows the leg's end, with no wait for the runner goroutine.
 func TestSpoolDurability(t *testing.T) {
 	spool := t.TempDir()
 
@@ -417,6 +418,7 @@ func TestSpoolDurability(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 	j := submit(t, ts1, submitRequest{Config: smallConfig(), StopAfter: 2})
 	paused := waitState(t, ts1, j.ID, StatePaused)
+	onDisk(t, spool, j.ID, "checkpoint.json", StatePaused)
 	_, traceBefore := request(t, http.MethodGet, ts1.URL+"/api/v1/campaigns/"+j.ID+"/trace", nil)
 	ts1.Close()
 	srv1.Close()
@@ -443,6 +445,7 @@ func TestSpoolDurability(t *testing.T) {
 		t.Fatalf("resume reloaded job: %d %s", code, data)
 	}
 	waitState(t, ts2, j.ID, StateDone)
+	onDisk(t, spool, j.ID, "envelope.json", StateDone)
 	_, env := request(t, http.MethodGet, ts2.URL+"/api/v1/campaigns/"+j.ID+"/envelope", nil)
 
 	_, tsRef := newTestServer(t, "")
@@ -467,6 +470,18 @@ func TestSpoolDurability(t *testing.T) {
 	_, env3 := request(t, http.MethodGet, ts3.URL+"/api/v1/campaigns/"+j.ID+"/envelope", nil)
 	if !bytes.Equal(env, env3) {
 		t.Error("envelope changed across reload")
+	}
+}
+
+// onDisk checks that a job's spool holds doc and a status.json in
+// state.
+func onDisk(t *testing.T, spool, id, doc, state string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(spool, id, doc)); err != nil {
+		t.Errorf("inspect shows %s but %s is not on disk: %v", state, doc, err)
+	}
+	if st := readStatus(t, spool, id); st.State != state {
+		t.Errorf("inspect shows %s while status.json says %s", state, st.State)
 	}
 }
 

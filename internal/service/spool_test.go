@@ -304,35 +304,6 @@ func readStatus(t *testing.T, spool, id string) jobStatus {
 	return st
 }
 
-// TestSpoolOutcomeBeforeState checks that a leg's outcome is on disk
-// by the time a client can see it: as soon as inspect shows a job
-// paused, its checkpoint and a paused status.json are in the spool,
-// and as soon as it shows done, its envelope and a done status.json
-// are — with no wait for the runner goroutine in between.
-func TestSpoolOutcomeBeforeState(t *testing.T) {
-	spool := t.TempDir()
-	_, ts := newTestServer(t, spool)
-	j := submit(t, ts, submitRequest{Config: smallConfig(), StopAfter: 2})
-	waitState(t, ts, j.ID, StatePaused)
-	if !spooled(t, spool, filepath.Join(j.ID, "checkpoint.json")) {
-		t.Error("inspect shows paused before checkpoint.json is on disk")
-	}
-	if st := readStatus(t, spool, j.ID); st.State != StatePaused {
-		t.Errorf("inspect shows paused while status.json says %s", st.State)
-	}
-	code, data := request(t, http.MethodPost, ts.URL+"/api/v1/campaigns/"+j.ID+"/resume", nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("resume: %d %s", code, data)
-	}
-	waitState(t, ts, j.ID, StateDone)
-	if !spooled(t, spool, filepath.Join(j.ID, "envelope.json")) {
-		t.Error("inspect shows done before envelope.json is on disk")
-	}
-	if st := readStatus(t, spool, j.ID); st.State != StateDone {
-		t.Errorf("inspect shows done while status.json says %s", st.State)
-	}
-}
-
 // TestSpoolUnwritableOutcome resumes a paused job whose envelope cannot
 // be written — a directory sits where writeFileAtomic puts its
 // temporary file, which fails for any user, root included. The job
