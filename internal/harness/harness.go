@@ -548,11 +548,9 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		go func(sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker) {
 			defer wg.Done()
 			for id := range taskCh {
-				// Warm caches are scoped to one task: its primary,
-				// variant and backend solves share terms, and a reset
-				// here makes its telemetry delta a function of the task
-				// alone. Hermetic backends carry the same caches as the
-				// SUT.
+				// Warm caches are scoped to one task, so its telemetry
+				// delta is a function of the task alone. Hermetic
+				// backends carry the same caches as the SUT.
 				sut.ResetWarm()
 				for _, b := range bks {
 					if r, ok := b.(backend.Resetter); ok {
