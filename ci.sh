@@ -217,8 +217,9 @@ done
 echo "== yybench build =="
 # The repository benchmark is a module of its own built against the
 # harness API; a harness change that breaks it must fail here, not when
-# the benchmark next runs.
-(cd yybench && go build ./... && go vet ./...)
+# the benchmark next runs. Its own tests (fingerprint stability, the
+# envelope merge check) run here too.
+(cd yybench && go build ./... && go vet ./... && go test ./...)
 
 echo "== fuzz smoke =="
 # Bounded go-native fuzzing: each target gets a short budget on top of
