@@ -214,12 +214,15 @@ func persistOutcome(dir string, st jobStatus, out *harness.Outcome) error {
 // spoolFailed marks a job failed because its durable record could not
 // be written: an unpersistable job must not pretend to be durable.
 func (s *Server) spoolFailed(j *Job, err error) {
+	j.spoolMu.Lock()
 	j.mu.Lock()
 	j.state = StateFailed
 	j.errMsg = err.Error()
 	j.touch()
+	st := j.status()
 	j.mu.Unlock()
-	s.persistStatus(j) // best-effort; the spool may still be broken
+	writeStatus(s.jobDir(j), st) // best-effort; the spool may still be broken
+	j.spoolMu.Unlock()
 	s.gc()
 }
 

@@ -340,11 +340,29 @@ func TestSpoolUnwritableOutcome(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("job stuck in %s", info.State)
 		}
+		time.Sleep(time.Millisecond)
 	}
 	if !strings.Contains(info.Error, "persisting outcome") {
 		t.Errorf("diagnostic %q does not name the failed write", info.Error)
 	}
 	if st := readStatus(t, spool, j.ID); st.State != StateFailed {
 		t.Errorf("status.json says %s, want failed", st.State)
+	}
+}
+
+// TestSpoolUnwritableStatus pauses a job whose status.json can no
+// longer be written (a directory sits at its temporary file). The
+// server must mark the job failed and keep serving, however often the
+// write fails.
+func TestSpoolUnwritableStatus(t *testing.T) {
+	spool := t.TempDir()
+	_, ts := newTestServer(t, spool)
+	j := submit(t, ts, submitRequest{Config: bigConfig()})
+	if err := os.MkdirAll(filepath.Join(spool, j.ID, "status.json.tmp", "block"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	request(t, http.MethodPost, ts.URL+"/api/v1/campaigns/"+j.ID+"/pause", nil)
+	if info := waitState(t, ts, j.ID, StateFailed); !strings.Contains(info.Error, "persisting status") {
+		t.Errorf("diagnostic %q does not name the failed status write", info.Error)
 	}
 }
