@@ -321,19 +321,15 @@ func TestThreadCountInvariance(t *testing.T) {
 				t.Error("Start(config) trace differs from Start(config, Threads=1)")
 			}
 
-			camp, err := cc.derive()
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := camp.CampaignConfig
-			stops := []int{d.total() / 2}
+			total := cc.total()
+			stops := []int{total / 2}
 			for _, f := range refOut.Result.BackendFindings {
 				stops = append(stops, f.Task, f.Task+1)
 				break
 			}
 			legThreads := []int{4, 1, 2}
 			for i, stop := range stops {
-				if stop <= 0 || stop >= d.total() {
+				if stop <= 0 || stop >= total {
 					continue
 				}
 				tr1 := telemetry.NewTracker()
