@@ -131,6 +131,10 @@ func BenchmarkThroughputInstrumented(b *testing.B) { benchmarks.ThroughputInstru
 // without the solver).
 func BenchmarkFusionOnly(b *testing.B) { benchmarks.FusionOnly(b) }
 
+// BenchmarkAnalysisGate runs the post-fusion static-analysis gate once
+// per op over fixed fused scripts (see benchmarks.AnalysisGate).
+func BenchmarkAnalysisGate(b *testing.B) { benchmarks.AnalysisGate(b) }
+
 // BenchmarkSolverReference measures the reference solver on a fixed mix
 // of generated formulas across logics.
 func BenchmarkSolverReference(b *testing.B) { benchmarks.SolverReference(b) }

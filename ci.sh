@@ -172,12 +172,33 @@ echo "== static analysis =="
 # iteration order reaches rendered output, and every allow directive
 # carries a reason. Findings print before the non-zero exit.
 go run ./cmd/yylint -go .
-# SMT-LIB self-check: the analysis passes (including the abstract
-# interpreter) over a freshly generated seed corpus across all logics.
-# The pipeline's own output must be warning-free.
+# SMT-LIB self-check: every analysis pass over a freshly generated seed
+# corpus across all logics. The pipeline's own output must be
+# warning-free: a built yylint must exit 0 on it.
 tmpseeds=$(mktemp -d)
 go run ./cmd/genseeds -n 5 -seed 7 -out "$tmpseeds"
-find "$tmpseeds" -name '*.smt2' -print0 | xargs -0 go run ./cmd/yylint
+go build -o "$tmpseeds/yylint" ./cmd/yylint
+find "$tmpseeds" -name '*.smt2' -print0 | xargs -0 "$tmpseeds/yylint"
+
+echo "== yylint CLI smoke =="
+# The rest of yylint's documented exit codes (0 is the corpus lint
+# above): 1 on an unguarded division, 2 on an unknown pass name.
+printf '(set-logic QF_NIA)\n(declare-fun x () Int)\n(declare-fun y () Int)\n(assert (> (div x y) 0))\n(check-sat)\n' \
+    > "$tmpseeds/unguarded.smt2"
+set +e
+"$tmpseeds/yylint" "$tmpseeds/unguarded.smt2" >/dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "yylint smoke: unguarded division exited $rc, want 1" >&2; exit 1; }
+set +e
+msg=$("$tmpseeds/yylint" -passes absint "$tmpseeds/unguarded.smt2" 2>&1)
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "yylint smoke: unknown pass exited $rc, want 2" >&2; exit 1; }
+case "$msg" in
+*"unknown pass"*) ;;
+*) echo "yylint smoke: unknown pass printed: $msg" >&2; exit 1 ;;
+esac
 
 echo "== solve CLI smoke =="
 # The one-shot solver front end over the same corpus: every QF_LIA and

@@ -57,12 +57,12 @@ func main() {
 	goMode := flag.Bool("go", false, "lint Go sources under a module root instead of SMT-LIB files")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	failOn := flag.String("fail-on", "warning", "minimum severity that causes exit status 1 (error, warning, or info)")
-	passNames := flag.String("passes", "", "comma-separated SMT-LIB pass names to run (default: all registered passes)")
-	list := flag.Bool("list", false, "list registered SMT-LIB passes and exit")
+	passNames := flag.String("passes", "", "comma-separated SMT-LIB pass names to run (default: all passes)")
+	list := flag.Bool("list", false, "list the SMT-LIB passes and exit")
 	flag.Parse()
 
 	if *list {
-		names := make([]string, 0, len(analysis.Passes()))
+		var names []string
 		for _, p := range analysis.Passes() {
 			names = append(names, p.Name())
 		}
@@ -145,9 +145,8 @@ func lintGo() []record {
 // lintScripts runs the SMT-LIB analysis passes over the positional file
 // arguments.
 func lintScripts(passNames string) []record {
-	passes := analysis.Passes()
+	var passes []analysis.Pass // none selected: AnalyzeScript runs them all
 	if passNames != "" {
-		passes = passes[:0:0]
 		for _, name := range strings.Split(passNames, ",") {
 			name = strings.TrimSpace(name)
 			p, ok := analysis.Lookup(name)

@@ -4,6 +4,10 @@
 // internal/ast operator table, conformance of the formula to its
 // declared logic, guarding of possibly-zero divisors, the fusion
 // engine's structural postconditions, and trivially-constant asserts.
+// The passes are a fixed list (Passes). divguard is the only division
+// check: the generators guard every division syntactically, and the
+// solver's interval refuter (internal/solver/arith) is the one
+// interval domain in the repository.
 //
 // The analyzer is wired in three places: internal/core runs the
 // error-level passes as a hard gate after every fusion (a diagnostic
@@ -16,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/smtlib"
@@ -114,54 +117,28 @@ type FusionMeta struct {
 	WantConstraints bool
 }
 
-// --- registry ---
-
-var registry struct {
-	mu     sync.Mutex
-	order  []string
-	byName map[string]Pass
+// allPasses is every pass, in the order AnalyzeScript runs them.
+var allPasses = []Pass{
+	wellSortedPass{},
+	fusionPass{},
+	logicPass{},
+	divGuardPass{},
+	trivialPass{},
 }
 
-// Register adds a pass to the registry. Registering a name twice
-// replaces the earlier pass (keeping its position).
-func Register(p Pass) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.byName == nil {
-		registry.byName = map[string]Pass{}
-	}
-	if _, ok := registry.byName[p.Name()]; !ok {
-		registry.order = append(registry.order, p.Name())
-	}
-	registry.byName[p.Name()] = p
-}
-
-// Passes returns every registered pass in registration order.
+// Passes returns every pass in run order. The slice is a copy.
 func Passes() []Pass {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	out := make([]Pass, 0, len(registry.order))
-	for _, n := range registry.order {
-		out = append(out, registry.byName[n])
-	}
-	return out
+	return append([]Pass(nil), allPasses...)
 }
 
 // Lookup resolves a pass by name.
 func Lookup(name string) (Pass, bool) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	p, ok := registry.byName[name]
-	return p, ok
-}
-
-func init() {
-	Register(wellSortedPass{})
-	Register(fusionPass{})
-	Register(logicPass{})
-	Register(divGuardPass{})
-	Register(absintPass{})
-	Register(trivialPass{})
+	for _, p := range allPasses {
+		if p.Name() == name {
+			return p, true
+		}
+	}
+	return nil, false
 }
 
 // GatePasses returns the error-level passes run as the post-fusion
@@ -170,12 +147,12 @@ func GatePasses() []Pass {
 	return []Pass{wellSortedPass{}, fusionPass{}}
 }
 
-// AnalyzeScript runs the given passes (all registered passes when none
-// are given) and returns the combined findings ordered by descending
-// severity, then pass name, then path.
+// AnalyzeScript runs the given passes (every pass when none are given)
+// and returns the combined findings ordered by descending severity,
+// then pass name, then path.
 func AnalyzeScript(s *smtlib.Script, meta *FusionMeta, passes ...Pass) []Diagnostic {
 	if len(passes) == 0 {
-		passes = Passes()
+		passes = allPasses
 	}
 	var out []Diagnostic
 	for _, p := range passes {

@@ -256,6 +256,30 @@ func TestDivGuardScopesDisjunctsAndElseBranches(t *testing.T) {
 	if diags := diagnosticsOf(t, s, nil, "divguard"); len(diags) != 0 {
 		t.Fatalf("else-branch guard not recognized: %v", diags)
 	}
+	// An outer guard on x says nothing about a quantifier's own x.
+	s = mustParse(t, `
+(set-logic LIA)
+(declare-fun x () Int)
+(assert (distinct x 0))
+(assert (forall ((x Int)) (> (div 1 x) (- 1))))
+(check-sat)
+`)
+	diags = diagnosticsOf(t, s, nil, "divguard")
+	if len(diags) != 1 || diags[0].Path != "assert[1].body.arg[0].arg[1]" {
+		t.Fatalf("want the rebound divisor flagged, got %v", diags)
+	}
+	// Control: a guard on a name the quantifier does not bind still
+	// reaches its body.
+	s = mustParse(t, `
+(set-logic LIA)
+(declare-fun x () Int)
+(assert (distinct x 0))
+(assert (forall ((y Int)) (> (div y x) (- 1))))
+(check-sat)
+`)
+	if diags := diagnosticsOf(t, s, nil, "divguard"); len(diags) != 0 {
+		t.Fatalf("guard on a free name lost under a quantifier: %v", diags)
+	}
 }
 
 // --- seeded negative: a non-disjoint variable renaming ---
@@ -410,13 +434,25 @@ func TestGateReturnsTypedError(t *testing.T) {
 }
 
 func TestRegistryLookup(t *testing.T) {
-	names := []string{"wellsorted", "fusion", "logic", "divguard", "absint", "trivial"}
-	if got := len(Passes()); got != len(names) {
-		t.Fatalf("registered passes = %d, want %d", got, len(names))
+	names := []string{"wellsorted", "fusion", "logic", "divguard", "trivial"}
+	got := Passes()
+	if len(got) != len(names) {
+		t.Fatalf("passes = %d, want %d", len(got), len(names))
 	}
-	for _, n := range names {
-		if _, ok := Lookup(n); !ok {
-			t.Fatalf("pass %q not registered", n)
+	for i, n := range names {
+		if got[i].Name() != n {
+			t.Fatalf("pass %d = %q, want %q", i, got[i].Name(), n)
 		}
+		if p, ok := Lookup(n); !ok || p.Name() != n {
+			t.Fatalf("Lookup(%q) = %v, %v", n, p, ok)
+		}
+	}
+	if _, ok := Lookup("absent"); ok {
+		t.Fatal("Lookup of an unknown name must fail")
+	}
+	// Passes hands out a copy: callers cannot reorder the run order.
+	got[0] = got[1]
+	if Passes()[0].Name() != names[0] {
+		t.Fatal("Passes must return a copy")
 	}
 }

@@ -49,21 +49,48 @@ func (divGuardPass) Analyze(s *smtlib.Script, _ *FusionMeta) []Diagnostic {
 	return out
 }
 
-// factSet is a set of terms (by printed form) known nonzero in context.
-type factSet map[string]bool
+// factSet maps the printed form of each term known nonzero in context
+// to the term itself, so facts over a quantifier's bound names can be
+// dropped on entering its body.
+type factSet map[string]ast.Term
+
+func (f factSet) add(t ast.Term) { f[ast.Print(t)] = t }
 
 func (f factSet) extend(more factSet) factSet {
 	if len(more) == 0 {
 		return f
 	}
 	out := make(factSet, len(f)+len(more))
-	for k := range f {
-		out[k] = true
+	for k, t := range f {
+		out[k] = t
 	}
-	for k := range more {
-		out[k] = true
+	for k, t := range more {
+		out[k] = t
 	}
 	return out
+}
+
+// without returns the facts that mention none of the bound names: a
+// fact about an outer x says nothing about a quantifier's own x.
+func (f factSet) without(bound []ast.SortedVar) factSet {
+	out := make(factSet, len(f))
+	for k, t := range f {
+		if !mentionsAny(t, bound) {
+			out[k] = t
+		}
+	}
+	return out
+}
+
+func mentionsAny(t ast.Term, bound []ast.SortedVar) bool {
+	for _, v := range ast.FreeVars(t) {
+		for _, b := range bound {
+			if v.Name == b.Name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // collectGuardFacts adds to facts every term t proves nonzero when t
@@ -90,10 +117,10 @@ func collectGuardFacts(t ast.Term, facts factSet) {
 		if len(n.Args) == 2 {
 			// d = c with c a nonzero literal.
 			if isNonzeroLiteral(n.Args[1]) {
-				facts[ast.Print(n.Args[0])] = true
+				facts.add(n.Args[0])
 			}
 			if isNonzeroLiteral(n.Args[0]) {
-				facts[ast.Print(n.Args[1])] = true
+				facts.add(n.Args[1])
 			}
 		}
 	case ast.OpGt, ast.OpGe, ast.OpLt, ast.OpLe:
@@ -107,10 +134,10 @@ func collectGuardFacts(t ast.Term, facts factSet) {
 // literal, the other is nonzero.
 func markDistinctPair(a, b ast.Term, facts factSet) {
 	if isZeroLiteral(b) {
-		facts[ast.Print(a)] = true
+		facts.add(a)
 	}
 	if isZeroLiteral(a) {
-		facts[ast.Print(b)] = true
+		facts.add(b)
 	}
 }
 
@@ -131,7 +158,7 @@ func markComparisonFacts(op ast.Op, a, b ast.Term, facts factSet) {
 			nz = sign < 0
 		}
 		if nz {
-			facts[ast.Print(a)] = true
+			facts.add(a)
 		}
 	}
 	if sign, ok := literalSign(a); ok {
@@ -148,7 +175,7 @@ func markComparisonFacts(op ast.Op, a, b ast.Term, facts factSet) {
 			nz = sign < 0
 		}
 		if nz {
-			facts[ast.Print(b)] = true
+			facts.add(b)
 		}
 	}
 }
@@ -221,9 +248,9 @@ func checkDivisors(t ast.Term, path string, facts factSet, out *[]Diagnostic) {
 			checkDivisors(a, fmt.Sprintf("%s.arg[%d]", path, i), facts, out)
 		}
 	case *ast.Quant:
-		// Facts over the bound names would be unsound under capture;
-		// binders are fresh throughout this system, so facts persist.
-		checkDivisors(n.Body, path+".body", facts, out)
+		// Generated binders are fresh, but arbitrary SMT-LIB may rebind
+		// a name that an outer guard speaks of.
+		checkDivisors(n.Body, path+".body", facts.without(n.Bound), out)
 	}
 }
 
@@ -239,7 +266,7 @@ func reportUnguarded(div *ast.App, d ast.Term, path string, facts factSet, out *
 		})
 		return
 	}
-	if facts[ast.Print(d)] {
+	if _, ok := facts[ast.Print(d)]; ok {
 		return
 	}
 	*out = append(*out, Diagnostic{

@@ -6,9 +6,9 @@ import (
 	"repro/internal/smtlib"
 )
 
-// FuzzAnalyze drives every registered pass over arbitrary input: any
-// script the parser accepts must flow through the full registry without
-// a panic or runtime termination. The passes walk attacker-shaped trees
+// FuzzAnalyze drives every pass over arbitrary input: any script the
+// parser accepts must flow through all of them without a panic or
+// runtime termination. The passes walk attacker-shaped trees
 // (arity-0 applications, deeply nested ites, quantifiers over reused
 // names, degenerate literals such as (- 0) and (/ 1.0 0.0)), so this is
 // where malformed-shape assumptions in a pass surface first — the gate
@@ -34,7 +34,7 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
-		diags := AnalyzeScript(sc, nil, Passes()...)
+		diags := AnalyzeScript(sc, nil)
 		for _, d := range diags {
 			if d.Pass == "" {
 				t.Fatalf("diagnostic with empty pass name: %v", d)
@@ -48,6 +48,6 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			return
 		}
-		AnalyzeScript(sc2, nil, Passes()...)
+		AnalyzeScript(sc2, nil)
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
@@ -126,6 +127,38 @@ func FusionOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Fuse(seeds[i%10], seeds[(i+3)%10], rng, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// AnalysisGate is the static-analysis gate's allocation tripwire: one
+// analysis.Gate call per op, the call the mutate path makes on every
+// variant, cycling through fixed fused QF_NRA and QF_S scripts.
+func AnalysisGate(b *testing.B) {
+	b.ReportAllocs()
+	var scripts []*smtlib.Script
+	for _, logic := range []gen.Logic{gen.QFNRA, gen.QFS} {
+		g, err := gen.New(logic, 31)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seeds []*core.Seed
+		for i := 0; i < 8; i++ {
+			seeds = append(seeds, g.Sat())
+		}
+		rng := rand.New(rand.NewSource(37))
+		for i, s := range seeds {
+			f, err := core.Fuse(s, seeds[(i+1)%len(seeds)], rng, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			scripts = append(scripts, f.Script)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := analysis.Gate(scripts[i%len(scripts)], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,6 +380,7 @@ var All = []Entry{
 	{Name: "ThroughputSingleThreaded", Fast: true, Fn: ThroughputSingleThreaded},
 	{Name: "ThroughputInstrumented", Fast: true, Fn: ThroughputInstrumented},
 	{Name: "FusionOnly", Fast: true, Fn: FusionOnly},
+	{Name: "AnalysisGate", Fast: true, Fn: AnalysisGate},
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},
 	{Name: "StringsCheck", Fast: true, Fn: StringsCheck},

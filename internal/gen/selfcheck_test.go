@@ -9,13 +9,13 @@ import (
 	"repro/internal/smtlib"
 )
 
-// requireClean runs every registered analysis pass over a script and
+// requireClean runs every analysis pass over a script and
 // fails on any diagnostic at warning severity or above. Info-level
 // notes (trivial constant atoms etc.) are tolerated: generators
 // legitimately emit constant noise atoms.
 func requireClean(t *testing.T, s *smtlib.Script, context string) {
 	t.Helper()
-	diags := analysis.AnalyzeScript(s, nil, analysis.Passes()...)
+	diags := analysis.AnalyzeScript(s, nil)
 	if bad := analysis.Filter(diags, analysis.SeverityWarning); len(bad) > 0 {
 		t.Fatalf("%s: analysis found %d problems:\n%v\nscript:\n%s",
 			context, len(bad), bad, smtlib.Print(s))
@@ -29,7 +29,7 @@ func requireClean(t *testing.T, s *smtlib.Script, context string) {
 	if err != nil {
 		t.Fatalf("%s: reparse failed: %v\n%s", context, err, text)
 	}
-	diags = analysis.AnalyzeScript(reparsed, nil, analysis.Passes()...)
+	diags = analysis.AnalyzeScript(reparsed, nil)
 	if bad := analysis.Filter(diags, analysis.SeverityWarning); len(bad) > 0 {
 		t.Fatalf("%s (reparsed): analysis found %d problems:\n%v\nscript:\n%s",
 			context, len(bad), bad, text)
