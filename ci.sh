@@ -79,7 +79,7 @@ go test -race -timeout 15m -run 'TestCheckpoint|TestShard|TestMerge|FuzzCheckpoi
 go test -race -timeout 10m ./internal/service/
 
 echo "== go test -race (telemetry) =="
-# The telemetry layer full-length under the race detector: per-worker
+# The telemetry layer full-length under the race detector: per-task
 # trackers merged by the in-order classification stage, funnel totals
 # against Result counts, and thread-count-invariant JSONL traces.
 go test -race -timeout 10m -run 'TestFunnelMatchesResultCounts|TestTraceRoundTrip|TestThreadsClampNegative' ./internal/harness/
@@ -135,6 +135,28 @@ cmp "$tmpsvc/ref.prom" "$tmpsvc/merged.prom"
 cmp "$tmpsvc/ref.jsonl" "$tmpsvc/merged.jsonl"
 diff -r "$tmpsvc/ref-art" "$tmpsvc/merged-art" >/dev/null
 rm -rf "$tmpsvc"
+
+echo "== reducer -outdir smoke =="
+# End-to-end through the CLI: a campaign's -outdir shrinks each bug's
+# witness while it still shows the bug. At this seed the QF_LRA run
+# finds the rw-div-mul-through soundness bug; its reduced script must
+# still be sat for the buggy z3sim and unsat for the reference solver.
+# Built binaries, so the exit codes are the binaries' own.
+tmpred=$(mktemp -d)
+go build -o "$tmpred/yy" ./cmd/yinyang
+go build -o "$tmpred/solve" ./cmd/solve
+"$tmpred/yy" -logics QF_LRA -iters 40 -pool 6 -seed 2 -outdir "$tmpred/out" >/dev/null
+red="$tmpred/out/rw-div-mul-through.smt2"
+[ -f "$red" ] || { echo "outdir smoke: $red not written" >&2; exit 1; }
+"$tmpred/solve" -sut z3sim -expect sat "$red" >/dev/null || {
+    echo "outdir smoke: z3sim does not answer sat on the reduced script" >&2
+    exit 1
+}
+"$tmpred/solve" -expect unsat "$red" >/dev/null || {
+    echo "outdir smoke: the reference does not answer unsat on the reduced script" >&2
+    exit 1
+}
+rm -rf "$tmpred"
 
 echo "== consensus oracle smoke =="
 # End-to-end through the CLI: a wild-mode campaign (unknown ground

@@ -84,6 +84,7 @@ import (
 	"time"
 
 	"repro/internal/bugdb"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/reduce"
 	"repro/internal/service"
@@ -555,29 +556,13 @@ func writeReduced(dir string, b harness.Bug, fuel int64) {
 	sut := solver.New(solver.Config{Defects: defects, Fuel: fuel})
 	ref := solver.NewReference()
 	interesting := func(c *smtlib.Script) bool {
-		run := harness.RunSolver(sut, c)
-		switch b.Kind {
-		case bugdb.Crash:
-			return run.Crashed && fired(run.DefectsFired, b.Defect)
-		case bugdb.Soundness:
-			if run.Result != b.Observed || !fired(run.DefectsFired, b.Defect) {
-				return false
-			}
-			// Keep the wrongness: the reference must decide the opposite.
-			refOut := ref.SolveScript(c)
-			return refOut.Result != solver.ResUnknown && refOut.Result != b.Observed
-		case bugdb.InvalidModel:
-			if run.Result != solver.ResSat || !fired(run.DefectsFired, b.Defect) {
-				return false
-			}
-			valid, _ := harness.ValidateModel(c, run.Model)
-			return !valid
-		default:
-			// Performance: fuel exhaustion (or unknown, with the meter
-			// disabled) with the same defect firing.
-			return (run.Result == solver.ResTimeout || run.Result == solver.ResUnknown) &&
-				fired(run.DefectsFired, b.Defect)
+		// Keep the wrongness: a soundness shrink must still be decided
+		// the other way by the reference.
+		oracle := core.StatusUnknown
+		if b.Kind == bugdb.Soundness {
+			oracle = harness.OracleOf(ref.SolveScript(c).Result)
 		}
+		return b.ReproducedBy(harness.RunSolver(sut, c), c, oracle)
 	}
 	script := b.Script
 	if interesting(script) {
@@ -587,13 +572,4 @@ func writeReduced(dir string, b harness.Bug, fuel int64) {
 	if err := os.WriteFile(name, []byte(smtlib.Print(script)), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "write:", err)
 	}
-}
-
-func fired(ds []solver.Defect, d solver.Defect) bool {
-	for _, x := range ds {
-		if x == d {
-			return true
-		}
-	}
-	return false
 }

@@ -9,6 +9,7 @@ import (
 
 	yinyang "repro"
 	"repro/internal/bugdb"
+	"repro/internal/harness"
 	"repro/internal/reduce"
 	"repro/internal/smtlib"
 )
@@ -55,21 +56,8 @@ func reduceBug(sut yinyang.SUT, b yinyang.Bug) string {
 	// the buggy solver keeps its answer with the defect firing, and the
 	// reference solver decides the opposite.
 	interesting := func(c *smtlib.Script) bool {
-		run := yinyang.Solve(s, c)
-		if run.Crashed || run.Result != b.Observed {
-			return false
-		}
-		fired := false
-		for _, d := range run.DefectsFired {
-			if d == b.Defect {
-				fired = true
-			}
-		}
-		if !fired {
-			return false
-		}
-		refRun := yinyang.Solve(ref, c)
-		return refRun.Result != b.Observed && refRun.Result.String() != "unknown"
+		oracle := harness.OracleOf(yinyang.Solve(ref, c).Result)
+		return b.ReproducedBy(yinyang.Solve(s, c), c, oracle)
 	}
 	if !interesting(b.Script) {
 		return smtlib.Print(b.Script)

@@ -85,94 +85,171 @@ func ParseLogicName(name string) (LogicFeatures, bool) {
 	return f, true
 }
 
-// RequiredFeatures computes the features a script actually uses,
-// mirroring smtlib.InferLogic's classification exactly (multiplication
-// is nonlinear with two or more non-literal factors; division and mod
-// are nonlinear with a non-literal divisor).
+// meets reports whether f and g share a feature.
+func (f LogicFeatures) meets(g LogicFeatures) bool {
+	return f.Quantified && g.Quantified || f.Nonlinear && g.Nonlinear ||
+		f.Ints && g.Ints || f.Reals && g.Reals || f.Strings && g.Strings
+}
+
+func (f LogicFeatures) union(g LogicFeatures) LogicFeatures {
+	return LogicFeatures{
+		Quantified: f.Quantified || g.Quantified,
+		Nonlinear:  f.Nonlinear || g.Nonlinear,
+		Ints:       f.Ints || g.Ints,
+		Reals:      f.Reals || g.Reals,
+		Strings:    f.Strings || g.Strings,
+	}
+}
+
+// arithLogics names the quantifier-free arithmetic logics by
+// linearity (L, N) and theory (IA, RA, IRA).
+var arithLogics = [2][3]string{
+	{"QF_LIA", "QF_LRA", "QF_LIRA"},
+	{"QF_NIA", "QF_NRA", "QF_NIRA"},
+}
+
+// Name is the weakest standard SMT-LIB logic name admitting f:
+// quantifier prefix (QF_ or none), then SLIA or S for string scripts,
+// else linearity (L/N) and the arithmetic theory (IA, RA, IRA). It
+// returns a constant string: InferLogic names every fused script.
+func (f LogicFeatures) Name() string {
+	var name string
+	switch {
+	case f.Strings && f.Ints:
+		name = "QF_SLIA"
+	case f.Strings:
+		name = "QF_S"
+	default:
+		nl, theory := 0, 0
+		if f.Nonlinear {
+			nl = 1
+		}
+		switch {
+		case f.Ints && f.Reals:
+			theory = 2
+		case f.Reals:
+			theory = 1
+		}
+		name = arithLogics[nl][theory]
+	}
+	if f.Quantified {
+		return name[len("QF_"):]
+	}
+	return name
+}
+
+// InferLogic computes the weakest standard SMT-LIB logic name covering
+// the script's declarations and asserts.
+func InferLogic(s *smtlib.Script) string { return RequiredFeatures(s).Name() }
+
+// RequiredFeatures computes the features a script actually uses: the
+// theories of its declared sorts and every assert subterm's own
+// features (termFeatures). It builds no diagnostic paths — InferLogic
+// runs it on every fused script; the logic pass locates a feature
+// (firstPath) only when it reports one.
 func RequiredFeatures(s *smtlib.Script) LogicFeatures {
-	f, _ := requiredFeatures(s)
+	var f LogicFeatures
+	for _, d := range s.Declarations() {
+		f = f.union(sortFeatures(d.Sort))
+	}
+	for _, a := range s.Asserts() {
+		ast.Walk(a, func(n ast.Term) bool {
+			f = f.union(termFeatures(n))
+			return true
+		})
+	}
 	return f
 }
 
-// requiredFeatures additionally returns the path of the first term
-// establishing each feature, for diagnostics.
-func requiredFeatures(s *smtlib.Script) (LogicFeatures, map[string]string) {
-	var f LogicFeatures
-	where := map[string]string{}
-	mark := func(set *bool, key, path string) {
-		if !*set {
-			*set = true
-			where[key] = path
-		}
+// sortFeatures is the theory a sort belongs to.
+func sortFeatures(s ast.Sort) LogicFeatures {
+	switch s {
+	case ast.SortInt:
+		return LogicFeatures{Ints: true}
+	case ast.SortReal:
+		return LogicFeatures{Reals: true}
+	case ast.SortString:
+		return LogicFeatures{Strings: true}
 	}
-
-	for _, d := range s.Declarations() {
-		switch d.Sort {
-		case ast.SortInt:
-			mark(&f.Ints, "ints", "")
-		case ast.SortReal:
-			mark(&f.Reals, "reals", "")
-		case ast.SortString:
-			mark(&f.Strings, "strings", "")
-		}
-	}
-
-	var scan func(t ast.Term, path string)
-	scan = func(t ast.Term, path string) {
-		switch n := t.(type) {
-		case *ast.Quant:
-			mark(&f.Quantified, "quant", path)
-			scan(n.Body, path+".body")
-		case *ast.App:
-			switch n.Sort() {
-			case ast.SortInt:
-				mark(&f.Ints, "ints", path)
-			case ast.SortReal:
-				mark(&f.Reals, "reals", path)
-			case ast.SortString:
-				mark(&f.Strings, "strings", path)
-			}
-			switch n.Op {
-			case ast.OpMul:
-				nonConst := 0
-				for _, a := range n.Args {
-					if !isLiteral(a) {
-						nonConst++
-					}
-				}
-				if nonConst > 1 {
-					mark(&f.Nonlinear, "nonlinear", path)
-				}
-			case ast.OpRealDiv, ast.OpIntDiv, ast.OpMod:
-				if len(n.Args) > 1 && !isLiteral(n.Args[1]) {
-					mark(&f.Nonlinear, "nonlinear", path)
-				}
-			}
-			for i, a := range n.Args {
-				scan(a, fmt.Sprintf("%s.arg[%d]", path, i))
-			}
-		case *ast.IntLit:
-			mark(&f.Ints, "ints", path)
-		case *ast.RealLit:
-			mark(&f.Reals, "reals", path)
-		case *ast.StrLit:
-			mark(&f.Strings, "strings", path)
-		}
-	}
-	for i, a := range s.Asserts() {
-		scan(a, fmt.Sprintf("assert[%d]", i))
-	}
-	return f, where
+	return LogicFeatures{}
 }
 
+// termFeatures is what one term needs by itself, its subterms aside: a
+// quantifier, the theory of an application's sort or a literal's, and
+// nonlinearity — multiplication with two or more non-literal factors,
+// division or mod by a non-literal divisor.
+func termFeatures(t ast.Term) LogicFeatures {
+	switch n := t.(type) {
+	case *ast.Quant:
+		return LogicFeatures{Quantified: true}
+	case *ast.App:
+		f := sortFeatures(n.Sort())
+		switch n.Op {
+		case ast.OpMul:
+			nonConst := 0
+			for _, a := range n.Args {
+				if !isLiteral(a) {
+					nonConst++
+				}
+			}
+			f.Nonlinear = nonConst > 1
+		case ast.OpRealDiv, ast.OpIntDiv, ast.OpMod:
+			f.Nonlinear = len(n.Args) > 1 && !isLiteral(n.Args[1])
+		}
+		return f
+	case *ast.IntLit:
+		return LogicFeatures{Ints: true}
+	case *ast.RealLit:
+		return LogicFeatures{Reals: true}
+	case *ast.StrLit:
+		return LogicFeatures{Strings: true}
+	}
+	return LogicFeatures{}
+}
+
+// firstPath locates a reported feature want for its diagnostic: ""
+// when a declaration's sort establishes it, otherwise the path of the
+// first assert subterm (in pre-order) that needs it.
+func firstPath(s *smtlib.Script, want LogicFeatures) string {
+	for _, d := range s.Declarations() {
+		if sortFeatures(d.Sort).meets(want) {
+			return ""
+		}
+	}
+	var find func(t ast.Term, path string) (string, bool)
+	find = func(t ast.Term, path string) (string, bool) {
+		if termFeatures(t).meets(want) {
+			return path, true
+		}
+		switch n := t.(type) {
+		case *ast.Quant:
+			return find(n.Body, path+".body")
+		case *ast.App:
+			for i, a := range n.Args {
+				if p, ok := find(a, fmt.Sprintf("%s.arg[%d]", path, i)); ok {
+					return p, true
+				}
+			}
+		}
+		return "", false
+	}
+	for i, a := range s.Asserts() {
+		if p, ok := find(a, fmt.Sprintf("assert[%d]", i)); ok {
+			return p
+		}
+	}
+	return ""
+}
+
+// isLiteral reports whether t denotes a constant. (- 3) and
+// (/ 2.0 3.0) are how negative and non-integer numerals round-trip
+// through SMT-LIB text: both parse back as applications, but a scalar
+// multiple by either stays linear.
 func isLiteral(t ast.Term) bool {
 	switch n := t.(type) {
 	case *ast.IntLit, *ast.RealLit, *ast.StrLit, *ast.BoolLit:
 		return true
 	case *ast.App:
-		// (- 3) and (/ 2.0 3.0) are how negative and non-integer
-		// numerals round-trip through SMT-LIB text; both denote
-		// constants (mirrors smtlib.isConstTerm).
 		if n.Op == ast.OpNeg && len(n.Args) == 1 {
 			return isLiteral(n.Args[0])
 		}
@@ -206,33 +283,33 @@ func (logicPass) Analyze(s *smtlib.Script, _ *FusionMeta) []Diagnostic {
 			Message: fmt.Sprintf("unrecognized logic name %q", declared),
 		}}
 	}
-	req, where := requiredFeatures(s)
+	req := RequiredFeatures(s)
 	if df.Covers(req) {
 		return nil
 	}
 
 	var out []Diagnostic
-	warn := func(key, format string, args ...interface{}) {
+	warn := func(want LogicFeatures, format string, args ...interface{}) {
 		out = append(out, Diagnostic{
 			Pass: "logic", Severity: SeverityWarning,
-			Path:    where[key],
+			Path:    firstPath(s, want),
 			Message: fmt.Sprintf(format, args...),
 		})
 	}
 	if req.Quantified && !df.Quantified {
-		warn("quant", "quantifier under quantifier-free logic %s", declared)
+		warn(LogicFeatures{Quantified: true}, "quantifier under quantifier-free logic %s", declared)
 	}
 	if req.Nonlinear && !df.Nonlinear {
-		warn("nonlinear", "nonlinear term under linear logic %s (inferred %s)", declared, smtlib.InferLogic(s))
+		warn(LogicFeatures{Nonlinear: true}, "nonlinear term under linear logic %s (inferred %s)", declared, req.Name())
 	}
 	if req.Ints && !df.Ints {
-		warn("ints", "Int terms outside logic %s", declared)
+		warn(LogicFeatures{Ints: true}, "Int terms outside logic %s", declared)
 	}
 	if req.Reals && !df.Reals {
-		warn("reals", "Real terms outside logic %s", declared)
+		warn(LogicFeatures{Reals: true}, "Real terms outside logic %s", declared)
 	}
 	if req.Strings && !df.Strings {
-		warn("strings", "String terms outside logic %s", declared)
+		warn(LogicFeatures{Strings: true}, "String terms outside logic %s", declared)
 	}
 	return out
 }

@@ -125,21 +125,16 @@ type Output struct {
 }
 
 // Backend checks scripts. Implementations are not required to be safe
-// for concurrent use: the harness builds one instance per worker from a
-// Spec, exactly as it does for solver-under-test instances.
+// for concurrent use: the harness builds fresh instances for every task
+// from a Spec, exactly as it does for solver-under-test instances.
 type Backend interface {
 	Name() string
 	Check(sc *smtlib.Script) Output
 }
 
-// Resetter is implemented by backends with warm caches (the sim
-// adapters); the harness resets it at the start of every task, so a
-// task's checks depend on the task alone.
-type Resetter interface{ ResetWarm() }
-
-// Spec describes one configured backend and builds per-worker
-// instances. Instances built from the same Spec share its Health, so
-// the circuit breaker sees the backend's global failure streak.
+// Spec describes one configured backend and builds its instances, one
+// per task. Instances built from the same Spec share its Health, so the
+// circuit breaker sees the backend's global failure streak.
 type Spec struct {
 	Name string
 	// Argv is the external command line (binary path then arguments);
@@ -154,8 +149,8 @@ type Spec struct {
 	Hermetic bool
 	// Health is the shared breaker state (nil for hermetic backends).
 	Health *Health
-	// New builds one instance for one worker.
-	New func() (Backend, error)
+	// New builds one instance for one task.
+	New func() Backend
 }
 
 // NewSim wraps an in-process simulated solver as a hermetic backend.
@@ -172,8 +167,6 @@ type simBackend struct {
 }
 
 func (b *simBackend) Name() string { return b.name }
-
-func (b *simBackend) ResetWarm() { b.s.ResetWarm() }
 
 func (b *simBackend) Check(sc *smtlib.Script) (out Output) {
 	out.ExitCode = -1

@@ -3,9 +3,9 @@ package backend
 import "sync"
 
 // Health is one backend's shared supervision state: the circuit
-// breaker over consecutive hard failures. All per-worker instances
-// built from one Spec share one Health, so the breaker sees the
-// backend's global failure streak, not a per-worker slice of it.
+// breaker over consecutive hard failures. All instances built from one
+// Spec (one per task) share one Health, so the breaker sees the
+// backend's global failure streak, not one task's slice of it.
 //
 // The breaker exists so a wedged binary degrades the campaign instead
 // of stalling it: after Threshold consecutive hard failures (timeout,

@@ -73,9 +73,9 @@ func (c ProcessConfig) withDefaults() ProcessConfig {
 	return c
 }
 
-// ProcessSpec builds the Spec for an external solver binary. All
-// per-worker instances share one Health, so the circuit breaker counts
-// the backend's global failure streak.
+// ProcessSpec builds the Spec for an external solver binary. All its
+// instances share one Health, so the circuit breaker counts the
+// backend's global failure streak.
 func ProcessSpec(cfg ProcessConfig) Spec {
 	cfg = cfg.withDefaults()
 	h := NewHealth(cfg.BreakerThreshold)
@@ -84,8 +84,8 @@ func ProcessSpec(cfg ProcessConfig) Spec {
 		Name:   cfg.Name,
 		Argv:   argv,
 		Health: h,
-		New: func() (Backend, error) {
-			return &ProcessBackend{cfg: cfg, health: h}, nil
+		New: func() Backend {
+			return &ProcessBackend{cfg: cfg, health: h}
 		},
 	}
 }

@@ -61,7 +61,7 @@ func concatWith(phi1, phi2 *Seed, mode Mode) (*Fused, error) {
 	}
 
 	script := smtlib.NewScript("", decls, asserts)
-	script.Commands = append([]smtlib.Command{&smtlib.SetLogic{Logic: smtlib.InferLogic(script)}}, script.Commands...)
+	script.Commands = append([]smtlib.Command{&smtlib.SetLogic{Logic: analysis.InferLogic(script)}}, script.Commands...)
 
 	// Same verification gate as full fusion: concatenation must still
 	// produce a well-sorted script over disjoint ancestor variables.

@@ -350,7 +350,7 @@ func (f *fuser) run(phi1, phi2 *Seed) (*Fused, error) {
 	}
 
 	script := smtlib.NewScript("", decls, asserts)
-	script.Commands = append([]smtlib.Command{&smtlib.SetLogic{Logic: smtlib.InferLogic(script)}}, script.Commands...)
+	script.Commands = append([]smtlib.Command{&smtlib.SetLogic{Logic: analysis.InferLogic(script)}}, script.Commands...)
 
 	// Post-fusion verification gate: the error-level analysis passes
 	// re-check well-sortedness and the fusion postconditions. A finding

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -96,7 +97,7 @@ func TestLinearLogicsAreLinear(t *testing.T) {
 		g, _ := New(logic, 3)
 		for i := 0; i < 40; i++ {
 			for _, seed := range []*core.Seed{g.Sat(), g.Unsat()} {
-				inferred := smtlib.InferLogic(seed.Script)
+				inferred := analysis.InferLogic(seed.Script)
 				if inferred[0] == 'N' || (len(inferred) > 3 && inferred[3] == 'N') {
 					t.Fatalf("%s seed inferred as %s:\n%s", logic, inferred, smtlib.Print(seed.Script))
 				}

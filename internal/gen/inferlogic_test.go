@@ -27,7 +27,7 @@ func TestDeclaredLogicCoversInferred(t *testing.T) {
 					if !ok {
 						t.Fatalf("seed declares unrecognized logic %q", seed.Script.Logic())
 					}
-					inferredName := smtlib.InferLogic(seed.Script)
+					inferredName := analysis.InferLogic(seed.Script)
 					inferred, ok := analysis.ParseLogicName(inferredName)
 					if !ok {
 						t.Fatalf("InferLogic produced unrecognized name %q", inferredName)
@@ -74,13 +74,13 @@ func TestFusedLogicCoversAncestors(t *testing.T) {
 						t.Fatalf("fused script declares unrecognized logic %q", fused.Script.Logic())
 					}
 					for j, anc := range p {
-						ancFeat, ok := analysis.ParseLogicName(smtlib.InferLogic(anc.Script))
+						ancFeat, ok := analysis.ParseLogicName(analysis.InferLogic(anc.Script))
 						if !ok {
 							t.Fatalf("ancestor %d: unrecognized inferred logic", j)
 						}
 						if !fusedFeat.Covers(ancFeat) {
 							t.Fatalf("fused logic %q does not cover ancestor %d inferred %q",
-								fused.Script.Logic(), j, smtlib.InferLogic(anc.Script))
+								fused.Script.Logic(), j, analysis.InferLogic(anc.Script))
 						}
 					}
 				}

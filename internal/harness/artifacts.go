@@ -260,18 +260,19 @@ func Replay(bundleDir string) (ReplayReport, error) {
 
 	// Every RNG stream is keyed by the logic's name, not its position,
 	// so the one-logic campaign regenerates the task's corpus and test.
+	// Replay never re-invokes a backend, so the campaign has none.
 	cc := m.Campaign
 	cc.Logics = []string{m.Logic}
+	cc.Backends = nil
 	cfg, err := cc.derive()
 	if err != nil {
 		return rep, err
 	}
-	sut := makeSUT(cfg, nil)
-	pools, err := buildCorpus(cfg, []*solver.Solver{sut}, nil, nil)
+	pools, err := buildCorpus(cfg, nil)
 	if err != nil {
 		return rep, err
 	}
-	out := runTask(cfg, pools, sut, nil, nil, m.Iteration)
+	out := runTask(cfg, pools, m.Iteration)
 	if !out.tested {
 		return rep, fmt.Errorf("artifacts: task (seed=%d logic=%s iter=%d) produced no fused test on replay", cc.Seed, m.Logic, m.Iteration)
 	}

@@ -136,7 +136,8 @@ func (bc BackendConfig) validate() error {
 
 // spec builds the runtime backend.Spec of a validated config. Each call
 // creates fresh Health state for process backends; Resume rehydrates it
-// from the checkpoint.
+// from the checkpoint. A sim backend's defect set is resolved here,
+// once: every instance's solver only reads it.
 func (bc BackendConfig) spec() backend.Spec {
 	if p := bc.Process; p != nil {
 		return backend.ProcessSpec(backend.ProcessConfig{
@@ -148,20 +149,17 @@ func (bc BackendConfig) spec() backend.Spec {
 			BreakerThreshold: p.Breaker,
 		})
 	}
-	name, sut, release := bc.name(), bugdb.SUT(bc.Sim.SUT), bc.Sim.release()
-	inject, fuel := bc.Sim.InjectDefects, bc.Sim.Fuel
+	name, fuel := bc.name(), bc.Sim.Fuel
+	// validate resolved the release: DefectsIn cannot fail here.
+	defects, _ := bugdb.DefectsIn(bugdb.SUT(bc.Sim.SUT), bc.Sim.release())
+	for _, d := range bc.Sim.InjectDefects {
+		defects[solver.Defect(d)] = true
+	}
 	return backend.Spec{
 		Name:     name,
 		Hermetic: true,
-		New: func() (backend.Backend, error) {
-			defects, err := bugdb.DefectsIn(sut, release)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range inject {
-				defects[solver.Defect(d)] = true
-			}
-			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Fuel: fuel})), nil
+		New: func() backend.Backend {
+			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Fuel: fuel}))
 		},
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/gen"
-	"repro/internal/solver"
 )
 
 // This file regenerates every table and figure of the paper's
@@ -414,39 +413,13 @@ func ExperimentRQ4(s bugdb.SUT, bugs []Bug, attempts int, seed int64) (RQ4Result
 			if err != nil {
 				continue
 			}
-			run := RunSolver(sut, fused.Script)
-			switch b.Kind {
-			case bugdb.Crash:
-				hit = run.Crashed && fires(run.DefectsFired, b.Defect)
-			case bugdb.Soundness:
-				// Only a definite verdict can contradict the oracle;
-				// unknown and fuel-exhausted runs carry none.
-				wrong := (run.Result == solver.ResSat || run.Result == solver.ResUnsat) &&
-					(run.Result == solver.ResSat) != (fused.Oracle == core.StatusSat)
-				hit = wrong && fires(run.DefectsFired, b.Defect)
-			case bugdb.InvalidModel:
-				valid, _ := ValidateModel(fused.Script, run.Model)
-				hit = run.Result == solver.ResSat && !valid &&
-					fires(run.DefectsFired, b.Defect)
-			default:
-				hit = (run.Result == solver.ResUnknown || run.Result == solver.ResTimeout) &&
-					fires(run.DefectsFired, b.Defect)
-			}
+			hit = b.ReproducedBy(RunSolver(sut, fused.Script), fused.Script, fused.Oracle)
 		}
 		if hit {
 			out.Retriggered++
 		}
 	}
 	return out, nil
-}
-
-func fires(fired []solver.Defect, d solver.Defect) bool {
-	for _, f := range fired {
-		if f == d {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------

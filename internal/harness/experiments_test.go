@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bugdb"
 	"repro/internal/gen"
+	"repro/internal/solver"
 )
 
 func TestExperimentFig7(t *testing.T) {
@@ -140,5 +141,39 @@ func TestExperimentRQ4Empty(t *testing.T) {
 	out, err := ExperimentRQ4(bugdb.Z3Sim, nil, 3, 1)
 	if err != nil || out.Bugs != 0 || out.Retriggered != 0 {
 		t.Errorf("rq4 empty: %+v %v", out, err)
+	}
+}
+
+// TestReproducedByNeedsDefiniteOracle pins the reducers' soundness
+// rule: a shrink shows a soundness bug only while the reference decides
+// the opposite verdict. A reference that runs out of fuel decides
+// nothing, so the same witness checked against it must be rejected —
+// a timeout is not the reference disagreeing.
+func TestReproducedByNeedsDefiniteOracle(t *testing.T) {
+	res, err := runCampaign(CampaignConfig{SUT: string(bugdb.Z3Sim),
+		Logics: []string{string(gen.QFLRA)}, Iterations: 40, SeedPool: 6, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := res.BugByDefect("rw-div-mul-through")
+	if !ok || b.Kind != bugdb.Soundness {
+		t.Fatalf("campaign recorded no rw-div-mul-through soundness bug: %+v", res.Bugs)
+	}
+	run := RunSolver(bugdb.NewTrunkSolver(bugdb.Z3Sim, nil), b.Script)
+	full := solver.NewReference().SolveScript(b.Script).Result
+	if !b.ReproducedBy(run, b.Script, OracleOf(full)) {
+		t.Fatalf("witness not reproduced: SUT %v, reference %v", run.Result, full)
+	}
+	starved := solver.New(solver.Config{Fuel: 1}).SolveScript(b.Script).Result
+	if starved != solver.ResTimeout {
+		t.Fatalf("reference with fuel 1 answered %v, want timeout", starved)
+	}
+	if b.ReproducedBy(run, b.Script, OracleOf(starved)) {
+		t.Fatal("a reference timeout confirmed the soundness witness")
+	}
+	// The campaign's own oracle rule agrees: the constructed status
+	// stands for the reference verdict.
+	if !b.ReproducedBy(run, b.Script, b.Oracle) {
+		t.Fatalf("witness not reproduced against its constructed oracle %v", b.Oracle)
 	}
 }

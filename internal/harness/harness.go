@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -93,6 +94,46 @@ type Bug struct {
 	// classification order: Tasks[0] is the recording trigger, the rest
 	// are the re-triggers counted in Result.Duplicates.
 	Tasks []int
+}
+
+// ReproducedBy reports whether run, a solve of sc, shows b again: b's
+// defect fires with b's misbehaviour. This is the one reproduction rule
+// of the RQ4 retrigger experiment and of the reducers. oracle is sc's
+// expected verdict: the constructed status of a derived test, or, when
+// shrinking, the reference solver's verdict (OracleOf). A soundness bug
+// needs a definite oracle that b's observed verdict contradicts, so a
+// reference that timed out or gave up confirms nothing.
+func (b Bug) ReproducedBy(run RunResult, sc *smtlib.Script, oracle core.Status) bool {
+	if !slices.Contains(run.DefectsFired, b.Defect) {
+		return false
+	}
+	switch b.Kind {
+	case bugdb.Crash:
+		return run.Crashed
+	case bugdb.Soundness:
+		return run.Result == b.Observed && verdictContradicts(run.Result, oracle)
+	case bugdb.InvalidModel:
+		if run.Result != solver.ResSat {
+			return false
+		}
+		valid, _ := ValidateModel(sc, run.Model)
+		return !valid
+	default:
+		// Performance: fuel exhaustion, or unknown with the meter off.
+		return run.Result == solver.ResTimeout || run.Result == solver.ResUnknown
+	}
+}
+
+// OracleOf is the oracle a verdict stands for: sat and unsat are
+// definite, unknown and timeout decide nothing.
+func OracleOf(r solver.Result) core.Status {
+	switch r {
+	case solver.ResSat:
+		return core.StatusSat
+	case solver.ResUnsat:
+		return core.StatusUnsat
+	}
+	return core.StatusUnknown
 }
 
 // Campaign modes: how a campaign derives test cases from seeds
@@ -281,8 +322,9 @@ type taskOutcome struct {
 	mutant    *mutate.Mutant
 	ancestors [2]*core.Seed
 	run       RunResult
-	// wallTimeout marks a run cut off by the wall-clock watchdog; the
-	// worker's solver instance is tainted and must be replaced.
+	// wallTimeout marks a run cut off by the wall-clock watchdog. The
+	// abandoned goroutine keeps the task's solver and tracker, which
+	// nothing else ever touches again.
 	wallTimeout bool
 	// delta holds the task's engine-counter increments (empty on a
 	// wall-timeout: the abandoned goroutine still owns that tracker).
@@ -321,9 +363,9 @@ func (o *taskOutcome) oracle() core.Status {
 	return o.fused.Oracle
 }
 
-// makeSUT builds one solver-under-test instance for a campaign worker:
-// the campaign's defect set under its fuel limit, recording step
-// counters into tr (nil = none).
+// makeSUT builds one solver-under-test instance for one task or
+// corpus-vetting slot: the campaign's defect set under its fuel limit,
+// recording step counters into tr (nil = none).
 func makeSUT(cfg *campaign, tr *telemetry.Tracker) *solver.Solver {
 	return solver.New(solver.Config{Defects: cfg.defects, Fuel: cfg.Fuel, Telemetry: tr})
 }
@@ -488,10 +530,11 @@ func finish(st *runState, breakers []breakerState) (*Result, error) {
 //
 // Consequently a campaign's findings are bit-identical for any Threads
 // value: parallelism is a pure speedup, not a different experiment.
-// Warm caches are scoped to one task, so a task's telemetry delta is
-// the same whichever worker runs it and whatever ran there before, and
-// a leg runs only the tasks it includes. Returns true when a control
-// paused the leg before include was exhausted.
+// Workers keep no solver state: every task builds its own solver,
+// backends and tracker, so a task's record is the same whichever worker
+// runs it and whatever ran there before, and a leg runs only the tasks
+// it includes. Returns true when a control paused the leg before
+// include was exhausted.
 func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	cfg := st.cfg
 	var jw *telemetry.JSONLWriter
@@ -499,37 +542,11 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		jw = telemetry.NewJSONLWriter(ctl.trace)
 	}
 
-	// One solver instance per worker: instances are deterministic per
-	// Solve call but not safe for concurrent use. Each worker likewise
-	// owns its telemetry tracker; each task's counter increments travel
-	// in its record to the in-order classification stage.
-	suts := make([]*solver.Solver, cfg.Threads)
-	trackers := make([]*telemetry.Tracker, cfg.Threads)
-	for w := range suts {
-		trackers[w] = telemetry.NewTracker()
-		suts[w] = makeSUT(cfg, trackers[w])
-	}
-
-	// Cross-check backends follow the same per-worker instance model as
-	// SUTs: instances are not required to be concurrency-safe, but all
-	// instances of one external backend share its Spec's Health, so the
-	// circuit breaker counts the backend's global failure streak.
-	workerBackends := make([][]backend.Backend, cfg.Threads)
-	for w := range workerBackends {
-		for _, spec := range cfg.specs {
-			b, err := spec.New()
-			if err != nil {
-				return false, fmt.Errorf("harness: backend %q: %w", spec.Name, err)
-			}
-			workerBackends[w] = append(workerBackends[w], b)
-		}
-	}
-
 	var vet *telemetry.Tracker
 	if !ctl.suppressVet {
 		vet = telemetry.NewTracker()
 	}
-	pools, err := buildCorpus(cfg, suts, trackers, vet)
+	pools, err := buildCorpus(cfg, vet)
 	if err != nil {
 		return false, err
 	}
@@ -545,31 +562,14 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Threads; w++ {
 		wg.Add(1)
-		go func(sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker) {
+		go func() {
 			defer wg.Done()
 			for id := range taskCh {
-				// Warm caches are scoped to one task, so its telemetry
-				// delta is a function of the task alone. Hermetic
-				// backends carry the same caches as the SUT.
-				sut.ResetWarm()
-				for _, b := range bks {
-					if r, ok := b.(backend.Resetter); ok {
-						r.ResetWarm()
-					}
-				}
-				out := runTask(cfg, pools, sut, bks, tr, id)
-				if out.wallTimeout {
-					// The watchdog abandoned a solve mid-flight: that
-					// solver instance may hold inconsistent state, so
-					// replace it — together with its tracker, which the
-					// abandoned goroutine may still be writing.
-					tr = telemetry.NewTracker()
-					sut = makeSUT(cfg, tr)
-				}
+				out := runTask(cfg, pools, id)
 				out.rec = recordOf(cfg, &out)
 				outCh <- out
 			}
-		}(suts[w], workerBackends[w], trackers[w])
+		}()
 	}
 	go func() {
 		defer func() {
@@ -649,16 +649,24 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 }
 
 // runTask executes one derive+solve task — fusion of a seed pair or
-// mutation of a single seed, depending on the campaign mode. Everything
-// random in the task flows from its own deterministic RNG, so campaigns
-// stay bit-identical for any thread count.
-func runTask(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker, id int) taskOutcome {
-	tr.Mark()
-	out := runTaskInner(cfg, pools, sut, bks, id)
+// mutation of a single seed, depending on the campaign mode. The task
+// builds its own solver under test, tracker and backend instances, and
+// everything random in it flows from its own deterministic RNG, so its
+// outcome is a function of (campaign, pools, id) alone and campaigns
+// stay bit-identical for any thread count. Instances of one external
+// backend share its Spec's Health, so the circuit breaker still counts
+// the backend's global failure streak.
+func runTask(cfg *campaign, pools []*seedPool, id int) taskOutcome {
+	tr := telemetry.NewTracker()
+	bks := make([]backend.Backend, len(cfg.specs))
+	for i, spec := range cfg.specs {
+		bks[i] = spec.New()
+	}
+	out := runTaskInner(cfg, pools, makeSUT(cfg, tr), bks, id)
 	if !out.wallTimeout {
 		// On a wall-timeout the abandoned goroutine may still be writing
-		// tr, so the tracker is surrendered with it instead of read.
-		out.delta = tr.Since()
+		// tr, so the tracker is left to it instead of read.
+		out.delta = tr.Delta()
 	}
 	return out
 }
@@ -1031,10 +1039,11 @@ type seedPool struct {
 // every finding requires combining seeds.
 //
 // Vetting (the expensive part: up to 10 solver runs per slot) is spread
-// across the worker pool. Each slot owns a generator stream keyed by
-// (campaign seed, logic, slot, status), so the resulting corpus does
-// not depend on which worker vets which slot.
-func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, vet *telemetry.Tracker) ([]*seedPool, error) {
+// across cfg.Threads workers. Each slot owns a generator stream keyed
+// by (campaign seed, logic, slot, status) and its own solver, so the
+// resulting corpus and its telemetry do not depend on which worker vets
+// which slot. vet, when set, receives the vetting telemetry.
+func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, error) {
 	pools := make([]*seedPool, len(cfg.Logics))
 	for i := range pools {
 		pools[i] = &seedPool{
@@ -1046,8 +1055,8 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 	// Job j addresses one slot: (logic, slot index, sat/unsat).
 	perLogic := cfg.SeedPool * 2
 	total := len(cfg.Logics) * perLogic
-	jobs := make(chan int, len(suts))
-	errs := make([]error, len(suts))
+	jobs := make(chan int, cfg.Threads)
+	errs := make([]error, cfg.Threads)
 	// Per-job vetting telemetry, merged into the campaign tracker in
 	// job order after the barrier. Each entry is written by exactly one
 	// job (like the pool slots), so no locking is needed and the merge
@@ -1055,15 +1064,10 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 	tries := make([]int, total)
 	deltas := make([]telemetry.Delta, total)
 	var wg sync.WaitGroup
-	for w := range suts {
+	for w := range errs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sut := suts[w]
-			var tr *telemetry.Tracker
-			if trackers != nil {
-				tr = trackers[w]
-			}
 			for j := range jobs {
 				logicIdx := j / perLogic
 				rest := j % perLogic
@@ -1072,14 +1076,13 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 				if rest&1 == 1 {
 					status = core.StatusUnsat
 				}
-				// Fresh warm state per slot: a slot's vetting telemetry
-				// must depend on the slot alone, not on which worker
-				// happened to vet (or solve) something else first.
-				sut.ResetWarm()
-				tr.Mark()
-				s, n, err := vetSlot(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), slot, status, sut)
+				var tr *telemetry.Tracker
+				if vet != nil {
+					tr = telemetry.NewTracker()
+				}
+				s, n, err := vetSlot(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), slot, status, makeSUT(cfg, tr))
 				tries[j] = n
-				deltas[j] = tr.Since()
+				deltas[j] = tr.Delta()
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = err
@@ -1105,8 +1108,8 @@ func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tra
 			return nil, err
 		}
 	}
-	// vet, when set, receives the vetting telemetry in job order:
-	// per-slot engine-counter increments and generation tries.
+	// vet receives the vetting telemetry in job order: per-slot
+	// engine-counter increments and generation tries.
 	if vet != nil {
 		for j := range tries {
 			vet.AddDelta(deltas[j])
@@ -1126,9 +1129,6 @@ func vetSlot(seed int64, logic gen.Logic, slot int, status core.Status, sut *sol
 	}
 	for try := 0; try < 10; try++ {
 		s := g.Generate(status)
-		if sut == nil {
-			return s, try + 1, nil
-		}
 		run := RunSolver(sut, s.Script)
 		// Discard seeds the SUT already misbehaves on — crashes, wrong
 		// verdicts, fuel exhaustion, or faults in our own solver — so

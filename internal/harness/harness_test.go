@@ -382,6 +382,61 @@ func TestThreadCountInvariance(t *testing.T) {
 	}
 }
 
+// TestTaskAloneMatchesCampaign pins the invariant thread-count
+// invariance rests on (DESIGN §4.11): a task's record is a function of
+// the task alone. Every task of a wild/auto campaign with hermetic
+// backends, run alone through the worker path (runTask, then recordOf)
+// on a freshly built corpus, must give the record a -threads 3 campaign
+// classified: status, facts with the backend outputs and the variant
+// leg, and counter delta.
+func TestTaskAloneMatchesCampaign(t *testing.T) {
+	cc := wildAutoConfig()
+	cc.Threads = 3
+	out, _ := runToCompletion(t, cc)
+	cfg, err := cc.derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools, err := buildCorpus(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := out.Envelope.Records
+	if len(recs) != cfg.total() {
+		t.Fatalf("%d records, want %d", len(recs), cfg.total())
+	}
+	var backends, variants, memoHits int
+	for _, want := range recs {
+		alone := runTask(cfg, pools, int(want.Task))
+		got := recordOf(cfg, &alone)
+		if want.Facts != nil && want.Facts.Witness != nil {
+			// Classification attaches a new bug's witness to its record;
+			// the worker's record never carries one.
+			f := *want.Facts
+			f.Witness = nil
+			want.Facts = &f
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("task %d alone:\n got %+v %+v\nwant %+v %+v", want.Task, got, got.Facts, want, want.Facts)
+		}
+		if f := got.Facts; f != nil {
+			if len(f.Backends) == len(cfg.specs) {
+				backends++
+			}
+			if f.Variant != nil && !f.Variant.Skip {
+				variants++
+			}
+		}
+		if got.Counters.Map()["yy_rewrite_memo_hits_total"] > 0 {
+			memoHits++
+		}
+	}
+	if backends == 0 || variants == 0 || memoHits == 0 {
+		t.Fatalf("compared nothing: %d tasks with backend outputs, %d with a variant leg, %d with memo hits",
+			backends, variants, memoHits)
+	}
+}
+
 func summary(r *Result) [7]int {
 	return [7]int{r.Tests, r.Unknowns, r.Duplicates, r.ReferenceDisagreements,
 		r.InvalidInputs, r.Timeouts, r.Quarantined}

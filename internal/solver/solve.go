@@ -189,9 +189,7 @@ func (s *Solver) stringTheory(lits []ast.Term) (arith.Status, eval.Model) {
 		Defect: func(id string) bool { return s.defect(Defect(id)) },
 		Fuel:   s.meter,
 		Telem:  s.cfg.Telemetry,
-	}
-	if s.warm != nil {
-		prob.Warm = s.warm.str
+		Warm:   &s.warm.str,
 	}
 	st, m := strings.Check(prob)
 	switch st {

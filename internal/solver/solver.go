@@ -234,8 +234,9 @@ type Solver struct {
 	// shard interleaving leak into generated names.
 	freshCounter int
 	// warm holds the semantically transparent caches reused across
-	// Solve calls (see warm.go); ResetWarm drops them.
-	warm *warmState
+	// Solve calls (see warm.go) for the solver's lifetime: the harness
+	// builds one solver per task.
+	warm warmState
 	// memo is the current solve's literal memo (see litmemo.go): nil
 	// until the solve's first arith theory call, dropped when it ends.
 	memo *litMemo
@@ -243,7 +244,7 @@ type Solver struct {
 
 // New returns a solver with the given configuration.
 func New(cfg Config) *Solver {
-	return &Solver{cfg: cfg, warm: newWarmState()}
+	return &Solver{cfg: cfg}
 }
 
 // meterLimit maps Config.Fuel to a fuel.Meter limit (0 = unlimited).

@@ -17,7 +17,7 @@ func (c *checker) search() (Status, eval.Model) {
 
 	w := c.warm
 	if w != nil && len(w.ids) >= warmMaxIDs {
-		w.Reset()
+		w.reset()
 	}
 	n := len(c.names)
 	c.cands = make([][]eval.Val, n)

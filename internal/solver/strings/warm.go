@@ -12,8 +12,8 @@ import (
 // hit or a miss, so `-stats`/`-metrics` expose the reuse rate the warm
 // cache achieves across Solve calls. Both are step-based (one
 // increment per memoized evaluation), so campaign totals stay
-// thread-invariant as long as the harness resets warm state at
-// deterministic points.
+// thread-invariant as long as a cache's owner lives for a
+// deterministic span (the harness builds a fresh solver per task).
 var (
 	cWarmEvalHits   = telemetry.NewCounter("yy_warm_eval_hits_total", "string-search literal evaluations served from the warm cache")
 	cWarmEvalMisses = telemetry.NewCounter("yy_warm_eval_misses_total", "string-search literal evaluations computed and cached")
@@ -51,7 +51,9 @@ const warmMaxIDs = 1 << 20
 // (see checker.key).
 //
 // A Warm is single-owner like fuel.Meter and telemetry.Tracker: one
-// per solver instance, never shared across goroutines.
+// per solver instance, never shared across goroutines. Its maps are
+// allocated on first use, so the zero Warm is an empty cache and a
+// solver that never reaches the strings theory pays for none of them.
 type Warm struct {
 	// lits memoizes literal pass/fail: term → (key → literal holds).
 	lits map[ast.Term]*memo[bool]
@@ -61,7 +63,7 @@ type Warm struct {
 	// entries counts cached values across both maps for the cap.
 	entries int
 	// ids interns non-boolean values; false and true are ids 0 and 1.
-	// The table survives the entry-cap clear and is dropped by Reset.
+	// The table survives the entry-cap clear and is dropped by reset.
 	ids map[idKey]uint32
 	// scratch is the reusable buffer for wide keys (a probe allocates
 	// nothing on a hit).
@@ -118,39 +120,33 @@ func (m *memo[V]) put(k memoKey, v V) {
 	m.wide[string(k.wide)] = v
 }
 
-// memoFor returns t's memo in tab, creating it on first use.
-func memoFor[V any](tab map[ast.Term]*memo[V], t ast.Term) *memo[V] {
-	m := tab[t]
+// memoFor returns t's memo in *tab, creating the table and the memo on
+// first use.
+func memoFor[V any](tab *map[ast.Term]*memo[V], t ast.Term) *memo[V] {
+	m := (*tab)[t]
 	if m == nil {
+		if *tab == nil {
+			*tab = map[ast.Term]*memo[V]{}
+		}
 		m = &memo[V]{}
-		tab[t] = m
+		(*tab)[t] = m
 	}
 	return m
 }
 
 // NewWarm returns an empty warm cache.
-func NewWarm() *Warm {
-	w := &Warm{}
-	w.Reset()
-	return w
-}
+func NewWarm() *Warm { return &Warm{} }
 
-// Reset drops every cached evaluation and the value-id table. The
-// harness calls this at the start of every task so per-task cache-hit
-// telemetry is a function of the task alone, never of worker
-// scheduling.
-func (w *Warm) Reset() {
-	if w == nil {
-		return
-	}
+// reset drops every cached evaluation and the value-id table: the
+// search's response to the id-table cap.
+func (w *Warm) reset() {
 	w.clearMemos()
-	w.ids = map[idKey]uint32{}
+	w.ids = nil
 }
 
 // clearMemos is the wholesale entry-cap clear; value ids survive it.
 func (w *Warm) clearMemos() {
-	w.lits = map[ast.Term]*memo[bool]{}
-	w.props = map[ast.Term]*memo[propEntry]{}
+	w.lits, w.props = nil, nil
 	w.entries = 0
 }
 
@@ -173,6 +169,9 @@ func (w *Warm) id(v eval.Val) uint32 {
 	}
 	id, ok := w.ids[k]
 	if !ok {
+		if w.ids == nil {
+			w.ids = map[idKey]uint32{}
+		}
 		id = uint32(len(w.ids)) + 2
 		w.ids[k] = id
 	}
@@ -222,7 +221,7 @@ func (c *checker) litMemo(i int) *memo[bool] {
 	lm := c.litMemos[i]
 	if lm == nil {
 		if c.warm != nil {
-			lm = memoFor(c.warm.lits, c.lits[i])
+			lm = memoFor(&c.warm.lits, c.lits[i])
 		} else {
 			lm = &memo[bool]{}
 		}
@@ -236,7 +235,7 @@ func (c *checker) propMemo(d int) *memo[propEntry] {
 	pm := c.propMemos[d]
 	if pm == nil {
 		if c.warm != nil {
-			pm = memoFor(c.warm.props, c.defs[d].rhs)
+			pm = memoFor(&c.warm.props, c.defs[d].rhs)
 		} else {
 			pm = &memo[propEntry]{}
 		}

@@ -8,9 +8,9 @@ import (
 
 // Rewrite-memo counters, step-based like every other counter: one
 // increment per top-level preprocess rewrite, hit or miss. They are a
-// deterministic function of the solve sequence since the last
-// ResetWarm, so the harness keeps them thread-invariant by resetting
-// warm state at the start of every task.
+// deterministic function of the solver's solve sequence, so the harness
+// keeps them thread-invariant by building a fresh solver for every
+// task.
 var (
 	cRewriteMemoHits   = telemetry.NewCounter("yy_rewrite_memo_hits_total", "preprocess rewrites served from the warm memo")
 	cRewriteMemoMisses = telemetry.NewCounter("yy_rewrite_memo_misses_total", "preprocess rewrites computed and cached")
@@ -34,33 +34,19 @@ type warmState struct {
 	// (2-core x86-64 host) attributes 0.42 of CPU to the strings solver
 	// and 0.40 to eval. On the `arith` workload the strings solver's
 	// share is about 0.001.
-	str *strings.Warm
+	str strings.Warm
 	// rw memoizes top-level preprocess rewrites: input term → output
 	// term plus the defect sites that fired while rewriting it, so a
 	// hit replays the firings. Gated off while coverage tracking is on
 	// — probe hit counts must reflect the paths actually executed.
+	// Allocated on the first store, so a solver that never rewrites
+	// (a task rejected before its solve) costs no map.
 	rw map[ast.Term]rwEntry
 }
 
 type rwEntry struct {
 	out   ast.Term
 	fired []Defect
-}
-
-func newWarmState() *warmState {
-	return &warmState{str: strings.NewWarm(), rw: map[ast.Term]rwEntry{}}
-}
-
-// ResetWarm drops all warm caches. The harness calls this at the start
-// of every task (and every corpus-vetting slot) so cache-hit telemetry
-// is a function of the task alone, never of worker scheduling — the
-// invariant behind bit-identical campaigns at any thread count.
-func (s *Solver) ResetWarm() {
-	if s.warm == nil {
-		return
-	}
-	s.warm.str.Reset()
-	s.warm.rw = map[ast.Term]rwEntry{}
 }
 
 // rewriteCached is the memoizing wrapper preprocess uses for its
@@ -71,10 +57,10 @@ func (s *Solver) ResetWarm() {
 // firings are captured on a miss and replayed on a hit, so
 // Outcome.DefectsFired is identical either way.
 func (s *Solver) rewriteCached(t ast.Term) ast.Term {
-	w := s.warm
-	if w == nil || s.cfg.Coverage != nil {
+	if s.cfg.Coverage != nil {
 		return s.rewrite(t)
 	}
+	w := &s.warm
 	if e, ok := w.rw[t]; ok {
 		s.cfg.Telemetry.Inc(cRewriteMemoHits)
 		for _, d := range e.fired {
@@ -102,7 +88,7 @@ func (s *Solver) rewriteCached(t ast.Term) ast.Term {
 		fired = append(fired, d)
 	}
 	sortDefects(fired)
-	if len(w.rw) >= rewriteMemoMax {
+	if w.rw == nil || len(w.rw) >= rewriteMemoMax {
 		w.rw = map[ast.Term]rwEntry{}
 	}
 	w.rw[t] = rwEntry{out: out, fired: fired}

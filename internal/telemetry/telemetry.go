@@ -13,9 +13,9 @@
 // the clock.
 //
 // Concurrency model: a Tracker is NOT safe for concurrent use — like
-// fuel.Meter, every worker (solver instance) owns its own, and the
-// campaign's classification stage merges Snapshots in deterministic
-// task order. This keeps the hot-path increment a single slice store,
+// fuel.Meter, it has one owner at a time (the harness builds one per
+// task, with the task's solver), and the campaign's classification
+// stage merges the tasks' Deltas in deterministic task order. This keeps the hot-path increment a single slice store,
 // which is what holds instrumentation overhead under the bench gate's
 // 3% bound.
 package telemetry
@@ -119,13 +119,11 @@ type histState struct {
 // Tracker records counter increments and histogram observations for
 // one owner. A nil Tracker is valid and records nothing, so
 // instrumented code needs no guards. Trackers are NOT safe for
-// concurrent use; every worker owns its own and aggregation goes
-// through Snapshots.
+// concurrent use; each has one owner and aggregation goes through
+// Snapshots and Deltas.
 type Tracker struct {
-	counts  []int64
-	hists   []*histState
-	mark    []int64 // counter values at the last Mark
-	scratch []byte  // Since's encoding buffer
+	counts []int64
+	hists  []*histState
 }
 
 // NewTracker returns an empty tracker.
@@ -188,11 +186,11 @@ func (t *Tracker) grow() {
 	regMu.Lock()
 	nc, nh := len(counters), len(histograms)
 	regMu.Unlock()
-	for len(t.counts) < nc {
-		t.counts = append(t.counts, 0)
+	if n := nc - len(t.counts); n > 0 {
+		t.counts = append(t.counts, make([]int64, n)...)
 	}
-	for len(t.hists) < nh {
-		t.hists = append(t.hists, nil)
+	if n := nh - len(t.hists); n > 0 {
+		t.hists = append(t.hists, make([]*histState, n)...)
 	}
 }
 
@@ -332,36 +330,25 @@ func (s *Snapshot) Accumulate(other Snapshot) {
 // object keyed by counter name.
 type Delta string
 
-// Mark records the tracker's current counter values for a later Since.
-func (t *Tracker) Mark() {
-	if t == nil {
-		return
-	}
-	t.mark = append(t.mark[:0], t.counts...)
-}
-
-// Since returns the counter increments recorded after the last Mark.
-// A nil tracker yields an empty delta.
-func (t *Tracker) Since() Delta {
+// Delta returns every counter increment the tracker holds: a task's
+// delta is its own tracker's. A nil tracker yields an empty delta.
+func (t *Tracker) Delta() Delta {
 	if t == nil {
 		return ""
 	}
-	buf := t.scratch[:0]
+	var arr [256]byte // a typical task's delta encodes on the stack
+	buf := arr[:0]
 	for i, v := range t.counts {
-		if i < len(t.mark) {
-			v -= t.mark[i]
-		}
 		if v != 0 {
 			buf = binary.AppendUvarint(buf, uint64(i))
 			buf = binary.AppendUvarint(buf, uint64(v))
 		}
 	}
-	t.scratch = buf
 	return Delta(buf)
 }
 
 // each calls fn for every (counter, increment) pair of the delta. A
-// malformed delta stops the walk; deltas are only built by Since and
+// malformed delta stops the walk; deltas are only built by Tracker.Delta and
 // UnmarshalJSON, which never produce one.
 func (d Delta) each(fn func(c *Counter, n int64)) {
 	regMu.Lock()

@@ -105,19 +105,19 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	tr := NewTracker()
-	tr.Add(tcA, 3)
-	tr.Mark()
 	tr.Add(tcA, 4)
 	tr.Add(tcB, 1)
-	d := tr.Since()
+	d := tr.Delta()
 	if d.Counter(tcA) != 4 || d.Counter(tcB) != 1 {
 		t.Fatalf("bad delta: %v", d.Map())
 	}
-	if m := d.Map(); len(m) != 2 {
+	// A counter the tracker never moved stays out of its delta.
+	only := NewTracker()
+	only.Add(tcB, 1)
+	if m := only.Delta().Map(); len(m) != 1 {
 		t.Fatalf("delta carries zero entries: %v", m)
 	}
-	tr.Mark()
-	if d := tr.Since(); d != "" {
+	if d := NewTracker().Delta(); d != "" {
 		t.Fatalf("delta of no work: %v", d.Map())
 	}
 
