@@ -154,6 +154,10 @@ func BenchmarkEnvelopeCodec(b *testing.B) { benchmarks.EnvelopeCodec(b) }
 // and fused nonlinear scripts (see benchmarks.ArithTheory).
 func BenchmarkArithTheory(b *testing.B) { benchmarks.ArithTheory(b) }
 
+// BenchmarkDPLLTStage runs one reference Solve per op over fused linear
+// scripts with theory-unsat rounds (see benchmarks.DPLLTStage).
+func BenchmarkDPLLTStage(b *testing.B) { benchmarks.DPLLTStage(b) }
+
 // BenchmarkAblationFusionFns runs the fusion-function family ablation
 // at a small budget (DESIGN.md §5).
 func BenchmarkAblationFusionFns(b *testing.B) {

@@ -286,6 +286,9 @@ go test -run='^$' -fuzz='^FuzzRatMatchesBig$' -fuzztime=10s ./internal/solver/ra
 # Interval refuter: every rat.Rat interval operation encloses its
 # math/big point results, endpoints near the int64 limits included.
 go test -run='^$' -fuzz='^FuzzIntervalEnclosure$' -fuzztime=10s ./internal/solver/arith/
+# Explained conflicts: every core CheckCore returns with Unsat (Int and
+# Real atoms, ≠ splits, branch and bound) is unsat on its own.
+go test -run='^$' -fuzz='^FuzzExplanationUnsat$' -fuzztime=10s ./internal/solver/arith/
 # -run='^$' skips the harness's (slow) unit tests here; the race
 # stages above already ran them.
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/harness/

@@ -206,7 +206,7 @@ func run() int {
 		return runServe(*serveAddr, *spoolDir, *spoolRetain)
 	}
 	if *merge {
-		return runMerge(flag.Args(), *artifacts, *metricsPath, *tracePath, *fingerprintPath, *outdir, *fuel)
+		return runMerge(flag.Args(), *artifacts, *metricsPath, *tracePath, *fingerprintPath, *outdir)
 	}
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "error: unexpected arguments %q (positional arguments are only envelopes, with -merge)\n", flag.Args())
@@ -373,7 +373,11 @@ func run() int {
 			return exitError
 		}
 	}
-	printResult(out.Result, *artifacts, *outdir, *fuel)
+	// A resumed campaign runs the checkpoint's config, not the flags'.
+	if resuming {
+		cc = cp.Config
+	}
+	printResult(out.Result, cc, *artifacts, *outdir)
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -419,7 +423,7 @@ func runServe(addr, spool string, retain int) int {
 }
 
 // runMerge folds shard envelopes into one campaign result.
-func runMerge(paths []string, artifactsDir, metricsPath, tracePath, fingerprintPath, outdir string, fuel int64) int {
+func runMerge(paths []string, artifactsDir, metricsPath, tracePath, fingerprintPath, outdir string) int {
 	if len(paths) == 0 {
 		fmt.Fprintln(os.Stderr, "error: -merge needs envelope files as positional arguments")
 		return exitUsage
@@ -461,7 +465,8 @@ func runMerge(paths []string, artifactsDir, metricsPath, tracePath, fingerprintP
 			return exitError
 		}
 	}
-	printResult(m.Result, artifactsDir, outdir, fuel)
+	// Merge checked that every shard ran the same campaign.
+	printResult(m.Result, envs[0].Config, artifactsDir, outdir)
 	if m.Result.Degraded() {
 		return exitDegraded
 	}
@@ -471,7 +476,9 @@ func runMerge(paths []string, artifactsDir, metricsPath, tracePath, fingerprintP
 // printResult prints the human-readable campaign report: the summary
 // line, findings, backend reports, and warnings. Identical for direct,
 // resumed, and merged runs — the determinism suites diff this output.
-func printResult(res *harness.Result, artifactsDir, outdir string, fuel int64) {
+// cc is the campaign's config; findings reduced into outdir replay
+// against its solver under test.
+func printResult(res *harness.Result, cc harness.CampaignConfig, artifactsDir, outdir string) {
 	fmt.Printf("tests: %d   unknowns: %d   timeouts: %d   bugs: %d   duplicates: %d   invalid-inputs: %d   quarantined: %d\n",
 		res.Tests, res.Unknowns, res.Timeouts, len(res.Bugs), res.Duplicates, res.InvalidInputs, res.Quarantined)
 	if res.OracleVotes > 0 || res.OracleConsensus > 0 || res.OracleAbstained > 0 {
@@ -498,7 +505,7 @@ func printResult(res *harness.Result, artifactsDir, outdir string, fuel int64) {
 		fmt.Printf("  [%s] %-32s logic=%-10s oracle=%-5v observed=%-7v  %s\n",
 			b.Kind, b.Defect, b.Logic, b.Oracle, b.Observed, entry.Description)
 		if outdir != "" {
-			writeReduced(outdir, b, fuel)
+			writeReduced(outdir, b, cc)
 		}
 	}
 	for _, rep := range res.Backends {
@@ -540,20 +547,21 @@ func writeMetrics(path string, snap telemetry.Snapshot) error {
 
 // writeReduced reduces the bug-triggering script (keeping the same
 // defect firing with the same misbehaviour) and writes it out. The
-// reduction solver runs under the same fuel limit as the campaign so a
-// Performance finding's timeout signature survives shrinking.
-func writeReduced(dir string, b harness.Bug, fuel int64) {
+// reduction solver is the campaign's solver under test: the same
+// release, injected defects and fuel limit, so the witness trips the
+// defects it tripped in the campaign and a Performance finding's
+// timeout signature survives shrinking.
+func writeReduced(dir string, b harness.Bug, cc harness.CampaignConfig) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "outdir:", err)
 		return
 	}
-	entry, _ := bugdb.Find(b.Defect)
-	defects, err := bugdb.DefectsIn(entry.SUT, "trunk")
+	defects, err := cc.SUTDefects()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reduce:", err)
 		return
 	}
-	sut := solver.New(solver.Config{Defects: defects, Fuel: fuel})
+	sut := solver.New(solver.Config{Defects: defects, Fuel: cc.Fuel})
 	ref := solver.NewReference()
 	interesting := func(c *smtlib.Script) bool {
 		// Keep the wrongness: a soundness shrink must still be decided

@@ -9,12 +9,14 @@ package benchmarks
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
+	"repro/internal/coverage"
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/smtlib"
@@ -278,6 +280,55 @@ func ArithTheory(b *testing.B) {
 	}
 }
 
+// DPLLTStage is the DPLL(T) loop's stage benchmark: one reference
+// Solve per op, cycling through fused QF_LIA, LIA, QF_LRA and LRA
+// scripts whose solves hand the theory at least one unsat round, so
+// each op runs boolean models through the theory, explains their
+// conflicts and blocks the cores, along with the simplex and
+// branch-and-bound under them. The scripts are picked once, outside the
+// timer, by the reference solver's arith-unsat coverage probe.
+func DPLLTStage(b *testing.B) {
+	b.ReportAllocs()
+	var scripts []*smtlib.Script
+	for _, logic := range []gen.Logic{gen.QFLIA, gen.LIA, gen.QFLRA, gen.LRA} {
+		g, err := gen.New(logic, 31)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seeds []*core.Seed
+		for i := 0; i < 12; i++ {
+			st := core.StatusSat
+			if i%2 == 1 {
+				st = core.StatusUnsat
+			}
+			seeds = append(seeds, g.Generate(st))
+		}
+		rng := rand.New(rand.NewSource(37))
+		picked := 0
+		// Seeds i and i+2 share a status, so they fuse.
+		for i := 0; i+2 < len(seeds) && picked < 5; i++ {
+			f, err := core.Fuse(seeds[i], seeds[i+2], rng, core.Options{})
+			if err != nil {
+				continue
+			}
+			cov := coverage.NewTracker()
+			solver.New(solver.Config{Coverage: cov}).SolveScript(f.Script)
+			if slices.Contains(cov.HitProbeIDs(), "theory.arith.result-unsat") {
+				scripts = append(scripts, f.Script)
+				picked++
+			}
+		}
+	}
+	if len(scripts) == 0 {
+		b.Fatal("no fused script has a theory-unsat round")
+	}
+	s := solver.NewReference()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SolveScript(scripts[i%len(scripts)])
+	}
+}
+
 // EnvelopeCodec is the document path's allocation tripwire: each op
 // encodes, decodes and merges alone the envelope of a fixed, traced
 // campaign (two logics, one sim cross-check backend). The campaign
@@ -385,6 +436,7 @@ var All = []Entry{
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},
 	{Name: "StringsCheck", Fast: true, Fn: StringsCheck},
 	{Name: "ArithTheory", Fast: true, Fn: ArithTheory},
+	{Name: "DPLLTStage", Fast: true, Fn: DPLLTStage},
 	{Name: "EnvelopeCodec", Fast: true, Fn: EnvelopeCodec},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},
 }

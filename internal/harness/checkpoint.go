@@ -396,16 +396,29 @@ func (cc CampaignConfig) derive() (*campaign, error) {
 	c := &campaign{CampaignConfig: cc.withDefaults()}
 	// Validate already resolved the release and the table; neither can
 	// fail here.
-	c.defects, _ = bugdb.DefectsIn(bugdb.SUT(c.SUT), c.Release)
-	for _, d := range c.InjectDefects {
-		c.defects[solver.Defect(d)] = true
-	}
+	c.defects, _ = cc.SUTDefects()
 	table, _ := core.TableNamed(c.FusionTable, c.Seed+17)
 	c.fusion = core.Options{MaxPairs: c.MaxPairs, ReplaceProb: c.ReplaceProb, Table: table}
 	for _, bc := range c.Backends {
 		c.specs = append(c.specs, bc.spec())
 	}
 	return c, nil
+}
+
+// SUTDefects returns the defect set of the campaign's solver under
+// test: the catalogue entries present in its release plus
+// InjectDefects. A reducer that replays a finding builds its solver
+// from this set, so it sees the defects the campaign saw.
+func (cc CampaignConfig) SUTDefects() (map[solver.Defect]bool, error) {
+	d := cc.withDefaults()
+	defects, err := bugdb.DefectsIn(bugdb.SUT(d.SUT), d.Release)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range d.InjectDefects {
+		defects[solver.Defect(id)] = true
+	}
+	return defects, nil
 }
 
 // total is the campaign-wide task count. Call on a defaulted config.

@@ -33,6 +33,15 @@ func (ab *abstraction) negation(v int) ast.Term {
 	return ab.negTerm[v]
 }
 
+// blockLit returns the literal of SAT variable v that the current
+// model falsifies: a clause of such literals blocks the model.
+func (ab *abstraction) blockLit(v int) sat.Lit {
+	if ab.sat.Value(v) {
+		return -sat.Lit(v)
+	}
+	return sat.Lit(v)
+}
+
 // boolModel returns the boolean variables' values in the current SAT
 // model.
 func (ab *abstraction) boolModel() eval.Model {

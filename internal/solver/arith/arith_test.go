@@ -238,7 +238,7 @@ func TestCheckBudget(t *testing.T) {
 	// Budget forced negative: must give Unknown, not hang or lie.
 	p.NodeBudget = 0 // 0 selects default; set explicit tiny budget below
 	c := &checker{intVars: nil, budget: 0}
-	st, _ := c.solve(p.Atoms)
+	st, _ := c.solve(p.Atoms, nil)
 	if st != Unknown {
 		t.Fatalf("exhausted budget should be Unknown, got %v", st)
 	}

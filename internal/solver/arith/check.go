@@ -92,6 +92,29 @@ type Problem struct {
 // every variable occurring in the atoms (integral for IntVars); on
 // Unsat and Unknown it is empty.
 func Check(p *Problem) (Status, Model) {
+	st, m, _ := check(p, false)
+	return st, m
+}
+
+// CheckCore is Check that, with Unsat, also returns a core: the sorted
+// indices of a nonempty subset of p.Atoms that is unsatisfiable on its
+// own (under the same IntVars). The core is built from the conflicts
+// the search meets:
+//
+//   - a bound conflict in the simplex names the atoms that set the two
+//     bounds, and an infeasible row the row's Farkas support;
+//   - a GCD cut names its one equality;
+//   - a branch-and-bound node whose children are both unsat names the
+//     union of their cores without the branch atoms (every integer
+//     satisfies one branch), and a disequality split does the same
+//     with both branch atoms standing for the ≠ atom.
+//
+// Check, which the string layer calls, keeps none of this.
+func CheckCore(p *Problem) (Status, Model, []int) {
+	return check(p, true)
+}
+
+func check(p *Problem, explain bool) (Status, Model, []int) {
 	budget := p.NodeBudget
 	if budget == 0 {
 		budget = 400
@@ -102,8 +125,13 @@ func Check(p *Problem) (Status, Model) {
 		sx.Fuel, sx.Telem = nil, nil
 		tableaus.Put(sx)
 	}()
-	c := &checker{intVars: p.IntVars, budget: budget, fuel: p.Fuel, telem: p.Telem, sx: sx}
-	return c.solve(p.Atoms)
+	c := &checker{intVars: p.IntVars, budget: budget, fuel: p.Fuel, telem: p.Telem, sx: sx, explain: explain}
+	st, m := c.solve(p.Atoms, nil)
+	if st != Unsat || !explain {
+		return st, m, nil
+	}
+	slices.Sort(c.core)
+	return st, m, slices.Compact(c.core)
 }
 
 // tableaus recycles simplex instances, with their row and column
@@ -119,6 +147,21 @@ type checker struct {
 	// nothing from it after recursing into its children.
 	sx    *simplex.Solver
 	terms []simplex.Term // atom coefficient scratch
+	// explain turns on core tracking: core collects the root atom ids
+	// that explain each unsat node met, so after an Unsat at the root
+	// it holds the union over the nodes of the refuted tree.
+	explain bool
+	core    []int
+}
+
+// idOf returns the root atom id of atoms[i] in a node whose ids are
+// ids: nil ids (the root) means the atom's own index, and −1 marks a
+// branch-and-bound branch atom, which no core names.
+func idOf(ids []int, i int) int {
+	if ids == nil {
+		return i
+	}
+	return ids[i]
 }
 
 // Model is a satisfying assignment: Vals[i] is the value of Names[i],
@@ -141,7 +184,9 @@ func (m Model) Value(v string) (rat.Rat, bool) {
 // relOps maps each relation except RelNe to its simplex bound.
 var relOps = [...]simplex.Op{RelLe: simplex.Le, RelLt: simplex.Lt, RelGe: simplex.Ge, RelGt: simplex.Gt, RelEq: simplex.Eq}
 
-func (c *checker) solve(atoms []Atom) (Status, Model) {
+// solve decides one tree node. ids maps the node's atoms to root atom
+// ids (see idOf); it is only kept up to date while explaining.
+func (c *checker) solve(atoms []Atom, ids []int) (Status, Model) {
 	if c.budget <= 0 || !c.fuel.Spend(1) {
 		return Unknown, Model{}
 	}
@@ -151,14 +196,18 @@ func (c *checker) solve(atoms []Atom) (Status, Model) {
 	// Integer strengthening: over all-integer variables with integer
 	// coefficients, a strict inequality tightens to a non-strict one
 	// (x > c ⇒ x ≥ c+1), which keeps simplex witnesses on integer
-	// points instead of δ-fractional ones.
+	// points instead of δ-fractional ones. Positions, and so ids, are
+	// kept.
 	atoms = c.strengthenInts(atoms)
 
 	// GCD cut: an integer equality Σ cᵢxᵢ + c = 0 (integer xᵢ) is
 	// unsatisfiable when gcd(cᵢ) does not divide c. This decides cases
 	// branch-and-bound cannot (unbounded parity conflicts).
-	for _, a := range atoms {
+	for i, a := range atoms {
 		if a.Rel == RelEq && c.gcdCutInfeasible(a.Expr) {
+			if c.explain {
+				c.core = append(c.core, idOf(ids, i))
+			}
 			return Unsat, Model{}
 		}
 	}
@@ -184,18 +233,18 @@ func (c *checker) solve(atoms []Atom) (Status, Model) {
 		sx.NewVar()
 	}
 
-	var diseqs []Atom
-	for _, a := range atoms {
+	var diseqs []int
+	for i, a := range atoms {
 		if a.Rel == RelNe {
-			diseqs = append(diseqs, a)
+			diseqs = append(diseqs, i)
 			continue
 		}
 		c.terms = c.terms[:0]
 		for _, t := range a.Expr.Coeffs {
 			c.terms = append(c.terms, simplex.Term{Var: sort.SearchStrings(names, t.Var), Coeff: t.Coeff})
 		}
-		if !sx.AssertAtom(c.terms, relOps[a.Rel], a.Expr.Const.Neg()) {
-			return Unsat, Model{}
+		if !sx.AssertAtom(idOf(ids, i), c.terms, relOps[a.Rel], a.Expr.Const.Neg()) {
+			return c.unsat()
 		}
 	}
 	ok, err := sx.Check()
@@ -203,27 +252,29 @@ func (c *checker) solve(atoms []Atom) (Status, Model) {
 		return Unknown, Model{}
 	}
 	if !ok {
-		return Unsat, Model{}
+		return c.unsat()
 	}
 
-	ids := make([]int, len(names))
-	for i := range ids {
-		ids[i] = i
+	cols := make([]int, len(names))
+	for i := range cols {
+		cols[i] = i
 	}
-	m := Model{Names: names, Vals: sx.Values(ids)}
+	m := Model{Names: names, Vals: sx.Values(cols)}
 
 	// Disequality handling: if some ≠ atom is violated by the model,
-	// split into < and > branches.
-	for _, d := range diseqs {
+	// split into < and > branches, both standing for the ≠ atom.
+	for _, i := range diseqs {
+		d := atoms[i]
 		if m.eval(d.Expr).IsZero() {
-			lt := append(cloneAtoms(atoms, d), Atom{Expr: d.Expr, Rel: RelLt})
-			if st, m := c.solve(lt); st == Sat {
+			id := idOf(ids, i)
+			lt, ltIDs := c.child(atoms, ids, i, Atom{Expr: d.Expr, Rel: RelLt}, id)
+			if st, m := c.solve(lt, ltIDs); st == Sat {
 				return Sat, m
 			} else if st == Unknown {
 				return Unknown, Model{}
 			}
-			gt := append(cloneAtoms(atoms, d), Atom{Expr: d.Expr, Rel: RelGt})
-			return c.solve(gt)
+			gt, gtIDs := c.child(atoms, ids, i, Atom{Expr: d.Expr, Rel: RelGt}, id)
+			return c.solve(gt, gtIDs)
 		}
 	}
 
@@ -239,16 +290,16 @@ func (c *checker) solve(atoms []Atom) (Status, Model) {
 		}
 		fl := val.Floor()
 		le := &LinExpr{Coeffs: []VarCoeff{{Var: v, Coeff: rat.Int(1)}}, Const: fl.Neg()} // v - floor ≤ 0
-		down := append(cloneAtoms(atoms, Atom{}), Atom{Expr: le, Rel: RelLe})
-		if st, m := c.solve(down); st == Sat {
+		down, downIDs := c.child(atoms, ids, -1, Atom{Expr: le, Rel: RelLe}, -1)
+		if st, m := c.solve(down, downIDs); st == Sat {
 			return Sat, m
 		} else if st == Unknown {
 			return Unknown, Model{}
 		}
 		ceil := fl.Add(rat.Int(1))
 		ge := &LinExpr{Coeffs: []VarCoeff{{Var: v, Coeff: rat.Int(1)}}, Const: ceil.Neg()} // v - ceil ≥ 0
-		up := append(cloneAtoms(atoms, Atom{}), Atom{Expr: ge, Rel: RelGe})
-		return c.solve(up)
+		up, upIDs := c.child(atoms, ids, -1, Atom{Expr: ge, Rel: RelGe}, -1)
+		return c.solve(up, upIDs)
 	}
 
 	return Sat, m
@@ -264,17 +315,37 @@ func (m Model) eval(e *LinExpr) rat.Rat {
 	return out
 }
 
-// cloneAtoms copies the atom slice, dropping the (by-pointer) excluded
-// atom if present.
-func cloneAtoms(atoms []Atom, exclude Atom) []Atom {
+// unsat reports a simplex conflict, adding its owners to the core when
+// explaining.
+func (c *checker) unsat() (Status, Model) {
+	if c.explain {
+		c.core = c.sx.Explain(c.core)
+	}
+	return Unsat, Model{}
+}
+
+// child returns a child node's atoms: the node's atoms without those
+// equal to atoms[drop] (none when drop < 0) plus the branch atom br.
+// When explaining it also returns their ids, br's being brID.
+func (c *checker) child(atoms []Atom, ids []int, drop int, br Atom, brID int) ([]Atom, []int) {
+	var outIDs []int
+	if c.explain {
+		outIDs = make([]int, 0, len(atoms)+1)
+	}
 	out := make([]Atom, 0, len(atoms)+1)
-	for _, a := range atoms {
-		if exclude.Expr != nil && a.Expr == exclude.Expr && a.Rel == exclude.Rel {
+	for i, a := range atoms {
+		if drop >= 0 && a.Expr == atoms[drop].Expr && a.Rel == atoms[drop].Rel {
 			continue
 		}
 		out = append(out, a)
+		if c.explain {
+			outIDs = append(outIDs, idOf(ids, i))
+		}
 	}
-	return out
+	if c.explain {
+		outIDs = append(outIDs, brID)
+	}
+	return append(out, br), outIDs
 }
 
 // strengthenInts rewrites strict atoms over all-integer variables with

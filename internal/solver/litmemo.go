@@ -38,9 +38,11 @@ type litMemo struct {
 	// nothing writes again.
 	slab      []litFacts
 	slotArena []int
-	// Per-round scratch of arithTheory, the abstractor included.
+	// Per-round scratch of arithTheory, the abstractor included;
+	// atomLits[j] is the index in the round's literals of atom j.
 	abs       *arith.Abstractor
 	lits      []*litFacts
+	atomLits  []int
 	roundVars []int
 }
 

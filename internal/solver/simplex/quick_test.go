@@ -85,10 +85,10 @@ func TestQuickWitnessSatisfiesConstraints(t *testing.T) {
 		diff := rat.Int(int64(p) - int64(q))
 		upper := sum.Add(rat.Int(slack))
 		lower := diff.Sub(rat.Int(slack))
-		if !s.AssertAtom([]Term{{x, one}, {y, one}}, Le, upper) {
+		if !s.AssertAtom(-1, []Term{{x, one}, {y, one}}, Le, upper) {
 			return false
 		}
-		if !s.AssertAtom([]Term{{x, one}, {y, one.Neg()}}, Ge, lower) {
+		if !s.AssertAtom(-1, []Term{{x, one}, {y, one.Neg()}}, Ge, lower) {
 			return false
 		}
 		ok, err := s.Check()

@@ -46,6 +46,10 @@ type column struct {
 	basic        bool
 	row          []entry // the variable's row while basic
 	occ          []int   // basic vars whose rows contain this variable
+	// loOwner and hiOwner name the atoms that set the bounds. A slack
+	// is shared by every atom with its coefficients, so the owner goes
+	// with the bound: an atom that does not tighten it owns nothing.
+	loOwner, hiOwner int
 }
 
 // Solver is an exact simplex instance. Build one per theory check:
@@ -63,6 +67,10 @@ type Solver struct {
 
 	key []byte  // comboKey scratch
 	buf []entry // row-merge scratch
+
+	// conflict records why the last AssertAtom or Check found the
+	// bounds unsatisfiable; Explain reads it.
+	conflict conflict
 
 	// MaxPivots bounds the pivoting loop; exceeding it reports an
 	// (extremely unlikely with Bland's rule) resource error.
@@ -227,6 +235,53 @@ func (s *Solver) axpy(a, b []entry, k rat.Rat, skip, owner int) []entry {
 	return append(a[:0], out...)
 }
 
+// conflict is the cause of an unsatisfiable verdict: either the
+// owners of a contradicting bound pair (or of one false constant atom,
+// next to −1), or an infeasible row, whose Farkas support Explain
+// derives from the tableau as the row left it.
+type conflict struct {
+	row    int // basic variable of the infeasible row, or -1
+	below  bool
+	owners [2]int // when row < 0
+}
+
+// Explain appends to dst the owners of the bounds that make the last
+// unsatisfiable AssertAtom or Check so: the two owners of a bound
+// conflict, the owner of a constant atom that is false, or, for an
+// infeasible row, the owner of the violated bound plus the owner of
+// the bound that blocks each of the row's columns. The atoms it names
+// are unsatisfiable together. Owners below zero are skipped; call it
+// only after a false result, before the next assertion.
+func (s *Solver) Explain(dst []int) []int {
+	k := s.conflict
+	if k.row < 0 {
+		return appendOwner(appendOwner(dst, k.owners[0]), k.owners[1])
+	}
+	bc := &s.vars[k.row]
+	if k.below {
+		dst = appendOwner(dst, bc.loOwner)
+	} else {
+		dst = appendOwner(dst, bc.hiOwner)
+	}
+	// Every column of the row sits at the bound that keeps the basic
+	// variable from moving toward its violated bound.
+	for _, e := range bc.row {
+		if c := &s.vars[e.col]; k.below == (e.c.Sign() > 0) {
+			dst = appendOwner(dst, c.hiOwner)
+		} else {
+			dst = appendOwner(dst, c.loOwner)
+		}
+	}
+	return dst
+}
+
+func appendOwner(dst []int, o int) []int {
+	if o >= 0 {
+		dst = append(dst, o)
+	}
+	return dst
+}
+
 // Op is a bound relation for AssertAtom.
 type Op int8
 
@@ -238,10 +293,12 @@ const (
 	Eq           // =
 )
 
-// AssertAtom asserts coeffs·x ⋈ c. The terms name distinct variables;
+// AssertAtom asserts coeffs·x ⋈ c on behalf of atom owner, which
+// Explain names when the bound it sets takes part in a conflict; an
+// owner below zero is never named. The terms name distinct variables;
 // AssertAtom may reorder them. It returns false on an immediately
 // detected bound conflict (the conjunction is unsatisfiable).
-func (s *Solver) AssertAtom(coeffs []Term, op Op, c rat.Rat) bool {
+func (s *Solver) AssertAtom(owner int, coeffs []Term, op Op, c rat.Rat) bool {
 	// Constant combination: decide immediately.
 	nonzero := false
 	for _, t := range coeffs {
@@ -251,19 +308,23 @@ func (s *Solver) AssertAtom(coeffs []Term, op Op, c rat.Rat) bool {
 		}
 	}
 	if !nonzero {
+		var ok bool
 		switch op {
 		case Le:
-			return c.Sign() >= 0
+			ok = c.Sign() >= 0
 		case Lt:
-			return c.Sign() > 0
+			ok = c.Sign() > 0
 		case Ge:
-			return c.Sign() <= 0
+			ok = c.Sign() <= 0
 		case Gt:
-			return c.Sign() < 0
+			ok = c.Sign() < 0
 		case Eq:
-			return c.Sign() == 0
+			ok = c.Sign() == 0
 		}
-		return false
+		if !ok {
+			s.conflict = conflict{row: -1, owners: [2]int{owner, -1}}
+		}
+		return ok
 	}
 	for i := 1; i < len(coeffs); i++ {
 		if coeffs[i-1].Var > coeffs[i].Var {
@@ -274,15 +335,15 @@ func (s *Solver) AssertAtom(coeffs []Term, op Op, c rat.Rat) bool {
 	v := s.slackFor(coeffs)
 	switch op {
 	case Le:
-		return s.assertUpper(v, Rat(c))
+		return s.assertUpper(v, Rat(c), owner)
 	case Lt:
-		return s.assertUpper(v, RatDelta(c, -1))
+		return s.assertUpper(v, RatDelta(c, -1), owner)
 	case Ge:
-		return s.assertLower(v, Rat(c))
+		return s.assertLower(v, Rat(c), owner)
 	case Gt:
-		return s.assertLower(v, RatDelta(c, 1))
+		return s.assertLower(v, RatDelta(c, 1), owner)
 	case Eq:
-		return s.assertLower(v, Rat(c)) && s.assertUpper(v, Rat(c))
+		return s.assertLower(v, Rat(c), owner) && s.assertUpper(v, Rat(c), owner)
 	}
 	return false
 }
@@ -290,18 +351,20 @@ func (s *Solver) AssertAtom(coeffs []Term, op Op, c rat.Rat) bool {
 // AssertVarBound asserts a bound directly on a problem variable.
 func (s *Solver) AssertVarBound(v int, op Op, c rat.Rat) bool {
 	t := [1]Term{{Var: v, Coeff: rat.Int(1)}}
-	return s.AssertAtom(t[:], op, c)
+	return s.AssertAtom(-1, t[:], op, c)
 }
 
-func (s *Solver) assertUpper(v int, b Num) bool {
+func (s *Solver) assertUpper(v int, b Num, owner int) bool {
 	c := &s.vars[v]
 	if c.hasHi && c.upper.Cmp(b) <= 0 {
 		return true // no tightening
 	}
 	if c.hasLo && c.lower.Cmp(b) > 0 {
-		return false // conflict with lower bound
+		// Conflict with the lower bound.
+		s.conflict = conflict{row: -1, owners: [2]int{c.loOwner, owner}}
+		return false
 	}
-	c.upper = b
+	c.upper, c.hiOwner = b, owner
 	c.hasHi = true
 	if !c.basic && c.value.Cmp(b) > 0 {
 		s.update(v, b)
@@ -309,15 +372,16 @@ func (s *Solver) assertUpper(v int, b Num) bool {
 	return true
 }
 
-func (s *Solver) assertLower(v int, b Num) bool {
+func (s *Solver) assertLower(v int, b Num, owner int) bool {
 	c := &s.vars[v]
 	if c.hasLo && c.lower.Cmp(b) >= 0 {
 		return true
 	}
 	if c.hasHi && c.upper.Cmp(b) < 0 {
+		s.conflict = conflict{row: -1, owners: [2]int{c.hiOwner, owner}}
 		return false
 	}
-	c.lower = b
+	c.lower, c.loOwner = b, owner
 	c.hasLo = true
 	if !c.basic && c.value.Cmp(b) < 0 {
 		s.update(v, b)
@@ -438,6 +502,7 @@ func (s *Solver) Check() (bool, error) {
 			}
 		}
 		if nj == -1 {
+			s.conflict = conflict{row: bi, below: below}
 			return false, nil
 		}
 		if below {

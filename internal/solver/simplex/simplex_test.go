@@ -33,10 +33,10 @@ func TestFeasibleSystem(t *testing.T) {
 	s := New()
 	x, y := s.NewVar(), s.NewVar()
 	one := q(1, 1)
-	if !s.AssertAtom([]Term{{x, one}, {y, one}}, Le, q(10, 1)) {
+	if !s.AssertAtom(-1, []Term{{x, one}, {y, one}}, Le, q(10, 1)) {
 		t.Fatal("assert 1")
 	}
-	if !s.AssertAtom([]Term{{x, one}, {y, q(-1, 1)}}, Ge, q(2, 1)) {
+	if !s.AssertAtom(-1, []Term{{x, one}, {y, q(-1, 1)}}, Ge, q(2, 1)) {
 		t.Fatal("assert 2")
 	}
 	s.AssertVarBound(x, Ge, q(0, 1))
@@ -127,8 +127,8 @@ func TestEqualityChain(t *testing.T) {
 	s := New()
 	x, y, z := s.NewVar(), s.NewVar(), s.NewVar()
 	one, mone := q(1, 1), q(-1, 1)
-	s.AssertAtom([]Term{{x, one}, {y, mone}}, Eq, q(0, 1))
-	s.AssertAtom([]Term{{y, one}, {z, mone}}, Eq, q(0, 1))
+	s.AssertAtom(-1, []Term{{x, one}, {y, mone}}, Eq, q(0, 1))
+	s.AssertAtom(-1, []Term{{y, one}, {z, mone}}, Eq, q(0, 1))
 	s.AssertVarBound(x, Eq, q(5, 1))
 	ok, err := s.Check()
 	if err != nil || !ok {
@@ -141,14 +141,14 @@ func TestEqualityChain(t *testing.T) {
 
 func TestConstantAtom(t *testing.T) {
 	s := New()
-	if s.AssertAtom(nil, Gt, q(1, 1)) {
+	if s.AssertAtom(-1, nil, Gt, q(1, 1)) {
 		t.Error("0 > 1 should be false")
 	}
-	if !s.AssertAtom(nil, Le, q(0, 1)) {
+	if !s.AssertAtom(-1, nil, Le, q(0, 1)) {
 		t.Error("0 <= 0 should be true")
 	}
 	// Zero-coefficient map is a constant too.
-	if s.AssertAtom([]Term{{0, q(0, 1)}}, Eq, q(1, 1)) {
+	if s.AssertAtom(-1, []Term{{0, q(0, 1)}}, Eq, q(1, 1)) {
 		t.Error("0 = 1 should be false")
 	}
 }
@@ -158,9 +158,9 @@ func TestSlackReuse(t *testing.T) {
 	x, y := s.NewVar(), s.NewVar()
 	one := q(1, 1)
 	combo := []Term{{x, one}, {y, one}}
-	s.AssertAtom(combo, Ge, q(3, 1))
+	s.AssertAtom(-1, combo, Ge, q(3, 1))
 	nBefore := len(s.vars)
-	s.AssertAtom([]Term{{x, q(1, 1)}, {y, q(1, 1)}}, Le, q(7, 1))
+	s.AssertAtom(-1, []Term{{x, q(1, 1)}, {y, q(1, 1)}}, Le, q(7, 1))
 	if len(s.vars) != nBefore {
 		t.Error("identical combination should reuse its slack variable")
 	}
@@ -181,11 +181,11 @@ func TestSlackRowReuse(t *testing.T) {
 	combo := func() []Term {
 		return []Term{{x, rat.Int(1)}, {y, rat.Int(1)}}
 	}
-	if !s.AssertAtom(combo(), Ge, rat.Int(2)) {
+	if !s.AssertAtom(-1, combo(), Ge, rat.Int(2)) {
 		t.Fatal("x+y >= 2 rejected")
 	}
 	nBefore := len(s.vars)
-	if !s.AssertAtom(combo(), Le, rat.Int(10)) {
+	if !s.AssertAtom(-1, combo(), Le, rat.Int(10)) {
 		t.Fatal("x+y <= 10 rejected")
 	}
 	if len(s.vars) != nBefore {
@@ -232,16 +232,16 @@ func TestRandomSystemsAgainstWitness(t *testing.T) {
 			slack := q(int64(rng.Intn(5)), 1)
 			switch rng.Intn(3) {
 			case 0: // lhs <= lhs + slack
-				if !s.AssertAtom(coeffs, Le, lhs.Add(slack)) {
+				if !s.AssertAtom(-1, coeffs, Le, lhs.Add(slack)) {
 					t.Fatalf("iter %d: satisfiable-by-construction assert failed", iter)
 				}
 			case 1: // lhs >= lhs - slack
-				if !s.AssertAtom(coeffs, Ge, lhs.Sub(slack)) {
+				if !s.AssertAtom(-1, coeffs, Ge, lhs.Sub(slack)) {
 					t.Fatalf("iter %d: assert failed", iter)
 				}
 			case 2: // strict: lhs < lhs + slack + 1
 				bound := lhs.Add(slack).Add(q(1, 1))
-				if !s.AssertAtom(coeffs, Lt, bound) {
+				if !s.AssertAtom(-1, coeffs, Lt, bound) {
 					t.Fatalf("iter %d: assert failed", iter)
 				}
 			}
@@ -275,7 +275,7 @@ func TestRandomInfeasible(t *testing.T) {
 		// Noise.
 		for c := 0; c < rng.Intn(5); c++ {
 			coeffs := []Term{{vars[rng.Intn(nv)], q(int64(1+rng.Intn(3)), 1)}}
-			add(s.AssertAtom(coeffs, Le, q(int64(rng.Intn(50)), 1)))
+			add(s.AssertAtom(-1, coeffs, Le, q(int64(rng.Intn(50)), 1)))
 		}
 		// Core contradiction on a random combination.
 		coeffs := []Term{{vars[0], q(1, 1)}}
@@ -285,8 +285,8 @@ func TestRandomInfeasible(t *testing.T) {
 			coeffs = append(coeffs, Term{v, q(2, 1)})
 		}
 		c0 := q(int64(rng.Intn(10)), 1)
-		add(s.AssertAtom(coeffs, Le, c0))
-		add(s.AssertAtom(coeffs, Ge, c0.Add(q(1, 1))))
+		add(s.AssertAtom(-1, coeffs, Le, c0))
+		add(s.AssertAtom(-1, coeffs, Ge, c0.Add(q(1, 1))))
 		if conflict {
 			continue // detected at assert time
 		}

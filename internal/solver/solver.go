@@ -184,8 +184,6 @@ var AllDefects = []Defect{
 // Per-engine effort bounds (counters, not wall-clock, so runs are
 // deterministic). The strings search uses strings.DefaultLimits.
 const (
-	// maxBoolModels bounds DPLL(T) boolean-model iterations.
-	maxBoolModels = 150
 	// arithNodeBudget bounds branch-and-bound nodes per theory check.
 	arithNodeBudget = 300
 )
