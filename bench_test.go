@@ -1,9 +1,10 @@
 package yinyang
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §3 and EXPERIMENTS.md). The benchmarks
-// exercise the same code paths as cmd/experiments with smaller fixed
-// budgets so `go test -bench=.` regenerates every experiment's shape.
+// evaluation (see DESIGN.md §3 and EXPERIMENTS.md) plus the shared
+// registry under BenchmarkRegistry. The benchmarks exercise the same
+// code paths as cmd/experiments with smaller fixed budgets so
+// `go test -bench=.` regenerates every experiment's shape.
 
 import (
 	"testing"
@@ -27,11 +28,6 @@ func BenchmarkFig7SeedGeneration(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFig8Campaign runs the (scaled) main bug-finding campaign of
-// Figures 8a–8c against both trunk SUTs. The body lives in
-// internal/benchmarks so cmd/bench measures the identical workload.
-func BenchmarkFig8Campaign(b *testing.B) { benchmarks.Fig8Campaign(b) }
 
 // BenchmarkFig9Survey tabulates the historic survey (Figure 9).
 func BenchmarkFig9Survey(b *testing.B) {
@@ -116,47 +112,15 @@ func BenchmarkRQ4Retrigger(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputSingleThreaded measures end-to-end fused tests per
-// second in single-threaded mode — the paper reports 41.5 tests/s.
-// ns/op here is the cost of ONE fused test (generate pair + fuse +
-// solve), so tests/s = 1e9 / (ns/op).
-func BenchmarkThroughputSingleThreaded(b *testing.B) { benchmarks.ThroughputSingleThreaded(b) }
-
-// BenchmarkThroughputInstrumented is the same workload with telemetry
-// counters armed; the delta to the plain benchmark is the
-// instrumentation overhead cmd/bench gates.
-func BenchmarkThroughputInstrumented(b *testing.B) { benchmarks.ThroughputInstrumented(b) }
-
-// BenchmarkFusionOnly isolates the fusion engine's cost (Algorithm 2
-// without the solver).
-func BenchmarkFusionOnly(b *testing.B) { benchmarks.FusionOnly(b) }
-
-// BenchmarkAnalysisGate runs the post-fusion static-analysis gate once
-// per op over fixed fused scripts (see benchmarks.AnalysisGate).
-func BenchmarkAnalysisGate(b *testing.B) { benchmarks.AnalysisGate(b) }
-
-// BenchmarkSolverReference measures the reference solver on a fixed mix
-// of generated formulas across logics.
-func BenchmarkSolverReference(b *testing.B) { benchmarks.SolverReference(b) }
-
-// BenchmarkParsePrint measures the SMT-LIB front end round trip.
-func BenchmarkParsePrint(b *testing.B) { benchmarks.ParsePrint(b) }
-
-// BenchmarkStringsCheck runs the strings layer on a fixed conjunction
-// set (see benchmarks.StringsCheck).
-func BenchmarkStringsCheck(b *testing.B) { benchmarks.StringsCheck(b) }
-
-// BenchmarkEnvelopeCodec encodes, decodes and merges one campaign
-// envelope per op (see benchmarks.EnvelopeCodec).
-func BenchmarkEnvelopeCodec(b *testing.B) { benchmarks.EnvelopeCodec(b) }
-
-// BenchmarkArithTheory runs one reference Solve per op over generated
-// and fused nonlinear scripts (see benchmarks.ArithTheory).
-func BenchmarkArithTheory(b *testing.B) { benchmarks.ArithTheory(b) }
-
-// BenchmarkDPLLTStage runs one reference Solve per op over fused linear
-// scripts with theory-unsat rounds (see benchmarks.DPLLTStage).
-func BenchmarkDPLLTStage(b *testing.B) { benchmarks.DPLLTStage(b) }
+// BenchmarkRegistry runs every entry of the shared benchmark registry
+// (internal/benchmarks) as Registry/<Name>: the bodies cmd/bench
+// records allocs/op for, timed here. Registry/ThroughputSingleThreaded
+// gives the paper's single-threaded tests/s figure.
+func BenchmarkRegistry(b *testing.B) {
+	for _, e := range benchmarks.All {
+		b.Run(e.Name, e.Fn)
+	}
+}
 
 // BenchmarkAblationFusionFns runs the fusion-function family ablation
 // at a small budget (DESIGN.md §5).

@@ -304,13 +304,17 @@ echo "== arith benchmark smoke =="
 # The per-layer arith.Check benchmark must keep compiling and running.
 go test -run='^$' -bench='^BenchmarkArithCheck$' -benchtime=1x ./internal/solver/arith/
 
+echo "== registry benchmark smoke =="
+# Every entry of the shared benchmark registry must keep running under
+# go test -bench, the path that reads their time.
+go test -run='^$' -bench='^BenchmarkRegistry$' -benchtime=1x .
+
 echo "== bench gate =="
-# Short-mode regression gate: runs the fast benchmarks at a fixed op
-# count (identical workload every run) and compares against the latest
-# committed BENCH_<n>.json. Allocs/op is the deterministic tripwire
-# (>10% growth fails); throughput is speed-normalized via the
-# calibration workload and gates at a tolerance wide enough for the
-# shared host's residual phase noise. Gate-only: no file is written.
+# Short-mode allocation ledger: runs the fast registry benchmarks once
+# at a fixed op count (identical workload every run) and fails if any
+# benchmark's allocs/op grew more than 10% over the latest committed
+# BENCH_<n>.json. No time is gated here; yybench A/B pairs own time.
+# Gate-only: no file is written.
 go run ./cmd/bench -short -write=false
 
 echo "ci: all checks passed"

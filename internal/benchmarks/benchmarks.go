@@ -1,9 +1,9 @@
-// Package benchmarks holds the benchmark bodies shared between the
-// repository's `go test -bench` suite (bench_test.go) and cmd/bench,
-// the benchmark-regression harness. cmd/bench drives these through
-// testing.Benchmark to produce BENCH_<n>.json perf-trajectory files;
-// keeping one body per workload guarantees both paths measure the same
-// thing.
+// Package benchmarks holds the benchmark registry shared between the
+// repository's `go test -bench=Registry` suite (bench_test.go), which
+// reads time, and cmd/bench, the allocation ledger, which drives the
+// same bodies through testing.Benchmark at fixed op counts to record
+// and gate allocs/op in BENCH_<n>.json. One body per workload keeps
+// both paths measuring the same thing.
 package benchmarks
 
 import (
@@ -53,46 +53,6 @@ func ThroughputSingleThreaded(b *testing.B) {
 			continue
 		}
 		harness.RunSolver(sut, fused.Script)
-	}
-}
-
-// ThroughputInstrumented is ThroughputSingleThreaded with a telemetry
-// tracker attached to the solver, so every fuel charge point also
-// increments a counter. cmd/bench pairs it with the plain benchmark to
-// derive the instrumentation overhead and gates the difference.
-func ThroughputInstrumented(b *testing.B) {
-	b.ReportAllocs()
-	g, err := gen.New(gen.QFLIA, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sat, unsat []*core.Seed
-	for i := 0; i < 10; i++ {
-		sat = append(sat, g.Sat())
-		unsat = append(unsat, g.Unsat())
-	}
-	defects, err := bugdb.DefectsIn(bugdb.Z3Sim, "trunk")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := telemetry.NewTracker()
-	sut := solver.New(solver.Config{Defects: defects, Telemetry: tr})
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool := sat
-		if i%2 == 1 {
-			pool = unsat
-		}
-		fused, err := core.Fuse(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], rng, core.Options{})
-		if err != nil {
-			continue
-		}
-		harness.RunSolver(sut, fused.Script)
-	}
-	b.StopTimer()
-	if tr.Snapshot().Counter("yy_solves_total") == 0 {
-		b.Fatal("tracker recorded no solves")
 	}
 }
 
@@ -387,39 +347,10 @@ func conjunction(s *smtlib.Script) []ast.Term {
 	return lits
 }
 
-// calibSink keeps the compiler from eliding the calibration workload.
-var calibSink uint64
-
-// Calibrate is a fixed, input-independent workload — xorshift-filled
-// 1 KiB allocations plus a byte-sum pass — that exercises the CPU, the
-// allocator, and memory bandwidth in rough proportion to the solver
-// benchmarks. cmd/bench records its ns/op alongside every report and
-// uses the baseline/current ratio to normalize throughput comparisons:
-// on a shared host the machine's effective speed drifts between runs,
-// and this workload drifts with it while real code regressions do not.
-func Calibrate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		x := uint64(88172645463325252)
-		var sum uint64
-		for j := 0; j < 2048; j++ {
-			buf := make([]byte, 1024)
-			for k := range buf {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				buf[k] = byte(x)
-			}
-			for _, c := range buf {
-				sum += uint64(c)
-			}
-		}
-		calibSink = sum
-	}
-}
-
-// Registry maps the stable benchmark names recorded in BENCH_<n>.json
-// to their bodies. Fast reports whether the benchmark is cheap enough
-// for CI short mode (seconds, not half a minute, per op).
+// Entry maps a stable benchmark name, recorded in BENCH_<n>.json and
+// run as Registry/<Name>, to its body. Fast reports whether the
+// benchmark is cheap enough for CI short mode (seconds, not half a
+// minute, per op).
 type Entry struct {
 	Name string
 	Fast bool
@@ -429,7 +360,6 @@ type Entry struct {
 // All lists the registry in fixed report order.
 var All = []Entry{
 	{Name: "ThroughputSingleThreaded", Fast: true, Fn: ThroughputSingleThreaded},
-	{Name: "ThroughputInstrumented", Fast: true, Fn: ThroughputInstrumented},
 	{Name: "FusionOnly", Fast: true, Fn: FusionOnly},
 	{Name: "AnalysisGate", Fast: true, Fn: AnalysisGate},
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},

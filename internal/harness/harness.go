@@ -721,19 +721,13 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 	}
 	out.tested = true
 	script := out.testScript()
-	if cfg.WallTimeout > 0 {
-		completed := watchdog.Run(cfg.WallTimeout, func() {
-			out.run = RunSolver(sut, script)
-		})
-		if !completed {
-			// The solve is still executing in the abandoned goroutine,
-			// which owns out.run; build the quarantine report from the
-			// untouched fields only.
-			return taskOutcome{id: id, tested: true, fused: out.fused,
-				mutant: out.mutant, ancestors: out.ancestors, wallTimeout: true}
-		}
-	} else {
-		out.run = RunSolver(sut, script)
+	// watchdog.Run solves inline when no wall timeout is armed.
+	if !watchdog.Run(cfg.WallTimeout, func() { out.run = RunSolver(sut, script) }) {
+		// The solve is still executing in the abandoned goroutine, which
+		// owns out.run; build the quarantine report from the untouched
+		// fields only.
+		return taskOutcome{id: id, tested: true, fused: out.fused,
+			mutant: out.mutant, ancestors: out.ancestors, wallTimeout: true}
 	}
 	// Cross-check backends run after a completed SUT solve, on the
 	// worker, so external solver latency overlaps across workers. A
@@ -759,19 +753,12 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 			return out
 		}
 		out.variant = v
-		if cfg.WallTimeout > 0 {
-			completed := watchdog.Run(cfg.WallTimeout, func() {
-				out.variantRun = RunSolver(sut, v.Script)
-			})
-			if !completed {
-				// Same taint rule as the primary solve: the abandoned
-				// goroutine owns out.variantRun, so rebuild the outcome
-				// from the untouched fields.
-				return taskOutcome{id: id, tested: true, fused: out.fused,
-					mutant: out.mutant, ancestors: out.ancestors, wallTimeout: true}
-			}
-		} else {
-			out.variantRun = RunSolver(sut, v.Script)
+		if !watchdog.Run(cfg.WallTimeout, func() { out.variantRun = RunSolver(sut, v.Script) }) {
+			// Same taint rule as the primary solve: the abandoned
+			// goroutine owns out.variantRun, so rebuild the outcome from
+			// the untouched fields.
+			return taskOutcome{id: id, tested: true, fused: out.fused,
+				mutant: out.mutant, ancestors: out.ancestors, wallTimeout: true}
 		}
 		if !out.variantRun.InternalFault {
 			out.variantBackends = runBackends(bks, v.Script)

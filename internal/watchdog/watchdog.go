@@ -15,11 +15,12 @@ package watchdog
 import "time"
 
 // Run executes f, waiting at most d for it to finish. It reports
-// whether f completed. On timeout, Run returns with f still executing
-// in its abandoned goroutine — the caller must not reuse any state f
-// touches (the harness discards the worker's solver instance and
-// builds a fresh one). The abandoned goroutine exits once f returns;
-// with a fuel-limited solver that is guaranteed to happen.
+// whether f completed; with d <= 0 it runs f inline and reports true.
+// On timeout, Run returns with f still executing in its abandoned
+// goroutine — the caller must not reuse any state f touches (the
+// harness builds a solver per task, so the timed-out task's solver is
+// simply dropped). The abandoned goroutine exits once f returns; with
+// a fuel-limited solver that is guaranteed to happen.
 func Run(d time.Duration, f func()) bool {
 	if d <= 0 {
 		f()
