@@ -58,10 +58,12 @@ echo "== go test -race (consensus oracle) =="
 # scale them away): majority vote outvoting a seeded dissenter with
 # deduplicated findings, determinism across thread counts, resume, and
 # a 3-way shard merge, metamorphic variant pairs with a known-policy
-# control arm, the tri-state contradiction predicates, the quorum
-# knob, and the oracle counter invariants. The breaker verdict table
-# and spool retention ride along from the same change.
-go test -race -timeout 15m -run 'TestMajority|TestMetamorphic|TestUnknownOracle|TestContradiction|TestQuorum|TestConsensusValidation|TestOracleCounter' ./internal/harness/
+# control arm, the tri-state contradiction predicate, the quorum
+# knob, the oracle counter invariants, and the document goldens, which
+# compare the wild-auto campaign's majority and metamorphic reproducer
+# bundles byte for byte. The breaker verdict table and spool retention
+# ride along from the same change.
+go test -race -timeout 15m -run 'TestMajority|TestMetamorphic|TestUnknownOracle|TestContradiction|TestQuorum|TestConsensusValidation|TestOracleCounter|TestDocumentGolden' ./internal/harness/
 go test -race -timeout 5m -run 'TestHealth' ./internal/backend/
 go test -race -timeout 5m -run 'TestSpoolRetention' ./internal/service/
 

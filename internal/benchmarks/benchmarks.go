@@ -324,6 +324,47 @@ func EnvelopeCodec(b *testing.B) {
 	}
 }
 
+// ConsensusFold is the consensus classification stage benchmark: each
+// op folds (Envelope.Fold) the envelope of a small wild-mode campaign
+// under the auto oracle policy, so the majority vote and the
+// metamorphic pair check run over every record, along with the trace
+// lines they render. One of its two sim backends carries the
+// guard-collapse defect and dissents, so the fold files outvoted and
+// pair-violation findings too. The campaign itself runs once, outside
+// the timer.
+func ConsensusFold(b *testing.B) {
+	b.ReportAllocs()
+	cc := harness.CampaignConfig{
+		SUT:               "cvc4sim",
+		Release:           "1.5",
+		Logics:            []string{"QF_NRA"},
+		Iterations:        40,
+		SeedPool:          8,
+		Seed:              15,
+		Mode:              harness.ModeWild,
+		Oracle:            harness.OracleAuto,
+		DisableModelCheck: true,
+		Backends: []harness.BackendConfig{
+			{Sim: &harness.SimBackendConfig{SUT: "cvc4sim", Release: "1.6"}},
+			{Sim: &harness.SimBackendConfig{SUT: "cvc4sim", Release: "1.7",
+				InjectDefects: []string{string(solver.DefLeGuardCollapse)}}},
+		},
+	}
+	out, err := harness.Start(cc, harness.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(out.Result.BackendFindings) == 0 {
+		b.Fatal("the dissenter filed no consensus finding")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := out.Envelope.Fold(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // conjunction flattens a script's top-level conjunctions into literals,
 // keeping the first disjunct of each disjunction.
 func conjunction(s *smtlib.Script) []ast.Term {
@@ -368,5 +409,6 @@ var All = []Entry{
 	{Name: "ArithTheory", Fast: true, Fn: ArithTheory},
 	{Name: "DPLLTStage", Fast: true, Fn: DPLLTStage},
 	{Name: "EnvelopeCodec", Fast: true, Fn: EnvelopeCodec},
+	{Name: "ConsensusFold", Fast: true, Fn: ConsensusFold},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},
 }

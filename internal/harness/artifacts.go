@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/smtlib"
@@ -272,22 +273,23 @@ func Replay(bundleDir string) (ReplayReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	out := runTask(cfg, pools, m.Iteration)
-	if !out.tested {
+	rec, lv := runTask(cfg, pools, m.Iteration)
+	f := rec.Facts
+	if f == nil {
 		return rep, fmt.Errorf("artifacts: task (seed=%d logic=%s iter=%d) produced no fused test on replay", cc.Seed, m.Logic, m.Iteration)
 	}
-	rep.Observed = out.run.Result
+	rep.Observed = f.Observed
 	rep.Backend = m.Backend
-	rep.FusedMatches = smtlib.Print(out.testScript()) == string(wantFused)
+	rep.FusedMatches = smtlib.Print(lv.script) == string(wantFused)
 	if m.Backend != "" {
 		// A backend-finding bundle: the observed verdict belongs to the
 		// cross-check backend, which Replay does not re-invoke. The SUT
 		// replay above still verifies the fused test regenerates.
 		rep.ResultMatches = true
 	} else {
-		rep.ResultMatches = out.run.Result.String() == m.Observed ||
-			(out.run.Crashed && m.Observed == "crash") ||
-			(out.run.InternalFault && m.Observed == "internal-fault")
+		rep.ResultMatches = f.Observed.String() == m.Observed ||
+			(f.Crashed && m.Observed == "crash") ||
+			(rec.Status == statusFault && m.Observed == "internal-fault")
 	}
 	rep.VariantMatches = true
 	if wantVariant, err := os.ReadFile(filepath.Join(bundleDir, "variant.smt2")); err == nil {
@@ -295,18 +297,12 @@ func Replay(bundleDir string) (ReplayReport, error) {
 		// from the same coordinates (its RNG stream is the task's
 		// metaSeed domain, replayed by runTask under the manifest's
 		// oracle policy).
-		rep.VariantMatches = out.variant != nil && smtlib.Print(out.variant.Script) == string(wantVariant)
+		rep.VariantMatches = lv.variant != nil && smtlib.Print(lv.variant.Script) == string(wantVariant)
 	}
-	rep.DefectFired = m.Defect == ""
-	for _, d := range out.run.DefectsFired {
-		if string(d) == m.Defect {
-			rep.DefectFired = true
-		}
+	fired := f.Fired
+	if v := f.Variant; v != nil {
+		fired = slices.Concat(fired, v.Fired)
 	}
-	for _, d := range out.variantRun.DefectsFired {
-		if string(d) == m.Defect && m.Defect != "" {
-			rep.DefectFired = true
-		}
-	}
+	rep.DefectFired = m.Defect == "" || slices.Contains(fired, solver.Defect(m.Defect))
 	return rep, nil
 }

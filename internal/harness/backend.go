@@ -3,8 +3,8 @@ package harness
 import (
 	"repro/internal/backend"
 	"repro/internal/bugdb"
-	"repro/internal/core"
 	"repro/internal/smtlib"
+	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
 
@@ -116,18 +116,37 @@ func findingKey(f BackendFinding) bkKey {
 	return key
 }
 
-// seenFinding reports whether a finding's dedup key is already
-// recorded: a re-trigger, which only bumps the report tallies.
-func (st *runState) seenFinding(f BackendFinding) bool {
-	_, dup := st.seen[findingKey(f)]
-	return dup
-}
-
-// recordFinding records a new finding under its dedup key.
-func (st *runState) recordFinding(f BackendFinding) {
-	st.seen[findingKey(f)] = f.Task
+// fileFinding files one backend finding, the one path of the
+// differential, majority and metamorphic oracles: a re-trigger of a
+// recorded finding (same dedup key) changes nothing here, a new one is
+// recorded and, during live classification, gets its reproducer
+// bundle. idx is the implicated voter's backend index (-1 for the
+// SUT); the finding's post-mortem fields go to the manifest only for a
+// backend. edit, when set, adds to the manifest what only the filing
+// oracle knows, and may return extra bundle files.
+func (st *runState) fileFinding(rec *taskRecord, lv *live, idx int, f BackendFinding, edit func(*Manifest) map[string]string) {
+	key := findingKey(f)
+	if _, dup := st.seen[key]; dup {
+		return
+	}
+	st.seen[key] = f.Task
 	st.res.BackendFindings = append(st.res.BackendFindings, f)
 	st.tr.Inc(cbFindings)
+	if st.aw == nil || lv == nil {
+		return
+	}
+	m := manifestFor(st.cfg, rec, lv, "backend-"+string(f.Kind), solver.Defect(f.Defect))
+	m.Backend = f.Backend
+	if idx >= 0 {
+		m.BackendArgv = st.cfg.specs[idx].Argv
+		m.BackendExit, m.BackendStderr, m.BackendRetries = f.ExitCode, f.Stderr, f.Retries
+	}
+	m.Oracle, m.Observed, m.Reason = f.Oracle, f.Observed, f.Reason
+	var extra map[string]string
+	if edit != nil {
+		extra = edit(&m)
+	}
+	st.aw.writeExtra(m, lv.ancestors, lv.script, int(rec.Task), extra)
 }
 
 // runBackends performs the cross-checks for one task. Called on the
@@ -149,7 +168,7 @@ func runBackends(bks []backend.Backend, sc *smtlib.Script) []backendRun {
 // report tallies, deduplicated findings, and reproducer bundles. It
 // runs in the in-order fold, so finding order and artifact contents
 // are deterministic for hermetic backends.
-func (st *runState) classifyBackends(rec *taskRecord, live *taskOutcome) {
+func (st *runState) classifyBackends(rec *taskRecord, lv *live) {
 	cfg := st.cfg
 	f := rec.Facts
 	for i, o := range f.Backends {
@@ -157,7 +176,7 @@ func (st *runState) classifyBackends(rec *taskRecord, live *taskOutcome) {
 		if skipped {
 			continue
 		}
-		if backendContradicts(o.Verdict, rec.Oracle) {
+		if contradicts(o.Verdict, rec.Oracle) {
 			st.res.Backends[i].Disagreements++
 			st.tr.Inc(cbDisagree)
 			kind = bugdb.Disagreement
@@ -165,7 +184,7 @@ func (st *runState) classifyBackends(rec *taskRecord, live *taskOutcome) {
 		if kind == "" {
 			continue
 		}
-		f := BackendFinding{
+		st.fileFinding(rec, lv, i, BackendFinding{
 			Backend:  cfg.specs[i].Name,
 			Kind:     kind,
 			Logic:    cfg.Logics[int(rec.Task)/cfg.Iterations],
@@ -176,22 +195,7 @@ func (st *runState) classifyBackends(rec *taskRecord, live *taskOutcome) {
 			Stderr:   o.Stderr,
 			Retries:  o.Retries,
 			Task:     int(rec.Task),
-		}
-		if st.seenFinding(f) {
-			continue
-		}
-		st.recordFinding(f)
-		if st.aw != nil && live != nil {
-			m := manifestFor(cfg, live, "backend-"+string(kind), "")
-			m.Backend = f.Backend
-			m.BackendArgv = cfg.specs[i].Argv
-			m.BackendExit = o.ExitCode
-			m.BackendStderr = o.Stderr
-			m.BackendRetries = o.Retries
-			m.Observed = f.Observed
-			m.Reason = f.Reason
-			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
-		}
+		}, nil)
 	}
 	// Metamorphic-variant solves consume the same backend budget as
 	// primary checks, so their verdicts are tallied into the reports.
@@ -243,23 +247,6 @@ func (st *runState) tallyBackend(i int, o backendRun) (kind bugdb.BugType, skipp
 		st.tr.Inc(cbFaults)
 	}
 	return kind, false
-}
-
-// backendContradicts reports whether a backend verdict refutes the
-// ground truth. Mirrors verdictContradicts: only a definite verdict on
-// a definite oracle contradicts — an unknown-status test abstains. The
-// earlier predicate `(v == Sat) != (oracle == StatusSat)` collapsed
-// StatusUnknown into the unsat arm, charging every sat backend verdict
-// on an unknown-status input as a disagreement.
-func backendContradicts(v backend.Verdict, oracle core.Status) bool {
-	switch oracle {
-	case core.StatusSat:
-		return v == backend.Unsat
-	case core.StatusUnsat:
-		return v == backend.Sat
-	default:
-		return false
-	}
 }
 
 // Degraded reports whether any backend ended the campaign quarantined:

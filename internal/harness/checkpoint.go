@@ -10,7 +10,7 @@
 // campaign's results, metrics, and JSONL trace are byte-identical to
 // an uninterrupted run's.
 //
-// The frontier is a single integer: classification applies outcomes in
+// The frontier is a single integer: classification folds records in
 // strict global task order, so "Done = N" means exactly the first N
 // included task ids are classified — there are never holes. Warm
 // caches are scoped to one task, so the resumed leg runs exactly the

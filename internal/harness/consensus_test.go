@@ -413,34 +413,30 @@ func TestUnknownOracleBackendAbstains(t *testing.T) {
 	}
 }
 
-// TestContradictionPredicates pins the tri-state comparison helpers:
-// contradiction requires a definite oracle and the opposite definite
-// verdict; unknown on either side abstains.
+// TestContradictionPredicates pins the one tri-state contradiction
+// predicate over every voter: SUT results through sutVerdict, and
+// backend verdicts. Contradiction requires a definite oracle and the
+// opposite definite verdict; unknown on either side abstains, and so
+// do crashes, timeouts and the backend failure verdicts. It also pins
+// sutVerdict's label, which traces, votes and manifests print, for
+// every solver result, crashed or not.
 func TestContradictionPredicates(t *testing.T) {
-	sutCases := []struct {
-		res    solver.Result
-		oracle core.Status
-		want   bool
-	}{
-		{solver.ResSat, core.StatusUnsat, true},
-		{solver.ResUnsat, core.StatusSat, true},
-		{solver.ResSat, core.StatusSat, false},
-		{solver.ResUnsat, core.StatusUnsat, false},
-		{solver.ResSat, core.StatusUnknown, false},
-		{solver.ResUnsat, core.StatusUnknown, false},
-		{solver.ResUnknown, core.StatusSat, false},
-		{solver.ResTimeout, core.StatusUnsat, false},
-	}
-	for _, c := range sutCases {
-		if got := verdictContradicts(c.res, c.oracle); got != c.want {
-			t.Errorf("verdictContradicts(%v, %v) = %v, want %v", c.res, c.oracle, got, c.want)
-		}
-	}
-	bkCases := []struct {
+	sut := func(r solver.Result) backend.Verdict { return sutVerdict(r, false) }
+	cases := []struct {
 		v      backend.Verdict
 		oracle core.Status
 		want   bool
 	}{
+		{sut(solver.ResSat), core.StatusUnsat, true},
+		{sut(solver.ResUnsat), core.StatusSat, true},
+		{sut(solver.ResSat), core.StatusSat, false},
+		{sut(solver.ResUnsat), core.StatusUnsat, false},
+		{sut(solver.ResSat), core.StatusUnknown, false},
+		{sut(solver.ResUnsat), core.StatusUnknown, false},
+		{sut(solver.ResUnknown), core.StatusSat, false},
+		{sut(solver.ResTimeout), core.StatusUnsat, false},
+		{sutVerdict(solver.ResSat, true), core.StatusUnsat, false},
+		{sutVerdict(solver.ResUnsat, true), core.StatusSat, false},
 		{backend.Sat, core.StatusUnsat, true},
 		{backend.Unsat, core.StatusSat, true},
 		{backend.Sat, core.StatusSat, false},
@@ -449,10 +445,33 @@ func TestContradictionPredicates(t *testing.T) {
 		{backend.Unsat, core.StatusUnknown, false},
 		{backend.Unknown, core.StatusSat, false},
 		{backend.Timeout, core.StatusUnsat, false},
+		{backend.Crash, core.StatusSat, false},
+		{backend.Garbled, core.StatusUnsat, false},
+		{backend.Fault, core.StatusSat, false},
+		{backend.Quarantined, core.StatusUnsat, false},
 	}
-	for _, c := range bkCases {
-		if got := backendContradicts(c.v, c.oracle); got != c.want {
-			t.Errorf("backendContradicts(%v, %v) = %v, want %v", c.v, c.oracle, got, c.want)
+	for _, c := range cases {
+		if got := contradicts(c.v, c.oracle); got != c.want {
+			t.Errorf("contradicts(%v, %v) = %v, want %v", c.v, c.oracle, got, c.want)
+		}
+	}
+	labels := []struct {
+		res     solver.Result
+		crashed bool
+		want    string
+	}{
+		{solver.ResSat, false, "sat"},
+		{solver.ResUnsat, false, "unsat"},
+		{solver.ResUnknown, false, "unknown"},
+		{solver.ResTimeout, false, "timeout"},
+		{solver.ResSat, true, "crash"},
+		{solver.ResUnsat, true, "crash"},
+		{solver.ResUnknown, true, "crash"},
+		{solver.ResTimeout, true, "crash"},
+	}
+	for _, c := range labels {
+		if got := sutVerdict(c.res, c.crashed).String(); got != c.want {
+			t.Errorf("sutVerdict(%v, %v) = %q, want %q", c.res, c.crashed, got, c.want)
 		}
 	}
 }

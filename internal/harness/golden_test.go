@@ -35,11 +35,14 @@ func wildAutoConfig() CampaignConfig {
 }
 
 // TestDocumentGolden pins the document format across builds: a paused
-// checkpoint must equal the committed fuzz-corpus seed, and for each
-// golden campaign the sealed envelope (state, telemetry and trace
-// included) and the result fingerprint must equal the files under
-// testdata/golden/ byte for byte. A refactor of the classification
-// state or its serialization that changes any byte fails here.
+// checkpoint must equal the committed fuzz-corpus seed, for each golden
+// campaign the sealed envelope (state, telemetry and trace included)
+// and the result fingerprint must equal the files under
+// testdata/golden/ byte for byte, and so must every file of the
+// wild-auto campaign's reproducer bundles (majority and metamorphic
+// findings, manifests and variant scripts included). A refactor of the
+// classification state, its serialization or the finding path that
+// changes any byte fails here.
 func TestDocumentGolden(t *testing.T) {
 	t.Run("checkpoint", func(t *testing.T) {
 		out, err := Start(ckptConfig(), RunOptions{StopAfter: 5})
@@ -81,6 +84,26 @@ func TestDocumentGolden(t *testing.T) {
 			}
 		})
 	}
+	// The bundles come from a run of their own: an artifact directory
+	// adds bundle refs to the envelope pinned above.
+	t.Run("wild-auto-bundles", func(t *testing.T) {
+		cc := wildAutoConfig()
+		cc.ArtifactDir = t.TempDir()
+		if _, err := Start(cc, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		got := dirSnapshot(t, cc.ArtifactDir)
+		want := dirSnapshot(t, filepath.Join("testdata", "golden", "wild-auto.bundles"))
+		if len(want) == 0 {
+			t.Fatal("no golden bundles")
+		}
+		if len(got) != len(want) {
+			t.Errorf("%d bundle files %v, want %d", len(got), keysOf(got), len(want))
+		}
+		for name, w := range want {
+			sameBytes(t, name, []byte(got[name]), []byte(w))
+		}
+	})
 }
 
 // readCorpusBytes extracts the single []byte value of a go-fuzz corpus

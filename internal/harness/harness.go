@@ -111,7 +111,7 @@ func (b Bug) ReproducedBy(run RunResult, sc *smtlib.Script, oracle core.Status) 
 	case bugdb.Crash:
 		return run.Crashed
 	case bugdb.Soundness:
-		return run.Result == b.Observed && verdictContradicts(run.Result, oracle)
+		return run.Result == b.Observed && contradicts(sutVerdict(run.Result, run.Crashed), oracle)
 	case bugdb.InvalidModel:
 		if run.Result != solver.ResSat {
 			return false
@@ -311,56 +311,26 @@ func metaSeed(seed int64, logic gen.Logic, iter int) int64 {
 // mutation rather than fusion.
 func (c *campaign) mutation() bool { return c.Mode == ModeMutate || c.Mode == ModeWild }
 
-// taskOutcome is the raw result of one fusion+solve task, produced by
-// any worker and classified later in deterministic task order.
-type taskOutcome struct {
-	id      int
-	invalid bool // test derivation rejected by the static gate
-	tested  bool // a test script was produced and solved
-	// Exactly one of fused/mutant is set on a tested outcome.
-	fused     *core.Fused
-	mutant    *mutate.Mutant
-	ancestors [2]*core.Seed
-	run       RunResult
-	// wallTimeout marks a run cut off by the wall-clock watchdog. The
-	// abandoned goroutine keeps the task's solver and tracker, which
-	// nothing else ever touches again.
-	wallTimeout bool
-	// delta holds the task's engine-counter increments (empty on a
-	// wall-timeout: the abandoned goroutine still owns that tracker).
-	delta telemetry.Delta
-	// backendRuns holds the cross-check outputs, one per configured
-	// backend (nil when the task was not tested, was quarantined, or
-	// the campaign has no backends).
-	backendRuns []backendRun
-	// Metamorphic-policy fields (unknown-status tasks under the
-	// metamorphic or auto policy only). variantSkip marks a task where
-	// no relation-preserving variant could be derived; otherwise
-	// variant/variantRun/variantBackends mirror the primary triple.
-	variant         *mutate.Variant
-	variantRun      RunResult
-	variantBackends []backendRun
-	variantSkip     bool
-	// rec is the task's record, built on the worker for classified
-	// tasks; the fields above stay for the reproducer bundles, which
-	// need the scripts themselves.
-	rec taskRecord
+// live is what a task's reproducer bundles need beyond its record,
+// handed from the worker to the fold next to the record: the test
+// script the SUT was given, its two ancestors (one seed twice for a
+// mutant), the mutation rules, and the metamorphic variant. A
+// quarantined task's fault stack and its SUT run's reason, which the
+// record's Reason gives up to the fault message, ride along for the
+// quarantine bundle.
+type live struct {
+	script     *smtlib.Script
+	ancestors  [2]*core.Seed
+	rules      []string
+	variant    *mutate.Variant
+	reason     string
+	faultStack string
 }
 
-// testScript is the script that was handed to the solver under test.
-func (o *taskOutcome) testScript() *smtlib.Script {
-	if o.mutant != nil {
-		return o.mutant.Script
-	}
-	return o.fused.Script
-}
-
-// oracle is the expected verdict of the test script.
-func (o *taskOutcome) oracle() core.Status {
-	if o.mutant != nil {
-		return o.mutant.Oracle
-	}
-	return o.fused.Oracle
+// finished is a worker's output for one task.
+type finished struct {
+	rec  taskRecord
+	live live
 }
 
 // makeSUT builds one solver-under-test instance for one task or
@@ -453,10 +423,10 @@ type taskFlags struct {
 }
 
 // apply appends one record and folds it: the one classification step
-// shared by live classification (live is the task's outcome, for the
-// reproducer bundles) and replay (live is nil). jw, when set, receives
-// the record's trace line.
-func (st *runState) apply(rec taskRecord, live *taskOutcome, jw *telemetry.JSONLWriter) (taskFlags, error) {
+// shared by live classification (lv is what the task's reproducer
+// bundles need) and replay (lv is nil). jw, when set, receives the
+// record's trace line.
+func (st *runState) apply(rec taskRecord, lv *live, jw *telemetry.JSONLWriter) (taskFlags, error) {
 	if rec.Facts != nil {
 		if p, ok := rec.Facts.plain(); ok {
 			if shared, ok := st.plain[p]; ok {
@@ -468,7 +438,7 @@ func (st *runState) apply(rec taskRecord, live *taskOutcome, jw *telemetry.JSONL
 	}
 	st.records = append(st.records, rec)
 	r := &st.records[len(st.records)-1]
-	fl, err := st.fold(r, live)
+	fl, err := st.fold(r, lv)
 	if err != nil {
 		return fl, fmt.Errorf("task %d: %v", r.Task, err)
 	}
@@ -525,7 +495,7 @@ func finish(st *runState, breakers []breakerState) (*Result, error) {
 //     drawn from a shared queue by workers. Each task seeds its RNG
 //     from (campaign seed, logic, iteration), so its test is a pure
 //     function of the configuration.
-//  3. Outcomes are classified into st sequentially in task order,
+//  3. Task records are folded into st sequentially in task order,
 //     making bug dedup and duplicate counting order-independent.
 //
 // Consequently a campaign's findings are bit-identical for any Threads
@@ -556,7 +526,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	}
 
 	taskCh := make(chan int, cfg.Threads)
-	outCh := make(chan taskOutcome, cfg.Threads)
+	outCh := make(chan finished, cfg.Threads)
 	quit := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -565,9 +535,8 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		go func() {
 			defer wg.Done()
 			for id := range taskCh {
-				out := runTask(cfg, pools, id)
-				out.rec = recordOf(cfg, &out)
-				outCh <- out
+				rec, lv := runTask(cfg, pools, id)
+				outCh <- finished{rec, lv}
 			}
 		}()
 	}
@@ -586,10 +555,10 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		}
 	}()
 
-	// In-order classification: outcomes arrive in completion order but
+	// In-order classification: records arrive in completion order but
 	// are applied in task order, buffering only the out-of-order window.
 	// After a pause triggers, the feeder is stopped and the channel
-	// drained; outcomes past the frontier are discarded — resume re-runs
+	// drained; records past the frontier are discarded — resume re-runs
 	// them deterministically.
 	totalInclude := len(st.records) + len(include)
 	idx := 0
@@ -602,12 +571,12 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 			quitClosed = true
 		}
 	}
-	pending := map[int]taskOutcome{}
+	pending := map[int]finished{}
 	for out := range outCh {
 		if paused {
 			continue
 		}
-		pending[out.id] = out
+		pending[int(out.rec.Task)] = out
 		for idx < len(include) {
 			cur, ok := pending[include[idx]]
 			if !ok {
@@ -615,9 +584,9 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 			}
 			delete(pending, include[idx])
 			idx++
-			// Live records always fold: the worker built them from the
-			// task's own outcome, witnesses included.
-			st.apply(cur.rec, &cur, jw) //nolint:errcheck
+			// Live records always fold: a new bug takes its witness from
+			// the task's live half.
+			st.apply(cur.rec, &cur.live, jw) //nolint:errcheck
 			if ctl.progress != nil {
 				jw.Flush()
 				ctl.progress(len(st.records), totalInclude)
@@ -649,29 +618,32 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 }
 
 // runTask executes one derive+solve task — fusion of a seed pair or
-// mutation of a single seed, depending on the campaign mode. The task
-// builds its own solver under test, tracker and backend instances, and
-// everything random in it flows from its own deterministic RNG, so its
-// outcome is a function of (campaign, pools, id) alone and campaigns
-// stay bit-identical for any thread count. Instances of one external
-// backend share its Spec's Health, so the circuit breaker still counts
-// the backend's global failure streak.
-func runTask(cfg *campaign, pools []*seedPool, id int) taskOutcome {
+// mutation of a single seed, depending on the campaign mode — and
+// returns its record plus what its reproducer bundles need beyond it.
+// The task builds its own solver under test, tracker and backend
+// instances, and everything random in it flows from its own
+// deterministic RNG, so its record is a function of (campaign, pools,
+// id) alone and campaigns stay bit-identical for any thread count.
+// Instances of one external backend share its Spec's Health, so the
+// circuit breaker still counts the backend's global failure streak.
+func runTask(cfg *campaign, pools []*seedPool, id int) (taskRecord, live) {
 	tr := telemetry.NewTracker()
 	bks := make([]backend.Backend, len(cfg.specs))
 	for i, spec := range cfg.specs {
 		bks[i] = spec.New()
 	}
-	out := runTaskInner(cfg, pools, makeSUT(cfg, tr), bks, id)
-	if !out.wallTimeout {
+	rec, lv := runTaskInner(cfg, pools, makeSUT(cfg, tr), bks, id)
+	if rec.Status != statusWallTimeout {
 		// On a wall-timeout the abandoned goroutine may still be writing
 		// tr, so the tracker is left to it instead of read.
-		out.delta = tr.Delta()
+		rec.Counters = tr.Delta()
 	}
-	return out
+	return rec, lv
 }
 
-func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) taskOutcome {
+func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) (taskRecord, live) {
+	rec := taskRecord{Task: int32(id)}
+	var lv live
 	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
 	logic := gen.Logic(cfg.Logics[logicIdx])
 	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, logic, iter)))
@@ -680,7 +652,6 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 		oracle = core.StatusUnsat
 	}
 	pool := pools[logicIdx]
-	out := taskOutcome{id: id}
 	if cfg.mutation() {
 		s1 := pool.pick(oracle, rng)
 		var mut *mutate.Mutant
@@ -698,11 +669,14 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 			// defect; a lost witness or gate rejection is a mutation-engine
 			// failure triaged like an invalid fusion.
 			var ge *analysis.GateError
-			invalid := errors.As(err, &ge) || errors.Is(err, mutate.ErrWitnessLost)
-			return taskOutcome{id: id, invalid: invalid}
+			rec.Status = statusSkipped
+			if errors.As(err, &ge) || errors.Is(err, mutate.ErrWitnessLost) {
+				rec.Status = statusInvalid
+			}
+			return rec, lv
 		}
-		out.mutant = mut
-		out.ancestors = [2]*core.Seed{s1, s1}
+		rec.Oracle = mut.Oracle
+		lv = live{script: mut.Script, ancestors: [2]*core.Seed{s1, s1}, rules: mut.Rules}
 	} else {
 		s1, s2 := pool.pick(oracle, rng), pool.pick(oracle, rng)
 		var fused *core.Fused
@@ -714,64 +688,86 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 		}
 		if err != nil {
 			var ge *analysis.GateError
-			return taskOutcome{id: id, invalid: errors.As(err, &ge)}
+			rec.Status = statusSkipped
+			if errors.As(err, &ge) {
+				rec.Status = statusInvalid
+			}
+			return rec, lv
 		}
-		out.fused = fused
-		out.ancestors = [2]*core.Seed{s1, s2}
+		rec.Oracle, rec.Mode = fused.Oracle, fused.Mode
+		lv = live{script: fused.Script, ancestors: [2]*core.Seed{s1, s2}}
 	}
-	out.tested = true
-	script := out.testScript()
+	var run RunResult
 	// watchdog.Run solves inline when no wall timeout is armed.
-	if !watchdog.Run(cfg.WallTimeout, func() { out.run = RunSolver(sut, script) }) {
+	if !watchdog.Run(cfg.WallTimeout, func() { run = RunSolver(sut, lv.script) }) {
 		// The solve is still executing in the abandoned goroutine, which
-		// owns out.run; build the quarantine report from the untouched
-		// fields only.
-		return taskOutcome{id: id, tested: true, fused: out.fused,
-			mutant: out.mutant, ancestors: out.ancestors, wallTimeout: true}
+		// owns run: the quarantine record takes nothing from it.
+		rec.Status, rec.Facts = statusWallTimeout, &taskFacts{}
+		return rec, lv
+	}
+	f := &taskFacts{Observed: run.Result, Crashed: run.Crashed, Reason: run.Reason, Fired: run.DefectsFired}
+	if run.Crashed {
+		f.Reason = run.CrashMsg
+	}
+	rec.Facts = f
+	if run.InternalFault {
+		// A quarantined task is withdrawn from all oracles, the
+		// differential one included.
+		rec.Status = statusFault
+		lv.reason, f.Reason, lv.faultStack = f.Reason, run.FaultMsg, run.FaultStack
+		return rec, lv
 	}
 	// Cross-check backends run after a completed SUT solve, on the
-	// worker, so external solver latency overlaps across workers. A
-	// quarantined task (internal fault) is withdrawn from all oracles,
-	// the differential one included. Process backends enforce their own
-	// deadline; the watchdog never wraps them.
-	if !out.run.InternalFault {
-		out.backendRuns = runBackends(bks, script)
-	}
+	// worker, so external solver latency overlaps across workers.
+	// Process backends enforce their own deadline; the watchdog never
+	// wraps them.
+	f.Backends = runBackends(bks, lv.script)
 	// Metamorphic leg: an unknown-status test has no ground truth to
 	// check against, so derive a relation-preserving variant and solve it
 	// on the same worker. The variant's randomness comes from its own
 	// seed domain — reordering or disabling the policy never perturbs
 	// the primary task stream.
-	if (cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto) &&
-		out.oracle() == core.StatusUnknown && !out.run.InternalFault {
+	if (cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto) && rec.Oracle == core.StatusUnknown {
 		vrng := rand.New(rand.NewSource(metaSeed(cfg.Seed, logic, iter)))
-		v, err := mutate.DeriveVariant(script, vrng, mutate.Options{})
+		v, err := mutate.DeriveVariant(lv.script, vrng, mutate.Options{})
 		if err != nil {
 			// No relation-preserving site (or the gate rejected the
 			// variant): the pair is skipped, never charged as a finding.
-			out.variantSkip = true
-			return out
-		}
-		out.variant = v
-		if !watchdog.Run(cfg.WallTimeout, func() { out.variantRun = RunSolver(sut, v.Script) }) {
-			// Same taint rule as the primary solve: the abandoned
-			// goroutine owns out.variantRun, so rebuild the outcome from
-			// the untouched fields.
-			return taskOutcome{id: id, tested: true, fused: out.fused,
-				mutant: out.mutant, ancestors: out.ancestors, wallTimeout: true}
-		}
-		if !out.variantRun.InternalFault {
-			out.variantBackends = runBackends(bks, v.Script)
+			f.Variant = &variantRecord{Skip: true}
+		} else {
+			var vr RunResult
+			if !watchdog.Run(cfg.WallTimeout, func() { vr = RunSolver(sut, v.Script) }) {
+				// Same taint rule as the primary solve: the abandoned
+				// goroutine owns vr.
+				rec.Status, rec.Facts = statusWallTimeout, &taskFacts{}
+				return rec, lv
+			}
+			lv.variant = v
+			f.Variant = &variantRecord{Relation: v.Rel, Observed: vr.Result, Crashed: vr.Crashed, Fired: vr.DefectsFired}
+			if vr.InternalFault {
+				rec.Status = statusVariantFault
+				lv.reason, f.Reason, lv.faultStack = f.Reason, vr.FaultMsg, vr.FaultStack
+				return rec, lv
+			}
+			f.Variant.Backends = runBackends(bks, v.Script)
 		}
 	}
-	return out
+	if !cfg.DisableModelCheck && run.Result == solver.ResSat && !contradicts(backend.Sat, rec.Oracle) {
+		// The verdict agrees with the oracle, but the reported witness
+		// must still satisfy the formula: this is the only oracle that
+		// can see post-certification model corruption.
+		if ok, reason := ValidateModel(lv.script, run.Model); !ok {
+			f.ModelFail = reason
+		}
+	}
+	return rec, lv
 }
 
-// fold classifies one task record into the campaign state. live is the
-// task's outcome during live classification (nil on replay): it is
+// fold classifies one task record into the campaign state. lv is the
+// task's live half during live classification (nil on replay): it is
 // read only to write reproducer bundles and to take a new bug's
 // witness, never to decide anything.
-func (st *runState) fold(rec *taskRecord, live *taskOutcome) (taskFlags, error) {
+func (st *runState) fold(rec *taskRecord, lv *live) (taskFlags, error) {
 	var fl taskFlags
 	res := st.res
 	st.tr.AddDelta(rec.Counters)
@@ -792,69 +788,51 @@ func (st *runState) fold(rec *taskRecord, live *taskOutcome) (taskFlags, error) 
 	if rec.Status.quarantined() {
 		res.Quarantined++
 		st.tr.Inc(cfQuarantined)
-		if st.aw != nil && live != nil {
-			m := manifestFor(st.cfg, live, "quarantine", "")
-			switch rec.Status {
-			case statusWallTimeout:
-				m.Observed = "wall-timeout"
-				m.Reason = "wall-clock watchdog expired"
-			case statusFault:
-				m.Observed = "internal-fault"
-				m.FaultMsg = live.run.FaultMsg
-				m.FaultStack = live.run.FaultStack
-			default:
-				m.Observed = "internal-fault"
-				m.FaultMsg = live.variantRun.FaultMsg
-				m.FaultStack = live.variantRun.FaultStack
+		if st.aw != nil && lv != nil {
+			m := manifestFor(st.cfg, rec, lv, "quarantine", "")
+			if rec.Status == statusWallTimeout {
+				m.Observed, m.Reason = "wall-timeout", "wall-clock watchdog expired"
+			} else {
+				m.Observed, m.Reason, m.FaultMsg, m.FaultStack = "internal-fault", lv.reason, rec.Facts.Reason, lv.faultStack
 			}
-			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
+			st.aw.write(m, lv.ancestors, lv.script, int(rec.Task))
 		}
 		return fl, nil
 	}
 	res.Tests++
 	st.tr.Inc(cfSolved)
 	st.tr.Observe(hTaskFuel, rec.Counters.Counter(solver.FuelSpentCounter))
-	if err := st.classify(rec, live, &fl); err != nil {
+	if err := st.classify(rec, lv, &fl); err != nil {
 		return fl, err
 	}
-	st.classifyBackends(rec, live)
-	st.classifyConsensus(rec, live, &fl)
+	st.classifyBackends(rec, lv)
+	st.classifyConsensus(rec, lv, &fl)
 	return fl, nil
 }
 
-// manifestFor assembles the replay coordinates of one task outcome.
-func manifestFor(cfg *campaign, out *taskOutcome, bugType string, defect solver.Defect) Manifest {
-	fired := make([]string, 0, len(out.run.DefectsFired))
-	for _, d := range out.run.DefectsFired {
-		fired = append(fired, string(d))
-	}
+// manifestFor assembles the replay coordinates of one task record.
+func manifestFor(cfg *campaign, rec *taskRecord, lv *live, bugType string, defect solver.Defect) Manifest {
 	// The per-process fields are cleared, so a bundle's bytes do not
 	// depend on where or how the campaign ran.
 	cc := cfg.CampaignConfig
 	cc.Threads, cc.ArtifactDir, cc.Shard, cc.Shards = 0, "", 0, 0
+	f := rec.Facts
 	m := Manifest{
-		Schema:       ManifestSchema,
-		Campaign:     cc,
-		BugType:      bugType,
-		Defect:       string(defect),
-		Observed:     out.run.Result.String(),
-		Reason:       out.run.Reason,
-		DefectsFired: fired,
-		Logic:        cfg.Logics[out.id/cfg.Iterations],
-		Iteration:    out.id % cfg.Iterations,
+		Schema:        ManifestSchema,
+		Campaign:      cc,
+		BugType:       bugType,
+		Defect:        string(defect),
+		Oracle:        rec.Oracle.String(),
+		Observed:      sutVerdict(f.Observed, f.Crashed).String(),
+		Reason:        f.Reason,
+		DefectsFired:  defectNames(f.Fired),
+		Logic:         cfg.Logics[int(rec.Task)/cfg.Iterations],
+		Iteration:     int(rec.Task) % cfg.Iterations,
+		Mode:          rec.Mode.String(),
+		MutationRules: lv.rules,
 	}
-	if out.fused != nil {
-		m.Oracle = out.fused.Oracle.String()
-		m.Mode = out.fused.Mode.String()
-	}
-	if out.mutant != nil {
-		m.Oracle = out.mutant.Oracle.String()
+	if cfg.mutation() {
 		m.Mode = "mutation"
-		m.MutationRules = out.mutant.Rules
-	}
-	if out.run.Crashed {
-		m.Observed = "crash"
-		m.Reason = out.run.CrashMsg
 	}
 	return m
 }
@@ -864,7 +842,7 @@ func manifestFor(cfg *campaign, out *taskOutcome, bugType string, defect solver.
 // triage, and duplicate triage by defect site. A live task that
 // records a new bug gets its witness attached; a replayed one must
 // carry it.
-func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) error {
+func (st *runState) classify(rec *taskRecord, lv *live, fl *taskFlags) error {
 	cfg, res := st.cfg, st.res
 	// record triages the observation to its defect; reason, when set,
 	// replaces the run's reason in the reproducer manifest only.
@@ -892,13 +870,10 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 			Tasks:    []int{int(rec.Task)},
 		}
 		w := rec.Facts.Witness
-		if live != nil {
+		if lv != nil {
 			// The live record carries the bug's witness from here on. Its
 			// facts may be shared, so they are copied, never written.
-			w = &witness{script: live.testScript(), seeds: live.ancestors}
-			if live.mutant != nil {
-				w.rules = live.mutant.Rules
-			}
+			w = &witness{script: lv.script, seeds: lv.ancestors, rules: lv.rules}
 			f := *rec.Facts
 			f.Witness = w
 			rec.Facts = &f
@@ -910,12 +885,12 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 		res.Bugs = append(res.Bugs, b)
 		st.tr.Inc(cfFindings)
 		fl.finding = true
-		if st.aw != nil && live != nil {
-			m := manifestFor(cfg, live, string(kind), primary)
+		if st.aw != nil && lv != nil {
+			m := manifestFor(cfg, rec, lv, string(kind), primary)
 			if reason != "" {
 				m.Reason = reason
 			}
-			st.aw.write(m, live.ancestors, live.testScript(), int(rec.Task))
+			st.aw.write(m, lv.ancestors, lv.script, int(rec.Task))
 		}
 		return nil
 	}
@@ -950,7 +925,7 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 		// model checked (recordOf ran the model-validation oracle).
 		st.tr.Inc(cfOracleChecked)
 		switch {
-		case verdictContradicts(run.Observed, rec.Oracle):
+		case contradicts(sutVerdict(run.Observed, run.Crashed), rec.Oracle):
 			return record(bugdb.Soundness, "")
 		case run.ModelFail != "":
 			return record(bugdb.InvalidModel, run.ModelFail)
@@ -959,22 +934,30 @@ func (st *runState) classify(rec *taskRecord, live *taskOutcome, fl *taskFlags) 
 	return nil
 }
 
-// verdictContradicts reports whether a SUT verdict refutes the ground
-// truth. Only a definite verdict on a definite oracle can contradict:
-// an unknown-status test (wild mutation) has nothing to refute, so it
-// abstains rather than being treated as implicitly unsat. The earlier
-// predicate `(res == ResSat) != (oracle == StatusSat)` collapsed
-// StatusUnknown into the unsat arm and charged every sat verdict on an
-// unknown-status input as a soundness bug.
-func verdictContradicts(res solver.Result, oracle core.Status) bool {
+// sutVerdict classifies a SUT run in the backend verdict taxonomy, so
+// the solver under test votes, contradicts and is labelled like any
+// backend: a crash, or the run's result.
+func sutVerdict(observed solver.Result, crashed bool) backend.Verdict {
+	if crashed {
+		return backend.Crash
+	}
+	return backend.FromResult(observed)
+}
+
+// contradicts reports whether a verdict refutes the ground truth: the
+// one contradiction predicate of the known-status and differential
+// oracles, for the SUT (through sutVerdict) and backends alike. Only a
+// definite verdict on a definite oracle can contradict: an
+// unknown-status test (wild mutation) has nothing to refute, so it
+// abstains rather than being treated as implicitly unsat.
+func contradicts(v backend.Verdict, oracle core.Status) bool {
 	switch oracle {
 	case core.StatusSat:
-		return res == solver.ResUnsat
+		return v == backend.Unsat
 	case core.StatusUnsat:
-		return res == solver.ResSat
-	default:
-		return false
+		return v == backend.Sat
 	}
+	return false
 }
 
 // primaryDefect picks the fired defect matching the observed bug kind

@@ -385,8 +385,8 @@ func TestThreadCountInvariance(t *testing.T) {
 // TestTaskAloneMatchesCampaign pins the invariant thread-count
 // invariance rests on (DESIGN §4.11): a task's record is a function of
 // the task alone. Every task of a wild/auto campaign with hermetic
-// backends, run alone through the worker path (runTask, then recordOf)
-// on a freshly built corpus, must give the record a -threads 3 campaign
+// backends, run alone through the worker path (runTask) on a freshly
+// built corpus, must give the record a -threads 3 campaign
 // classified: status, facts with the backend outputs and the variant
 // leg, and counter delta.
 func TestTaskAloneMatchesCampaign(t *testing.T) {
@@ -407,8 +407,7 @@ func TestTaskAloneMatchesCampaign(t *testing.T) {
 	}
 	var backends, variants, memoHits int
 	for _, want := range recs {
-		alone := runTask(cfg, pools, int(want.Task))
-		got := recordOf(cfg, &alone)
+		got, _ := runTask(cfg, pools, int(want.Task))
 		if want.Facts != nil && want.Facts.Witness != nil {
 			// Classification attaches a new bug's witness to its record;
 			// the worker's record never carries one.

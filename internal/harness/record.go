@@ -198,64 +198,6 @@ func (w *witness) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// recordOf builds a task's record from its outcome. It runs on the
-// worker, so the model-validation oracle, which reads only the task's
-// own run, runs there too.
-func recordOf(cfg *campaign, out *taskOutcome) taskRecord {
-	rec := taskRecord{Task: int32(out.id), Counters: out.delta}
-	switch {
-	case out.invalid:
-		rec.Status = statusInvalid
-		return rec
-	case !out.tested:
-		rec.Status = statusSkipped
-		return rec
-	}
-	run := out.run
-	rec.Oracle = out.oracle()
-	if out.fused != nil {
-		rec.Mode = out.fused.Mode
-	}
-	f := &taskFacts{Observed: run.Result, Crashed: run.Crashed, Reason: run.Reason,
-		Fired: run.DefectsFired, Backends: out.backendRuns}
-	if run.Crashed {
-		f.Reason = run.CrashMsg
-	}
-	switch {
-	case out.variantSkip:
-		f.Variant = &variantRecord{Skip: true}
-	case out.variant != nil:
-		vr := out.variantRun
-		f.Variant = &variantRecord{Relation: out.variant.Rel, Observed: vr.Result, Crashed: vr.Crashed,
-			Fired: vr.DefectsFired, Backends: out.variantBackends}
-	}
-	switch {
-	case out.wallTimeout:
-		rec.Status, f.Reason = statusWallTimeout, ""
-	case run.InternalFault:
-		rec.Status, f.Reason = statusFault, run.FaultMsg
-	case out.variantRun.InternalFault:
-		rec.Status, f.Reason = statusVariantFault, out.variantRun.FaultMsg
-	case !cfg.DisableModelCheck && run.Result == solver.ResSat && !verdictContradicts(run.Result, rec.Oracle):
-		// The verdict agrees with the oracle, but the reported witness
-		// must still satisfy the formula: this is the only oracle that
-		// can see post-certification model corruption.
-		if ok, reason := ValidateModel(out.testScript(), run.Model); !ok {
-			f.ModelFail = reason
-		}
-	}
-	rec.Facts = f
-	return rec
-}
-
-// sutLabel classifies a SUT run as a trace and vote label.
-func sutLabel(observed solver.Result, crashed bool) string {
-	if crashed {
-		return "crash"
-	}
-	return observed.String()
-}
-
 // validateRecords checks a document's records against its defaulted
 // config: exactly one record per task id up to the frontier, in this
 // shard's ascending task order, every field in range, and one backend

@@ -177,7 +177,7 @@ func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
 	case statusFault, statusVariantFault:
 		tl.Status, tl.Observed = "quarantined", "internal-fault"
 	default:
-		tl.Observed = sutLabel(run.Observed, run.Crashed)
+		tl.Observed = sutVerdict(run.Observed, run.Crashed).String()
 	}
 	tl.Reason = run.Reason
 	tl.ModelCheck = run.ModelFail
@@ -193,7 +193,7 @@ func traceLine(cfg *campaign, rec *taskRecord, fl taskFlags) TraceRecord {
 		tl.Consensus = fl.consensus
 		if v := run.Variant; v != nil && !v.Skip {
 			tl.MetaRelation = v.Relation.String()
-			tl.VariantObserved = sutLabel(v.Observed, v.Crashed)
+			tl.VariantObserved = sutVerdict(v.Observed, v.Crashed).String()
 			tl.VariantBackends = verdictMap(cfg, v.Backends)
 			tl.VariantDefectsFired = defectNames(v.Fired)
 		}

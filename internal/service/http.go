@@ -2,8 +2,11 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
@@ -74,8 +77,8 @@ func (j *Job) info() Info {
 		Total:     total,
 		Summary:   j.summary,
 		Error:     j.errMsg,
-		Submitted: j.submitted.UTC().Format("2006-01-02T15:04:05Z"),
-		Updated:   j.updated.UTC().Format("2006-01-02T15:04:05Z"),
+		Submitted: j.submitted.UTC().Format(time.RFC3339),
+		Updated:   j.updated.UTC().Format(time.RFC3339),
 		Config:    j.config,
 	}
 }
@@ -113,7 +116,7 @@ func decodeBody(r *http.Request, v any, allowEmpty bool) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 10<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		if allowEmpty && err.Error() == "EOF" {
+		if allowEmpty && errors.Is(err, io.EOF) {
 			return nil
 		}
 		return err

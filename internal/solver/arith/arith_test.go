@@ -115,7 +115,7 @@ func atomsOf(t *testing.T, decls map[string]ast.Sort, srcs ...string) []Atom {
 			t.Fatal(err)
 		}
 		app := term.(*ast.App)
-		rel, ok := relOfOp(app.Op)
+		rel, ok := RelOf(app.Op)
 		if !ok {
 			t.Fatalf("not a relation: %s", src)
 		}

@@ -138,7 +138,7 @@ func RefuteIntervals(lits []ast.Term, intVars map[string]bool, rounds int, m *fu
 			if !ok {
 				continue
 			}
-			rel, ok := relOfOp(app.Op)
+			rel, ok := RelOf(app.Op)
 			if !ok || len(app.Args) != 2 {
 				continue
 			}
@@ -176,7 +176,10 @@ func RefuteIntervals(lits []ast.Term, intVars map[string]bool, rounds int, m *fu
 	return false
 }
 
-func relOfOp(op ast.Op) (Rel, bool) {
+// RelOf maps a comparison operator to its relation: the one op→relation
+// map of the arith front end, the string layer's length abstraction and
+// the literal memo.
+func RelOf(op ast.Op) (Rel, bool) {
 	switch op {
 	case ast.OpLe:
 		return RelLe, true

@@ -155,24 +155,8 @@ func comparison(f *litFacts) bool {
 		polarity = !polarity
 	}
 	app := t.(*ast.App)
-	var rel arith.Rel
-	switch app.Op {
-	case ast.OpLe:
-		rel = arith.RelLe
-	case ast.OpLt:
-		rel = arith.RelLt
-	case ast.OpGe:
-		rel = arith.RelGe
-	case ast.OpGt:
-		rel = arith.RelGt
-	case ast.OpEq:
-		rel = arith.RelEq
-	case ast.OpDistinct:
-		rel = arith.RelNe
-	default:
-		return false
-	}
-	if len(app.Args) != 2 || !app.Args[0].Sort().IsArith() {
+	rel, ok := arith.RelOf(app.Op)
+	if !ok || len(app.Args) != 2 || !app.Args[0].Sort().IsArith() {
 		return false
 	}
 	if !polarity {

@@ -50,7 +50,7 @@ func (c *checker) completeArith() (bool, eval.Model) {
 			if !ok {
 				return false, nil
 			}
-			rel, ok := relOf(app.Op)
+			rel, ok := arith.RelOf(app.Op)
 			if !ok || len(app.Args) != 2 || !app.Args[0].Sort().IsArith() {
 				return false, nil
 			}
@@ -218,22 +218,4 @@ func simplifyBool(t ast.Term) ast.Term {
 		}
 		return s
 	})
-}
-
-func relOf(op ast.Op) (arith.Rel, bool) {
-	switch op {
-	case ast.OpLe:
-		return arith.RelLe, true
-	case ast.OpLt:
-		return arith.RelLt, true
-	case ast.OpGe:
-		return arith.RelGe, true
-	case ast.OpGt:
-		return arith.RelGt, true
-	case ast.OpEq:
-		return arith.RelEq, true
-	case ast.OpDistinct:
-		return arith.RelNe, true
-	}
-	return 0, false
 }

@@ -511,21 +511,11 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 	return Unknown, hints
 }
 
-// intLit linearizes an integer comparison literal into the abstraction.
+// intLit linearizes an integer comparison literal (=, <=, <, >=, >)
+// into the abstraction; a distinct literal is skipped.
 func (c *checker) intLit(app *ast.App, polarity bool, abs *arith.Abstractor, add func(*arith.LinExpr, arith.Rel)) {
-	var rel arith.Rel
-	switch app.Op {
-	case ast.OpEq:
-		rel = arith.RelEq
-	case ast.OpLe:
-		rel = arith.RelLe
-	case ast.OpLt:
-		rel = arith.RelLt
-	case ast.OpGe:
-		rel = arith.RelGe
-	case ast.OpGt:
-		rel = arith.RelGt
-	default:
+	rel, ok := arith.RelOf(app.Op)
+	if !ok || rel == arith.RelNe {
 		return
 	}
 	if !polarity {
