@@ -22,10 +22,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (parallel campaign + solver) =="
+echo "== go test -race (parallel campaign + solver + term tables) =="
 # -short scales campaign iteration counts down: the race detector
 # needs the parallel shard/merge structure exercised, not volume.
-go test -race -short -timeout 20m ./internal/harness/ ./internal/solver/...
+# Concurrent tasks read the frozen corpus term table, each through a
+# table of its own, so the ast and fusion packages run here too.
+go test -race -short -timeout 20m ./internal/harness/ ./internal/solver/... ./internal/ast/ ./internal/core/
 
 echo "== go test -race (fault containment) =="
 # The fault-injection suite full-length under the race detector: hang

@@ -38,8 +38,7 @@ import (
 
 // allocTolerance is the largest allowed fractional allocs/op growth
 // over the baseline. Allocation counts at a fixed op count move only
-// with the code (weakly interned terms leave a little GC-dependent
-// slack), so the bound is fixed rather than tuned per host.
+// with the code, so the bound is fixed rather than tuned per host.
 const allocTolerance = 0.10
 
 const (

@@ -23,6 +23,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/ast"
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/eval"
@@ -50,16 +51,18 @@ func main() {
 	if *stats {
 		tr = telemetry.NewTracker()
 	}
+	// The script is parsed into tb and the solver builds there too.
+	tb := ast.NewTable(nil)
 	var s *solver.Solver
 	if *sutName == "" {
-		s = solver.New(solver.Config{Fuel: *fuel, Telemetry: tr})
+		s = solver.New(solver.Config{Fuel: *fuel, Telemetry: tr, Terms: tb})
 	} else {
 		defects, err := bugdb.DefectsIn(bugdb.SUT(*sutName), *release)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		s = solver.New(solver.Config{Defects: defects, Fuel: *fuel, Telemetry: tr})
+		s = solver.New(solver.Config{Defects: defects, Fuel: *fuel, Telemetry: tr, Terms: tb})
 	}
 
 	defer func() {
@@ -75,7 +78,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	script, err := smtlib.ParseScript(string(data))
+	script, err := smtlib.ParseScriptIn(tb, string(data))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "parse error:", err)
 		os.Exit(1)

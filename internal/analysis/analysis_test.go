@@ -39,12 +39,12 @@ func wantFinding(t *testing.T, diags []Diagnostic, sev Severity, substr string) 
 // --- seeded negative: a deliberately ill-sorted term ---
 
 func TestWellSortedCatchesIllSortedTerm(t *testing.T) {
-	x := ast.NewVar("x", ast.SortInt)
+	x := tb.Var("x", ast.SortInt)
 	// (+ x true) forged with a claimed Int sort.
-	bad := ast.UncheckedApp(ast.OpAdd, ast.SortInt, x, ast.True)
+	bad := tb.UncheckedApp(ast.OpAdd, ast.SortInt, x, ast.True)
 	s := smtlib.NewScript("QF_LIA",
 		[]*smtlib.DeclareFun{{Name: "x", Sort: ast.SortInt}},
-		[]ast.Term{ast.UncheckedApp(ast.OpGt, ast.SortBool, bad, ast.Int(0))})
+		[]ast.Term{tb.UncheckedApp(ast.OpGt, ast.SortBool, bad, tb.Int(0))})
 	diags := diagnosticsOf(t, s, nil, "wellsorted")
 	wantFinding(t, diags, SeverityError, "ill-sorted application")
 }
@@ -52,19 +52,19 @@ func TestWellSortedCatchesIllSortedTerm(t *testing.T) {
 func TestWellSortedCatchesStoredSortMismatch(t *testing.T) {
 	// (+ 1 2) forged with a claimed Bool sort: the typing rule accepts
 	// the arguments but derives Int.
-	forged := ast.UncheckedApp(ast.OpAdd, ast.SortBool, ast.Int(1), ast.Int(2))
+	forged := tb.UncheckedApp(ast.OpAdd, ast.SortBool, tb.Int(1), tb.Int(2))
 	s := smtlib.NewScript("QF_LIA", nil, []ast.Term{forged})
 	diags := diagnosticsOf(t, s, nil, "wellsorted")
 	wantFinding(t, diags, SeverityError, "typing rule derives")
 }
 
 func TestWellSortedCatchesUndeclaredAndMismatchedVars(t *testing.T) {
-	ghost := ast.NewVar("ghost", ast.SortInt)
+	ghost := tb.Var("ghost", ast.SortInt)
 	s := smtlib.NewScript("QF_LIA",
 		[]*smtlib.DeclareFun{{Name: "x", Sort: ast.SortReal}},
 		[]ast.Term{
-			ast.Gt(ghost, ast.Int(0)),
-			ast.Gt(ast.NewVar("x", ast.SortInt), ast.Int(0)), // declared Real, used Int
+			tb.Gt(ghost, tb.Int(0)),
+			tb.Gt(tb.Var("x", ast.SortInt), tb.Int(0)), // declared Real, used Int
 		})
 	diags := diagnosticsOf(t, s, nil, "wellsorted")
 	wantFinding(t, diags, SeverityError, `undeclared variable "ghost"`)
@@ -370,15 +370,15 @@ func TestFusionAcceptsValidMeta(t *testing.T) {
 // --- trivial-constant detection ---
 
 func TestTrivialNotesConstantAsserts(t *testing.T) {
-	x := ast.NewVar("x", ast.SortInt)
+	x := tb.Var("x", ast.SortInt)
 	s := smtlib.NewScript("QF_LIA",
 		[]*smtlib.DeclareFun{{Name: "x", Sort: ast.SortInt}},
 		[]ast.Term{
 			ast.True,
-			ast.Eq(ast.Int(3), ast.Int(3)),
-			ast.Lt(ast.Int(1), ast.Int(2)),
-			ast.Lt(x, x),
-			ast.Gt(x, ast.Int(0)),
+			tb.Eq(tb.Int(3), tb.Int(3)),
+			tb.Lt(tb.Int(1), tb.Int(2)),
+			tb.Lt(x, x),
+			tb.Gt(x, tb.Int(0)),
 		})
 	diags := diagnosticsOf(t, s, nil, "trivial")
 	wantFinding(t, diags, SeverityInfo, "assert of the constant true")
@@ -396,7 +396,7 @@ func TestTrivialNotesConstantAsserts(t *testing.T) {
 // --- framework ---
 
 func TestAnalyzeScriptOrdersAndFilters(t *testing.T) {
-	forged := ast.UncheckedApp(ast.OpAdd, ast.SortBool, ast.Int(1), ast.Int(2))
+	forged := tb.UncheckedApp(ast.OpAdd, ast.SortBool, tb.Int(1), tb.Int(2))
 	s := smtlib.NewScript("QF_LIA", nil, []ast.Term{forged, ast.True})
 	diags := AnalyzeScript(s, nil)
 	if len(diags) == 0 || diags[0].Severity != SeverityError {
@@ -414,7 +414,7 @@ func TestAnalyzeScriptOrdersAndFilters(t *testing.T) {
 }
 
 func TestGateReturnsTypedError(t *testing.T) {
-	forged := ast.UncheckedApp(ast.OpAdd, ast.SortBool, ast.Int(1), ast.Int(2))
+	forged := tb.UncheckedApp(ast.OpAdd, ast.SortBool, tb.Int(1), tb.Int(2))
 	s := smtlib.NewScript("QF_LIA", nil, []ast.Term{forged})
 	err := Gate(s, nil)
 	ge, ok := err.(*GateError)
@@ -456,3 +456,6 @@ func TestRegistryLookup(t *testing.T) {
 		t.Fatal("Passes must return a copy")
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

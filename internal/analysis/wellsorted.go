@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/smtlib"
@@ -9,7 +10,7 @@ import (
 
 // wellSortedPass re-verifies well-sortedness of every term against the
 // internal/ast operator table, independent of the elaborator: every
-// application is re-typed through ast.NewApp and its stored sort
+// application is re-typed through ast.SortOf and its stored sort
 // compared with the recomputed one, every variable occurrence is
 // checked against the script's declarations (or the enclosing binders),
 // every assert must be boolean, and declarations must be unique. All
@@ -30,6 +31,14 @@ func (wellSortedPass) Analyze(s *smtlib.Script, _ *FusionMeta) []Diagnostic {
 		})
 	}
 
+	// clean holds the applications already verified under no binder:
+	// the quantifier-free scope is shared by every assert, so a subterm
+	// shared across the DAG is re-typed once.
+	clean := cleanSets.Get().(map[*ast.App]struct{})
+	defer func() {
+		clear(clean)
+		cleanSets.Put(clean)
+	}()
 	decls := map[string]ast.Sort{}
 	for _, d := range s.Declarations() {
 		if prev, ok := decls[d.Name]; ok {
@@ -52,7 +61,7 @@ func (wellSortedPass) Analyze(s *smtlib.Script, _ *FusionMeta) []Diagnostic {
 		for _, p := range df.Params {
 			bound[p.Name] = p.Sort
 		}
-		if df.Body.Sort() == df.Result && termSortsClean(df.Body, decls, bound) {
+		if df.Body.Sort() == df.Result && termSortsClean(df.Body, decls, bound, map[*ast.App]struct{}{}) {
 			continue
 		}
 		path := fmt.Sprintf("define-fun %s", df.Name)
@@ -66,7 +75,7 @@ func (wellSortedPass) Analyze(s *smtlib.Script, _ *FusionMeta) []Diagnostic {
 		// Fast pre-check: a clean term (the overwhelmingly common case)
 		// is verified without building any per-node path strings; only
 		// a failing term takes the message-producing walk.
-		if a.Sort() == ast.SortBool && termSortsClean(a, decls, nil) {
+		if a.Sort() == ast.SortBool && termSortsClean(a, decls, nil, clean) {
 			continue
 		}
 		path := fmt.Sprintf("assert[%d]", i)
@@ -78,9 +87,13 @@ func (wellSortedPass) Analyze(s *smtlib.Script, _ *FusionMeta) []Diagnostic {
 	return out
 }
 
+var cleanSets = sync.Pool{New: func() any { return map[*ast.App]struct{}{} }}
+
 // termSortsClean reports whether checkTermSorts would produce no
-// diagnostics for t, without allocating diagnostic context.
-func termSortsClean(t ast.Term, decls, bound map[string]ast.Sort) bool {
+// diagnostics for t, without allocating diagnostic context. clean is
+// the set of applications already verified under the same binders;
+// each quantifier opens a scope of its own.
+func termSortsClean(t ast.Term, decls, bound map[string]ast.Sort, clean map[*ast.App]struct{}) bool {
 	switch n := t.(type) {
 	case *ast.Var:
 		if bs, ok := bound[n.Name]; ok {
@@ -89,15 +102,18 @@ func termSortsClean(t ast.Term, decls, bound map[string]ast.Sort) bool {
 		ds, ok := decls[n.Name]
 		return ok && ds == n.VSort
 	case *ast.App:
-		recomputed, err := ast.NewApp(n.Op, n.Args...)
-		if err != nil || recomputed.Sort() != n.Sort() {
+		if _, ok := clean[n]; ok {
+			return true
+		}
+		if sort, err := ast.SortOf(n.Op, n.Args); err != nil || sort != n.Sort() {
 			return false
 		}
 		for _, a := range n.Args {
-			if !termSortsClean(a, decls, bound) {
+			if !termSortsClean(a, decls, bound, clean) {
 				return false
 			}
 		}
+		clean[n] = struct{}{}
 	case *ast.Quant:
 		if len(n.Bound) == 0 || n.Body.Sort() != ast.SortBool {
 			return false
@@ -109,7 +125,7 @@ func termSortsClean(t ast.Term, decls, bound map[string]ast.Sort) bool {
 		for _, sv := range n.Bound {
 			inner[sv.Name] = sv.Sort
 		}
-		return termSortsClean(n.Body, decls, inner)
+		return termSortsClean(n.Body, decls, inner, map[*ast.App]struct{}{})
 	}
 	return true
 }
@@ -134,11 +150,11 @@ func checkTermSorts(t ast.Term, path string, decls, bound map[string]ast.Sort, r
 			report(path, "variable %q occurs with sort %v, declared as %v", n.Name, n.VSort, ds)
 		}
 	case *ast.App:
-		recomputed, err := ast.NewApp(n.Op, n.Args...)
+		sort, err := ast.SortOf(n.Op, n.Args)
 		if err != nil {
 			report(path, "ill-sorted application: %v", err)
-		} else if recomputed.Sort() != n.Sort() {
-			report(path, "(%s ...) carries sort %v, typing rule derives %v", n.Op, n.Sort(), recomputed.Sort())
+		} else if sort != n.Sort() {
+			report(path, "(%s ...) carries sort %v, typing rule derives %v", n.Op, n.Sort(), sort)
 		}
 		for i, a := range n.Args {
 			checkTermSorts(a, fmt.Sprintf("%s.arg[%d]", path, i), decls, bound, report)

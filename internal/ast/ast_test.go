@@ -50,60 +50,60 @@ func TestOpByNameArity(t *testing.T) {
 }
 
 func TestNewAppTyping(t *testing.T) {
-	x := NewVar("x", SortInt)
-	y := NewVar("y", SortReal)
-	if _, err := NewApp(OpAdd, x, y); err == nil {
+	x := tb.Var("x", SortInt)
+	y := tb.Var("y", SortReal)
+	if _, err := tb.NewApp(OpAdd, x, y); err == nil {
 		t.Error("mixed Int+Real addition should be rejected")
 	}
-	sum, err := NewApp(OpAdd, x, Int(1))
+	sum, err := tb.NewApp(OpAdd, x, tb.Int(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Sort() != SortInt {
 		t.Errorf("Int sum has sort %v", sum.Sort())
 	}
-	cmp, err := NewApp(OpLe, y, Real(1, 2))
+	cmp, err := tb.NewApp(OpLe, y, tb.Real(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmp.Sort() != SortBool {
 		t.Errorf("comparison has sort %v", cmp.Sort())
 	}
-	if _, err := NewApp(OpStrLen, x); err == nil {
+	if _, err := tb.NewApp(OpStrLen, x); err == nil {
 		t.Error("str.len of Int should be rejected")
 	}
-	if _, err := NewApp(OpIte, True, x, y); err == nil {
+	if _, err := tb.NewApp(OpIte, True, x, y); err == nil {
 		t.Error("ite with mismatched branches should be rejected")
 	}
-	ite, err := NewApp(OpIte, True, x, Int(0))
+	ite, err := tb.NewApp(OpIte, True, x, tb.Int(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ite.Sort() != SortInt {
 		t.Errorf("ite sort %v", ite.Sort())
 	}
-	if _, err := NewApp(OpEq, x, Str("a")); err == nil {
+	if _, err := tb.NewApp(OpEq, x, tb.Str("a")); err == nil {
 		t.Error("equality across sorts should be rejected")
 	}
 }
 
 func TestPrintRoundTripForms(t *testing.T) {
-	x := NewVar("x", SortInt)
+	x := tb.Var("x", SortInt)
 	cases := []struct {
 		t    Term
 		want string
 	}{
-		{Int(5), "5"},
-		{Int(-5), "(- 5)"},
-		{Real(1, 1), "1.0"},
-		{Real(-3, 2), "(- 1.5)"},
-		{Real(1, 3), "(/ 1.0 3.0)"},
-		{Real(1, 4), "0.25"},
-		{Str(`a"b`), `"a""b"`},
+		{tb.Int(5), "5"},
+		{tb.Int(-5), "(- 5)"},
+		{tb.Real(1, 1), "1.0"},
+		{tb.Real(-3, 2), "(- 1.5)"},
+		{tb.Real(1, 3), "(/ 1.0 3.0)"},
+		{tb.Real(1, 4), "0.25"},
+		{tb.Str(`a"b`), `"a""b"`},
 		{True, "true"},
-		{MustApp(OpAdd, x, Int(1)), "(+ x 1)"},
-		{MustApp(OpStrConcat, Str("a"), Str("b")), `(str.++ "a" "b")`},
-		{MustApp(OpReAllChar), "re.allchar"},
+		{tb.MustApp(OpAdd, x, tb.Int(1)), "(+ x 1)"},
+		{tb.MustApp(OpStrConcat, tb.Str("a"), tb.Str("b")), `(str.++ "a" "b")`},
+		{tb.MustApp(OpReAllChar), "re.allchar"},
 	}
 	for _, c := range cases {
 		if got := Print(c.t); got != c.want {
@@ -113,9 +113,9 @@ func TestPrintRoundTripForms(t *testing.T) {
 }
 
 func TestPrintQuant(t *testing.T) {
-	h := NewVar("h", SortReal)
-	body := MustApp(OpLt, Real(0, 1), h)
-	q, err := NewQuant(false, []SortedVar{{"h", SortReal}}, body)
+	h := tb.Var("h", SortReal)
+	body := tb.MustApp(OpLt, tb.Real(0, 1), h)
+	q, err := tb.NewQuant(false, []SortedVar{{"h", SortReal}}, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestPrintQuant(t *testing.T) {
 }
 
 func TestFreeVarsShadowing(t *testing.T) {
-	x := NewVar("x", SortInt)
-	y := NewVar("y", SortInt)
-	inner := MustApp(OpLt, x, y)
-	q, _ := NewQuant(true, []SortedVar{{"x", SortInt}}, inner)
-	f := And(MustApp(OpGt, x, Int(0)), q)
+	x := tb.Var("x", SortInt)
+	y := tb.Var("y", SortInt)
+	inner := tb.MustApp(OpLt, x, y)
+	q, _ := tb.NewQuant(true, []SortedVar{{"x", SortInt}}, inner)
+	f := tb.And(tb.MustApp(OpGt, x, tb.Int(0)), q)
 	fv := FreeVars(f)
 	names := map[string]bool{}
 	for _, v := range fv {
@@ -149,10 +149,10 @@ func TestFreeVarsShadowing(t *testing.T) {
 }
 
 func TestSubstitute(t *testing.T) {
-	x := NewVar("x", SortInt)
-	y := NewVar("y", SortInt)
-	f := And(MustApp(OpGt, x, Int(0)), MustApp(OpLt, x, y))
-	g, err := Substitute(f, map[string]Term{"x": MustApp(OpAdd, y, Int(1))})
+	x := tb.Var("x", SortInt)
+	y := tb.Var("y", SortInt)
+	f := tb.And(tb.MustApp(OpGt, x, tb.Int(0)), tb.MustApp(OpLt, x, y))
+	g, err := tb.Substitute(f, map[string]Term{"x": tb.MustApp(OpAdd, y, tb.Int(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +167,18 @@ func TestSubstitute(t *testing.T) {
 }
 
 func TestSubstituteSortMismatch(t *testing.T) {
-	x := NewVar("x", SortInt)
-	f := MustApp(OpGt, x, Int(0))
-	if _, err := Substitute(f, map[string]Term{"x": Str("s")}); err == nil {
+	x := tb.Var("x", SortInt)
+	f := tb.MustApp(OpGt, x, tb.Int(0))
+	if _, err := tb.Substitute(f, map[string]Term{"x": tb.Str("s")}); err == nil {
 		t.Error("sort-mismatched substitution should fail")
 	}
 }
 
 func TestSubstituteRespectsBinding(t *testing.T) {
-	x := NewVar("x", SortInt)
-	q, _ := NewQuant(true, []SortedVar{{"x", SortInt}}, MustApp(OpGt, x, Int(0)))
-	f := And(MustApp(OpLt, x, Int(5)), q)
-	g, err := Substitute(f, map[string]Term{"x": Int(7)})
+	x := tb.Var("x", SortInt)
+	q, _ := tb.NewQuant(true, []SortedVar{{"x", SortInt}}, tb.MustApp(OpGt, x, tb.Int(0)))
+	f := tb.And(tb.MustApp(OpLt, x, tb.Int(5)), q)
+	g, err := tb.Substitute(f, map[string]Term{"x": tb.Int(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +191,20 @@ func TestSubstituteRespectsBinding(t *testing.T) {
 func TestSubstituteCaptureDetected(t *testing.T) {
 	// Replacing free y under a binder of x with a term containing x
 	// would capture; must be reported.
-	x := NewVar("x", SortInt)
-	y := NewVar("y", SortInt)
-	q, _ := NewQuant(true, []SortedVar{{"x", SortInt}}, MustApp(OpLt, x, y))
-	if _, err := Substitute(q, map[string]Term{"y": MustApp(OpAdd, x, Int(1))}); err == nil {
+	x := tb.Var("x", SortInt)
+	y := tb.Var("y", SortInt)
+	q, _ := tb.NewQuant(true, []SortedVar{{"x", SortInt}}, tb.MustApp(OpLt, x, y))
+	if _, err := tb.Substitute(q, map[string]Term{"y": tb.MustApp(OpAdd, x, tb.Int(1))}); err == nil {
 		t.Error("capturing substitution should fail")
 	}
 }
 
 func TestSubstituteOccurrences(t *testing.T) {
-	x := NewVar("x", SortInt)
-	f := And(MustApp(OpGt, x, Int(0)), MustApp(OpLt, x, Int(10)), Eq(x, x))
-	repl := Int(3)
+	x := tb.Var("x", SortInt)
+	f := tb.And(tb.MustApp(OpGt, x, tb.Int(0)), tb.MustApp(OpLt, x, tb.Int(10)), tb.Eq(x, x))
+	repl := tb.Int(3)
 	// Replace occurrences 1 and 3 only.
-	g, n, err := SubstituteOccurrences(f, "x", repl, func(i int) bool { return i == 1 || i == 3 })
+	g, n, err := tb.SubstituteOccurrences(f, "x", repl, func(i int) bool { return i == 1 || i == 3 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +218,9 @@ func TestSubstituteOccurrences(t *testing.T) {
 }
 
 func TestSubstituteOccurrencesNone(t *testing.T) {
-	x := NewVar("x", SortInt)
-	f := MustApp(OpGt, x, Int(0))
-	g, n, err := SubstituteOccurrences(f, "x", Int(1), func(int) bool { return false })
+	x := tb.Var("x", SortInt)
+	f := tb.MustApp(OpGt, x, tb.Int(0))
+	g, n, err := tb.SubstituteOccurrences(f, "x", tb.Int(1), func(int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,22 +230,22 @@ func TestSubstituteOccurrencesNone(t *testing.T) {
 }
 
 func TestRenameFreeVars(t *testing.T) {
-	x := NewVar("x", SortInt)
-	f := MustApp(OpGt, x, Int(0))
-	g := RenameFreeVars(f, map[string]string{"x": "x_1"})
+	x := tb.Var("x", SortInt)
+	f := tb.MustApp(OpGt, x, tb.Int(0))
+	g := tb.RenameFreeVars(f, map[string]string{"x": "x_1"})
 	if got := Print(g); got != "(> x_1 0)" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestTransformSharing(t *testing.T) {
-	x := NewVar("x", SortInt)
-	left := MustApp(OpGt, x, Int(0))
-	right := MustApp(OpLt, x, Int(5))
-	f := And(left, right)
-	g := Transform(f, func(t Term) Term {
+	x := tb.Var("x", SortInt)
+	left := tb.MustApp(OpGt, x, tb.Int(0))
+	right := tb.MustApp(OpLt, x, tb.Int(5))
+	f := tb.And(left, right)
+	g := tb.Transform(f, func(t Term) Term {
 		if il, ok := t.(*IntLit); ok && il.V.Sign() == 0 {
-			return Int(1)
+			return tb.Int(1)
 		}
 		return t
 	})
@@ -260,8 +260,8 @@ func TestTransformSharing(t *testing.T) {
 }
 
 func TestSizeDepthOps(t *testing.T) {
-	x := NewVar("x", SortInt)
-	f := And(MustApp(OpGt, MustApp(OpAdd, x, Int(1)), Int(0)), Eq(x, Int(2)))
+	x := tb.Var("x", SortInt)
+	f := tb.And(tb.MustApp(OpGt, tb.MustApp(OpAdd, x, tb.Int(1)), tb.Int(0)), tb.Eq(x, tb.Int(2)))
 	if got := Size(f); got != 9 {
 		t.Errorf("Size = %d want 9", got)
 	}
@@ -277,26 +277,26 @@ func TestSizeDepthOps(t *testing.T) {
 	if HasQuantifier(f) {
 		t.Error("HasQuantifier false positive")
 	}
-	q, _ := NewQuant(false, []SortedVar{{"h", SortInt}}, Eq(NewVar("h", SortInt), x))
-	if !HasQuantifier(And(f, q)) {
+	q, _ := tb.NewQuant(false, []SortedVar{{"h", SortInt}}, tb.Eq(tb.Var("h", SortInt), x))
+	if !HasQuantifier(tb.And(f, q)) {
 		t.Error("HasQuantifier false negative")
 	}
 }
 
 func TestEqual(t *testing.T) {
-	x1 := NewVar("x", SortInt)
-	x2 := NewVar("x", SortInt)
-	if !Equal(MustApp(OpAdd, x1, Int(1)), MustApp(OpAdd, x2, Int(1))) {
+	x1 := tb.Var("x", SortInt)
+	x2 := tb.Var("x", SortInt)
+	if !Equal(tb.MustApp(OpAdd, x1, tb.Int(1)), tb.MustApp(OpAdd, x2, tb.Int(1))) {
 		t.Error("structurally equal terms compare unequal")
 	}
-	if Equal(Int(1), Real(1, 1)) {
+	if Equal(tb.Int(1), tb.Real(1, 1)) {
 		t.Error("Int 1 and Real 1.0 must differ")
 	}
-	big1 := IntBig(new(big.Int).SetInt64(1))
-	if !Equal(big1, Int(1)) {
+	big1 := tb.IntBig(new(big.Int).SetInt64(1))
+	if !Equal(big1, tb.Int(1)) {
 		t.Error("value-equal int literals must be Equal")
 	}
-	if Equal(MustApp(OpAdd, x1, Int(1)), MustApp(OpAdd, Int(1), x1)) {
+	if Equal(tb.MustApp(OpAdd, x1, tb.Int(1)), tb.MustApp(OpAdd, tb.Int(1), x1)) {
 		t.Error("argument order matters")
 	}
 }
@@ -321,15 +321,18 @@ func TestExactDecimal(t *testing.T) {
 }
 
 func TestPrintNonASCIIEscapes(t *testing.T) {
-	got := Print(Str("a\nb"))
+	got := Print(tb.Str("a\nb"))
 	if !strings.Contains(got, `\u{a}`) {
 		t.Errorf("newline not escaped: %q", got)
 	}
 }
 
 func TestSmartConstructorsSingleton(t *testing.T) {
-	x := NewVar("p", SortBool)
-	if And(x) != Term(x) || Or(x) != Term(x) {
+	x := tb.Var("p", SortBool)
+	if tb.And(x) != Term(x) || tb.Or(x) != Term(x) {
 		t.Error("And/Or of one term should return the term")
 	}
 }
+
+// tb is the table the package's tests build their terms in.
+var tb = NewTable(nil)

@@ -3,24 +3,18 @@ package ast
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 )
 
-var builderPool = sync.Pool{New: func() any { return new(strings.Builder) }}
-
 // Print returns the canonical SMT-LIB rendering of the term. The output
 // parses back to a structurally equal term (given matching declarations),
-// which also makes it usable as a structural hash key. Builders are
-// pooled: rendering in a hot loop does not grow a fresh buffer per call.
+// which also makes it usable as a structural hash key.
 func Print(t Term) string {
-	b := builderPool.Get().(*strings.Builder)
-	b.Reset()
-	printTerm(b, t)
-	s := b.String()
-	builderPool.Put(b)
-	return s
+	var b strings.Builder
+	printTerm(&b, t)
+	return b.String()
 }
 
 func printTerm(b *strings.Builder, t Term) {
@@ -61,7 +55,11 @@ func printTerm(b *strings.Builder, t Term) {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(b, "(%s %s)", sv.Name, sv.Sort)
+			b.WriteByte('(')
+			b.WriteString(sv.Name)
+			b.WriteByte(' ')
+			b.WriteString(sv.Sort.String())
+			b.WriteByte(')')
 		}
 		b.WriteString(") ")
 		printTerm(b, n.Body)
@@ -99,7 +97,11 @@ func printRat(b *strings.Builder, v *big.Rat) {
 		b.WriteString(dec)
 		return
 	}
-	fmt.Fprintf(b, "(/ %s.0 %s.0)", v.Num().String(), v.Denom().String())
+	b.WriteString("(/ ")
+	b.WriteString(v.Num().String())
+	b.WriteString(".0 ")
+	b.WriteString(v.Denom().String())
+	b.WriteString(".0)")
 }
 
 // exactDecimal renders a non-negative rational as a finite decimal if
@@ -150,7 +152,7 @@ func printStringLit(b *strings.Builder, s string) {
 		// the same escape, so printing stays a parse fixpoint.
 		if (r == utf8.RuneError && size == 1) || r > 0x2FFFF {
 			for j := 0; j < size; j++ {
-				fmt.Fprintf(b, `\u{%x}`, s[i+j])
+				writeEscape(b, rune(s[i+j]))
 			}
 			i += size
 			continue
@@ -158,10 +160,15 @@ func printStringLit(b *strings.Builder, s string) {
 		switch {
 		case r == '"':
 			b.WriteString(`""`)
+		case r == '\\':
+			// The parser also reads the legacy escapes \\ \n \t \" and
+			// \u{…}: a bare backslash before one of those would re-parse
+			// as an escape, so it is always written as one.
+			writeEscape(b, r)
 		case r >= 0x20 && r < 0x7f:
 			b.WriteByte(byte(r))
 		default:
-			fmt.Fprintf(b, `\u{%x}`, r)
+			writeEscape(b, r)
 		}
 		i += size
 	}
@@ -173,10 +180,10 @@ func printStringLit(b *strings.Builder, s string) {
 // produced by shared constructors, so alpha-variant trees are compared
 // as distinct, which is the behaviour dedup and caching want).
 //
-// Interned terms (everything built through this package's constructors)
-// make this a pointer comparison; the structural walk below only runs
-// for terms forged outside the constructors, and short-circuits on the
-// cached structural hash.
+// Two terms of one table chain make this a pointer comparison; the
+// structural walk below only runs for terms of different chains (or
+// forged outside a table), and short-circuits on the cached structural
+// hash.
 func Equal(a, b Term) bool {
 	if a == b {
 		return true
@@ -225,4 +232,11 @@ func Equal(a, b Term) bool {
 	default:
 		return false
 	}
+}
+
+// writeEscape writes r as an SMT-LIB 2.6 \u{…} escape.
+func writeEscape(b *strings.Builder, r rune) {
+	b.WriteString(`\u{`)
+	b.WriteString(strconv.FormatInt(int64(r), 16))
+	b.WriteByte('}')
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // Property: integer literal printing is value-faithful — Print of
-// IntBig(v) round-trips through the printed decimal (with the (- n)
+// tb.IntBig(v) round-trips through the printed decimal (with the (- n)
 // form for negatives).
 func TestQuickIntLitPrint(t *testing.T) {
 	f := func(v int64) bool {
-		s := Print(Int(v))
+		s := Print(tb.Int(v))
 		if v >= 0 {
 			parsed, ok := new(big.Int).SetString(s, 10)
 			return ok && parsed.Int64() == v
@@ -32,12 +32,12 @@ func TestQuickIntLitPrint(t *testing.T) {
 // occurrence of x by a constant, x no longer occurs free.
 func TestQuickSubstituteEliminates(t *testing.T) {
 	f := func(a, b int64) bool {
-		x := NewVar("x", SortInt)
-		term := And(
-			Gt(Add(x, Int(a)), Int(b)),
-			Eq(Mul(Int(2), x), Sub(x, Int(a))),
+		x := tb.Var("x", SortInt)
+		term := tb.And(
+			tb.Gt(tb.Add(x, tb.Int(a)), tb.Int(b)),
+			tb.Eq(tb.Mul(tb.Int(2), x), tb.Sub(x, tb.Int(a))),
 		)
-		out, err := Substitute(term, map[string]Term{"x": Int(7)})
+		out, err := tb.Substitute(term, map[string]Term{"x": tb.Int(7)})
 		if err != nil {
 			return false
 		}
@@ -53,17 +53,17 @@ func TestQuickSubstituteEliminates(t *testing.T) {
 // substitution.
 func TestQuickSubstituteOccurrencesExtremes(t *testing.T) {
 	f := func(a int64) bool {
-		x := NewVar("x", SortInt)
-		term := Or(Gt(x, Int(a)), Lt(Add(x, x), Int(a)))
-		same, n, err := SubstituteOccurrences(term, "x", Int(a), func(int) bool { return false })
+		x := tb.Var("x", SortInt)
+		term := tb.Or(tb.Gt(x, tb.Int(a)), tb.Lt(tb.Add(x, x), tb.Int(a)))
+		same, n, err := tb.SubstituteOccurrences(term, "x", tb.Int(a), func(int) bool { return false })
 		if err != nil || same != term || n != 3 {
 			return false
 		}
-		all, _, err := SubstituteOccurrences(term, "x", Int(a), func(int) bool { return true })
+		all, _, err := tb.SubstituteOccurrences(term, "x", tb.Int(a), func(int) bool { return true })
 		if err != nil {
 			return false
 		}
-		full, err := Substitute(term, map[string]Term{"x": Int(a)})
+		full, err := tb.Substitute(term, map[string]Term{"x": tb.Int(a)})
 		if err != nil {
 			return false
 		}
@@ -78,14 +78,14 @@ func TestQuickSubstituteOccurrencesExtremes(t *testing.T) {
 // arithmetic terms (equal prints imply Equal).
 func TestQuickPrintEqualCoherence(t *testing.T) {
 	f := func(a, b int64, pickMul bool) bool {
-		x := NewVar("x", SortInt)
+		x := tb.Var("x", SortInt)
 		var t1, t2 Term
 		if pickMul {
-			t1 = Mul(Int(a), x)
-			t2 = Mul(Int(b), x)
+			t1 = tb.Mul(tb.Int(a), x)
+			t2 = tb.Mul(tb.Int(b), x)
 		} else {
-			t1 = Add(Int(a), x)
-			t2 = Add(Int(b), x)
+			t1 = tb.Add(tb.Int(a), x)
+			t2 = tb.Add(tb.Int(b), x)
 		}
 		if !Equal(t1, t1) || !Equal(t2, t2) {
 			return false
@@ -104,9 +104,9 @@ func TestQuickPrintEqualCoherence(t *testing.T) {
 // tree (full sharing, no copies).
 func TestQuickTransformIdentity(t *testing.T) {
 	f := func(a, b int64) bool {
-		x := NewVar("x", SortInt)
-		term := And(Gt(x, Int(a)), Eq(Add(x, Int(b)), Int(a)))
-		return Transform(term, func(t Term) Term { return t }) == term
+		x := tb.Var("x", SortInt)
+		term := tb.And(tb.Gt(x, tb.Int(a)), tb.Eq(tb.Add(x, tb.Int(b)), tb.Int(a)))
+		return tb.Transform(term, func(t Term) Term { return t }) == term
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

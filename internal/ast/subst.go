@@ -136,8 +136,8 @@ func walkFreeOccurrences(t Term, name string, boundDepth int, hit func()) {
 // are bound at substitution sites (fusion operates on quantifier-free
 // positions of freshly named variables, so this holds by construction;
 // a capture is reported as an error).
-func Substitute(t Term, repl map[string]Term) (Term, error) {
-	s := &substituter{repl: repl, selectAll: true}
+func (tb *Table) Substitute(t Term, repl map[string]Term) (Term, error) {
+	s := &substituter{tb: tb, repl: repl, selectAll: true}
 	out := s.subst(t, map[string]int{})
 	if s.err != nil {
 		return nil, s.err
@@ -146,8 +146,8 @@ func Substitute(t Term, repl map[string]Term) (Term, error) {
 }
 
 // MustSubstitute is Substitute, panicking on capture errors.
-func MustSubstitute(t Term, repl map[string]Term) Term {
-	out, err := Substitute(t, repl)
+func (tb *Table) MustSubstitute(t Term, repl map[string]Term) Term {
+	out, err := tb.Substitute(t, repl)
 	if err != nil {
 		panic(err)
 	}
@@ -159,8 +159,9 @@ func MustSubstitute(t Term, repl map[string]Term) Term {
 // true. pick is called once per free occurrence in preorder with the
 // occurrence index (0-based). The number of free occurrences visited is
 // returned alongside the rewritten term.
-func SubstituteOccurrences(t Term, name string, e Term, pick func(i int) bool) (Term, int, error) {
+func (tb *Table) SubstituteOccurrences(t Term, name string, e Term, pick func(i int) bool) (Term, int, error) {
 	s := &substituter{
+		tb:        tb,
 		repl:      map[string]Term{name: e},
 		selectAll: false,
 		pick:      pick,
@@ -173,6 +174,7 @@ func SubstituteOccurrences(t Term, name string, e Term, pick func(i int) bool) (
 }
 
 type substituter struct {
+	tb        *Table
 	repl      map[string]Term
 	selectAll bool
 	pick      func(i int) bool
@@ -228,7 +230,7 @@ func (s *substituter) subst(t Term, bound map[string]int) Term {
 		if !changed {
 			return t
 		}
-		return MustApp(n.Op, args...)
+		return s.tb.MustApp(n.Op, args...)
 	case *Quant:
 		for _, b := range n.Bound {
 			bound[b.Name]++
@@ -240,7 +242,7 @@ func (s *substituter) subst(t Term, bound map[string]int) Term {
 		if body == n.Body {
 			return t
 		}
-		return internQuant(n.Forall, n.Bound, body)
+		return s.tb.internQuant(n.Forall, n.Bound, body, nil)
 	default:
 		return t
 	}
@@ -248,15 +250,15 @@ func (s *substituter) subst(t Term, bound map[string]int) Term {
 
 // RenameFreeVars renames free variables according to the name map,
 // preserving sorts. Names absent from the map are unchanged.
-func RenameFreeVars(t Term, names map[string]string) Term {
+func (tb *Table) RenameFreeVars(t Term, names map[string]string) Term {
 	repl := map[string]Term{}
 	for _, v := range FreeVars(t) {
 		if nn, ok := names[v.Name]; ok {
-			repl[v.Name] = NewVar(nn, v.VSort)
+			repl[v.Name] = tb.Var(nn, v.VSort)
 		}
 	}
 	if len(repl) == 0 {
 		return t
 	}
-	return MustSubstitute(t, repl)
+	return tb.MustSubstitute(t, repl)
 }

@@ -24,8 +24,8 @@ type Var struct {
 func (v *Var) Sort() Sort { return v.VSort }
 func (*Var) aTerm()       {}
 
-// NewVar returns the interned variable term for (name, sort).
-func NewVar(name string, sort Sort) *Var { return internVar(name, sort) }
+// Var returns the table's variable term for (name, sort).
+func (tb *Table) Var(name string, sort Sort) *Var { return tb.internVar(name, sort, nil) }
 
 // BoolLit is a boolean literal (true or false).
 type BoolLit struct{ V bool }
@@ -56,12 +56,12 @@ type IntLit struct {
 func (*IntLit) Sort() Sort { return SortInt }
 func (*IntLit) aTerm()     {}
 
-// Int returns the interned Int literal for v.
-func Int(v int64) *IntLit { return internInt(big.NewInt(v)) }
+// Int returns the table's Int literal for v.
+func (tb *Table) Int(v int64) *IntLit { return tb.internInt(big.NewInt(v), nil) }
 
-// IntBig returns the interned Int literal for the given big integer.
+// IntBig returns the table's Int literal for the given big integer.
 // The value is not copied and must not be mutated afterwards.
-func IntBig(v *big.Int) *IntLit { return internInt(v) }
+func (tb *Table) IntBig(v *big.Int) *IntLit { return tb.internInt(v, nil) }
 
 // RealLit is an exact rational literal.
 type RealLit struct {
@@ -72,12 +72,12 @@ type RealLit struct {
 func (*RealLit) Sort() Sort { return SortReal }
 func (*RealLit) aTerm()     {}
 
-// Real returns the interned Real literal for num/den.
-func Real(num, den int64) *RealLit { return internRat(big.NewRat(num, den)) }
+// Real returns the table's Real literal for num/den.
+func (tb *Table) Real(num, den int64) *RealLit { return tb.internRat(big.NewRat(num, den), nil) }
 
-// RealBig returns the interned Real literal for the given rational.
+// RealBig returns the table's Real literal for the given rational.
 // The value is not copied and must not be mutated afterwards.
-func RealBig(v *big.Rat) *RealLit { return internRat(v) }
+func (tb *Table) RealBig(v *big.Rat) *RealLit { return tb.internRat(v, nil) }
 
 // StrLit is a string literal. The value is the already-unescaped Go
 // string; printing re-applies SMT-LIB escaping.
@@ -89,8 +89,8 @@ type StrLit struct {
 func (*StrLit) Sort() Sort { return SortString }
 func (*StrLit) aTerm()     {}
 
-// Str returns the interned String literal for v.
-func Str(v string) *StrLit { return internStr(v) }
+// Str returns the table's String literal for v.
+func (tb *Table) Str(v string) *StrLit { return tb.internStr(v, nil) }
 
 // App is the application of a builtin operator to arguments.
 type App struct {
@@ -120,51 +120,62 @@ type Quant struct {
 func (*Quant) Sort() Sort { return SortBool }
 func (*Quant) aTerm()     {}
 
-// NewQuant builds an interned quantifier. The body must be boolean.
-func NewQuant(forall bool, bound []SortedVar, body Term) (*Quant, error) {
+// NewQuant builds a quantifier in the table. The body must be boolean.
+func (tb *Table) NewQuant(forall bool, bound []SortedVar, body Term) (*Quant, error) {
 	if body.Sort() != SortBool {
 		return nil, fmt.Errorf("quantifier body has sort %v, want Bool", body.Sort())
 	}
 	if len(bound) == 0 {
 		return nil, fmt.Errorf("quantifier with empty binder list")
 	}
-	return internQuant(forall, bound, body), nil
+	return tb.internQuant(forall, bound, body, nil), nil
 }
 
 // MustQuant is NewQuant, panicking on error. It is intended for
 // reconstruction of quantifiers whose pieces come from an existing
 // well-formed quantifier (transformations, solver preprocessing).
-func MustQuant(forall bool, bound []SortedVar, body Term) *Quant {
-	q, err := NewQuant(forall, bound, body)
+func (tb *Table) MustQuant(forall bool, bound []SortedVar, body Term) *Quant {
+	q, err := tb.NewQuant(forall, bound, body)
 	if err != nil {
 		panic(err)
 	}
 	return q
 }
 
-// NewApp builds a well-sorted application of op to args, reporting an
-// error when arity or argument sorts do not match the operator's typing
-// rule.
-func NewApp(op Op, args ...Term) (Term, error) {
+// SortOf returns the sort of the application of op to args under the
+// operator's typing rule, or an error when arity or argument sorts do
+// not match it. It builds, hashes and looks up nothing.
+func SortOf(op Op, args []Term) (Sort, error) {
 	if op <= OpInvalid || op >= opMax {
-		return nil, fmt.Errorf("invalid operator %v", op)
+		return SortInvalid, fmt.Errorf("invalid operator %v", op)
 	}
 	info := &opTable[op]
 	if len(args) < info.minAr || (info.maxAr != variadic && len(args) > info.maxAr) {
-		return nil, fmt.Errorf("%s: got %d arguments, want %s", info.name, len(args), arityString(info))
+		return SortInvalid, fmt.Errorf("%s: got %d arguments, want %s", info.name, len(args), arityString(info))
 	}
 	sort, err := info.typing(args)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", info.name, err)
+		return SortInvalid, fmt.Errorf("%s: %w", info.name, err)
 	}
-	return internApp(op, sort, args), nil
+	return sort, nil
+}
+
+// NewApp builds a well-sorted application of op to args in the table,
+// reporting an error when arity or argument sorts do not match the
+// operator's typing rule.
+func (tb *Table) NewApp(op Op, args ...Term) (Term, error) {
+	sort, err := SortOf(op, args)
+	if err != nil {
+		return nil, err
+	}
+	return tb.internApp(op, sort, args, nil), nil
 }
 
 // MustApp is NewApp, panicking on typing errors. It is intended for
 // programmatic construction of terms whose sorts are known correct by
 // construction (generators, fusion tables, tests).
-func MustApp(op Op, args ...Term) Term {
-	t, err := NewApp(op, args...)
+func (tb *Table) MustApp(op Op, args ...Term) Term {
+	t, err := tb.NewApp(op, args...)
 	if err != nil {
 		panic(err)
 	}
@@ -175,10 +186,10 @@ func MustApp(op Op, args ...Term) Term {
 // result sort, bypassing the operator's typing rule. All production
 // construction goes through NewApp; this exists so negative tests (and
 // the static analyzer's own test suite) can forge ill-sorted terms.
-// The result sort is part of the intern key, so a forged node never
+// The result sort is part of the table key, so a forged node never
 // aliases a well-sorted node of the same shape.
-func UncheckedApp(op Op, sort Sort, args ...Term) *App {
-	return internApp(op, sort, args)
+func (tb *Table) UncheckedApp(op Op, sort Sort, args ...Term) *App {
+	return tb.internApp(op, sort, args, nil)
 }
 
 func arityString(info *opInfo) string {
@@ -195,38 +206,38 @@ func arityString(info *opInfo) string {
 // fusion engine, and tests. All panic on ill-sorted input (MustApp).
 
 // Not negates a boolean term.
-func Not(t Term) Term { return MustApp(OpNot, t) }
+func (tb *Table) Not(t Term) Term { return tb.MustApp(OpNot, t) }
 
 // And conjoins boolean terms; And() of a single term returns the term.
-func And(ts ...Term) Term {
+func (tb *Table) And(ts ...Term) Term {
 	if len(ts) == 1 {
 		return ts[0]
 	}
-	return MustApp(OpAnd, ts...)
+	return tb.MustApp(OpAnd, ts...)
 }
 
 // Or disjoins boolean terms; Or() of a single term returns the term.
-func Or(ts ...Term) Term {
+func (tb *Table) Or(ts ...Term) Term {
 	if len(ts) == 1 {
 		return ts[0]
 	}
-	return MustApp(OpOr, ts...)
+	return tb.MustApp(OpOr, ts...)
 }
 
 // Eq builds an equality.
-func Eq(a, b Term) Term { return MustApp(OpEq, a, b) }
+func (tb *Table) Eq(a, b Term) Term { return tb.MustApp(OpEq, a, b) }
 
 // Ite builds an if-then-else.
-func Ite(c, t, e Term) Term { return MustApp(OpIte, c, t, e) }
+func (tb *Table) Ite(c, t, e Term) Term { return tb.MustApp(OpIte, c, t, e) }
 
 // Add, Sub, Mul, Neg build arithmetic terms.
-func Add(ts ...Term) Term { return MustApp(OpAdd, ts...) }
-func Sub(ts ...Term) Term { return MustApp(OpSub, ts...) }
-func Mul(ts ...Term) Term { return MustApp(OpMul, ts...) }
-func Neg(t Term) Term     { return MustApp(OpNeg, t) }
+func (tb *Table) Add(ts ...Term) Term { return tb.MustApp(OpAdd, ts...) }
+func (tb *Table) Sub(ts ...Term) Term { return tb.MustApp(OpSub, ts...) }
+func (tb *Table) Mul(ts ...Term) Term { return tb.MustApp(OpMul, ts...) }
+func (tb *Table) Neg(t Term) Term     { return tb.MustApp(OpNeg, t) }
 
 // Comparisons.
-func Le(a, b Term) Term { return MustApp(OpLe, a, b) }
-func Lt(a, b Term) Term { return MustApp(OpLt, a, b) }
-func Ge(a, b Term) Term { return MustApp(OpGe, a, b) }
-func Gt(a, b Term) Term { return MustApp(OpGt, a, b) }
+func (tb *Table) Le(a, b Term) Term { return tb.MustApp(OpLe, a, b) }
+func (tb *Table) Lt(a, b Term) Term { return tb.MustApp(OpLt, a, b) }
+func (tb *Table) Ge(a, b Term) Term { return tb.MustApp(OpGe, a, b) }
+func (tb *Table) Gt(a, b Term) Term { return tb.MustApp(OpGt, a, b) }

@@ -20,13 +20,13 @@ func Walk(t Term, fn func(Term) bool) {
 // after its children have been transformed. fn receives a node whose
 // children are already rewritten and returns its replacement. Subtrees
 // that are unchanged are shared, not copied.
-func Transform(t Term, fn func(Term) Term) Term {
+func (tb *Table) Transform(t Term, fn func(Term) Term) Term {
 	switch n := t.(type) {
 	case *App:
 		changed := false
 		args := n.Args
 		for i, a := range n.Args {
-			na := Transform(a, fn)
+			na := tb.Transform(a, fn)
 			if na != a {
 				if !changed {
 					args = make([]Term, len(n.Args))
@@ -37,12 +37,12 @@ func Transform(t Term, fn func(Term) Term) Term {
 			}
 		}
 		if changed {
-			t = MustApp(n.Op, args...)
+			t = tb.MustApp(n.Op, args...)
 		}
 	case *Quant:
-		body := Transform(n.Body, fn)
+		body := tb.Transform(n.Body, fn)
 		if body != n.Body {
-			t = internQuant(n.Forall, n.Bound, body)
+			t = tb.internQuant(n.Forall, n.Bound, body, nil)
 		}
 	}
 	return fn(t)

@@ -30,6 +30,7 @@
 package backend
 
 import (
+	"repro/internal/ast"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
 )
@@ -149,8 +150,10 @@ type Spec struct {
 	Hermetic bool
 	// Health is the shared breaker state (nil for hermetic backends).
 	Health *Health
-	// New builds one instance for one task.
-	New func() Backend
+	// New builds one instance for one task. An in-process instance
+	// builds its terms in terms, the task's table; the task's scripts
+	// belong to it.
+	New func(terms *ast.Table) Backend
 }
 
 // NewSim wraps an in-process simulated solver as a hermetic backend.

@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/smtlib"
 )
 
@@ -84,7 +85,7 @@ func ProcessSpec(cfg ProcessConfig) Spec {
 		Name:   cfg.Name,
 		Argv:   argv,
 		Health: h,
-		New: func() Backend {
+		New: func(*ast.Table) Backend {
 			return &ProcessBackend{cfg: cfg, health: h}
 		},
 	}

@@ -247,7 +247,7 @@ func TestBreakerQuarantines(t *testing.T) {
 		Timeout: 5 * time.Second, Retries: -1, BreakerThreshold: 3,
 		Backoff: time.Millisecond, Sleep: func(time.Duration) {},
 	})
-	b := spec.New()
+	b := spec.New(nil)
 	sc := testScript(t)
 	for i := 0; i < 3; i++ {
 		if out := b.Check(sc); out.Verdict != Crash {
@@ -262,7 +262,7 @@ func TestBreakerQuarantines(t *testing.T) {
 		t.Fatalf("verdict %v, want quarantined after breaker opened", out.Verdict)
 	}
 	// A second instance from the same spec shares the breaker.
-	b2 := spec.New()
+	b2 := spec.New(nil)
 	if out := b2.Check(sc); out.Verdict != Quarantined {
 		t.Fatalf("sibling instance verdict %v, want quarantined (shared Health)", out.Verdict)
 	}

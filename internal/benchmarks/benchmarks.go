@@ -19,6 +19,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/gen"
 	"repro/internal/harness"
+	"repro/internal/mutate"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
 	"repro/internal/solver/strings"
@@ -40,7 +41,16 @@ func ThroughputSingleThreaded(b *testing.B) {
 		sat = append(sat, g.Sat())
 		unsat = append(unsat, g.Unsat())
 	}
-	sut := bugdb.NewTrunkSolver(bugdb.Z3Sim, nil)
+	// The seeds' table is the frozen corpus table; the fused tests and
+	// the solver work in one table over it.
+	corpus := g.Terms()
+	corpus.Freeze()
+	tb := ast.NewTable(corpus)
+	defects, err := bugdb.DefectsIn(bugdb.Z3Sim, "trunk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sut := solver.New(solver.Config{Defects: defects, Terms: tb})
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,7 +58,7 @@ func ThroughputSingleThreaded(b *testing.B) {
 		if i%2 == 1 {
 			pool = unsat
 		}
-		fused, err := core.Fuse(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], rng, core.Options{})
+		fused, err := core.Fuse(tb, pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], rng, core.Options{})
 		if err != nil {
 			continue
 		}
@@ -85,12 +95,87 @@ func FusionOnly(b *testing.B) {
 	for i := 0; i < 10; i++ {
 		seeds = append(seeds, g.Sat())
 	}
+	// Each op fuses in an emptied table over the frozen seed table, as
+	// a campaign worker's task does.
+	corpus := g.Terms()
+	corpus.Freeze()
+	tb := ast.NewTable(corpus)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Fuse(seeds[i%10], seeds[(i+3)%10], rng, core.Options{}); err != nil {
+		tb.Reset()
+		if _, err := core.Fuse(tb, seeds[i%10], seeds[(i+3)%10], rng, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Generate is the seed generator's stage benchmark: each op builds one
+// seed the way a corpus-vetting slot does, from a fresh generator keyed
+// by the op index over an emptied term table, cycling through every
+// logic and alternating sat and unsat.
+func Generate(b *testing.B) {
+	b.ReportAllocs()
+	tb := ast.NewTable(nil)
+	for i := 0; i < b.N; i++ {
+		logic := gen.AllLogics[i%len(gen.AllLogics)]
+		tb.Reset()
+		g, err := gen.NewIn(tb, logic, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		status := core.StatusSat
+		if (i/len(gen.AllLogics))%2 == 1 {
+			status = core.StatusUnsat
+		}
+		g.Generate(status)
+	}
+}
+
+// Mutate is the mutation engine's stage benchmark: each op derives one
+// test from a seed of a frozen QF_NRA and QF_S corpus in an emptied
+// task table, alternating polarity-sound (mutate.Mutate) and wild
+// (mutate.Wild) mutation, and derives the metamorphic variant of every
+// wild mutant, as a wild campaign's task does.
+func Mutate(b *testing.B) {
+	b.ReportAllocs()
+	var seeds []*core.Seed
+	var scripts []*smtlib.Script
+	for _, logic := range []gen.Logic{gen.QFNRA, gen.QFS} {
+		g, err := gen.New(logic, 41)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			st := core.StatusSat
+			if i%2 == 1 {
+				st = core.StatusUnsat
+			}
+			s := g.Generate(st)
+			seeds = append(seeds, s)
+			scripts = append(scripts, s.Script)
+		}
+	}
+	corpus := oneTable(scripts)
+	corpus.Freeze()
+	for i, s := range seeds {
+		seeds[i] = &core.Seed{Script: scripts[i], Status: s.Status, Witness: s.Witness}
+	}
+	tb := ast.NewTable(corpus)
+	rng := rand.New(rand.NewSource(43))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Reset()
+		seed := seeds[i%len(seeds)]
+		if i%2 == 0 {
+			mutate.Mutate(tb, seed, rng, mutate.Options{}) //nolint:errcheck // a seed without a site is a skip
+			continue
+		}
+		mut, err := mutate.Wild(tb, seed, rng, mutate.Options{})
+		if err != nil {
+			continue
+		}
+		mutate.DeriveVariant(tb, mut.Script, rng, mutate.Options{}) //nolint:errcheck // no relation-preserving site is a skip
 	}
 }
 
@@ -111,7 +196,7 @@ func AnalysisGate(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(37))
 		for i, s := range seeds {
-			f, err := core.Fuse(s, seeds[(i+1)%len(seeds)], rng, core.Options{})
+			f, err := core.Fuse(g.Terms(), s, seeds[(i+1)%len(seeds)], rng, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -140,7 +225,7 @@ func SolverReference(b *testing.B) {
 			scripts = append(scripts, g.Sat().Script, g.Unsat().Script)
 		}
 	}
-	s := solver.NewReference()
+	s := solver.New(solver.Config{Terms: oneTable(scripts)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.RunSolver(s, scripts[i%len(scripts)])
@@ -175,7 +260,7 @@ func ParsePrint(b *testing.B) {
 // fusions the search cannot decide cost about as much as the rest.
 func StringsCheck(b *testing.B) {
 	b.ReportAllocs()
-	var probs [][]ast.Term
+	var scripts []*smtlib.Script
 	for _, logic := range []gen.Logic{gen.QFS, gen.QFSLIA} {
 		g, err := gen.New(logic, 17)
 		if err != nil {
@@ -187,17 +272,22 @@ func StringsCheck(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(19))
 		for i, s := range seeds {
-			probs = append(probs, conjunction(s.Script))
-			if f, err := core.Fuse(s, seeds[(i+1)%len(seeds)], rng, core.Options{}); err == nil {
-				probs = append(probs, conjunction(f.Script))
+			scripts = append(scripts, s.Script)
+			if f, err := core.Fuse(g.Terms(), s, seeds[(i+1)%len(seeds)], rng, core.Options{}); err == nil {
+				scripts = append(scripts, f.Script)
 			}
 		}
+	}
+	tb := oneTable(scripts)
+	probs := make([][]ast.Term, len(scripts))
+	for i, sc := range scripts {
+		probs[i] = conjunction(sc)
 	}
 	lim := strings.DefaultLimits()
 	lim.MaxNodes = 60
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		strings.Check(&strings.Problem{Lits: probs[i%len(probs)], Limits: lim})
+		strings.Check(&strings.Problem{Lits: probs[i%len(probs)], Limits: lim, Terms: tb})
 	}
 }
 
@@ -227,13 +317,13 @@ func ArithTheory(b *testing.B) {
 			scripts = append(scripts, s.Script)
 			// Seeds i and i+3 share a status, so they fuse.
 			if i+3 < len(seeds) {
-				if f, err := core.Fuse(s, seeds[i+3], rng, core.Options{}); err == nil {
+				if f, err := core.Fuse(g.Terms(), s, seeds[i+3], rng, core.Options{}); err == nil {
 					scripts = append(scripts, f.Script)
 				}
 			}
 		}
 	}
-	s := solver.NewReference()
+	s := solver.New(solver.Config{Terms: oneTable(scripts)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SolveScript(scripts[i%len(scripts)])
@@ -267,12 +357,12 @@ func DPLLTStage(b *testing.B) {
 		picked := 0
 		// Seeds i and i+2 share a status, so they fuse.
 		for i := 0; i+2 < len(seeds) && picked < 5; i++ {
-			f, err := core.Fuse(seeds[i], seeds[i+2], rng, core.Options{})
+			f, err := core.Fuse(g.Terms(), seeds[i], seeds[i+2], rng, core.Options{})
 			if err != nil {
 				continue
 			}
 			cov := coverage.NewTracker()
-			solver.New(solver.Config{Coverage: cov}).SolveScript(f.Script)
+			solver.New(solver.Config{Coverage: cov, Terms: g.Terms()}).SolveScript(f.Script)
 			if slices.Contains(cov.HitProbeIDs(), "theory.arith.result-unsat") {
 				scripts = append(scripts, f.Script)
 				picked++
@@ -282,7 +372,7 @@ func DPLLTStage(b *testing.B) {
 	if len(scripts) == 0 {
 		b.Fatal("no fused script has a theory-unsat round")
 	}
-	s := solver.NewReference()
+	s := solver.New(solver.Config{Terms: oneTable(scripts)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SolveScript(scripts[i%len(scripts)])
@@ -365,6 +455,18 @@ func ConsensusFold(b *testing.B) {
 	}
 }
 
+// oneTable imports scripts built in several generators' tables into one
+// table, in place, as a campaign imports its vetted seeds into the
+// corpus table, so that one solver can work on all of them in one
+// table chain. It returns the table.
+func oneTable(scripts []*smtlib.Script) *ast.Table {
+	tb := ast.NewTable(nil)
+	for i, sc := range scripts {
+		scripts[i] = sc.Import(tb)
+	}
+	return tb
+}
+
 // conjunction flattens a script's top-level conjunctions into literals,
 // keeping the first disjunct of each disjunction.
 func conjunction(s *smtlib.Script) []ast.Term {
@@ -401,7 +503,9 @@ type Entry struct {
 // All lists the registry in fixed report order.
 var All = []Entry{
 	{Name: "ThroughputSingleThreaded", Fast: true, Fn: ThroughputSingleThreaded},
+	{Name: "Generate", Fast: true, Fn: Generate},
 	{Name: "FusionOnly", Fast: true, Fn: FusionOnly},
+	{Name: "Mutate", Fast: true, Fn: Mutate},
 	{Name: "AnalysisGate", Fast: true, Fn: AnalysisGate},
 	{Name: "SolverReference", Fast: true, Fn: SolverReference},
 	{Name: "ParsePrint", Fast: true, Fn: ParsePrint},

@@ -16,25 +16,26 @@ import (
 // inversion substitution. The result's status is known by the same
 // argument as the full method (a conjunction of sat formulas over
 // disjoint variables is sat; a disjunction of unsat formulas is unsat).
-func Concat(phi1, phi2 *Seed, rng *rand.Rand) (*Fused, error) {
+// The concatenation is built in tb, as Fuse's fusion is.
+func Concat(tb *ast.Table, phi1, phi2 *Seed, rng *rand.Rand) (*Fused, error) {
 	if phi1.Status != phi2.Status {
 		// Mixed concatenation: disjunction is sat, conjunction unsat.
 		if phi1.Status == StatusUnsat {
 			phi1, phi2 = phi2, phi1
 		}
 		if rng.Intn(2) == 0 {
-			return concatWith(phi1, phi2, ModeMixedSatDisj)
+			return concatWith(tb, phi1, phi2, ModeMixedSatDisj)
 		}
-		return concatWith(phi1, phi2, ModeMixedUnsatConj)
+		return concatWith(tb, phi1, phi2, ModeMixedUnsatConj)
 	}
 	if phi1.Status == StatusSat {
-		return concatWith(phi1, phi2, ModeSatConj)
+		return concatWith(tb, phi1, phi2, ModeSatConj)
 	}
-	return concatWith(phi1, phi2, ModeUnsatDisj)
+	return concatWith(tb, phi1, phi2, ModeUnsatDisj)
 }
 
-func concatWith(phi1, phi2 *Seed, mode Mode) (*Fused, error) {
-	f := &fuser{mode: mode, used: map[string]bool{}}
+func concatWith(tb *ast.Table, phi1, phi2 *Seed, mode Mode) (*Fused, error) {
+	f := &fuser{tb: tb, mode: mode, used: map[string]bool{}}
 	decls1 := phi1.Script.Declarations()
 	for _, d := range decls1 {
 		f.used[d.Name] = true
@@ -50,10 +51,10 @@ func concatWith(phi1, phi2 *Seed, mode Mode) (*Fused, error) {
 		asserts = append(append([]ast.Term{}, asserts1...), asserts2...)
 		oracle = StatusSat
 	case ModeUnsatDisj:
-		asserts = []ast.Term{ast.Or(conj(asserts1), conj(asserts2))}
+		asserts = []ast.Term{tb.Or(conj(tb, asserts1), conj(tb, asserts2))}
 		oracle = StatusUnsat
 	case ModeMixedSatDisj:
-		asserts = []ast.Term{ast.Or(conj(asserts1), conj(asserts2))}
+		asserts = []ast.Term{tb.Or(conj(tb, asserts1), conj(tb, asserts2))}
 		oracle = StatusSat
 	case ModeMixedUnsatConj:
 		asserts = append(append([]ast.Term{}, asserts1...), asserts2...)

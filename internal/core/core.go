@@ -141,10 +141,12 @@ func (o Options) withDefaults() Options {
 // pair of a fusable sort (Int, Real, or String).
 var ErrNoFusablePair = errors.New("core: no fusable variable pair")
 
-// Fuse fuses two seeds per the paper's Algorithm 2. The mode follows
-// from the ancestors' statuses; for mixed ancestors the mode is chosen
-// at random between the sat-disjunction and unsat-conjunction variants.
-func Fuse(phi1, phi2 *Seed, rng *rand.Rand, opts Options) (*Fused, error) {
+// Fuse fuses two seeds per the paper's Algorithm 2, building the fused
+// script in tb (which must hold, or be a child of the table holding,
+// the seeds' terms). The mode follows from the ancestors' statuses; for
+// mixed ancestors the mode is chosen at random between the
+// sat-disjunction and unsat-conjunction variants.
+func Fuse(tb *ast.Table, phi1, phi2 *Seed, rng *rand.Rand, opts Options) (*Fused, error) {
 	opts = opts.withDefaults()
 
 	var mode Mode
@@ -164,19 +166,20 @@ func Fuse(phi1, phi2 *Seed, rng *rand.Rand, opts Options) (*Fused, error) {
 			mode = ModeMixedUnsatConj
 		}
 	}
-	return FuseMode(phi1, phi2, mode, rng, opts)
+	return FuseMode(tb, phi1, phi2, mode, rng, opts)
 }
 
 // FuseMode fuses with an explicit mode. For modes involving a sat
 // ancestor, that ancestor must carry a witness.
-func FuseMode(phi1, phi2 *Seed, mode Mode, rng *rand.Rand, opts Options) (*Fused, error) {
+func FuseMode(tb *ast.Table, phi1, phi2 *Seed, mode Mode, rng *rand.Rand, opts Options) (*Fused, error) {
 	opts = opts.withDefaults()
 
-	f := &fuser{rng: rng, opts: opts, mode: mode}
+	f := &fuser{tb: tb, rng: rng, opts: opts, mode: mode}
 	return f.run(phi1, phi2)
 }
 
 type fuser struct {
+	tb   *ast.Table
 	rng  *rand.Rand
 	opts Options
 	mode Mode
@@ -280,10 +283,10 @@ func (f *fuser) run(phi1, phi2 *Seed) (*Fused, error) {
 		zDecls       []*smtlib.DeclareFun
 	)
 	for _, p := range chosen {
-		x := ast.NewVar(p.x.Name, p.x.Sort)
-		y := ast.NewVar(p.y.Name, p.y.Sort)
+		x := f.tb.Var(p.x.Name, p.x.Sort)
+		y := f.tb.Var(p.y.Name, p.y.Sort)
 		zName := f.freshZ()
-		z := ast.NewVar(zName, p.x.Sort)
+		z := f.tb.Var(zName, p.x.Sort)
 
 		inst, desc, ok := f.pickInstance(p.x.Sort, x, y, z, combined, needWitness)
 		if !ok {
@@ -311,14 +314,14 @@ func (f *fuser) run(phi1, phi2 *Seed) (*Fused, error) {
 			// inversion's division well-guarded under the fixed
 			// x/0 = 0 interpretation.
 			constraints = append(constraints,
-				withDivisorGuards(ast.Eq(z, inst.apply), inst.apply),
-				withDivisorGuards(ast.Eq(x, inst.invertX), inst.invertX),
-				withDivisorGuards(ast.Eq(y, inst.invertY), inst.invertY))
+				withDivisorGuards(f.tb, f.tb.Eq(z, inst.apply), inst.apply),
+				withDivisorGuards(f.tb, f.tb.Eq(x, inst.invertX), inst.invertX),
+				withDivisorGuards(f.tb, f.tb.Eq(y, inst.invertY), inst.invertY))
 		} else {
 			// Sat modes assert divisor guards standalone. They hold
 			// under the combined witness: pickInstance rejects rows
 			// whose divisors evaluate to zero.
-			guardAsserts = append(guardAsserts, divisorGuards(inst.invertX, inst.invertY)...)
+			guardAsserts = append(guardAsserts, divisorGuards(f.tb, inst.invertX, inst.invertY)...)
 		}
 	}
 	if len(triplets) == 0 {
@@ -336,11 +339,11 @@ func (f *fuser) run(phi1, phi2 *Seed) (*Fused, error) {
 		asserts = append(asserts, guardAsserts...)
 		oracle = StatusSat
 	case ModeMixedSatDisj:
-		asserts = []ast.Term{ast.Or(conj(asserts1), conj(asserts2))}
+		asserts = []ast.Term{f.tb.Or(conj(f.tb, asserts1), conj(f.tb, asserts2))}
 		asserts = append(asserts, guardAsserts...)
 		oracle = StatusSat
 	case ModeUnsatDisj:
-		asserts = []ast.Term{ast.Or(conj(asserts1), conj(asserts2))}
+		asserts = []ast.Term{f.tb.Or(conj(f.tb, asserts1), conj(f.tb, asserts2))}
 		asserts = append(asserts, constraints...)
 		oracle = StatusUnsat
 	case ModeMixedUnsatConj:
@@ -421,29 +424,29 @@ func variableDivisors(terms ...ast.Term) []ast.Term {
 
 // divisorGuards returns one (distinct d 0) assert per non-literal
 // divisor occurring in the terms.
-func divisorGuards(terms ...ast.Term) []ast.Term {
+func divisorGuards(tb *ast.Table, terms ...ast.Term) []ast.Term {
 	var out []ast.Term
 	for _, d := range variableDivisors(terms...) {
-		out = append(out, ast.MustApp(ast.OpDistinct, d, zeroOf(d.Sort())))
+		out = append(out, tb.MustApp(ast.OpDistinct, d, zeroOf(tb, d.Sort())))
 	}
 	return out
 }
 
 // withDivisorGuards conjoins eq with nonzero guards for inv's divisors,
 // keeping a single assert.
-func withDivisorGuards(eq ast.Term, inv ast.Term) ast.Term {
-	guards := divisorGuards(inv)
+func withDivisorGuards(tb *ast.Table, eq ast.Term, inv ast.Term) ast.Term {
+	guards := divisorGuards(tb, inv)
 	if len(guards) == 0 {
 		return eq
 	}
-	return ast.And(append([]ast.Term{eq}, guards...)...)
+	return tb.And(append([]ast.Term{eq}, guards...)...)
 }
 
-func zeroOf(s ast.Sort) ast.Term {
+func zeroOf(tb *ast.Table, s ast.Sort) ast.Term {
 	if s == ast.SortReal {
-		return ast.Real(0, 1)
+		return tb.Real(0, 1)
 	}
-	return ast.Int(0)
+	return tb.Int(0)
 }
 
 // renameApart renames φ2's variables that clash with names already in
@@ -466,7 +469,7 @@ func (f *fuser) renameApart(phi *Seed) ([]*smtlib.DeclareFun, []ast.Term, eval.M
 	if len(renames) > 0 {
 		renamed := make([]ast.Term, len(asserts))
 		for i, a := range asserts {
-			renamed[i] = ast.RenameFreeVars(a, renames)
+			renamed[i] = f.tb.RenameFreeVars(a, renames)
 		}
 		asserts = renamed
 	} else {
@@ -522,7 +525,7 @@ func (f *fuser) pickInstance(sort ast.Sort, x, y, z *ast.Var, witness eval.Model
 	order := f.rng.Perm(len(rows))
 	for _, i := range order {
 		fn := rows[i]
-		inst, desc := fn.Make(f.rng, x, y, z)
+		inst, desc := fn.Make(f.tb, f.rng, x, y, z)
 		if !needExact {
 			return inst, desc, true
 		}
@@ -576,7 +579,7 @@ func (f *fuser) substRandom(asserts []ast.Term, name string, repl ast.Term) []as
 	}
 	out := make([]ast.Term, len(asserts))
 	for i, a := range asserts {
-		res, _, err := ast.SubstituteOccurrences(a, name, repl, pick)
+		res, _, err := f.tb.SubstituteOccurrences(a, name, repl, pick)
 		if err != nil {
 			out[i] = a
 			continue
@@ -613,11 +616,11 @@ func divisionInvolved(asserts []ast.Term, name string) bool {
 	return false
 }
 
-func conj(ts []ast.Term) ast.Term {
+func conj(tb *ast.Table, ts []ast.Term) ast.Term {
 	if len(ts) == 0 {
 		return ast.True
 	}
-	return ast.And(ts...)
+	return tb.And(ts...)
 }
 
 func fusableSort(s ast.Sort) bool {

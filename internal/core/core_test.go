@@ -68,7 +68,7 @@ func unsatSeed2(t *testing.T) *Seed {
 func TestSatFusionWitnessValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 300; iter++ {
-		fused, err := Fuse(paperPhi1(t), paperPhi2(t), rng, Options{})
+		fused, err := Fuse(tb, paperPhi1(t), paperPhi2(t), rng, Options{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -95,7 +95,7 @@ func TestSatFusionWitnessValid(t *testing.T) {
 
 func TestSatFusionIntroducesFreshVariable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	fused, err := Fuse(paperPhi1(t), paperPhi2(t), rng, Options{MaxPairs: 1})
+	fused, err := Fuse(tb, paperPhi1(t), paperPhi2(t), rng, Options{MaxPairs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSatFusionIntroducesFreshVariable(t *testing.T) {
 func TestUnsatFusionStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 100; iter++ {
-		fused, err := Fuse(unsatSeed1(t), unsatSeed2(t), rng, Options{MaxPairs: 1})
+		fused, err := Fuse(tb, unsatSeed1(t), unsatSeed2(t), rng, Options{MaxPairs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestUnsatFusionNeverSat(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := solver.NewReference()
 	for iter := 0; iter < 60; iter++ {
-		fused, err := Fuse(unsatSeed1(t), unsatSeed2(t), rng, Options{MaxPairs: 2})
+		fused, err := Fuse(tb, unsatSeed1(t), unsatSeed2(t), rng, Options{MaxPairs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestSatFusionSolvableAdditive(t *testing.T) {
 	solved := 0
 	const n = 50
 	for iter := 0; iter < n; iter++ {
-		fused, err := Fuse(paperPhi1(t), paperPhi2(t), rng, Options{Table: AdditiveTable})
+		fused, err := Fuse(tb, paperPhi1(t), paperPhi2(t), rng, Options{Table: AdditiveTable})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestMixedFusion(t *testing.T) {
 `, StatusSat, eval.Model{"a": eval.Real(2, 1)})
 	sawSat, sawUnsat := false, false
 	for iter := 0; iter < 50; iter++ {
-		fused, err := Fuse(satSide, unsatSeed2(t), rng, Options{})
+		fused, err := Fuse(tb, satSide, unsatSeed2(t), rng, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestStringFusion(t *testing.T) {
 (assert (str.prefixof "x" b))
 `, StatusSat, eval.Model{"b": eval.StrV("xy")})
 	for iter := 0; iter < 200; iter++ {
-		fused, err := Fuse(s1, s2, rng, Options{})
+		fused, err := Fuse(tb, s1, s2, rng, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestRenameApart(t *testing.T) {
 (declare-fun x () Int)
 (assert (< x 0))
 `, StatusSat, eval.Model{"x": eval.Int(-5)})
-	fused, err := Fuse(s1, s2, rng, Options{})
+	fused, err := Fuse(tb, s1, s2, rng, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestNoFusablePair(t *testing.T) {
 (declare-fun p () Bool)
 (assert p)
 `, StatusSat, eval.Model{"p": eval.BoolV(true)})
-	if _, err := Fuse(boolOnly, boolOnly, rng, Options{}); err != ErrNoFusablePair {
+	if _, err := Fuse(tb, boolOnly, boolOnly, rng, Options{}); err != ErrNoFusablePair {
 		t.Fatalf("err = %v", err)
 	}
 	// Sort mismatch: Int vs String.
@@ -300,7 +300,7 @@ func TestNoFusablePair(t *testing.T) {
 (declare-fun s () String)
 (assert (= s "q"))
 `, StatusSat, eval.Model{"s": eval.StrV("q")})
-	if _, err := Fuse(intSeed, strSeed, rng, Options{}); err != ErrNoFusablePair {
+	if _, err := Fuse(tb, intSeed, strSeed, rng, Options{}); err != ErrNoFusablePair {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -319,7 +319,7 @@ func TestMultiplicativeGuardAgainstZeroWitness(t *testing.T) {
 (assert (< y 1))
 `, StatusSat, eval.Model{"y": eval.Int(0)})
 	for iter := 0; iter < 100; iter++ {
-		fused, err := Fuse(s1, s2, rng, Options{Table: MultiplicativeTable})
+		fused, err := Fuse(tb, s1, s2, rng, Options{Table: MultiplicativeTable})
 		if err != nil {
 			// Rejecting is acceptable when no row inverts exactly.
 			continue
@@ -337,7 +337,7 @@ func TestMultiplicativeGuardAgainstZeroWitness(t *testing.T) {
 func TestFuseModeRequiresWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	noWitness := &Seed{Script: paperPhi1(t).Script, Status: StatusSat}
-	if _, err := FuseMode(noWitness, paperPhi2(t), ModeSatConj, rng, Options{}); err == nil {
+	if _, err := FuseMode(tb, noWitness, paperPhi2(t), ModeSatConj, rng, Options{}); err == nil {
 		t.Error("sat fusion without witness should fail")
 	}
 }
@@ -346,7 +346,7 @@ func TestReplaceProbExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// ReplaceProb ~0: occurrences never replaced; formula still gains
 	// the z declaration but asserts equal the concatenation.
-	fused, err := Fuse(paperPhi1(t), paperPhi2(t), rng, Options{ReplaceProb: 1e-12, MaxPairs: 1})
+	fused, err := Fuse(tb, paperPhi1(t), paperPhi2(t), rng, Options{ReplaceProb: 1e-12, MaxPairs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestReplaceProbExtremes(t *testing.T) {
 		t.Errorf("unexpected inversion term with prob≈0:\n%s", txt)
 	}
 	// ReplaceProb ~1: every occurrence replaced.
-	fused, err = Fuse(paperPhi1(t), paperPhi2(t), rng, Options{ReplaceProb: 0.999999, MaxPairs: 1})
+	fused, err = Fuse(tb, paperPhi1(t), paperPhi2(t), rng, Options{ReplaceProb: 0.999999, MaxPairs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestTableAblationSubsets(t *testing.T) {
 func TestFusedScriptParsesBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 50; iter++ {
-		fused, err := Fuse(unsatSeed1(t), unsatSeed2(t), rng, Options{MaxPairs: 2})
+		fused, err := Fuse(tb, unsatSeed1(t), unsatSeed2(t), rng, Options{MaxPairs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,3 +401,6 @@ func TestFusedScriptParsesBack(t *testing.T) {
 		}
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

@@ -18,23 +18,23 @@ func TestQuickProposition1(t *testing.T) {
 	f := func(a, b int64, seed int64) bool {
 		a %= 1000
 		b %= 1000
-		x := ast.NewVar("x", ast.SortInt)
-		y := ast.NewVar("y", ast.SortInt)
+		x := tb.Var("x", ast.SortInt)
+		y := tb.Var("y", ast.SortInt)
 		phi1 := &Seed{
 			Script: smtlib.NewScript("QF_LIA",
 				[]*smtlib.DeclareFun{{Name: "x", Sort: ast.SortInt}},
-				[]ast.Term{ast.Ge(x, ast.Int(a)), ast.Le(x, ast.Int(a+5))}),
+				[]ast.Term{tb.Ge(x, tb.Int(a)), tb.Le(x, tb.Int(a+5))}),
 			Status:  StatusSat,
 			Witness: eval.Model{"x": eval.Int(a + 2)},
 		}
 		phi2 := &Seed{
 			Script: smtlib.NewScript("QF_LIA",
 				[]*smtlib.DeclareFun{{Name: "y", Sort: ast.SortInt}},
-				[]ast.Term{ast.Ge(y, ast.Int(b)), ast.Le(y, ast.Int(b+9))}),
+				[]ast.Term{tb.Ge(y, tb.Int(b)), tb.Le(y, tb.Int(b+9))}),
 			Status:  StatusSat,
 			Witness: eval.Model{"y": eval.Int(b + 4)},
 		}
-		fused, err := Fuse(phi1, phi2, rng, Options{})
+		fused, err := Fuse(tb, phi1, phi2, rng, Options{})
 		if err != nil {
 			return false
 		}
@@ -58,20 +58,20 @@ func TestQuickDeclarationAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(a int64) bool {
 		a %= 50
-		x := ast.NewVar("x", ast.SortReal)
+		x := tb.Var("x", ast.SortReal)
 		mk := func(name string, w int64) *Seed {
-			v := ast.NewVar(name, ast.SortReal)
+			v := tb.Var(name, ast.SortReal)
 			return &Seed{
 				Script: smtlib.NewScript("QF_LRA",
 					[]*smtlib.DeclareFun{{Name: name, Sort: ast.SortReal}},
-					[]ast.Term{ast.Lt(v, ast.Real(w+1, 1))}),
+					[]ast.Term{tb.Lt(v, tb.Real(w+1, 1))}),
 				Status:  StatusSat,
 				Witness: eval.Model{name: eval.Real(w, 1)},
 			}
 		}
 		_ = x
 		phi1, phi2 := mk("x", a), mk("x", a+1) // same name: forces renaming
-		fused, err := Fuse(phi1, phi2, rng, Options{MaxPairs: 1})
+		fused, err := Fuse(tb, phi1, phi2, rng, Options{MaxPairs: 1})
 		if err != nil {
 			return false
 		}
@@ -106,7 +106,7 @@ func TestQuickFusedReparse(t *testing.T) {
 (assert (and (< q 0.0) (> q 1.0)))
 `)
 	f := func(n uint8) bool {
-		fused, err := Fuse(u1, u2, rng, Options{MaxPairs: 1 + int(n%2)})
+		fused, err := Fuse(tb, u1, u2, rng, Options{MaxPairs: 1 + int(n%2)})
 		if err != nil {
 			return false
 		}

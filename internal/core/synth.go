@@ -42,12 +42,12 @@ func synthArith(rng *rand.Rand, sort ast.Sort, serial int) FusionFn {
 	return FusionFn{
 		Name: name,
 		Sort: sort,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			lit := func(v int64) ast.Term {
 				if sort == ast.SortReal {
-					return ast.Real(v, 1)
+					return tb.Real(v, 1)
 				}
-				return ast.Int(v)
+				return tb.Int(v)
 			}
 			nz := func() ast.Term { return lit(int64(1 + rng.Intn(7))) }
 			anyc := func() ast.Term { return lit(int64(rng.Intn(19) - 9)) }
@@ -55,28 +55,28 @@ func synthArith(rng *rand.Rand, sort ast.Sort, serial int) FusionFn {
 			if sort == ast.SortReal {
 				divOp = ast.OpRealDiv
 			}
-			div := func(a, b ast.Term) ast.Term { return ast.MustApp(divOp, a, b) }
+			div := func(a, b ast.Term) ast.Term { return tb.MustApp(divOp, a, b) }
 
 			switch rng.Intn(3) {
 			case 0:
 				c1, a := nz(), anyc()
-				apply := ast.Add(ast.Mul(c1, ast.Add(x, a)), y)
-				rx := ast.Sub(div(ast.Sub(z, y), c1), a)
-				ry := ast.Sub(z, ast.Mul(c1, ast.Add(x, a)))
+				apply := tb.Add(tb.Mul(c1, tb.Add(x, a)), y)
+				rx := tb.Sub(div(tb.Sub(z, y), c1), a)
+				ry := tb.Sub(z, tb.Mul(c1, tb.Add(x, a)))
 				return instance{apply: apply, invertX: rx, invertY: ry},
 					fmt.Sprintf("z = %s*(x + %s) + y", ast.Print(c1), ast.Print(a))
 			case 1:
 				c2, b := nz(), anyc()
-				apply := ast.Add(x, ast.Mul(c2, ast.Add(y, b)))
-				rx := ast.Sub(z, ast.Mul(c2, ast.Add(y, b)))
-				ry := ast.Sub(div(ast.Sub(z, x), c2), b)
+				apply := tb.Add(x, tb.Mul(c2, tb.Add(y, b)))
+				rx := tb.Sub(z, tb.Mul(c2, tb.Add(y, b)))
+				ry := tb.Sub(div(tb.Sub(z, x), c2), b)
 				return instance{apply: apply, invertX: rx, invertY: ry},
 					fmt.Sprintf("z = x + %s*(y + %s)", ast.Print(c2), ast.Print(b))
 			default:
 				c1, c2, c3 := nz(), nz(), anyc()
-				apply := ast.Add(ast.Mul(c1, x), ast.Mul(c2, y), c3)
-				rx := div(ast.Sub(z, ast.Mul(c2, y), c3), c1)
-				ry := div(ast.Sub(z, ast.Mul(c1, x), c3), c2)
+				apply := tb.Add(tb.Mul(c1, x), tb.Mul(c2, y), c3)
+				rx := div(tb.Sub(z, tb.Mul(c2, y), c3), c1)
+				ry := div(tb.Sub(z, tb.Mul(c1, x), c3), c2)
 				return instance{apply: apply, invertX: rx, invertY: ry},
 					fmt.Sprintf("z = %s*x + %s*y + %s", ast.Print(c1), ast.Print(c2), ast.Print(c3))
 			}
@@ -92,7 +92,7 @@ func synthString(rng *rand.Rand, serial int) FusionFn {
 	return FusionFn{
 		Name: name,
 		Sort: ast.SortString,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			const alphabet = "abcxy01#"
 			pad := func(max int) string {
 				n := rng.Intn(max + 1)
@@ -103,32 +103,32 @@ func synthString(rng *rand.Rand, serial int) FusionFn {
 				return string(buf)
 			}
 			p, m, sfx := pad(2), pad(3), pad(2)
-			strLen := func(t ast.Term) ast.Term { return ast.MustApp(ast.OpStrLen, t) }
+			strLen := func(t ast.Term) ast.Term { return tb.MustApp(ast.OpStrLen, t) }
 
 			parts := []ast.Term{}
 			if p != "" {
-				parts = append(parts, ast.Str(p))
+				parts = append(parts, tb.Str(p))
 			}
 			parts = append(parts, x)
 			if m != "" {
-				parts = append(parts, ast.Str(m))
+				parts = append(parts, tb.Str(m))
 			}
 			parts = append(parts, y)
 			if sfx != "" {
-				parts = append(parts, ast.Str(sfx))
+				parts = append(parts, tb.Str(sfx))
 			}
 			var apply ast.Term
 			if len(parts) == 1 {
 				apply = parts[0]
 			} else {
-				apply = ast.MustApp(ast.OpStrConcat, parts...)
+				apply = tb.MustApp(ast.OpStrConcat, parts...)
 			}
 
 			// rx = substr(z, |p|, len x)
-			rx := ast.MustApp(ast.OpStrSubstr, z, ast.Int(int64(len(p))), strLen(x))
+			rx := tb.MustApp(ast.OpStrSubstr, z, tb.Int(int64(len(p))), strLen(x))
 			// ry = substr(z, |p| + len x + |m|, len y)
-			off := ast.Add(ast.Int(int64(len(p))), strLen(x), ast.Int(int64(len(m))))
-			ry := ast.MustApp(ast.OpStrSubstr, z, off, strLen(y))
+			off := tb.Add(tb.Int(int64(len(p))), strLen(x), tb.Int(int64(len(m))))
+			ry := tb.MustApp(ast.OpStrSubstr, z, off, strLen(y))
 			return instance{apply: apply, invertX: rx, invertY: ry},
 				fmt.Sprintf("z = %q ++ x ++ %q ++ y ++ %q", p, m, sfx)
 		},

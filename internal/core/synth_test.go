@@ -68,10 +68,10 @@ func TestQuickSynthesizedInversionExact(t *testing.T) {
 			}
 		}
 		fn := intRows[int(pick)%len(intRows)]
-		x := ast.NewVar("x", ast.SortInt)
-		y := ast.NewVar("y", ast.SortInt)
-		z := ast.NewVar("z", ast.SortInt)
-		inst, _ := fn.Make(rng, x, y, z)
+		x := tb.Var("x", ast.SortInt)
+		y := tb.Var("y", ast.SortInt)
+		z := tb.Var("z", ast.SortInt)
+		inst, _ := fn.Make(tb, rng, x, y, z)
 		witness := eval.Model{"x": eval.Int(xv), "y": eval.Int(yv)}
 		zv, err := eval.Term(inst.apply, witness)
 		if err != nil {
@@ -112,10 +112,10 @@ func TestQuickSynthesizedStringInversion(t *testing.T) {
 		}
 		xv, yv := clampStr(xRaw), clampStr(yRaw)
 		fn := strRows[int(pick)%len(strRows)]
-		x := ast.NewVar("x", ast.SortString)
-		y := ast.NewVar("y", ast.SortString)
-		z := ast.NewVar("z", ast.SortString)
-		inst, _ := fn.Make(rng, x, y, z)
+		x := tb.Var("x", ast.SortString)
+		y := tb.Var("y", ast.SortString)
+		z := tb.Var("z", ast.SortString)
+		inst, _ := fn.Make(tb, rng, x, y, z)
 		witness := eval.Model{"x": eval.StrV(xv), "y": eval.StrV(yv)}
 		zv, err := eval.Term(inst.apply, witness)
 		if err != nil {
@@ -143,7 +143,7 @@ func TestSynthesizedTableFusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	table := SynthesizeTable(rng, 3)
 	for iter := 0; iter < 100; iter++ {
-		fused, err := Fuse(paperPhi1(t), paperPhi2(t), rng, Options{Table: table})
+		fused, err := Fuse(tb, paperPhi1(t), paperPhi2(t), rng, Options{Table: table})
 		if err != nil {
 			t.Fatal(err)
 		}

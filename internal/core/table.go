@@ -13,7 +13,7 @@ import (
 type FusionFn struct {
 	Name string
 	Sort ast.Sort
-	Make func(rng *rand.Rand, x, y, z *ast.Var) (instance, string)
+	Make func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string)
 }
 
 // DefaultTable is the full Figure 6 table: four Int rows, four Real
@@ -88,50 +88,50 @@ func buildDefaultTable() []FusionFn {
 	// --- Int rows ---
 	table = append(table, FusionFn{
 		Name: "int-add", Sort: ast.SortInt,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			// z = x + y; rx = z − y; ry = z − x.
 			return instance{
-				apply:   ast.Add(x, y),
-				invertX: ast.Sub(z, y),
-				invertY: ast.Sub(z, x),
+				apply:   tb.Add(x, y),
+				invertX: tb.Sub(z, y),
+				invertY: tb.Sub(z, x),
 			}, "z = x + y"
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "int-add-const", Sort: ast.SortInt,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
-			c := ast.Int(int64(rng.Intn(199) - 99))
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+			c := tb.Int(int64(rng.Intn(199) - 99))
 			// z = x + c + y; rx = z − c − y; ry = z − c − x.
 			return instance{
-				apply:   ast.Add(x, c, y),
-				invertX: ast.Sub(z, c, y),
-				invertY: ast.Sub(z, c, x),
+				apply:   tb.Add(x, c, y),
+				invertX: tb.Sub(z, c, y),
+				invertY: tb.Sub(z, c, x),
 			}, fmt.Sprintf("z = x + %s + y", ast.Print(c))
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "int-mul", Sort: ast.SortInt,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			// z = x·y; rx = z div y; ry = z div x.
 			return instance{
-				apply:   ast.Mul(x, y),
-				invertX: ast.MustApp(ast.OpIntDiv, z, y),
-				invertY: ast.MustApp(ast.OpIntDiv, z, x),
+				apply:   tb.Mul(x, y),
+				invertX: tb.MustApp(ast.OpIntDiv, z, y),
+				invertY: tb.MustApp(ast.OpIntDiv, z, x),
 			}, "z = x * y"
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "int-affine", Sort: ast.SortInt,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
-			c1 := ast.Int(int64(1 + rng.Intn(9)))
-			c2 := ast.Int(int64(1 + rng.Intn(9)))
-			c3 := ast.Int(int64(rng.Intn(99) - 49))
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+			c1 := tb.Int(int64(1 + rng.Intn(9)))
+			c2 := tb.Int(int64(1 + rng.Intn(9)))
+			c3 := tb.Int(int64(rng.Intn(99) - 49))
 			// z = c1·x + c2·y + c3;
 			// rx = (z − c2·y − c3) div c1; ry = (z − c1·x − c3) div c2.
 			return instance{
-				apply:   ast.Add(ast.Mul(c1, x), ast.Mul(c2, y), c3),
-				invertX: ast.MustApp(ast.OpIntDiv, ast.Sub(z, ast.Mul(c2, y), c3), c1),
-				invertY: ast.MustApp(ast.OpIntDiv, ast.Sub(z, ast.Mul(c1, x), c3), c2),
+				apply:   tb.Add(tb.Mul(c1, x), tb.Mul(c2, y), c3),
+				invertX: tb.MustApp(ast.OpIntDiv, tb.Sub(z, tb.Mul(c2, y), c3), c1),
+				invertY: tb.MustApp(ast.OpIntDiv, tb.Sub(z, tb.Mul(c1, x), c3), c2),
 			}, fmt.Sprintf("z = %s*x + %s*y + %s", ast.Print(c1), ast.Print(c2), ast.Print(c3))
 		},
 	})
@@ -139,93 +139,93 @@ func buildDefaultTable() []FusionFn {
 	// --- Real rows ---
 	table = append(table, FusionFn{
 		Name: "real-add", Sort: ast.SortReal,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			return instance{
-				apply:   ast.Add(x, y),
-				invertX: ast.Sub(z, y),
-				invertY: ast.Sub(z, x),
+				apply:   tb.Add(x, y),
+				invertX: tb.Sub(z, y),
+				invertY: tb.Sub(z, x),
 			}, "z = x + y"
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "real-add-const", Sort: ast.SortReal,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
-			c := ast.Real(int64(rng.Intn(199)-99), int64(1+rng.Intn(4)))
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+			c := tb.Real(int64(rng.Intn(199)-99), int64(1+rng.Intn(4)))
 			return instance{
-				apply:   ast.Add(x, c, y),
-				invertX: ast.Sub(z, c, y),
-				invertY: ast.Sub(z, c, x),
+				apply:   tb.Add(x, c, y),
+				invertX: tb.Sub(z, c, y),
+				invertY: tb.Sub(z, c, x),
 			}, fmt.Sprintf("z = x + %s + y", ast.Print(c))
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "real-mul", Sort: ast.SortReal,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			// z = x·y; rx = z/y; ry = z/x.
 			return instance{
-				apply:   ast.Mul(x, y),
-				invertX: ast.MustApp(ast.OpRealDiv, z, y),
-				invertY: ast.MustApp(ast.OpRealDiv, z, x),
+				apply:   tb.Mul(x, y),
+				invertX: tb.MustApp(ast.OpRealDiv, z, y),
+				invertY: tb.MustApp(ast.OpRealDiv, z, x),
 			}, "z = x * y"
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "real-affine", Sort: ast.SortReal,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
-			c1 := ast.Real(int64(1+rng.Intn(9)), 1)
-			c2 := ast.Real(int64(1+rng.Intn(9)), 1)
-			c3 := ast.Real(int64(rng.Intn(99)-49), 1)
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+			c1 := tb.Real(int64(1+rng.Intn(9)), 1)
+			c2 := tb.Real(int64(1+rng.Intn(9)), 1)
+			c3 := tb.Real(int64(rng.Intn(99)-49), 1)
 			return instance{
-				apply:   ast.Add(ast.Mul(c1, x), ast.Mul(c2, y), c3),
-				invertX: ast.MustApp(ast.OpRealDiv, ast.Sub(z, ast.Mul(c2, y), c3), c1),
-				invertY: ast.MustApp(ast.OpRealDiv, ast.Sub(z, ast.Mul(c1, x), c3), c2),
+				apply:   tb.Add(tb.Mul(c1, x), tb.Mul(c2, y), c3),
+				invertX: tb.MustApp(ast.OpRealDiv, tb.Sub(z, tb.Mul(c2, y), c3), c1),
+				invertY: tb.MustApp(ast.OpRealDiv, tb.Sub(z, tb.Mul(c1, x), c3), c2),
 			}, fmt.Sprintf("z = %s*x + %s*y + %s", ast.Print(c1), ast.Print(c2), ast.Print(c3))
 		},
 	})
 
 	// --- String rows ---
-	strLen := func(t ast.Term) ast.Term { return ast.MustApp(ast.OpStrLen, t) }
-	substr := func(s, i, n ast.Term) ast.Term { return ast.MustApp(ast.OpStrSubstr, s, i, n) }
-	replace := func(s, t, u ast.Term) ast.Term { return ast.MustApp(ast.OpStrReplace, s, t, u) }
+	strLen := func(tb *ast.Table, t ast.Term) ast.Term { return tb.MustApp(ast.OpStrLen, t) }
+	substr := func(tb *ast.Table, s, i, n ast.Term) ast.Term { return tb.MustApp(ast.OpStrSubstr, s, i, n) }
+	replace := func(tb *ast.Table, s, t, u ast.Term) ast.Term { return tb.MustApp(ast.OpStrReplace, s, t, u) }
 
 	table = append(table, FusionFn{
 		Name: "str-concat-substr", Sort: ast.SortString,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			// z = x ++ y; rx = substr z 0 |x|; ry = substr z |x| |y|.
 			return instance{
-				apply:   ast.MustApp(ast.OpStrConcat, x, y),
-				invertX: substr(z, ast.Int(0), strLen(x)),
-				invertY: substr(z, strLen(x), strLen(y)),
+				apply:   tb.MustApp(ast.OpStrConcat, x, y),
+				invertX: substr(tb, z, tb.Int(0), strLen(tb, x)),
+				invertY: substr(tb, z, strLen(tb, x), strLen(tb, y)),
 			}, "z = x ++ y (substr inversion)"
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "str-concat-replace", Sort: ast.SortString,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			// z = x ++ y; rx = substr z 0 |x|; ry = replace z x "".
 			return instance{
-				apply:   ast.MustApp(ast.OpStrConcat, x, y),
-				invertX: substr(z, ast.Int(0), strLen(x)),
-				invertY: replace(z, x, ast.Str("")),
+				apply:   tb.MustApp(ast.OpStrConcat, x, y),
+				invertX: substr(tb, z, tb.Int(0), strLen(tb, x)),
+				invertY: replace(tb, z, x, tb.Str("")),
 			}, "z = x ++ y (replace inversion)"
 		},
 	})
 	table = append(table, FusionFn{
 		Name: "str-concat-infix", Sort: ast.SortString,
-		Make: func(rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
+		Make: func(tb *ast.Table, rng *rand.Rand, x, y, z *ast.Var) (instance, string) {
 			const alphabet = "abcxyz01"
 			n := 1 + rng.Intn(3)
 			buf := make([]byte, n)
 			for i := range buf {
 				buf[i] = alphabet[rng.Intn(len(alphabet))]
 			}
-			c := ast.Str(string(buf))
+			c := tb.Str(string(buf))
 			// z = x ++ c ++ y; rx = substr z 0 |x|;
 			// ry = replace (replace z x "") c "".
 			return instance{
-				apply:   ast.MustApp(ast.OpStrConcat, x, c, y),
-				invertX: substr(z, ast.Int(0), strLen(x)),
-				invertY: replace(replace(z, x, ast.Str("")), c, ast.Str("")),
+				apply:   tb.MustApp(ast.OpStrConcat, x, c, y),
+				invertX: substr(tb, z, tb.Int(0), strLen(tb, x)),
+				invertY: replace(tb, replace(tb, z, x, tb.Str("")), c, tb.Str("")),
 			}, fmt.Sprintf("z = x ++ %s ++ y", ast.Print(c))
 		},
 	})

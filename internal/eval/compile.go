@@ -676,16 +676,24 @@ func indexOf(s, t string, from rat.Rat) rat.Rat {
 	return rat.Int(i + int64(idx))
 }
 
-// strToInt is StrToInt without allocating for numerals below 10^18.
+// strToInt is StrToInt without allocating for strings of at most 18
+// bytes, numerals or not (a failed strconv parse allocates its error).
 func strToInt(s string) rat.Rat {
 	if len(s) > 18 {
 		return rat.FromBigInt(StrToInt(s))
 	}
-	n, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
+	if s == "" {
 		return rat.Int(-1)
 	}
-	return rat.Int(int64(n))
+	var n int64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return rat.Int(-1)
+		}
+		n = n*10 + int64(c-'0')
+	}
+	return rat.Int(n)
 }
 
 // strFromInt is StrFromInt on a rational holding an integer.

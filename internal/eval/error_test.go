@@ -14,14 +14,14 @@ import (
 // with ast.UncheckedApp — the checked constructors reject them — and
 // ill-sorted models are built directly.
 func TestStructuredErrors(t *testing.T) {
-	x := ast.NewVar("x", ast.SortInt)
-	b := ast.NewVar("b", ast.SortBool)
-	s := ast.NewVar("s", ast.SortString)
-	r := ast.NewVar("r", ast.SortReal)
+	x := tb.Var("x", ast.SortInt)
+	b := tb.Var("b", ast.SortBool)
+	s := tb.Var("s", ast.SortString)
+	r := tb.Var("r", ast.SortReal)
 	okModel := Model{
 		"x": Int(1), "b": BoolV(true), "s": StrV("ab"), "r": Real(1, 2),
 	}
-	boolAsInt := ast.UncheckedApp(ast.OpAdd, ast.SortInt, b, x) // (+ b x) forged
+	boolAsInt := tb.UncheckedApp(ast.OpAdd, ast.SortInt, b, x) // (+ b x) forged
 
 	cases := []struct {
 		name     string
@@ -30,29 +30,29 @@ func TestStructuredErrors(t *testing.T) {
 		sentinel error
 		path     string
 	}{
-		{"unbound variable", ast.Gt(x, ast.Int(0)), Model{}, ErrUnbound, "arg[0]"},
+		{"unbound variable", tb.Gt(x, tb.Int(0)), Model{}, ErrUnbound, "arg[0]"},
 		{"model sort mismatch", x, Model{"x": BoolV(true)}, ErrSortMismatch, ""},
-		{"quantifier", ast.MustQuant(true, []ast.SortedVar{{Name: "q", Sort: ast.SortInt}}, ast.Bool(true)), okModel, ErrQuantifier, ""},
-		{"bool wanted by Not", ast.UncheckedApp(ast.OpNot, ast.SortBool, x), okModel, ErrSortMismatch, "arg[0]"},
-		{"bool wanted by Xor", ast.UncheckedApp(ast.OpXor, ast.SortBool, b, x), okModel, ErrSortMismatch, "arg[1]"},
-		{"arith on Bool", ast.UncheckedApp(ast.OpAdd, ast.SortInt, b, b), okModel, ErrSortMismatch, "arg[0]"},
-		{"int arith mixed with Real", ast.UncheckedApp(ast.OpAdd, ast.SortInt, x, r), okModel, ErrSortMismatch, "arg[1]"},
-		{"real arith mixed with Str", ast.UncheckedApp(ast.OpMul, ast.SortReal, r, s), okModel, ErrSortMismatch, "arg[1]"},
-		{"compare on Strings", ast.UncheckedApp(ast.OpLt, ast.SortBool, s, s), okModel, ErrSortMismatch, "arg[0]"},
-		{"compare mixed sorts", ast.UncheckedApp(ast.OpLe, ast.SortBool, x, r), okModel, ErrSortMismatch, "arg[1]"},
-		{"to_real of Real", ast.UncheckedApp(ast.OpToReal, ast.SortReal, r), okModel, ErrSortMismatch, "arg[0]"},
-		{"to_int of Int", ast.UncheckedApp(ast.OpToInt, ast.SortInt, x), okModel, ErrSortMismatch, "arg[0]"},
-		{"is_int of Int", ast.UncheckedApp(ast.OpIsInt, ast.SortBool, x), okModel, ErrSortMismatch, "arg[0]"},
-		{"string op on Int", ast.UncheckedApp(ast.OpStrLen, ast.SortInt, x), okModel, ErrSortMismatch, "arg[0]"},
-		{"str.at with Str index", ast.UncheckedApp(ast.OpStrAt, ast.SortString, s, s), okModel, ErrSortMismatch, "arg[1]"},
-		{"str.in_re non-string subject", ast.UncheckedApp(ast.OpStrInRe, ast.SortBool, x, ast.MustApp(ast.OpReAllChar)), okModel, ErrSortMismatch, "arg[0]"},
-		{"str.to_re of Int", ast.MustApp(ast.OpStrInRe, s, ast.UncheckedApp(ast.OpStrToRe, ast.SortRegLan, x)), okModel, ErrSortMismatch, "arg[1].arg[0]"},
-		{"re.union non-RegLan arg", ast.MustApp(ast.OpStrInRe, s, ast.UncheckedApp(ast.OpReUnion, ast.SortRegLan, s)), okModel, ErrSortMismatch, "arg[1].arg[0]"},
-		{"regex unsupported op", ast.MustApp(ast.OpStrInRe, s, ast.UncheckedApp(ast.OpAdd, ast.SortRegLan)), okModel, ErrUnsupported, "arg[1]"},
-		{"non-application RegLan term", ast.MustApp(ast.OpStrInRe, s, ast.NewVar("L", ast.SortRegLan)), okModel, ErrUnsupported, "arg[1]"},
-		{"nested path through And", ast.And(b, ast.Gt(boolAsInt, ast.Int(0))), okModel, ErrSortMismatch, "arg[1].arg[0].arg[0]"},
-		{"nested path through Ite branch", ast.Ite(b, boolAsInt, x), okModel, ErrSortMismatch, "arg[1].arg[0]"},
-		{"implies final arg", ast.MustApp(ast.OpImplies, b, ast.Gt(ast.NewVar("missing", ast.SortInt), x)), okModel, ErrUnbound, "arg[1].arg[0]"},
+		{"quantifier", tb.MustQuant(true, []ast.SortedVar{{Name: "q", Sort: ast.SortInt}}, ast.Bool(true)), okModel, ErrQuantifier, ""},
+		{"bool wanted by Not", tb.UncheckedApp(ast.OpNot, ast.SortBool, x), okModel, ErrSortMismatch, "arg[0]"},
+		{"bool wanted by Xor", tb.UncheckedApp(ast.OpXor, ast.SortBool, b, x), okModel, ErrSortMismatch, "arg[1]"},
+		{"arith on Bool", tb.UncheckedApp(ast.OpAdd, ast.SortInt, b, b), okModel, ErrSortMismatch, "arg[0]"},
+		{"int arith mixed with Real", tb.UncheckedApp(ast.OpAdd, ast.SortInt, x, r), okModel, ErrSortMismatch, "arg[1]"},
+		{"real arith mixed with Str", tb.UncheckedApp(ast.OpMul, ast.SortReal, r, s), okModel, ErrSortMismatch, "arg[1]"},
+		{"compare on Strings", tb.UncheckedApp(ast.OpLt, ast.SortBool, s, s), okModel, ErrSortMismatch, "arg[0]"},
+		{"compare mixed sorts", tb.UncheckedApp(ast.OpLe, ast.SortBool, x, r), okModel, ErrSortMismatch, "arg[1]"},
+		{"to_real of Real", tb.UncheckedApp(ast.OpToReal, ast.SortReal, r), okModel, ErrSortMismatch, "arg[0]"},
+		{"to_int of Int", tb.UncheckedApp(ast.OpToInt, ast.SortInt, x), okModel, ErrSortMismatch, "arg[0]"},
+		{"is_int of Int", tb.UncheckedApp(ast.OpIsInt, ast.SortBool, x), okModel, ErrSortMismatch, "arg[0]"},
+		{"string op on Int", tb.UncheckedApp(ast.OpStrLen, ast.SortInt, x), okModel, ErrSortMismatch, "arg[0]"},
+		{"str.at with Str index", tb.UncheckedApp(ast.OpStrAt, ast.SortString, s, s), okModel, ErrSortMismatch, "arg[1]"},
+		{"str.in_re non-string subject", tb.UncheckedApp(ast.OpStrInRe, ast.SortBool, x, tb.MustApp(ast.OpReAllChar)), okModel, ErrSortMismatch, "arg[0]"},
+		{"str.to_re of Int", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpStrToRe, ast.SortRegLan, x)), okModel, ErrSortMismatch, "arg[1].arg[0]"},
+		{"re.union non-RegLan arg", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpReUnion, ast.SortRegLan, s)), okModel, ErrSortMismatch, "arg[1].arg[0]"},
+		{"regex unsupported op", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpAdd, ast.SortRegLan)), okModel, ErrUnsupported, "arg[1]"},
+		{"non-application RegLan term", tb.MustApp(ast.OpStrInRe, s, tb.Var("L", ast.SortRegLan)), okModel, ErrUnsupported, "arg[1]"},
+		{"nested path through And", tb.And(b, tb.Gt(boolAsInt, tb.Int(0))), okModel, ErrSortMismatch, "arg[1].arg[0].arg[0]"},
+		{"nested path through Ite branch", tb.Ite(b, boolAsInt, x), okModel, ErrSortMismatch, "arg[1].arg[0]"},
+		{"implies final arg", tb.MustApp(ast.OpImplies, b, tb.Gt(tb.Var("missing", ast.SortInt), x)), okModel, ErrUnbound, "arg[1].arg[0]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,7 +80,7 @@ func TestStructuredErrors(t *testing.T) {
 // TestBoolSortError pins the Bool() wrapper's own mismatch branch: a
 // well-sorted non-boolean term is a caller error, reported at the root.
 func TestBoolSortError(t *testing.T) {
-	_, err := Bool(ast.Int(3), Model{})
+	_, err := Bool(tb.Int(3), Model{})
 	if !errors.Is(err, ErrSortMismatch) {
 		t.Fatalf("Bool on Int: %v, want sort mismatch", err)
 	}
@@ -94,8 +94,8 @@ func TestBoolSortError(t *testing.T) {
 // construction: evaluating the same failing (interned) subterm from two
 // positions must report two distinct paths.
 func TestErrorPathNotShared(t *testing.T) {
-	bad := ast.Gt(ast.NewVar("nope", ast.SortInt), ast.Int(0))
-	tt := ast.And(ast.Bool(true), bad, bad)
+	bad := tb.Gt(tb.Var("nope", ast.SortInt), tb.Int(0))
+	tt := tb.And(ast.Bool(true), bad, bad)
 	_, err := Term(tt, Model{})
 	var ee *Error
 	if !errors.As(err, &ee) {
@@ -105,7 +105,7 @@ func TestErrorPathNotShared(t *testing.T) {
 		t.Errorf("first failing position = %q, want arg[1].arg[0]", ee.Path)
 	}
 	// The same leaf from the other position.
-	_, err2 := Term(ast.Or(ast.Bool(false), ast.Not(bad)), Model{})
+	_, err2 := Term(tb.Or(ast.Bool(false), tb.Not(bad)), Model{})
 	var ee2 *Error
 	if !errors.As(err2, &ee2) {
 		t.Fatal("no structured error")
@@ -114,3 +114,6 @@ func TestErrorPathNotShared(t *testing.T) {
 		t.Errorf("second position = %q, want arg[1].arg[0].arg[0]", ee2.Path)
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

@@ -12,7 +12,7 @@ import (
 // evalStr parses src as a term over decls and evaluates it under m.
 func evalStr(t *testing.T, src string, decls map[string]ast.Sort, m Model) Value {
 	t.Helper()
-	term, err := smtlib.ParseTerm(src, decls)
+	term, err := smtlib.ParseTerm(tb, src, decls)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
@@ -199,7 +199,7 @@ func TestVariablesAndErrors(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortInt}
 	wantInt(t, "(+ x 1)", decls, Model{"x": Int(41)}, 42)
 
-	term, _ := smtlib.ParseTerm("(+ x 1)", decls)
+	term, _ := smtlib.ParseTerm(tb, "(+ x 1)", decls)
 	if _, err := Term(term, Model{}); !errors.Is(err, ErrUnbound) {
 		t.Errorf("unbound variable error missing, got %v", err)
 	}
@@ -207,7 +207,7 @@ func TestVariablesAndErrors(t *testing.T) {
 		t.Error("sort-mismatched model value should error")
 	}
 
-	q, _ := smtlib.ParseTerm("(exists ((h Int)) (> h x))", decls)
+	q, _ := smtlib.ParseTerm(tb, "(exists ((h Int)) (> h x))", decls)
 	if _, err := Term(q, Model{"x": Int(0)}); !errors.Is(err, ErrQuantifier) {
 		t.Errorf("quantifier error missing, got %v", err)
 	}
@@ -239,10 +239,10 @@ func TestModelHelpers(t *testing.T) {
 func TestValueToTermRoundTrip(t *testing.T) {
 	vals := []Value{BoolV(true), Int(-7), Real(3, 4), StrV(`a"b`)}
 	for _, v := range vals {
-		term := ToTerm(v)
+		term := ToTerm(tb, v)
 		back, err := Term(term, nil)
 		if err != nil {
-			t.Fatalf("eval(ToTerm(%v)): %v", v, err)
+			t.Fatalf("eval(ToTerm(tb, %v)): %v", v, err)
 		}
 		if !Equal(v, back) {
 			t.Errorf("round trip: %v != %v", v, back)

@@ -53,7 +53,7 @@ func TestQuickStrIntInverse(t *testing.T) {
 // the semantic level).
 func TestQuickStringLiteralRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		v, err := Term(ast.Str(s), nil)
+		v, err := Term(tb.Str(s), nil)
 		if err != nil {
 			return false
 		}
@@ -68,8 +68,8 @@ func TestQuickStringLiteralRoundTrip(t *testing.T) {
 // to len(a) + len(b) for arbitrary strings.
 func TestQuickConcatLength(t *testing.T) {
 	f := func(a, b string) bool {
-		cc := ast.MustApp(ast.OpStrConcat, ast.Str(a), ast.Str(b))
-		ln := ast.MustApp(ast.OpStrLen, cc)
+		cc := tb.MustApp(ast.OpStrConcat, tb.Str(a), tb.Str(b))
+		ln := tb.MustApp(ast.OpStrLen, cc)
 		v, err := Term(ln, nil)
 		if err != nil {
 			return false

@@ -56,9 +56,9 @@ func (v BoolV) String() string {
 	return "false"
 }
 
-func (v IntV) String() string  { return ast.Print(ast.IntBig(v.V)) }
-func (v RealV) String() string { return ast.Print(ast.RealBig(v.V)) }
-func (v StrV) String() string  { return ast.Print(ast.Str(string(v))) }
+func (v IntV) String() string  { return ast.Print(&ast.IntLit{V: v.V}) }
+func (v RealV) String() string { return ast.Print(&ast.RealLit{V: v.V}) }
+func (v StrV) String() string  { return ast.Print(&ast.StrLit{V: string(v)}) }
 
 // Int returns an integer value.
 func Int(v int64) IntV { return IntV{V: big.NewInt(v)} }
@@ -84,17 +84,17 @@ func Equal(a, b Value) bool {
 	return false
 }
 
-// ToTerm converts a value back into a literal term.
-func ToTerm(v Value) ast.Term {
+// ToTerm converts a value back into a literal term built in tb.
+func ToTerm(tb *ast.Table, v Value) ast.Term {
 	switch x := v.(type) {
 	case BoolV:
 		return ast.Bool(bool(x))
 	case IntV:
-		return ast.IntBig(x.V)
+		return tb.IntBig(x.V)
 	case RealV:
-		return ast.RealBig(x.V)
+		return tb.RealBig(x.V)
 	case StrV:
-		return ast.Str(string(x))
+		return tb.Str(string(x))
 	default:
 		panic(fmt.Sprintf("eval: unknown value %T", v))
 	}

@@ -18,7 +18,7 @@ func (g *Generator) satArith() *core.Seed {
 	for i := 0; i < nVars; i++ {
 		name := g.fresh("v")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: g.tr.sort})
-		v := ast.NewVar(name, g.tr.sort)
+		v := g.tb.Var(name, g.tr.sort)
 		vars = append(vars, v)
 		if g.tr.sort == ast.SortInt {
 			witness[name] = eval.IntV{V: g.randInt()}
@@ -37,15 +37,15 @@ func (g *Generator) satArith() *core.Seed {
 	if g.rng.Intn(3) == 0 {
 		wName := g.fresh("w")
 		decls = append(decls, &smtlib.DeclareFun{Name: wName, Sort: ast.SortBool})
-		w := ast.NewVar(wName, ast.SortBool)
+		w := g.tb.Var(wName, ast.SortBool)
 		atom := g.trueArithAtom(vars, witness)
 		truth, polarity := g.orientBool(atom, witness)
 		witness[wName] = eval.BoolV(truth)
-		asserts = append(asserts, ast.Eq(w, polarity))
+		asserts = append(asserts, g.tb.Eq(w, polarity))
 		if truth {
 			asserts = append(asserts, ast.Term(w))
 		} else {
-			asserts = append(asserts, ast.Not(w))
+			asserts = append(asserts, g.tb.Not(w))
 		}
 	}
 
@@ -59,9 +59,9 @@ func (g *Generator) satArith() *core.Seed {
 		noise := g.arbitraryArithAtom(vars)
 		tr := g.trueArithAtom(vars, witness)
 		if g.rng.Intn(2) == 0 {
-			asserts = append(asserts, ast.Or(tr, noise))
+			asserts = append(asserts, g.tb.Or(tr, noise))
 		} else {
-			asserts = append(asserts, ast.Or(noise, tr))
+			asserts = append(asserts, g.tb.Or(noise, tr))
 		}
 	}
 
@@ -92,23 +92,23 @@ func (g *Generator) trueArithAtom(vars []*ast.Var, witness eval.Model) ast.Term 
 	offset := big.NewRat(int64(g.rng.Intn(5)), 1)
 	switch g.rng.Intn(6) {
 	case 0: // t = val
-		return ast.Eq(t, g.numLit(val))
+		return g.tb.Eq(t, g.numLit(val))
 	case 1: // t ≤ val + offset
-		return ast.Le(t, g.numLit(new(big.Rat).Add(val, offset)))
+		return g.tb.Le(t, g.numLit(new(big.Rat).Add(val, offset)))
 	case 2: // t ≥ val − offset
-		return ast.Ge(t, g.numLit(new(big.Rat).Sub(val, offset)))
+		return g.tb.Ge(t, g.numLit(new(big.Rat).Sub(val, offset)))
 	case 3: // t < val + offset + 1
 		up := new(big.Rat).Add(val, offset)
 		up.Add(up, big.NewRat(1, 1))
-		return ast.Lt(t, g.numLit(up))
+		return g.tb.Lt(t, g.numLit(up))
 	case 4: // t > val − offset − 1
 		dn := new(big.Rat).Sub(val, offset)
 		dn.Sub(dn, big.NewRat(1, 1))
-		return ast.Gt(t, g.numLit(dn))
+		return g.tb.Gt(t, g.numLit(dn))
 	default: // distinct(t, val+1+offset)
 		d := new(big.Rat).Add(val, offset)
 		d.Add(d, big.NewRat(1, 1))
-		return ast.Not(ast.Eq(t, g.numLit(d)))
+		return g.tb.Not(g.tb.Eq(t, g.numLit(d)))
 	}
 }
 
@@ -119,13 +119,13 @@ func (g *Generator) arbitraryArithAtom(vars []*ast.Var) ast.Term {
 	c := g.numLit(g.randRat())
 	switch g.rng.Intn(4) {
 	case 0:
-		return ast.Lt(t, c)
+		return g.tb.Lt(t, c)
 	case 1:
-		return ast.Gt(t, c)
+		return g.tb.Gt(t, c)
 	case 2:
-		return ast.Eq(t, c)
+		return g.tb.Eq(t, c)
 	default:
-		return ast.Le(t, c)
+		return g.tb.Le(t, c)
 	}
 }
 
@@ -145,15 +145,15 @@ func (g *Generator) arithTerm(vars []*ast.Var, depth int) ast.Term {
 	}
 	switch g.rng.Intn(choices) {
 	case 0:
-		return ast.Add(a, b)
+		return g.tb.Add(a, b)
 	case 1:
-		return ast.Sub(a, b)
+		return g.tb.Sub(a, b)
 	case 2:
-		return ast.Neg(a)
+		return g.tb.Neg(a)
 	case 3: // scalar multiple (linear)
-		return ast.Mul(g.numLit(big.NewRat(int64(g.rng.Intn(7)-3), 1)), a)
+		return g.tb.Mul(g.numLit(big.NewRat(int64(g.rng.Intn(7)-3), 1)), a)
 	case 4: // nonlinear product
-		return ast.Mul(a, b)
+		return g.tb.Mul(a, b)
 	default: // nonlinear division, guarded against a zero divisor
 		if sign, isLit := litSign(b); isLit && sign == 0 {
 			// A literal-zero divisor makes the guard statically false
@@ -162,17 +162,17 @@ func (g *Generator) arithTerm(vars []*ast.Var, depth int) ast.Term {
 		}
 		var d ast.Term
 		if g.tr.sort == ast.SortReal {
-			d = ast.MustApp(ast.OpRealDiv, a, b)
+			d = g.tb.MustApp(ast.OpRealDiv, a, b)
 		} else {
-			d = ast.MustApp(ast.OpIntDiv, a, b)
+			d = g.tb.MustApp(ast.OpIntDiv, a, b)
 		}
 		if _, isLit := litSign(b); isLit {
 			// Nonzero literal divisor: the guard would be statically
 			// true, so the division needs none.
 			return d
 		}
-		guard := ast.MustApp(ast.OpDistinct, b, g.numLit(big.NewRat(0, 1)))
-		return ast.Ite(guard, d, a)
+		guard := g.tb.MustApp(ast.OpDistinct, b, g.numLit(big.NewRat(0, 1)))
+		return g.tb.Ite(guard, d, a)
 	}
 }
 
@@ -199,18 +199,18 @@ func litSign(t ast.Term) (int, bool) {
 // conjunct (true under every assignment of the free variables).
 func (g *Generator) validQuantified(vars []*ast.Var) ast.Term {
 	t := vars[g.rng.Intn(len(vars))]
-	h := ast.NewVar(g.fresh("h"), g.tr.sort)
+	h := g.tb.Var(g.fresh("h"), g.tr.sort)
 	sv := []ast.SortedVar{{Name: h.Name, Sort: g.tr.sort}}
 	switch g.rng.Intn(3) {
 	case 0: // ∃h. h > t
-		q, _ := ast.NewQuant(false, sv, ast.Gt(h, t))
+		q, _ := g.tb.NewQuant(false, sv, g.tb.Gt(h, t))
 		return q
 	case 1: // ∀h. h > t ⇒ h ≥ t
-		q, _ := ast.NewQuant(true, sv, ast.MustApp(ast.OpImplies, ast.Gt(h, t), ast.Ge(h, t)))
+		q, _ := g.tb.NewQuant(true, sv, g.tb.MustApp(ast.OpImplies, g.tb.Gt(h, t), g.tb.Ge(h, t)))
 		return q
 	default: // ¬∀h. h ≤ t
-		q, _ := ast.NewQuant(true, sv, ast.Le(h, t))
-		return ast.Not(q)
+		q, _ := g.tb.NewQuant(true, sv, g.tb.Le(h, t))
+		return g.tb.Not(q)
 	}
 }
 
@@ -224,7 +224,7 @@ func (g *Generator) unsatArith() *core.Seed {
 	for i := 0; i < nVars; i++ {
 		name := g.fresh("u")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: g.tr.sort})
-		vars = append(vars, ast.NewVar(name, g.tr.sort))
+		vars = append(vars, g.tb.Var(name, g.tr.sort))
 		if g.tr.sort == ast.SortInt {
 			noiseWitness[name] = eval.IntV{V: g.randInt()}
 		} else {
@@ -253,27 +253,27 @@ func (g *Generator) arithContradiction(vars []*ast.Var) []ast.Term {
 
 	cores := []func() []ast.Term{
 		func() []ast.Term { // t > c ∧ t < c
-			return []ast.Term{ast.Gt(t, c), ast.Lt(t, c)}
+			return []ast.Term{g.tb.Gt(t, c), g.tb.Lt(t, c)}
 		},
 		func() []ast.Term { // t = c ∧ t = c+1
-			c2 := ast.Add(c, g.numLit(big.NewRat(1, 1)))
-			return []ast.Term{ast.Eq(t, c), ast.Eq(t, c2)}
+			c2 := g.tb.Add(c, g.numLit(big.NewRat(1, 1)))
+			return []ast.Term{g.tb.Eq(t, c), g.tb.Eq(t, c2)}
 		},
 		func() []ast.Term { // x > y ∧ y > x
-			return []ast.Term{ast.Gt(x, y), ast.Gt(y, x)}
+			return []ast.Term{g.tb.Gt(x, y), g.tb.Gt(y, x)}
 		},
 		func() []ast.Term { // the paper's φ3 shape: (1 + t) + 6 ≠ 7 + t
 			one := g.numLit(big.NewRat(1, 1))
 			six := g.numLit(big.NewRat(6, 1))
 			seven := g.numLit(big.NewRat(7, 1))
-			return []ast.Term{ast.Not(ast.Eq(ast.Add(ast.Add(one, t), six), ast.Add(seven, t)))}
+			return []ast.Term{g.tb.Not(g.tb.Eq(g.tb.Add(g.tb.Add(one, t), six), g.tb.Add(seven, t)))}
 		},
 	}
 	if g.tr.sort == ast.SortInt {
 		cores = append(cores, func() []ast.Term { // parity: 2x = 2y + 1
 			two := g.numLit(big.NewRat(2, 1))
 			one := g.numLit(big.NewRat(1, 1))
-			return []ast.Term{ast.Eq(ast.Mul(two, x), ast.Add(ast.Mul(two, y), one))}
+			return []ast.Term{g.tb.Eq(g.tb.Mul(two, x), g.tb.Add(g.tb.Mul(two, y), one))}
 		})
 	}
 	if g.tr.nonlinear && g.tr.sort == ast.SortReal {
@@ -286,21 +286,21 @@ func (g *Generator) arithContradiction(vars []*ast.Var) []ast.Term {
 			// v > 0 is implied (0 < x < v) but asserted explicitly so
 			// the division carries a syntactic nonzero guard.
 			return []ast.Term{
-				ast.Gt(x, g.numLit(big.NewRat(0, 1))),
-				ast.Lt(x, v), ast.Ge(w, v),
-				ast.Gt(v, g.numLit(big.NewRat(0, 1))),
-				ast.Lt(ast.MustApp(ast.OpRealDiv, w, v), g.numLit(big.NewRat(0, 1))),
+				g.tb.Gt(x, g.numLit(big.NewRat(0, 1))),
+				g.tb.Lt(x, v), g.tb.Ge(w, v),
+				g.tb.Gt(v, g.numLit(big.NewRat(0, 1))),
+				g.tb.Lt(g.tb.MustApp(ast.OpRealDiv, w, v), g.numLit(big.NewRat(0, 1))),
 			}
 		})
 		cores = append(cores, func() []ast.Term { // x² < 0
-			return []ast.Term{ast.Lt(ast.Mul(x, x), g.numLit(big.NewRat(0, 1)))}
+			return []ast.Term{g.tb.Lt(g.tb.Mul(x, x), g.numLit(big.NewRat(0, 1)))}
 		})
 	}
 	if g.tr.quantified {
 		cores = append(cores, func() []ast.Term { // ¬∃h. h > t
-			h := ast.NewVar(g.fresh("h"), g.tr.sort)
-			q, _ := ast.NewQuant(false, []ast.SortedVar{{Name: h.Name, Sort: g.tr.sort}}, ast.Gt(h, t))
-			return []ast.Term{ast.Not(q)}
+			h := g.tb.Var(g.fresh("h"), g.tr.sort)
+			q, _ := g.tb.NewQuant(false, []ast.SortedVar{{Name: h.Name, Sort: g.tr.sort}}, g.tb.Gt(h, t))
+			return []ast.Term{g.tb.Not(q)}
 		})
 	}
 	return cores[g.rng.Intn(len(cores))]()

@@ -75,20 +75,31 @@ func traitsOf(l Logic) (traits, error) {
 
 // Generator produces seeds for one logic.
 type Generator struct {
+	tb    *ast.Table
 	logic Logic
 	tr    traits
 	rng   *rand.Rand
 	n     int // serial for variable naming
 }
 
-// New returns a generator for the logic with a deterministic stream.
+// New returns a generator for the logic with a deterministic stream,
+// building its seeds in a table of its own (Terms).
 func New(logic Logic, seed int64) (*Generator, error) {
+	return NewIn(ast.NewTable(nil), logic, seed)
+}
+
+// NewIn is New building its seeds in tb.
+func NewIn(tb *ast.Table, logic Logic, seed int64) (*Generator, error) {
 	tr, err := traitsOf(logic)
 	if err != nil {
 		return nil, err
 	}
-	return &Generator{logic: logic, tr: tr, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Generator{tb: tb, logic: logic, tr: tr, rng: rand.New(rand.NewSource(seed))}, nil
 }
+
+// Terms returns the table the generator builds its seeds in: a solver
+// that vets them, or a fuser that combines them, works in it too.
+func (g *Generator) Terms() *ast.Table { return g.tb }
 
 // Logic returns the generator's logic.
 func (g *Generator) Logic() Logic { return g.logic }
@@ -175,9 +186,9 @@ func (g *Generator) randRat() *big.Rat {
 
 func (g *Generator) numLit(v *big.Rat) ast.Term {
 	if g.tr.sort == ast.SortInt {
-		return ast.IntBig(new(big.Int).Quo(v.Num(), v.Denom()))
+		return g.tb.IntBig(new(big.Int).Quo(v.Num(), v.Denom()))
 	}
-	return ast.RealBig(v)
+	return g.tb.RealBig(v)
 }
 
 const strAlphabet = "abc01"

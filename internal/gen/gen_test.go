@@ -153,11 +153,11 @@ func TestSeedsAreFusable(t *testing.T) {
 		okCount := 0
 		for i := 0; i < 20; i++ {
 			s1, s2 := g.Sat(), g.Sat()
-			if _, err := core.Fuse(s1, s2, rng, core.Options{}); err == nil {
+			if _, err := core.Fuse(tb, s1, s2, rng, core.Options{}); err == nil {
 				okCount++
 			}
 			u1, u2 := g.Unsat(), g.Unsat()
-			if _, err := core.Fuse(u1, u2, rng, core.Options{}); err == nil {
+			if _, err := core.Fuse(tb, u1, u2, rng, core.Options{}); err == nil {
 				okCount++
 			}
 		}
@@ -213,3 +213,6 @@ func TestQuantifiedLogicsProduceQuantifiers(t *testing.T) {
 		t.Error("NRA generator never produced a quantifier in 60 seeds")
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

@@ -64,7 +64,7 @@ func TestFusedLogicCoversAncestors(t *testing.T) {
 					{g.Sat(), g.Unsat()},
 				}
 				for _, p := range pairs {
-					fused, err := core.Fuse(p[0], p[1], rng, core.Options{})
+					fused, err := core.Fuse(tb, p[0], p[1], rng, core.Options{})
 					if err != nil {
 						continue // no fusable pair for this combination
 					}

@@ -78,7 +78,7 @@ func TestFusedScriptsPassAnalysis(t *testing.T) {
 					{g.Sat(), g.Unsat()},
 				}
 				for _, p := range pairs {
-					fused, err := core.Fuse(p[0], p[1], rng, core.Options{})
+					fused, err := core.Fuse(tb, p[0], p[1], rng, core.Options{})
 					if err != nil {
 						continue
 					}
@@ -110,7 +110,7 @@ func TestConcatScriptsPassAnalysis(t *testing.T) {
 					{g.Unsat(), g.Unsat()},
 					{g.Sat(), g.Unsat()},
 				} {
-					fused, err := core.Concat(p[0], p[1], rng)
+					fused, err := core.Concat(tb, p[0], p[1], rng)
 					if err != nil {
 						t.Fatalf("concat: %v", err)
 					}

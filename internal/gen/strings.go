@@ -19,7 +19,7 @@ func (g *Generator) satStrings() *core.Seed {
 	for i := 0; i < nVars; i++ {
 		name := g.fresh("s")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortString})
-		vars = append(vars, ast.NewVar(name, ast.SortString))
+		vars = append(vars, g.tb.Var(name, ast.SortString))
 		witness[name] = eval.StrV(g.randStr(4))
 	}
 	var intVars []*ast.Var
@@ -27,7 +27,7 @@ func (g *Generator) satStrings() *core.Seed {
 		for i := 0; i < 1+g.rng.Intn(2); i++ {
 			name := g.fresh("n")
 			decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortInt})
-			iv := ast.NewVar(name, ast.SortInt)
+			iv := g.tb.Var(name, ast.SortInt)
 			intVars = append(intVars, iv)
 			witness[name] = eval.IntV{V: g.randInt()}
 		}
@@ -43,14 +43,14 @@ func (g *Generator) satStrings() *core.Seed {
 	if g.rng.Intn(3) == 0 {
 		vName := g.fresh("b")
 		decls = append(decls, &smtlib.DeclareFun{Name: vName, Sort: ast.SortBool})
-		bv := ast.NewVar(vName, ast.SortBool)
+		bv := g.tb.Var(vName, ast.SortBool)
 		// trueStringAtom holds under the witness, so v := ¬atom is false
 		// and (ite v false atom) evaluates to atom = true — exactly the
 		// paper's φ2 pattern.
 		atom := g.trueStringAtom(vars, intVars, witness)
 		witness[vName] = eval.BoolV(false)
-		asserts = append(asserts, ast.Eq(bv, ast.Not(atom)))
-		asserts = append(asserts, ast.Ite(bv, ast.False, atom))
+		asserts = append(asserts, g.tb.Eq(bv, g.tb.Not(atom)))
+		asserts = append(asserts, g.tb.Ite(bv, ast.False, atom))
 	}
 
 	return &core.Seed{Script: g.script(decls, asserts), Status: core.StatusSat, Witness: witness}
@@ -71,60 +71,60 @@ func (g *Generator) trueStringAtom(vars, intVars []*ast.Var, witness eval.Model)
 	}
 	switch g.rng.Intn(kinds) {
 	case 0: // t = "literal value"
-		return ast.Eq(t, ast.Str(s))
+		return g.tb.Eq(t, g.tb.Str(s))
 	case 1: // prefix of t
 		cut := 0
 		if len(s) > 0 {
 			cut = g.rng.Intn(len(s) + 1)
 		}
-		return ast.MustApp(ast.OpStrPrefixOf, ast.Str(s[:cut]), t)
+		return g.tb.MustApp(ast.OpStrPrefixOf, g.tb.Str(s[:cut]), t)
 	case 2: // suffix of t
 		cut := len(s)
 		if len(s) > 0 {
 			cut = g.rng.Intn(len(s) + 1)
 		}
-		return ast.MustApp(ast.OpStrSuffixOf, ast.Str(s[cut:]), t)
+		return g.tb.MustApp(ast.OpStrSuffixOf, g.tb.Str(s[cut:]), t)
 	case 3: // contains
 		if len(s) == 0 {
-			return ast.MustApp(ast.OpStrContains, t, ast.Str(""))
+			return g.tb.MustApp(ast.OpStrContains, t, g.tb.Str(""))
 		}
 		i := g.rng.Intn(len(s))
 		j := i + g.rng.Intn(len(s)-i)
-		return ast.MustApp(ast.OpStrContains, t, ast.Str(s[i:j+1]))
+		return g.tb.MustApp(ast.OpStrContains, t, g.tb.Str(s[i:j+1]))
 	case 4: // length relation
-		ln := ast.MustApp(ast.OpStrLen, t)
+		ln := g.tb.MustApp(ast.OpStrLen, t)
 		if len(intVars) > 0 && g.rng.Intn(2) == 0 {
 			// Tie an integer variable to the length: n ≤ len(t) oriented
 			// by the witness.
 			iv := intVars[g.rng.Intn(len(intVars))]
 			nv := witness[iv.Name].(eval.IntV).V
 			if nv.Cmp(big.NewInt(int64(len(s)))) <= 0 {
-				return ast.Le(iv, ln)
+				return g.tb.Le(iv, ln)
 			}
-			return ast.Gt(iv, ln)
+			return g.tb.Gt(iv, ln)
 		}
 		off := int64(g.rng.Intn(3))
 		if g.rng.Intn(2) == 0 {
-			return ast.Le(ln, ast.Int(int64(len(s))+off))
+			return g.tb.Le(ln, g.tb.Int(int64(len(s))+off))
 		}
-		return ast.Ge(ln, ast.Int(int64(len(s))-off))
+		return g.tb.Ge(ln, g.tb.Int(int64(len(s))-off))
 	case 5: // str.to_int / indexof facts
 		val := eval.StrToInt(s)
-		return ast.Eq(ast.MustApp(ast.OpStrToInt, t), ast.IntBig(val))
+		return g.tb.Eq(g.tb.MustApp(ast.OpStrToInt, t), g.tb.IntBig(val))
 	case 6: // equality chain with concat of a split
 		if len(s) == 0 {
-			return ast.Eq(t, ast.Str(""))
+			return g.tb.Eq(t, g.tb.Str(""))
 		}
 		cut := g.rng.Intn(len(s) + 1)
-		return ast.Eq(t, ast.MustApp(ast.OpStrConcat, ast.Str(s[:cut]), ast.Str(s[cut:])))
+		return g.tb.Eq(t, g.tb.MustApp(ast.OpStrConcat, g.tb.Str(s[:cut]), g.tb.Str(s[cut:])))
 	default: // regex membership, oriented by matching
 		re, reTerm := g.randRegex(s)
 		matches := regex.Match(re, s)
-		atom := ast.MustApp(ast.OpStrInRe, t, reTerm)
+		atom := g.tb.MustApp(ast.OpStrInRe, t, reTerm)
 		if matches {
 			return atom
 		}
-		return ast.Not(atom)
+		return g.tb.Not(atom)
 	}
 }
 
@@ -133,7 +133,7 @@ func (g *Generator) trueStringAtom(vars, intVars []*ast.Var, witness eval.Model)
 // common.
 func (g *Generator) randRegex(s string) (regex.Regex, ast.Term) {
 	toRe := func(lit string) (regex.Regex, ast.Term) {
-		return regex.Lit(lit), ast.MustApp(ast.OpStrToRe, ast.Str(lit))
+		return regex.Lit(lit), g.tb.MustApp(ast.OpStrToRe, g.tb.Str(lit))
 	}
 	switch g.rng.Intn(5) {
 	case 0: // (re.* (str.to_re unit)) where s is a repetition when possible
@@ -146,25 +146,25 @@ func (g *Generator) randRegex(s string) (regex.Regex, ast.Term) {
 			unit = "a"
 		}
 		r, t := toRe(unit)
-		return regex.Star(r), ast.MustApp(ast.OpReStar, t)
+		return regex.Star(r), g.tb.MustApp(ast.OpReStar, t)
 	case 1: // union with the exact literal
 		r1, t1 := toRe(s)
 		r2, t2 := toRe(g.randStr(3))
-		return regex.Union(r1, r2), ast.MustApp(ast.OpReUnion, t1, t2)
+		return regex.Union(r1, r2), g.tb.MustApp(ast.OpReUnion, t1, t2)
 	case 2: // (re.+ (re.range lo hi))
 		lo, hi := "a", "c"
 		r := regex.Plus(regex.Range(lo[0], hi[0]))
-		t := ast.MustApp(ast.OpRePlus, ast.MustApp(ast.OpReRange, ast.Str(lo), ast.Str(hi)))
+		t := g.tb.MustApp(ast.OpRePlus, g.tb.MustApp(ast.OpReRange, g.tb.Str(lo), g.tb.Str(hi)))
 		return r, t
 	case 3: // concat of opt and literal
 		r1, t1 := toRe(g.randStr(2))
 		r2, t2 := toRe(g.randStr(2))
 		r := regex.Concat(regex.Opt(r1), r2)
-		t := ast.MustApp(ast.OpReConcat, ast.MustApp(ast.OpReOpt, t1), t2)
+		t := g.tb.MustApp(ast.OpReConcat, g.tb.MustApp(ast.OpReOpt, t1), t2)
 		return r, t
 	default: // allchar*  restricted: (re.++ re.allchar re.all) = nonempty
 		r := regex.Concat(regex.AnyChar(), regex.All())
-		t := ast.MustApp(ast.OpReConcat, ast.MustApp(ast.OpReAllChar), ast.MustApp(ast.OpReAll))
+		t := g.tb.MustApp(ast.OpReConcat, g.tb.MustApp(ast.OpReAllChar), g.tb.MustApp(ast.OpReAll))
 		return r, t
 	}
 }
@@ -175,19 +175,19 @@ func (g *Generator) stringTerm(vars []*ast.Var, depth int) ast.Term {
 		if g.rng.Intn(3) < 2 {
 			return vars[g.rng.Intn(len(vars))]
 		}
-		return ast.Str(g.randStr(3))
+		return g.tb.Str(g.randStr(3))
 	}
 	a := g.stringTerm(vars, depth-1)
 	b := g.stringTerm(vars, depth-1)
 	switch g.rng.Intn(5) {
 	case 0, 1:
-		return ast.MustApp(ast.OpStrConcat, a, b)
+		return g.tb.MustApp(ast.OpStrConcat, a, b)
 	case 2:
-		return ast.MustApp(ast.OpStrReplace, a, b, ast.Str(g.randStr(2)))
+		return g.tb.MustApp(ast.OpStrReplace, a, b, g.tb.Str(g.randStr(2)))
 	case 3:
-		return ast.MustApp(ast.OpStrSubstr, a, ast.Int(int64(g.rng.Intn(3))), ast.Int(int64(1+g.rng.Intn(3))))
+		return g.tb.MustApp(ast.OpStrSubstr, a, g.tb.Int(int64(g.rng.Intn(3))), g.tb.Int(int64(1+g.rng.Intn(3))))
 	default:
-		return ast.MustApp(ast.OpStrAt, a, ast.Int(int64(g.rng.Intn(4))))
+		return g.tb.MustApp(ast.OpStrAt, a, g.tb.Int(int64(g.rng.Intn(4))))
 	}
 }
 
@@ -200,7 +200,7 @@ func (g *Generator) unsatStrings() *core.Seed {
 	for i := 0; i < nVars; i++ {
 		name := g.fresh("t")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortString})
-		vars = append(vars, ast.NewVar(name, ast.SortString))
+		vars = append(vars, g.tb.Var(name, ast.SortString))
 		noiseWitness[name] = eval.StrV(g.randStr(4))
 	}
 	if g.tr.ints {
@@ -224,34 +224,34 @@ func (g *Generator) stringContradiction(vars []*ast.Var) []ast.Term {
 	lit := g.randStr(3)
 	switch g.rng.Intn(6) {
 	case 0: // a = a ++ "x" (length conflict)
-		return []ast.Term{ast.Eq(a, ast.MustApp(ast.OpStrConcat, a, ast.Str("x")))}
+		return []ast.Term{g.tb.Eq(a, g.tb.MustApp(ast.OpStrConcat, a, g.tb.Str("x")))}
 	case 1: // a = lit ∧ a = lit' with lit ≠ lit'
 		other := lit + "z"
-		return []ast.Term{ast.Eq(a, ast.Str(lit)), ast.Eq(a, ast.Str(other))}
+		return []ast.Term{g.tb.Eq(a, g.tb.Str(lit)), g.tb.Eq(a, g.tb.Str(other))}
 	case 2: // a ∈ (unit)+ ∧ len(a) < minlen(unit)
 		unit := "ab" + g.randStr(1)
-		re := ast.MustApp(ast.OpRePlus, ast.MustApp(ast.OpStrToRe, ast.Str(unit)))
+		re := g.tb.MustApp(ast.OpRePlus, g.tb.MustApp(ast.OpStrToRe, g.tb.Str(unit)))
 		return []ast.Term{
-			ast.MustApp(ast.OpStrInRe, a, re),
-			ast.Lt(ast.MustApp(ast.OpStrLen, a), ast.Int(int64(len(unit)))),
+			g.tb.MustApp(ast.OpStrInRe, a, re),
+			g.tb.Lt(g.tb.MustApp(ast.OpStrLen, a), g.tb.Int(int64(len(unit)))),
 		}
 	case 3: // prefixof lit a ∧ len(a) < |lit|
 		pre := "ab" + lit
 		return []ast.Term{
-			ast.MustApp(ast.OpStrPrefixOf, ast.Str(pre), a),
-			ast.Lt(ast.MustApp(ast.OpStrLen, a), ast.Int(int64(len(pre)))),
+			g.tb.MustApp(ast.OpStrPrefixOf, g.tb.Str(pre), a),
+			g.tb.Lt(g.tb.MustApp(ast.OpStrLen, a), g.tb.Int(int64(len(pre)))),
 		}
 	case 4: // str.to_int of "" against its defined value (ground false
 		// unless the seed's noise hides it syntactically): use variable
 		// form a = "" ∧ str.to_int a = 0.
 		return []ast.Term{
-			ast.Eq(a, ast.Str("")),
-			ast.Eq(ast.MustApp(ast.OpStrToInt, a), ast.Int(0)),
+			g.tb.Eq(a, g.tb.Str("")),
+			g.tb.Eq(g.tb.MustApp(ast.OpStrToInt, a), g.tb.Int(0)),
 		}
 	default: // contains(a, b-as-superstring) both directions with strict lengths
 		return []ast.Term{
-			ast.MustApp(ast.OpStrContains, a, b),
-			ast.Gt(ast.MustApp(ast.OpStrLen, b), ast.MustApp(ast.OpStrLen, a)),
+			g.tb.MustApp(ast.OpStrContains, a, b),
+			g.tb.Gt(g.tb.MustApp(ast.OpStrLen, b), g.tb.MustApp(ast.OpStrLen, a)),
 		}
 	}
 }

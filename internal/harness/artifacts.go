@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
@@ -269,11 +270,11 @@ func Replay(bundleDir string) (ReplayReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	pools, err := buildCorpus(cfg, nil)
+	pools, corpus, err := buildCorpus(cfg, nil)
 	if err != nil {
 		return rep, err
 	}
-	rec, lv := runTask(cfg, pools, m.Iteration)
+	rec, lv := runTask(cfg, pools, ast.NewTable(corpus), m.Iteration)
 	f := rec.Facts
 	if f == nil {
 		return rep, fmt.Errorf("artifacts: task (seed=%d logic=%s iter=%d) produced no fused test on replay", cc.Seed, m.Logic, m.Iteration)

@@ -27,6 +27,7 @@ import (
 	"regexp"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
@@ -158,8 +159,8 @@ func (bc BackendConfig) spec() backend.Spec {
 	return backend.Spec{
 		Name:     name,
 		Hermetic: true,
-		New: func() backend.Backend {
-			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Fuel: fuel}))
+		New: func(terms *ast.Table) backend.Backend {
+			return backend.NewSim(name, solver.New(solver.Config{Defects: defects, Fuel: fuel, Terms: terms}))
 		},
 	}
 }

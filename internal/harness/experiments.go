@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/coverage"
@@ -321,9 +322,9 @@ func coverageArms(sutName bugdb.SUT, logic gen.Logic, satStatus bool, b Coverage
 		var fused *core.Fused
 		var ferr error
 		if concat {
-			fused, ferr = core.Concat(s1, s2, rng)
+			fused, ferr = core.Concat(g.Terms(), s1, s2, rng)
 		} else {
-			fused, ferr = core.Fuse(s1, s2, rng, core.Options{})
+			fused, ferr = core.Fuse(g.Terms(), s1, s2, rng, core.Options{})
 		}
 		if ferr != nil {
 			continue
@@ -405,11 +406,12 @@ func ExperimentRQ4(s bugdb.SUT, bugs []Bug, attempts int, seed int64) (RQ4Result
 	}
 	sut := bugdb.NewTrunkSolver(s, nil)
 	rng := rand.New(rand.NewSource(seed))
+	tb := ast.NewTable(nil)
 	out := RQ4Result{Bugs: len(bugs)}
 	for _, b := range bugs {
 		hit := false
 		for a := 0; a < attempts && !hit; a++ {
-			fused, err := core.Concat(b.Ancestors[0], b.Ancestors[1], rng)
+			fused, err := core.Concat(tb, b.Ancestors[0], b.Ancestors[1], rng)
 			if err != nil {
 				continue
 			}

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/ast"
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
@@ -335,9 +336,10 @@ type finished struct {
 
 // makeSUT builds one solver-under-test instance for one task or
 // corpus-vetting slot: the campaign's defect set under its fuel limit,
-// recording step counters into tr (nil = none).
-func makeSUT(cfg *campaign, tr *telemetry.Tracker) *solver.Solver {
-	return solver.New(solver.Config{Defects: cfg.defects, Fuel: cfg.Fuel, Telemetry: tr})
+// building terms in tb and recording step counters into tr (nil =
+// none).
+func makeSUT(cfg *campaign, tb *ast.Table, tr *telemetry.Tracker) *solver.Solver {
+	return solver.New(solver.Config{Defects: cfg.defects, Fuel: cfg.Fuel, Telemetry: tr, Terms: tb})
 }
 
 // runControls tunes one exec leg of a campaign: pause triggers and
@@ -503,8 +505,10 @@ func finish(st *runState, breakers []breakerState) (*Result, error) {
 // Workers keep no solver state: every task builds its own solver,
 // backends and tracker, so a task's record is the same whichever worker
 // runs it and whatever ran there before, and a leg runs only the tasks
-// it includes. Returns true when a control paused the leg before
-// include was exhausted.
+// it includes. A worker's one piece of reused state is its term
+// table's storage: each task starts from an emptied table over the
+// frozen corpus table. Returns true when a control paused the leg
+// before include was exhausted.
 func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	cfg := st.cfg
 	var jw *telemetry.JSONLWriter
@@ -516,7 +520,7 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 	if !ctl.suppressVet {
 		vet = telemetry.NewTracker()
 	}
-	pools, err := buildCorpus(cfg, vet)
+	pools, corpus, err := buildCorpus(cfg, vet)
 	if err != nil {
 		return false, err
 	}
@@ -534,8 +538,14 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tb := ast.NewTable(corpus)
 			for id := range taskCh {
-				rec, lv := runTask(cfg, pools, id)
+				tb.Reset()
+				rec, lv := runTask(cfg, pools, tb, id)
+				if rec.Status == statusWallTimeout {
+					// The abandoned solve goroutine still builds in tb.
+					tb = ast.NewTable(corpus)
+				}
 				outCh <- finished{rec, lv}
 			}
 		}()
@@ -626,13 +636,14 @@ func runLeg(st *runState, include []int, ctl runControls) (bool, error) {
 // id) alone and campaigns stay bit-identical for any thread count.
 // Instances of one external backend share its Spec's Health, so the
 // circuit breaker still counts the backend's global failure streak.
-func runTask(cfg *campaign, pools []*seedPool, id int) (taskRecord, live) {
+// Every term of the task is built in tb, a table over the corpus's.
+func runTask(cfg *campaign, pools []*seedPool, tb *ast.Table, id int) (taskRecord, live) {
 	tr := telemetry.NewTracker()
 	bks := make([]backend.Backend, len(cfg.specs))
 	for i, spec := range cfg.specs {
-		bks[i] = spec.New()
+		bks[i] = spec.New(tb)
 	}
-	rec, lv := runTaskInner(cfg, pools, makeSUT(cfg, tr), bks, id)
+	rec, lv := runTaskInner(cfg, pools, tb, makeSUT(cfg, tb, tr), bks, id)
 	if rec.Status != statusWallTimeout {
 		// On a wall-timeout the abandoned goroutine may still be writing
 		// tr, so the tracker is left to it instead of read.
@@ -641,7 +652,7 @@ func runTask(cfg *campaign, pools []*seedPool, id int) (taskRecord, live) {
 	return rec, lv
 }
 
-func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) (taskRecord, live) {
+func runTaskInner(cfg *campaign, pools []*seedPool, tb *ast.Table, sut *solver.Solver, bks []backend.Backend, id int) (taskRecord, live) {
 	rec := taskRecord{Task: int32(id)}
 	var lv live
 	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
@@ -660,9 +671,9 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 			// Wild mutation leaves the polarity-soundness envelope: the
 			// oracle coin and pool pick above replay identically, but the
 			// derived test's ground truth is unknown by construction.
-			mut, err = mutate.Wild(s1, rng, mutate.Options{})
+			mut, err = mutate.Wild(tb, s1, rng, mutate.Options{})
 		} else {
-			mut, err = mutate.Mutate(s1, rng, mutate.Options{})
+			mut, err = mutate.Mutate(tb, s1, rng, mutate.Options{})
 		}
 		if err != nil {
 			// A seed with no applicable mutation site is a skip, not a
@@ -682,9 +693,9 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 		var fused *core.Fused
 		var err error
 		if cfg.ConcatOnly {
-			fused, err = core.Concat(s1, s2, rng)
+			fused, err = core.Concat(tb, s1, s2, rng)
 		} else {
-			fused, err = core.Fuse(s1, s2, rng, cfg.fusion)
+			fused, err = core.Fuse(tb, s1, s2, rng, cfg.fusion)
 		}
 		if err != nil {
 			var ge *analysis.GateError
@@ -729,7 +740,7 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 	// the primary task stream.
 	if (cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto) && rec.Oracle == core.StatusUnknown {
 		vrng := rand.New(rand.NewSource(metaSeed(cfg.Seed, logic, iter)))
-		v, err := mutate.DeriveVariant(lv.script, vrng, mutate.Options{})
+		v, err := mutate.DeriveVariant(tb, lv.script, vrng, mutate.Options{})
 		if err != nil {
 			// No relation-preserving site (or the gate rejected the
 			// variant): the pair is skipped, never charged as a finding.
@@ -1013,7 +1024,12 @@ type seedPool struct {
 // by (campaign seed, logic, slot, status) and its own solver, so the
 // resulting corpus and its telemetry do not depend on which worker vets
 // which slot. vet, when set, receives the vetting telemetry.
-func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, error) {
+//
+// Each vetting worker generates and vets in one term table, emptied
+// for each slot. After the barrier the vetted seeds are imported, in
+// job order, into one corpus table, which is returned frozen: tasks
+// read it concurrently, each through a table of its own.
+func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, *ast.Table, error) {
 	pools := make([]*seedPool, len(cfg.Logics))
 	for i := range pools {
 		pools[i] = &seedPool{
@@ -1038,6 +1054,7 @@ func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			tb := ast.NewTable(nil)
 			for j := range jobs {
 				logicIdx := j / perLogic
 				rest := j % perLogic
@@ -1050,7 +1067,8 @@ func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, error) {
 				if vet != nil {
 					tr = telemetry.NewTracker()
 				}
-				s, n, err := vetSlot(cfg.Seed, gen.Logic(cfg.Logics[logicIdx]), slot, status, makeSUT(cfg, tr))
+				tb.Reset()
+				s, n, err := vetSlot(cfg, tb, gen.Logic(cfg.Logics[logicIdx]), slot, status, tr)
 				tries[j] = n
 				deltas[j] = tr.Delta()
 				if err != nil {
@@ -1075,9 +1093,19 @@ func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
+	corpus := ast.NewTable(nil)
+	imp := func(s *core.Seed) *core.Seed {
+		return &core.Seed{Script: s.Script.Import(corpus), Status: s.Status, Witness: s.Witness}
+	}
+	for _, p := range pools {
+		for i := range p.sat { // job order: slot i's sat seed, then its unsat seed
+			p.sat[i], p.unsat[i] = imp(p.sat[i]), imp(p.unsat[i])
+		}
+	}
+	corpus.Freeze()
 	// vet receives the vetting telemetry in job order: per-slot
 	// engine-counter increments and generation tries.
 	if vet != nil {
@@ -1087,16 +1115,18 @@ func buildCorpus(cfg *campaign, vet *telemetry.Tracker) ([]*seedPool, error) {
 			vet.Inc(cfSeedVetted)
 		}
 	}
-	return pools, nil
+	return pools, corpus, nil
 }
 
-// vetSlot generates one vetted seed from the slot's own stream. The
-// second result is the number of generation attempts consumed.
-func vetSlot(seed int64, logic gen.Logic, slot int, status core.Status, sut *solver.Solver) (*core.Seed, int, error) {
-	g, err := gen.New(logic, poolSeed(seed, logic, slot, status))
+// vetSlot generates one vetted seed from the slot's own stream in tb,
+// vetting it with a solver under test that records into tr. The second
+// result is the number of generation attempts consumed.
+func vetSlot(cfg *campaign, tb *ast.Table, logic gen.Logic, slot int, status core.Status, tr *telemetry.Tracker) (*core.Seed, int, error) {
+	g, err := gen.NewIn(tb, logic, poolSeed(cfg.Seed, logic, slot, status))
 	if err != nil {
 		return nil, 0, err
 	}
+	sut := makeSUT(cfg, tb, tr)
 	for try := 0; try < 10; try++ {
 		s := g.Generate(status)
 		run := RunSolver(sut, s.Script)

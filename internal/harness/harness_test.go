@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -397,7 +398,7 @@ func TestTaskAloneMatchesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pools, err := buildCorpus(cfg, nil)
+	pools, corpus, err := buildCorpus(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestTaskAloneMatchesCampaign(t *testing.T) {
 	}
 	var backends, variants, memoHits int
 	for _, want := range recs {
-		got, _ := runTask(cfg, pools, int(want.Task))
+		got, _ := runTask(cfg, pools, ast.NewTable(corpus), int(want.Task))
 		if want.Facts != nil && want.Facts.Witness != nil {
 			// Classification attaches a new bug's witness to its record;
 			// the worker's record never carries one.

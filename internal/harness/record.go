@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/ast"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/mutate"
@@ -180,7 +181,9 @@ func (w *witness) UnmarshalJSON(data []byte) error {
 	if err := decodeStrict(data, &doc); err != nil {
 		return fmt.Errorf("witness: %v", err)
 	}
-	script, err := smtlib.ParseScript(doc.Script)
+	// The test and its ancestors share one table of the witness's own.
+	tb := ast.NewTable(nil)
+	script, err := smtlib.ParseScriptIn(tb, doc.Script)
 	if err != nil {
 		return fmt.Errorf("witness script: %v", err)
 	}
@@ -189,7 +192,7 @@ func (w *witness) UnmarshalJSON(data []byte) error {
 		if s.Status != core.StatusSat && s.Status != core.StatusUnsat {
 			return fmt.Errorf("witness seed %d: status %d out of range", i, s.Status)
 		}
-		sc, err := smtlib.ParseScript(s.Script)
+		sc, err := smtlib.ParseScriptIn(tb, s.Script)
 		if err != nil {
 			return fmt.Errorf("witness seed %d: %v", i, err)
 		}

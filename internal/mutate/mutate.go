@@ -77,7 +77,7 @@ type Rule struct {
 	Name  string
 	Kind  Kind
 	Match func(*ast.App) bool
-	Apply func(*ast.App) ast.Term
+	Apply func(*ast.Table, *ast.App) ast.Term
 }
 
 func isOp(op ast.Op, arity int) func(*ast.App) bool {
@@ -104,50 +104,50 @@ func numericEq(a *ast.App) bool {
 // rules only over strings — the operator is the type key.
 var Rules = []Rule{
 	// Weakenings (original ⇒ mutant).
-	{"lt-to-le", Weaken, isOp(ast.OpLt, 2), func(a *ast.App) ast.Term { return ast.Le(a.Args[0], a.Args[1]) }},
-	{"gt-to-ge", Weaken, isOp(ast.OpGt, 2), func(a *ast.App) ast.Term { return ast.Ge(a.Args[0], a.Args[1]) }},
-	{"and-to-or", Weaken, isOpMin(ast.OpAnd, 2), func(a *ast.App) ast.Term { return ast.Or(a.Args...) }},
-	{"eq-to-le", Weaken, numericEq, func(a *ast.App) ast.Term { return ast.Le(a.Args[0], a.Args[1]) }},
+	{"lt-to-le", Weaken, isOp(ast.OpLt, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Le(a.Args[0], a.Args[1]) }},
+	{"gt-to-ge", Weaken, isOp(ast.OpGt, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Ge(a.Args[0], a.Args[1]) }},
+	{"and-to-or", Weaken, isOpMin(ast.OpAnd, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Or(a.Args...) }},
+	{"eq-to-le", Weaken, numericEq, func(tb *ast.Table, a *ast.App) ast.Term { return tb.Le(a.Args[0], a.Args[1]) }},
 	{"prefixof-to-contains", Weaken, isOp(ast.OpStrPrefixOf, 2),
-		func(a *ast.App) ast.Term { return ast.MustApp(ast.OpStrContains, a.Args[1], a.Args[0]) }},
+		func(tb *ast.Table, a *ast.App) ast.Term { return tb.MustApp(ast.OpStrContains, a.Args[1], a.Args[0]) }},
 	{"suffixof-to-contains", Weaken, isOp(ast.OpStrSuffixOf, 2),
-		func(a *ast.App) ast.Term { return ast.MustApp(ast.OpStrContains, a.Args[1], a.Args[0]) }},
+		func(tb *ast.Table, a *ast.App) ast.Term { return tb.MustApp(ast.OpStrContains, a.Args[1], a.Args[0]) }},
 	{"strlt-to-strle", Weaken, isOp(ast.OpStrLtOp, 2),
-		func(a *ast.App) ast.Term { return ast.MustApp(ast.OpStrLeOp, a.Args[0], a.Args[1]) }},
+		func(tb *ast.Table, a *ast.App) ast.Term { return tb.MustApp(ast.OpStrLeOp, a.Args[0], a.Args[1]) }},
 
 	// Strengthenings (mutant ⇒ original).
-	{"le-to-lt", Strengthen, isOp(ast.OpLe, 2), func(a *ast.App) ast.Term { return ast.Lt(a.Args[0], a.Args[1]) }},
-	{"ge-to-gt", Strengthen, isOp(ast.OpGe, 2), func(a *ast.App) ast.Term { return ast.Gt(a.Args[0], a.Args[1]) }},
-	{"or-to-and", Strengthen, isOpMin(ast.OpOr, 2), func(a *ast.App) ast.Term { return ast.And(a.Args...) }},
-	{"le-to-eq", Strengthen, isOp(ast.OpLe, 2), func(a *ast.App) ast.Term { return ast.Eq(a.Args[0], a.Args[1]) }},
+	{"le-to-lt", Strengthen, isOp(ast.OpLe, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Lt(a.Args[0], a.Args[1]) }},
+	{"ge-to-gt", Strengthen, isOp(ast.OpGe, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Gt(a.Args[0], a.Args[1]) }},
+	{"or-to-and", Strengthen, isOpMin(ast.OpOr, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.And(a.Args...) }},
+	{"le-to-eq", Strengthen, isOp(ast.OpLe, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Eq(a.Args[0], a.Args[1]) }},
 	{"contains-to-prefixof", Strengthen, isOp(ast.OpStrContains, 2),
-		func(a *ast.App) ast.Term { return ast.MustApp(ast.OpStrPrefixOf, a.Args[1], a.Args[0]) }},
+		func(tb *ast.Table, a *ast.App) ast.Term { return tb.MustApp(ast.OpStrPrefixOf, a.Args[1], a.Args[0]) }},
 	{"strle-to-strlt", Strengthen, isOp(ast.OpStrLeOp, 2),
-		func(a *ast.App) ast.Term { return ast.MustApp(ast.OpStrLtOp, a.Args[0], a.Args[1]) }},
+		func(tb *ast.Table, a *ast.App) ast.Term { return tb.MustApp(ast.OpStrLtOp, a.Args[0], a.Args[1]) }},
 
 	// Equivalences.
-	{"lt-guard", Equivalence, isOp(ast.OpLt, 2), func(a *ast.App) ast.Term {
-		return ast.And(ast.Le(a.Args[0], a.Args[1]), ast.MustApp(ast.OpDistinct, a.Args[0], a.Args[1]))
+	{"lt-guard", Equivalence, isOp(ast.OpLt, 2), func(tb *ast.Table, a *ast.App) ast.Term {
+		return tb.And(tb.Le(a.Args[0], a.Args[1]), tb.MustApp(ast.OpDistinct, a.Args[0], a.Args[1]))
 	}},
-	{"gt-guard", Equivalence, isOp(ast.OpGt, 2), func(a *ast.App) ast.Term {
-		return ast.And(ast.Ge(a.Args[0], a.Args[1]), ast.MustApp(ast.OpDistinct, a.Args[0], a.Args[1]))
+	{"gt-guard", Equivalence, isOp(ast.OpGt, 2), func(tb *ast.Table, a *ast.App) ast.Term {
+		return tb.And(tb.Ge(a.Args[0], a.Args[1]), tb.MustApp(ast.OpDistinct, a.Args[0], a.Args[1]))
 	}},
-	{"le-split", Equivalence, isOp(ast.OpLe, 2), func(a *ast.App) ast.Term {
-		return ast.Or(ast.Lt(a.Args[0], a.Args[1]), ast.Eq(a.Args[0], a.Args[1]))
+	{"le-split", Equivalence, isOp(ast.OpLe, 2), func(tb *ast.Table, a *ast.App) ast.Term {
+		return tb.Or(tb.Lt(a.Args[0], a.Args[1]), tb.Eq(a.Args[0], a.Args[1]))
 	}},
-	{"ge-flip", Equivalence, isOp(ast.OpGe, 2), func(a *ast.App) ast.Term { return ast.Le(a.Args[1], a.Args[0]) }},
-	{"gt-flip", Equivalence, isOp(ast.OpGt, 2), func(a *ast.App) ast.Term { return ast.Lt(a.Args[1], a.Args[0]) }},
+	{"ge-flip", Equivalence, isOp(ast.OpGe, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Le(a.Args[1], a.Args[0]) }},
+	{"gt-flip", Equivalence, isOp(ast.OpGt, 2), func(tb *ast.Table, a *ast.App) ast.Term { return tb.Lt(a.Args[1], a.Args[0]) }},
 	{"distinct-to-noteq", Equivalence, isOp(ast.OpDistinct, 2),
-		func(a *ast.App) ast.Term { return ast.Not(ast.Eq(a.Args[0], a.Args[1])) }},
+		func(tb *ast.Table, a *ast.App) ast.Term { return tb.Not(tb.Eq(a.Args[0], a.Args[1])) }},
 	{"noteq-to-distinct", Equivalence, func(a *ast.App) bool {
 		if a.Op != ast.OpNot {
 			return false
 		}
 		eq, ok := a.Args[0].(*ast.App)
 		return ok && eq.Op == ast.OpEq && len(eq.Args) == 2
-	}, func(a *ast.App) ast.Term {
+	}, func(tb *ast.Table, a *ast.App) ast.Term {
 		eq := a.Args[0].(*ast.App)
-		return ast.MustApp(ast.OpDistinct, eq.Args[0], eq.Args[1])
+		return tb.MustApp(ast.OpDistinct, eq.Args[0], eq.Args[1])
 	}},
 }
 
@@ -260,18 +260,18 @@ func childPolarity(app *ast.App, i int, pol int8) int8 {
 // target replaced by rule.Apply. The replaced node's subtree is not
 // revisited; untouched subtrees are returned as-is (interning keeps
 // them shared).
-func rebuild(t ast.Term, target int, rule Rule, n *int) ast.Term {
+func rebuild(tb *ast.Table, t ast.Term, target int, rule Rule, n *int) ast.Term {
 	idx := *n
 	*n++
 	switch node := t.(type) {
 	case *ast.App:
 		if idx == target {
-			return rule.Apply(node)
+			return rule.Apply(tb, node)
 		}
 		changed := false
 		args := make([]ast.Term, len(node.Args))
 		for i, arg := range node.Args {
-			args[i] = rebuild(arg, target, rule, n)
+			args[i] = rebuild(tb, arg, target, rule, n)
 			if args[i] != arg {
 				changed = true
 			}
@@ -279,24 +279,25 @@ func rebuild(t ast.Term, target int, rule Rule, n *int) ast.Term {
 		if !changed {
 			return node
 		}
-		return ast.MustApp(node.Op, args...)
+		return tb.MustApp(node.Op, args...)
 	case *ast.Quant:
-		body := rebuild(node.Body, target, rule, n)
+		body := rebuild(tb, node.Body, target, rule, n)
 		if body == node.Body {
 			return node
 		}
-		return ast.MustQuant(node.Forall, node.Bound, body)
+		return tb.MustQuant(node.Forall, node.Bound, body)
 	default:
 		return t
 	}
 }
 
 // Mutate derives one mutant from a seed, applying 1..MaxMutations
-// rules chosen by the task's RNG. The mutant inherits the seed's
+// rules chosen by the task's RNG and building the rewritten terms in tb
+// (the seed's table or a child of it). The mutant inherits the seed's
 // status as its oracle. Returns ErrNoMutationSite when nothing
 // applies, ErrWitnessLost or a *analysis.GateError when a supposedly
 // verdict-preserving mutation fails its safety checks.
-func Mutate(seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
+func Mutate(tb *ast.Table, seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
 	maxMut := opts.MaxMutations
 	if maxMut <= 0 {
 		maxMut = 2
@@ -311,7 +312,7 @@ func Mutate(seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
 		}
 		c := sites[rng.Intn(len(sites))]
 		n := 0
-		asserts[c.assert] = rebuild(asserts[c.assert], c.node, Rules[c.rule], &n)
+		asserts[c.assert] = rebuild(tb, asserts[c.assert], c.node, Rules[c.rule], &n)
 		applied = append(applied, Rules[c.rule].Name)
 	}
 	if len(applied) == 0 {
@@ -335,15 +336,15 @@ func Mutate(seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
 	return &Mutant{Script: script, Seed: seed, Oracle: seed.Status, Rules: applied}, nil
 }
 
-// Wild derives a mutant with no oracle: every (node, rule) match is a
-// candidate site regardless of polarity or the seed's status, so the
+// Wild derives a mutant with no oracle, built in tb like Mutate's:
+// every (node, rule) match is a candidate site regardless of polarity or the seed's status, so the
 // result's satisfiability is unknown by construction. This is the
 // unknown-status input source for the consensus oracles — the mutant
 // deliberately leaves the polarity-soundness envelope, and with it the
 // known-status oracle. No witness check applies (there is no status to
 // preserve); the static analysis gate still runs so wild mutants stay
 // well-formed campaign inputs.
-func Wild(seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
+func Wild(tb *ast.Table, seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
 	maxMut := opts.MaxMutations
 	if maxMut <= 0 {
 		maxMut = 2
@@ -358,7 +359,7 @@ func Wild(seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
 		}
 		c := sites[rng.Intn(len(sites))]
 		n := 0
-		asserts[c.assert] = rebuild(asserts[c.assert], c.node, Rules[c.rule], &n)
+		asserts[c.assert] = rebuild(tb, asserts[c.assert], c.node, Rules[c.rule], &n)
 		applied = append(applied, Rules[c.rule].Name)
 	}
 	if len(applied) == 0 {
@@ -435,14 +436,14 @@ func stepRelation(kind Kind, pol int8) (rel Relation, ok bool) {
 	return RelEquivalent, false
 }
 
-// DeriveVariant builds a metamorphic counterpart of script: a variant
-// whose satisfiability relation to the original is known by
+// DeriveVariant builds a metamorphic counterpart of script in tb: a
+// variant whose satisfiability relation to the original is known by
 // construction. Directional steps compose only with equivalences or
 // steps of the same direction (weakened∘strengthened has no defined
 // relation), so the first directional rewrite fixes the pair's
 // direction. Returns ErrNoMutationSite when no relation-preserving
 // rewrite applies anywhere.
-func DeriveVariant(script *smtlib.Script, rng *rand.Rand, opts Options) (*Variant, error) {
+func DeriveVariant(tb *ast.Table, script *smtlib.Script, rng *rand.Rand, opts Options) (*Variant, error) {
 	maxMut := opts.MaxMutations
 	if maxMut <= 0 {
 		maxMut = 2
@@ -461,7 +462,7 @@ func DeriveVariant(script *smtlib.Script, rng *rand.Rand, opts Options) (*Varian
 		}
 		c := sites[rng.Intn(len(sites))]
 		n := 0
-		asserts[c.assert] = rebuild(asserts[c.assert], c.node, Rules[c.rule], &n)
+		asserts[c.assert] = rebuild(tb, asserts[c.assert], c.node, Rules[c.rule], &n)
 		applied = append(applied, Rules[c.rule].Name)
 		if r, _ := stepRelation(Rules[c.rule].Kind, c.pol); r != RelEquivalent {
 			rel = r

@@ -25,9 +25,9 @@ func ruleNames(sites []site) map[string]bool {
 // positions of unsat seeds, never the reverse, and only equivalences
 // fire at unknown-monotonicity positions such as an ite condition.
 func TestCollectPolarity(t *testing.T) {
-	x := ast.NewVar("x", ast.SortInt)
-	b := ast.NewVar("b", ast.SortBool)
-	lt := ast.Lt(x, ast.Int(5))
+	x := tb.Var("x", ast.SortInt)
+	b := tb.Var("b", ast.SortBool)
+	lt := tb.Lt(x, tb.Int(5))
 
 	cases := []struct {
 		name   string
@@ -40,17 +40,17 @@ func TestCollectPolarity(t *testing.T) {
 			[]string{"lt-to-le", "lt-guard"}, []string{}},
 		{"positive unsat refuses weakenings", lt, core.StatusUnsat,
 			[]string{"lt-guard"}, []string{"lt-to-le"}},
-		{"negated sat refuses weakenings", ast.Not(lt), core.StatusSat,
+		{"negated sat refuses weakenings", tb.Not(lt), core.StatusSat,
 			[]string{"lt-guard"}, []string{"lt-to-le"}},
-		{"negated unsat takes weakenings", ast.Not(lt), core.StatusUnsat,
+		{"negated unsat takes weakenings", tb.Not(lt), core.StatusUnsat,
 			[]string{"lt-to-le", "lt-guard"}, []string{}},
-		{"ite condition takes only equivalences", ast.Ite(lt, b, ast.Not(b)), core.StatusSat,
+		{"ite condition takes only equivalences", tb.Ite(lt, b, tb.Not(b)), core.StatusSat,
 			[]string{"lt-guard"}, []string{"lt-to-le"}},
-		{"implies antecedent flips", ast.MustApp(ast.OpImplies, lt, b), core.StatusUnsat,
+		{"implies antecedent flips", tb.MustApp(ast.OpImplies, lt, b), core.StatusUnsat,
 			[]string{"lt-to-le"}, []string{}},
-		{"strengthening needs the matching side", ast.Le(x, ast.Int(5)), core.StatusUnsat,
+		{"strengthening needs the matching side", tb.Le(x, tb.Int(5)), core.StatusUnsat,
 			[]string{"le-to-lt", "le-split"}, []string{}},
-		{"strengthening refused on sat side", ast.Le(x, ast.Int(5)), core.StatusSat,
+		{"strengthening refused on sat side", tb.Le(x, tb.Int(5)), core.StatusSat,
 			[]string{"le-split"}, []string{"le-to-lt", "le-to-eq"}},
 	}
 	for _, tc := range cases {
@@ -91,7 +91,7 @@ func TestMutantsPreserveVerdict(t *testing.T) {
 			for _, status := range []core.Status{core.StatusSat, core.StatusUnsat} {
 				seed := g.Generate(status)
 				rng := rand.New(rand.NewSource(int64(i)*31 + 7))
-				mut, err := Mutate(seed, rng, Options{})
+				mut, err := Mutate(tb, seed, rng, Options{})
 				if errors.Is(err, ErrNoMutationSite) {
 					continue
 				}
@@ -123,7 +123,7 @@ func TestMutateDeterministic(t *testing.T) {
 	}
 	seed := g.Sat()
 	run := func() *Mutant {
-		m, err := Mutate(seed, rand.New(rand.NewSource(5)), Options{})
+		m, err := Mutate(tb, seed, rand.New(rand.NewSource(5)), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestMutantOracleInherited(t *testing.T) {
 	}
 	for _, status := range []core.Status{core.StatusSat, core.StatusUnsat} {
 		seed := g.Generate(status)
-		mut, err := Mutate(seed, rand.New(rand.NewSource(1)), Options{MaxMutations: 1})
+		mut, err := Mutate(tb, seed, rand.New(rand.NewSource(1)), Options{MaxMutations: 1})
 		if errors.Is(err, ErrNoMutationSite) {
 			continue
 		}
@@ -167,3 +167,6 @@ func TestMutantOracleInherited(t *testing.T) {
 		}
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

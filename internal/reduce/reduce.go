@@ -28,13 +28,14 @@ type Options struct {
 // Reduce shrinks the script while it stays interesting. The input
 // script must itself be interesting; Reduce returns the smallest
 // interesting shrink found — every returned script satisfies the
-// predicate.
+// predicate. The shrinks are built in a table of the reduction's own.
 func Reduce(s *smtlib.Script, interesting Interesting, opts Options) *smtlib.Script {
 	if opts.MaxChecks == 0 {
 		opts.MaxChecks = 2000
 	}
-	r := &reducer{interesting: interesting, budget: opts.MaxChecks}
-	cur := s.Clone()
+	tb := ast.NewTable(nil)
+	r := &reducer{tb: tb, interesting: interesting, budget: opts.MaxChecks}
+	cur := s.Import(tb).Clone()
 	for {
 		next, changed := r.pass(cur)
 		if !changed || r.budget <= 0 {
@@ -51,7 +52,7 @@ func Reduce(s *smtlib.Script, interesting Interesting, opts Options) *smtlib.Scr
 // the prettified script fails the check — or the budget is exhausted
 // before it can run — the verified shrink wins.
 func (r *reducer) finish(s *smtlib.Script) *smtlib.Script {
-	pretty := Prettify(s)
+	pretty := Prettify(r.tb, s)
 	if smtlib.Print(pretty) == smtlib.Print(s) || r.check(pretty) {
 		return pretty
 	}
@@ -59,6 +60,7 @@ func (r *reducer) finish(s *smtlib.Script) *smtlib.Script {
 }
 
 type reducer struct {
+	tb          *ast.Table
 	interesting Interesting
 	budget      int
 }
@@ -156,7 +158,7 @@ func (r *reducer) shrinkTerms(s *smtlib.Script) (*smtlib.Script, bool) {
 		improved := true
 		for improved && r.budget > floor {
 			improved = false
-			for _, cand := range shrinkCandidates(term) {
+			for _, cand := range shrinkCandidates(r.tb, term) {
 				if r.budget <= floor {
 					break
 				}
@@ -177,7 +179,7 @@ func (r *reducer) shrinkTerms(s *smtlib.Script) (*smtlib.Script, bool) {
 
 // shrinkCandidates enumerates one-step shrinks of a term, smallest
 // first.
-func shrinkCandidates(t ast.Term) []ast.Term {
+func shrinkCandidates(tb *ast.Table, t ast.Term) []ast.Term {
 	var out []ast.Term
 	var walk func(path []int)
 	walk = func(path []int) {
@@ -187,14 +189,14 @@ func shrinkCandidates(t ast.Term) []ast.Term {
 			// Hoist a same-sort argument.
 			for _, arg := range app.Args {
 				if arg.Sort() == app.Sort() {
-					if cand, ok := replaceAt(t, path, arg); ok {
+					if cand, ok := replaceAt(tb, t, path, arg); ok {
 						out = append(out, cand)
 					}
 				}
 			}
 			// Replace by a trivial literal.
-			if lit := trivialLiteral(app.Sort()); lit != nil && !ast.Equal(sub, lit) {
-				if cand, ok := replaceAt(t, path, lit); ok {
+			if lit := trivialLiteral(tb, app.Sort()); lit != nil && !ast.Equal(sub, lit) {
+				if cand, ok := replaceAt(tb, t, path, lit); ok {
 					out = append(out, cand)
 				}
 			}
@@ -212,16 +214,16 @@ func shrinkCandidates(t ast.Term) []ast.Term {
 	return out
 }
 
-func trivialLiteral(s ast.Sort) ast.Term {
+func trivialLiteral(tb *ast.Table, s ast.Sort) ast.Term {
 	switch s {
 	case ast.SortBool:
 		return ast.True
 	case ast.SortInt:
-		return ast.Int(0)
+		return tb.Int(0)
 	case ast.SortReal:
-		return ast.RealBig(new(big.Rat))
+		return tb.RealBig(new(big.Rat))
 	case ast.SortString:
-		return ast.Str("")
+		return tb.Str("")
 	default:
 		return nil
 	}
@@ -244,7 +246,7 @@ func subtermAt(t ast.Term, path []int) ast.Term {
 
 // replaceAt rebuilds the term with the subterm at path replaced. It
 // reports false when the replacement would be ill-sorted.
-func replaceAt(t ast.Term, path []int, repl ast.Term) (ast.Term, bool) {
+func replaceAt(tb *ast.Table, t ast.Term, path []int, repl ast.Term) (ast.Term, bool) {
 	if len(path) == 0 {
 		if t.Sort() != repl.Sort() {
 			return nil, false
@@ -254,24 +256,24 @@ func replaceAt(t ast.Term, path []int, repl ast.Term) (ast.Term, bool) {
 	switch n := t.(type) {
 	case *ast.App:
 		i := path[0]
-		sub, ok := replaceAt(n.Args[i], path[1:], repl)
+		sub, ok := replaceAt(tb, n.Args[i], path[1:], repl)
 		if !ok {
 			return nil, false
 		}
 		args := make([]ast.Term, len(n.Args))
 		copy(args, n.Args)
 		args[i] = sub
-		out, err := ast.NewApp(n.Op, args...)
+		out, err := tb.NewApp(n.Op, args...)
 		if err != nil {
 			return nil, false
 		}
 		return out, true
 	case *ast.Quant:
-		sub, ok := replaceAt(n.Body, path[1:], repl)
+		sub, ok := replaceAt(tb, n.Body, path[1:], repl)
 		if !ok {
 			return nil, false
 		}
-		q, err := ast.NewQuant(n.Forall, n.Bound, sub)
+		q, err := tb.NewQuant(n.Forall, n.Bound, sub)
 		if err != nil {
 			return nil, false
 		}
@@ -283,19 +285,20 @@ func replaceAt(t ast.Term, path []int, repl ast.Term) (ast.Term, bool) {
 
 // Prettify applies the paper's pretty-printer transformations: flatten
 // nests of the same associative operator and drop additions and
-// multiplications with neutral elements. It preserves semantics.
-func Prettify(s *smtlib.Script) *smtlib.Script {
+// multiplications with neutral elements. It preserves semantics. The
+// rewritten terms are built in tb.
+func Prettify(tb *ast.Table, s *smtlib.Script) *smtlib.Script {
 	out := s.Clone()
 	for i, c := range out.Commands {
 		if a, ok := c.(*smtlib.Assert); ok {
-			out.Commands[i] = &smtlib.Assert{Term: prettifyTerm(a.Term)}
+			out.Commands[i] = &smtlib.Assert{Term: prettifyTerm(tb, a.Term)}
 		}
 	}
 	return out
 }
 
-func prettifyTerm(t ast.Term) ast.Term {
-	return ast.Transform(t, func(n ast.Term) ast.Term {
+func prettifyTerm(tb *ast.Table, t ast.Term) ast.Term {
+	return tb.Transform(t, func(n ast.Term) ast.Term {
 		app, ok := n.(*ast.App)
 		if !ok {
 			return n
@@ -325,12 +328,12 @@ func prettifyTerm(t ast.Term) ast.Term {
 				return n
 			}
 			if len(kept) == 0 {
-				return neutralTerm(app.Op, app.Sort())
+				return neutralTerm(tb, app.Op, app.Sort())
 			}
 			if len(kept) == 1 {
 				return kept[0]
 			}
-			return ast.MustApp(app.Op, kept...)
+			return tb.MustApp(app.Op, kept...)
 		}
 		return n
 	})
@@ -365,7 +368,7 @@ func isNeutral(op ast.Op, t ast.Term) bool {
 	return false
 }
 
-func neutralTerm(op ast.Op, sort ast.Sort) ast.Term {
+func neutralTerm(tb *ast.Table, op ast.Op, sort ast.Sort) ast.Term {
 	switch op {
 	case ast.OpAnd:
 		return ast.True
@@ -373,15 +376,15 @@ func neutralTerm(op ast.Op, sort ast.Sort) ast.Term {
 		return ast.False
 	case ast.OpAdd:
 		if sort == ast.SortReal {
-			return ast.RealBig(new(big.Rat))
+			return tb.RealBig(new(big.Rat))
 		}
-		return ast.Int(0)
+		return tb.Int(0)
 	case ast.OpMul:
 		if sort == ast.SortReal {
-			return ast.Real(1, 1)
+			return tb.Real(1, 1)
 		}
-		return ast.Int(1)
+		return tb.Int(1)
 	default:
-		return ast.Str("")
+		return tb.Str("")
 	}
 }

@@ -133,7 +133,7 @@ func TestPrettify(t *testing.T) {
 (assert (and (and (> (+ x 0) 0) true) (< (* 1 x) 10)))
 (check-sat)
 `)
-	out := Prettify(s)
+	out := Prettify(tb, s)
 	txt := smtlib.Print(out)
 	if strings.Contains(txt, "(and (and") {
 		t.Errorf("nested and not flattened:\n%s", txt)
@@ -153,7 +153,7 @@ func TestPrettifyPreservesSemantics(t *testing.T) {
 (check-sat)
 `
 	s := parse(t, src)
-	out := Prettify(s)
+	out := Prettify(tb, s)
 	// Same satisfying assignments on a small grid.
 	for v := int64(-3); v <= 12; v++ {
 		model := evalModel(v)
@@ -253,3 +253,6 @@ func TestBudgetExhaustion(t *testing.T) {
 		t.Fatal("nil result")
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

@@ -216,8 +216,8 @@ func TestDerivativePumping(t *testing.T) {
 
 func TestFromTerm(t *testing.T) {
 	// (re.* (str.to_re "aa"))
-	inner := ast.MustApp(ast.OpStrToRe, ast.Str("aa"))
-	star := ast.MustApp(ast.OpReStar, inner)
+	inner := tb.MustApp(ast.OpStrToRe, tb.Str("aa"))
+	star := tb.MustApp(ast.OpReStar, inner)
 	r, err := FromTerm(star)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestFromTerm(t *testing.T) {
 		t.Error("converted regex misbehaves")
 	}
 	// re.range
-	rr := ast.MustApp(ast.OpReRange, ast.Str("a"), ast.Str("c"))
+	rr := tb.MustApp(ast.OpReRange, tb.Str("a"), tb.Str("c"))
 	r, err = FromTerm(rr)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestFromTerm(t *testing.T) {
 		t.Error("range misbehaves")
 	}
 	// Multi-char range bound is the empty language per SMT-LIB.
-	rr = ast.MustApp(ast.OpReRange, ast.Str("ab"), ast.Str("c"))
+	rr = tb.MustApp(ast.OpReRange, tb.Str("ab"), tb.Str("c"))
 	r, err = FromTerm(rr)
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +244,8 @@ func TestFromTerm(t *testing.T) {
 		t.Error("malformed range should be empty")
 	}
 	// Non-ground argument is rejected.
-	v := ast.NewVar("x", ast.SortString)
-	ng := ast.MustApp(ast.OpStrToRe, v)
+	v := tb.Var("x", ast.SortString)
+	ng := tb.MustApp(ast.OpStrToRe, v)
 	if _, err := FromTerm(ng); err == nil {
 		t.Error("non-ground str.to_re should be rejected")
 	}
@@ -253,9 +253,9 @@ func TestFromTerm(t *testing.T) {
 
 func TestFromTermComposite(t *testing.T) {
 	// (re.++ (re.opt (str.to_re "x")) (re.union (str.to_re "y") re.allchar))
-	term := ast.MustApp(ast.OpReConcat,
-		ast.MustApp(ast.OpReOpt, ast.MustApp(ast.OpStrToRe, ast.Str("x"))),
-		ast.MustApp(ast.OpReUnion, ast.MustApp(ast.OpStrToRe, ast.Str("y")), ast.MustApp(ast.OpReAllChar)))
+	term := tb.MustApp(ast.OpReConcat,
+		tb.MustApp(ast.OpReOpt, tb.MustApp(ast.OpStrToRe, tb.Str("x"))),
+		tb.MustApp(ast.OpReUnion, tb.MustApp(ast.OpStrToRe, tb.Str("y")), tb.MustApp(ast.OpReAllChar)))
 	r, err := FromTerm(term)
 	if err != nil {
 		t.Fatal(err)
@@ -271,3 +271,6 @@ func TestFromTermComposite(t *testing.T) {
 		}
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

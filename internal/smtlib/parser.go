@@ -6,10 +6,18 @@ import (
 	"repro/internal/ast"
 )
 
-// ParseScript parses a complete SMT-LIB script, elaborating all terms.
+// ParseScript parses a complete SMT-LIB script, elaborating all terms
+// into a table of its own.
 func ParseScript(src string) (*Script, error) {
+	return ParseScriptIn(ast.NewTable(nil), src)
+}
+
+// ParseScriptIn parses a complete SMT-LIB script, elaborating all terms
+// into tb: for callers that go on to build or solve in the same table.
+func ParseScriptIn(tb *ast.Table, src string) (*Script, error) {
 	p := newSexprParser(src)
 	el := &elaborator{
+		tb:   tb,
 		vars: map[string]ast.Sort{},
 		defs: map[string]*DefineFun{},
 	}
@@ -32,9 +40,9 @@ func ParseScript(src string) (*Script, error) {
 	}
 }
 
-// ParseTerm parses a single term under the given free-variable
+// ParseTerm parses a single term into tb under the given free-variable
 // declarations — a convenience for tests and programmatic use.
-func ParseTerm(src string, decls map[string]ast.Sort) (ast.Term, error) {
+func ParseTerm(tb *ast.Table, src string, decls map[string]ast.Sort) (ast.Term, error) {
 	p := newSexprParser(src)
 	se, err := p.parse()
 	if err != nil {
@@ -43,12 +51,13 @@ func ParseTerm(src string, decls map[string]ast.Sort) (ast.Term, error) {
 	if se == nil {
 		return nil, errAt(1, 1, "empty input")
 	}
-	el := &elaborator{vars: decls, defs: map[string]*DefineFun{}}
+	el := &elaborator{tb: tb, vars: decls, defs: map[string]*DefineFun{}}
 	return el.term(se, nil)
 }
 
 // elaborator turns s-expressions into typed commands and terms.
 type elaborator struct {
+	tb   *ast.Table
 	vars map[string]ast.Sort   // declared zero-ary functions
 	defs map[string]*DefineFun // defined functions (macro-expanded)
 }
@@ -207,7 +216,7 @@ func (el *elaborator) defineFun(l *list) (Command, error) {
 			return nil, err
 		}
 		params = append(params, ast.SortedVar{Name: pn.tok.text, Sort: ps})
-		sc = &scope{name: pn.tok.text, value: ast.NewVar(pn.tok.text, ps), parent: sc}
+		sc = &scope{name: pn.tok.text, value: el.tb.Var(pn.tok.text, ps), parent: sc}
 	}
 	result, err := el.sortArg(l.items[3])
 	if err != nil {
@@ -280,15 +289,15 @@ func (el *elaborator) atomTerm(a *atom, sc *scope) (ast.Term, error) {
 		if !ok {
 			return nil, errAt(a.tok.line, a.tok.col, "malformed numeral %q", a.tok.text)
 		}
-		return ast.IntBig(v), nil
+		return el.tb.IntBig(v), nil
 	case tokDecimal:
 		v, ok := new(big.Rat).SetString(a.tok.text)
 		if !ok {
 			return nil, errAt(a.tok.line, a.tok.col, "malformed decimal %q", a.tok.text)
 		}
-		return ast.RealBig(v), nil
+		return el.tb.RealBig(v), nil
 	case tokString:
-		return ast.Str(a.tok.text), nil
+		return el.tb.Str(a.tok.text), nil
 	case tokSymbol:
 		name := a.tok.text
 		switch name {
@@ -301,14 +310,14 @@ func (el *elaborator) atomTerm(a *atom, sc *scope) (ast.Term, error) {
 			return t, nil
 		}
 		if s, ok := el.vars[name]; ok {
-			return ast.NewVar(name, s), nil
+			return el.tb.Var(name, s), nil
 		}
 		if def, ok := el.defs[name]; ok && len(def.Params) == 0 {
 			return def.Body, nil
 		}
 		// Zero-ary builtin constants (re.allchar, re.none, re.all).
 		if op, ok := ast.OpByName(name, 0); ok {
-			return ast.NewApp(op)
+			return el.tb.NewApp(op)
 		}
 		return nil, errAt(a.tok.line, a.tok.col, "unknown symbol %q", name)
 	default:
@@ -353,7 +362,7 @@ func (el *elaborator) listTerm(l *list, sc *scope) (ast.Term, error) {
 			}
 			repl[p.Name] = args[i]
 		}
-		out, err := ast.Substitute(def.Body, repl)
+		out, err := el.tb.Substitute(def.Body, repl)
 		if err != nil {
 			return nil, errAt(l.line, l.col, "%s: %v", def.Name, err)
 		}
@@ -364,8 +373,8 @@ func (el *elaborator) listTerm(l *list, sc *scope) (ast.Term, error) {
 	if !ok {
 		return nil, errAt(l.line, l.col, "unknown operator %q with %d arguments", head.tok.text, len(args))
 	}
-	args = coerceNumerals(op, args)
-	t, err := ast.NewApp(op, args...)
+	args = el.coerceNumerals(op, args)
+	t, err := el.tb.NewApp(op, args...)
 	if err != nil {
 		return nil, errAt(l.line, l.col, "%v", err)
 	}
@@ -375,7 +384,7 @@ func (el *elaborator) listTerm(l *list, sc *scope) (ast.Term, error) {
 // coerceNumerals promotes integer literals to real literals when the
 // application mixes them with Real-sorted siblings — benchmarks routinely
 // write (+ x 1) with x Real.
-func coerceNumerals(op ast.Op, args []ast.Term) []ast.Term {
+func (el *elaborator) coerceNumerals(op ast.Op, args []ast.Term) []ast.Term {
 	switch op {
 	case ast.OpAdd, ast.OpSub, ast.OpNeg, ast.OpMul, ast.OpRealDiv,
 		ast.OpLe, ast.OpLt, ast.OpGe, ast.OpGt, ast.OpEq, ast.OpDistinct, ast.OpIte:
@@ -401,7 +410,7 @@ func coerceNumerals(op ast.Op, args []ast.Term) []ast.Term {
 				copy(out, args)
 				changed = true
 			}
-			out[i] = ast.RealBig(new(big.Rat).SetInt(il.V))
+			out[i] = el.tb.RealBig(new(big.Rat).SetInt(il.V))
 		}
 	}
 	return out
@@ -465,13 +474,13 @@ func (el *elaborator) quantTerm(l *list, sc *scope, forall bool) (ast.Term, erro
 			return nil, err
 		}
 		bound = append(bound, ast.SortedVar{Name: name.tok.text, Sort: sort})
-		inner = &scope{name: name.tok.text, value: ast.NewVar(name.tok.text, sort), parent: inner}
+		inner = &scope{name: name.tok.text, value: el.tb.Var(name.tok.text, sort), parent: inner}
 	}
 	body, err := el.term(l.items[2], inner)
 	if err != nil {
 		return nil, err
 	}
-	q, err := ast.NewQuant(forall, bound, body)
+	q, err := el.tb.NewQuant(forall, bound, body)
 	if err != nil {
 		line, col := l.items[2].pos()
 		return nil, errAt(line, col, "%v", err)

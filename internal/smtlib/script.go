@@ -108,13 +108,14 @@ func (s *Script) Asserts() []ast.Term {
 	return out
 }
 
-// Conjunction returns the conjunction of all asserts (true if none).
-func (s *Script) Conjunction() ast.Term {
+// Conjunction returns the conjunction of all asserts (true if none),
+// built in tb.
+func (s *Script) Conjunction(tb *ast.Table) ast.Term {
 	as := s.Asserts()
 	if len(as) == 0 {
 		return ast.True
 	}
-	return ast.And(as...)
+	return tb.And(as...)
 }
 
 // Clone returns a shallow command-level copy: the command list is fresh
@@ -122,6 +123,39 @@ func (s *Script) Conjunction() ast.Term {
 func (s *Script) Clone() *Script {
 	out := &Script{Commands: make([]Command, len(s.Commands))}
 	copy(out.Commands, s.Commands)
+	return out
+}
+
+// Import returns the script with every term re-interned into tb
+// (ast.Table.Import). When that changes no term, the script itself is
+// returned; otherwise a copy that shares the term-free commands.
+func (s *Script) Import(tb *ast.Table) *Script {
+	var out *Script
+	for i, c := range s.Commands {
+		var nc Command
+		switch n := c.(type) {
+		case *Assert:
+			if t := tb.Import(n.Term); t != n.Term {
+				nc = &Assert{Term: t}
+			}
+		case *DefineFun:
+			if body := tb.Import(n.Body); body != n.Body {
+				d := *n
+				d.Body = body
+				nc = &d
+			}
+		}
+		if nc == nil {
+			continue
+		}
+		if out == nil {
+			out = s.Clone()
+		}
+		out.Commands[i] = nc
+	}
+	if out == nil {
+		return s
+	}
 	return out
 }
 

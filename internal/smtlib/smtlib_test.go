@@ -237,7 +237,7 @@ func TestPrintParseRoundTrip(t *testing.T) {
 func TestPrintScriptForms(t *testing.T) {
 	s := NewScript("QF_LIA",
 		[]*DeclareFun{{Name: "x", Sort: ast.SortInt}},
-		[]ast.Term{ast.Gt(ast.NewVar("x", ast.SortInt), ast.Int(0))})
+		[]ast.Term{tb.Gt(tb.Var("x", ast.SortInt), tb.Int(0))})
 	want := "(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> x 0))\n(check-sat)\n"
 	if got := Print(s); got != want {
 		t.Errorf("Print:\n%s\nwant:\n%s", got, want)
@@ -270,7 +270,7 @@ func TestIgnoredCommands(t *testing.T) {
 
 func TestParseTermHelper(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortInt}
-	tm, err := ParseTerm("(+ x 3)", decls)
+	tm, err := ParseTerm(tb, "(+ x 3)", decls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,11 @@ func TestParseTermHelper(t *testing.T) {
 
 func TestConjunction(t *testing.T) {
 	s := mustParse(t, `(declare-fun x () Int)(assert (> x 0))(assert (< x 5))`)
-	if got := ast.Print(s.Conjunction()); got != "(and (> x 0) (< x 5))" {
+	if got := ast.Print(s.Conjunction(tb)); got != "(and (> x 0) (< x 5))" {
 		t.Errorf("got %q", got)
 	}
 	empty := &Script{}
-	if empty.Conjunction() != ast.True {
+	if empty.Conjunction(tb) != ast.True {
 		t.Error("empty conjunction should be true")
 	}
 }
@@ -299,3 +299,6 @@ func TestQuotedSymbol(t *testing.T) {
 		t.Logf("quoted symbol prints as %q", got)
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

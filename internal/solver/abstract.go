@@ -23,12 +23,12 @@ type abstraction struct {
 
 // negation returns the negated atom of SAT variable v, interning it
 // once per solve rather than once per boolean model.
-func (ab *abstraction) negation(v int) ast.Term {
+func (ab *abstraction) negation(v int, s *Solver) ast.Term {
 	if ab.negTerm == nil {
 		ab.negTerm = make([]ast.Term, len(ab.atomTerm))
 	}
 	if ab.negTerm[v] == nil {
-		ab.negTerm[v] = ast.Not(ab.atomTerm[v])
+		ab.negTerm[v] = s.terms.Not(ab.atomTerm[v])
 	}
 	return ab.negTerm[v]
 }

@@ -21,7 +21,7 @@ func value(t *testing.T, m Model, v string) rat.Rat {
 
 func linearizeStr(t *testing.T, src string, decls map[string]ast.Sort) *LinExpr {
 	t.Helper()
-	term, err := smtlib.ParseTerm(src, decls)
+	term, err := smtlib.ParseTerm(tb, src, decls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLinearizeRealDivision(t *testing.T) {
 		t.Errorf("got %v", e)
 	}
 	// Division by zero constant is not linear (fixed interpretation 0).
-	term, _ := smtlib.ParseTerm("(/ a 0.0)", decls)
+	term, _ := smtlib.ParseTerm(tb, "(/ a 0.0)", decls)
 	if _, err := Linearize(term, nil); err == nil {
 		t.Error("division by zero constant should not linearize")
 	}
@@ -67,7 +67,7 @@ func TestLinearizeRealDivision(t *testing.T) {
 func TestLinearizeNonlinearRejected(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortInt, "y": ast.SortInt}
 	for _, src := range []string{"(* x y)", "(div x y)", "(mod x 2)", "(abs x)"} {
-		term, err := smtlib.ParseTerm(src, decls)
+		term, err := smtlib.ParseTerm(tb, src, decls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestLinearizeNonlinearRejected(t *testing.T) {
 
 func TestLinearizeAbstraction(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortInt, "y": ast.SortInt}
-	term, _ := smtlib.ParseTerm("(+ (* x y) (* x y) (div x y))", decls)
+	term, _ := smtlib.ParseTerm(tb, "(+ (* x y) (* x y) (div x y))", decls)
 	abs := NewAbstractor("$n")
 	e, err := Linearize(term, abs)
 	if err != nil {
@@ -110,7 +110,7 @@ func atomsOf(t *testing.T, decls map[string]ast.Sort, srcs ...string) []Atom {
 	t.Helper()
 	var out []Atom
 	for _, src := range srcs {
-		term, err := smtlib.ParseTerm(src, decls)
+		term, err := smtlib.ParseTerm(tb, src, decls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func refuteStrs(t *testing.T, decls map[string]ast.Sort, intVars map[string]bool
 	t.Helper()
 	var lits []ast.Term
 	for _, src := range srcs {
-		term, err := smtlib.ParseTerm(src, decls)
+		term, err := smtlib.ParseTerm(tb, src, decls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestRefuteEqualityChains(t *testing.T) {
 
 func TestEvalIntervalForeign(t *testing.T) {
 	decls := map[string]ast.Sort{"s": ast.SortString}
-	term, err := smtlib.ParseTerm("(str.len s)", decls)
+	term, err := smtlib.ParseTerm(tb, "(str.len s)", decls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestEvalIntervalForeign(t *testing.T) {
 	if iv.Lo.Inf || iv.Lo.V.Sign() != 0 || !iv.Hi.Inf {
 		t.Errorf("str.len enclosure = %v", iv)
 	}
-	term, _ = smtlib.ParseTerm("(str.to_int s)", decls)
+	term, _ = smtlib.ParseTerm(tb, "(str.to_int s)", decls)
 	iv = EvalInterval(term, Env{}, nil)
 	if iv.Lo.Inf || iv.Lo.V.Cmp(rat.New(-1, 1)) != 0 {
 		t.Errorf("str.to_int enclosure = %v", iv)
@@ -389,3 +389,6 @@ func TestRelHelpers(t *testing.T) {
 		t.Error("flipRel broken")
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

@@ -114,15 +114,15 @@ func TestQuickIntegerIntervals(t *testing.T) {
 
 func TestAbstractorStability(t *testing.T) {
 	abs := NewAbstractor("$t")
-	x := ast.NewVar("x", ast.SortInt)
-	y := ast.NewVar("y", ast.SortInt)
-	prod := ast.Mul(x, y)
+	x := tb.Var("x", ast.SortInt)
+	y := tb.Var("y", ast.SortInt)
+	prod := tb.Mul(x, y)
 	v1 := abs.VarFor(prod)
-	v2 := abs.VarFor(ast.Mul(x, y)) // structurally equal, fresh tree
+	v2 := abs.VarFor(tb.Mul(x, y)) // structurally equal, fresh tree
 	if v1 != v2 {
 		t.Errorf("structurally equal terms got different abstraction vars: %s %s", v1, v2)
 	}
-	v3 := abs.VarFor(ast.Mul(y, x)) // different order → different term
+	v3 := abs.VarFor(tb.Mul(y, x)) // different order → different term
 	if v3 == v1 {
 		t.Error("order-distinct products merged")
 	}

@@ -17,7 +17,7 @@ import (
 func TestTemplateMatchesLinearizeDiff(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortReal, "y": ast.SortReal, "z": ast.SortReal, "n": ast.SortInt, "m": ast.SortInt}
 	parse := func(src string) ast.Term {
-		term, err := smtlib.ParseTerm(src, decls)
+		term, err := smtlib.ParseTerm(tb, src, decls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +80,8 @@ func TestTemplateMatchesLinearizeDiff(t *testing.T) {
 // abstracted subterm hands out its own expression, the saving that
 // makes replaying linear atoms free.
 func TestTemplateSharesLinearExpression(t *testing.T) {
-	x, y := ast.NewVar("x", ast.SortReal), ast.NewVar("y", ast.SortReal)
-	tp := MakeTemplate(ast.Add(x, y), ast.Real(1, 2))
+	x, y := tb.Var("x", ast.SortReal), tb.Var("y", ast.SortReal)
+	tp := MakeTemplate(tb.Add(x, y), tb.Real(1, 2))
 	a, _ := tp.Instantiate(NewAbstractor("a"))
 	b, _ := tp.Instantiate(NewAbstractor("b"))
 	if a != b || fmt.Sprint(a) != "1·x + 1·y + -1/2" {

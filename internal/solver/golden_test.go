@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -50,7 +51,7 @@ func goldenScripts(t *testing.T, logic gen.Logic) []goldenScript {
 		out = append(out, goldenScript{fmt.Sprintf("%s/seed%02d", logic, i), s.Script})
 	}
 	for i := 0; i+3 < len(seeds); i++ {
-		f, err := core.Fuse(seeds[i], seeds[i+3], rng, core.Options{})
+		f, err := core.Fuse(tb, seeds[i], seeds[i+3], rng, core.Options{})
 		if err != nil {
 			continue
 		}
@@ -173,3 +174,6 @@ func TestSolveGolden(t *testing.T) {
 		}
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

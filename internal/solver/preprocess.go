@@ -139,7 +139,7 @@ func (s *Solver) inline(asserts []ast.Term) []ast.Term {
 	for i := 0; i < len(defs)+1; i++ {
 		changed := false
 		for name, rhs := range defs {
-			sub, err := ast.Substitute(rhs, defs)
+			sub, err := s.terms.Substitute(rhs, defs)
 			if err != nil {
 				continue // quantified rhs capture: keep as is
 			}
@@ -164,7 +164,7 @@ func (s *Solver) inline(asserts []ast.Term) []ast.Term {
 
 	out := make([]ast.Term, 0, len(rest))
 	for _, a := range rest {
-		sub, err := ast.Substitute(a, defs)
+		sub, err := s.terms.Substitute(a, defs)
 		if err != nil {
 			out = append(out, a)
 			continue
@@ -200,7 +200,7 @@ func (s *Solver) pushNeg(t ast.Term, neg bool) ast.Term {
 				forall = !n.Forall
 			}
 		}
-		return ast.MustQuant(forall, n.Bound, s.pushNeg(n.Body, neg))
+		return s.terms.MustQuant(forall, n.Bound, s.pushNeg(n.Body, neg))
 	case *ast.App:
 		switch n.Op {
 		case ast.OpNot:
@@ -218,25 +218,25 @@ func (s *Solver) pushNeg(t ast.Term, neg bool) ast.Term {
 			for i, a := range n.Args {
 				args[i] = s.pushNeg(a, neg)
 			}
-			return ast.MustApp(op, args...)
+			return s.terms.MustApp(op, args...)
 		case ast.OpImplies:
 			if len(n.Args) == 2 {
 				// a ⇒ b ≡ ¬a ∨ b.
 				lhs := s.pushNeg(n.Args[0], !neg)
 				rhs := s.pushNeg(n.Args[1], neg)
 				if neg {
-					return ast.And(lhs, rhs)
+					return s.terms.And(lhs, rhs)
 				}
-				return ast.Or(lhs, rhs)
+				return s.terms.Or(lhs, rhs)
 			}
 		case ast.OpLe, ast.OpLt, ast.OpGe, ast.OpGt:
 			if neg && len(n.Args) == 2 {
-				return ast.MustApp(negCompareOp(n.Op), n.Args...)
+				return s.terms.MustApp(negCompareOp(n.Op), n.Args...)
 			}
 		}
 	}
 	if neg {
-		return ast.Not(t)
+		return s.terms.Not(t)
 	}
 	return t
 }
@@ -264,9 +264,9 @@ func (s *Solver) skolemize(t ast.Term, positive bool) ast.Term {
 			s.hit(pQuantSkolem)
 			repl := map[string]ast.Term{}
 			for _, b := range n.Bound {
-				repl[b.Name] = ast.NewVar(s.freshName("sk!"+b.Name), b.Sort)
+				repl[b.Name] = s.terms.Var(s.freshName("sk!"+b.Name), b.Sort)
 			}
-			body, err := ast.Substitute(n.Body, repl)
+			body, err := s.terms.Substitute(n.Body, repl)
 			if err != nil {
 				return t
 			}
@@ -278,7 +278,7 @@ func (s *Solver) skolemize(t ast.Term, positive bool) ast.Term {
 		case ast.OpNot:
 			inner := s.skolemize(n.Args[0], !positive)
 			if inner != n.Args[0] {
-				return ast.Not(inner)
+				return s.terms.Not(inner)
 			}
 			return t
 		case ast.OpAnd, ast.OpOr:
@@ -291,7 +291,7 @@ func (s *Solver) skolemize(t ast.Term, positive bool) ast.Term {
 				}
 			}
 			if changed {
-				return ast.MustApp(n.Op, args...)
+				return s.terms.MustApp(n.Op, args...)
 			}
 			return t
 		}
@@ -314,20 +314,20 @@ func (s *Solver) liftIte(asserts []ast.Term) []ast.Term {
 	var extra []ast.Term
 	out := make([]ast.Term, len(asserts))
 	for i, a := range asserts {
-		out[i] = ast.Transform(a, func(t ast.Term) ast.Term {
+		out[i] = s.terms.Transform(a, func(t ast.Term) ast.Term {
 			app, ok := t.(*ast.App)
 			if !ok || app.Op != ast.OpIte || app.Sort() == ast.SortBool {
 				return t
 			}
 			s.hit(pIteLifted)
-			v := ast.NewVar(s.freshName("ite"), app.Sort())
+			v := s.terms.Var(s.freshName("ite"), app.Sort())
 			cond, then, els := app.Args[0], app.Args[1], app.Args[2]
 			if containsOp(cond, ast.OpRealDiv) && s.defect(DefIteLiftSwap) {
 				then, els = els, then // wrong: branches swapped
 			}
 			extra = append(extra,
-				ast.Or(ast.Not(cond), ast.Eq(v, then)),
-				ast.Or(cond, ast.Eq(v, els)))
+				s.terms.Or(s.terms.Not(cond), s.terms.Eq(v, then)),
+				s.terms.Or(cond, s.terms.Eq(v, els)))
 			return v
 		})
 	}

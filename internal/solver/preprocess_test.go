@@ -173,7 +173,7 @@ func TestResidualQuantifierErrors(t *testing.T) {
 
 func TestPushNegThroughConnectives(t *testing.T) {
 	s := NewReference()
-	term, _ := smtlib.ParseTerm(
+	term, _ := smtlib.ParseTerm(tb,
 		"(not (and (<= x 1) (or (> x 5) (exists ((h Int)) (= h x)))))",
 		map[string]ast.Sort{"x": ast.SortInt})
 	out := s.pushNeg(term, false)
@@ -191,7 +191,7 @@ func TestPushNegThroughConnectives(t *testing.T) {
 
 func TestPushNegDefectKeepsQuantifierKind(t *testing.T) {
 	buggy := New(Config{Defects: map[Defect]bool{DefQuantNegPush: true}})
-	term, _ := smtlib.ParseTerm(
+	term, _ := smtlib.ParseTerm(tb,
 		"(not (exists ((h Int)) (= h x)))",
 		map[string]ast.Sort{"x": ast.SortInt})
 	out := buggy.pushNeg(term, false)
@@ -223,3 +223,6 @@ func TestTrivialAfterPreprocess(t *testing.T) {
 		t.Error("default model missing declared variable")
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

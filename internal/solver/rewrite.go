@@ -20,7 +20,7 @@ func (s *Solver) rewrite(t ast.Term) ast.Term {
 			s.crash(DefCrashDeepNonlinear, "rewriter stack overflow on deep nonlinear term")
 		}
 	}
-	return ast.Transform(t, func(n ast.Term) ast.Term {
+	return s.terms.Transform(t, func(n ast.Term) ast.Term {
 		out := s.rewriteNode(n)
 		// A rule may expose a new redex at this node; iterate locally.
 		for i := 0; i < 4; i++ {
@@ -137,7 +137,7 @@ func (s *Solver) rwAndOr(app *ast.App) ast.Term {
 			return app
 		}
 	}
-	return ast.MustApp(app.Op, flat...)
+	return s.terms.MustApp(app.Op, flat...)
 }
 
 // collapseLeGuard implements the rw-le-guard-collapse defect: inside a
@@ -189,9 +189,9 @@ func (s *Solver) rwEq(app *ast.App) ast.Term {
 		s.hit(pRwEqChain)
 		var conj []ast.Term
 		for i := 0; i+1 < len(app.Args); i++ {
-			conj = append(conj, ast.Eq(app.Args[i], app.Args[i+1]))
+			conj = append(conj, s.terms.Eq(app.Args[i], app.Args[i+1]))
 		}
-		return ast.And(conj...)
+		return s.terms.And(conj...)
 	}
 	// Defective equality cancellation (see eqDivCancelDefect).
 	if len(app.Args) == 2 && app.Args[0].Sort().IsArith() &&
@@ -206,13 +206,13 @@ func (s *Solver) rwEq(app *ast.App) ast.Term {
 			if bl.V {
 				return app.Args[1]
 			}
-			return ast.Not(app.Args[1])
+			return s.terms.Not(app.Args[1])
 		}
 		if bl, ok := app.Args[1].(*ast.BoolLit); ok {
 			if bl.V {
 				return app.Args[0]
 			}
-			return ast.Not(app.Args[0])
+			return s.terms.Not(app.Args[0])
 		}
 	}
 	// Ground equality folds.
@@ -232,10 +232,10 @@ func (s *Solver) rwDistinct(app *ast.App) ast.Term {
 			if i == n-2 && j == n-1 && s.defect(DefDistinctPairDrop) {
 				continue
 			}
-			conj = append(conj, ast.Not(ast.Eq(app.Args[i], app.Args[j])))
+			conj = append(conj, s.terms.Not(s.terms.Eq(app.Args[i], app.Args[j])))
 		}
 	}
-	return ast.And(conj...)
+	return s.terms.And(conj...)
 }
 
 func (s *Solver) rwIte(app *ast.App) ast.Term {
@@ -250,7 +250,7 @@ func (s *Solver) rwIte(app *ast.App) ast.Term {
 		return app.Args[1]
 	}
 	if neg, ok := app.Args[0].(*ast.App); ok && neg.Op == ast.OpNot {
-		return ast.Ite(neg.Args[0], app.Args[2], app.Args[1])
+		return s.terms.Ite(neg.Args[0], app.Args[2], app.Args[1])
 	}
 	return app
 }
@@ -292,15 +292,15 @@ func (s *Solver) rwAddMul(app *ast.App) ast.Term {
 				continue
 			}
 			if isNumLit(a, 0) && !isAdd {
-				return zeroOfSort(app.Sort())
+				return s.zeroOfSort(app.Sort())
 			}
 			kept = append(kept, a)
 		}
 		if len(kept) == 0 {
 			if isAdd {
-				return zeroOfSort(app.Sort())
+				return s.zeroOfSort(app.Sort())
 			}
-			return oneOfSort(app.Sort())
+			return s.oneOfSort(app.Sort())
 		}
 		if len(kept) == 1 {
 			return kept[0]
@@ -321,7 +321,7 @@ func (s *Solver) rwAddMul(app *ast.App) ast.Term {
 	if rebuild {
 		// Flattening or literal removal always changed the argument
 		// list, so reconstruct (interning dedups any coincidences).
-		out = ast.MustApp(app.Op, kept...)
+		out = s.terms.MustApp(app.Op, kept...)
 	}
 	return s.foldGround(out)
 }
@@ -478,11 +478,11 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 			// Truncated instead of Euclidean division.
 			s.hit(pRwIntDivNeg)
 			q := new(big.Int).Quo(a0.V, a1.V)
-			return ast.IntBig(q)
+			return s.terms.IntBig(q)
 		}
 		if app.Op == ast.OpMod && a1.V.Sign() == 0 && s.defect(DefModZero) {
 			// Fixed interpretation is (mod x 0) = x; the defect folds 0.
-			return ast.Int(0)
+			return s.terms.Int(0)
 		}
 		return s.foldGround(app)
 	}
@@ -497,7 +497,7 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 		}
 	}
 	if app.Op == ast.OpMod && isNumLit(app.Args[1], 1) {
-		return ast.Int(0)
+		return s.terms.Int(0)
 	}
 	return app
 }
@@ -508,7 +508,7 @@ func (s *Solver) rwAbs(app *ast.App) ast.Term {
 		if lit.V.Sign() < 0 && s.defect(DefAbsNegFold) {
 			return lit // keeps the sign: wrong
 		}
-		return ast.IntBig(new(big.Int).Abs(lit.V))
+		return s.terms.IntBig(new(big.Int).Abs(lit.V))
 	}
 	return app
 }
@@ -553,7 +553,7 @@ func (s *Solver) rwCompare(app *ast.App) ast.Term {
 		// Defect: the bound normalizer strengthens a ≥ 0 to a > 0 when
 		// the left side went through division rewriting.
 		if app.Op == ast.OpGe && isNumLit(b, 0) && containsOp(a, ast.OpRealDiv) && s.defect(DefGeZeroStrengthen) {
-			return ast.Gt(a, b)
+			return s.terms.Gt(a, b)
 		}
 		// Defect: multiply-through normalization of (op (div p q) b) to
 		// (op p (* b q)) without sign or zero analysis — wrong whenever
@@ -564,7 +564,7 @@ func (s *Solver) rwCompare(app *ast.App) ast.Term {
 			!litNonzero(div.Args[1]) {
 			s.hit(pRwDivMulThrough)
 			if s.defect(DefDivMulThrough) {
-				return ast.MustApp(app.Op, div.Args[0], ast.Mul(b, div.Args[1]))
+				return s.terms.MustApp(app.Op, div.Args[0], s.terms.Mul(b, div.Args[1]))
 			}
 		}
 	}
@@ -612,7 +612,7 @@ func (s *Solver) rwConcat(app *ast.App) ast.Term {
 			}
 			if len(merged) > 0 {
 				if prev, ok := merged[len(merged)-1].(*ast.StrLit); ok {
-					merged[len(merged)-1] = ast.Str(prev.V + lit.V)
+					merged[len(merged)-1] = s.terms.Str(prev.V + lit.V)
 					continue
 				}
 			}
@@ -621,7 +621,7 @@ func (s *Solver) rwConcat(app *ast.App) ast.Term {
 	}
 	switch len(merged) {
 	case 0:
-		return ast.Str("")
+		return s.terms.Str("")
 	case 1:
 		return merged[0]
 	}
@@ -637,7 +637,7 @@ func (s *Solver) rwConcat(app *ast.App) ast.Term {
 			return app
 		}
 	}
-	return ast.MustApp(ast.OpStrConcat, merged...)
+	return s.terms.MustApp(ast.OpStrConcat, merged...)
 }
 
 func (s *Solver) rwStrLen(app *ast.App) ast.Term {
@@ -649,9 +649,9 @@ func (s *Solver) rwStrLen(app *ast.App) ast.Term {
 		}
 		terms := make([]ast.Term, len(args))
 		for i, a := range args {
-			terms[i] = ast.MustApp(ast.OpStrLen, a)
+			terms[i] = s.terms.MustApp(ast.OpStrLen, a)
 		}
-		return ast.Add(terms...)
+		return s.terms.Add(terms...)
 	}
 	return s.foldGround(app)
 }
@@ -663,7 +663,7 @@ func (s *Solver) rwStrAt(app *ast.App) ast.Term {
 	if ok0 && ok1 {
 		if idx.V.IsInt64() && idx.V.Int64() == int64(len(lit.V)) && len(lit.V) > 0 && s.defect(DefStrAtOutOfRange) {
 			// Off-by-one: returns the last character instead of "".
-			return ast.Str(lit.V[len(lit.V)-1:])
+			return s.terms.Str(lit.V[len(lit.V)-1:])
 		}
 	}
 	return s.foldGround(app)
@@ -700,7 +700,7 @@ func (s *Solver) rwSubstr(app *ast.App) ast.Term {
 	if ok0 && ok1 && ok2 && n.V.Sign() < 0 && s.defect(DefStrSubstrNegLen) {
 		// Wrong: negative length treated as "rest of string".
 		if idx.V.IsInt64() && idx.V.Sign() >= 0 && idx.V.Int64() <= int64(len(lit.V)) {
-			return ast.Str(lit.V[idx.V.Int64():])
+			return s.terms.Str(lit.V[idx.V.Int64():])
 		}
 	}
 	return s.foldGround(app)
@@ -714,7 +714,7 @@ func (s *Solver) rwReplace(app *ast.App) ast.Term {
 			// Wrong: drops the prepended replacement.
 			return app.Args[0]
 		}
-		return ast.MustApp(ast.OpStrConcat, app.Args[2], app.Args[0])
+		return s.terms.MustApp(ast.OpStrConcat, app.Args[2], app.Args[0])
 	}
 	if ast.Equal(app.Args[1], app.Args[2]) {
 		// Replacing t by t is the identity.
@@ -748,7 +748,7 @@ func (s *Solver) rwReplace(app *ast.App) ast.Term {
 				if len(cc.Args) == 2 {
 					return cc.Args[1]
 				}
-				return ast.MustApp(ast.OpStrConcat, cc.Args[1:]...)
+				return s.terms.MustApp(ast.OpStrConcat, cc.Args[1:]...)
 			}
 			if ast.Equal(cc.Args[0], app.Args[1]) {
 				// Overzealous-removal defect: when the next operand is a
@@ -760,7 +760,7 @@ func (s *Solver) rwReplace(app *ast.App) ast.Term {
 						if len(cc.Args) == 3 {
 							return cc.Args[2]
 						}
-						return ast.MustApp(ast.OpStrConcat, cc.Args[2:]...)
+						return s.terms.MustApp(ast.OpStrConcat, cc.Args[2:]...)
 					}
 				}
 				return restTerm()
@@ -805,7 +805,7 @@ func (s *Solver) rwIndexOf(app *ast.App) ast.Term {
 	s.hit(pRwIndexOf)
 	if needle, ok := app.Args[1].(*ast.StrLit); ok && needle.V == "" && s.defect(DefIndexOfEmptyNeedle) {
 		// Wrong: ignores the from-offset and range check.
-		return ast.Int(0)
+		return s.terms.Int(0)
 	}
 	return s.foldGround(app)
 }
@@ -817,9 +817,9 @@ func (s *Solver) rwStrToInt(app *ast.App) ast.Term {
 		if s.defect(DefStrToIntEmpty) {
 			// The paper's CVC4 bug class: missed corner case in the
 			// str.to_int reduction for the empty string.
-			return ast.Int(0)
+			return s.terms.Int(0)
 		}
-		return ast.Int(-1)
+		return s.terms.Int(-1)
 	}
 	return s.foldGround(app)
 }
@@ -838,7 +838,7 @@ func (s *Solver) foldGround(t ast.Term) ast.Term {
 		return t
 	}
 	s.hit(pRwFold)
-	return eval.ToTerm(v)
+	return eval.ToTerm(s.terms, v)
 }
 
 func containsOp(t ast.Term, op ast.Op) bool {
@@ -855,16 +855,16 @@ func isNumLit(t ast.Term, v int64) bool {
 	return false
 }
 
-func zeroOfSort(s ast.Sort) ast.Term {
-	if s == ast.SortReal {
-		return ast.Real(0, 1)
+func (s *Solver) zeroOfSort(sort ast.Sort) ast.Term {
+	if sort == ast.SortReal {
+		return s.terms.Real(0, 1)
 	}
-	return ast.Int(0)
+	return s.terms.Int(0)
 }
 
-func oneOfSort(s ast.Sort) ast.Term {
-	if s == ast.SortReal {
-		return ast.Real(1, 1)
+func (s *Solver) oneOfSort(sort ast.Sort) ast.Term {
+	if sort == ast.SortReal {
+		return s.terms.Real(1, 1)
 	}
-	return ast.Int(1)
+	return s.terms.Int(1)
 }

@@ -10,7 +10,7 @@ import (
 // rw rewrites a parsed term with the given solver configuration.
 func rw(t *testing.T, s *Solver, src string, decls map[string]ast.Sort) string {
 	t.Helper()
-	term, err := smtlib.ParseTerm(src, decls)
+	term, err := smtlib.ParseTerm(tb, src, decls)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}

@@ -95,7 +95,7 @@ func (s *Solver) solve(asserts []ast.Term) Outcome {
 			if ab.sat.Value(v) {
 				lits = append(lits, atom)
 			} else {
-				lits = append(lits, ab.negation(v))
+				lits = append(lits, ab.negation(v, s))
 			}
 		}
 
@@ -215,6 +215,7 @@ func (s *Solver) stringTheory(lits []ast.Term) (arith.Status, eval.Model) {
 		Fuel:   s.meter,
 		Telem:  s.cfg.Telemetry,
 		Warm:   &s.warm.str,
+		Terms:  s.terms,
 	}
 	st, m := strings.Check(prob)
 	switch st {

@@ -188,6 +188,11 @@ const (
 	arithNodeBudget = 300
 )
 
+// ownTermsMax caps the table of a solver built without Config.Terms:
+// a solve that starts over it empties it first (size-based, like the
+// rewrite memo's cap), so a long-lived solver keeps bounded memory.
+const ownTermsMax = 1 << 16
+
 // DefaultFuel is the per-solve step budget of a zero Config.Fuel: far
 // above what any generated or fused formula needs under the per-engine
 // bounds (measured in the low hundreds of thousands), yet finite, so
@@ -213,6 +218,12 @@ type Config struct {
 	// meter. Campaign configs and the CLIs pass their fuel setting
 	// through unchanged.
 	Fuel int64
+	// Terms is the table the solved scripts are built in; the solver
+	// builds its rewritten and preprocessed terms there too, so
+	// structurally equal terms stay one node. Nil gives the solver a
+	// table of its own, into which each solve first imports its input;
+	// that table is emptied once it holds ownTermsMax terms.
+	Terms *ast.Table
 }
 
 // Has reports whether a defect is enabled.
@@ -238,11 +249,19 @@ type Solver struct {
 	// memo is the current solve's literal memo (see litmemo.go): nil
 	// until the solve's first arith theory call, dropped when it ends.
 	memo *litMemo
+	// terms is the table every term the solver builds goes to; own
+	// means the solver made it and imports its input there.
+	terms *ast.Table
+	own   bool
 }
 
 // New returns a solver with the given configuration.
 func New(cfg Config) *Solver {
-	return &Solver{cfg: cfg}
+	s := &Solver{cfg: cfg, terms: cfg.Terms}
+	if s.terms == nil {
+		s.terms, s.own = ast.NewTable(nil), true
+	}
+	return s
 }
 
 // meterLimit maps Config.Fuel to a fuel.Meter limit (0 = unlimited).
@@ -308,6 +327,16 @@ func (s *Solver) Solve(asserts []ast.Term) Outcome {
 	// it solved before.
 	s.freshCounter = 0
 	s.cfg.Telemetry.Inc(cSolves)
+	if s.own {
+		if s.terms.Len() >= ownTermsMax {
+			s.terms.Reset()
+		}
+		imported := make([]ast.Term, len(asserts))
+		for i, a := range asserts {
+			imported[i] = s.terms.Import(a)
+		}
+		asserts = imported
+	}
 	// Deferred so crash-defect panics still account the steps performed
 	// before the unwind.
 	defer func() {

@@ -26,7 +26,7 @@ func (c *checker) completeArith() (bool, eval.Model) {
 			}
 			continue
 		}
-		simplified := simplifyBool(c.ground(l, model))
+		simplified := c.simplifyBool(c.ground(l, model))
 		if bl, ok := simplified.(*ast.BoolLit); ok {
 			if !bl.V {
 				return false, nil
@@ -105,11 +105,11 @@ func (c *checker) completeArith() (bool, eval.Model) {
 // ground replaces every subterm whose free variables are all assigned
 // in m by its literal value.
 func (c *checker) ground(t ast.Term, m eval.Model) ast.Term {
-	return ast.Transform(t, func(s ast.Term) ast.Term {
+	return c.terms.Transform(t, func(s ast.Term) ast.Term {
 		switch n := s.(type) {
 		case *ast.Var:
 			if v, ok := m[n.Name]; ok {
-				return eval.ToTerm(v)
+				return eval.ToTerm(c.terms, v)
 			}
 			return s
 		case *ast.BoolLit, *ast.IntLit, *ast.RealLit, *ast.StrLit:
@@ -122,7 +122,7 @@ func (c *checker) ground(t ast.Term, m eval.Model) ast.Term {
 		if err != nil {
 			return s
 		}
-		return eval.ToTerm(v)
+		return eval.ToTerm(c.terms, v)
 	})
 }
 
@@ -140,8 +140,8 @@ func allAssigned(t ast.Term, m eval.Model) bool {
 // equalities and ites with a literal boolean side, and conjunctions or
 // disjunctions containing literal members. It leaves theory atoms
 // untouched.
-func simplifyBool(t ast.Term) ast.Term {
-	return ast.Transform(t, func(s ast.Term) ast.Term {
+func (c *checker) simplifyBool(t ast.Term) ast.Term {
+	return c.terms.Transform(t, func(s ast.Term) ast.Term {
 		app, ok := s.(*ast.App)
 		if !ok {
 			return s
@@ -160,13 +160,13 @@ func simplifyBool(t ast.Term) ast.Term {
 					if bl.V {
 						return app.Args[1]
 					}
-					return simplifyBool(ast.Not(app.Args[1]))
+					return c.simplifyBool(c.terms.Not(app.Args[1]))
 				}
 				if bl, ok := app.Args[1].(*ast.BoolLit); ok {
 					if bl.V {
 						return app.Args[0]
 					}
-					return simplifyBool(ast.Not(app.Args[0]))
+					return c.simplifyBool(c.terms.Not(app.Args[0]))
 				}
 			}
 		case ast.OpIte:
@@ -190,7 +190,7 @@ func simplifyBool(t ast.Term) ast.Term {
 			if len(kept) == 0 {
 				return ast.True
 			}
-			return ast.And(kept...)
+			return c.terms.And(kept...)
 		case ast.OpOr:
 			var kept []ast.Term
 			for _, a := range app.Args {
@@ -205,7 +205,7 @@ func simplifyBool(t ast.Term) ast.Term {
 			if len(kept) == 0 {
 				return ast.False
 			}
-			return ast.Or(kept...)
+			return c.terms.Or(kept...)
 		case ast.OpImplies:
 			if len(app.Args) == 2 {
 				if bl, ok := app.Args[0].(*ast.BoolLit); ok {

@@ -53,7 +53,7 @@ func goldenCorpus(t testing.TB) []goldenProblem {
 			names = append(names, name)
 		}
 		for i := 0; i+3 < len(seeds); i++ {
-			f, err := core.Fuse(seeds[i], seeds[i+3], rng, core.Options{})
+			f, err := core.Fuse(tb, seeds[i], seeds[i+3], rng, core.Options{})
 			if err != nil {
 				continue
 			}
@@ -160,3 +160,6 @@ func TestCheckGolden(t *testing.T) {
 		}
 	}
 }
+
+// tb is the term table the package's tests build in.
+var tb = ast.NewTable(nil)

@@ -74,6 +74,10 @@ type Problem struct {
 	// across Check calls. Nil disables caching; results are
 	// identical either way (see Warm).
 	Warm *Warm
+	// Terms is the table the literals belong to; arithmetic completion
+	// builds its grounded literals in it. Nil gives each check a table
+	// of its own.
+	Terms *ast.Table
 }
 
 // Check decides the conjunction. On Sat the model assigns every free
@@ -89,6 +93,7 @@ type checker struct {
 	fuel   *fuel.Meter
 	telem  *telemetry.Tracker
 	warm   *Warm
+	terms  *ast.Table
 
 	// Slots number the free variables in name order: names[s] and
 	// sorts[s] describe slot s, and slotOf maps a name to its slot.
@@ -149,9 +154,12 @@ func newChecker(p *Problem) *checker {
 	if lim.MaxLen == 0 {
 		lim = DefaultLimits()
 	}
-	c := &checker{lits: p.Lits, lim: lim, defect: p.Defect, fuel: p.Fuel, telem: p.Telem, warm: p.Warm}
+	c := &checker{lits: p.Lits, lim: lim, defect: p.Defect, fuel: p.Fuel, telem: p.Telem, warm: p.Warm, terms: p.Terms}
 	if c.defect == nil {
 		c.defect = func(string) bool { return false }
+	}
+	if c.terms == nil {
+		c.terms = ast.NewTable(nil)
 	}
 	free := make([][]*ast.Var, len(c.lits))
 	sorts := map[string]ast.Sort{}

@@ -21,6 +21,7 @@ package yinyang
 import (
 	"math/rand"
 
+	"repro/internal/ast"
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -98,19 +99,20 @@ func Print(s *Script) string { return smtlib.Print(s) }
 func NewGenerator(logic Logic, seed int64) (*Generator, error) { return gen.New(logic, seed) }
 
 // Fuse fuses two seeds of equal (or mixed) status per the paper's
-// Algorithm 2, with default options.
+// Algorithm 2, with default options. The fused terms are built in a
+// term table of the call's own.
 func Fuse(phi1, phi2 *Seed, rng *rand.Rand) (*Fused, error) {
-	return core.Fuse(phi1, phi2, rng, core.Options{})
+	return core.Fuse(ast.NewTable(nil), phi1, phi2, rng, core.Options{})
 }
 
 // FuseWith fuses with explicit options.
 func FuseWith(phi1, phi2 *Seed, rng *rand.Rand, opts FusionOptions) (*Fused, error) {
-	return core.Fuse(phi1, phi2, rng, opts)
+	return core.Fuse(ast.NewTable(nil), phi1, phi2, rng, opts)
 }
 
 // Concat is the ConcatFuzz baseline: concatenation without fusion.
 func Concat(phi1, phi2 *Seed, rng *rand.Rand) (*Fused, error) {
-	return core.Concat(phi1, phi2, rng)
+	return core.Concat(ast.NewTable(nil), phi1, phi2, rng)
 }
 
 // NewReferenceSolver returns the defect-free reference solver.
