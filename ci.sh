@@ -278,6 +278,10 @@ go test -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
 # eval.Term on every subterm, values and error paths alike.
 go test -run='^$' -fuzz='^FuzzCompiledMatchesTerm$' -fuzztime=10s ./internal/eval/
 go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
+# Derivation engines: fusion, concatenation, mutation, wild mutation
+# and metamorphic variants never fail the static gate, and every
+# derived script survives a print/parse/print round trip.
+go test -run='^$' -fuzz='^FuzzDerive$' -fuzztime=10s ./internal/mutate/
 # External solver output: ParseVerdict agrees with an ASCII-only oracle
 # on arbitrary bytes and never panics.
 go test -run='^$' -fuzz='^FuzzParseVerdict$' -fuzztime=10s ./internal/backend/

@@ -58,6 +58,30 @@ func TestWellSortedCatchesStoredSortMismatch(t *testing.T) {
 	wantFinding(t, diags, SeverityError, "typing rule derives")
 }
 
+// TestWellSortedCatchesNestedImportedForgery: wellsorted re-types only
+// forged nodes, so a forgery must stay visible when NewApp-built nodes
+// wrap it (their sorts are consistent with its forged sort) and when
+// the script's terms are imported into another table.
+func TestWellSortedCatchesNestedImportedForgery(t *testing.T) {
+	src := ast.NewTable(nil)
+	x := src.Var("x", ast.SortInt)
+	forged := src.UncheckedApp(ast.OpAdd, ast.SortReal, x, src.Int(1)) // derives Int
+	nested := src.And(src.Gt(forged, src.Real(0, 1)), src.Le(x, src.Int(3)))
+	dst := ast.NewTable(nil)
+	dst.Var("x", ast.SortInt) // x is dst's own, so Import rebuilds the forgery
+	s := smtlib.NewScript("QF_LRA",
+		[]*smtlib.DeclareFun{{Name: "x", Sort: ast.SortInt}},
+		[]ast.Term{dst.Import(nested)})
+	diags := diagnosticsOf(t, s, nil, "wellsorted")
+	if len(diags) != 1 || diags[0].Path != "assert[0].arg[0].arg[0]" ||
+		diags[0].Message != "(+ ...) carries sort Real, typing rule derives Int" {
+		t.Fatalf("diagnostics %v, want the forgery at assert[0].arg[0].arg[0]", diags)
+	}
+	if _, ok := Gate(s, nil).(*GateError); !ok {
+		t.Fatal("gate accepted the imported forgery")
+	}
+}
+
 func TestWellSortedCatchesUndeclaredAndMismatchedVars(t *testing.T) {
 	ghost := tb.Var("ghost", ast.SortInt)
 	s := smtlib.NewScript("QF_LIA",

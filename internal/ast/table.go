@@ -341,8 +341,9 @@ func (tb *Table) internStr(val string, cand *StrLit) *StrLit {
 // chain, so the structural comparison is one pointer comparison per
 // argument. The sort is part of the match (but not the hash), which
 // keeps UncheckedApp forgeries (negative tests) from colliding with
-// well-sorted nodes of the same shape.
-func (tb *Table) internApp(op Op, sort Sort, args []Term, cand *App) *App {
+// well-sorted nodes of the same shape; forged follows from op, sort
+// and the argument sorts, so it needs no match of its own.
+func (tb *Table) internApp(op Op, sort Sort, args []Term, forged bool, cand *App) *App {
 	h := hashApp(op, args)
 	t, at := tb.lookup(h, func(t Term) bool {
 		a, ok := t.(*App)
@@ -360,7 +361,7 @@ func (tb *Table) internApp(op Op, sort Sort, args []Term, cand *App) *App {
 		return t.(*App)
 	}
 	if cand == nil {
-		cand = &App{Op: op, Args: args, sort: sort, hash: h}
+		cand = &App{Op: op, Args: args, sort: sort, forged: forged, hash: h}
 	}
 	tb.insert(at, h, cand)
 	return cand
@@ -418,9 +419,9 @@ func (tb *Table) Import(t Term) Term {
 			}
 		}
 		if same {
-			return tb.internApp(n.Op, n.sort, args, adopt(n, n.hash))
+			return tb.internApp(n.Op, n.sort, args, n.forged, adopt(n, n.hash))
 		}
-		return tb.internApp(n.Op, n.sort, args, nil)
+		return tb.internApp(n.Op, n.sort, args, n.forged, nil)
 	case *Quant:
 		body := tb.Import(n.Body)
 		if body == n.Body {

@@ -94,14 +94,23 @@ func (tb *Table) Str(v string) *StrLit { return tb.internStr(v, nil) }
 
 // App is the application of a builtin operator to arguments.
 type App struct {
-	Op   Op
-	Args []Term
-	sort Sort
-	hash uint64
+	Op     Op
+	Args   []Term
+	sort   Sort
+	forged bool
+	hash   uint64
 }
 
 func (a *App) Sort() Sort { return a.sort }
 func (*App) aTerm()       {}
+
+// Forged reports whether UncheckedApp built the node with a sort that
+// its operator's typing rule does not derive from the arguments, or
+// over arguments the rule rejects. Every other table-built node
+// carries the sort NewApp derived, so the static analyzer re-types
+// only forged nodes (and nodes built outside a table, whose sort is
+// SortInvalid).
+func (a *App) Forged() bool { return a.forged }
 
 // SortedVar is a sorted variable binding in a quantifier prefix.
 type SortedVar struct {
@@ -168,7 +177,7 @@ func (tb *Table) NewApp(op Op, args ...Term) (Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tb.internApp(op, sort, args, nil), nil
+	return tb.internApp(op, sort, args, false, nil), nil
 }
 
 // MustApp is NewApp, panicking on typing errors. It is intended for
@@ -187,9 +196,12 @@ func (tb *Table) MustApp(op Op, args ...Term) Term {
 // construction goes through NewApp; this exists so negative tests (and
 // the static analyzer's own test suite) can forge ill-sorted terms.
 // The result sort is part of the table key, so a forged node never
-// aliases a well-sorted node of the same shape.
+// aliases a well-sorted node of the same shape. A node whose sort the
+// typing rule does not derive is marked Forged; one whose supplied
+// sort agrees with the rule is the NewApp node.
 func (tb *Table) UncheckedApp(op Op, sort Sort, args ...Term) *App {
-	return tb.internApp(op, sort, args, nil)
+	derived, err := SortOf(op, args)
+	return tb.internApp(op, sort, args, err != nil || derived != sort, nil)
 }
 
 func arityString(info *opInfo) string {

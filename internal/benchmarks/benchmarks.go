@@ -22,6 +22,7 @@ import (
 	"repro/internal/mutate"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
+	"repro/internal/solver/sat"
 	"repro/internal/solver/strings"
 	"repro/internal/telemetry"
 )
@@ -168,14 +169,14 @@ func Mutate(b *testing.B) {
 		tb.Reset()
 		seed := seeds[i%len(seeds)]
 		if i%2 == 0 {
-			mutate.Mutate(tb, seed, rng, mutate.Options{}) //nolint:errcheck // a seed without a site is a skip
+			mutate.Mutate(tb, seed, rng) //nolint:errcheck // a seed without a site is a skip
 			continue
 		}
-		mut, err := mutate.Wild(tb, seed, rng, mutate.Options{})
+		mut, err := mutate.Wild(tb, seed, rng)
 		if err != nil {
 			continue
 		}
-		mutate.DeriveVariant(tb, mut.Script, rng, mutate.Options{}) //nolint:errcheck // no relation-preserving site is a skip
+		mutate.DeriveVariant(tb, mut.Script, rng) //nolint:errcheck // no relation-preserving site is a skip
 	}
 }
 
@@ -379,6 +380,87 @@ func DPLLTStage(b *testing.B) {
 	}
 }
 
+// Rewrite is the solver front end's stage benchmark: each op
+// preprocesses one fused script — rewriting, definitional inlining,
+// quantifier normalization and if-then-else lifting — on a fresh
+// reference solver over an emptied task table, as a task's solve
+// begins, cycling through fused scripts of every logic. The scripts
+// are fused once, outside the timer.
+func Rewrite(b *testing.B) {
+	b.ReportAllocs()
+	var scripts []*smtlib.Script
+	for _, logic := range gen.AllLogics {
+		g, err := gen.New(logic, 47)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seeds []*core.Seed
+		for i := 0; i < 6; i++ {
+			st := core.StatusSat
+			if i%2 == 1 {
+				st = core.StatusUnsat
+			}
+			seeds = append(seeds, g.Generate(st))
+		}
+		rng := rand.New(rand.NewSource(53))
+		// Seeds i and i+2 share a status, so they fuse.
+		for i := 0; i+2 < len(seeds); i++ {
+			if f, err := core.Fuse(g.Terms(), seeds[i], seeds[i+2], rng, core.Options{}); err == nil {
+				scripts = append(scripts, f.Script)
+			}
+		}
+	}
+	corpus := oneTable(scripts)
+	corpus.Freeze()
+	asserts := make([][]ast.Term, len(scripts))
+	for i, sc := range scripts {
+		asserts[i] = sc.Asserts()
+	}
+	tb := ast.NewTable(corpus)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Reset()
+		solver.New(solver.Config{Terms: tb}).Preprocess(asserts[i%len(asserts)]) //nolint:errcheck // a quantifier give-up is a result
+	}
+}
+
+// CDCL is the propositional engine's stage benchmark: each op loads one
+// of eight fixed random 3-SAT instances (60 variables, 255 clauses,
+// near the satisfiability threshold, so conflicts, learning and
+// restarts all run) into a fresh sat.Solver and solves it. The
+// instances are drawn once, outside the timer.
+func CDCL(b *testing.B) {
+	b.ReportAllocs()
+	const nVars, nClauses = 60, 255
+	rng := rand.New(rand.NewSource(59))
+	cnfs := make([][][]sat.Lit, 8)
+	for i := range cnfs {
+		for c := 0; c < nClauses; c++ {
+			cl := make([]sat.Lit, 3)
+			for j := range cl {
+				cl[j] = sat.Lit(1 + rng.Intn(nVars))
+				if rng.Intn(2) == 0 {
+					cl[j] = -cl[j]
+				}
+			}
+			cnfs[i] = append(cnfs[i], cl)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sat.New()
+		for v := 0; v < nVars; v++ {
+			s.NewVar()
+		}
+		for _, cl := range cnfs[i%len(cnfs)] {
+			s.AddClause(cl...)
+		}
+		if s.Solve() == sat.Unknown {
+			b.Fatal("CDCL gave up without a budget")
+		}
+	}
+}
+
 // EnvelopeCodec is the document path's allocation tripwire: each op
 // encodes, decodes and merges alone the envelope of a fixed, traced
 // campaign (two logics, one sim cross-check backend). The campaign
@@ -512,6 +594,8 @@ var All = []Entry{
 	{Name: "StringsCheck", Fast: true, Fn: StringsCheck},
 	{Name: "ArithTheory", Fast: true, Fn: ArithTheory},
 	{Name: "DPLLTStage", Fast: true, Fn: DPLLTStage},
+	{Name: "Rewrite", Fast: true, Fn: Rewrite},
+	{Name: "CDCL", Fast: true, Fn: CDCL},
 	{Name: "EnvelopeCodec", Fast: true, Fn: EnvelopeCodec},
 	{Name: "ConsensusFold", Fast: true, Fn: ConsensusFold},
 	{Name: "Fig8Campaign", Fast: false, Fn: Fig8Campaign},

@@ -334,10 +334,12 @@ func TestMultiplicativeGuardAgainstZeroWitness(t *testing.T) {
 	}
 }
 
+// TestFuseModeRequiresWitness: two sat seeds fuse in ModeSatConj,
+// which needs the witness the first seed lacks.
 func TestFuseModeRequiresWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	noWitness := &Seed{Script: paperPhi1(t).Script, Status: StatusSat}
-	if _, err := FuseMode(tb, noWitness, paperPhi2(t), ModeSatConj, rng, Options{}); err == nil {
+	if _, err := Fuse(tb, noWitness, paperPhi2(t), rng, Options{}); err == nil {
 		t.Error("sat fusion without witness should fail")
 	}
 }

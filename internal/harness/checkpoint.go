@@ -194,9 +194,8 @@ type CampaignConfig struct {
 	DisableModelCheck bool `json:"disable_model_check,omitempty"`
 	// ConcatOnly switches to the ConcatFuzz baseline (RQ4).
 	ConcatOnly bool `json:"concat_only,omitempty"`
-	// MaxPairs and ReplaceProb tune the fusion engine (core.Options;
-	// 0 = its defaults).
-	MaxPairs    int     `json:"max_pairs,omitempty"`
+	// ReplaceProb tunes the fusion engine (core.Options; 0 = its
+	// default). Campaigns fuse with core's default pair bound.
 	ReplaceProb float64 `json:"replace_prob,omitempty"`
 	// FusionTable names the fusion-function table (core.TableNamed):
 	// "" is the paper's Figure 6, and the synthesized tables draw from
@@ -321,9 +320,6 @@ func (cc CampaignConfig) Validate() error {
 			return fmt.Errorf("harness: config: %v", err)
 		}
 	}
-	if d.MaxPairs < 0 {
-		return fmt.Errorf("harness: config: negative max_pairs %d", d.MaxPairs)
-	}
 	if !(d.ReplaceProb >= 0 && d.ReplaceProb <= 1) {
 		return fmt.Errorf("harness: config: replace_prob %v outside [0,1]", d.ReplaceProb)
 	}
@@ -383,7 +379,7 @@ type campaign struct {
 	// defects is the SUT's defect set: the release's catalogue entries
 	// plus InjectDefects. Solvers only read it, so workers share it.
 	defects map[solver.Defect]bool
-	// fusion carries MaxPairs, ReplaceProb and the named table.
+	// fusion carries ReplaceProb and the named table.
 	fusion core.Options
 	// specs holds one built backend per Backends entry, in order.
 	specs []backend.Spec
@@ -399,7 +395,7 @@ func (cc CampaignConfig) derive() (*campaign, error) {
 	// fail here.
 	c.defects, _ = cc.SUTDefects()
 	table, _ := core.TableNamed(c.FusionTable, c.Seed+17)
-	c.fusion = core.Options{MaxPairs: c.MaxPairs, ReplaceProb: c.ReplaceProb, Table: table}
+	c.fusion = core.Options{ReplaceProb: c.ReplaceProb, Table: table}
 	for _, bc := range c.Backends {
 		c.specs = append(c.specs, bc.spec())
 	}

@@ -208,7 +208,6 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 			Iterations:  shortIters(40),
 			SeedPool:    10,
 			Seed:        3,
-			MaxPairs:    4,
 			ReplaceProb: 0.95,
 			FusionTable: "figure6+synthesized",
 		}},

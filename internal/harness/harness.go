@@ -671,9 +671,9 @@ func runTaskInner(cfg *campaign, pools []*seedPool, tb *ast.Table, sut *solver.S
 			// Wild mutation leaves the polarity-soundness envelope: the
 			// oracle coin and pool pick above replay identically, but the
 			// derived test's ground truth is unknown by construction.
-			mut, err = mutate.Wild(tb, s1, rng, mutate.Options{})
+			mut, err = mutate.Wild(tb, s1, rng)
 		} else {
-			mut, err = mutate.Mutate(tb, s1, rng, mutate.Options{})
+			mut, err = mutate.Mutate(tb, s1, rng)
 		}
 		if err != nil {
 			// A seed with no applicable mutation site is a skip, not a
@@ -740,7 +740,7 @@ func runTaskInner(cfg *campaign, pools []*seedPool, tb *ast.Table, sut *solver.S
 	// the primary task stream.
 	if (cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto) && rec.Oracle == core.StatusUnknown {
 		vrng := rand.New(rand.NewSource(metaSeed(cfg.Seed, logic, iter)))
-		v, err := mutate.DeriveVariant(tb, lv.script, vrng, mutate.Options{})
+		v, err := mutate.DeriveVariant(tb, lv.script, vrng)
 		if err != nil {
 			// No relation-preserving site (or the gate rejected the
 			// variant): the pair is skipped, never charged as a finding.

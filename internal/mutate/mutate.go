@@ -43,12 +43,9 @@ var ErrNoMutationSite = errors.New("mutate: no applicable mutation site")
 // sat-preserving mutation invalidated the seed's witness.
 var ErrWitnessLost = errors.New("mutate: sat witness no longer satisfies the mutant")
 
-// Options tunes the engine.
-type Options struct {
-	// MaxMutations bounds the mutations stacked onto one seed; each
-	// mutant applies 1..MaxMutations rules. 0 means the default of 2.
-	MaxMutations int
-}
+// maxMutations bounds the rules stacked onto one derivation: each
+// mutant or variant applies 1..maxMutations of them.
+const maxMutations = 2
 
 // Mutant is one mutation result: the mutated script, its inherited
 // oracle, and the applied rule names in application order.
@@ -176,14 +173,14 @@ type site struct {
 	pol    int8
 }
 
-// collectWith enumerates every (node, rule) pair admitted by keep over
-// the asserts, walking each assert pre-order with polarity tracking.
-// Node numbering counts every term node (in the same order rebuild
-// revisits them), so a site survives as a stable coordinate. Every
-// caller shares this one enumeration order: the admission predicate
-// only filters, so tightening or loosening it never perturbs the
-// coordinates (or the RNG stream shape) of the sites that remain.
-func collectWith(asserts []ast.Term, keep func(Kind, int8) bool) []site {
+// collect enumerates every (node, rule) pair admitted by keep over the
+// asserts, walking each assert pre-order with polarity tracking. Node
+// numbering counts every term node (in the same order rebuild revisits
+// them), so a site survives as a stable coordinate. Every engine
+// shares this one enumeration order: keep only filters, so tightening
+// or loosening it never perturbs the coordinates (or the RNG stream
+// shape) of the sites that remain.
+func collect(asserts []ast.Term, keep func(Kind, int8) bool) []site {
 	var sites []site
 	for ai, a := range asserts {
 		n := 0
@@ -198,13 +195,6 @@ func collectWith(asserts []ast.Term, keep func(Kind, int8) bool) []site {
 		}, &n)
 	}
 	return sites
-}
-
-// collect enumerates every status-preserving site over the asserts.
-func collect(asserts []ast.Term, status core.Status) []site {
-	return collectWith(asserts, func(kind Kind, pol int8) bool {
-		return applicable(kind, pol, status)
-	})
 }
 
 // walkPolarity visits every node of t pre-order. visit runs on App
@@ -291,22 +281,18 @@ func rebuild(tb *ast.Table, t ast.Term, target int, rule Rule, n *int) ast.Term 
 	}
 }
 
-// Mutate derives one mutant from a seed, applying 1..MaxMutations
-// rules chosen by the task's RNG and building the rewritten terms in tb
-// (the seed's table or a child of it). The mutant inherits the seed's
-// status as its oracle. Returns ErrNoMutationSite when nothing
-// applies, ErrWitnessLost or a *analysis.GateError when a supposedly
-// verdict-preserving mutation fails its safety checks.
-func Mutate(tb *ast.Table, seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
-	maxMut := opts.MaxMutations
-	if maxMut <= 0 {
-		maxMut = 2
-	}
-	asserts := append([]ast.Term(nil), seed.Script.Asserts()...)
-	k := 1 + rng.Intn(maxMut)
+// rewrite is the rule loop every engine runs over a copy of src's
+// asserts: it draws the round count k in 1..maxMutations, and each
+// round collects the sites keep admits, picks one, rebuilds its assert
+// in tb and records the rule. step, when set, sees each applied site
+// (keep may read what it records). Returns ErrNoMutationSite when no
+// round found a site.
+func rewrite(tb *ast.Table, src *smtlib.Script, rng *rand.Rand, keep func(Kind, int8) bool, step func(site)) ([]ast.Term, []string, error) {
+	asserts := src.Asserts()
+	k := 1 + rng.Intn(maxMutations)
 	var applied []string
 	for round := 0; round < k; round++ {
-		sites := collect(asserts, seed.Status)
+		sites := collect(asserts, keep)
 		if len(sites) == 0 {
 			break
 		}
@@ -314,11 +300,39 @@ func Mutate(tb *ast.Table, seed *core.Seed, rng *rand.Rand, opts Options) (*Muta
 		n := 0
 		asserts[c.assert] = rebuild(tb, asserts[c.assert], c.node, Rules[c.rule], &n)
 		applied = append(applied, Rules[c.rule].Name)
+		if step != nil {
+			step(c)
+		}
 	}
 	if len(applied) == 0 {
-		return nil, ErrNoMutationSite
+		return nil, nil, ErrNoMutationSite
 	}
-	script := smtlib.NewScript(seed.Script.Logic(), seed.Script.Declarations(), asserts)
+	return asserts, applied, nil
+}
+
+// gated builds the derived script, src's logic and declarations over
+// the rewritten asserts, and runs the static analysis gate on it.
+func gated(src *smtlib.Script, asserts []ast.Term) (*smtlib.Script, error) {
+	script := smtlib.NewScript(src.Logic(), src.Declarations(), asserts)
+	if err := analysis.Gate(script, nil); err != nil {
+		return nil, err
+	}
+	return script, nil
+}
+
+// Mutate derives one mutant from a seed, applying 1..maxMutations
+// status-preserving rules chosen by the task's RNG and building the
+// rewritten terms in tb (the seed's table or a child of it). The mutant
+// inherits the seed's status as its oracle. Returns ErrNoMutationSite
+// when nothing applies, ErrWitnessLost or a *analysis.GateError when a
+// supposedly verdict-preserving mutation fails its safety checks.
+func Mutate(tb *ast.Table, seed *core.Seed, rng *rand.Rand) (*Mutant, error) {
+	asserts, applied, err := rewrite(tb, seed.Script, rng, func(kind Kind, pol int8) bool {
+		return applicable(kind, pol, seed.Status)
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
 	if seed.Status == core.StatusSat && seed.Witness != nil {
 		for _, a := range asserts {
 			if ast.HasQuantifier(a) {
@@ -330,43 +344,29 @@ func Mutate(tb *ast.Table, seed *core.Seed, rng *rand.Rand, opts Options) (*Muta
 			}
 		}
 	}
-	if err := analysis.Gate(script, nil); err != nil {
+	script, err := gated(seed.Script, asserts)
+	if err != nil {
 		return nil, err
 	}
 	return &Mutant{Script: script, Seed: seed, Oracle: seed.Status, Rules: applied}, nil
 }
 
 // Wild derives a mutant with no oracle, built in tb like Mutate's:
-// every (node, rule) match is a candidate site regardless of polarity or the seed's status, so the
-// result's satisfiability is unknown by construction. This is the
-// unknown-status input source for the consensus oracles — the mutant
-// deliberately leaves the polarity-soundness envelope, and with it the
-// known-status oracle. No witness check applies (there is no status to
-// preserve); the static analysis gate still runs so wild mutants stay
-// well-formed campaign inputs.
-func Wild(tb *ast.Table, seed *core.Seed, rng *rand.Rand, opts Options) (*Mutant, error) {
-	maxMut := opts.MaxMutations
-	if maxMut <= 0 {
-		maxMut = 2
+// every (node, rule) match is a candidate site regardless of polarity
+// or the seed's status, so the result's satisfiability is unknown by
+// construction. This is the unknown-status input source for the
+// consensus oracles — the mutant deliberately leaves the
+// polarity-soundness envelope, and with it the known-status oracle. No
+// witness check applies (there is no status to preserve); the static
+// analysis gate still runs so wild mutants stay well-formed campaign
+// inputs.
+func Wild(tb *ast.Table, seed *core.Seed, rng *rand.Rand) (*Mutant, error) {
+	asserts, applied, err := rewrite(tb, seed.Script, rng, func(Kind, int8) bool { return true }, nil)
+	if err != nil {
+		return nil, err
 	}
-	asserts := append([]ast.Term(nil), seed.Script.Asserts()...)
-	k := 1 + rng.Intn(maxMut)
-	var applied []string
-	for round := 0; round < k; round++ {
-		sites := collectWith(asserts, func(Kind, int8) bool { return true })
-		if len(sites) == 0 {
-			break
-		}
-		c := sites[rng.Intn(len(sites))]
-		n := 0
-		asserts[c.assert] = rebuild(tb, asserts[c.assert], c.node, Rules[c.rule], &n)
-		applied = append(applied, Rules[c.rule].Name)
-	}
-	if len(applied) == 0 {
-		return nil, ErrNoMutationSite
-	}
-	script := smtlib.NewScript(seed.Script.Logic(), seed.Script.Declarations(), asserts)
-	if err := analysis.Gate(script, nil); err != nil {
+	script, err := gated(seed.Script, asserts)
+	if err != nil {
 		return nil, err
 	}
 	return &Mutant{Script: script, Seed: seed, Oracle: core.StatusUnknown, Rules: applied}, nil
@@ -443,36 +443,21 @@ func stepRelation(kind Kind, pol int8) (rel Relation, ok bool) {
 // relation), so the first directional rewrite fixes the pair's
 // direction. Returns ErrNoMutationSite when no relation-preserving
 // rewrite applies anywhere.
-func DeriveVariant(tb *ast.Table, script *smtlib.Script, rng *rand.Rand, opts Options) (*Variant, error) {
-	maxMut := opts.MaxMutations
-	if maxMut <= 0 {
-		maxMut = 2
-	}
-	asserts := append([]ast.Term(nil), script.Asserts()...)
-	k := 1 + rng.Intn(maxMut)
+func DeriveVariant(tb *ast.Table, script *smtlib.Script, rng *rand.Rand) (*Variant, error) {
 	rel := RelEquivalent
-	var applied []string
-	for round := 0; round < k; round++ {
-		sites := collectWith(asserts, func(kind Kind, pol int8) bool {
-			r, ok := stepRelation(kind, pol)
-			return ok && (r == RelEquivalent || rel == RelEquivalent || r == rel)
-		})
-		if len(sites) == 0 {
-			break
-		}
-		c := sites[rng.Intn(len(sites))]
-		n := 0
-		asserts[c.assert] = rebuild(tb, asserts[c.assert], c.node, Rules[c.rule], &n)
-		applied = append(applied, Rules[c.rule].Name)
+	asserts, applied, err := rewrite(tb, script, rng, func(kind Kind, pol int8) bool {
+		r, ok := stepRelation(kind, pol)
+		return ok && (r == RelEquivalent || rel == RelEquivalent || r == rel)
+	}, func(c site) {
 		if r, _ := stepRelation(Rules[c.rule].Kind, c.pol); r != RelEquivalent {
 			rel = r
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(applied) == 0 {
-		return nil, ErrNoMutationSite
-	}
-	v := smtlib.NewScript(script.Logic(), script.Declarations(), asserts)
-	if err := analysis.Gate(v, nil); err != nil {
+	v, err := gated(script, asserts)
+	if err != nil {
 		return nil, err
 	}
 	return &Variant{Script: v, Rel: rel, Rules: applied}, nil

@@ -55,7 +55,7 @@ func TestCollectPolarity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			names := ruleNames(collect([]ast.Term{tc.term}, tc.status))
+			names := ruleNames(collect([]ast.Term{tc.term}, func(kind Kind, pol int8) bool { return applicable(kind, pol, tc.status) }))
 			for _, w := range tc.want {
 				if !names[w] {
 					t.Errorf("rule %s not collected (got %v)", w, names)
@@ -91,7 +91,7 @@ func TestMutantsPreserveVerdict(t *testing.T) {
 			for _, status := range []core.Status{core.StatusSat, core.StatusUnsat} {
 				seed := g.Generate(status)
 				rng := rand.New(rand.NewSource(int64(i)*31 + 7))
-				mut, err := Mutate(tb, seed, rng, Options{})
+				mut, err := Mutate(tb, seed, rng)
 				if errors.Is(err, ErrNoMutationSite) {
 					continue
 				}
@@ -123,7 +123,7 @@ func TestMutateDeterministic(t *testing.T) {
 	}
 	seed := g.Sat()
 	run := func() *Mutant {
-		m, err := Mutate(tb, seed, rand.New(rand.NewSource(5)), Options{})
+		m, err := Mutate(tb, seed, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestMutantOracleInherited(t *testing.T) {
 	}
 	for _, status := range []core.Status{core.StatusSat, core.StatusUnsat} {
 		seed := g.Generate(status)
-		mut, err := Mutate(tb, seed, rand.New(rand.NewSource(1)), Options{MaxMutations: 1})
+		mut, err := Mutate(tb, seed, rand.New(rand.NewSource(1)))
 		if errors.Is(err, ErrNoMutationSite) {
 			continue
 		}

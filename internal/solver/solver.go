@@ -367,6 +367,16 @@ func (s *Solver) Solve(asserts []ast.Term) Outcome {
 	return out
 }
 
+// Preprocess runs Solve's front end alone on asserts from the
+// solver's table chain — rewriting, definitional inlining, quantifier
+// normalization and if-then-else lifting — and returns the processed
+// asserts. Campaigns reach it only through Solve; it exists so the
+// rewrite stage can be measured on its own.
+func (s *Solver) Preprocess(asserts []ast.Term) ([]ast.Term, error) {
+	s.fired, s.freshCounter = map[Defect]bool{}, 0
+	return s.preprocess(asserts)
+}
+
 func sortDefects(ds []Defect) {
 	for i := 1; i < len(ds); i++ {
 		for j := i; j > 0 && ds[j-1] > ds[j]; j-- {
