@@ -1,9 +1,10 @@
 // Package analysis is a multi-pass static analyzer over SMT-LIB
-// scripts. It independently re-verifies properties the rest of the
-// pipeline assumes by construction: well-sortedness against the
-// internal/ast operator table, conformance of the formula to its
-// declared logic, guarding of possibly-zero divisors, the fusion
-// engine's structural postconditions, and trivially-constant asserts.
+// scripts. It re-verifies properties the rest of the pipeline assumes
+// by construction: well-sortedness wherever term construction could
+// not vouch for it (forged and table-less nodes, variable occurrences,
+// declarations), conformance of the formula to its declared logic,
+// guarding of possibly-zero divisors, the fusion engine's structural
+// postconditions, and trivially-constant asserts.
 // The passes are a fixed list (Passes). divguard is the only division
 // check: the generators guard every division syntactically, and the
 // solver's interval refuter (internal/solver/arith) is the one

@@ -417,22 +417,36 @@ func TestCheckpointFailClosed(t *testing.T) {
 	})
 	t.Run("unknown field", func(t *testing.T) {
 		// Properly resealed payload with a field this version does not
-		// know — a document from a newer writer must not be half-read.
-		var payload map[string]json.RawMessage
-		raw, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &payload); err != nil {
-			t.Fatal(err)
-		}
-		payload["frobnicator"] = json.RawMessage("true")
-		doc, err := sealDoc(kindCheckpoint, CheckpointSchema, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeCheckpoint(doc); err == nil {
-			t.Fatal("decoded a payload with an unknown field")
+		// know — a document from a newer writer must not be half-read,
+		// and neither must a config that sets the removed max_pairs.
+		for _, field := range []string{"frobnicator", "config.max_pairs"} {
+			var payload map[string]json.RawMessage
+			raw, err := json.Marshal(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, &payload); err != nil {
+				t.Fatal(err)
+			}
+			if inner, ok := strings.CutPrefix(field, "config."); ok {
+				var config map[string]json.RawMessage
+				if err := json.Unmarshal(payload["config"], &config); err != nil {
+					t.Fatal(err)
+				}
+				config[inner] = json.RawMessage("4")
+				if payload["config"], err = json.Marshal(config); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				payload[field] = json.RawMessage("true")
+			}
+			doc, err := sealDoc(kindCheckpoint, CheckpointSchema, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeCheckpoint(doc); err == nil {
+				t.Fatalf("decoded a payload with the unknown field %s", field)
+			}
 		}
 	})
 
