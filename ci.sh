@@ -19,6 +19,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== package layering =="
+# internal/regex is the automaton library; reading SMT-LIB RegLan terms
+# into regexes is eval's job (eval.Regex), so regex must not import ast.
+if go list -deps ./internal/regex | grep -qx 'repro/internal/ast'; then
+    echo "layering: internal/regex depends on repro/internal/ast" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 

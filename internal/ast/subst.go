@@ -1,9 +1,6 @@
 package ast
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FreeVars returns the free variables of t, deduplicated by name, in
 // first-occurrence order. Quantifier-bound occurrences are excluded.
@@ -78,27 +75,6 @@ func hasFree(t Term, bound map[string]int) bool {
 		return free
 	}
 	return false
-}
-
-// FreeVarsByName returns the free variables of t keyed by name.
-func FreeVarsByName(t Term) map[string]*Var {
-	out := map[string]*Var{}
-	for _, v := range FreeVars(t) {
-		out[v.Name] = v
-	}
-	return out
-}
-
-// SortedFreeVarNames returns the free-variable names of t sorted
-// lexicographically — a convenience for deterministic iteration.
-func SortedFreeVarNames(t Term) []string {
-	vs := FreeVars(t)
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = v.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CountFreeOccurrences returns the number of free occurrences of the

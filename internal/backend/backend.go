@@ -157,9 +157,9 @@ type Spec struct {
 }
 
 // NewSim wraps an in-process simulated solver as a hermetic backend.
-// The adapter contains the same two fault domains RunSolver separates:
-// a *solver.CrashError panic is the simulated solver crashing (Crash),
-// any other panic is our own implementation failing (Fault).
+// The adapter sorts a panic by solver.SolveRecovered's rule, as
+// RunSolver does: the simulated solver crashing is Crash, our own
+// implementation failing is Fault.
 func NewSim(name string, s *solver.Solver) Backend {
 	return &simBackend{name: name, s: s}
 }
@@ -171,23 +171,14 @@ type simBackend struct {
 
 func (b *simBackend) Name() string { return b.name }
 
-func (b *simBackend) Check(sc *smtlib.Script) (out Output) {
-	out.ExitCode = -1
-	defer func() {
-		if r := recover(); r != nil {
-			if ce, ok := r.(*solver.CrashError); ok {
-				out.Verdict = Crash
-				out.Reason = ce.Error()
-			} else {
-				out.Verdict = Fault
-				out.Reason = "internal panic in sim backend"
-			}
-		}
-	}()
-	res := b.s.SolveScript(sc)
-	out.Verdict = FromResult(res.Result)
-	out.Reason = res.Reason
-	out.Raw = out.Verdict.String()
-	out.ExitCode = 0
-	return out
+func (b *simBackend) Check(sc *smtlib.Script) Output {
+	res, p := b.s.SolveRecovered(sc)
+	switch {
+	case p == nil:
+		v := FromResult(res.Result)
+		return Output{Verdict: v, Reason: res.Reason, Raw: v.String()}
+	case p.Crash != nil:
+		return Output{Verdict: Crash, Reason: p.Crash.Error(), ExitCode: -1}
+	}
+	return Output{Verdict: Fault, Reason: "internal panic in sim backend", ExitCode: -1}
 }

@@ -708,7 +708,7 @@ func strFromInt(n rat.Rat) string {
 }
 
 // inRe compiles (str.in_re s r). A ground regex operand is built once,
-// by evalRegex; one that mentions variables is rebuilt per evaluation.
+// by Regex; one that mentions variables is rebuilt per evaluation.
 func (c *compiler) inRe(n *ast.App) compiled {
 	subj := c.term(n.Args[0])
 	run, re, ok := c.regex(n.Args[1])
@@ -734,12 +734,12 @@ func (c *compiler) inRe(n *ast.App) compiled {
 	})
 }
 
-// regex compiles a RegLan operand as evalRegex reads it: a ground one
-// to its regex (and a nil step), any other to a step that rebuilds it.
-// false means evaluation gives up.
+// regex compiles a RegLan operand as Regex reads it: a ground one to
+// its regex (and a nil step), any other to a step that rebuilds it
+// through reOf. false means evaluation gives up.
 func (c *compiler) regex(t ast.Term) (reStep, regex.Regex, bool) {
 	if len(ast.FreeVars(t)) == 0 {
-		re, err := evalRegex(t, nil)
+		re, err := Regex(t, nil)
 		return nil, re, err == nil
 	}
 	app, ok := t.(*ast.App)
@@ -750,8 +750,8 @@ func (c *compiler) regex(t ast.Term) (reStep, regex.Regex, bool) {
 	if len(app.Args) < lo || (hi >= 0 && len(app.Args) > hi) {
 		return nil, nil, false
 	}
-	switch app.Op {
-	case ast.OpStrToRe, ast.OpReRange:
+	op := app.Op
+	if op == ast.OpStrToRe || op == ast.OpReRange {
 		args := make([]step, len(app.Args))
 		for i, a := range app.Args {
 			ca := c.term(a)
@@ -760,30 +760,17 @@ func (c *compiler) regex(t ast.Term) (reStep, regex.Regex, bool) {
 			}
 			args[i] = ca.run
 		}
-		if app.Op == ast.OpStrToRe {
-			return func(frame []Val, slots []int) (regex.Regex, bool) {
-				v, ok := args[0](frame, slots)
-				return regex.Lit(v.s), ok
-			}, nil, true
-		}
 		return func(frame []Val, slots []int) (regex.Regex, bool) {
-			l, ok := args[0](frame, slots)
-			if !ok {
-				return nil, false
+			var leaf [2]string
+			for i, arg := range args {
+				v, ok := arg(frame, slots)
+				if !ok {
+					return nil, false
+				}
+				leaf[i] = v.s
 			}
-			h, ok := args[1](frame, slots)
-			if !ok {
-				return nil, false
-			}
-			if len(l.s) != 1 || len(h.s) != 1 {
-				return regex.None(), true
-			}
-			return regex.Range(l.s[0], h.s[0]), true
+			return reOf(op, leaf, nil)
 		}, nil, true
-	case ast.OpReStar, ast.OpRePlus, ast.OpReOpt, ast.OpReComp, ast.OpReDiff,
-		ast.OpReUnion, ast.OpReInter, ast.OpReConcat:
-	default:
-		return nil, nil, false
 	}
 	subs := make([]reStep, len(app.Args))
 	for i, a := range app.Args {
@@ -799,7 +786,6 @@ func (c *compiler) regex(t ast.Term) (reStep, regex.Regex, bool) {
 		}
 		subs[i] = sub
 	}
-	op := app.Op
 	return func(frame []Val, slots []int) (regex.Regex, bool) {
 		rs := make([]regex.Regex, len(subs))
 		for i, sub := range subs {
@@ -809,22 +795,6 @@ func (c *compiler) regex(t ast.Term) (reStep, regex.Regex, bool) {
 			}
 			rs[i] = r
 		}
-		switch op {
-		case ast.OpReStar:
-			return regex.Star(rs[0]), true
-		case ast.OpRePlus:
-			return regex.Plus(rs[0]), true
-		case ast.OpReOpt:
-			return regex.Opt(rs[0]), true
-		case ast.OpReComp:
-			return regex.Comp(rs[0]), true
-		case ast.OpReDiff:
-			return regex.Diff(rs[0], rs[1]), true
-		case ast.OpReUnion:
-			return regex.Union(rs...), true
-		case ast.OpReInter:
-			return regex.Inter(rs...), true
-		}
-		return regex.Concat(rs...), true
+		return reOf(op, [2]string{}, rs)
 	}, nil, true
 }

@@ -26,6 +26,11 @@ var compiledSeeds = []string{
 	"(set-logic QF_SLIA)\n(declare-fun s () String)\n(declare-fun x () Int)\n(assert (= (str.at s (+ x 9223372036854775807 1)) (str.substr s (- x 1) (+ x 9223372036854775807 5)) (str.replace_all s \"\" s)))\n(check-sat)\n",
 	"(set-logic QF_SLIA)\n(declare-fun s () String)\n(declare-fun x () Int)\n(assert (= (str.substr (str.++ s \"abcdef\") (+ x 1) (+ x 2)) (str.at (str.++ \"xbc\" s) (+ x 1)) (str.replace (str.++ s \"abab\") \"b\" s) (str.replace_all (str.++ s \"abab\") \"b\" s) (str.from_int (str.indexof (str.++ s \"abab\") \"ba\" (+ x 1)))))\n(check-sat)\n",
 	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (=> (str.< s t) (str.<= t s) (str.in_re (str.++ s t) (re.++ (str.to_re s) (re.* (re.range t \"z\"))))))\n(check-sat)\n",
+	// RegLan leaves: a multi-character re.range bound, a variable
+	// bound, and str.to_re of a ground compound string.
+	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (or (str.in_re s (re.range \"ab\" \"z\")) (str.in_re s (re.+ (re.range \"a\" (str.++ t \"z\")))) (str.in_re s (re.range (str.at t 0) \"m\")) (str.in_re (str.++ s t) (re.* (str.to_re (str.++ \"a\" \"b\"))))))\n(check-sat)\n",
+	// re.diff and re.comp, ground and over a variable.
+	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (and (str.in_re s (re.diff (re.* re.allchar) (re.comp (str.to_re t)))) (str.in_re t (re.comp (re.diff re.all (re.range \"a\" \"c\")))) (str.in_re s (re.inter (re.opt (str.to_re t)) (re.union re.none (re.comp (str.to_re s)) (re.range \"a\" \"b\"))))))\n(check-sat)\n",
 }
 
 // FuzzCompiledMatchesTerm checks the compiled evaluator against the

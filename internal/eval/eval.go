@@ -120,7 +120,7 @@ func app(n *ast.App, m Model) (Value, error) {
 		if !ok {
 			return nil, at(newErr(ErrSortMismatch, n.Args[0], "str.in_re subject has sort %v, want String", s.Sort()), 0)
 		}
-		re, err := evalRegex(n.Args[1], m)
+		re, err := Regex(n.Args[1], m)
 		if err != nil {
 			return nil, at(err, 1)
 		}
@@ -604,83 +604,4 @@ func StrFromInt(n *big.Int) string {
 		return ""
 	}
 	return n.String()
-}
-
-// evalRegex evaluates a RegLan term whose string leaves may mention
-// model variables (e.g. (str.to_re x)).
-func evalRegex(t ast.Term, m Model) (regex.Regex, error) {
-	app, ok := t.(*ast.App)
-	if !ok {
-		return nil, newErr(ErrUnsupported, t, "non-application RegLan term %T", t)
-	}
-	// strArg evaluates a String-sorted argument of the regex leaf.
-	strArg := func(i int) (string, error) {
-		v, err := Term(app.Args[i], m)
-		if err != nil {
-			return "", at(err, i)
-		}
-		sv, ok := v.(StrV)
-		if !ok {
-			return "", at(newErr(ErrSortMismatch, app.Args[i], "%v argument %d has sort %v, want String", app.Op, i, v.Sort()), i)
-		}
-		return string(sv), nil
-	}
-	switch app.Op {
-	case ast.OpStrToRe:
-		s, err := strArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return regex.Lit(s), nil
-	case ast.OpReRange:
-		l, err := strArg(0)
-		if err != nil {
-			return nil, err
-		}
-		h, err := strArg(1)
-		if err != nil {
-			return nil, err
-		}
-		if len(l) != 1 || len(h) != 1 {
-			return regex.None(), nil
-		}
-		return regex.Range(l[0], h[0]), nil
-	}
-	subs := make([]regex.Regex, len(app.Args))
-	for i, a := range app.Args {
-		if a.Sort() != ast.SortRegLan {
-			return nil, at(newErr(ErrSortMismatch, a, "%v argument %d has sort %v, want RegLan", app.Op, i, a.Sort()), i)
-		}
-		s, err := evalRegex(a, m)
-		if err != nil {
-			return nil, at(err, i)
-		}
-		subs[i] = s
-	}
-	switch app.Op {
-	case ast.OpReStar:
-		return regex.Star(subs[0]), nil
-	case ast.OpRePlus:
-		return regex.Plus(subs[0]), nil
-	case ast.OpReOpt:
-		return regex.Opt(subs[0]), nil
-	case ast.OpReUnion:
-		return regex.Union(subs...), nil
-	case ast.OpReInter:
-		return regex.Inter(subs...), nil
-	case ast.OpReConcat:
-		return regex.Concat(subs...), nil
-	case ast.OpReComp:
-		return regex.Comp(subs[0]), nil
-	case ast.OpReDiff:
-		return regex.Diff(subs[0], subs[1]), nil
-	case ast.OpReAllChar:
-		return regex.AnyChar(), nil
-	case ast.OpReAll:
-		return regex.All(), nil
-	case ast.OpReNone:
-		return regex.None(), nil
-	default:
-		return nil, newErr(ErrUnsupported, app, "RegLan operator %v", app.Op)
-	}
 }

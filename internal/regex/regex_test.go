@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/ast"
 )
 
 func TestMatchBasics(t *testing.T) {
@@ -213,64 +211,3 @@ func TestDerivativePumping(t *testing.T) {
 		}
 	}
 }
-
-func TestFromTerm(t *testing.T) {
-	// (re.* (str.to_re "aa"))
-	inner := tb.MustApp(ast.OpStrToRe, tb.Str("aa"))
-	star := tb.MustApp(ast.OpReStar, inner)
-	r, err := FromTerm(star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Match(r, "aaaa") || Match(r, "aaa") {
-		t.Error("converted regex misbehaves")
-	}
-	// re.range
-	rr := tb.MustApp(ast.OpReRange, tb.Str("a"), tb.Str("c"))
-	r, err = FromTerm(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Match(r, "b") || Match(r, "d") {
-		t.Error("range misbehaves")
-	}
-	// Multi-char range bound is the empty language per SMT-LIB.
-	rr = tb.MustApp(ast.OpReRange, tb.Str("ab"), tb.Str("c"))
-	r, err = FromTerm(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsEmpty(r) {
-		t.Error("malformed range should be empty")
-	}
-	// Non-ground argument is rejected.
-	v := tb.Var("x", ast.SortString)
-	ng := tb.MustApp(ast.OpStrToRe, v)
-	if _, err := FromTerm(ng); err == nil {
-		t.Error("non-ground str.to_re should be rejected")
-	}
-}
-
-func TestFromTermComposite(t *testing.T) {
-	// (re.++ (re.opt (str.to_re "x")) (re.union (str.to_re "y") re.allchar))
-	term := tb.MustApp(ast.OpReConcat,
-		tb.MustApp(ast.OpReOpt, tb.MustApp(ast.OpStrToRe, tb.Str("x"))),
-		tb.MustApp(ast.OpReUnion, tb.MustApp(ast.OpStrToRe, tb.Str("y")), tb.MustApp(ast.OpReAllChar)))
-	r, err := FromTerm(term)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, yes := range []string{"y", "xy", "a", "xz"} {
-		if !Match(r, yes) {
-			t.Errorf("%q should match", yes)
-		}
-	}
-	for _, no := range []string{"", "xyz", "yy"} {
-		if Match(r, no) {
-			t.Errorf("%q should not match", no)
-		}
-	}
-}
-
-// tb is the term table the package's tests build in.
-var tb = ast.NewTable(nil)

@@ -176,6 +176,32 @@ func RefuteIntervals(lits []ast.Term, intVars map[string]bool, rounds int, m *fu
 	return false
 }
 
+// Comparison reads a literal as a binary arithmetic comparison: under
+// any not-wrappers, a RelOf operator over two Int- or Real-sorted
+// arguments. It returns the arguments and the relation with the
+// wrappers' polarity applied, so the literal holds iff lhs rel rhs, and
+// false for any other literal. The literal memo and the string layer
+// read their comparisons through it.
+func Comparison(lit ast.Term) (lhs, rhs ast.Term, rel Rel, ok bool) {
+	polarity := true
+	app, isApp := lit.(*ast.App)
+	//golint:allow fuel-charge — strips a finite chain of not-wrappers; the term strictly shrinks every iteration
+	for isApp && app.Op == ast.OpNot {
+		app, isApp = app.Args[0].(*ast.App)
+		polarity = !polarity
+	}
+	if !isApp || len(app.Args) != 2 || !app.Args[0].Sort().IsArith() {
+		return nil, nil, 0, false
+	}
+	if rel, ok = RelOf(app.Op); !ok {
+		return nil, nil, 0, false
+	}
+	if !polarity {
+		rel = rel.Negate()
+	}
+	return app.Args[0], app.Args[1], rel, true
+}
+
 // RelOf maps a comparison operator to its relation: the one op→relation
 // map of the arith front end, the string layer's length abstraction and
 // the literal memo.

@@ -137,33 +137,14 @@ func (f *litFacts) atom(abs *arith.Abstractor) (*arith.LinExpr, arith.Rel, bool)
 }
 
 // comparison records the linearization template and relation of a
-// literal that is an arithmetic comparison under not-wrappers, and
-// reports whether it is one.
+// literal that is an arithmetic comparison, and reports whether it is
+// one.
 func comparison(f *litFacts) bool {
-	t := f.lit
-	polarity := true
-	//golint:allow fuel-charge — strips a finite chain of not-wrappers; the term strictly shrinks every iteration
-	for {
-		app, ok := t.(*ast.App)
-		if !ok {
-			return false
-		}
-		if app.Op != ast.OpNot {
-			break
-		}
-		t = app.Args[0]
-		polarity = !polarity
+	lhs, rhs, rel, ok := arith.Comparison(f.lit)
+	if ok {
+		f.tpl, f.rel = arith.MakeTemplate(lhs, rhs), rel
 	}
-	app := t.(*ast.App)
-	rel, ok := arith.RelOf(app.Op)
-	if !ok || len(app.Args) != 2 || !app.Args[0].Sort().IsArith() {
-		return false
-	}
-	if !polarity {
-		rel = rel.Negate()
-	}
-	f.tpl, f.rel = arith.MakeTemplate(app.Args[0], app.Args[1]), rel
-	return true
+	return ok
 }
 
 // collectVars lists the frame slots of the round's literals (m.lits)

@@ -11,6 +11,7 @@ package solver
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/ast"
 	"repro/internal/coverage"
@@ -307,6 +308,30 @@ func (e *CrashError) Error() string {
 
 func (s *Solver) crash(d Defect, msg string) {
 	panic(&CrashError{Site: d, Msg: msg})
+}
+
+// Panic is a panic recovered from a solve, sorted by the one rule that
+// separates the two fault domains: a *CrashError is the solver under
+// test crashing at a crash-defect site, which is a finding; any other
+// value is this implementation failing, which never is.
+type Panic struct {
+	Crash *CrashError // the SUT crashed; nil for an internal fault
+	Value any         // the recovered value
+	Stack string      // the panicking stack of an internal fault
+}
+
+// SolveRecovered is SolveScript with a panic of the solve recovered
+// and sorted; p is nil when the solve returned.
+func (s *Solver) SolveRecovered(sc *smtlib.Script) (out Outcome, p *Panic) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = &Panic{Value: r}
+			if p.Crash, _ = r.(*CrashError); p.Crash == nil {
+				p.Stack = string(debug.Stack())
+			}
+		}
+	}()
+	return s.SolveScript(sc), nil
 }
 
 // SolveScript solves the conjunction of a script's asserts.

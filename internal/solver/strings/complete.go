@@ -4,7 +4,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/solver/arith"
-	"repro/internal/solver/rat"
 )
 
 // completeArith runs after every string and boolean variable is
@@ -45,29 +44,16 @@ func (c *checker) completeArith() (bool, eval.Model) {
 		var atoms []arith.Atom
 		intVars := map[string]bool{}
 		for _, l := range pending {
-			atom, polarity := stripNot(l)
-			app, ok := atom.(*ast.App)
+			lhs, rhs, rel, ok := arith.Comparison(l)
 			if !ok {
 				return false, nil
 			}
-			rel, ok := arith.RelOf(app.Op)
-			if !ok || len(app.Args) != 2 || !app.Args[0].Sort().IsArith() {
-				return false, nil
-			}
-			if !polarity {
-				rel = rel.Negate()
-			}
-			lhs, err := arith.Linearize(app.Args[0], nil)
+			e, err := arith.LinearizeDiff(lhs, rhs, nil)
 			if err != nil {
 				return false, nil
 			}
-			rhs, err := arith.Linearize(app.Args[1], nil)
-			if err != nil {
-				return false, nil
-			}
-			lhs.AddExpr(rhs, rat.Int(-1))
-			atoms = append(atoms, arith.Atom{Expr: lhs, Rel: rel})
-			for _, v := range ast.FreeVars(atom) {
+			atoms = append(atoms, arith.Atom{Expr: e, Rel: rel})
+			for _, v := range ast.FreeVars(l) {
 				if v.VSort == ast.SortInt {
 					intVars[v.Name] = true
 				}

@@ -243,7 +243,7 @@ func (c *checker) collectRegexConstraints() Status {
 		switch app.Op {
 		case ast.OpStrInRe:
 			v, isVar := app.Args[0].(*ast.Var)
-			r, err := regex.FromTerm(app.Args[1])
+			r, err := eval.Regex(app.Args[1], nil)
 			if err != nil {
 				continue // non-ground regex: handled only by search
 			}
@@ -426,11 +426,11 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 					addAtom(a, arith.RelEq)
 				}
 			} else if app.Args[0].Sort() == ast.SortInt {
-				c.intLit(app, polarity, abs, addAtom)
+				intLit(l, abs, addAtom)
 			}
 		case ast.OpLe, ast.OpLt, ast.OpGe, ast.OpGt:
 			if app.Args[0].Sort() == ast.SortInt {
-				c.intLit(app, polarity, abs, addAtom)
+				intLit(l, abs, addAtom)
 			}
 		case ast.OpStrPrefixOf, ast.OpStrSuffixOf:
 			if polarity {
@@ -457,7 +457,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			if !isVar || !polarity {
 				continue
 			}
-			r, err := regex.FromTerm(app.Args[1])
+			r, err := eval.Regex(app.Args[1], nil)
 			if err != nil {
 				continue
 			}
@@ -520,28 +520,15 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 }
 
 // intLit linearizes an integer comparison literal (=, <=, <, >=, >)
-// into the abstraction; a distinct literal is skipped.
-func (c *checker) intLit(app *ast.App, polarity bool, abs *arith.Abstractor, add func(*arith.LinExpr, arith.Rel)) {
-	rel, ok := arith.RelOf(app.Op)
-	if !ok || rel == arith.RelNe {
+// into the abstraction.
+func intLit(l ast.Term, abs *arith.Abstractor, add func(*arith.LinExpr, arith.Rel)) {
+	lhs, rhs, rel, ok := arith.Comparison(l)
+	if !ok {
 		return
 	}
-	if !polarity {
-		rel = rel.Negate()
+	if e, err := arith.LinearizeDiff(lhs, rhs, abs); err == nil {
+		add(e, rel)
 	}
-	if len(app.Args) != 2 {
-		return
-	}
-	lhs, err := arith.Linearize(app.Args[0], abs)
-	if err != nil {
-		return
-	}
-	rhs, err := arith.Linearize(app.Args[1], abs)
-	if err != nil {
-		return
-	}
-	lhs.AddExpr(rhs, rat.Int(-1))
-	add(lhs, rel)
 }
 
 func stripNot(t ast.Term) (ast.Term, bool) {

@@ -37,8 +37,10 @@ type warmState struct {
 	str strings.Warm
 	// rw memoizes top-level preprocess rewrites: input term → output
 	// term plus the defect sites that fired while rewriting it, so a
-	// hit replays the firings. Gated off while coverage tracking is on
-	// — probe hit counts must reflect the paths actually executed.
+	// hit replays the firings. It stays on under coverage tracking: a
+	// hit replays a term this solver already rewrote under the same
+	// tracker, so every probe the rewrite would hit is already recorded
+	// (coverage reads only whether a probe was hit, never how often).
 	// Allocated on the first store, so a solver that never rewrites
 	// (a task rejected before its solve) costs no map.
 	rw map[ast.Term]rwEntry
@@ -57,9 +59,6 @@ type rwEntry struct {
 // firings are captured on a miss and replayed on a hit, so
 // Outcome.DefectsFired is identical either way.
 func (s *Solver) rewriteCached(t ast.Term) ast.Term {
-	if s.cfg.Coverage != nil {
-		return s.rewrite(t)
-	}
 	w := &s.warm
 	if e, ok := w.rw[t]; ok {
 		s.cfg.Telemetry.Inc(cRewriteMemoHits)
