@@ -567,7 +567,7 @@ func writeReduced(dir string, b harness.Bug, cc harness.CampaignConfig) {
 		// Keep the wrongness: a soundness shrink must still be decided
 		// the other way by the reference.
 		oracle := core.StatusUnknown
-		if b.Kind == bugdb.Soundness {
+		if b.Symptom == bugdb.Soundness {
 			oracle = harness.OracleOf(ref.SolveScript(c).Result)
 		}
 		return b.ReproducedBy(harness.RunSolver(sut, c), c, oracle)

@@ -144,6 +144,36 @@ func TestExperimentRQ4Empty(t *testing.T) {
 	}
 }
 
+// TestBugKindIsCatalogueType pins the type rule of Figures 8b and 10:
+// a bug files under its defect's catalogue type, whatever misbehaviour
+// first showed it. This campaign first catches the rw-div-mul-through
+// soundness defect through the model-validation oracle; the symptom
+// stays what was observed, and the witness reproduces it.
+func TestBugKindIsCatalogueType(t *testing.T) {
+	res, err := runCampaign(CampaignConfig{SUT: string(bugdb.Z3Sim),
+		Logics: []string{string(gen.QFLRA)}, Iterations: 40, SeedPool: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := res.BugByDefect("rw-div-mul-through")
+	if !ok {
+		t.Fatalf("campaign filed no rw-div-mul-through bug: %+v", res.Bugs)
+	}
+	if b.Symptom != bugdb.InvalidModel {
+		t.Errorf("rw-div-mul-through symptom %s, want %s", b.Symptom, bugdb.InvalidModel)
+	}
+	for _, b := range res.Bugs {
+		e, _ := bugdb.Find(b.Defect)
+		if b.Kind != e.Type {
+			t.Errorf("bug %s filed as %s, catalogued as %s", b.Defect, b.Kind, e.Type)
+		}
+	}
+	run := RunSolver(bugdb.NewTrunkSolver(bugdb.Z3Sim, nil), b.Script)
+	if !b.ReproducedBy(run, b.Script, b.Oracle) {
+		t.Errorf("witness does not reproduce its %s symptom: %v", b.Symptom, run.Result)
+	}
+}
+
 // TestReproducedByNeedsDefiniteOracle pins the reducers' soundness
 // rule: a shrink shows a soundness bug only while the reference decides
 // the opposite verdict. A reference that runs out of fuel decides

@@ -200,8 +200,9 @@ func TestBugAncestorsRecorded(t *testing.T) {
 		if b.Ancestors[0] == nil || b.Ancestors[1] == nil || b.Script == nil {
 			t.Errorf("bug %s missing ancestors or script", b.Defect)
 		}
-		if b.Oracle == core.StatusSat && b.Observed == solver.ResSat && b.Kind == bugdb.Soundness {
-			t.Errorf("bug %s: agreeing result marked soundness", b.Defect)
+		// Kind is the catalogue type; the symptom is what was observed.
+		if b.Oracle == core.StatusSat && b.Observed == solver.ResSat && b.Symptom == bugdb.Soundness {
+			t.Errorf("bug %s: agreeing result observed as a soundness symptom", b.Defect)
 		}
 	}
 }
