@@ -34,10 +34,10 @@ func main() {
 			fmt.Printf("  [%-11s] %-32s logic=%-10s  %s\n", b.Kind, b.Defect, b.Logic, entry.Description)
 		}
 
-		// Reduce the first soundness finding, like the paper's bug
-		// reports do before filing.
+		// Reduce the first wrong verdict, like the paper's bug reports
+		// do before filing.
 		for _, b := range res.Bugs {
-			if b.Kind != bugdb.Soundness {
+			if b.Symptom != bugdb.Soundness {
 				continue
 			}
 			fmt.Printf("\n--- reduced reproducer for %s (observed %v, oracle %v) ---\n",
