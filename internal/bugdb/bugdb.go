@@ -103,17 +103,14 @@ var Catalog = []Entry{
 	{solver.DefStrAtOutOfRange, Z3Sim, Soundness, "QF_S", 2019, 5, "", "str.at at index = length returns the last character instead of \"\""},
 	{solver.DefStrSuffixEmpty, Z3Sim, Soundness, "QF_S", 2017, 1, "", "suffixof with empty prefix folds to false (prefixof/suffixof confusion)"},
 	{solver.DefStrContainsSelf, Z3Sim, Soundness, "QF_S", 2019, 6, "", "contains(x, x) folds to false"},
-	{solver.DefIndexOfEmptyNeedle, Z3Sim, Soundness, "QF_S", 2018, 3, "", "indexof with empty needle ignores offset and range checks"},
 	{solver.DefConcatAssocDrop, Z3Sim, Soundness, "QF_SLIA", 2019, 6, "", "concat flattening drops an operand on deep nests"},
 	{solver.DefRegexMinLenStrict, Z3Sim, Soundness, "QF_S", 2019, 4, "", "regex length lower bound emitted strictly (off by one)"},
 	{solver.DefRealDivCancel, Z3Sim, Soundness, "QF_NRA", 2016, 0, "", "(* (/ a b) b) cancelled without a b≠0 guard"},
 	{solver.DefDivMulThrough, Z3Sim, Soundness, "NRA", 2017, 1, "", "comparison over a division multiplied through without sign analysis"},
-	{solver.DefSubstrConcatPrefix, Z3Sim, Soundness, "QF_S", 2018, 3, "", "substr prefix extraction ignores whose length bounds the slice"},
 	{solver.DefMulSignFold, Z3Sim, Soundness, "NRA", 2016, 0, "", "square-sign reasoning applied to arbitrary products"},
 	{solver.DefIteLiftSwap, Z3Sim, Soundness, "QF_NRA", 2017, 1, "", "ite lifting swaps branches when the condition divides"},
 	{solver.DefQuantNegPush, Z3Sim, Soundness, "NRA", 2016, 0, "", "negation pushed over exists keeps the quantifier kind"},
 	{solver.DefGeZeroStrengthen, Z3Sim, Soundness, "QF_NRA", 2019, 5, "", "bound normalizer strengthens ≥ 0 to > 0 after division rewriting"},
-	{solver.DefAbsNegFold, Z3Sim, Soundness, "NIA", 2018, 3, "", "abs of a negative literal keeps its sign"},
 	{solver.DefIntDivNegRound, Z3Sim, Soundness, "NIA", 2017, 1, "", "constant folding of div with negative divisor truncates instead of Euclidean rounding"},
 	{solver.DefLeGuardCollapse, Z3Sim, Soundness, "QF_NRA", 2019, 5, "", "conjunction simplifier drops a distinct guard sitting next to a non-strict bound"},
 	// --- z3sim invalid-model ---
@@ -121,7 +118,6 @@ var Catalog = []Entry{
 	// --- z3sim crash ---
 	{solver.DefCrashDeepNonlinear, Z3Sim, Crash, "NRA", 2018, 3, "", "rewriter stack overflow on deeply nested nonlinear terms"},
 	{solver.DefCrashSelfDivision, Z3Sim, Crash, "QF_NRA", 2019, 5, "", "assertion failure rewriting self-division of compound terms"},
-	{solver.DefCrashRangeBounds, Z3Sim, Crash, "QF_S", 2019, 6, "", "assertion failure on multi-character re.range bounds"},
 	// --- z3sim performance ---
 	{solver.DefPerfBnBBlowup, Z3Sim, Performance, "QF_NIA", 2019, 6, "", "branch-and-bound blowup on wide nonlinear integer problems"},
 	{solver.DefHangStringsDFS, Z3Sim, Performance, "QF_S", 2019, 5, "", "string-search DFS hangs on wide fused variable frontiers"},
@@ -130,18 +126,13 @@ var Catalog = []Entry{
 	{solver.DefStrToIntEmpty, CVC4Sim, Soundness, "QF_S", 2019, 2, "major", "missed corner case in the str.to_int reduction for the empty string"},
 	{solver.DefReplaceConcatDrop, CVC4Sim, Soundness, "QF_S", 2019, 2, "major", "replace-in-concat simplification drops the leading operand for any pattern"},
 	{solver.DefReplaceVarNoop, CVC4Sim, Soundness, "QF_S", 2018, 1, "major", "replace with variable pattern in a variable subject assumed to be a no-op"},
-	{solver.DefStrSubstrNegLen, CVC4Sim, Soundness, "QF_SLIA", 2018, 1, "major", "substr with negative length treated as rest-of-string"},
 	{solver.DefStrLenConcatDrop, CVC4Sim, Soundness, "QF_SLIA", 2017, 0, "major", "length of n-ary concat drops the last operand"},
-	{solver.DefModZero, CVC4Sim, Soundness, "QF_NIA", 2019, 2, "major", "mod-by-zero folded inconsistently with the model evaluator"},
 	{solver.DefIntDivMulCancel, CVC4Sim, Soundness, "QF_NIA", 2019, 2, "major", "(div (* a b) b) cancelled without a b≠0 guard (the Figure 3 bug class)"},
-	{solver.DefDistinctPairDrop, CVC4Sim, Soundness, "QF_LIA", 2019, 3, "major", "pairwise distinct expansion drops the final pair"},
 	{solver.DefLenAbsPrefixFlip, CVC4Sim, Soundness, "QF_S", 2019, 3, "major", "prefix length abstraction emitted with flipped relation"},
 	{solver.DefBoundConflictEq, CVC4Sim, Soundness, "QF_LRA", 2019, 3, "major", "bogus bound-conflict detection on touching bounds (regression)"},
 	// --- cvc4sim invalid-model ---
 	{solver.DefModelStaleSimplex, CVC4Sim, InvalidModel, "QF_LIA", 2019, 2, "major", "stale simplex assignment leaked into the reported model"},
 	{solver.DefModelRealFloor, CVC4Sim, InvalidModel, "QF_LRA", 2019, 3, "", "model printer floors rational assignments to integers"},
-	// --- cvc4sim crash ---
-	{solver.DefCrashBigSubstr, CVC4Sim, Crash, "QF_SLIA", 2018, 1, "", "substr index overflowing an internal length type"},
 	// --- cvc4sim performance ---
 	{solver.DefPerfRegexBlowup, CVC4Sim, Performance, "QF_S", 2019, 2, "", "regex derivative memoization missing on deep expressions"},
 	{solver.DefHangSimplexCycle, CVC4Sim, Performance, "QF_LIA", 2018, 1, "", "simplex cycling on wide linear integer problems (pivot loop never terminates)"},

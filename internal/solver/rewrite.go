@@ -85,15 +85,6 @@ func (s *Solver) rewriteNode(t ast.Term) ast.Term {
 		return s.rwIndexOf(app)
 	case ast.OpStrToInt:
 		return s.rwStrToInt(app)
-	case ast.OpReRange:
-		if s.cfg.Has(DefCrashRangeBounds) {
-			lo, ok1 := app.Args[0].(*ast.StrLit)
-			hi, ok2 := app.Args[1].(*ast.StrLit)
-			if ok1 && ok2 && (len(lo.V) != 1 || len(hi.V) != 1) && s.defect(DefCrashRangeBounds) {
-				s.crash(DefCrashRangeBounds, "assertion failed: single-character range bounds")
-			}
-		}
-		return t
 	default:
 		return s.foldGround(t)
 	}
@@ -224,14 +215,11 @@ func (s *Solver) rwDistinct(app *ast.App) ast.Term {
 	if len(app.Args) == 2 {
 		return s.foldGround(app)
 	}
-	// Pairwise expansion; the defect drops the final pair.
+	// Pairwise expansion.
 	var conj []ast.Term
 	n := len(app.Args)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if i == n-2 && j == n-1 && s.defect(DefDistinctPairDrop) {
-				continue
-			}
 			conj = append(conj, s.terms.Not(s.terms.Eq(app.Args[i], app.Args[j])))
 		}
 	}
@@ -360,10 +348,10 @@ func (s *Solver) rwRealDiv(app *ast.App) ast.Term {
 			return app.Args[0]
 		}
 		// (/ (* a b) b) → a. Sound only for a literal nonzero divisor
-		// (under x/0 = 0, (a·0)/0 = 0 ≠ a); the defect cancels
-		// unconditionally. Fused formulas hit this through the inlined
-		// fusion constraint x = (x·y)/y.
-		if out, ok := s.tryMulDivCancel(app.Args[0], app.Args[1], DefRealDivCancel); ok {
+		// (under x/0 = 0, (a·0)/0 = 0 ≠ a). The division-cancel defects
+		// drop the guard in fusion-constraint equalities instead
+		// (eqDivCancelDefect).
+		if out, ok := s.tryMulDivCancel(app.Args[0], app.Args[1]); ok {
 			return out
 		}
 	}
@@ -371,9 +359,8 @@ func (s *Solver) rwRealDiv(app *ast.App) ast.Term {
 }
 
 // tryMulDivCancel handles (op (* a b) b) → a for the real and integer
-// division operators, guarded by a literal nonzero divisor; the given
-// defect site removes the guard.
-func (s *Solver) tryMulDivCancel(num, den ast.Term, d Defect) (ast.Term, bool) {
+// division operators, guarded by a literal nonzero divisor.
+func (s *Solver) tryMulDivCancel(num, den ast.Term) (ast.Term, bool) {
 	mul, ok := num.(*ast.App)
 	if !ok || mul.Op != ast.OpMul || len(mul.Args) != 2 {
 		return nil, false
@@ -480,19 +467,14 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 			q := new(big.Int).Quo(a0.V, a1.V)
 			return s.terms.IntBig(q)
 		}
-		if app.Op == ast.OpMod && a1.V.Sign() == 0 && s.defect(DefModZero) {
-			// Fixed interpretation is (mod x 0) = x; the defect folds 0.
-			return s.terms.Int(0)
-		}
 		return s.foldGround(app)
 	}
 	if app.Op == ast.OpIntDiv && len(app.Args) == 2 && isNumLit(app.Args[1], 1) {
 		return app.Args[0]
 	}
-	// (div (* a b) b) → a, guarded like the real case; the unguarded
-	// defect corrupts the inlined fusion constraint x = (x·y) div y.
+	// (div (* a b) b) → a, guarded like the real case.
 	if app.Op == ast.OpIntDiv && len(app.Args) == 2 {
-		if out, ok := s.tryMulDivCancel(app.Args[0], app.Args[1], DefIntDivMulCancel); ok {
+		if out, ok := s.tryMulDivCancel(app.Args[0], app.Args[1]); ok {
 			return out
 		}
 	}
@@ -505,9 +487,6 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 func (s *Solver) rwAbs(app *ast.App) ast.Term {
 	s.hit(pRwAbs)
 	if lit, ok := app.Args[0].(*ast.IntLit); ok {
-		if lit.V.Sign() < 0 && s.defect(DefAbsNegFold) {
-			return lit // keeps the sign: wrong
-		}
 		return s.terms.IntBig(new(big.Int).Abs(lit.V))
 	}
 	return app
@@ -525,29 +504,13 @@ func (s *Solver) rwCompare(app *ast.App) ast.Term {
 				return ast.False
 			}
 		}
-		// Sign reasoning for squares: a² ≥ 0 always.
-		if sq, isSquare := squareOf(a); isSquare || (s.cfg.Has(DefMulSignFold) && isProduct(a)) {
-			_ = sq
-			if isProduct(a) && !isSquare {
-				// Defect: treats any product like a square.
-				s.defect(DefMulSignFold)
-			}
+		// Sign reasoning for squares: a² ≥ 0 always. The defect treats
+		// any product like a square, and fires when it folds one that is
+		// not.
+		if sq := isSquare(a); sq || (s.cfg.Has(DefMulSignFold) && isProduct(a)) {
 			s.hit(pRwSquareSign)
-			if lit, ok := b.(*ast.RealLit); ok {
-				if (app.Op == ast.OpLt && lit.V.Sign() <= 0) || (app.Op == ast.OpLe && lit.V.Sign() < 0) {
-					return ast.False
-				}
-				if (app.Op == ast.OpGe && lit.V.Sign() <= 0) || (app.Op == ast.OpGt && lit.V.Sign() < 0) {
-					return ast.True
-				}
-			}
-			if lit, ok := b.(*ast.IntLit); ok {
-				if (app.Op == ast.OpLt && lit.V.Sign() <= 0) || (app.Op == ast.OpLe && lit.V.Sign() < 0) {
-					return ast.False
-				}
-				if (app.Op == ast.OpGe && lit.V.Sign() <= 0) || (app.Op == ast.OpGt && lit.V.Sign() < 0) {
-					return ast.True
-				}
+			if folded, ok := nonNegFold(app.Op, b); ok && (sq || s.defect(DefMulSignFold)) {
+				return folded
 			}
 		}
 		// Defect: the bound normalizer strengthens a ≥ 0 to a > 0 when
@@ -571,13 +534,29 @@ func (s *Solver) rwCompare(app *ast.App) ast.Term {
 	return s.foldGround(app)
 }
 
-func squareOf(t ast.Term) (ast.Term, bool) {
+func isSquare(t ast.Term) bool {
 	app, ok := t.(*ast.App)
-	if !ok || app.Op != ast.OpMul || len(app.Args) != 2 {
+	return ok && app.Op == ast.OpMul && len(app.Args) == 2 && ast.Equal(app.Args[0], app.Args[1])
+}
+
+// nonNegFold decides (op p b) for a non-negative p and a numeral b
+// whose sign settles it: p < b and p ≤ b are false, p ≥ b and p > b
+// true.
+func nonNegFold(op ast.Op, b ast.Term) (ast.Term, bool) {
+	var sign int
+	switch lit := b.(type) {
+	case *ast.RealLit:
+		sign = lit.V.Sign()
+	case *ast.IntLit:
+		sign = lit.V.Sign()
+	default:
 		return nil, false
 	}
-	if ast.Equal(app.Args[0], app.Args[1]) {
-		return app.Args[0], true
+	switch {
+	case op == ast.OpLt && sign <= 0, op == ast.OpLe && sign < 0:
+		return ast.False, true
+	case op == ast.OpGe && sign <= 0, op == ast.OpGt && sign < 0:
+		return ast.True, true
 	}
 	return nil, false
 }
@@ -671,16 +650,8 @@ func (s *Solver) rwStrAt(app *ast.App) ast.Term {
 
 func (s *Solver) rwSubstr(app *ast.App) ast.Term {
 	s.hit(pRwSubstr)
-	if idx, ok := app.Args[1].(*ast.IntLit); ok {
-		if idx.V.BitLen() > 31 && s.defect(DefCrashBigSubstr) {
-			s.crash(DefCrashBigSubstr, "substr index overflows internal length type")
-		}
-	}
 	// (str.substr (str.++ a rest…) 0 (str.len a)) → a: prefix
-	// extraction of the leading concat operand. The defect extracts the
-	// leading operand whatever term the length argument measures — the
-	// corruption behind wrong answers on x = substr(x ++ y, 0, |x|)
-	// fusion constraints.
+	// extraction of the leading concat operand.
 	if zero, ok := app.Args[1].(*ast.IntLit); ok && zero.V.Sign() == 0 {
 		if ln, ok := app.Args[2].(*ast.App); ok && ln.Op == ast.OpStrLen {
 			if cc, ok := app.Args[0].(*ast.App); ok && cc.Op == ast.OpStrConcat {
@@ -688,19 +659,7 @@ func (s *Solver) rwSubstr(app *ast.App) ast.Term {
 				if ast.Equal(cc.Args[0], ln.Args[0]) {
 					return cc.Args[0]
 				}
-				if s.defect(DefSubstrConcatPrefix) {
-					return cc.Args[0]
-				}
 			}
-		}
-	}
-	lit, ok0 := app.Args[0].(*ast.StrLit)
-	idx, ok1 := app.Args[1].(*ast.IntLit)
-	n, ok2 := app.Args[2].(*ast.IntLit)
-	if ok0 && ok1 && ok2 && n.V.Sign() < 0 && s.defect(DefStrSubstrNegLen) {
-		// Wrong: negative length treated as "rest of string".
-		if idx.V.IsInt64() && idx.V.Sign() >= 0 && idx.V.Int64() <= int64(len(lit.V)) {
-			return s.terms.Str(lit.V[idx.V.Int64():])
 		}
 	}
 	return s.foldGround(app)
@@ -803,10 +762,6 @@ func (s *Solver) rwContains(app *ast.App) ast.Term {
 
 func (s *Solver) rwIndexOf(app *ast.App) ast.Term {
 	s.hit(pRwIndexOf)
-	if needle, ok := app.Args[1].(*ast.StrLit); ok && needle.V == "" && s.defect(DefIndexOfEmptyNeedle) {
-		// Wrong: ignores the from-offset and range check.
-		return s.terms.Int(0)
-	}
 	return s.foldGround(app)
 }
 

@@ -306,7 +306,7 @@ func (s *Solver) arithTheory(lits []ast.Term) (arith.Status, eval.Model, []int) 
 	// Defect: bogus bound-conflict detection reports e ≤ c ∧ e ≥ c as
 	// inconsistent. It names no core, so the round blocks the whole
 	// assignment.
-	if s.cfg.Has(DefBoundConflictEq) && s.boundConflictDefect(atoms) {
+	if s.cfg.Has(DefBoundConflictEq) && boundConflict(atoms) && s.defect(DefBoundConflictEq) {
 		return arith.Unsat, nil, nil
 	}
 
@@ -370,7 +370,9 @@ func (s *Solver) arithTheory(lits []ast.Term) (arith.Status, eval.Model, []int) 
 	return arith.Unknown, nil, nil
 }
 
-func (s *Solver) boundConflictDefect(atoms []arith.Atom) bool {
+// boundConflict reports whether atoms bound one expression by e ≤ 0
+// and e ≥ 0: the pair the defective conflict check calls inconsistent.
+func boundConflict(atoms []arith.Atom) bool {
 	// Only a ≤ atom next to a ≥ atom can fire the site: skip the
 	// expression keys when one side is missing.
 	var le, ge bool

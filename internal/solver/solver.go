@@ -83,27 +83,21 @@ const (
 	DefStrToIntEmpty      Defect = "rw-str-to-int-empty"
 	DefStrReplaceEmptyPat Defect = "rw-str-replace-empty-pattern"
 	DefStrAtOutOfRange    Defect = "rw-str-at-out-of-range"
-	DefStrSubstrNegLen    Defect = "rw-str-substr-neg-len"
 	DefStrLenConcatDrop   Defect = "rw-str-len-concat-drop"
 	DefStrSuffixEmpty     Defect = "rw-str-suffix-empty"
 	DefStrContainsSelf    Defect = "rw-str-contains-self"
 	DefIntDivNegRound     Defect = "rw-int-div-neg-round"
-	DefModZero            Defect = "rw-mod-zero"
 	DefRealDivCancel      Defect = "rw-real-div-cancel"
 	DefMulSignFold        Defect = "rw-mul-sign-fold"
 	DefIteLiftSwap        Defect = "rw-ite-lift-swap"
 	DefQuantNegPush       Defect = "rw-quant-neg-push"
-	DefDistinctPairDrop   Defect = "rw-distinct-pair-drop"
 	DefGeZeroStrengthen   Defect = "rw-ge-zero-strengthen"
-	DefAbsNegFold         Defect = "rw-abs-neg-fold"
 	DefConcatAssocDrop    Defect = "rw-concat-assoc-drop"
-	DefIndexOfEmptyNeedle Defect = "rw-indexof-empty-needle"
 	// The fusion-pattern cancellation family: these sites guard the
 	// rewrites that fused formulas exercise through their inverted
 	// fusion constraints (x = (x·y) div y, y = replace(x++y, x, ""), …).
-	DefIntDivMulCancel    Defect = "rw-int-div-mul-cancel"
-	DefSubstrConcatPrefix Defect = "rw-substr-concat-prefix"
-	DefReplaceConcatDrop  Defect = "rw-replace-concat-drop"
+	DefIntDivMulCancel   Defect = "rw-int-div-mul-cancel"
+	DefReplaceConcatDrop Defect = "rw-replace-concat-drop"
 	// Inversion-shape defects: fire on the term shapes SAT fusion's
 	// inversion substitution introduces (replace(z, x, "") with variable
 	// operands; comparisons over div terms), over-constraining the
@@ -141,8 +135,6 @@ const (
 const (
 	DefCrashDeepNonlinear Defect = "cr-deep-nonlinear-rewrite"
 	DefCrashSelfDivision  Defect = "cr-self-division"
-	DefCrashRangeBounds   Defect = "cr-range-bounds"
-	DefCrashBigSubstr     Defect = "cr-big-substr-index"
 )
 
 // Performance defects (resource exhaustion → timeout). All four sites
@@ -167,17 +159,14 @@ const DefFaultSyntheticPanic Defect = "if-synthetic-panic"
 // AllDefects lists every implemented defect site.
 var AllDefects = []Defect{
 	DefStrToIntEmpty, DefStrReplaceEmptyPat, DefStrAtOutOfRange,
-	DefStrSubstrNegLen, DefStrLenConcatDrop, DefStrSuffixEmpty,
-	DefStrContainsSelf, DefIntDivNegRound, DefModZero, DefRealDivCancel,
-	DefMulSignFold, DefIteLiftSwap, DefQuantNegPush, DefDistinctPairDrop,
-	DefGeZeroStrengthen, DefAbsNegFold, DefConcatAssocDrop,
-	DefIndexOfEmptyNeedle, DefIntDivMulCancel, DefSubstrConcatPrefix,
-	DefReplaceConcatDrop, DefReplaceVarNoop, DefDivMulThrough,
-	DefLeGuardCollapse,
+	DefStrLenConcatDrop, DefStrSuffixEmpty, DefStrContainsSelf,
+	DefIntDivNegRound, DefRealDivCancel, DefMulSignFold, DefIteLiftSwap,
+	DefQuantNegPush, DefGeZeroStrengthen, DefConcatAssocDrop,
+	DefIntDivMulCancel, DefReplaceConcatDrop, DefReplaceVarNoop,
+	DefDivMulThrough, DefLeGuardCollapse,
 	DefModelStaleSimplex, DefModelStrLenTruncate, DefModelRealFloor,
 	DefLenAbsPrefixFlip, DefRegexMinLenStrict, DefBoundConflictEq,
-	DefCrashDeepNonlinear, DefCrashSelfDivision, DefCrashRangeBounds,
-	DefCrashBigSubstr,
+	DefCrashDeepNonlinear, DefCrashSelfDivision,
 	DefPerfRegexBlowup, DefPerfBnBBlowup,
 	DefHangStringsDFS, DefHangSimplexCycle,
 }
@@ -283,7 +272,9 @@ func NewReference() *Solver { return New(Config{}) }
 func (s *Solver) hit(p *coverage.Probe) { s.cfg.Coverage.Hit(p) }
 
 // defect reports whether a defect site is active, recording it as fired
-// when it is. Call exactly at the site's trigger point.
+// when it is. A site records exactly where its defect changes the solve:
+// it calls defect last, once every other condition of its wrong step
+// holds, so Outcome.DefectsFired names only defects that acted.
 func (s *Solver) defect(d Defect) bool {
 	if !s.cfg.Has(d) {
 		return false

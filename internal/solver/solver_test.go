@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -271,6 +272,22 @@ func defective(d Defect) *Solver {
 	return New(Config{Defects: map[Defect]bool{d: true}})
 }
 
+// checkFires solves src with the reference solver and with only d
+// enabled: the defective solve must name d in Outcome.DefectsFired and
+// the reference solve must fire nothing.
+func checkFires(t *testing.T, d Defect, src string) (ref, buggy Outcome) {
+	t.Helper()
+	ref = solveSrc(t, NewReference(), src)
+	if len(ref.DefectsFired) != 0 {
+		t.Errorf("reference fired %v", ref.DefectsFired)
+	}
+	buggy = solveSrc(t, defective(d), src)
+	if !slices.Contains(buggy.DefectsFired, d) {
+		t.Errorf("%s: DefectsFired = %v, want it named", d, buggy.DefectsFired)
+	}
+	return ref, buggy
+}
+
 func TestDefectStrToIntEmpty(t *testing.T) {
 	// str.to_int "" = -1; the defect folds it to 0.
 	src := `
@@ -279,14 +296,14 @@ func TestDefectStrToIntEmpty(t *testing.T) {
 (assert (= n (str.to_int "")))
 (assert (= n 0))
 `
-	if out := solveSrc(t, NewReference(), src); out.Result != ResUnsat {
-		t.Fatalf("reference: got %v want unsat", out.Result)
+	ref, out := checkFires(t, DefStrToIntEmpty, src)
+	if ref.Result != ResUnsat {
+		t.Fatalf("reference: got %v want unsat", ref.Result)
 	}
-	out := solveSrc(t, defective(DefStrToIntEmpty), src)
 	if out.Result != ResSat {
 		t.Fatalf("defective solver should (wrongly) answer sat, got %v", out.Result)
 	}
-	if len(out.DefectsFired) != 1 || out.DefectsFired[0] != DefStrToIntEmpty {
+	if len(out.DefectsFired) != 1 {
 		t.Errorf("DefectsFired = %v", out.DefectsFired)
 	}
 }
@@ -299,11 +316,8 @@ func TestDefectStrReplaceEmpty(t *testing.T) {
 (assert (= s (str.replace "bc" "" "a")))
 (assert (= s "bc"))
 `
-	if out := solveSrc(t, NewReference(), src); out.Result != ResUnsat {
-		t.Fatalf("reference: %v", out.Result)
-	}
-	if out := solveSrc(t, defective(DefStrReplaceEmptyPat), src); out.Result != ResSat {
-		t.Fatalf("defective: %v", out.Result)
+	if ref, out := checkFires(t, DefStrReplaceEmptyPat, src); ref.Result != ResUnsat || out.Result != ResSat {
+		t.Fatalf("reference %v, defective %v: want unsat, sat", ref.Result, out.Result)
 	}
 }
 
@@ -317,11 +331,8 @@ func TestDefectIntDivNegRound(t *testing.T) {
 (assert (= q 3))
 `
 	// Euclidean: -7 = -2·4 + 1 → div = 4. Truncated: 3.
-	if out := solveSrc(t, NewReference(), src); out.Result != ResUnsat {
-		t.Fatalf("reference: %v", out.Result)
-	}
-	if out := solveSrc(t, defective(DefIntDivNegRound), src); out.Result != ResSat {
-		t.Fatalf("defective: %v", out.Result)
+	if ref, out := checkFires(t, DefIntDivNegRound, src); ref.Result != ResUnsat || out.Result != ResSat {
+		t.Fatalf("reference %v, defective %v: want unsat, sat", ref.Result, out.Result)
 	}
 }
 
@@ -332,11 +343,8 @@ func TestDefectBoundConflict(t *testing.T) {
 (assert (>= a 1.0))
 (assert (<= a 1.0))
 `
-	if out := solveSrc(t, NewReference(), src); out.Result != ResSat {
-		t.Fatalf("reference: %v", out.Result)
-	}
-	if out := solveSrc(t, defective(DefBoundConflictEq), src); out.Result != ResUnsat {
-		t.Fatalf("defective: got %v want wrong unsat", out.Result)
+	if ref, out := checkFires(t, DefBoundConflictEq, src); ref.Result != ResSat || out.Result != ResUnsat {
+		t.Fatalf("reference %v, defective %v: want sat, wrong unsat", ref.Result, out.Result)
 	}
 }
 
@@ -347,11 +355,56 @@ func TestDefectRegexMinLenStrict(t *testing.T) {
 (assert (str.in_re c (re.+ (str.to_re "ab"))))
 (assert (= (str.len c) 2))
 `
-	if out := solveSrc(t, NewReference(), src); out.Result != ResSat {
-		t.Fatalf("reference: %v", out.Result)
+	if ref, out := checkFires(t, DefRegexMinLenStrict, src); ref.Result != ResSat || out.Result != ResUnsat {
+		t.Fatalf("reference %v, defective %v: want sat, unsat", ref.Result, out.Result)
 	}
-	if out := solveSrc(t, defective(DefRegexMinLenStrict), src); out.Result != ResUnsat {
-		t.Fatalf("defective: %v", out.Result)
+}
+
+func TestDefectLenAbsPrefixFlip(t *testing.T) {
+	// |a| ≤ |b| holds for a prefix a of b; the flipped abstraction
+	// demands |a| ≥ |b| and calls 1 ≥ 3 a conflict.
+	src := `
+(set-logic QF_S)
+(declare-fun a () String)
+(declare-fun b () String)
+(assert (str.prefixof a b))
+(assert (= (str.len a) 1))
+(assert (= (str.len b) 3))
+`
+	if ref, out := checkFires(t, DefLenAbsPrefixFlip, src); ref.Result != ResSat || out.Result != ResUnsat {
+		t.Fatalf("reference %v, defective %v: want sat, unsat", ref.Result, out.Result)
+	}
+}
+
+// TestDefectModelCorruption runs each md- site on a sat script whose
+// constraints bind the corrupted variable: the verdict stays sat, the
+// site fires, and the reported model violates the script.
+func TestDefectModelCorruption(t *testing.T) {
+	cases := []struct {
+		defect Defect
+		src    string
+	}{
+		{DefModelStaleSimplex, "(declare-fun x () Int)(assert (> x 2))(assert (< x 5))"},
+		{DefModelStrLenTruncate, "(declare-fun s () String)(assert (= (str.len s) 3))"},
+		{DefModelRealFloor, "(declare-fun a () Real)(assert (> a 0.5))(assert (< a 0.75))"},
+	}
+	for _, c := range cases {
+		ref, out := checkFires(t, c.defect, c.src)
+		if ref.Result != ResSat || out.Result != ResSat {
+			t.Errorf("%s: reference %v, defective %v: want sat, sat", c.defect, ref.Result, out.Result)
+			continue
+		}
+		certifyOriginal(t, c.src, ref.Model)
+		sc, _ := smtlib.ParseScript(c.src)
+		valid := true
+		for _, a := range sc.Asserts() {
+			if ok, err := eval.Bool(a, out.Model); err != nil || !ok {
+				valid = false
+			}
+		}
+		if valid {
+			t.Errorf("%s: model %v still satisfies the script", c.defect, out.Model)
+		}
 	}
 }
 
@@ -361,17 +414,16 @@ func TestDefectCrash(t *testing.T) {
 (declare-fun a () Real)
 (assert (> (/ (+ a 1.0) (+ a 1.0)) 0.0))
 `
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("crash defect did not panic")
-		}
-		ce, ok := r.(*CrashError)
-		if !ok || ce.Site != DefCrashSelfDivision {
-			t.Fatalf("unexpected panic value %v", r)
-		}
-	}()
-	solveSrc(t, defective(DefCrashSelfDivision), src)
+	sc, err := smtlib.ParseScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := NewReference().SolveScript(sc); len(ref.DefectsFired) != 0 {
+		t.Errorf("reference fired %v", ref.DefectsFired)
+	}
+	if _, p := defective(DefCrashSelfDivision).SolveRecovered(sc); p == nil || p.Crash == nil || p.Crash.Site != DefCrashSelfDivision {
+		t.Fatalf("recovered panic %+v, want a crash at %s", p, DefCrashSelfDivision)
+	}
 }
 
 func TestDefectQuantNegPush(t *testing.T) {
@@ -385,23 +437,12 @@ func TestDefectQuantNegPush(t *testing.T) {
 (declare-fun a () Real)
 (assert (not (exists ((h Real)) (and (> h a) (< h a)))))
 `
-	ref := solveSrc(t, NewReference(), src)
-	if ref.Result == ResUnsat {
-		t.Fatalf("reference must not be unsound: %v", ref.Result)
-	}
-	out := solveSrc(t, defective(DefQuantNegPush), src)
 	// Defect: ¬∃ pushed as ∃¬ → skolemized → (h>a ∧ h<a) negated →
 	// or(h≤a, h≥a) → sat. The formula is actually valid (sat), so the
 	// wrong path may coincidentally agree; what matters is the defect
 	// fired and changed the pipeline.
-	fired := false
-	for _, d := range out.DefectsFired {
-		if d == DefQuantNegPush {
-			fired = true
-		}
-	}
-	if !fired {
-		t.Fatal("defect did not fire")
+	if ref, _ := checkFires(t, DefQuantNegPush, src); ref.Result == ResUnsat {
+		t.Fatalf("reference must not be unsound: %v", ref.Result)
 	}
 }
 

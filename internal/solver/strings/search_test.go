@@ -87,14 +87,28 @@ func TestLengthAbstractionDefectHooks(t *testing.T) {
 		t.Fatalf("reference: %v", st)
 	}
 	// Flipped abstraction (|a| ≥ |b|): 1 ≥ 3 is a bogus conflict.
-	s, _ := smtlib.ParseScript(src)
-	st, _ = Check(&Problem{
-		Lits:   s.Asserts(),
-		Defect: func(id string) bool { return id == "th-len-abs-prefix-flip" },
-	})
-	if st != Unsat {
-		t.Fatalf("flipped abstraction should answer unsat, got %v", st)
+	if st, fired := checkWithDefect(t, src, "th-len-abs-prefix-flip"); st != Unsat || !fired {
+		t.Fatalf("flipped abstraction should fire and answer unsat, got %v (fired %t)", st, fired)
 	}
+}
+
+// checkWithDefect checks src with only the defect id enabled, and
+// reports whether its site fired.
+func checkWithDefect(t *testing.T, src, id string) (Status, bool) {
+	t.Helper()
+	s, err := smtlib.ParseScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	st, _ := Check(&Problem{
+		Lits: s.Asserts(),
+		Defect: func(d string) bool {
+			fired = fired || d == id
+			return d == id
+		},
+	})
+	return st, fired
 }
 
 func TestRegexMinLenDefectHook(t *testing.T) {
@@ -107,13 +121,8 @@ func TestRegexMinLenDefectHook(t *testing.T) {
 	if st != Sat {
 		t.Fatalf("reference: %v", st)
 	}
-	s, _ := smtlib.ParseScript(src)
-	st, _ = Check(&Problem{
-		Lits:   s.Asserts(),
-		Defect: func(id string) bool { return id == "th-regex-min-len-strict" },
-	})
-	if st != Unsat {
-		t.Fatalf("strict min-len should answer unsat, got %v", st)
+	if st, fired := checkWithDefect(t, src, "th-regex-min-len-strict"); st != Unsat || !fired {
+		t.Fatalf("strict min-len should fire and answer unsat, got %v (fired %t)", st, fired)
 	}
 }
 
