@@ -352,6 +352,20 @@ func TestRefuteIntervalsZeroBounds(t *testing.T) {
 	}
 }
 
+// TestRefuteIntervalsNegatedLiterals pins that a literal under not is
+// read with its relation flipped, the way the solver's nonlinear rounds
+// pass their false atoms: x ∈ [-1/2, 1/2] bounds x·x by 1/4, so x·x > 1
+// is refuted and x·x > 1/10 is not.
+func TestRefuteIntervalsNegatedLiterals(t *testing.T) {
+	decls := map[string]ast.Sort{"x": ast.SortReal}
+	if !refuteStrs(t, decls, nil, "(not (<= (* x x) 1.0))", "(<= x 0.5)", "(>= x (- 0.5))") {
+		t.Error("x·x > 1 with |x| ≤ 1/2 not refuted")
+	}
+	if refuteStrs(t, decls, nil, "(not (<= (* x x) 0.1))", "(<= x 0.5)", "(>= x (- 0.5))") {
+		t.Error("x = 1/2 satisfies x·x > 1/10, refuted anyway")
+	}
+}
+
 func TestRefuteEqualityChains(t *testing.T) {
 	decls := map[string]ast.Sort{"a": ast.SortReal, "b": ast.SortReal}
 	// a = 1 ∧ b = a·a ∧ b < 0.

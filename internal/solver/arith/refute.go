@@ -119,12 +119,12 @@ func evalIntervalApp(n *ast.App, env Env, intVars map[string]bool) Interval {
 
 // RefuteIntervals attempts to prove a conjunction of arithmetic
 // literals unsatisfiable by bound propagation and interval evaluation.
-// Each literal must be a comparison (possibly under a single not, which
-// callers are expected to have eliminated by flipping the relation) or
-// an equality over Int/Real terms. It returns true only if the
-// conjunction is definitely unsatisfiable. One fuel unit is spent per
-// literal per round; exhaustion abandons the refinement (no proof).
-// Each visit is recorded into tr (nil records nothing).
+// Each literal is read through Comparison, so a negated comparison
+// counts with its relation flipped and any other literal is skipped.
+// It returns true only if the conjunction is definitely unsatisfiable.
+// One fuel unit is spent per literal per round; exhaustion abandons the
+// refinement (no proof). Each visit is recorded into tr (nil records
+// nothing).
 func RefuteIntervals(lits []ast.Term, intVars map[string]bool, rounds int, m *fuel.Meter, tr *telemetry.Tracker) bool {
 	env := Env{}
 	for round := 0; round < rounds; round++ {
@@ -134,18 +134,10 @@ func RefuteIntervals(lits []ast.Term, intVars map[string]bool, rounds int, m *fu
 				return false
 			}
 			tr.Inc(cIntervalSteps)
-			app, ok := lit.(*ast.App)
+			a, b, rel, ok := Comparison(lit)
 			if !ok {
 				continue
 			}
-			rel, ok := RelOf(app.Op)
-			if !ok || len(app.Args) != 2 {
-				continue
-			}
-			if !app.Args[0].Sort().IsArith() {
-				continue
-			}
-			a, b := app.Args[0], app.Args[1]
 			ia := EvalInterval(a, env, intVars)
 			ib := EvalInterval(b, env, intVars)
 			if !feasible(rel, ia.Sub(ib)) {
@@ -180,8 +172,8 @@ func RefuteIntervals(lits []ast.Term, intVars map[string]bool, rounds int, m *fu
 // any not-wrappers, a RelOf operator over two Int- or Real-sorted
 // arguments. It returns the arguments and the relation with the
 // wrappers' polarity applied, so the literal holds iff lhs rel rhs, and
-// false for any other literal. The literal memo and the string layer
-// read their comparisons through it.
+// false for any other literal. The literal memo, the string layer and
+// the interval refuter read their comparisons through it.
 func Comparison(lit ast.Term) (lhs, rhs ast.Term, rel Rel, ok bool) {
 	polarity := true
 	app, isApp := lit.(*ast.App)
