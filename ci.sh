@@ -106,6 +106,16 @@ grep -q '^yy_funnel_solved_total [1-9]' "$tmpmetrics" || {
     echo "telemetry smoke: yy_funnel_solved_total missing or zero in $tmpmetrics" >&2
     exit 1
 }
+# Every oracle mismatch must be rooted in a fired defect: this QF_NRA
+# mutation campaign's wrong unsat comes from th-bound-conflict-eq, so a
+# site that acts without recording shows here as a reference
+# disagreement.
+go run ./cmd/yinyang -sut cvc4sim -mode mutate -logics QF_NRA -iters 200 -pool 20 -seed 2 -threads 2 -metrics "$tmpmetrics" >/dev/null
+if grep -q '^yy_funnel_reference_disagreements_total [1-9]' "$tmpmetrics"; then
+    echo "telemetry smoke: reference disagreements in $tmpmetrics:" >&2
+    grep '^yy_funnel_reference_disagreements_total' "$tmpmetrics" >&2
+    exit 1
+fi
 rm -f "$tmpmetrics"
 
 echo "== campaign service smoke =="

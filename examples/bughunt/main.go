@@ -29,9 +29,14 @@ func main() {
 		}
 		fmt.Printf("tests: %d   bugs: %d   duplicates: %d   unknowns: %d\n",
 			res.Tests, len(res.Bugs), res.Duplicates, res.Unknowns)
+		// The type label is as wide as the longest one printed.
+		w := 0
+		for _, b := range res.Bugs {
+			w = max(w, len(b.Kind))
+		}
 		for _, b := range res.Bugs {
 			entry, _ := bugdb.Find(b.Defect)
-			fmt.Printf("  [%-11s] %-32s logic=%-10s  %s\n", b.Kind, b.Defect, b.Logic, entry.Description)
+			fmt.Printf("  [%-*s] %-32s logic=%-10s  %s\n", w, b.Kind, b.Defect, b.Logic, entry.Description)
 		}
 
 		// Reduce the first wrong verdict, like the paper's bug reports

@@ -503,24 +503,14 @@ func RenderFig7(rows []Fig7Row) string {
 	return b.String()
 }
 
-// RenderFig8 prints the Figure 8a/8b/8c tables.
+// RenderFig8 prints the Figure 8a/8b/8c tables. Every row's label
+// column is as wide as the longest label, so the count columns line up
+// under their headers whatever the bug types and logics.
 func RenderFig8(f *Fig8) string {
-	var b strings.Builder
 	sa, sc := StatusOf(f.Z3), StatusOf(f.CVC4)
-	b.WriteString("(a) Status          z3sim  cvc4sim  Total\n")
-	fmt.Fprintf(&b, "    Reported     %6d %8d %6d\n", sa.Reported, sc.Reported, sa.Reported+sc.Reported)
-	fmt.Fprintf(&b, "    Confirmed    %6d %8d %6d\n", sa.Confirmed, sc.Confirmed, sa.Confirmed+sc.Confirmed)
-	fmt.Fprintf(&b, "    Fixed        %6d %8d %6d\n", sa.Fixed, sc.Fixed, sa.Fixed+sc.Fixed)
-	fmt.Fprintf(&b, "    Duplicate    %6d %8d %6d\n", sa.Duplicate, sc.Duplicate, sa.Duplicate+sc.Duplicate)
-
 	ta, tc := TypesOf(f.Z3), TypesOf(f.CVC4)
-	b.WriteString("(b) Type            z3sim  cvc4sim  Total\n")
-	for _, ty := range []bugdb.BugType{bugdb.Soundness, bugdb.InvalidModel, bugdb.Crash, bugdb.Performance, bugdb.UnknownType} {
-		fmt.Fprintf(&b, "    %-12s %6d %8d %6d\n", ty, ta[ty], tc[ty], ta[ty]+tc[ty])
-	}
-
 	la, lc := LogicsOf(f.Z3), LogicsOf(f.CVC4)
-	b.WriteString("(c) Logic           z3sim  cvc4sim  Total\n")
+	types := []bugdb.BugType{bugdb.Soundness, bugdb.InvalidModel, bugdb.Crash, bugdb.Performance, bugdb.UnknownType}
 	logics := map[string]bool{}
 	for l := range la {
 		logics[l] = true
@@ -533,8 +523,33 @@ func RenderFig8(f *Fig8) string {
 		names = append(names, l)
 	}
 	sort.Strings(names)
+
+	w := len("Duplicate")
+	for _, ty := range types {
+		w = max(w, len(ty))
+	}
 	for _, l := range names {
-		fmt.Fprintf(&b, "    %-12s %6d %8d %6d\n", l, la[l], lc[l], la[l]+lc[l])
+		w = max(w, len(l))
+	}
+	var b strings.Builder
+	header := func(title string) {
+		fmt.Fprintf(&b, "%-*s %6s %8s %6s\n", w+4, title, "z3sim", "cvc4sim", "Total")
+	}
+	row := func(label string, z3, cvc4 int) {
+		fmt.Fprintf(&b, "    %-*s %6d %8d %6d\n", w, label, z3, cvc4, z3+cvc4)
+	}
+	header("(a) Status")
+	row("Reported", sa.Reported, sc.Reported)
+	row("Confirmed", sa.Confirmed, sc.Confirmed)
+	row("Fixed", sa.Fixed, sc.Fixed)
+	row("Duplicate", sa.Duplicate, sc.Duplicate)
+	header("(b) Type")
+	for _, ty := range types {
+		row(string(ty), ta[ty], tc[ty])
+	}
+	header("(c) Logic")
+	for _, l := range names {
+		row(l, la[l], lc[l])
 	}
 	return b.String()
 }

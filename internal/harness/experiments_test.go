@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,5 +206,38 @@ func TestReproducedByNeedsDefiniteOracle(t *testing.T) {
 	// stands for the reference verdict.
 	if !b.ReproducedBy(run, b.Script, b.Oracle) {
 		t.Fatalf("witness not reproduced against its constructed oracle %v", b.Oracle)
+	}
+}
+
+// TestRenderFig8ColumnsLineUp checks that every line of the Figure 8
+// tables, headers included, ends its three count columns at the same
+// offsets, with an invalid-model bug and a long logic name in the mix.
+func TestRenderFig8ColumnsLineUp(t *testing.T) {
+	z3 := &Result{Bugs: []Bug{
+		{Defect: solver.DefMulSignFold, Kind: bugdb.Soundness, Logic: gen.Logic("QF_NRA")},
+		{Defect: solver.DefModelStrLenTruncate, Kind: bugdb.InvalidModel, Logic: gen.Logic("StringFuzz")},
+	}}
+	cvc4 := &Result{Tally: Tally{Duplicates: 1234}, Bugs: []Bug{
+		{Defect: solver.DefPerfRegexBlowup, Kind: bugdb.Performance, Logic: gen.Logic("QF_S")},
+	}}
+	out := RenderFig8(&Fig8{Z3: z3, CVC4: cvc4})
+	var want []int
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		var ends []int
+		for i := range line {
+			if line[i] != ' ' && (i+1 == len(line) || line[i+1] == ' ') {
+				ends = append(ends, i+1)
+			}
+		}
+		if len(ends) < 4 {
+			t.Fatalf("line %q has fewer than a label and three columns", line)
+		}
+		ends = ends[len(ends)-3:]
+		if want == nil {
+			want = ends
+		}
+		if !slices.Equal(ends, want) {
+			t.Errorf("columns of %q end at %v, want %v:\n%s", line, ends, want, out)
+		}
 	}
 }

@@ -288,10 +288,11 @@ func (t *Tracker) Merge(other Snapshot) {
 }
 
 // Accumulate adds other into s, mutating s (maps are initialized on
-// first use). Unlike Tracker.Merge it needs no registry — shard
-// envelopes may in principle carry metric names this process never
-// registered — so it is the primitive harness.Merge and the campaign
-// service use to fold per-shard (or per-job) snapshots together.
+// first use). Unlike Tracker.Merge it needs no registry — a snapshot
+// may carry metric names this process never registered — so it is the
+// primitive the campaign service's fleet scrape and the yybench
+// benchmark use to fold per-job (or per-window) snapshots together;
+// harness.Merge re-derives metrics from task records instead.
 // Histogram bucket slices are extended to the longer of the two.
 func (s *Snapshot) Accumulate(other Snapshot) {
 	if len(other.Counters) > 0 && s.Counters == nil {
