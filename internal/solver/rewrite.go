@@ -348,9 +348,7 @@ func (s *Solver) rwRealDiv(app *ast.App) ast.Term {
 			return app.Args[0]
 		}
 		// (/ (* a b) b) → a. Sound only for a literal nonzero divisor
-		// (under x/0 = 0, (a·0)/0 = 0 ≠ a). The division-cancel defects
-		// drop the guard in fusion-constraint equalities instead
-		// (eqDivCancelDefect).
+		// (under x/0 = 0, (a·0)/0 = 0 ≠ a).
 		if out, ok := s.tryMulDivCancel(app.Args[0], app.Args[1]); ok {
 			return out
 		}
