@@ -500,10 +500,9 @@ func printResult(res *harness.Result, cc harness.CampaignConfig, artifactsDir, o
 		fmt.Printf("WARNING: %d oracle disagreements without a defect (reference solver bug?)\n",
 			res.ReferenceDisagreements)
 	}
+	kindW := bugKindWidth(res.Bugs)
 	for _, b := range res.Bugs {
-		entry, _ := bugdb.Find(b.Defect)
-		fmt.Printf("  [%s] %-32s logic=%-10s oracle=%-5v observed=%-7v  %s\n",
-			b.Kind, b.Defect, b.Logic, b.Oracle, b.Observed, entry.Description)
+		fmt.Print(bugLine(b, kindW))
 		if outdir != "" {
 			writeReduced(outdir, b, cc)
 		}
@@ -525,6 +524,24 @@ func printResult(res *harness.Result, cc harness.CampaignConfig, artifactsDir, o
 	if res.Degraded() {
 		fmt.Println("WARNING: campaign completed in degraded mode: one or more backends quarantined by the circuit breaker")
 	}
+}
+
+// bugKindWidth is the width of the summary's bracketed type label: the
+// longest among bugs, so the defect names line up in one column.
+func bugKindWidth(bugs []harness.Bug) int {
+	w := 0
+	for _, b := range bugs {
+		w = max(w, len(b.Kind)+2)
+	}
+	return w
+}
+
+// bugLine renders one finding of the summary, its type label padded to
+// kindW.
+func bugLine(b harness.Bug, kindW int) string {
+	entry, _ := bugdb.Find(b.Defect)
+	return fmt.Sprintf("  %-*s %-32s logic=%-10s oracle=%-5v observed=%-7v  %s\n",
+		kindW, "["+string(b.Kind)+"]", b.Defect, b.Logic, b.Oracle, b.Observed, entry.Description)
 }
 
 // writeMetrics persists the Prometheus-text snapshot and prints the

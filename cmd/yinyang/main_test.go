@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bugdb"
 	"repro/internal/harness"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
@@ -56,5 +57,29 @@ func TestWriteReducedUsesCampaignRelease(t *testing.T) {
 	witness := strings.Count(smtlib.Print(bug.Script), "\n")
 	if got >= witness {
 		t.Errorf("reduced witness has %d lines, the campaign's %d: not shrunk", got, witness)
+	}
+}
+
+// TestBugLinesAlignDefectColumn renders summary rows of two bug types
+// whose labels differ in length: every defect name must start in the
+// same column.
+func TestBugLinesAlignDefectColumn(t *testing.T) {
+	bugs := []harness.Bug{
+		{Defect: solver.DefStrReplaceEmptyPat, Kind: bugdb.Soundness, Logic: "QF_S"},
+		{Defect: solver.DefModelStrLenTruncate, Kind: bugdb.InvalidModel, Logic: "QF_S"},
+		{Defect: solver.DefModelStaleSimplex, Kind: bugdb.InvalidModel, Logic: "QF_LIA"},
+	}
+	w := bugKindWidth(bugs)
+	col := -1
+	for _, b := range bugs {
+		line := bugLine(b, w)
+		at := strings.Index(line, string(b.Defect))
+		if at < 0 {
+			t.Fatalf("row %q does not name %s", line, b.Defect)
+		}
+		if col >= 0 && at != col {
+			t.Errorf("defect %s starts at column %d, the first row's at %d:\n%s", b.Defect, at, col, line)
+		}
+		col = at
 	}
 }

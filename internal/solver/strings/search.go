@@ -48,6 +48,12 @@ func (c *checker) search() (Status, eval.Model) {
 	c.ids = make([]uint32, n)
 	c.litMemos = make([]*memo[bool], len(c.lits))
 	c.propMemos = make([]*memo[propEntry], len(c.defs))
+	// Each literal is completed once along a path, so the stack of
+	// completed literals never outgrows the literal count.
+	c.completed = make([]completedLit, 0, len(c.lits))
+	if w != nil {
+		w.resetRows()
+	}
 
 	// Literals with no free variables never become "newly completed" by
 	// an assignment below; verify them once up front.
@@ -273,25 +279,63 @@ func (c *checker) dfs() (bool, eval.Model) {
 		}
 	}
 
-	// Branch on the next unassigned variable.
+	// Branch on the next unassigned variable. The literals it completes
+	// are fixed for the whole loop, because deeper frames undo their
+	// assignments on return, so they and their verdict rows are looked
+	// up once, not per candidate.
 	for _, s := range c.order {
 		if c.assigned(s) {
 			continue
 		}
-		for k, val := range c.cands[s] {
-			if c.assign(s, val, c.candIDs[s][k]) {
-				if ok, model := c.dfs(); ok {
-					return true, model
-				}
-				c.unassign(s)
-			}
-			if c.nodes <= 0 {
-				return false, nil
+		base := len(c.completed)
+		for _, i := range c.litsBySlot[s] {
+			if c.allSetBut(c.litSlots[i], s) {
+				c.completed = append(c.completed, completedLit{lit: i, row: c.row(i, s)})
 			}
 		}
-		return false, nil
+		ok, model := c.branch(s, c.completed[base:])
+		c.completed = c.completed[:base]
+		return ok, model
 	}
 	return c.completeArith()
+}
+
+// branch tries the candidates of slot s in order, each checked against
+// done, the literals s completes; a candidate that passes is assigned
+// and searched below.
+func (c *checker) branch(s int, done []completedLit) (bool, eval.Model) {
+	for k, val := range c.cands[s] {
+		c.vals[s], c.ids[s] = val, c.candIDs[s][k]
+		if c.candPasses(done, k) {
+			if ok, model := c.dfs(); ok {
+				return true, model
+			}
+		}
+		c.unassign(s)
+		if c.nodes <= 0 {
+			break
+		}
+	}
+	return false, nil
+}
+
+// completedLit is a literal the branching slot completes, with the slab
+// offset of its verdict row (-1: none).
+type completedLit struct {
+	lit int
+	row int32
+}
+
+// candPasses checks candidate k of the branching slot against the
+// literals it completes, in litsBySlot order, stopping at the first
+// failure like litsConsistentAfter.
+func (c *checker) candPasses(done []completedLit, k int) bool {
+	for _, d := range done {
+		if !c.rowPasses(d.lit, d.row, k) {
+			return false
+		}
+	}
+	return true
 }
 
 // assign gives slot s the value val (interned as id) and checks the
@@ -326,8 +370,14 @@ func (c *checker) litsConsistentAfter(s int) bool {
 
 // allSet reports whether every given slot is assigned.
 func (c *checker) allSet(slots []int) bool {
+	return c.allSetBut(slots, -1)
+}
+
+// allSetBut reports whether every given slot other than but is
+// assigned.
+func (c *checker) allSetBut(slots []int, but int) bool {
 	for _, s := range slots {
-		if !c.assigned(s) {
+		if s != but && !c.assigned(s) {
 			return false
 		}
 	}

@@ -139,6 +139,9 @@ type checker struct {
 	// compiled programs.
 	litMemos  []*memo[bool]
 	propMemos []*memo[propEntry]
+	// completed stacks the literals each open branch loop completes:
+	// a frame pushes its own above its caller's and pops them on return.
+	completed []completedLit
 }
 
 // propDef is a defining equation v = rhs, with the slots of rhs's

@@ -8,11 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Warm-cache counters: every memo probe on the DFS hot path records a
-// hit or a miss, so `-stats`/`-metrics` expose the reuse rate the warm
-// cache achieves across Solve calls. Both are step-based (one
-// increment per memoized evaluation), so campaign totals stay
-// thread-invariant as long as a cache's owner lives for a
+// Warm-cache counters: every memo probe and verdict-row read on the DFS
+// hot path records a hit or a miss, so `-stats`/`-metrics` expose the
+// reuse rate the warm cache achieves across Solve calls. Both are
+// step-based (one increment per cached evaluation), so campaign totals
+// stay thread-invariant as long as a cache's owner lives for a
 // deterministic span (the harness builds a fresh solver per task).
 var (
 	cWarmEvalHits   = telemetry.NewCounter("yy_warm_eval_hits_total", "string-search literal evaluations served from the warm cache")
@@ -45,6 +45,17 @@ const warmMaxIDs = 1 << 20
 // eval.Compile), which a miss evaluates; the program is a function of
 // the term alone, so it is shared by every Check that meets the term.
 //
+// It has two layers. In front sit check-local verdict rows: where the
+// DFS branches on a slot, each literal that slot completes gets a
+// two-bit verdict per candidate of the slot, keyed by (literal, slot, ids of the
+// literal's other slots), so the branch loop reads a verdict instead of
+// hashing a memo key per candidate. Rows live for one Check, because
+// candidate lists do; their storage is reused across Checks. A row's
+// unknown entry is filled through the solver-scoped literal memo
+// behind it, so the memo sees the same first-in-check probes in the
+// same order as without rows, and its misses are unchanged; a row read
+// counts as a hit.
+//
 // Values are interned to dense ids (two values share an id exactly
 // when they are equal), and a memo key is the ids of the term's free
 // variables in ast.FreeVars order, packed into a uint64 when they fit
@@ -68,7 +79,32 @@ type Warm struct {
 	// scratch is the reusable buffer for wide keys (a probe allocates
 	// nothing on a hit).
 	scratch []byte
+	// rows maps a verdict row's key to its offset in slab, where each
+	// row holds a two-bit rowUnknown/rowPass/rowFail entry per
+	// candidate of its slot, four to a byte. Both are emptied when a
+	// search starts.
+	rows map[rowKey]int32
+	slab []byte
 }
+
+// rowKey identifies a verdict row: literal lit completed by branching
+// on slot, with ids the packed memo key of the literal's slots in which
+// slot's own place reads 0.
+type rowKey struct {
+	lit, slot int32
+	ids       uint64
+}
+
+// Verdict row entries, two bits each.
+const (
+	rowUnknown byte = iota
+	rowPass
+	rowFail
+)
+
+// rowSlabMax caps the verdict-row bytes one Check may hold; a literal
+// whose row would not fit is checked through the memo alone.
+const rowSlabMax = 1 << 18
 
 type propEntry struct {
 	val eval.Val
@@ -244,15 +280,77 @@ func (c *checker) propMemo(d int) *memo[propEntry] {
 	return pm
 }
 
+// resetRows empties the verdict rows, keeping their storage.
+func (w *Warm) resetRows() {
+	if w.rows == nil {
+		w.rows = map[rowKey]int32{}
+	}
+	clear(w.rows)
+	w.slab = w.slab[:0]
+}
+
+// row returns the slab offset of literal i's verdict row for the
+// candidates of the unassigned slot s under the current values of the
+// literal's other slots, creating an all-unknown row on first use. It
+// returns -1, no row, when no Warm is attached, when the other slots'
+// ids do not pack, or when the slab is full.
+func (c *checker) row(i, s int) int32 {
+	w := c.warm
+	if w == nil {
+		return -1
+	}
+	c.ids[s] = 0 // s is unassigned; a fixed id in its place keys the others
+	mk := c.key(c.litSlots[i])
+	if mk.wide != nil {
+		return -1
+	}
+	k := rowKey{lit: int32(i), slot: int32(s), ids: mk.packed}
+	if off, ok := w.rows[k]; ok {
+		return off
+	}
+	n := (len(c.cands[s]) + 3) / 4
+	if len(w.slab)+n > rowSlabMax {
+		return -1
+	}
+	off := int32(len(w.slab))
+	w.slab = append(w.slab, make([]byte, n)...)
+	w.rows[k] = off
+	return off
+}
+
+// rowPasses is litPasses for candidate k of the branching slot, read
+// through the literal's verdict row at offset row (-1: none). A known
+// entry counts as a warm hit; an unknown one is filled by litPasses.
+func (c *checker) rowPasses(i int, row int32, k int) bool {
+	if row < 0 {
+		return c.litPasses(i)
+	}
+	b := &c.warm.slab[int(row)+k/4]
+	shift := uint(k%4) * 2
+	v := *b >> shift & 3
+	if v == rowUnknown {
+		v = rowFail
+		if c.litPasses(i) {
+			v = rowPass
+		}
+		*b |= v << shift
+	} else {
+		c.telem.Inc(cWarmEvalHits)
+	}
+	return v == rowPass
+}
+
 // litPasses evaluates literal i under the current assignment — through
 // the warm cache when one is attached — returning whether it holds
 // (evaluation errors count as failures, matching the search's pruning
 // rule). The caller guarantees every free variable of the literal is
-// assigned.
+// assigned. Without a Warm every evaluation counts as a miss, so a
+// cold Check's misses equal a warm one's hits plus misses.
 func (c *checker) litPasses(i int) bool {
 	lm := c.litMemo(i)
 	w := c.warm
 	if w == nil {
+		c.telem.Inc(cWarmEvalMisses)
 		return c.evalLit(lm, i)
 	}
 	k := c.key(c.litSlots[i])
@@ -289,6 +387,7 @@ func (c *checker) propValue(d int) (eval.Val, uint32, bool) {
 	pm := c.propMemo(d)
 	w := c.warm
 	if w == nil {
+		c.telem.Inc(cWarmEvalMisses)
 		val, err := c.evalProp(pm, d)
 		return val, 0, err == nil
 	}

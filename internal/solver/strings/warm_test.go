@@ -76,7 +76,9 @@ func TestWarmCapClearMidSearch(t *testing.T) {
 
 // FuzzStringsWarmMatchesCold checks the warm cache's transparency on
 // arbitrary scripts: a cold Check and two warm Checks sharing one Warm
-// must agree on verdict, model and fuel spent.
+// must agree on verdict, model, fuel spent and DFS steps, and each warm
+// Check's hits plus misses must equal the cold Check's evaluations
+// (all misses).
 func FuzzStringsWarmMatchesCold(f *testing.F) {
 	f.Add(capClearSrc)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -90,18 +92,34 @@ func FuzzStringsWarmMatchesCold(f *testing.F) {
 				t.Skip() // the solver never hands quantifiers to this theory
 			}
 		}
-		check := func(w *Warm) (Status, eval.Model, int64) {
-			meter := fuel.NewMeter(200_000)
-			st, model := Check(&Problem{Lits: lits, Fuel: meter, Warm: w})
-			return st, model, meter.Spent()
+		type run struct {
+			st                Status
+			model             eval.Model
+			fuel              int64
+			dfs, hits, misses int64
 		}
-		coldSt, coldModel, coldFuel := check(nil)
+		check := func(w *Warm) run {
+			meter := fuel.NewMeter(200_000)
+			tel := telemetry.NewTracker()
+			st, model := Check(&Problem{Lits: lits, Fuel: meter, Warm: w, Telem: tel})
+			snap := tel.Snapshot()
+			return run{st, model, meter.Spent(), snap.Counter(cDFSSteps.Name),
+				snap.Counter(cWarmEvalHits.Name), snap.Counter(cWarmEvalMisses.Name)}
+		}
+		cold := check(nil)
+		if cold.hits != 0 {
+			t.Fatalf("cold check counted %d warm hits", cold.hits)
+		}
 		w := NewWarm()
-		for run := 1; run <= 2; run++ {
-			st, model, spent := check(w)
-			if st != coldSt || !modelsEqual(model, coldModel) || spent != coldFuel {
-				t.Fatalf("warm check %d: %v %v fuel %d; cold: %v %v fuel %d",
-					run, st, model, spent, coldSt, coldModel, coldFuel)
+		for i := 1; i <= 2; i++ {
+			r := check(w)
+			if r.st != cold.st || !modelsEqual(r.model, cold.model) || r.fuel != cold.fuel || r.dfs != cold.dfs {
+				t.Fatalf("warm check %d: %v %v fuel %d dfs %d; cold: %v %v fuel %d dfs %d",
+					i, r.st, r.model, r.fuel, r.dfs, cold.st, cold.model, cold.fuel, cold.dfs)
+			}
+			if r.hits+r.misses != cold.misses {
+				t.Fatalf("warm check %d: %d hits + %d misses, cold check %d evaluations",
+					i, r.hits, r.misses, cold.misses)
 			}
 		}
 	})
