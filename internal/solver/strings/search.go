@@ -13,37 +13,11 @@ import (
 // propagation and per-literal pruning, followed by arithmetic completion
 // for the remaining integer/real variables. It never returns Unsat.
 func (c *checker) search() (Status, eval.Model) {
-	c.buildAlphabet()
-
 	w := c.warm
 	if w != nil && len(w.ids) >= warmMaxIDs {
 		w.reset()
 	}
 	n := len(c.names)
-	c.cands = make([][]eval.Val, n)
-	c.candIDs = make([][]uint32, n)
-	for s, srt := range c.sorts {
-		switch srt {
-		case ast.SortBool:
-			c.cands[s] = []eval.Val{eval.BoolVal(false), eval.BoolVal(true)}
-		case ast.SortString:
-			c.cands[s] = c.stringCandidates(c.names[s])
-		default:
-			continue
-		}
-		c.order = append(c.order, s)
-		c.candIDs[s] = make([]uint32, len(c.cands[s]))
-		if w != nil {
-			for k, v := range c.cands[s] {
-				c.candIDs[s][k] = w.id(v)
-			}
-		}
-	}
-	// Most-constrained-first ordering.
-	sort.SliceStable(c.order, func(i, j int) bool {
-		return len(c.cands[c.order[i]]) < len(c.cands[c.order[j]])
-	})
-
 	c.vals = make([]eval.Val, n)
 	c.ids = make([]uint32, n)
 	c.litMemos = make([]*memo[bool], len(c.lits))
@@ -67,11 +41,44 @@ func (c *checker) search() (Status, eval.Model) {
 	// formulas produce, with both ancestors' variables plus the fusion
 	// variable in scope) the DFS "loops forever". Simulated by draining
 	// the fuel meter: the observable signature — a deterministic
-	// timeout — is the same, with no wall-clock cost.
-	if len(c.order) >= 4 && c.defect("pf-strings-dfs-hang") {
+	// timeout — is the same, with no wall-clock cost. The frontier is
+	// counted before any candidate list is built, so a drained search
+	// builds none.
+	branching := 0
+	for _, srt := range c.sorts {
+		if srt == ast.SortBool || srt == ast.SortString {
+			branching++
+		}
+	}
+	if branching >= 4 && c.defect("pf-strings-dfs-hang") {
 		c.fuel.Drain()
 		return Unknown, nil
 	}
+
+	c.buildAlphabet()
+	c.cands = make([][]eval.Val, n)
+	c.candIDs = make([][]uint32, n)
+	for s, srt := range c.sorts {
+		switch srt {
+		case ast.SortBool:
+			c.cands[s] = []eval.Val{eval.BoolVal(false), eval.BoolVal(true)}
+		case ast.SortString:
+			c.cands[s] = c.stringCandidates(c.names[s])
+		default:
+			continue
+		}
+		c.order = append(c.order, s)
+		c.candIDs[s] = make([]uint32, len(c.cands[s]))
+		if w != nil {
+			for k, v := range c.cands[s] {
+				c.candIDs[s][k] = w.id(v)
+			}
+		}
+	}
+	// Most-constrained-first ordering.
+	sort.SliceStable(c.order, func(i, j int) bool {
+		return len(c.cands[c.order[i]]) < len(c.cands[c.order[j]])
+	})
 
 	c.nodes = c.lim.MaxNodes
 	if ok, model := c.dfs(); ok {
