@@ -11,6 +11,7 @@ import (
 	yinyang "repro"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/solver/rat"
 )
 
 const phi1Src = `
@@ -40,9 +41,9 @@ func main() {
 	// Both formulas are satisfiable; their witnesses come from the
 	// paper's discussion (x = −1, w = true; y = −1, v = false).
 	phi1 := &core.Seed{Script: s1, Status: core.StatusSat,
-		Witness: eval.Model{"x": eval.Int(-1), "w": eval.BoolV(true)}}
+		Witness: eval.Model{"x": eval.IntVal(rat.Int(-1)), "w": eval.BoolVal(true)}}
 	phi2 := &core.Seed{Script: s2, Status: core.StatusSat,
-		Witness: eval.Model{"y": eval.Int(-1), "v": eval.BoolV(false)}}
+		Witness: eval.Model{"y": eval.IntVal(rat.Int(-1)), "v": eval.BoolVal(false)}}
 
 	// Multiplicative fusion like the paper's example: z = x·y with
 	// inversions z div y and z div x.

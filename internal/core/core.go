@@ -550,16 +550,16 @@ func (f *fuser) exactUnder(inst instance, x, y, z *ast.Var, witness eval.Model) 
 	probe := witness.Clone()
 	probe[z.Name] = zv
 	rx, err := eval.Term(inst.invertX, probe)
-	if err != nil || !eval.Equal(rx, probe[x.Name]) {
+	if err != nil || !rx.Equal(probe[x.Name]) {
 		return false
 	}
 	ry, err := eval.Term(inst.invertY, probe)
-	if err != nil || !eval.Equal(ry, probe[y.Name]) {
+	if err != nil || !ry.Equal(probe[y.Name]) {
 		return false
 	}
 	for _, d := range variableDivisors(inst.apply, inst.invertX, inst.invertY) {
 		dv, err := eval.Term(d, probe)
-		if err != nil || eval.Equal(dv, eval.DefaultValue(d.Sort())) {
+		if err != nil || dv.Equal(eval.DefaultValue(d.Sort())) {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
+	"repro/internal/solver/rat"
 )
 
 func seedFromSrc(t *testing.T, src string, status Status, witness eval.Model) *Seed {
@@ -35,7 +36,7 @@ func paperPhi1(t *testing.T) *Seed {
 (declare-fun x () Int)
 (assert (> x 0))
 (assert (> x 1))
-`, StatusSat, eval.Model{"x": eval.Int(2)})
+`, StatusSat, eval.Model{"x": eval.IntVal(rat.Int(2))})
 }
 
 func paperPhi2(t *testing.T) *Seed {
@@ -44,7 +45,7 @@ func paperPhi2(t *testing.T) *Seed {
 (declare-fun y () Int)
 (assert (< y 0))
 (assert (< y 1))
-`, StatusSat, eval.Model{"y": eval.Int(-1)})
+`, StatusSat, eval.Model{"y": eval.IntVal(rat.Int(-1))})
 }
 
 func unsatSeed1(t *testing.T) *Seed {
@@ -191,7 +192,7 @@ func TestMixedFusion(t *testing.T) {
 	satSide := seedFromSrc(t, `
 (declare-fun a () Real)
 (assert (> a 1.0))
-`, StatusSat, eval.Model{"a": eval.Real(2, 1)})
+`, StatusSat, eval.Model{"a": eval.RealVal(rat.New(2, 1))})
 	sawSat, sawUnsat := false, false
 	for iter := 0; iter < 50; iter++ {
 		fused, err := Fuse(tb, satSide, unsatSeed2(t), rng, Options{})
@@ -229,11 +230,11 @@ func TestStringFusion(t *testing.T) {
 	s1 := seedFromSrc(t, `
 (declare-fun a () String)
 (assert (= (str.len a) 2))
-`, StatusSat, eval.Model{"a": eval.StrV("ab")})
+`, StatusSat, eval.Model{"a": eval.StrVal("ab")})
 	s2 := seedFromSrc(t, `
 (declare-fun b () String)
 (assert (str.prefixof "x" b))
-`, StatusSat, eval.Model{"b": eval.StrV("xy")})
+`, StatusSat, eval.Model{"b": eval.StrVal("xy")})
 	for iter := 0; iter < 200; iter++ {
 		fused, err := Fuse(tb, s1, s2, rng, Options{})
 		if err != nil {
@@ -259,7 +260,7 @@ func TestRenameApart(t *testing.T) {
 	s2 := seedFromSrc(t, `
 (declare-fun x () Int)
 (assert (< x 0))
-`, StatusSat, eval.Model{"x": eval.Int(-5)})
+`, StatusSat, eval.Model{"x": eval.IntVal(rat.Int(-5))})
 	fused, err := Fuse(tb, s1, s2, rng, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +291,7 @@ func TestNoFusablePair(t *testing.T) {
 	boolOnly := seedFromSrc(t, `
 (declare-fun p () Bool)
 (assert p)
-`, StatusSat, eval.Model{"p": eval.BoolV(true)})
+`, StatusSat, eval.Model{"p": eval.BoolVal(true)})
 	if _, err := Fuse(tb, boolOnly, boolOnly, rng, Options{}); err != ErrNoFusablePair {
 		t.Fatalf("err = %v", err)
 	}
@@ -299,7 +300,7 @@ func TestNoFusablePair(t *testing.T) {
 	strSeed := seedFromSrc(t, `
 (declare-fun s () String)
 (assert (= s "q"))
-`, StatusSat, eval.Model{"s": eval.StrV("q")})
+`, StatusSat, eval.Model{"s": eval.StrVal("q")})
 	if _, err := Fuse(tb, intSeed, strSeed, rng, Options{}); err != ErrNoFusablePair {
 		t.Fatalf("err = %v", err)
 	}
@@ -313,11 +314,11 @@ func TestMultiplicativeGuardAgainstZeroWitness(t *testing.T) {
 	s1 := seedFromSrc(t, `
 (declare-fun x () Int)
 (assert (> x 1))
-`, StatusSat, eval.Model{"x": eval.Int(5)})
+`, StatusSat, eval.Model{"x": eval.IntVal(rat.Int(5))})
 	s2 := seedFromSrc(t, `
 (declare-fun y () Int)
 (assert (< y 1))
-`, StatusSat, eval.Model{"y": eval.Int(0)})
+`, StatusSat, eval.Model{"y": eval.IntVal(rat.Int(0))})
 	for iter := 0; iter < 100; iter++ {
 		fused, err := Fuse(tb, s1, s2, rng, Options{Table: MultiplicativeTable})
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
 // Property (Proposition 1, concrete form): for arbitrary integer
@@ -25,14 +26,14 @@ func TestQuickProposition1(t *testing.T) {
 				[]*smtlib.DeclareFun{{Name: "x", Sort: ast.SortInt}},
 				[]ast.Term{tb.Ge(x, tb.Int(a)), tb.Le(x, tb.Int(a+5))}),
 			Status:  StatusSat,
-			Witness: eval.Model{"x": eval.Int(a + 2)},
+			Witness: eval.Model{"x": eval.IntVal(rat.Int(a + 2))},
 		}
 		phi2 := &Seed{
 			Script: smtlib.NewScript("QF_LIA",
 				[]*smtlib.DeclareFun{{Name: "y", Sort: ast.SortInt}},
 				[]ast.Term{tb.Ge(y, tb.Int(b)), tb.Le(y, tb.Int(b+9))}),
 			Status:  StatusSat,
-			Witness: eval.Model{"y": eval.Int(b + 4)},
+			Witness: eval.Model{"y": eval.IntVal(rat.Int(b + 4))},
 		}
 		fused, err := Fuse(tb, phi1, phi2, rng, Options{})
 		if err != nil {
@@ -66,7 +67,7 @@ func TestQuickDeclarationAccounting(t *testing.T) {
 					[]*smtlib.DeclareFun{{Name: name, Sort: ast.SortReal}},
 					[]ast.Term{tb.Lt(v, tb.Real(w+1, 1))}),
 				Status:  StatusSat,
-				Witness: eval.Model{name: eval.Real(w, 1)},
+				Witness: eval.Model{name: eval.RealVal(rat.New(w, 1))},
 			}
 		}
 		_ = x

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/solver/rat"
 )
 
 func TestSynthesizeTableShape(t *testing.T) {
@@ -72,18 +73,18 @@ func TestQuickSynthesizedInversionExact(t *testing.T) {
 		y := tb.Var("y", ast.SortInt)
 		z := tb.Var("z", ast.SortInt)
 		inst, _ := fn.Make(tb, rng, x, y, z)
-		witness := eval.Model{"x": eval.Int(xv), "y": eval.Int(yv)}
+		witness := eval.Model{"x": eval.IntVal(rat.Int(xv)), "y": eval.IntVal(rat.Int(yv))}
 		zv, err := eval.Term(inst.apply, witness)
 		if err != nil {
 			return false
 		}
 		witness["z"] = zv
 		rx, err := eval.Term(inst.invertX, witness)
-		if err != nil || !eval.Equal(rx, eval.Int(xv)) {
+		if err != nil || !rx.Equal(eval.IntVal(rat.Int(xv))) {
 			return false
 		}
 		ry, err := eval.Term(inst.invertY, witness)
-		if err != nil || !eval.Equal(ry, eval.Int(yv)) {
+		if err != nil || !ry.Equal(eval.IntVal(rat.Int(yv))) {
 			return false
 		}
 		return true
@@ -116,18 +117,18 @@ func TestQuickSynthesizedStringInversion(t *testing.T) {
 		y := tb.Var("y", ast.SortString)
 		z := tb.Var("z", ast.SortString)
 		inst, _ := fn.Make(tb, rng, x, y, z)
-		witness := eval.Model{"x": eval.StrV(xv), "y": eval.StrV(yv)}
+		witness := eval.Model{"x": eval.StrVal(xv), "y": eval.StrVal(yv)}
 		zv, err := eval.Term(inst.apply, witness)
 		if err != nil {
 			return false
 		}
 		witness["z"] = zv
 		rx, err := eval.Term(inst.invertX, witness)
-		if err != nil || !eval.Equal(rx, eval.StrV(xv)) {
+		if err != nil || !rx.Equal(eval.StrVal(xv)) {
 			return false
 		}
 		ry, err := eval.Term(inst.invertY, witness)
-		if err != nil || !eval.Equal(ry, eval.StrV(yv)) {
+		if err != nil || !ry.Equal(eval.StrVal(yv)) {
 			return false
 		}
 		return true

@@ -36,8 +36,8 @@ var compiledSeeds = []string{
 // FuzzCompiledMatchesTerm checks the compiled evaluator against the
 // reference interpreter. For every assert and every subterm, under the
 // same three model salts as FuzzEvalTotal (well-formed, unbound,
-// wrong-sort), Compile(t).Eval on the unboxed frame must return a value
-// equal to eval.Term's on the boxed model, or an error with the same
+// wrong-sort), Compile(t).Eval on the frame must return a value equal
+// to eval.Term's on the model, or an error with the same
 // sentinel cause and Path; Bool must agree with eval.Bool likewise. The
 // compiled fast path itself must never answer where Term fails or
 // differ where it answers, and on a well-formed model of a
@@ -76,18 +76,18 @@ func checkCompiled(t *testing.T, s ast.Term, m eval.Model, wellFormed bool) {
 	for j, v := range vars {
 		slots[j] = len(vars) - 1 - j
 		if val, ok := m[v.Name]; ok {
-			frame[slots[j]] = eval.Unbox(val)
+			frame[slots[j]] = val
 		}
 	}
 	p := eval.Compile(s)
 	want, wantErr := eval.Term(s, m)
 	got, gotErr := p.Eval(frame, slots)
-	sameOutcome(t, ast.Print(s), got.Box(), gotErr, want, wantErr)
+	sameOutcome(t, ast.Print(s), got, gotErr, want, wantErr)
 
 	fast, ok := p.Fast(frame, slots)
 	switch {
-	case ok && (wantErr != nil || !eval.Equal(fast.Box(), want)):
-		t.Fatalf("%s: fast path answered %v, Term %v (%v)", ast.Print(s), fast.Box(), want, wantErr)
+	case ok && (wantErr != nil || !fast.Equal(want)):
+		t.Fatalf("%s: fast path answered %v, Term %v (%v)", ast.Print(s), fast, want, wantErr)
 	case !ok && wantErr == nil && wellFormed && !ast.HasQuantifier(s):
 		t.Fatalf("%s: fast path gave up where Term answers %v", ast.Print(s), want)
 	}
@@ -95,13 +95,13 @@ func checkCompiled(t *testing.T, s ast.Term, m eval.Model, wellFormed bool) {
 	if s.Sort() == ast.SortBool {
 		wantB, wantErr := eval.Bool(s, m)
 		gotB, gotErr := p.Bool(frame, slots)
-		sameOutcome(t, ast.Print(s), eval.BoolV(gotB), gotErr, eval.BoolV(wantB), wantErr)
+		sameOutcome(t, ast.Print(s), eval.BoolVal(gotB), gotErr, eval.BoolVal(wantB), wantErr)
 	}
 }
 
 // sameOutcome fails unless got and want are equal values, or errors
 // with the same sentinel cause and Path.
-func sameOutcome(t *testing.T, what string, got eval.Value, gotErr error, want eval.Value, wantErr error) {
+func sameOutcome(t *testing.T, what string, got eval.Val, gotErr error, want eval.Val, wantErr error) {
 	t.Helper()
 	if wantErr != nil {
 		var we, ge *eval.Error
@@ -110,7 +110,7 @@ func sameOutcome(t *testing.T, what string, got eval.Value, gotErr error, want e
 		}
 		return
 	}
-	if gotErr != nil || got == nil || !eval.Equal(got, want) {
+	if gotErr != nil || got.Sort() == ast.SortInvalid || !got.Equal(want) {
 		t.Fatalf("%s: compiled %v (%v), Term %v", what, got, gotErr, want)
 	}
 }

@@ -72,35 +72,13 @@ func at(err error, i int) error {
 	return &cp
 }
 
-// Argument accessors: each checks the already-evaluated argument value
-// of an application and reports a structured sort mismatch pointing at
-// that argument. They are the only way applyOp and its helpers read
-// argument values, so no evaluation path type-asserts unchecked.
-
-func argBool(n *ast.App, args []Value, i int) (bool, error) {
-	if b, ok := args[i].(BoolV); ok {
-		return bool(b), nil
+// want checks that the already-evaluated argument i of n has sort s,
+// and otherwise reports a structured sort mismatch pointing at that
+// argument. The interpreter checks every argument it reads through it,
+// so no evaluation path reads a payload of the wrong sort.
+func want(n *ast.App, args []Val, i int, s ast.Sort) error {
+	if args[i].sort == s {
+		return nil
 	}
-	return false, at(newErr(ErrSortMismatch, n.Args[i], "%v argument %d has sort %v, want Bool", n.Op, i, args[i].Sort()), i)
-}
-
-func argInt(n *ast.App, args []Value, i int) (IntV, error) {
-	if v, ok := args[i].(IntV); ok {
-		return v, nil
-	}
-	return IntV{}, at(newErr(ErrSortMismatch, n.Args[i], "%v argument %d has sort %v, want Int", n.Op, i, args[i].Sort()), i)
-}
-
-func argReal(n *ast.App, args []Value, i int) (RealV, error) {
-	if v, ok := args[i].(RealV); ok {
-		return v, nil
-	}
-	return RealV{}, at(newErr(ErrSortMismatch, n.Args[i], "%v argument %d has sort %v, want Real", n.Op, i, args[i].Sort()), i)
-}
-
-func argStr(n *ast.App, args []Value, i int) (string, error) {
-	if v, ok := args[i].(StrV); ok {
-		return string(v), nil
-	}
-	return "", at(newErr(ErrSortMismatch, n.Args[i], "%v argument %d has sort %v, want String", n.Op, i, args[i].Sort()), i)
+	return at(newErr(ErrSortMismatch, n.Args[i], "%v argument %d has sort %v, want %v", n.Op, i, args[i].sort, s), i)
 }

@@ -19,7 +19,7 @@ func TestStructuredErrors(t *testing.T) {
 	s := tb.Var("s", ast.SortString)
 	r := tb.Var("r", ast.SortReal)
 	okModel := Model{
-		"x": Int(1), "b": BoolV(true), "s": StrV("ab"), "r": Real(1, 2),
+		"x": intV(1), "b": BoolVal(true), "s": StrVal("ab"), "r": realV(1, 2),
 	}
 	boolAsInt := tb.UncheckedApp(ast.OpAdd, ast.SortInt, b, x) // (+ b x) forged
 
@@ -31,7 +31,7 @@ func TestStructuredErrors(t *testing.T) {
 		path     string
 	}{
 		{"unbound variable", tb.Gt(x, tb.Int(0)), Model{}, ErrUnbound, "arg[0]"},
-		{"model sort mismatch", x, Model{"x": BoolV(true)}, ErrSortMismatch, ""},
+		{"model sort mismatch", x, Model{"x": BoolVal(true)}, ErrSortMismatch, ""},
 		{"quantifier", tb.MustQuant(true, []ast.SortedVar{{Name: "q", Sort: ast.SortInt}}, ast.Bool(true)), okModel, ErrQuantifier, ""},
 		{"bool wanted by Not", tb.UncheckedApp(ast.OpNot, ast.SortBool, x), okModel, ErrSortMismatch, "arg[0]"},
 		{"bool wanted by Xor", tb.UncheckedApp(ast.OpXor, ast.SortBool, b, x), okModel, ErrSortMismatch, "arg[1]"},

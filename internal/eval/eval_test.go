@@ -2,15 +2,18 @@ package eval
 
 import (
 	"errors"
-	"math/big"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
+func intV(n int64) Val     { return IntVal(rat.Int(n)) }
+func realV(n, d int64) Val { return RealVal(rat.New(n, d)) }
+
 // evalStr parses src as a term over decls and evaluates it under m.
-func evalStr(t *testing.T, src string, decls map[string]ast.Sort, m Model) Value {
+func evalStr(t *testing.T, src string, decls map[string]ast.Sort, m Model) Val {
 	t.Helper()
 	term, err := smtlib.ParseTerm(tb, src, decls)
 	if err != nil {
@@ -26,7 +29,7 @@ func evalStr(t *testing.T, src string, decls map[string]ast.Sort, m Model) Value
 func wantBool(t *testing.T, src string, decls map[string]ast.Sort, m Model, want bool) {
 	t.Helper()
 	v := evalStr(t, src, decls, m)
-	if b, ok := v.(BoolV); !ok || bool(b) != want {
+	if !v.Equal(BoolVal(want)) {
 		t.Errorf("eval(%q) = %v, want %v", src, v, want)
 	}
 }
@@ -34,7 +37,7 @@ func wantBool(t *testing.T, src string, decls map[string]ast.Sort, m Model, want
 func wantInt(t *testing.T, src string, decls map[string]ast.Sort, m Model, want int64) {
 	t.Helper()
 	v := evalStr(t, src, decls, m)
-	if iv, ok := v.(IntV); !ok || iv.V.Cmp(big.NewInt(want)) != 0 {
+	if !v.Equal(intV(want)) {
 		t.Errorf("eval(%q) = %v, want %d", src, v, want)
 	}
 }
@@ -42,7 +45,7 @@ func wantInt(t *testing.T, src string, decls map[string]ast.Sort, m Model, want 
 func wantStr(t *testing.T, src string, decls map[string]ast.Sort, m Model, want string) {
 	t.Helper()
 	v := evalStr(t, src, decls, m)
-	if sv, ok := v.(StrV); !ok || string(sv) != want {
+	if !v.Equal(StrVal(want)) {
 		t.Errorf("eval(%q) = %v, want %q", src, v, want)
 	}
 }
@@ -96,14 +99,13 @@ func TestEuclideanDivMod(t *testing.T) {
 		{-6, 3, -2, 0},
 	}
 	for _, c := range cases {
-		q := euclideanDiv(big.NewInt(c.m), big.NewInt(c.n))
-		r := euclideanMod(big.NewInt(c.m), big.NewInt(c.n))
-		if q.Int64() != c.q || r.Int64() != c.r {
+		q := intDiv(rat.Int(c.m), rat.Int(c.n))
+		r := intMod(rat.Int(c.m), rat.Int(c.n))
+		if q != rat.Int(c.q) || r != rat.Int(c.r) {
 			t.Errorf("div/mod(%d,%d) = %v,%v want %d,%d", c.m, c.n, q, r, c.q, c.r)
 		}
 		// Defining identity: m = n*q + r, 0 <= r < |n|.
-		check := c.n*q.Int64() + r.Int64()
-		if check != c.m {
+		if rat.Int(c.n).Mul(q).Add(r) != rat.Int(c.m) {
 			t.Errorf("identity broken for (%d,%d)", c.m, c.n)
 		}
 	}
@@ -113,19 +115,19 @@ func TestDivisionByZeroInterpretation(t *testing.T) {
 	wantInt(t, "(div 5 0)", noDecls, nil, 0)
 	wantInt(t, "(mod 5 0)", noDecls, nil, 5)
 	v := evalStr(t, "(/ 5.0 0.0)", noDecls, nil)
-	if rv := v.(RealV); rv.V.Sign() != 0 {
-		t.Errorf("(/ 5.0 0.0) = %v want 0", rv)
+	if !v.Equal(realV(0, 1)) {
+		t.Errorf("(/ 5.0 0.0) = %v want 0", v)
 	}
 }
 
 func TestRealArith(t *testing.T) {
 	v := evalStr(t, "(+ 0.5 0.25)", noDecls, nil)
-	if rv := v.(RealV); rv.V.Cmp(big.NewRat(3, 4)) != 0 {
-		t.Errorf("got %v", rv)
+	if !v.Equal(realV(3, 4)) {
+		t.Errorf("got %v", v)
 	}
 	v = evalStr(t, "(/ 1.0 3.0)", noDecls, nil)
-	if rv := v.(RealV); rv.V.Cmp(big.NewRat(1, 3)) != 0 {
-		t.Errorf("got %v", rv)
+	if !v.Equal(realV(1, 3)) {
+		t.Errorf("got %v", v)
 	}
 	wantBool(t, "(< 0.333 (/ 1.0 3.0) 0.334)", noDecls, nil, true)
 	wantInt(t, "(to_int 2.7)", noDecls, nil, 2)
@@ -133,8 +135,8 @@ func TestRealArith(t *testing.T) {
 	wantBool(t, "(is_int 2.0)", noDecls, nil, true)
 	wantBool(t, "(is_int 2.5)", noDecls, nil, false)
 	v = evalStr(t, "(to_real 3)", noDecls, nil)
-	if rv := v.(RealV); rv.V.Cmp(big.NewRat(3, 1)) != 0 {
-		t.Errorf("to_real: %v", rv)
+	if !v.Equal(realV(3, 1)) {
+		t.Errorf("to_real: %v", v)
 	}
 }
 
@@ -181,12 +183,12 @@ func TestStrIntConversions(t *testing.T) {
 
 func TestRegexMembership(t *testing.T) {
 	decls := map[string]ast.Sort{"c": ast.SortString}
-	m := Model{"c": StrV("aaaa")}
+	m := Model{"c": StrVal("aaaa")}
 	wantBool(t, `(str.in_re c (re.* (str.to_re "aa")))`, decls, m, true)
-	m["c"] = StrV("aaa")
+	m["c"] = StrVal("aaa")
 	wantBool(t, `(str.in_re c (re.* (str.to_re "aa")))`, decls, m, false)
 	// Regex with a variable inside str.to_re.
-	m2 := Model{"c": StrV("xyxy")}
+	m2 := Model{"c": StrVal("xyxy")}
 	wantBool(t, `(str.in_re (str.++ c "!") (re.++ (re.* (str.to_re c)) (str.to_re "!")))`, decls, m2, true)
 	wantBool(t, `(str.in_re "q" re.allchar)`, noDecls, nil, true)
 	wantBool(t, `(str.in_re "qq" re.allchar)`, noDecls, nil, false)
@@ -197,54 +199,40 @@ func TestRegexMembership(t *testing.T) {
 
 func TestVariablesAndErrors(t *testing.T) {
 	decls := map[string]ast.Sort{"x": ast.SortInt}
-	wantInt(t, "(+ x 1)", decls, Model{"x": Int(41)}, 42)
+	wantInt(t, "(+ x 1)", decls, Model{"x": intV(41)}, 42)
 
 	term, _ := smtlib.ParseTerm(tb, "(+ x 1)", decls)
 	if _, err := Term(term, Model{}); !errors.Is(err, ErrUnbound) {
 		t.Errorf("unbound variable error missing, got %v", err)
 	}
-	if _, err := Term(term, Model{"x": StrV("no")}); err == nil {
+	if _, err := Term(term, Model{"x": StrVal("no")}); err == nil {
 		t.Error("sort-mismatched model value should error")
 	}
 
 	q, _ := smtlib.ParseTerm(tb, "(exists ((h Int)) (> h x))", decls)
-	if _, err := Term(q, Model{"x": Int(0)}); !errors.Is(err, ErrQuantifier) {
+	if _, err := Term(q, Model{"x": intV(0)}); !errors.Is(err, ErrQuantifier) {
 		t.Errorf("quantifier error missing, got %v", err)
 	}
 }
 
 func TestModelHelpers(t *testing.T) {
-	m1 := Model{"x": Int(1)}
-	m2 := Model{"y": StrV("s")}
-	u, err := m1.Union(m2)
-	if err != nil || len(u) != 2 {
-		t.Fatalf("union: %v %v", u, err)
-	}
-	m3 := Model{"x": Int(2)}
-	if _, err := m1.Union(m3); err == nil {
-		t.Error("conflicting union should fail")
-	}
-	m4 := Model{"x": Int(1)}
-	if _, err := m1.Union(m4); err != nil {
-		t.Errorf("agreeing union should succeed: %v", err)
-	}
-	if !Equal(DefaultValue(ast.SortInt), Int(0)) {
+	if !DefaultValue(ast.SortInt).Equal(intV(0)) {
 		t.Error("default Int should be 0")
 	}
-	if !Equal(DefaultValue(ast.SortString), StrV("")) {
+	if !DefaultValue(ast.SortString).Equal(StrVal("")) {
 		t.Error("default String should be empty")
 	}
 }
 
 func TestValueToTermRoundTrip(t *testing.T) {
-	vals := []Value{BoolV(true), Int(-7), Real(3, 4), StrV(`a"b`)}
+	vals := []Val{BoolVal(true), intV(-7), realV(3, 4), StrVal(`a"b`)}
 	for _, v := range vals {
 		term := ToTerm(tb, v)
 		back, err := Term(term, nil)
 		if err != nil {
 			t.Fatalf("eval(ToTerm(tb, %v)): %v", v, err)
 		}
-		if !Equal(v, back) {
+		if !v.Equal(back) {
 			t.Errorf("round trip: %v != %v", v, back)
 		}
 	}
@@ -257,8 +245,8 @@ func TestPaperFigure13cDivisionSemantics(t *testing.T) {
 	decls := map[string]ast.Sort{
 		"a": ast.SortReal, "c": ast.SortReal, "f": ast.SortReal,
 	}
-	m := Model{"a": Real(1, 1), "c": Real(0, 1), "f": Real(2, 1)}
+	m := Model{"a": realV(1, 1), "c": realV(0, 1), "f": realV(2, 1)}
 	wantBool(t, "(>= (/ a c) f)", decls, m, false)
-	m["f"] = Real(-1, 1)
+	m["f"] = realV(-1, 1)
 	wantBool(t, "(>= (/ a c) f)", decls, m, true)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/smtlib"
 )
@@ -34,7 +35,7 @@ func FuzzEvalTotal(f *testing.F) {
 				}
 				continue
 			}
-			if v == nil {
+			if v.Sort() == ast.SortInvalid {
 				t.Fatal("evaluation returned neither value nor error")
 			}
 		}
@@ -66,9 +67,9 @@ func saltedModel(sc *smtlib.Script, salt byte) eval.Model {
 			// ErrSortMismatch path (Bool is wrong for every
 			// non-Bool variable, String for every Bool one).
 			if d.Sort.String() == "Bool" {
-				m[d.Name] = eval.StrV("oops")
+				m[d.Name] = eval.StrVal("oops")
 			} else {
-				m[d.Name] = eval.BoolV(true)
+				m[d.Name] = eval.BoolVal(true)
 			}
 		default:
 			m[d.Name] = eval.DefaultValue(d.Sort)

@@ -67,11 +67,10 @@ func leafString(app *ast.App, i int, m Model) (string, error) {
 	if err != nil {
 		return "", at(err, i)
 	}
-	sv, ok := v.(StrV)
-	if !ok {
-		return "", at(newErr(ErrSortMismatch, app.Args[i], "%v argument %d has sort %v, want String", app.Op, i, v.Sort()), i)
+	if v.sort != ast.SortString {
+		return "", at(newErr(ErrSortMismatch, app.Args[i], "%v argument %d has sort %v, want String", app.Op, i, v.sort), i)
 	}
-	return string(sv), nil
+	return v.s, nil
 }
 
 // reOf is the meaning of one RegLan operator: str.to_re and re.range

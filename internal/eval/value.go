@@ -1,10 +1,12 @@
-// Package eval evaluates terms under models with exact big-number
+// Package eval evaluates terms under models with exact rational
 // arithmetic and full SMT-LIB string/regex semantics. It is the
 // semantic ground truth of the system: the reference solver certifies
 // every sat answer against it, generators self-check their witness
 // models with it, and property tests use it to validate the fusion
-// propositions. Compile gives hot loops a compiled path over unboxed
-// values with the same results; Term is its reference.
+// propositions. Every value is a Val, and every operator is computed
+// by one set of helpers: Term, the tree-walking interpreter, is the
+// reference, and Compile gives hot loops a compiled path over frames
+// of Vals with the same results.
 //
 // SMT-LIB leaves division by zero underspecified (any fixed
 // interpretation is conforming). This package — and the reference
@@ -20,90 +22,100 @@ package eval
 
 import (
 	"fmt"
-	"math/big"
+	"strconv"
 
 	"repro/internal/ast"
+	"repro/internal/solver/rat"
 )
 
-// Value is an evaluated SMT value.
-type Value interface {
-	Sort() ast.Sort
-	// String renders the value in SMT-LIB syntax.
-	String() string
+// Val is an evaluated SMT value: a sort tag and the payload of that
+// sort. Int and Real payloads are rat.Rats, inline for anything that
+// fits two int64 words, so a Val needs no allocation unless a number
+// overflows. The zero Val has sort ast.SortInvalid and stands for "no
+// value".
+type Val struct {
+	sort ast.Sort
+	b    bool
+	r    rat.Rat
+	s    string
 }
 
-// BoolV is a boolean value.
-type BoolV bool
+// BoolVal returns the Bool value b.
+func BoolVal(b bool) Val { return Val{sort: ast.SortBool, b: b} }
 
-// IntV is an integer value.
-type IntV struct{ V *big.Int }
+// StrVal returns the String value s.
+func StrVal(s string) Val { return Val{sort: ast.SortString, s: s} }
 
-// RealV is a rational value.
-type RealV struct{ V *big.Rat }
+// IntVal returns the Int value r, which must be an integer.
+func IntVal(r rat.Rat) Val { return Val{sort: ast.SortInt, r: r} }
 
-// StrV is a string value.
-type StrV string
+// RealVal returns the Real value r.
+func RealVal(r rat.Rat) Val { return Val{sort: ast.SortReal, r: r} }
 
-func (BoolV) Sort() ast.Sort { return ast.SortBool }
-func (IntV) Sort() ast.Sort  { return ast.SortInt }
-func (RealV) Sort() ast.Sort { return ast.SortReal }
-func (StrV) Sort() ast.Sort  { return ast.SortString }
+// Sort returns the value's sort, ast.SortInvalid for the zero Val.
+func (v Val) Sort() ast.Sort { return v.sort }
 
-func (v BoolV) String() string {
-	if v {
-		return "true"
-	}
-	return "false"
-}
+// Bool returns the payload of a Bool value.
+func (v Val) Bool() bool { return v.b }
 
-func (v IntV) String() string  { return ast.Print(&ast.IntLit{V: v.V}) }
-func (v RealV) String() string { return ast.Print(&ast.RealLit{V: v.V}) }
-func (v StrV) String() string  { return ast.Print(&ast.StrLit{V: string(v)}) }
+// Rat returns the payload of an Int or Real value.
+func (v Val) Rat() rat.Rat { return v.r }
 
-// Int returns an integer value.
-func Int(v int64) IntV { return IntV{V: big.NewInt(v)} }
+// Str returns the payload of a String value.
+func (v Val) Str() string { return v.s }
 
-// Real returns a rational value.
-func Real(num, den int64) RealV { return RealV{V: big.NewRat(num, den)} }
-
-// Equal reports value equality (same sort and same value).
-func Equal(a, b Value) bool {
-	if a.Sort() != b.Sort() {
+// Equal reports whether v and w have the same sort and value.
+func (v Val) Equal(w Val) bool {
+	if v.sort != w.sort {
 		return false
 	}
-	switch x := a.(type) {
-	case BoolV:
-		return x == b.(BoolV)
-	case IntV:
-		return x.V.Cmp(b.(IntV).V) == 0
-	case RealV:
-		return x.V.Cmp(b.(RealV).V) == 0
-	case StrV:
-		return x == b.(StrV)
+	switch v.sort {
+	case ast.SortBool:
+		return v.b == w.b
+	case ast.SortInt, ast.SortReal:
+		return v.r.Cmp(w.r) == 0
 	}
-	return false
+	return v.s == w.s
+}
+
+// String renders the value in SMT-LIB syntax, as ast.Print renders its
+// literal; the zero Val renders as "".
+func (v Val) String() string {
+	switch v.sort {
+	case ast.SortBool:
+		return strconv.FormatBool(v.b)
+	case ast.SortInt:
+		return ast.Print(&ast.IntLit{V: v.r.Big().Num()})
+	case ast.SortReal:
+		return ast.Print(&ast.RealLit{V: v.r.Big()})
+	case ast.SortString:
+		return ast.Print(&ast.StrLit{V: v.s})
+	}
+	return ""
 }
 
 // ToTerm converts a value back into a literal term built in tb.
-func ToTerm(tb *ast.Table, v Value) ast.Term {
-	switch x := v.(type) {
-	case BoolV:
-		return ast.Bool(bool(x))
-	case IntV:
-		return tb.IntBig(x.V)
-	case RealV:
-		return tb.RealBig(x.V)
-	case StrV:
-		return tb.Str(string(x))
-	default:
-		panic(fmt.Sprintf("eval: unknown value %T", v))
+func ToTerm(tb *ast.Table, v Val) ast.Term {
+	switch v.sort {
+	case ast.SortBool:
+		return ast.Bool(v.b)
+	case ast.SortInt:
+		if n, _, ok := v.r.Inline(); ok {
+			return tb.Int(n)
+		}
+		return tb.IntBig(v.r.Big().Num())
+	case ast.SortReal:
+		return tb.RealBig(v.r.Big())
+	case ast.SortString:
+		return tb.Str(v.s)
 	}
+	panic(fmt.Sprintf("eval: no literal for a value of sort %v", v.sort))
 }
 
 // Model maps free-variable names to values.
-type Model map[string]Value
+type Model map[string]Val
 
-// Clone returns a copy of the model (values are immutable and shared).
+// Clone returns a copy of the model.
 func (m Model) Clone() Model {
 	out := make(Model, len(m))
 	for k, v := range m {
@@ -112,31 +124,18 @@ func (m Model) Clone() Model {
 	return out
 }
 
-// Union returns the union of two models; overlapping names must agree.
-func (m Model) Union(other Model) (Model, error) {
-	out := m.Clone()
-	for k, v := range other {
-		if prev, ok := out[k]; ok && !Equal(prev, v) {
-			return nil, fmt.Errorf("eval: models disagree on %s (%s vs %s)", k, prev, v)
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-
 // DefaultValue returns the sort's designated default (0, 0.0, "", false)
 // used to complete partial models.
-func DefaultValue(s ast.Sort) Value {
+func DefaultValue(s ast.Sort) Val {
 	switch s {
 	case ast.SortBool:
-		return BoolV(false)
+		return BoolVal(false)
 	case ast.SortInt:
-		return Int(0)
+		return IntVal(rat.Rat{})
 	case ast.SortReal:
-		return Real(0, 1)
+		return RealVal(rat.Rat{})
 	case ast.SortString:
-		return StrV("")
-	default:
-		panic(fmt.Sprintf("eval: no default value for sort %v", s))
+		return StrVal("")
 	}
+	panic(fmt.Sprintf("eval: no default value for sort %v", s))
 }

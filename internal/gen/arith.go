@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
 // satArith builds a satisfiable arithmetic seed model-first.
@@ -21,9 +22,9 @@ func (g *Generator) satArith() *core.Seed {
 		v := g.tb.Var(name, g.tr.sort)
 		vars = append(vars, v)
 		if g.tr.sort == ast.SortInt {
-			witness[name] = eval.IntV{V: g.randInt()}
+			witness[name] = eval.IntVal(g.randInt())
 		} else {
-			witness[name] = eval.RealV{V: g.randRat()}
+			witness[name] = eval.RealVal(rat.FromBig(g.randRat()))
 		}
 	}
 
@@ -40,7 +41,7 @@ func (g *Generator) satArith() *core.Seed {
 		w := g.tb.Var(wName, ast.SortBool)
 		atom := g.trueArithAtom(vars, witness)
 		truth, polarity := g.orientBool(atom, witness)
-		witness[wName] = eval.BoolV(truth)
+		witness[wName] = eval.BoolVal(truth)
 		asserts = append(asserts, g.tb.Eq(w, polarity))
 		if truth {
 			asserts = append(asserts, ast.Term(w))
@@ -88,7 +89,7 @@ func (g *Generator) trueArithAtom(vars []*ast.Var, witness eval.Model) ast.Term 
 	if err != nil {
 		return ast.True
 	}
-	val := ratOf(v)
+	val := v.Rat().Big()
 	offset := big.NewRat(int64(g.rng.Intn(5)), 1)
 	switch g.rng.Intn(6) {
 	case 0: // t = val
@@ -226,9 +227,9 @@ func (g *Generator) unsatArith() *core.Seed {
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: g.tr.sort})
 		vars = append(vars, g.tb.Var(name, g.tr.sort))
 		if g.tr.sort == ast.SortInt {
-			noiseWitness[name] = eval.IntV{V: g.randInt()}
+			noiseWitness[name] = eval.IntVal(g.randInt())
 		} else {
-			noiseWitness[name] = eval.RealV{V: g.randRat()}
+			noiseWitness[name] = eval.RealVal(rat.FromBig(g.randRat()))
 		}
 	}
 
@@ -304,15 +305,4 @@ func (g *Generator) arithContradiction(vars []*ast.Var) []ast.Term {
 		})
 	}
 	return cores[g.rng.Intn(len(cores))]()
-}
-
-func ratOf(v eval.Value) *big.Rat {
-	switch n := v.(type) {
-	case eval.IntV:
-		return new(big.Rat).SetInt(n.V)
-	case eval.RealV:
-		return n.V
-	default:
-		return new(big.Rat)
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
 // Logic identifies a seed family.
@@ -173,8 +174,8 @@ func (g *Generator) script(decls []*smtlib.DeclareFun, asserts []ast.Term) *smtl
 }
 
 // randInt samples a small integer value.
-func (g *Generator) randInt() *big.Int {
-	return big.NewInt(int64(g.rng.Intn(41) - 20))
+func (g *Generator) randInt() rat.Rat {
+	return rat.Int(int64(g.rng.Intn(41) - 20))
 }
 
 // randRat samples a small rational value.

@@ -1,13 +1,12 @@
 package gen
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/regex"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
 // satStrings builds a satisfiable string-logic seed model-first.
@@ -20,7 +19,7 @@ func (g *Generator) satStrings() *core.Seed {
 		name := g.fresh("s")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortString})
 		vars = append(vars, g.tb.Var(name, ast.SortString))
-		witness[name] = eval.StrV(g.randStr(4))
+		witness[name] = eval.StrVal(g.randStr(4))
 	}
 	var intVars []*ast.Var
 	if g.tr.ints {
@@ -29,7 +28,7 @@ func (g *Generator) satStrings() *core.Seed {
 			decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortInt})
 			iv := g.tb.Var(name, ast.SortInt)
 			intVars = append(intVars, iv)
-			witness[name] = eval.IntV{V: g.randInt()}
+			witness[name] = eval.IntVal(g.randInt())
 		}
 	}
 
@@ -48,7 +47,7 @@ func (g *Generator) satStrings() *core.Seed {
 		// and (ite v false atom) evaluates to atom = true — exactly the
 		// paper's φ2 pattern.
 		atom := g.trueStringAtom(vars, intVars, witness)
-		witness[vName] = eval.BoolV(false)
+		witness[vName] = eval.BoolVal(false)
 		asserts = append(asserts, g.tb.Eq(bv, g.tb.Not(atom)))
 		asserts = append(asserts, g.tb.Ite(bv, ast.False, atom))
 	}
@@ -64,7 +63,7 @@ func (g *Generator) trueStringAtom(vars, intVars []*ast.Var, witness eval.Model)
 	if err != nil {
 		return ast.True
 	}
-	s := string(v.(eval.StrV))
+	s := v.Str()
 	kinds := 7
 	if g.logic == StringFuzz {
 		kinds = 9 // bias toward regex-heavy shapes
@@ -97,8 +96,7 @@ func (g *Generator) trueStringAtom(vars, intVars []*ast.Var, witness eval.Model)
 			// Tie an integer variable to the length: n ≤ len(t) oriented
 			// by the witness.
 			iv := intVars[g.rng.Intn(len(intVars))]
-			nv := witness[iv.Name].(eval.IntV).V
-			if nv.Cmp(big.NewInt(int64(len(s)))) <= 0 {
+			if witness[iv.Name].Rat().Cmp(rat.Int(int64(len(s)))) <= 0 {
 				return g.tb.Le(iv, ln)
 			}
 			return g.tb.Gt(iv, ln)
@@ -109,8 +107,9 @@ func (g *Generator) trueStringAtom(vars, intVars []*ast.Var, witness eval.Model)
 		}
 		return g.tb.Ge(ln, g.tb.Int(int64(len(s))-off))
 	case 5: // str.to_int / indexof facts
-		val := eval.StrToInt(s)
-		return g.tb.Eq(g.tb.MustApp(ast.OpStrToInt, t), g.tb.IntBig(val))
+		toInt := g.tb.MustApp(ast.OpStrToInt, t)
+		val, _ := eval.Term(toInt, witness)
+		return g.tb.Eq(toInt, eval.ToTerm(g.tb, val))
 	case 6: // equality chain with concat of a split
 		if len(s) == 0 {
 			return g.tb.Eq(t, g.tb.Str(""))
@@ -201,12 +200,12 @@ func (g *Generator) unsatStrings() *core.Seed {
 		name := g.fresh("t")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortString})
 		vars = append(vars, g.tb.Var(name, ast.SortString))
-		noiseWitness[name] = eval.StrV(g.randStr(4))
+		noiseWitness[name] = eval.StrVal(g.randStr(4))
 	}
 	if g.tr.ints {
 		name := g.fresh("m")
 		decls = append(decls, &smtlib.DeclareFun{Name: name, Sort: ast.SortInt})
-		noiseWitness[name] = eval.IntV{V: g.randInt()}
+		noiseWitness[name] = eval.IntVal(g.randInt())
 	}
 
 	asserts := g.stringContradiction(vars)

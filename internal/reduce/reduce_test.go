@@ -8,6 +8,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
+	"repro/internal/solver/rat"
 )
 
 func parse(t *testing.T, src string) *smtlib.Script {
@@ -165,7 +166,7 @@ func TestPrettifyPreservesSemantics(t *testing.T) {
 	}
 }
 
-func evalModel(v int64) eval.Model { return eval.Model{"x": eval.Int(v)} }
+func evalModel(v int64) eval.Model { return eval.Model{"x": eval.IntVal(rat.Int(v))} }
 
 func evalAll(t *testing.T, s *smtlib.Script, model eval.Model) bool {
 	t.Helper()

@@ -48,7 +48,7 @@ func (ab *abstraction) boolModel() eval.Model {
 	m := eval.Model{}
 	for v, atom := range ab.atomTerm {
 		if bv, ok := atom.(*ast.Var); ok {
-			m[bv.Name] = eval.BoolV(ab.sat.Value(v))
+			m[bv.Name] = eval.BoolVal(ab.sat.Value(v))
 		}
 	}
 	return m

@@ -2,8 +2,6 @@ package solver
 
 import (
 	"testing"
-
-	"repro/internal/eval"
 )
 
 // Tests for cross-theory behaviour: QF_SLIA formulas mixing string and
@@ -21,8 +19,8 @@ func TestCombinedStringIntSat(t *testing.T) {
 (assert (= (str.len a) 4))
 (assert (> n 2))
 `, ResSat)
-	n := out.Model["n"].(eval.IntV)
-	if n.V.Int64() != 3 {
+	n := out.Model["n"]
+	if n.String() != "3" {
 		t.Errorf("n = %v want 3 (len b = 2)", n)
 	}
 }
@@ -63,8 +61,8 @@ func TestCombinedToIntArithmetic(t *testing.T) {
 (assert (= a "17"))
 (assert (= n (+ (str.to_int a) 5)))
 `, ResSat)
-	n := out.Model["n"].(eval.IntV)
-	if n.V.Int64() != 22 {
+	n := out.Model["n"]
+	if n.String() != "22" {
 		t.Errorf("n = %v want 22", n)
 	}
 }
@@ -97,8 +95,8 @@ func TestDivZeroAcrossTheories(t *testing.T) {
 (declare-fun n () Int)
 (assert (= n (div 7 (str.to_int ""))))
 `, ResSat)
-	n := out.Model["n"].(eval.IntV)
-	if n.V.Int64() != -7 {
+	n := out.Model["n"]
+	if n.String() != "(- 7)" {
 		t.Errorf("n = %v want -7", n)
 	}
 }
@@ -140,7 +138,7 @@ func TestLargeConjunctionStaysDecided(t *testing.T) {
 (check-sat)
 `
 	out := wantResult(t, src, ResSat)
-	if string(out.Model["b"].(eval.StrV)) != "ell" {
+	if out.Model["b"].Str() != "ell" {
 		t.Errorf("b = %v", out.Model["b"])
 	}
 }

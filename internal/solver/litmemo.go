@@ -171,7 +171,7 @@ func (m *litMemo) load(model arith.Model) {
 		val, ok := model.Value(v.Name)
 		switch {
 		case !ok:
-			m.frame[sl] = defaultVal(v.VSort)
+			m.frame[sl] = eval.DefaultValue(v.VSort)
 		case v.VSort == ast.SortInt:
 			m.frame[sl] = eval.IntVal(truncate(val))
 		default:
@@ -189,19 +189,6 @@ func truncate(x rat.Rat) rat.Rat {
 	return fl
 }
 
-// defaultVal is the unboxed eval.DefaultValue.
-func defaultVal(s ast.Sort) eval.Val {
-	switch s {
-	case ast.SortBool:
-		return eval.BoolVal(false)
-	case ast.SortInt:
-		return eval.IntVal(rat.Rat{})
-	case ast.SortReal:
-		return eval.RealVal(rat.Rat{})
-	}
-	return eval.Unbox(eval.DefaultValue(s))
-}
-
 // holds reports whether every literal of the round is true under the
 // frame; an evaluation error counts as false.
 func (m *litMemo) holds() bool {
@@ -217,11 +204,11 @@ func (m *litMemo) holds() bool {
 	return true
 }
 
-// model boxes the frame's values of the round's variables.
+// model returns the frame's values of the round's variables.
 func (m *litMemo) model() eval.Model {
 	out := make(eval.Model, len(m.roundVars))
 	for _, sl := range m.roundVars {
-		out[m.vars[sl].Name] = m.frame[sl].Box()
+		out[m.vars[sl].Name] = m.frame[sl]
 	}
 	return out
 }

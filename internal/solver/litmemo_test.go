@@ -34,12 +34,12 @@ func naiveGrid(lits []ast.Term, base eval.Model) (eval.Model, int) {
 		old := m[name]
 		if old.Sort() == ast.SortInt {
 			if v.IsInt() {
-				m[name] = eval.IntV{V: new(big.Int).Set(v.Num())}
+				m[name] = eval.IntVal(rat.FromBig(v))
 			}
 		} else {
-			m[name] = eval.RealV{V: v}
+			m[name] = eval.RealVal(rat.FromBig(v))
 		}
-		if eval.Equal(m[name], old) {
+		if m[name].Equal(old) {
 			repeats++
 		}
 	}

@@ -1,10 +1,11 @@
 package solver
 
 import (
-	"math/big"
 	"sort"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/solver/rat"
 )
 
 // corruptModel applies the model-corruption defect family (the md-
@@ -34,41 +35,41 @@ func (s *Solver) corruptModel(m eval.Model) {
 	sort.Strings(names)
 	if stale {
 		for _, k := range names {
-			v, ok := m[k].(eval.IntV)
-			if !ok {
+			v := m[k]
+			if v.Sort() != ast.SortInt {
 				continue
 			}
 			if s.defect(DefModelStaleSimplex) {
 				// A row value from an earlier pivot state leaks through:
 				// far outside any generated bound, so the damage is
 				// observable whenever the variable is constrained at all.
-				m[k] = eval.IntV{V: new(big.Int).Add(v.V, big.NewInt(424242))}
+				m[k] = eval.IntVal(v.Rat().Add(rat.Int(424242)))
 			}
 			break
 		}
 	}
 	if trunc {
 		for _, k := range names {
-			v, ok := m[k].(eval.StrV)
-			if !ok || len(v) < 2 {
+			v := m[k].Str()
+			if m[k].Sort() != ast.SortString || len(v) < 2 {
 				continue
 			}
 			if s.defect(DefModelStrLenTruncate) {
 				// The witness is cut at the length-abstraction boundary:
 				// only its first character survives into the model.
-				m[k] = v[:1]
+				m[k] = eval.StrVal(v[:1])
 			}
 			break
 		}
 	}
 	if floor {
 		for _, k := range names {
-			v, ok := m[k].(eval.RealV)
-			if !ok || v.V.IsInt() {
+			v := m[k].Rat()
+			if m[k].Sort() != ast.SortReal || v.IsInt() {
 				continue
 			}
 			if s.defect(DefModelRealFloor) {
-				m[k] = eval.RealV{V: new(big.Rat).SetInt(eval.RealFloor(v).V)}
+				m[k] = eval.RealVal(v.Floor())
 			}
 			break
 		}

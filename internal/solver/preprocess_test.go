@@ -108,9 +108,9 @@ func TestInlineModelRecovery(t *testing.T) {
 	if out.Result != ResSat {
 		t.Fatalf("result %v", out.Result)
 	}
-	zv := out.Model["z"]
-	wv := out.Model["w"]
-	if zv == nil || wv == nil {
+	zv, zok := out.Model["z"]
+	wv, wok := out.Model["w"]
+	if !zok || !wok {
 		t.Fatalf("inlined variables missing from model: %v", out.Model)
 	}
 	if zv.String() != "3" || wv.String() != "9" {

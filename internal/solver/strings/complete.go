@@ -14,7 +14,7 @@ func (c *checker) completeArith() (bool, eval.Model) {
 	model := eval.Model{}
 	for s, v := range c.vals {
 		if c.assigned(s) {
-			model[c.names[s]] = v.Box()
+			model[c.names[s]] = v
 		}
 	}
 	var pending []ast.Term
@@ -64,11 +64,10 @@ func (c *checker) completeArith() (bool, eval.Model) {
 			return false, nil
 		}
 		for i, name := range am.Names {
-			val := am.Vals[i].Big()
 			if s, ok := c.slotOf[name]; ok && c.sorts[s] == ast.SortReal {
-				model[name] = eval.RealV{V: val}
+				model[name] = eval.RealVal(am.Vals[i])
 			} else {
-				model[name] = eval.IntV{V: val.Num()}
+				model[name] = eval.IntVal(am.Vals[i])
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package strings
 import (
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/smtlib"
 )
 
@@ -136,7 +135,7 @@ func TestViolatesNeg(t *testing.T) {
 	if st != Sat {
 		t.Fatalf("status %v", st)
 	}
-	if got := string(m["a"].(eval.StrV)); got == "x" {
+	if got := m["a"].Str(); got == "x" {
 		t.Error("negative membership violated")
 	}
 }

@@ -45,7 +45,7 @@ func TestSimpleEquality(t *testing.T) {
 		t.Fatalf("status %v", st)
 	}
 	certify(t, src, m)
-	if string(m["a"].(eval.StrV)) != "abx" {
+	if m["a"].Str() != "abx" {
 		t.Errorf("a = %v", m["a"])
 	}
 }
@@ -209,7 +209,7 @@ func TestConcatChainPropagation(t *testing.T) {
 		t.Fatalf("status %v", st)
 	}
 	certify(t, src, m)
-	if string(m["a"].(eval.StrV)) != "abab!" {
+	if m["a"].Str() != "abab!" {
 		t.Errorf("a = %v", m["a"])
 	}
 }
@@ -240,7 +240,7 @@ func TestStrToIntConstraint(t *testing.T) {
 		t.Fatalf("status %v", st)
 	}
 	certify(t, src, m)
-	if string(m["a"].(eval.StrV)) != "7" {
+	if m["a"].Str() != "7" {
 		t.Errorf("a = %v", m["a"])
 	}
 }
@@ -259,7 +259,7 @@ func TestBooleanMix(t *testing.T) {
 		t.Fatalf("status %v", st)
 	}
 	certify(t, src, m)
-	if bool(m["v"].(eval.BoolV)) {
+	if m["v"].Bool() {
 		t.Error("v must be false")
 	}
 }

@@ -201,7 +201,7 @@ func (w *Warm) id(v eval.Val) uint32 {
 	case ast.SortString:
 		k = idKey{sort: ast.SortString, repr: v.Str()}
 	default:
-		k = idKey{sort: v.Sort(), repr: v.Box().String()}
+		k = idKey{sort: v.Sort(), repr: v.Rat().String()}
 	}
 	id, ok := w.ids[k]
 	if !ok {

@@ -31,7 +31,7 @@ func modelsEqual(a, b eval.Model) bool {
 	}
 	for name, v := range a {
 		w, ok := b[name]
-		if !ok || !eval.Equal(v, w) {
+		if !ok || !v.Equal(w) {
 			return false
 		}
 	}
