@@ -295,6 +295,10 @@ go test -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
 # Compiled evaluation: Compile(t).Eval on an unboxed frame agrees with
 # eval.Term on every subterm, values and error paths alike.
 go test -run='^$' -fuzz='^FuzzCompiledMatchesTerm$' -fuzztime=10s ./internal/eval/
+# Operator helpers: the one set that Term and compiled programs share
+# agrees with math/big formulas, int64 edges and division by zero
+# included.
+go test -run='^$' -fuzz='^FuzzOpsMatchBig$' -fuzztime=10s ./internal/eval/
 go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
 # Derivation engines: fusion, concatenation, mutation, wild mutation
 # and metamorphic variants never fail the static gate, and every
