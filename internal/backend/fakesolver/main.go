@@ -15,6 +15,8 @@
 //	drip     — print "unsat" one byte at a time, sleeping -drip-ms
 //	    between bytes (slow-drip vs. deadline test)
 //	silent   — exit 0 with no output at all (transient-failure test)
+//	flood    — write 1 MiB to stdout and to stderr, then exit 0
+//	    (output-bound test)
 //	flake    — fail with empty output while the invocation counter in
 //	    -state is below -failures, then answer -then (retry test)
 package main
@@ -85,6 +87,16 @@ func main() {
 		}
 	case "silent":
 		drain()
+	case "flood":
+		drain()
+		chunk := make([]byte, 4096)
+		for i := range chunk {
+			chunk[i] = 'x'
+		}
+		for range 256 {
+			os.Stdout.Write(chunk)
+			os.Stderr.Write(chunk)
+		}
 	case "flake":
 		drain()
 		n := bump(*statePath)

@@ -350,7 +350,10 @@ func TestNoGoroutineLeaks(t *testing.T) {
 }
 
 // TestOutputCaptureBounded checks the flood guard: stdout/stderr
-// capture is truncated at the configured limits.
+// capture is truncated at the configured limits, through Write and
+// through ReadFrom, which must still consume all of its reader; and a
+// child that floods both streams far past them is captured to the
+// limits and exits on its own instead of blocking on a full pipe.
 func TestOutputCaptureBounded(t *testing.T) {
 	var lb limitBuf
 	lb.limit = 16
@@ -362,6 +365,27 @@ func TestOutputCaptureBounded(t *testing.T) {
 	}
 	if got := lb.b.Len(); got != 16 {
 		t.Fatalf("buffer holds %d bytes, want 16", got)
+	}
+	var rb limitBuf
+	rb.limit = 16
+	src := strings.NewReader(strings.Repeat("0123456789", 100))
+	n, err := rb.ReadFrom(src)
+	if n != 1000 || err != nil || src.Len() != 0 {
+		t.Fatalf("limitBuf.ReadFrom = (%d, %v) with %d bytes unread, want (1000, nil) and none", n, err, src.Len())
+	}
+	if got := rb.b.String(); got != "0123456789012345" {
+		t.Fatalf("buffer holds %q, want the first 16 bytes", got)
+	}
+	if n, err := rb.ReadFrom(strings.NewReader("more")); n != 4 || err != nil || rb.b.Len() != 16 {
+		t.Fatalf("ReadFrom on a full buffer = (%d, %v), %d bytes held", n, err, rb.b.Len())
+	}
+
+	r := fake(t, 10*time.Second, 1, "-mode", "flood").runOnce("(check-sat)\n")
+	if r.timedOut || r.spawnErr != nil || r.exitCode != 0 {
+		t.Fatalf("flooding child: timed out %v, spawn error %v, exit %d", r.timedOut, r.spawnErr, r.exitCode)
+	}
+	if len(r.stdout) != maxStdout || len(r.stderr) != maxStderr {
+		t.Fatalf("captured %d stdout and %d stderr bytes, want %d and %d", len(r.stdout), len(r.stderr), maxStdout, maxStderr)
 	}
 	if s := truncate("hello", 3); s != "hel" {
 		t.Fatalf("truncate = %q", s)

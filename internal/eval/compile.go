@@ -3,6 +3,7 @@ package eval
 import (
 	"repro/internal/ast"
 	"repro/internal/regex"
+	"repro/internal/solver/rat"
 )
 
 // Program is a term compiled for repeated evaluation over a frame of
@@ -24,6 +25,13 @@ import (
 // application, a quantifier) makes the fast path give up, and Eval then
 // re-runs Term on the model the frame denotes. Results and errors,
 // cause and Path included, are therefore exactly Term's.
+//
+// A Program holds scratch state that lasts across evaluations: the byte
+// buffers in which an =, str.prefixof, str.suffixof, str.contains or
+// str.len whose argument is a str.++ compares the concatenation in
+// place instead of building its string, and one regex.Matcher, with its
+// derivative memo, per str.in_re over a ground regex. It is therefore
+// single-owner like regex.Matcher: not safe for concurrent use.
 type Program struct {
 	t    ast.Term
 	vars []*ast.Var
@@ -33,6 +41,10 @@ type Program struct {
 // step evaluates one compiled subterm. ok is false when the fast path
 // gives up; the Val is then meaningless.
 type step func(frame []Val, slots []int) (v Val, ok bool)
+
+// appender appends a String subterm's value to dst. ok is false when
+// the fast path gives up; dst's contents are then meaningless.
+type appender func(frame []Val, slots []int, dst []byte) (out []byte, ok bool)
 
 // reStep builds a regex operand that mentions variables.
 type reStep func(frame []Val, slots []int) (r regex.Regex, ok bool)
@@ -78,11 +90,14 @@ func (p *Program) model(frame []Val, slots []int) Model {
 }
 
 // compiled is one compiled subterm. sort is the sort of every value
-// run returns with ok, and konst marks a folded ground subterm.
+// run returns with ok, and konst marks a folded ground subterm. app,
+// set only on a str.++ that is not folded, appends the value without
+// building its string.
 type compiled struct {
 	run   step
 	sort  ast.Sort
 	konst bool
+	app   appender
 }
 
 // giveUp compiles a subterm whose evaluation always gives up. Claiming
@@ -134,8 +149,7 @@ func (c *compiler) term(t ast.Term) compiled {
 // app compiles an application whose arguments have the sorts its
 // operator's typing rule demands; any other shape gives up when run.
 func (c *compiler) app(n *ast.App) compiled {
-	lo, hi := n.Op.Arity()
-	if len(n.Args) < lo || (hi >= 0 && len(n.Args) > hi) {
+	if arity(n) != nil {
 		return giveUp(n.Sort())
 	}
 	if n.Op == ast.OpStrInRe {
@@ -155,6 +169,12 @@ func (c *compiler) app(n *ast.App) compiled {
 		runs[i] = a.run
 	}
 	same := sameSort(args)
+	if test, ok := bytesTests[n.Op]; ok && len(args) == 2 && same == ast.SortString && (args[0].app != nil || args[1].app != nil) {
+		return inPlace(args[0], args[1], test)
+	}
+	if n.Op == ast.OpStrLen && args[0].app != nil {
+		return lenInPlace(args[0].app)
+	}
 
 	switch n.Op {
 	case ast.OpAnd, ast.OpOr:
@@ -194,7 +214,7 @@ func (c *compiler) app(n *ast.App) compiled {
 		if same != ast.SortString {
 			return giveUp(n.Sort())
 		}
-		return compiled{run: concat(runs), sort: ast.SortString}
+		return compiled{run: concat(runs), sort: ast.SortString, app: concatApp(args)}
 	}
 	if op, ok := stricts[n.Op]; ok {
 		for i, s := range op.args {
@@ -445,8 +465,72 @@ func concat(runs []step) step {
 	}
 }
 
+// appendOf returns a String subterm's appender: a str.++'s own, or one
+// that runs the subterm and appends its value.
+func appendOf(a compiled) appender {
+	if a.app != nil {
+		return a.app
+	}
+	run := a.run
+	return func(frame []Val, slots []int, dst []byte) ([]byte, bool) {
+		v, ok := run(frame, slots)
+		return append(dst, v.s...), ok
+	}
+}
+
+// concatApp appends every argument of a str.++ in turn, nested ones in
+// place too.
+func concatApp(args []compiled) appender {
+	apps := make([]appender, len(args))
+	for i, a := range args {
+		apps[i] = appendOf(a)
+	}
+	return func(frame []Val, slots []int, dst []byte) ([]byte, bool) {
+		for _, a := range apps {
+			var ok bool
+			if dst, ok = a(frame, slots, dst); !ok {
+				return dst, false
+			}
+		}
+		return dst, true
+	}
+}
+
+// inPlace compiles a String predicate of two arguments, one of them a
+// str.++: it appends both sides into one reusable buffer, x's bytes
+// first, and tests the two halves, so no string is built.
+func inPlace(x, y compiled, test func(a, b []byte) bool) compiled {
+	ax, ay := appendOf(x), appendOf(y)
+	var buf []byte
+	return boolOut(func(frame []Val, slots []int) (Val, bool) {
+		b, ok := ax(frame, slots, buf[:0])
+		n := len(b)
+		if ok {
+			b, ok = ay(frame, slots, b)
+		}
+		buf = b
+		if !ok {
+			return Val{}, false
+		}
+		return BoolVal(test(b[:n], b[n:])), true
+	})
+}
+
+// lenInPlace compiles (str.len s) of a str.++ s by appending s into a
+// reusable buffer.
+func lenInPlace(app appender) compiled {
+	var buf []byte
+	return compiled{run: func(frame []Val, slots []int) (Val, bool) {
+		b, ok := app(frame, slots, buf[:0])
+		buf = b
+		return IntVal(rat.Int(int64(len(b)))), ok
+	}, sort: ast.SortInt}
+}
+
 // inRe compiles (str.in_re s r). A ground regex operand is built once,
-// by Regex; one that mentions variables is rebuilt per evaluation.
+// by Regex, and matched through one Matcher whose derivative memo lasts
+// as long as the program; one that mentions variables is rebuilt and
+// matched afresh per evaluation.
 func (c *compiler) inRe(n *ast.App) compiled {
 	subj := c.term(n.Args[0])
 	run, re, ok := c.regex(n.Args[1])
@@ -457,16 +541,21 @@ func (c *compiler) inRe(n *ast.App) compiled {
 		return fold(n)
 	}
 	s := subj.run
+	if run == nil {
+		m := regex.NewMatcher(re)
+		return boolOut(func(frame []Val, slots []int) (Val, bool) {
+			v, ok := s(frame, slots)
+			return BoolVal(ok && m.Match(v.s)), ok
+		})
+	}
 	return boolOut(func(frame []Val, slots []int) (Val, bool) {
 		v, ok := s(frame, slots)
 		if !ok {
 			return Val{}, false
 		}
-		r := re
-		if run != nil {
-			if r, ok = run(frame, slots); !ok {
-				return Val{}, false
-			}
+		r, ok := run(frame, slots)
+		if !ok {
+			return Val{}, false
 		}
 		return BoolVal(regex.Match(r, v.s)), true
 	})
@@ -481,11 +570,7 @@ func (c *compiler) regex(t ast.Term) (reStep, regex.Regex, bool) {
 		return nil, re, err == nil
 	}
 	app, ok := t.(*ast.App)
-	if !ok {
-		return nil, nil, false
-	}
-	lo, hi := app.Op.Arity()
-	if len(app.Args) < lo || (hi >= 0 && len(app.Args) > hi) {
+	if !ok || arity(app) != nil {
 		return nil, nil, false
 	}
 	op := app.Op

@@ -31,12 +31,22 @@ var compiledSeeds = []string{
 	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (or (str.in_re s (re.range \"ab\" \"z\")) (str.in_re s (re.+ (re.range \"a\" (str.++ t \"z\")))) (str.in_re s (re.range (str.at t 0) \"m\")) (str.in_re (str.++ s t) (re.* (str.to_re (str.++ \"a\" \"b\"))))))\n(check-sat)\n",
 	// re.diff and re.comp, ground and over a variable.
 	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (and (str.in_re s (re.diff (re.* re.allchar) (re.comp (str.to_re t)))) (str.in_re t (re.comp (re.diff re.all (re.range \"a\" \"c\")))) (str.in_re s (re.inter (re.opt (str.to_re t)) (re.union re.none (re.comp (str.to_re s)) (re.range \"a\" \"b\"))))))\n(check-sat)\n",
+	// In-place consumers: str.++ under =, str.prefixof, str.suffixof,
+	// str.contains and str.len, on either side and nested, with
+	// ite/str.substr/str.replace arguments. s is declared first, so
+	// salt 1 leaves a variable inside every concat unbound.
+	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (and (= (str.++ s \"a\" (str.++ t s)) (str.++ t s)) (= \"0aba\" (str.++ s t)) (= t (str.++ (str.++ s t) s)) (= (str.++ s t) \"ab\" (str.++ t s)) (distinct (str.++ s t) (str.++ t s))))\n(check-sat)\n",
+	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (or (str.prefixof (str.++ s \"a\") (str.++ t s \"a\")) (str.prefixof s (str.++ s t)) (str.suffixof (str.++ t \"b\") t) (str.suffixof s (str.++ t s)) (str.contains (str.++ s t) (str.++ t \"b\")) (str.contains t (str.++ s s)) (str.contains (str.++ t (str.++ s t)) s)))\n(check-sat)\n",
+	"(set-logic QF_SLIA)\n(declare-fun s () String)\n(declare-fun t () String)\n(declare-fun x () Int)\n(assert (and (= (str.len (str.++ s (str.++ t \"ab\"))) (+ x 3)) (= (str.++ (ite (= x 0) s t) (str.substr s 0 x) (str.replace t s \"a\")) (str.++ t s)) (str.prefixof (str.++ (str.at t x) s) (str.replace_all (str.++ s t) \"a\" t)) (> (str.len (str.++ (ite (> x 1) (str.++ s t) t) s)) x)))\n(check-sat)\n",
+	// A ground regex matched by one Matcher across evaluations.
+	"(set-logic QF_S)\n(declare-fun s () String)\n(declare-fun t () String)\n(assert (and (str.in_re (str.++ s t) (re.* (re.union (str.to_re \"ab\") (re.range \"0\" \"9\")))) (str.in_re t (re.comp (re.++ (str.to_re \"1\") re.all)))))\n(check-sat)\n",
 }
 
 // FuzzCompiledMatchesTerm checks the compiled evaluator against the
 // reference interpreter. For every assert and every subterm, under the
 // same three model salts as FuzzEvalTotal (well-formed, unbound,
-// wrong-sort), Compile(t).Eval on the frame must return a value equal
+// wrong-sort), each run with default and with varied values,
+// Compile(t).Eval on the frame must return a value equal
 // to eval.Term's on the model, or an error with the same
 // sentinel cause and Path; Bool must agree with eval.Bool likewise. The
 // compiled fast path itself must never answer where Term fails or
@@ -57,45 +67,52 @@ func FuzzCompiledMatchesTerm(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m := saltedModel(sc, salt)
+		// Each program runs under the salted model, the one with bit 2
+		// flipped, and the first again, so scratch state a program
+		// carries from one evaluation into the next shows.
+		m, other := saltedModel(sc, salt), saltedModel(sc, salt^4)
 		for _, a := range sc.Asserts() {
 			ast.Walk(a, func(s ast.Term) bool {
-				checkCompiled(t, s, m, salt&3 == 0)
+				checkCompiled(t, s, []eval.Model{m, other, m}, salt&3 == 0)
 				return true
 			})
 		}
 	})
 }
 
-func checkCompiled(t *testing.T, s ast.Term, m eval.Model, wellFormed bool) {
+// checkCompiled compiles s once and runs the program under each model
+// in turn, checking every run against Term.
+func checkCompiled(t *testing.T, s ast.Term, models []eval.Model, wellFormed bool) {
 	t.Helper()
 	vars := ast.FreeVars(s)
-	// A frame in reverse variable order, so slots is not the identity.
-	frame := make([]eval.Val, len(vars))
-	slots := make([]int, len(vars))
-	for j, v := range vars {
-		slots[j] = len(vars) - 1 - j
-		if val, ok := m[v.Name]; ok {
-			frame[slots[j]] = val
-		}
-	}
 	p := eval.Compile(s)
-	want, wantErr := eval.Term(s, m)
-	got, gotErr := p.Eval(frame, slots)
-	sameOutcome(t, ast.Print(s), got, gotErr, want, wantErr)
+	for _, m := range models {
+		// A frame in reverse variable order, so slots is not the identity.
+		frame := make([]eval.Val, len(vars))
+		slots := make([]int, len(vars))
+		for j, v := range vars {
+			slots[j] = len(vars) - 1 - j
+			if val, ok := m[v.Name]; ok {
+				frame[slots[j]] = val
+			}
+		}
+		want, wantErr := eval.Term(s, m)
+		got, gotErr := p.Eval(frame, slots)
+		sameOutcome(t, ast.Print(s), got, gotErr, want, wantErr)
 
-	fast, ok := p.Fast(frame, slots)
-	switch {
-	case ok && (wantErr != nil || !fast.Equal(want)):
-		t.Fatalf("%s: fast path answered %v, Term %v (%v)", ast.Print(s), fast, want, wantErr)
-	case !ok && wantErr == nil && wellFormed && !ast.HasQuantifier(s):
-		t.Fatalf("%s: fast path gave up where Term answers %v", ast.Print(s), want)
-	}
+		fast, ok := p.Fast(frame, slots)
+		switch {
+		case ok && (wantErr != nil || !fast.Equal(want)):
+			t.Fatalf("%s: fast path answered %v, Term %v (%v)", ast.Print(s), fast, want, wantErr)
+		case !ok && wantErr == nil && wellFormed && !ast.HasQuantifier(s):
+			t.Fatalf("%s: fast path gave up where Term answers %v", ast.Print(s), want)
+		}
 
-	if s.Sort() == ast.SortBool {
-		wantB, wantErr := eval.Bool(s, m)
-		gotB, gotErr := p.Bool(frame, slots)
-		sameOutcome(t, ast.Print(s), eval.BoolVal(gotB), gotErr, eval.BoolVal(wantB), wantErr)
+		if s.Sort() == ast.SortBool {
+			wantB, wantErr := eval.Bool(s, m)
+			gotB, gotErr := p.Bool(frame, slots)
+			sameOutcome(t, ast.Print(s), eval.BoolVal(gotB), gotErr, eval.BoolVal(wantB), wantErr)
+		}
 	}
 }
 

@@ -23,6 +23,10 @@ var (
 	// only reachable through ill-sorted terms (ast.UncheckedApp) or
 	// ill-sorted models, never through checked constructors.
 	ErrSortMismatch = errors.New("eval: sort mismatch")
+	// ErrArity marks an application with more or fewer arguments than
+	// its operator accepts — like ErrSortMismatch, only reachable
+	// through ast.UncheckedApp.
+	ErrArity = errors.New("eval: wrong number of arguments")
 	// ErrUnsupported marks a term or operator this evaluator does not
 	// interpret.
 	ErrUnsupported = errors.New("eval: unsupported")

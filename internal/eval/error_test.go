@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/ast"
@@ -47,8 +48,8 @@ func TestStructuredErrors(t *testing.T) {
 		{"str.at with Str index", tb.UncheckedApp(ast.OpStrAt, ast.SortString, s, s), okModel, ErrSortMismatch, "arg[1]"},
 		{"str.in_re non-string subject", tb.UncheckedApp(ast.OpStrInRe, ast.SortBool, x, tb.MustApp(ast.OpReAllChar)), okModel, ErrSortMismatch, "arg[0]"},
 		{"str.to_re of Int", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpStrToRe, ast.SortRegLan, x)), okModel, ErrSortMismatch, "arg[1].arg[0]"},
-		{"re.union non-RegLan arg", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpReUnion, ast.SortRegLan, s)), okModel, ErrSortMismatch, "arg[1].arg[0]"},
-		{"regex unsupported op", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpAdd, ast.SortRegLan)), okModel, ErrUnsupported, "arg[1]"},
+		{"re.union non-RegLan arg", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpReUnion, ast.SortRegLan, s, tb.MustApp(ast.OpReAllChar))), okModel, ErrSortMismatch, "arg[1].arg[0]"},
+		{"regex unsupported op", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(ast.OpAdd, ast.SortRegLan, tb.MustApp(ast.OpReAllChar), tb.MustApp(ast.OpReAllChar))), okModel, ErrUnsupported, "arg[1]"},
 		{"non-application RegLan term", tb.MustApp(ast.OpStrInRe, s, tb.Var("L", ast.SortRegLan)), okModel, ErrUnsupported, "arg[1]"},
 		{"nested path through And", tb.And(b, tb.Gt(boolAsInt, tb.Int(0))), okModel, ErrSortMismatch, "arg[1].arg[0].arg[0]"},
 		{"nested path through Ite branch", tb.Ite(b, boolAsInt, x), okModel, ErrSortMismatch, "arg[1].arg[0]"},
@@ -74,6 +75,58 @@ func TestStructuredErrors(t *testing.T) {
 				t.Error("error carries no offending term")
 			}
 		})
+	}
+}
+
+// TestArityErrors forges every operator at one argument too few and one
+// too many, alone and as a regex operand, and checks that Term and a
+// compiled program both report ErrArity at the forged node instead of
+// indexing past its arguments.
+func TestArityErrors(t *testing.T) {
+	b := tb.Var("b", ast.SortBool)
+	s := tb.Var("s", ast.SortString)
+	m := Model{"b": BoolVal(true), "s": StrVal("ab")}
+	type forged struct {
+		name string
+		term ast.Term
+		path string
+	}
+	var cases []forged
+	for op := ast.OpNot; op <= ast.OpReNone; op++ {
+		lo, hi := op.Arity()
+		var counts []int
+		if lo > 0 {
+			counts = append(counts, lo-1)
+		}
+		if hi >= 0 {
+			counts = append(counts, hi+1)
+		}
+		for _, n := range counts {
+			args := make([]ast.Term, n)
+			for i := range args {
+				args[i] = b
+			}
+			app := tb.UncheckedApp(op, ast.SortBool, args...)
+			name := fmt.Sprintf("%v/%d", op, n)
+			cases = append(cases, forged{name, app, ""})
+			cases = append(cases, forged{name + "/in_re", tb.MustApp(ast.OpStrInRe, s, tb.UncheckedApp(op, ast.SortRegLan, args...)), "arg[1]"})
+		}
+	}
+	for _, tc := range cases {
+		vars := ast.FreeVars(tc.term)
+		frame := make([]Val, len(vars))
+		slots := make([]int, len(vars))
+		for j, v := range vars {
+			frame[j], slots[j] = m[v.Name], j
+		}
+		_, termErr := Term(tc.term, m)
+		_, progErr := Compile(tc.term).Eval(frame, slots)
+		for _, err := range []error{termErr, progErr} {
+			var ee *Error
+			if !errors.As(err, &ee) || ee.Err != ErrArity || ee.Path != tc.path {
+				t.Errorf("%s: %v, want %v at %q", tc.name, err, ErrArity, tc.path)
+			}
+		}
 	}
 }
 

@@ -52,6 +52,9 @@ func Bool(t ast.Term, m Model) (bool, error) {
 }
 
 func app(n *ast.App, m Model) (Val, error) {
+	if err := arity(n); err != nil {
+		return Val{}, err
+	}
 	// Short-circuiting boolean operators evaluate lazily so that models
 	// need not define values along pruned branches.
 	switch n.Op {
@@ -114,6 +117,17 @@ func app(n *ast.App, m Model) (Val, error) {
 		args = append(args, v)
 	}
 	return applyOp(n, args)
+}
+
+// arity rejects an application with an argument count its operator
+// does not accept. Only ast.UncheckedApp builds one; every other reader
+// of n.Args may then index by the operator's arity.
+func arity(n *ast.App) error {
+	lo, hi := n.Op.Arity()
+	if len(n.Args) < lo || (hi >= 0 && len(n.Args) > hi) {
+		return newErr(ErrArity, n, "%v applied to %d arguments", n.Op, len(n.Args))
+	}
+	return nil
 }
 
 // argTerm evaluates argument i of n, with i's step on an error's path.

@@ -2,11 +2,13 @@ package eval_test
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/smtlib"
+	"repro/internal/solver/rat"
 )
 
 // FuzzEvalTotal checks the evaluator's totality contract: on any term
@@ -54,8 +56,10 @@ var evalSeeds = []string{
 }
 
 // saltedModel binds every declared variable of sc to its sort's default,
-// except that the salt's bit 0 leaves the first variable unbound and
-// bit 1 binds every variable to a value of the wrong sort.
+// except that the salt's bit 0 leaves the first variable unbound, bit 1
+// binds every variable to a value of the wrong sort, and bit 2 binds
+// variable i to a value of its sort that varies with i instead of the
+// default.
 func saltedModel(sc *smtlib.Script, salt byte) eval.Model {
 	m := eval.Model{}
 	for i, d := range sc.Declarations() {
@@ -71,9 +75,27 @@ func saltedModel(sc *smtlib.Script, salt byte) eval.Model {
 			} else {
 				m[d.Name] = eval.BoolVal(true)
 			}
+		case salt&4 == 4:
+			m[d.Name] = variedValue(d.Sort, i)
 		default:
 			m[d.Name] = eval.DefaultValue(d.Sort)
 		}
 	}
 	return m
+}
+
+// variedValue is a value of sort s other than its default that differs
+// from variable to variable.
+func variedValue(s ast.Sort, i int) eval.Val {
+	switch s {
+	case ast.SortBool:
+		return eval.BoolVal(i%2 == 0)
+	case ast.SortInt:
+		return eval.IntVal(rat.Int(int64(i + 1)))
+	case ast.SortReal:
+		return eval.RealVal(rat.New(int64(2*i+1), 2))
+	case ast.SortString:
+		return eval.StrVal(strconv.Itoa(i) + "ab"[:1+i%2])
+	}
+	return eval.DefaultValue(s)
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"math/big"
 	"strconv"
 	"strings"
@@ -165,6 +166,17 @@ var stricts = map[ast.Op]strict{
 		}
 		return StrVal(strings.ReplaceAll(a.s, b.s, c.s))
 	}},
+}
+
+// bytesTests are the String predicates that compiled programs evaluate
+// over the bytes of their two arguments when one is a str.++ (see
+// inPlace): each computes what eq or its stricts entry computes on the
+// arguments' strings.
+var bytesTests = map[ast.Op]func(a, b []byte) bool{
+	ast.OpEq:          bytes.Equal,
+	ast.OpStrPrefixOf: func(a, b []byte) bool { return bytes.HasPrefix(b, a) },
+	ast.OpStrSuffixOf: func(a, b []byte) bool { return bytes.HasSuffix(b, a) },
+	ast.OpStrContains: bytes.Contains,
 }
 
 // substr is (str.substr s i n): the longest substring of s that starts

@@ -20,6 +20,9 @@ func Regex(t ast.Term, m Model) (regex.Regex, error) {
 	if !ok {
 		return nil, newErr(ErrUnsupported, t, "non-application RegLan term %T", t)
 	}
+	if err := arity(app); err != nil {
+		return nil, err
+	}
 	var leaf [2]string
 	var subs []regex.Regex
 	switch app.Op {

@@ -96,14 +96,13 @@ func Derive(r Regex, c byte) Regex {
 	}
 }
 
-// Matcher matches strings against a regex with memoized derivatives.
-// It is not safe for concurrent use; create one per goroutine.
+// Matcher matches strings against a regex with memoized derivatives:
+// its memo lasts as long as the Matcher, so a holder that matches many
+// strings against one regex builds each derivative once. It is
+// single-owner: not safe for concurrent use.
 type Matcher struct {
 	root Regex
-	memo map[string]map[byte]Regex
-	// Memoize disables derivative caching when false (used by the
-	// performance-defect simulation in the solver under test).
-	Memoize bool
+	memo map[derivKey]Regex
 	// Fuel, when set, charges one unit per derivative construction.
 	// An exhausted meter makes Match answer false conservatively; the
 	// solver detects the exhaustion on the meter and reports a timeout
@@ -114,12 +113,19 @@ type Matcher struct {
 	Telem *telemetry.Tracker
 }
 
-// NewMatcher returns a matcher for r.
-func NewMatcher(r Regex) *Matcher {
-	return &Matcher{root: r, memo: map[string]map[byte]Regex{}, Memoize: true}
+// derivKey names the derivative of the regex with key from by byte c.
+type derivKey struct {
+	from string
+	c    byte
 }
 
-// Match reports whether s ∈ L(r).
+// NewMatcher returns a matcher for r.
+func NewMatcher(r Regex) *Matcher {
+	return &Matcher{root: r, memo: map[derivKey]Regex{}}
+}
+
+// Match reports whether s ∈ L(r). Fuel and telemetry count one
+// derivative per byte read, whether or not the memo holds it.
 func (m *Matcher) Match(s string) bool {
 	cur := m.root
 	for i := 0; i < len(s); i++ {
@@ -136,35 +142,17 @@ func (m *Matcher) Match(s string) bool {
 }
 
 func (m *Matcher) derive(r Regex, c byte) Regex {
-	if !m.Memoize {
-		return Derive(r, c)
-	}
-	k := r.key()
-	byChar := m.memo[k]
-	if byChar == nil {
-		byChar = map[byte]Regex{}
-		m.memo[k] = byChar
-	}
-	if d, ok := byChar[c]; ok {
+	k := derivKey{r.key(), c}
+	if d, ok := m.memo[k]; ok {
 		return d
 	}
 	d := Derive(r, c)
-	byChar[c] = d
+	m.memo[k] = d
 	return d
 }
 
 // Match is a convenience one-shot matcher.
 func Match(r Regex, s string) bool { return NewMatcher(r).Match(s) }
-
-// MatchFuel is Match under a fuel meter: derivative construction spends
-// from m, and an exhausted meter yields false (no match claimed). Each
-// derivative is recorded into tr (nil records nothing).
-func MatchFuel(r Regex, s string, m *fuel.Meter, tr *telemetry.Tracker) bool {
-	mm := NewMatcher(r)
-	mm.Fuel = m
-	mm.Telem = tr
-	return mm.Match(s)
-}
 
 // RelevantChars returns a small alphabet sufficient to distinguish the
 // languages reachable from r: every byte mentioned in literals and range

@@ -1,6 +1,8 @@
 package regex
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,6 +122,100 @@ func TestQuickEnumerateMembers(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// structKey computes a regex's key from its structure alone, without
+// reading the keys its constructors stored.
+func structKey(r Regex) string {
+	join := func(rs []Regex, sep string) string {
+		parts := make([]string, len(rs))
+		for i, s := range rs {
+			parts[i] = structKey(s)
+		}
+		return "(" + strings.Join(parts, sep) + ")"
+	}
+	switch n := r.(type) {
+	case none:
+		return "∅"
+	case eps:
+		return "ε"
+	case lit:
+		return fmt.Sprintf("L%q", n.s)
+	case rng:
+		return fmt.Sprintf("R%d-%d", n.lo, n.hi)
+	case anyChar:
+		return "."
+	case star:
+		return "(" + structKey(n.r) + ")*"
+	case concat:
+		return join(n.rs, "·")
+	case union:
+		return join(n.rs, "|")
+	case inter:
+		return join(n.rs, "&")
+	case comp:
+		return "¬(" + structKey(n.r) + ")"
+	}
+	panic("regex: unknown node")
+}
+
+// randRegex builds a random regex of at most the given depth through
+// every constructor.
+func randRegex(rng *rand.Rand, depth int) Regex {
+	if depth == 0 || rng.Intn(4) == 0 {
+		switch rng.Intn(5) {
+		case 0:
+			return None()
+		case 1:
+			return Eps()
+		case 2:
+			return Lit(clamp(fmt.Sprint(rng.Int63()), rng.Intn(4)))
+		case 3:
+			return Range(byte('a'+rng.Intn(3)), byte('a'+rng.Intn(3)))
+		}
+		return AnyChar()
+	}
+	sub := func() Regex { return randRegex(rng, depth-1) }
+	switch rng.Intn(10) {
+	case 0:
+		return Star(sub())
+	case 1:
+		return Plus(sub())
+	case 2:
+		return Opt(sub())
+	case 3:
+		return Concat(sub(), sub(), sub())
+	case 4:
+		return Union(sub(), sub(), sub())
+	case 5:
+		return Inter(sub(), sub(), sub())
+	case 6:
+		return Comp(sub())
+	case 7:
+		return Diff(sub(), sub())
+	case 8:
+		return All()
+	}
+	return Derive(sub(), "ab"[rng.Intn(2)])
+}
+
+// Property: every constructor stores the key its node's structure
+// gives, on random regexes and on their derivatives.
+func TestQuickStoredKeys(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := randRegex(rng, 4)
+		for _, d := range []Regex{r, Derive(r, 'a'), Derive(Derive(r, 'b'), 'a')} {
+			if Key(d) != structKey(d) {
+				t.Logf("stored key %s, structural key %s", Key(d), structKey(d))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,8 +6,8 @@
 package regex
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -27,51 +27,69 @@ type (
 	// eps is the language containing only the empty string.
 	eps struct{}
 	// lit matches exactly one literal string (str.to_re "...").
-	lit struct{ s string }
+	lit struct {
+		keyed
+		s string
+	}
 	// rng matches a single byte in [lo, hi] (re.range).
-	rng struct{ lo, hi byte }
+	rng struct {
+		keyed
+		lo, hi byte
+	}
 	// anyChar matches any single byte (re.allchar).
 	anyChar struct{}
 	// star is Kleene iteration (re.*).
-	star struct{ r Regex }
+	star struct {
+		keyed
+		r Regex
+	}
 	// concat is sequential composition (re.++).
-	concat struct{ rs []Regex }
+	concat struct {
+		keyed
+		rs []Regex
+	}
 	// union is alternation (re.union).
-	union struct{ rs []Regex }
+	union struct {
+		keyed
+		rs []Regex
+	}
 	// inter is intersection (re.inter).
-	inter struct{ rs []Regex }
+	inter struct {
+		keyed
+		rs []Regex
+	}
 	// comp is complement (re.comp).
-	comp struct{ r Regex }
+	comp struct {
+		keyed
+		r Regex
+	}
 )
+
+// keyed holds a compound node's key. Its constructor builds the key
+// once, from the keys of its operands, so key() costs O(1) however
+// often derivatives, sorts and memos ask for it.
+type keyed struct{ k string }
+
+func (n keyed) key() string { return n.k }
 
 func (none) key() string    { return "∅" }
 func (eps) key() string     { return "ε" }
-func (l lit) key() string   { return fmt.Sprintf("L%q", l.s) }
-func (r rng) key() string   { return fmt.Sprintf("R%d-%d", r.lo, r.hi) }
 func (anyChar) key() string { return "." }
-func (s star) key() string  { return "(" + s.r.key() + ")*" }
-func (c concat) key() string {
-	parts := make([]string, len(c.rs))
-	for i, r := range c.rs {
-		parts[i] = r.key()
+
+// joinKeys renders an n-ary node's key: its operands' keys joined by
+// sep, in parentheses.
+func joinKeys(rs []Regex, sep string) string {
+	var b strings.Builder
+	b.WriteByte('(')
+	for i, r := range rs {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.WriteString(r.key())
 	}
-	return "(" + strings.Join(parts, "·") + ")"
+	b.WriteByte(')')
+	return b.String()
 }
-func (u union) key() string {
-	parts := make([]string, len(u.rs))
-	for i, r := range u.rs {
-		parts[i] = r.key()
-	}
-	return "(" + strings.Join(parts, "|") + ")"
-}
-func (n inter) key() string {
-	parts := make([]string, len(n.rs))
-	for i, r := range n.rs {
-		parts[i] = r.key()
-	}
-	return "(" + strings.Join(parts, "&") + ")"
-}
-func (c comp) key() string { return "¬(" + c.r.key() + ")" }
 
 // Constructors (normalizing).
 
@@ -86,7 +104,7 @@ func Lit(s string) Regex {
 	if s == "" {
 		return eps{}
 	}
-	return lit{s: s}
+	return lit{keyed{"L" + strconv.Quote(s)}, s}
 }
 
 // Range returns the single-byte range language [lo, hi]; empty if lo>hi.
@@ -94,7 +112,7 @@ func Range(lo, hi byte) Regex {
 	if lo > hi {
 		return none{}
 	}
-	return rng{lo: lo, hi: hi}
+	return rng{keyed{"R" + strconv.Itoa(int(lo)) + "-" + strconv.Itoa(int(hi))}, lo, hi}
 }
 
 // AnyChar returns the language of all single-byte strings.
@@ -111,7 +129,7 @@ func Star(r Regex) Regex {
 	case star:
 		return r
 	}
-	return star{r: r}
+	return star{keyed{"(" + r.key() + ")*"}, r}
 }
 
 // Plus returns one-or-more iterations of r.
@@ -141,7 +159,7 @@ func Concat(rs ...Regex) Regex {
 	case 1:
 		return flat[0]
 	}
-	return concat{rs: flat}
+	return concat{keyed{joinKeys(flat, "·")}, flat}
 }
 
 // Union returns the alternation of rs.
@@ -173,7 +191,7 @@ func Union(rs ...Regex) Regex {
 		return flat[0]
 	}
 	sort.Slice(flat, func(i, j int) bool { return flat[i].key() < flat[j].key() })
-	return union{rs: flat}
+	return union{keyed{joinKeys(flat, "|")}, flat}
 }
 
 // Inter returns the intersection of rs.
@@ -208,7 +226,7 @@ func Inter(rs ...Regex) Regex {
 		return flat[0]
 	}
 	sort.Slice(flat, func(i, j int) bool { return flat[i].key() < flat[j].key() })
-	return inter{rs: flat}
+	return inter{keyed{joinKeys(flat, "&")}, flat}
 }
 
 // Comp returns the complement of r.
@@ -222,7 +240,7 @@ func Comp(r Regex) Regex {
 	if isAll(r) {
 		return none{}
 	}
-	return comp{r: r}
+	return comp{keyed{"¬(" + r.key() + ")"}, r}
 }
 
 // Diff returns r minus s.

@@ -20,7 +20,7 @@ func (c *checker) completeArith() (bool, eval.Model) {
 	var pending []ast.Term
 	for i, l := range c.lits {
 		if c.allSet(c.litSlots[i]) {
-			if !c.evalLit(c.litMemo(i), i) {
+			if !c.holds(i) {
 				return false, nil
 			}
 			continue

@@ -15,13 +15,13 @@ import (
 func (c *checker) search() (Status, eval.Model) {
 	w := c.warm
 	if w != nil && len(w.ids) >= warmMaxIDs {
-		w.reset()
+		w.ids = nil
 	}
 	n := len(c.names)
 	c.vals = make([]eval.Val, n)
 	c.ids = make([]uint32, n)
-	c.litMemos = make([]*memo[bool], len(c.lits))
-	c.propMemos = make([]*memo[propEntry], len(c.defs))
+	c.litProgs = make([]*eval.Program, len(c.lits))
+	c.propProgs = make([]*eval.Program, len(c.defs))
 	// Each literal is completed once along a path, so the stack of
 	// completed literals never outgrows the literal count.
 	c.completed = make([]completedLit, 0, len(c.lits))
@@ -218,9 +218,12 @@ func abs(x int) int {
 	return x
 }
 
+// violatesNeg reports whether s is in one of v's negative memberships.
+// Each regex keeps one Matcher for the Check, so its derivatives are
+// built once; fuel and telemetry still count one derivative per byte.
 func (c *checker) violatesNeg(v, s string) bool {
-	for _, r := range c.neg[v] {
-		if regex.MatchFuel(r, s, c.fuel, c.telem) {
+	for _, m := range c.neg[v] {
+		if m.Match(s) {
 			return true
 		}
 	}

@@ -70,9 +70,10 @@ type Problem struct {
 	// Telem records DFS-node and regex-derivative counts into the
 	// owner's tracker. Nil records nothing.
 	Telem *telemetry.Tracker
-	// Warm is the reusable evaluation cache the owning solver shares
-	// across Check calls. Nil disables caching; results are
-	// identical either way (see Warm).
+	// Warm is the reusable search state the owning solver shares
+	// across Check calls. Nil disables the verdict rows and compiles
+	// the programs per Check; results are identical either way (see
+	// Warm).
 	Warm *Warm
 	// Terms is the table the literals belong to; arithmetic completion
 	// builds its grounded literals in it. Nil gives each check a table
@@ -101,8 +102,9 @@ type checker struct {
 	sorts  []ast.Sort
 	slotOf map[string]int
 	// litSlots holds each literal's variable slots in ast.FreeVars order
-	// (the warm-memo key order). litsBySlot indexes literals by slot, so
-	// the DFS checks only the literals each assignment completes.
+	// (the order compiled programs and row keys read them). litsBySlot
+	// indexes literals by slot, so the DFS checks only the literals each
+	// assignment completes.
 	// groundLits lists the literals without variables.
 	litSlots   [][]int
 	litsBySlot [][]int
@@ -111,9 +113,10 @@ type checker struct {
 	strVars []string
 	intVars []string
 
-	// memberships: positive ground regex constraints per string var.
+	// memberships: positive ground regex constraints per string var,
+	// and a matcher, charging the check's fuel, per negative one.
 	pos map[string][]regex.Regex
-	neg map[string][]regex.Regex
+	neg map[string][]*regex.Matcher
 
 	// defs are the defining equations v = rhs usable for propagation;
 	// defsOf lists their indices by the slot of v.
@@ -133,12 +136,11 @@ type checker struct {
 	vals    []eval.Val
 	ids     []uint32
 	nodes   int
-	// litMemos and propMemos are this check's memos by literal and by
-	// defining equation, resolved on first use: the warm cache's when
-	// one is attached, otherwise check-local ones that only hold the
-	// compiled programs.
-	litMemos  []*memo[bool]
-	propMemos []*memo[propEntry]
+	// litProgs and propProgs are the compiled programs of the literals
+	// and of the defining equations' right-hand sides, resolved on
+	// first use (see checker.program).
+	litProgs  []*eval.Program
+	propProgs []*eval.Program
 	// completed stacks the literals each open branch loop completes:
 	// a frame pushes its own above its caller's and pops them on return.
 	completed []completedLit
@@ -235,7 +237,7 @@ func (c *checker) run() (Status, eval.Model) {
 // an empty positive intersection).
 func (c *checker) collectRegexConstraints() Status {
 	c.pos = map[string][]regex.Regex{}
-	c.neg = map[string][]regex.Regex{}
+	c.neg = map[string][]*regex.Matcher{}
 	c.defsOf = make([][]int, len(c.names))
 	for _, l := range c.lits {
 		atom, polarity := stripNot(l)
@@ -254,7 +256,9 @@ func (c *checker) collectRegexConstraints() Status {
 				if polarity {
 					c.pos[v.Name] = append(c.pos[v.Name], r)
 				} else {
-					c.neg[v.Name] = append(c.neg[v.Name], r)
+					m := regex.NewMatcher(r)
+					m.Fuel, m.Telem = c.fuel, c.telem
+					c.neg[v.Name] = append(c.neg[v.Name], m)
 				}
 			}
 			if polarity && regex.IsEmpty(r) {

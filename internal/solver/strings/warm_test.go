@@ -1,6 +1,7 @@
 package strings
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/ast"
@@ -10,11 +11,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// capClearSrc is satisfiable and needs many memo probes: a literal over
-// three variables, a variable forced by propagation (c), and branching
-// over a, whose first candidate "ab" fails (str.len a) > 2 after
-// passing the regex literal.
-const capClearSrc = `
+// warmSrc is satisfiable and exercises every kind of evaluation: a
+// literal over three variables, a variable forced by propagation (c),
+// and branching over a, whose first candidate "ab" fails
+// (str.len a) > 2 after passing the regex literal.
+const warmSrc = `
 (declare-fun a () String)
 (declare-fun b () String)
 (declare-fun c () String)
@@ -38,39 +39,38 @@ func modelsEqual(a, b eval.Model) bool {
 	return true
 }
 
-// TestWarmCapClearMidSearch fills a Warm to one entry below the cap, so
-// the wholesale clear fires on the second memo miss, inside the DFS,
-// after the regex literal's memo was resolved. Both Checks on that
-// Warm must answer like a cold Check, and after the second the cache
-// must hold each distinct key once — as many entries as one Check on
-// a fresh Warm leaves. Entries written through a stale per-check memo
-// slice, or keyed by stale value ids, would miss again and overshoot.
-func TestWarmCapClearMidSearch(t *testing.T) {
-	lits := mustAsserts(t, capClearSrc)
+// TestWarmSharesPrograms runs three Checks on one Warm: each must
+// answer like a cold Check, and the Warm must compile each literal and
+// propagation term once, on the first Check, and reuse the programs
+// after.
+func TestWarmSharesPrograms(t *testing.T) {
+	lits := mustAsserts(t, warmSrc)
 	coldSt, coldModel := Check(&Problem{Lits: lits})
 	if coldSt != Sat {
 		t.Fatalf("cold status %v, want sat", coldSt)
 	}
-	fresh := NewWarm()
-	Check(&Problem{Lits: lits, Warm: fresh})
-
 	w := NewWarm()
-	w.entries = warmMaxEntries - 1
-	tel := telemetry.NewTracker()
-	for run := 1; run <= 2; run++ {
-		st, model := Check(&Problem{Lits: lits, Warm: w, Telem: tel})
+	var first map[ast.Term]*eval.Program
+	for run := 1; run <= 3; run++ {
+		st, model := Check(&Problem{Lits: lits, Warm: w})
 		if st != coldSt || !modelsEqual(model, coldModel) {
 			t.Fatalf("check %d: warm %v %v, cold %v %v", run, st, model, coldSt, coldModel)
 		}
-		if run == 1 && w.entries >= fresh.entries {
-			t.Fatalf("check 1 left %d entries of %d: the cap clear did not fire", w.entries, fresh.entries)
+		if run == 1 {
+			if len(w.progs) == 0 {
+				t.Fatal("first check compiled no programs into the Warm")
+			}
+			first = maps.Clone(w.progs)
+			continue
 		}
-	}
-	if w.entries != fresh.entries {
-		t.Fatalf("after two checks the cache holds %d entries, a fresh one %d", w.entries, fresh.entries)
-	}
-	if tel.Snapshot().Counter(cWarmEvalHits.Name) == 0 {
-		t.Fatal("no memo hits across the two checks")
+		if len(w.progs) != len(first) {
+			t.Fatalf("check %d: the Warm holds %d programs, %d after the first check", run, len(w.progs), len(first))
+		}
+		for term, p := range first {
+			if w.progs[term] != p {
+				t.Fatalf("check %d recompiled %s", run, ast.Print(term))
+			}
+		}
 	}
 }
 
@@ -80,7 +80,7 @@ func TestWarmCapClearMidSearch(t *testing.T) {
 // Check's hits plus misses must equal the cold Check's evaluations
 // (all misses).
 func FuzzStringsWarmMatchesCold(f *testing.F) {
-	f.Add(capClearSrc)
+	f.Add(warmSrc)
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := smtlib.ParseScript(src)
 		if err != nil {

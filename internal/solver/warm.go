@@ -28,12 +28,15 @@ const rewriteMemoMax = 1 << 16
 // test and metamorphic variant of one campaign task (terms are
 // hash-consed, so shared structure is shared term pointers).
 type warmState struct {
-	// str is the string theory's literal-evaluation cache (see
-	// strings.Warm). On string-logic campaigns the strings solver and
-	// eval do most of the work: the traced yybench `strings` workload
-	// (2-core x86-64 host) attributes 0.42 of CPU to the strings solver
-	// and 0.40 to eval. On the `arith` workload the strings solver's
-	// share is about 0.001.
+	// str is the string theory's search state (see strings.Warm): the
+	// compiled program of every literal and propagation term the
+	// solver has met, and the verdict rows that answer repeated
+	// literal checks within one Check. It memoizes no results across
+	// Checks. On string-logic campaigns the strings solver and eval do
+	// most of the work: the traced yybench `strings` workload (2-core
+	// x86-64 host) attributes about 0.4 of CPU to the strings solver
+	// and another 0.4 to eval. On the `arith` workload the strings
+	// solver's share is about 0.001.
 	str strings.Warm
 	// rw memoizes top-level preprocess rewrites: input term → output
 	// term plus the defect sites that fired while rewriting it, so a
