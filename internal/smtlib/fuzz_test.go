@@ -17,6 +17,15 @@ func FuzzParsePrintRoundTrip(f *testing.F) {
 		"(set-logic QF_S)\n(declare-fun s () String)\n(assert (str.in_re s (re.* (str.to_re \"ab\"))))\n(check-sat)\n",
 		"(set-logic QF_LRA)\n(declare-fun r () Real)\n(define-fun twice ((v Real)) Real (* 2.0 v))\n(assert (= (twice r) 4.0))\n(check-sat)\n(get-model)\n",
 		"(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (distinct (div x 2) (mod x 2)))\n(check-sat)\n(exit)\n",
+		// Numerals at and across the int64 boundary, and decimals whose
+		// printing takes the exact-decimal and the (/ p q) forms.
+		"(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (< x 9223372036854775807))\n(check-sat)\n",
+		"(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> x (- 9223372036854775808)))\n(check-sat)\n",
+		"(set-logic QF_NIA)\n(declare-fun x () Int)\n(assert (= (* x 18446744073709551616) 1234567890123456789012345678901234567890))\n(check-sat)\n",
+		"(set-logic QF_LRA)\n(declare-fun r () Real)\n(assert (and (< 0.5 r) (< r (+ 0.125 1))))\n(check-sat)\n",
+		"(set-logic QF_LRA)\n(declare-fun r () Real)\n(assert (= r 1234567890123.456789012345))\n(check-sat)\n",
+		"(set-logic QF_LRA)\n(declare-fun r () Real)\n(assert (= r (/ 1.0 3.0)))\n(check-sat)\n",
+		"(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (= x (- 7)))\n(check-sat)\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
