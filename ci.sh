@@ -26,6 +26,13 @@ if go list -deps ./internal/regex | grep -qx 'repro/internal/ast'; then
     echo "layering: internal/regex depends on repro/internal/ast" >&2
     exit 1
 fi
+# The term layer sits at the bottom: ast may import only the rat
+# package (its literal type), never a solver, evaluator or parser.
+if bad=$(go list -deps ./internal/ast | grep '^repro/internal/' | grep -vx 'repro/internal/ast\|repro/internal/rat'); then
+    echo "layering: internal/ast depends on:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
 
 echo "== go test =="
 go test ./...
@@ -312,7 +319,7 @@ go test -run='^$' -fuzz='^FuzzParseVerdict$' -fuzztime=10s ./internal/backend/
 go test -run='^$' -fuzz='^FuzzStringsWarmMatchesCold$' -fuzztime=10s ./internal/solver/strings/
 # Inline rationals: every operation agrees with math/big and keeps the
 # canonical form, including on the overflow fallback.
-go test -run='^$' -fuzz='^FuzzRatMatchesBig$' -fuzztime=10s ./internal/solver/rat/
+go test -run='^$' -fuzz='^FuzzRatMatchesBig$' -fuzztime=10s ./internal/rat/
 # Interval refuter: every rat.Rat interval operation encloses its
 # math/big point results, endpoints near the int64 limits included.
 go test -run='^$' -fuzz='^FuzzIntervalEnclosure$' -fuzztime=10s ./internal/solver/arith/

@@ -11,7 +11,7 @@ import (
 	yinyang "repro"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 const phi1Src = `

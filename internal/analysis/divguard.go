@@ -292,12 +292,10 @@ func isNonzeroLiteral(t ast.Term) bool {
 // print/reparse round trip a rational literal is a tree of those two
 // applications over positive numerals; literalSign folds both.
 func literalSign(t ast.Term) (int, bool) {
-	switch n := t.(type) {
-	case *ast.IntLit:
-		return n.V.Sign(), true
-	case *ast.RealLit:
-		return n.V.Sign(), true
-	case *ast.App:
+	if v, ok := ast.Numeral(t); ok {
+		return v.Sign(), true
+	}
+	if n, ok := t.(*ast.App); ok {
 		if n.Op == ast.OpNeg && len(n.Args) == 1 {
 			if s, ok := literalSign(n.Args[0]); ok {
 				return -s, true

@@ -36,7 +36,7 @@ import (
 // fuelScopeDirs are the module-relative package prefixes the fuel rule
 // applies to: everything that runs inside a solve.
 var fuelScopeDirs = []string{
-	"internal/solver", "internal/regex", "internal/eval",
+	"internal/solver", "internal/rat", "internal/regex", "internal/eval",
 }
 
 // lintFuel reports potentially unbounded loops in fuel-scoped packages

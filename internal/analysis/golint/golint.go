@@ -24,7 +24,7 @@
 //     renders output. Map iteration order must never reach rendered
 //     results, trace records, or metrics.
 //   - fuel-charge: in the solver packages (internal/solver/...,
-//     internal/regex, internal/eval), every loop whose bound is not
+//     internal/rat, internal/regex, internal/eval), every loop whose bound is not
 //     syntactically evident must reach a fuel.Meter.Spend call,
 //     directly or through the functions it calls. A loop that is
 //     legitimately bounded for a non-obvious reason carries an explicit

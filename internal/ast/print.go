@@ -1,11 +1,15 @@
 package ast
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/rat"
 )
 
 // Print returns the canonical SMT-LIB rendering of the term. The output
@@ -28,9 +32,9 @@ func printTerm(b *strings.Builder, t Term) {
 			b.WriteString("false")
 		}
 	case *IntLit:
-		printInt(b, n.V)
+		printNum(b, n.V, false)
 	case *RealLit:
-		printRat(b, n.V)
+		printNum(b, n.V, true)
 	case *StrLit:
 		printStringLit(b, n.V)
 	case *App:
@@ -69,75 +73,104 @@ func printTerm(b *strings.Builder, t Term) {
 	}
 }
 
-func printInt(b *strings.Builder, v *big.Int) {
-	if v.Sign() < 0 {
+// printNum writes a numeric literal: a negative value as (- |v|), an
+// Int in decimal, a Real integer with ".0", a Real whose denominator is
+// 2^a·5^b as its exact decimal, and any other Real as (/ p.0 q.0).
+// Inline values render through strconv into a stack buffer.
+func printNum(b *strings.Builder, v rat.Rat, real bool) {
+	var buf [48]byte
+	s := v.Append(buf[:0]) // "[-]n" or "[-]n/d"
+	neg := s[0] == '-'
+	if neg {
 		b.WriteString("(- ")
-		b.WriteString(new(big.Int).Neg(v).String())
-		b.WriteByte(')')
-		return
+		s = s[1:]
 	}
-	b.WriteString(v.String())
-}
-
-func printRat(b *strings.Builder, v *big.Rat) {
-	if v.Sign() < 0 {
-		b.WriteString("(- ")
-		printRat(b, new(big.Rat).Neg(v))
-		b.WriteByte(')')
-		return
-	}
-	if v.IsInt() {
-		b.WriteString(v.Num().String())
+	num, den, frac := bytes.Cut(s, []byte{'/'})
+	switch {
+	case !real:
+		b.Write(num)
+	case !frac:
+		b.Write(num)
 		b.WriteString(".0")
-		return
+	case !writeDecimal(b, v):
+		b.WriteString("(/ ")
+		b.Write(num)
+		b.WriteString(".0 ")
+		b.Write(den)
+		b.WriteString(".0)")
 	}
-	// Exact decimal if the denominator divides a power of ten, else an
-	// explicit division of decimal literals.
-	if dec, ok := exactDecimal(v); ok {
-		b.WriteString(dec)
-		return
+	if neg {
+		b.WriteByte(')')
 	}
-	b.WriteString("(/ ")
-	b.WriteString(v.Num().String())
-	b.WriteString(".0 ")
-	b.WriteString(v.Denom().String())
-	b.WriteString(".0)")
 }
 
-// exactDecimal renders a non-negative rational as a finite decimal if
-// possible.
-func exactDecimal(v *big.Rat) (string, bool) {
-	den := new(big.Int).Set(v.Denom())
-	two, five, ten, one := big.NewInt(2), big.NewInt(5), big.NewInt(10), big.NewInt(1)
-	twos, fives := 0, 0
-	tmp := new(big.Int)
-	for den.Cmp(one) != 0 && twos+fives < 64 {
-		if tmp.Mod(den, two).Sign() == 0 {
-			den.Div(den, two)
-			twos++
-		} else if tmp.Mod(den, five).Sign() == 0 {
-			den.Div(den, five)
-			fives++
-		} else {
-			return "", false
+// writeDecimal writes |v|, which is not an integer, as a finite
+// decimal if its denominator is 2^a·5^b with a+b ≤ 64, and reports
+// whether it did. An inline value is expanded by long division.
+func writeDecimal(b *strings.Builder, v rat.Rat) bool {
+	n, d, ok := v.Inline()
+	if !ok {
+		r := v.Big()
+		dec, ok := exactDecimal(r.Abs(r))
+		if ok {
+			b.WriteString(dec)
 		}
+		return ok
 	}
-	if den.Cmp(one) != 0 {
+	den := uint64(d)
+	twos := bits.TrailingZeros64(den)
+	odd, fives := den>>twos, 0
+	for odd%5 == 0 {
+		odd /= 5
+		fives++
+	}
+	if odd != 1 {
+		return false
+	}
+	num := uint64(n)
+	if n < 0 {
+		num = uint64(-n)
+	}
+	var buf [20]byte
+	b.Write(strconv.AppendUint(buf[:0], num/den, 10))
+	b.WriteByte('.')
+	// 10·rem < 10·den fits 128 bits with a high word below den.
+	for i, rem := 0, num%den; i < max(twos, fives); i++ {
+		hi, lo := bits.Mul64(rem, 10)
+		var q uint64
+		q, rem = bits.Div64(hi, lo, den)
+		b.WriteByte(byte('0' + q))
+	}
+	return true
+}
+
+// exactDecimal renders a positive non-integer rational as a finite
+// decimal if its denominator is 2^a·5^b with a+b ≤ 64: if the odd part
+// of the denominator is a power of five, "10…0" in base 5.
+func exactDecimal(v *big.Rat) (string, bool) {
+	twos, odd := int(v.Denom().TrailingZeroBits()), v.Denom()
+	if twos > 0 {
+		odd = new(big.Int).Rsh(odd, uint(twos))
+	}
+	// 2^64 ≡ 1 (mod 5), so odd ≡ Σ words (mod 5): a denominator with
+	// a prime factor other than 2 and 5 is most often rejected here
+	// without allocating.
+	var m big.Word
+	for _, w := range odd.Bits() {
+		m += w % 5
+	}
+	if m%5 != 0 && odd.BitLen() > 1 {
 		return "", false
 	}
-	digits := twos
-	if fives > digits {
-		digits = fives
+	var buf [64]byte
+	fives := odd.Append(buf[:0], 5)
+	if string(bytes.TrimRight(fives, "0")) != "1" || twos+len(fives)-1 > 64 {
+		return "", false
 	}
-	scaled := new(big.Int).Mul(v.Num(), new(big.Int).Exp(ten, big.NewInt(int64(digits)), nil))
-	scaled.Div(scaled, v.Denom())
-	s := scaled.String()
-	if digits == 0 {
-		return s + ".0", true
-	}
-	for len(s) <= digits {
-		s = "0" + s
-	}
+	digits := max(twos, len(fives)-1)
+	scaled := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(digits)), nil)
+	s := scaled.Mul(scaled, v.Num()).Quo(scaled, v.Denom()).String()
+	s = strings.Repeat("0", max(0, digits+1-len(s))) + s
 	return s[:len(s)-digits] + "." + s[len(s)-digits:], true
 }
 

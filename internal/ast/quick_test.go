@@ -1,13 +1,18 @@
 package ast
 
 import (
+	"math"
 	"math/big"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rat"
 )
 
 // Property: integer literal printing is value-faithful — Print of
-// tb.IntBig(v) round-trips through the printed decimal (with the (- n)
+// tb.Int(v) round-trips through the printed decimal (with the (- n)
 // form for negatives).
 func TestQuickIntLitPrint(t *testing.T) {
 	f := func(v int64) bool {
@@ -25,6 +30,76 @@ func TestQuickIntLitPrint(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// bigRealPrint is the math/big rendering of a Real literal: (- |v|)
+// for a negative value, "n.0" for an integer, the finite decimal when
+// the denominator is 2^a·5^b with a+b ≤ 64, else (/ p.0 q.0).
+func bigRealPrint(v *big.Rat) string {
+	if v.Sign() < 0 {
+		return "(- " + bigRealPrint(new(big.Rat).Neg(v)) + ")"
+	}
+	if v.IsInt() {
+		return v.Num().String() + ".0"
+	}
+	den := new(big.Int).Set(v.Denom())
+	digits, ten := 0, big.NewInt(10)
+	for twos, fives := 0, 0; den.Cmp(big.NewInt(1)) != 0; {
+		switch {
+		case twos+fives == 64:
+			return "(/ " + v.Num().String() + ".0 " + v.Denom().String() + ".0)"
+		case den.Bit(0) == 0:
+			den.Rsh(den, 1)
+			twos++
+		case new(big.Int).Mod(den, big.NewInt(5)).Sign() == 0:
+			den.Quo(den, big.NewInt(5))
+			fives++
+		default:
+			return "(/ " + v.Num().String() + ".0 " + v.Denom().String() + ".0)"
+		}
+		digits = max(twos, fives)
+	}
+	s := new(big.Int).Quo(new(big.Int).Mul(v.Num(), new(big.Int).Exp(ten, big.NewInt(int64(digits)), nil)), v.Denom()).String()
+	s = strings.Repeat("0", max(0, digits+1-len(s))) + s
+	return s[:len(s)-digits] + "." + s[len(s)-digits:]
+}
+
+// Property: a Real literal prints as its math/big rendering, inline
+// values (expanded by long division) and fallback ones alike.
+// Denominators of the form 2^a·5^b·k reach the decimal form.
+func TestQuickRealLitPrint(t *testing.T) {
+	f := func(n int64, a, b uint8, k uint16, scale uint8) bool {
+		d := new(big.Int).Lsh(big.NewInt(int64(k%7)+1), uint(a%80))
+		d.Mul(d, new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(b%30)), nil))
+		num := new(big.Int).Mul(big.NewInt(n), new(big.Int).Lsh(big.NewInt(1), uint(scale%3)*40))
+		v := new(big.Rat).SetFrac(num, d)
+		return Print(tb.RealRat(rat.FromBig(v))) == bigRealPrint(v)
+	}
+	cfg := &quick.Config{MaxCount: 3000, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Inline numerals render without allocating: the only allocation of
+// a Print is the builder's buffer.
+func TestPrintInlineNumeralsDoNotAllocate(t *testing.T) {
+	vals := []rat.Rat{
+		rat.Int(math.MaxInt64), rat.Int(-math.MaxInt64), rat.Int(0), rat.New(-5, 8),
+		rat.New(1, 3), rat.New(math.MaxInt64, 1<<62), rat.New(-1, 7450580596923828125),
+	}
+	var b strings.Builder
+	b.Grow(1 << 16)
+	for _, v := range vals {
+		for _, real := range []bool{false, true} {
+			if !real && !v.IsInt() {
+				continue
+			}
+			if n := testing.AllocsPerRun(20, func() { printNum(&b, v, real) }); n != 0 {
+				t.Errorf("printNum(%s, real=%v) allocates %.0f times", v, real, n)
+			}
+		}
 	}
 }
 

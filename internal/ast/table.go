@@ -1,6 +1,6 @@
 package ast
 
-import "math/big"
+import "repro/internal/rat"
 
 // Hash-consing term tables.
 //
@@ -177,21 +177,15 @@ func hashVar(name string, sort Sort) uint64 {
 	return nonzero(hashUint64(hashString(hashKind(kindVar), name), uint64(sort)))
 }
 
-func hashBigInt(h uint64, v *big.Int) uint64 {
-	h = hashUint64(h, uint64(int64(v.Sign())))
-	for _, w := range v.Bits() {
-		h = hashUint64(h, uint64(w))
+// hashNum hashes a numeric literal of kind k. An inline value hashes
+// its two words; a fallback value its rendering, which rat's canonical
+// form makes as unique as the value.
+func hashNum(k byte, v rat.Rat) uint64 {
+	h := hashKind(k)
+	if n, d, ok := v.Inline(); ok {
+		return nonzero(hashUint64(hashUint64(h, uint64(n)), uint64(d)))
 	}
-	return h
-}
-
-func hashInt(v *big.Int) uint64 {
-	return nonzero(hashBigInt(hashKind(kindInt), v))
-}
-
-func hashRat(v *big.Rat) uint64 {
-	h := hashBigInt(hashKind(kindReal), v.Num())
-	return nonzero(hashBigInt(h, v.Denom()))
+	return nonzero(hashString(h, v.String()))
 }
 
 func hashStr(v string) uint64 {
@@ -242,12 +236,12 @@ func Hash(t Term) uint64 {
 		if n.hash != 0 {
 			return n.hash
 		}
-		return hashInt(n.V)
+		return hashNum(kindInt, n.V)
 	case *RealLit:
 		if n.hash != 0 {
 			return n.hash
 		}
-		return hashRat(n.V)
+		return hashNum(kindReal, n.V)
 	case *StrLit:
 		if n.hash != 0 {
 			return n.hash
@@ -289,8 +283,8 @@ func (tb *Table) internVar(name string, sort Sort, cand *Var) *Var {
 	return cand
 }
 
-func (tb *Table) internInt(val *big.Int, cand *IntLit) *IntLit {
-	h := hashInt(val)
+func (tb *Table) internInt(val rat.Rat, cand *IntLit) *IntLit {
+	h := hashNum(kindInt, val)
 	t, at := tb.lookup(h, func(t Term) bool {
 		l, ok := t.(*IntLit)
 		return ok && l.V.Cmp(val) == 0
@@ -305,8 +299,8 @@ func (tb *Table) internInt(val *big.Int, cand *IntLit) *IntLit {
 	return cand
 }
 
-func (tb *Table) internRat(val *big.Rat, cand *RealLit) *RealLit {
-	h := hashRat(val)
+func (tb *Table) internRat(val rat.Rat, cand *RealLit) *RealLit {
+	h := hashNum(kindReal, val)
 	t, at := tb.lookup(h, func(t Term) bool {
 		l, ok := t.(*RealLit)
 		return ok && l.V.Cmp(val) == 0

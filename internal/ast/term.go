@@ -2,7 +2,8 @@ package ast
 
 import (
 	"fmt"
-	"math/big"
+
+	"repro/internal/rat"
 )
 
 // Term is an immutable, well-sorted term tree. Terms are shared freely:
@@ -49,7 +50,7 @@ func Bool(b bool) *BoolLit {
 
 // IntLit is an arbitrary-precision integer literal.
 type IntLit struct {
-	V    *big.Int
+	V    rat.Rat // an integer
 	hash uint64
 }
 
@@ -57,15 +58,20 @@ func (*IntLit) Sort() Sort { return SortInt }
 func (*IntLit) aTerm()     {}
 
 // Int returns the table's Int literal for v.
-func (tb *Table) Int(v int64) *IntLit { return tb.internInt(big.NewInt(v), nil) }
+func (tb *Table) Int(v int64) *IntLit { return tb.internInt(rat.Int(v), nil) }
 
-// IntBig returns the table's Int literal for the given big integer.
-// The value is not copied and must not be mutated afterwards.
-func (tb *Table) IntBig(v *big.Int) *IntLit { return tb.internInt(v, nil) }
+// IntRat returns the table's Int literal for v, which must be an
+// integer.
+func (tb *Table) IntRat(v rat.Rat) *IntLit {
+	if !v.IsInt() {
+		panic("ast: IntRat of a non-integer " + v.String())
+	}
+	return tb.internInt(v, nil)
+}
 
 // RealLit is an exact rational literal.
 type RealLit struct {
-	V    *big.Rat
+	V    rat.Rat
 	hash uint64
 }
 
@@ -73,11 +79,22 @@ func (*RealLit) Sort() Sort { return SortReal }
 func (*RealLit) aTerm()     {}
 
 // Real returns the table's Real literal for num/den.
-func (tb *Table) Real(num, den int64) *RealLit { return tb.internRat(big.NewRat(num, den), nil) }
+func (tb *Table) Real(num, den int64) *RealLit { return tb.internRat(rat.New(num, den), nil) }
 
-// RealBig returns the table's Real literal for the given rational.
-// The value is not copied and must not be mutated afterwards.
-func (tb *Table) RealBig(v *big.Rat) *RealLit { return tb.internRat(v, nil) }
+// RealRat returns the table's Real literal for v.
+func (tb *Table) RealRat(v rat.Rat) *RealLit { return tb.internRat(v, nil) }
+
+// Numeral returns the value of an Int or Real literal, and false for
+// any other term.
+func Numeral(t Term) (rat.Rat, bool) {
+	switch n := t.(type) {
+	case *IntLit:
+		return n.V, true
+	case *RealLit:
+		return n.V, true
+	}
+	return rat.Rat{}, false
+}
 
 // StrLit is a string literal. The value is the already-unescaped Go
 // string; printing re-applies SMT-LIB escaping.

@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
-	"repro/internal/solver/rat"
 )
 
 func seedFromSrc(t *testing.T, src string, status Status, witness eval.Model) *Seed {

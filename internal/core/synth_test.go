@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 func TestSynthesizeTableShape(t *testing.T) {

@@ -2,8 +2,8 @@ package eval
 
 import (
 	"repro/internal/ast"
+	"repro/internal/rat"
 	"repro/internal/regex"
-	"repro/internal/solver/rat"
 )
 
 // Program is a term compiled for repeated evaluation over a frame of

@@ -3,7 +3,6 @@ package eval
 import (
 	"repro/internal/ast"
 	"repro/internal/regex"
-	"repro/internal/solver/rat"
 )
 
 // Term evaluates t under model m. Evaluation is total on well-sorted
@@ -24,10 +23,9 @@ func Term(t ast.Term, m Model) (Val, error) {
 		return v, nil
 	case *ast.BoolLit:
 		return BoolVal(n.V), nil
-	case *ast.IntLit:
-		return IntVal(rat.FromBigInt(n.V)), nil
-	case *ast.RealLit:
-		return RealVal(rat.FromBig(n.V)), nil
+	case *ast.IntLit, *ast.RealLit:
+		v, _ := ast.Numeral(n)
+		return Val{sort: n.Sort(), r: v}, nil
 	case *ast.StrLit:
 		return StrVal(n.V), nil
 	case *ast.Quant:

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 func intV(n int64) Val     { return IntVal(rat.Int(n)) }

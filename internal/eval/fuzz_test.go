@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 // FuzzEvalTotal checks the evaluator's totality contract: on any term

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/rat"
 )
 
 // bigIntLit and bigRealLit build a literal from a math/big value, the
 // way a numeral too long for int64 enters the term layer.
-func bigIntLit(x *big.Int) ast.Term  { return tb.IntBig(x) }
-func bigRealLit(x *big.Rat) ast.Term { return tb.RealBig(x) }
+func bigIntLit(x *big.Int) ast.Term  { return tb.IntRat(rat.FromBigInt(x)) }
+func bigRealLit(x *big.Rat) ast.Term { return tb.RealRat(rat.FromBig(x)) }
 
 // TestNumeralBoundary pins the printed bytes of numeric literals at
 // and across the int64 boundary, their Term→ToTerm round trip, and

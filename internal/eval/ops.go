@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // The operator helpers below are the one definition of what each
@@ -225,22 +225,10 @@ func strReplace(s, t, u string) string {
 // or -1 if s is not a (non-empty) digit sequence. It allocates only
 // for numerals longer than 18 digits.
 func strToInt(s string) rat.Rat {
-	if s == "" {
-		return rat.Int(-1)
+	if v, ok := rat.Parse(s); ok && strings.IndexByte(s, '.') < 0 {
+		return v
 	}
-	var n int64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return rat.Int(-1)
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if len(s) > 18 {
-		v, _ := new(big.Int).SetString(s, 10)
-		return rat.FromBigInt(v)
-	}
-	return rat.Int(n)
+	return rat.Int(-1)
 }
 
 // strFromInt is (str.from_int n): the decimal numeral for non-negative

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // wide returns v·2^k with k < 80: v itself at k = 0, values beyond the

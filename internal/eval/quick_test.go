@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // Property: the SMT-LIB division identity m = n·(div m n) + (mod m n)

@@ -25,7 +25,7 @@ import (
 	"strconv"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // Val is an evaluated SMT value: a sort tag and the payload of that
@@ -85,9 +85,9 @@ func (v Val) String() string {
 	case ast.SortBool:
 		return strconv.FormatBool(v.b)
 	case ast.SortInt:
-		return ast.Print(&ast.IntLit{V: v.r.Big().Num()})
+		return ast.Print(&ast.IntLit{V: v.r})
 	case ast.SortReal:
-		return ast.Print(&ast.RealLit{V: v.r.Big()})
+		return ast.Print(&ast.RealLit{V: v.r})
 	case ast.SortString:
 		return ast.Print(&ast.StrLit{V: v.s})
 	}
@@ -100,12 +100,9 @@ func ToTerm(tb *ast.Table, v Val) ast.Term {
 	case ast.SortBool:
 		return ast.Bool(v.b)
 	case ast.SortInt:
-		if n, _, ok := v.r.Inline(); ok {
-			return tb.Int(n)
-		}
-		return tb.IntBig(v.r.Big().Num())
+		return tb.IntRat(v.r)
 	case ast.SortReal:
-		return tb.RealBig(v.r.Big())
+		return tb.RealRat(v.r)
 	case ast.SortString:
 		return tb.Str(v.s)
 	}

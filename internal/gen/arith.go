@@ -1,13 +1,11 @@
 package gen
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 // satArith builds a satisfiable arithmetic seed model-first.
@@ -24,7 +22,7 @@ func (g *Generator) satArith() *core.Seed {
 		if g.tr.sort == ast.SortInt {
 			witness[name] = eval.IntVal(g.randInt())
 		} else {
-			witness[name] = eval.RealVal(rat.FromBig(g.randRat()))
+			witness[name] = eval.RealVal(g.randRat())
 		}
 	}
 
@@ -89,27 +87,21 @@ func (g *Generator) trueArithAtom(vars []*ast.Var, witness eval.Model) ast.Term 
 	if err != nil {
 		return ast.True
 	}
-	val := v.Rat().Big()
-	offset := big.NewRat(int64(g.rng.Intn(5)), 1)
+	val, one := v.Rat(), rat.Int(1)
+	offset := rat.Int(int64(g.rng.Intn(5)))
 	switch g.rng.Intn(6) {
 	case 0: // t = val
 		return g.tb.Eq(t, g.numLit(val))
 	case 1: // t ≤ val + offset
-		return g.tb.Le(t, g.numLit(new(big.Rat).Add(val, offset)))
+		return g.tb.Le(t, g.numLit(val.Add(offset)))
 	case 2: // t ≥ val − offset
-		return g.tb.Ge(t, g.numLit(new(big.Rat).Sub(val, offset)))
+		return g.tb.Ge(t, g.numLit(val.Sub(offset)))
 	case 3: // t < val + offset + 1
-		up := new(big.Rat).Add(val, offset)
-		up.Add(up, big.NewRat(1, 1))
-		return g.tb.Lt(t, g.numLit(up))
+		return g.tb.Lt(t, g.numLit(val.Add(offset).Add(one)))
 	case 4: // t > val − offset − 1
-		dn := new(big.Rat).Sub(val, offset)
-		dn.Sub(dn, big.NewRat(1, 1))
-		return g.tb.Gt(t, g.numLit(dn))
+		return g.tb.Gt(t, g.numLit(val.Sub(offset).Sub(one)))
 	default: // distinct(t, val+1+offset)
-		d := new(big.Rat).Add(val, offset)
-		d.Add(d, big.NewRat(1, 1))
-		return g.tb.Not(g.tb.Eq(t, g.numLit(d)))
+		return g.tb.Not(g.tb.Eq(t, g.numLit(val.Add(offset).Add(one))))
 	}
 }
 
@@ -152,7 +144,7 @@ func (g *Generator) arithTerm(vars []*ast.Var, depth int) ast.Term {
 	case 2:
 		return g.tb.Neg(a)
 	case 3: // scalar multiple (linear)
-		return g.tb.Mul(g.numLit(big.NewRat(int64(g.rng.Intn(7)-3), 1)), a)
+		return g.tb.Mul(g.numLit(rat.Int(int64(g.rng.Intn(7)-3))), a)
 	case 4: // nonlinear product
 		return g.tb.Mul(a, b)
 	default: // nonlinear division, guarded against a zero divisor
@@ -172,7 +164,7 @@ func (g *Generator) arithTerm(vars []*ast.Var, depth int) ast.Term {
 			// true, so the division needs none.
 			return d
 		}
-		guard := g.tb.MustApp(ast.OpDistinct, b, g.numLit(big.NewRat(0, 1)))
+		guard := g.tb.MustApp(ast.OpDistinct, b, g.numLit(rat.Int(0)))
 		return g.tb.Ite(guard, d, a)
 	}
 }
@@ -181,16 +173,12 @@ func (g *Generator) arithTerm(vars []*ast.Var, depth int) ast.Term {
 // minus (mirrors the analysis pass's literal test); ok=false for
 // non-literal terms.
 func litSign(t ast.Term) (int, bool) {
-	switch n := t.(type) {
-	case *ast.IntLit:
-		return n.V.Sign(), true
-	case *ast.RealLit:
-		return n.V.Sign(), true
-	case *ast.App:
-		if n.Op == ast.OpNeg && len(n.Args) == 1 {
-			if s, ok := litSign(n.Args[0]); ok {
-				return -s, true
-			}
+	if v, ok := ast.Numeral(t); ok {
+		return v.Sign(), true
+	}
+	if n, ok := t.(*ast.App); ok && n.Op == ast.OpNeg && len(n.Args) == 1 {
+		if s, ok := litSign(n.Args[0]); ok {
+			return -s, true
 		}
 	}
 	return 0, false
@@ -229,7 +217,7 @@ func (g *Generator) unsatArith() *core.Seed {
 		if g.tr.sort == ast.SortInt {
 			noiseWitness[name] = eval.IntVal(g.randInt())
 		} else {
-			noiseWitness[name] = eval.RealVal(rat.FromBig(g.randRat()))
+			noiseWitness[name] = eval.RealVal(g.randRat())
 		}
 	}
 
@@ -257,23 +245,23 @@ func (g *Generator) arithContradiction(vars []*ast.Var) []ast.Term {
 			return []ast.Term{g.tb.Gt(t, c), g.tb.Lt(t, c)}
 		},
 		func() []ast.Term { // t = c ∧ t = c+1
-			c2 := g.tb.Add(c, g.numLit(big.NewRat(1, 1)))
+			c2 := g.tb.Add(c, g.numLit(rat.Int(1)))
 			return []ast.Term{g.tb.Eq(t, c), g.tb.Eq(t, c2)}
 		},
 		func() []ast.Term { // x > y ∧ y > x
 			return []ast.Term{g.tb.Gt(x, y), g.tb.Gt(y, x)}
 		},
 		func() []ast.Term { // the paper's φ3 shape: (1 + t) + 6 ≠ 7 + t
-			one := g.numLit(big.NewRat(1, 1))
-			six := g.numLit(big.NewRat(6, 1))
-			seven := g.numLit(big.NewRat(7, 1))
+			one := g.numLit(rat.Int(1))
+			six := g.numLit(rat.Int(6))
+			seven := g.numLit(rat.Int(7))
 			return []ast.Term{g.tb.Not(g.tb.Eq(g.tb.Add(g.tb.Add(one, t), six), g.tb.Add(seven, t)))}
 		},
 	}
 	if g.tr.sort == ast.SortInt {
 		cores = append(cores, func() []ast.Term { // parity: 2x = 2y + 1
-			two := g.numLit(big.NewRat(2, 1))
-			one := g.numLit(big.NewRat(1, 1))
+			two := g.numLit(rat.Int(2))
+			one := g.numLit(rat.Int(1))
 			return []ast.Term{g.tb.Eq(g.tb.Mul(two, x), g.tb.Add(g.tb.Mul(two, y), one))}
 		})
 	}
@@ -287,14 +275,14 @@ func (g *Generator) arithContradiction(vars []*ast.Var) []ast.Term {
 			// v > 0 is implied (0 < x < v) but asserted explicitly so
 			// the division carries a syntactic nonzero guard.
 			return []ast.Term{
-				g.tb.Gt(x, g.numLit(big.NewRat(0, 1))),
+				g.tb.Gt(x, g.numLit(rat.Int(0))),
 				g.tb.Lt(x, v), g.tb.Ge(w, v),
-				g.tb.Gt(v, g.numLit(big.NewRat(0, 1))),
-				g.tb.Lt(g.tb.MustApp(ast.OpRealDiv, w, v), g.numLit(big.NewRat(0, 1))),
+				g.tb.Gt(v, g.numLit(rat.Int(0))),
+				g.tb.Lt(g.tb.MustApp(ast.OpRealDiv, w, v), g.numLit(rat.Int(0))),
 			}
 		})
 		cores = append(cores, func() []ast.Term { // x² < 0
-			return []ast.Term{g.tb.Lt(g.tb.Mul(x, x), g.numLit(big.NewRat(0, 1)))}
+			return []ast.Term{g.tb.Lt(g.tb.Mul(x, x), g.numLit(rat.Int(0)))}
 		})
 	}
 	if g.tr.quantified {

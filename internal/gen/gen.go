@@ -11,14 +11,13 @@ package gen
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 // Logic identifies a seed family.
@@ -179,17 +178,19 @@ func (g *Generator) randInt() rat.Rat {
 }
 
 // randRat samples a small rational value.
-func (g *Generator) randRat() *big.Rat {
+func (g *Generator) randRat() rat.Rat {
 	den := int64(1 + g.rng.Intn(4))
 	num := int64(g.rng.Intn(41) - 20)
-	return big.NewRat(num, den)
+	return rat.New(num, den)
 }
 
-func (g *Generator) numLit(v *big.Rat) ast.Term {
+// numLit returns a literal of the generator's sort for v, truncated
+// toward zero in Int.
+func (g *Generator) numLit(v rat.Rat) ast.Term {
 	if g.tr.sort == ast.SortInt {
-		return g.tb.IntBig(new(big.Int).Quo(v.Num(), v.Denom()))
+		return g.tb.IntRat(v.Trunc())
 	}
-	return g.tb.RealBig(v)
+	return g.tb.RealRat(v)
 }
 
 const strAlphabet = "abc01"

@@ -4,9 +4,9 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/regex"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 // satStrings builds a satisfiable string-logic seed model-first.

@@ -49,6 +49,37 @@ func New(n, d int64) Rat {
 	return make64(neg, abs(n), abs(d))
 }
 
+// Parse returns the value of a decimal numeral: digits, optionally
+// followed by '.' and more digits. It reports false for any other
+// string. Numerals of up to 18 digits are read on machine words; only
+// longer ones go through math/big.
+func Parse(s string) (Rat, bool) {
+	var n, d int64 = 0, 1
+	digits, dot := 0, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.' && !dot && i > 0:
+			dot = true
+		case c >= '0' && c <= '9':
+			// Past 18 digits n and d wrap, and are discarded below.
+			n, digits = n*10+int64(c-'0'), digits+1
+			if dot {
+				d *= 10
+			}
+		default:
+			return Rat{}, false
+		}
+	}
+	switch {
+	case digits == 0:
+		return Rat{}, false
+	case digits <= 18:
+		return New(n, d), true
+	}
+	r, _ := new(big.Rat).SetString(s)
+	return norm(r), true
+}
+
 // FromBig returns the value of x. x is not retained.
 func FromBig(x *big.Rat) Rat {
 	n, d := x.Num(), x.Denom()
@@ -351,6 +382,14 @@ func (x Rat) Floor() Rat {
 	return Rat{n: q}
 }
 
+// Trunc returns x rounded toward zero.
+func (x Rat) Trunc() Rat {
+	if x.b != nil {
+		return FromBigInt(new(big.Int).Quo(x.b.Num(), x.b.Denom()))
+	}
+	return Rat{n: x.n / (x.dm + 1)}
+}
+
 // GCD returns the greatest rational g > 0 such that x/g and y/g are
 // both integers: the gcd of the numerators over the lcm of the
 // denominators. GCD(0, 0) is 0.
@@ -380,7 +419,12 @@ func (x Rat) String() string {
 // Append appends String's rendering of x to buf.
 func (x Rat) Append(buf []byte) []byte {
 	if x.b != nil {
-		return append(buf, x.b.RatString()...)
+		buf = x.b.Num().Append(buf, 10)
+		if !x.b.IsInt() {
+			buf = append(buf, '/')
+			buf = x.b.Denom().Append(buf, 10)
+		}
+		return buf
 	}
 	buf = strconv.AppendInt(buf, x.n, 10)
 	if x.dm != 0 {

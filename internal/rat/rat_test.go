@@ -45,8 +45,8 @@ func checkOps(t *testing.T, x, y Rat) {
 		if got.Big().Cmp(want) != 0 {
 			t.Fatalf("%s(%s, %s) = %s, want %s", op, bx.RatString(), by.RatString(), got, want.RatString())
 		}
-		if got.String() != want.RatString() {
-			t.Fatalf("%s(%s, %s) renders %q, want %q", op, bx.RatString(), by.RatString(), got.String(), want.RatString())
+		if got.String() != want.RatString() || string(got.Append(nil)) != want.RatString() {
+			t.Fatalf("%s(%s, %s) renders %q (appends %q), want %q", op, bx.RatString(), by.RatString(), got.String(), got.Append(nil), want.RatString())
 		}
 	}
 	same("add", x.Add(y), new(big.Rat).Add(bx, by))
@@ -71,6 +71,7 @@ func checkOps(t *testing.T, x, y Rat) {
 	}
 	fl := new(big.Int).Div(bx.Num(), bx.Denom()) // Euclidean: floor for d > 0
 	same("floor", x.Floor(), new(big.Rat).SetInt(fl))
+	same("trunc", x.Trunc(), new(big.Rat).SetInt(new(big.Int).Quo(bx.Num(), bx.Denom())))
 	g := new(big.Int).GCD(nil, nil, new(big.Int).Abs(bx.Num()), new(big.Int).Abs(by.Num()))
 	l := new(big.Int).Mul(bx.Denom(), by.Denom())
 	l.Quo(l, new(big.Int).GCD(nil, nil, bx.Denom(), by.Denom()))
@@ -153,6 +154,42 @@ func TestChainsLeaveAndReenterInline(t *testing.T) {
 	}
 	if back != x {
 		t.Fatalf("canonical form broken: %#v vs %#v", back, x)
+	}
+}
+
+// TestParseMatchesBig checks Parse against (*big.Rat).SetString on
+// numerals and decimals on both sides of the 18-digit word path, and
+// that it rejects everything else.
+func TestParseMatchesBig(t *testing.T) {
+	valid := []string{
+		"0", "7", "007", "1.", "0.", "00.50", "0.125", "123.456000",
+		"999999999999999999", "1000000000000000000", "99999999999999999.9",
+		"9223372036854775807", "9223372036854775808", "18446744073709551616",
+		"1234567890123456789012345678901234567890", "0.000000000000000001",
+		"1234567890123.456789012345",
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, 1+rng.Intn(24))
+		for j := range b {
+			b[j] = byte('0' + rng.Intn(10))
+		}
+		if k := rng.Intn(len(b) + 1); k > 0 && k < len(b) {
+			b[k] = '.'
+		}
+		valid = append(valid, string(b))
+	}
+	for _, s := range valid {
+		want, _ := new(big.Rat).SetString(s)
+		got, ok := Parse(s)
+		if !ok || got.Big().Cmp(want) != 0 || canonical(got) != "" {
+			t.Fatalf("Parse(%q) = %s, %v, want %s", s, got, ok, want.RatString())
+		}
+	}
+	for _, s := range []string{"", ".", ".5", "1.2.3", "12a", "-1", "+1", "1e5", "1/2", " 1"} {
+		if _, ok := Parse(s); ok {
+			t.Errorf("Parse(%q) accepted", s)
+		}
 	}
 }
 

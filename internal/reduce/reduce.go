@@ -7,9 +7,8 @@
 package reduce
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
 )
 
@@ -221,7 +220,7 @@ func trivialLiteral(tb *ast.Table, s ast.Sort) ast.Term {
 	case ast.SortInt:
 		return tb.Int(0)
 	case ast.SortReal:
-		return tb.RealBig(new(big.Rat))
+		return tb.Real(0, 1)
 	case ast.SortString:
 		return tb.Str("")
 	default:
@@ -348,19 +347,11 @@ func isNeutral(op ast.Op, t ast.Term) bool {
 		b, ok := t.(*ast.BoolLit)
 		return ok && !b.V
 	case ast.OpAdd:
-		switch n := t.(type) {
-		case *ast.IntLit:
-			return n.V.Sign() == 0
-		case *ast.RealLit:
-			return n.V.Sign() == 0
-		}
+		v, ok := ast.Numeral(t)
+		return ok && v.IsZero()
 	case ast.OpMul:
-		switch n := t.(type) {
-		case *ast.IntLit:
-			return n.V.IsInt64() && n.V.Int64() == 1
-		case *ast.RealLit:
-			return n.V.Cmp(big.NewRat(1, 1)) == 0
-		}
+		v, ok := ast.Numeral(t)
+		return ok && v.Cmp(rat.Int(1)) == 0
 	case ast.OpStrConcat:
 		sl, ok := t.(*ast.StrLit)
 		return ok && sl.V == ""
@@ -376,7 +367,7 @@ func neutralTerm(tb *ast.Table, op ast.Op, sort ast.Sort) ast.Term {
 		return ast.False
 	case ast.OpAdd:
 		if sort == ast.SortReal {
-			return tb.RealBig(new(big.Rat))
+			return tb.Real(0, 1)
 		}
 		return tb.Int(0)
 	case ast.OpMul:

@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
-	"repro/internal/solver/rat"
 )
 
 func parse(t *testing.T, src string) *smtlib.Script {

@@ -241,15 +241,11 @@ func IsEmpty(r Regex) bool {
 
 // Enumerate returns up to limit members of L(r) with length ≤ maxLen, in
 // shortlex order over the relevant alphabet. It is used by the string
-// solver to propose candidate assignments.
-func Enumerate(r Regex, maxLen, limit int) []string {
-	return EnumerateFuel(r, maxLen, limit, nil, nil)
-}
-
-// EnumerateFuel is Enumerate under a fuel meter: one unit per explored
-// derivative state. Exhaustion truncates the enumeration. Each explored
-// state is recorded into tr (nil records nothing).
-func EnumerateFuel(r Regex, maxLen, limit int, m *fuel.Meter, tr *telemetry.Tracker) []string {
+// solver to propose candidate assignments. Each explored derivative
+// state costs one unit of m's fuel, and exhaustion truncates the
+// enumeration; each is recorded into tr. A nil m is unlimited and a
+// nil tr records nothing.
+func Enumerate(r Regex, maxLen, limit int, m *fuel.Meter, tr *telemetry.Tracker) []string {
 	alphabet := RelevantChars(r)
 	var out []string
 	type state struct {
@@ -294,16 +290,14 @@ func EnumerateFuel(r Regex, maxLen, limit int, m *fuel.Meter, tr *telemetry.Trac
 }
 
 // MinLen returns the length of the shortest member of L(r), and false
-// if the language is empty.
-func MinLen(r Regex) (int, bool) { return MinLenFuel(r, nil, nil) }
-
-// MinLenFuel is MinLen under a fuel meter: one unit per explored
-// derivative state, recorded into tr (nil records nothing). Exhaustion
-// gives up conservatively, reporting the trivial lower bound 0 — the
-// solver then simply learns nothing from this regex. The string solver
-// calls this on the solve path, so the BFS must charge: complement-heavy
-// regexes can have derivative graphs far larger than the state cap.
-func MinLenFuel(r Regex, m *fuel.Meter, tr *telemetry.Tracker) (int, bool) {
+// if the language is empty. Each explored derivative state costs one
+// unit of m's fuel and is recorded into tr (a nil m is unlimited, a nil
+// tr records nothing). Exhaustion gives up conservatively, reporting
+// the trivial lower bound 0 — the solver then simply learns nothing
+// from this regex. The string solver calls this on the solve path, so
+// the BFS must charge: complement-heavy regexes can have derivative
+// graphs far larger than the state cap.
+func MinLen(r Regex, m *fuel.Meter, tr *telemetry.Tracker) (int, bool) {
 	alphabet := RelevantChars(r)
 	type state struct {
 		r Regex

@@ -110,11 +110,11 @@ func TestQuickEnumerateMembers(t *testing.T) {
 			u = "a"
 		}
 		r := Plus(Lit(u))
-		min, ok := MinLen(r)
+		min, ok := MinLen(r, nil, nil)
 		if !ok {
 			return false
 		}
-		for _, s := range Enumerate(r, 8, 20) {
+		for _, s := range Enumerate(r, 8, 20, nil, nil) {
 			if !Match(r, s) || len(s) < min {
 				return false
 			}

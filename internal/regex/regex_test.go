@@ -119,7 +119,7 @@ func TestMinMaxLen(t *testing.T) {
 		{Plus(Lit("xy")), 2, 0, false, true},
 	}
 	for _, c := range cases {
-		min, ok := MinLen(c.r)
+		min, ok := MinLen(c.r, nil, nil)
 		if ok != c.nonEmpty {
 			t.Errorf("MinLen(%s) ok=%v want %v", Key(c.r), ok, c.nonEmpty)
 			continue
@@ -139,7 +139,7 @@ func TestMinMaxLen(t *testing.T) {
 }
 
 func TestEnumerate(t *testing.T) {
-	got := Enumerate(Star(Lit("ab")), 6, 10)
+	got := Enumerate(Star(Lit("ab")), 6, 10, nil, nil)
 	want := []string{"", "ab", "abab", "ababab"}
 	if len(got) != len(want) {
 		t.Fatalf("Enumerate = %v want %v", got, want)
@@ -151,7 +151,7 @@ func TestEnumerate(t *testing.T) {
 	}
 	// Every enumerated member actually matches.
 	r := Union(Plus(Lit("a")), Concat(Lit("b"), Star(Range('0', '9'))))
-	for _, s := range Enumerate(r, 5, 50) {
+	for _, s := range Enumerate(r, 5, 50, nil, nil) {
 		if !Match(r, s) {
 			t.Errorf("enumerated non-member %q", s)
 		}

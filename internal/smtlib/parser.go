@@ -1,9 +1,8 @@
 package smtlib
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
+	"repro/internal/rat"
 )
 
 // ParseScript parses a complete SMT-LIB script, elaborating all terms
@@ -284,18 +283,15 @@ func (el *elaborator) term(se sexpr, sc *scope) (ast.Term, error) {
 
 func (el *elaborator) atomTerm(a *atom, sc *scope) (ast.Term, error) {
 	switch a.tok.kind {
-	case tokNumeral:
-		v, ok := new(big.Int).SetString(a.tok.text, 10)
-		if !ok {
+	case tokNumeral, tokDecimal:
+		v, ok := rat.Parse(a.tok.text)
+		switch {
+		case !ok:
 			return nil, errAt(a.tok.line, a.tok.col, "malformed numeral %q", a.tok.text)
+		case a.tok.kind == tokNumeral:
+			return el.tb.IntRat(v), nil
 		}
-		return el.tb.IntBig(v), nil
-	case tokDecimal:
-		v, ok := new(big.Rat).SetString(a.tok.text)
-		if !ok {
-			return nil, errAt(a.tok.line, a.tok.col, "malformed decimal %q", a.tok.text)
-		}
-		return el.tb.RealBig(v), nil
+		return el.tb.RealRat(v), nil
 	case tokString:
 		return el.tb.Str(a.tok.text), nil
 	case tokSymbol:
@@ -410,7 +406,7 @@ func (el *elaborator) coerceNumerals(op ast.Op, args []ast.Term) []ast.Term {
 				copy(out, args)
 				changed = true
 			}
-			out[i] = el.tb.RealBig(new(big.Rat).SetInt(il.V))
+			out[i] = el.tb.RealRat(il.V)
 		}
 	}
 	return out

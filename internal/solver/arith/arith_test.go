@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 // value returns the model's value of v, failing the test when the

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/fuel"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 	"repro/internal/solver/simplex"
 	"repro/internal/telemetry"
 )

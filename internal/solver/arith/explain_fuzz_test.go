@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // fuzzProblem decodes data into a linear conjunction over up to four

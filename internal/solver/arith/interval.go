@@ -1,6 +1,6 @@
 package arith
 
-import "repro/internal/solver/rat"
+import "repro/internal/rat"
 
 // Endpoint is one side of an interval: a rational value or ±∞, with an
 // openness flag (Open means the value itself is excluded). Values are

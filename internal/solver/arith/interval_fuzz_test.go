@@ -5,7 +5,7 @@ import (
 	"math/big"
 	"testing"
 
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // FuzzIntervalEnclosure checks the interval operations' enclosure

@@ -15,7 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // VarCoeff is one summand Coeff·Var of a linear expression.
@@ -290,7 +290,7 @@ func LinearizeInto(out *LinExpr, t ast.Term, k rat.Rat, abs *Abstractor) error {
 		out.AddVar(n.Name, k)
 		return nil
 	case *ast.IntLit, *ast.RealLit:
-		c, _ := numeral(t)
+		c, _ := ast.Numeral(t)
 		out.Const = out.Const.Add(c.Mul(k))
 		return nil
 	case *ast.App:
@@ -298,17 +298,6 @@ func LinearizeInto(out *LinExpr, t ast.Term, k rat.Rat, abs *Abstractor) error {
 	default:
 		return fmt.Errorf("arith: cannot linearize %T", t)
 	}
-}
-
-// numeral returns the value of an integer or real literal.
-func numeral(t ast.Term) (rat.Rat, bool) {
-	switch n := t.(type) {
-	case *ast.IntLit:
-		return rat.FromBigInt(n.V), true
-	case *ast.RealLit:
-		return rat.FromBig(n.V), true
-	}
-	return rat.Rat{}, false
 }
 
 func linearizeApp(out *LinExpr, n *ast.App, k rat.Rat, abs *Abstractor) error {
@@ -380,7 +369,7 @@ func linearizeProduct(out *LinExpr, t *ast.App, k rat.Rat, abs *Abstractor) erro
 		}
 	}()
 	for _, a := range t.Args {
-		if c, ok := numeral(a); ok {
+		if c, ok := ast.Numeral(a); ok {
 			scale = scale.Mul(c)
 			continue
 		}

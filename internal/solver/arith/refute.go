@@ -3,7 +3,7 @@ package arith
 import (
 	"repro/internal/ast"
 	"repro/internal/fuel"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 	"repro/internal/telemetry"
 )
 
@@ -19,16 +19,15 @@ type Env map[string]Interval
 // enclosure is sound: every value the term can take under assignments
 // consistent with env lies in the result.
 func EvalInterval(t ast.Term, env Env, intVars map[string]bool) Interval {
+	if c, ok := ast.Numeral(t); ok {
+		return Point(c)
+	}
 	switch n := t.(type) {
 	case *ast.Var:
 		if iv, ok := env[n.Name]; ok {
 			return iv
 		}
 		return Whole()
-	case *ast.IntLit:
-		return Point(rat.FromBigInt(n.V))
-	case *ast.RealLit:
-		return Point(rat.FromBig(n.V))
 	case *ast.App:
 		return evalIntervalApp(n, env, intVars)
 	default:

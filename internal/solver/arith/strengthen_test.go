@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ast"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 func TestStrengthenInts(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/solver/arith"
-	"repro/internal/solver/rat"
 )
 
 // litMemo is the theory front end's memo of literal facts for one
@@ -173,20 +173,11 @@ func (m *litMemo) load(model arith.Model) {
 		case !ok:
 			m.frame[sl] = eval.DefaultValue(v.VSort)
 		case v.VSort == ast.SortInt:
-			m.frame[sl] = eval.IntVal(truncate(val))
+			m.frame[sl] = eval.IntVal(val.Trunc())
 		default:
 			m.frame[sl] = eval.RealVal(val)
 		}
 	}
-}
-
-// truncate rounds x toward zero.
-func truncate(x rat.Rat) rat.Rat {
-	fl := x.Floor()
-	if x.Sign() < 0 && fl.Cmp(x) != 0 {
-		return fl.Add(rat.Int(1))
-	}
-	return fl
 }
 
 // holds reports whether every literal of the round is true under the

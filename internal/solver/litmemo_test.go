@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
 	"repro/internal/solver/arith"
-	"repro/internal/solver/rat"
 )
 
 // naiveGrid is sampleGrid without the memo: every single-variable and

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // corruptModel applies the model-corruption defect family (the md-

@@ -1,10 +1,9 @@
 package solver
 
 import (
-	"math/big"
-
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/rat"
 )
 
 // rewrite simplifies a boolean assert: operator-specific rules (the
@@ -373,7 +372,7 @@ func (s *Solver) tryMulDivCancel(num, den ast.Term) (ast.Term, bool) {
 		return nil, false
 	}
 	s.hit(pRwDivCancel)
-	if litNonzero(den) {
+	if c, ok := ast.Numeral(den); ok && !c.IsZero() {
 		return other, true
 	}
 	return nil, false
@@ -444,16 +443,6 @@ func (s *Solver) eqDivCancelOne(v, e ast.Term) bool {
 	return false
 }
 
-func litNonzero(t ast.Term) bool {
-	switch n := t.(type) {
-	case *ast.IntLit:
-		return n.V.Sign() != 0
-	case *ast.RealLit:
-		return n.V.Sign() != 0
-	}
-	return false
-}
-
 func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 	s.hit(pRwIntDiv)
 	a0, ok0 := app.Args[0].(*ast.IntLit)
@@ -462,8 +451,7 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 		if app.Op == ast.OpIntDiv && a1.V.Sign() < 0 && s.defect(DefIntDivNegRound) {
 			// Truncated instead of Euclidean division.
 			s.hit(pRwIntDivNeg)
-			q := new(big.Int).Quo(a0.V, a1.V)
-			return s.terms.IntBig(q)
+			return s.terms.IntRat(a0.V.Quo(a1.V).Trunc())
 		}
 		return s.foldGround(app)
 	}
@@ -485,7 +473,11 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 func (s *Solver) rwAbs(app *ast.App) ast.Term {
 	s.hit(pRwAbs)
 	if lit, ok := app.Args[0].(*ast.IntLit); ok {
-		return s.terms.IntBig(new(big.Int).Abs(lit.V))
+		v := lit.V
+		if v.Sign() < 0 {
+			v = v.Neg()
+		}
+		return s.terms.IntRat(v)
 	}
 	return app
 }
@@ -521,11 +513,12 @@ func (s *Solver) rwCompare(app *ast.App) ast.Term {
 		// q can be non-positive. Fires on the (div z y) inversion terms
 		// fusion substitutes into comparisons.
 		if div, ok := a.(*ast.App); ok && len(div.Args) == 2 &&
-			(div.Op == ast.OpIntDiv || div.Op == ast.OpRealDiv) &&
-			!litNonzero(div.Args[1]) {
-			s.hit(pRwDivMulThrough)
-			if s.defect(DefDivMulThrough) {
-				return s.terms.MustApp(app.Op, div.Args[0], s.terms.Mul(b, div.Args[1]))
+			(div.Op == ast.OpIntDiv || div.Op == ast.OpRealDiv) {
+			if q, lit := ast.Numeral(div.Args[1]); !lit || q.IsZero() {
+				s.hit(pRwDivMulThrough)
+				if s.defect(DefDivMulThrough) {
+					return s.terms.MustApp(app.Op, div.Args[0], s.terms.Mul(b, div.Args[1]))
+				}
 			}
 		}
 	}
@@ -541,16 +534,11 @@ func isSquare(t ast.Term) bool {
 // whose sign settles it: p < b and p ≤ b are false, p ≥ b and p > b
 // true.
 func nonNegFold(op ast.Op, b ast.Term) (ast.Term, bool) {
-	var sign int
-	switch lit := b.(type) {
-	case *ast.RealLit:
-		sign = lit.V.Sign()
-	case *ast.IntLit:
-		sign = lit.V.Sign()
-	default:
+	c, ok := ast.Numeral(b)
+	if !ok {
 		return nil, false
 	}
-	switch {
+	switch sign := c.Sign(); {
 	case op == ast.OpLt && sign <= 0, op == ast.OpLe && sign < 0:
 		return ast.False, true
 	case op == ast.OpGe && sign <= 0, op == ast.OpGt && sign < 0:
@@ -638,7 +626,7 @@ func (s *Solver) rwStrAt(app *ast.App) ast.Term {
 	lit, ok0 := app.Args[0].(*ast.StrLit)
 	idx, ok1 := app.Args[1].(*ast.IntLit)
 	if ok0 && ok1 {
-		if idx.V.IsInt64() && idx.V.Int64() == int64(len(lit.V)) && len(lit.V) > 0 && s.defect(DefStrAtOutOfRange) {
+		if idx.V.Cmp(rat.Int(int64(len(lit.V)))) == 0 && len(lit.V) > 0 && s.defect(DefStrAtOutOfRange) {
 			// Off-by-one: returns the last character instead of "".
 			return s.terms.Str(lit.V[len(lit.V)-1:])
 		}
@@ -798,14 +786,10 @@ func containsOp(t ast.Term, op ast.Op) bool {
 	return ast.Ops(t)[op]
 }
 
+// isNumLit reports whether t is a numeric literal of value v.
 func isNumLit(t ast.Term, v int64) bool {
-	switch n := t.(type) {
-	case *ast.IntLit:
-		return n.V.IsInt64() && n.V.Int64() == v
-	case *ast.RealLit:
-		return n.V.IsInt() && n.V.Num().IsInt64() && n.V.Num().Int64() == v
-	}
-	return false
+	c, ok := ast.Numeral(t)
+	return ok && c.Cmp(rat.Int(v)) == 0
 }
 
 func (s *Solver) zeroOfSort(sort ast.Sort) ast.Term {

@@ -7,7 +7,7 @@
 package simplex
 
 import (
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // Num is a δ-rational a + b·δ, where δ is a positive infinitesimal.

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 )
 
 // Property: δ-rational ordering is a total order consistent with the

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/fuel"
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 	"repro/internal/telemetry"
 )
 

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/solver/rat"
+	"repro/internal/rat"
 	"repro/internal/telemetry"
 )
 

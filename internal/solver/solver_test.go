@@ -7,8 +7,8 @@ import (
 	"repro/internal/ast"
 	"repro/internal/coverage"
 	"repro/internal/eval"
+	"repro/internal/rat"
 	"repro/internal/smtlib"
-	"repro/internal/solver/rat"
 )
 
 func solveSrc(t *testing.T, s *Solver, src string) Outcome {

@@ -150,7 +150,7 @@ func (c *checker) stringCandidates(v string) []eval.Val {
 	var raw []string
 	if rs := c.pos[v]; len(rs) > 0 {
 		r := regex.Inter(rs...)
-		raw = regex.EnumerateFuel(r, maxLen+2, c.lim.MaxCandidates, c.fuel, c.telem)
+		raw = regex.Enumerate(r, maxLen+2, c.lim.MaxCandidates, c.fuel, c.telem)
 	} else {
 		// Problem literals are strong candidates for equalities, and
 		// decimal renderings of integer constants matter for str.to_int
@@ -164,8 +164,8 @@ func (c *checker) stringCandidates(v string) []eval.Val {
 						raw = append(raw, n.V)
 					}
 				case *ast.IntLit:
-					if n.V.Sign() >= 0 && len(n.V.String()) <= maxLen+2 {
-						raw = append(raw, n.V.String())
+					if s := n.V.String(); n.V.Sign() >= 0 && len(s) <= maxLen+2 {
+						raw = append(raw, s)
 					}
 				}
 				return true

@@ -13,9 +13,9 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/fuel"
+	"repro/internal/rat"
 	"repro/internal/regex"
 	"repro/internal/solver/arith"
-	"repro/internal/solver/rat"
 	"repro/internal/telemetry"
 )
 
@@ -468,7 +468,7 @@ func (c *checker) lengthAbstraction() (Status, map[string]int) {
 			if err != nil {
 				continue
 			}
-			if min, ok := regex.MinLenFuel(r, c.fuel, c.telem); ok && min > 0 {
+			if min, ok := regex.MinLen(r, c.fuel, c.telem); ok && min > 0 {
 				e := arith.NewLinExpr()
 				e.AddVar(lenVar(v.Name), rat.Int(1))
 				e.Const = rat.Int(int64(-min))
