@@ -24,9 +24,9 @@
 //     renders output. Map iteration order must never reach rendered
 //     results, trace records, or metrics.
 //   - fuel-charge: in the solver packages (internal/solver/...,
-//     internal/rat, internal/regex, internal/eval), every loop whose bound is not
-//     syntactically evident must reach a fuel.Meter.Spend call,
-//     directly or through the functions it calls. A loop that is
+//     internal/rat, internal/regex, internal/eval), every loop whose
+//     bound is not syntactically evident must reach a fuel.Meter.Spend
+//     call, directly or through the functions it calls. A loop that is
 //     legitimately bounded for a non-obvious reason carries an explicit
 //     //golint:allow fuel-charge — <reason> directive.
 //

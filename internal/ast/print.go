@@ -111,10 +111,8 @@ func writeDecimal(b *strings.Builder, v rat.Rat) bool {
 	n, d, ok := v.Inline()
 	if !ok {
 		r := v.Big()
-		dec, ok := exactDecimal(r.Abs(r))
-		if ok {
-			b.WriteString(dec)
-		}
+		dec, ok := exactDecimal(r.Abs(r)) // dec is "" when !ok
+		b.WriteString(dec)
 		return ok
 	}
 	den := uint64(d)
@@ -127,15 +125,14 @@ func writeDecimal(b *strings.Builder, v rat.Rat) bool {
 	if odd != 1 {
 		return false
 	}
-	num := uint64(n)
 	if n < 0 {
-		num = uint64(-n)
+		n = -n
 	}
 	var buf [20]byte
-	b.Write(strconv.AppendUint(buf[:0], num/den, 10))
+	b.Write(strconv.AppendUint(buf[:0], uint64(n)/den, 10))
 	b.WriteByte('.')
 	// 10·rem < 10·den fits 128 bits with a high word below den.
-	for i, rem := 0, num%den; i < max(twos, fives); i++ {
+	for i, rem := 0, uint64(n)%den; i < max(twos, fives); i++ {
 		hi, lo := bits.Mul64(rem, 10)
 		var q uint64
 		q, rem = bits.Div64(hi, lo, den)

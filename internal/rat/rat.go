@@ -1,9 +1,9 @@
-// Package rat implements the exact rational numbers of the linear
-// arithmetic path. A Rat is a value: it holds n/d inline as two int64
-// words when both fit, and falls back to an immutable *big.Rat only
-// when a result overflows. Nearly every coefficient, bound and
-// δ-rational the simplex and branch-and-bound see is small, so the
-// common operations run on machine words without allocating.
+// Package rat implements the repository's one exact number type, used
+// by literals, evaluated values and the arithmetic solver alike. A Rat
+// is a value: it holds n/d inline as two int64 words when both fit, and
+// falls back to an immutable *big.Rat only when a result overflows.
+// Nearly every number a campaign sees is small, so the common
+// operations run on machine words without allocating.
 //
 // Canonical form: a value that fits the inline form — numerator in
 // [−MaxInt64, MaxInt64] and denominator in [1, MaxInt64], in lowest
@@ -70,11 +70,8 @@ func Parse(s string) (Rat, bool) {
 			return Rat{}, false
 		}
 	}
-	switch {
-	case digits == 0:
-		return Rat{}, false
-	case digits <= 18:
-		return New(n, d), true
+	if digits <= 18 {
+		return New(n, d), digits > 0
 	}
 	r, _ := new(big.Rat).SetString(s)
 	return norm(r), true

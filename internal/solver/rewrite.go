@@ -473,11 +473,10 @@ func (s *Solver) rwIntDiv(app *ast.App) ast.Term {
 func (s *Solver) rwAbs(app *ast.App) ast.Term {
 	s.hit(pRwAbs)
 	if lit, ok := app.Args[0].(*ast.IntLit); ok {
-		v := lit.V
-		if v.Sign() < 0 {
-			v = v.Neg()
+		if lit.V.Sign() < 0 {
+			return s.terms.IntRat(lit.V.Neg())
 		}
-		return s.terms.IntRat(v)
+		return s.terms.IntRat(lit.V)
 	}
 	return app
 }
